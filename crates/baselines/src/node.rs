@@ -99,7 +99,9 @@ pub struct BaselineNode {
     role: BaselineRole,
     tree: Arc<HierarchyTree>,
     quorum: QuorumSpec,
-    peers: Vec<NodeId>,
+    /// The other replicas of this node's domain: the recipients of every
+    /// consensus broadcast.
+    other_peers: Vec<NodeId>,
     consensus: ConsensusReplica<BCmd>,
     /// The committee domain used by AHL deployments.
     committee: DomainId,
@@ -160,13 +162,14 @@ impl BaselineNode {
         let cfg = tree.config(id.domain).expect("domain exists");
         let quorum = cfg.quorum;
         let peers = tree.nodes_of(id.domain).expect("domain has nodes");
-        let consensus = ConsensusReplica::with_batching(id, peers.clone(), quorum, batch);
+        let other_peers = peers.iter().copied().filter(|p| *p != id).collect();
+        let consensus = ConsensusReplica::with_batching(id, peers, quorum, batch);
         Self {
             id,
             role,
             tree,
             quorum,
-            peers,
+            other_peers,
             consensus,
             committee,
             ledger: LinearLedger::new(id.domain),
@@ -209,9 +212,7 @@ impl BaselineNode {
     /// Replaces the checkpoint / state-transfer configuration of the
     /// internal consensus (builder style).
     pub fn with_checkpointing(mut self, checkpoint: CheckpointConfig) -> Self {
-        self.consensus =
-            ConsensusReplica::with_batching(self.id, self.peers.clone(), self.quorum, self.batch)
-                .with_checkpointing(checkpoint);
+        self.consensus = self.consensus.with_checkpointing(checkpoint);
         self
     }
 
@@ -298,18 +299,6 @@ impl BaselineNode {
         self.quorum.certificate_size()
     }
 
-    fn other_peers(&self) -> Vec<NodeId> {
-        self.peers
-            .iter()
-            .copied()
-            .filter(|p| *p != self.id)
-            .collect()
-    }
-
-    fn nodes_of(&self, d: DomainId) -> Vec<NodeId> {
-        self.tree.nodes_of(d).unwrap_or_default()
-    }
-
     fn propose(&mut self, cmd: BCmd, ctx: &mut Context<'_, BaselineMsg>) {
         let pooled = self.tracer.enabled().then(|| {
             let tx = bcmd_tx(&cmd);
@@ -381,7 +370,10 @@ impl BaselineNode {
                                 .record(ctx.now(), TraceEventKind::ViewChangeStart { view });
                         }
                     }
-                    ctx.multicast(self.other_peers(), BaselineMsg::Consensus(msg));
+                    ctx.multicast(
+                        self.other_peers.iter().copied(),
+                        BaselineMsg::Consensus(msg),
+                    );
                 }
                 Step::Deliver { seq, command } => {
                     // Recorded only for fault-injection runs (the suites'
@@ -594,7 +586,7 @@ impl BaselineNode {
             BaselineRole::AhlShard | BaselineRole::AhlCommittee => {
                 // Forward to the reference committee for 2PC coordination.
                 ctx.multicast(
-                    self.nodes_of(self.committee),
+                    self.tree.replicas_of(self.committee),
                     BaselineMsg::CrossSubmit { tx },
                 );
             }
@@ -626,7 +618,7 @@ impl BaselineNode {
             let cert_sigs = self.cert_sigs();
             for d in tx.involved_domains() {
                 ctx.multicast(
-                    self.nodes_of(d),
+                    self.tree.replicas_of(d),
                     BaselineMsg::TwoPcPrepare {
                         tx: tx.clone(),
                         cert_sigs,
@@ -652,7 +644,7 @@ impl BaselineNode {
         if self.is_primary() {
             let cert_sigs = self.cert_sigs();
             ctx.multicast(
-                self.nodes_of(self.committee),
+                self.tree.replicas_of(self.committee),
                 BaselineMsg::TwoPcVote {
                     tx_id: tx.id,
                     domain: self.domain(),
@@ -695,7 +687,7 @@ impl BaselineNode {
             let cert_sigs = self.cert_sigs();
             for d in tx.involved_domains() {
                 ctx.multicast(
-                    self.nodes_of(d),
+                    self.tree.replicas_of(d),
                     BaselineMsg::TwoPcDecision {
                         tx_id,
                         commit: true,
@@ -752,7 +744,7 @@ impl BaselineNode {
         let leader_domain = self.domain();
         for d in tx.involved_domains() {
             ctx.multicast(
-                self.nodes_of(d),
+                self.tree.replicas_of(d),
                 BaselineMsg::FlatAccept {
                     tx: tx.clone(),
                     seq,
@@ -786,7 +778,7 @@ impl BaselineNode {
                 // BFT: all-to-all echo across every involved shard first.
                 for d in tx.involved_domains() {
                     ctx.multicast(
-                        self.nodes_of(d),
+                        self.tree.replicas_of(d),
                         BaselineMsg::FlatEcho {
                             tx_id: tx.id,
                             domain: self.domain(),
@@ -865,7 +857,7 @@ impl BaselineNode {
             let cert_sigs = self.cert_sigs();
             for d in involved {
                 ctx.multicast(
-                    self.nodes_of(d),
+                    self.tree.replicas_of(d),
                     BaselineMsg::FlatCommit { tx_id, cert_sigs },
                 );
             }

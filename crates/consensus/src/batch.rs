@@ -13,58 +13,102 @@ use crate::interface::Command;
 use saguaro_crypto::sha256::sha256_parts;
 use saguaro_crypto::{Digest, MerkleTree};
 pub use saguaro_types::BatchConfig;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// An ordered block of commands ordered through consensus as one unit.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The members are immutable and shared: cloning a batch — into a slot, a
+/// wire message, the delivered chain, a `Deliver` step — bumps a reference
+/// count, and the digest is computed by whichever holder asks first and read
+/// by every other.  A batch with different members is a different
+/// allocation with its own (empty) digest cell.
 pub struct Batch<C> {
+    body: Arc<BatchBody<C>>,
+}
+
+struct BatchBody<C> {
     commands: Vec<C>,
+    /// Memoized [`Command::digest`] of the batch.
+    digest: OnceLock<Digest>,
+}
+
+impl<C> Clone for Batch<C> {
+    fn clone(&self) -> Self {
+        Self {
+            body: Arc::clone(&self.body),
+        }
+    }
+}
+
+impl<C: fmt::Debug> fmt::Debug for Batch<C> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Batch")
+            .field("commands", &self.body.commands)
+            .finish()
+    }
+}
+
+impl<C: PartialEq> PartialEq for Batch<C> {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.body, &other.body) || self.body.commands == other.body.commands
+    }
 }
 
 impl<C> Batch<C> {
     /// Builds a batch from its member commands (empty batches are legal but
     /// never produced by the [`Batcher`]).
     pub fn new(commands: Vec<C>) -> Self {
-        Self { commands }
+        Self {
+            body: Arc::new(BatchBody {
+                commands,
+                digest: OnceLock::new(),
+            }),
+        }
     }
 
     /// A block of exactly one command (the unbatched configuration).
     pub fn single(cmd: C) -> Self {
-        Self {
-            commands: vec![cmd],
-        }
+        Self::new(vec![cmd])
     }
 
     /// Number of member commands.
     pub fn len(&self) -> usize {
-        self.commands.len()
+        self.body.commands.len()
     }
 
     /// True if the batch carries no commands.
     pub fn is_empty(&self) -> bool {
-        self.commands.is_empty()
+        self.body.commands.is_empty()
     }
 
     /// Iterates over the member commands in block order.
     pub fn iter(&self) -> std::slice::Iter<'_, C> {
-        self.commands.iter()
+        self.body.commands.iter()
     }
 
     /// The member commands in block order.
     pub fn commands(&self) -> &[C] {
-        &self.commands
-    }
-
-    /// Consumes the batch, yielding the member commands in block order.
-    pub fn into_commands(self) -> Vec<C> {
-        self.commands
+        &self.body.commands
     }
 }
 
-impl<C> IntoIterator for Batch<C> {
+impl<C: Clone> Batch<C> {
+    /// Consumes the batch, yielding the member commands in block order
+    /// (moved out by the last holder, copied otherwise).
+    pub fn into_commands(self) -> Vec<C> {
+        match Arc::try_unwrap(self.body) {
+            Ok(body) => body.commands,
+            Err(shared) => shared.commands.clone(),
+        }
+    }
+}
+
+impl<C: Clone> IntoIterator for Batch<C> {
     type Item = C;
     type IntoIter = std::vec::IntoIter<C>;
     fn into_iter(self) -> Self::IntoIter {
-        self.commands.into_iter()
+        self.into_commands().into_iter()
     }
 }
 
@@ -72,18 +116,20 @@ impl<'a, C> IntoIterator for &'a Batch<C> {
     type Item = &'a C;
     type IntoIter = std::slice::Iter<'a, C>;
     fn into_iter(self) -> Self::IntoIter {
-        self.commands.iter()
+        self.iter()
     }
 }
 
 impl<C: Command> Command for Batch<C> {
     /// Digest of a batch: the Merkle root over the member digests
     /// (domain-separated from raw member digests so a one-command block
-    /// never collides with its member).
+    /// never collides with its member).  Computed once per batch body.
     fn digest(&self) -> Digest {
-        let leaves: Vec<Digest> = self.commands.iter().map(Command::digest).collect();
-        let root = MerkleTree::from_leaf_digests(leaves).root();
-        sha256_parts(&[b"saguaro-batch", root.as_ref()])
+        *self.body.digest.get_or_init(|| {
+            let leaves: Vec<Digest> = self.iter().map(Command::digest).collect();
+            let root = MerkleTree::from_leaf_digests(leaves).root();
+            sha256_parts(&[b"saguaro-batch", root.as_ref()])
+        })
     }
 }
 
@@ -103,7 +149,7 @@ pub struct Batcher<C> {
     pending: Vec<C>,
 }
 
-impl<C> Batcher<C> {
+impl<C: Clone> Batcher<C> {
     /// Creates a batcher with the given knobs (`max_batch` is clamped to 1).
     pub fn new(config: BatchConfig) -> Self {
         let config = BatchConfig {

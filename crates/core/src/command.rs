@@ -6,8 +6,9 @@
 //! internal consensus protocol.  This enum is the command type those
 //! protocols order.
 
-use saguaro_crypto::sha256::sha256_parts;
+use saguaro_crypto::sha256::Sha256;
 use saguaro_crypto::Digest;
+use saguaro_ledger::block::absorb_seq;
 use saguaro_ledger::Block;
 use saguaro_types::{ClientId, DomainId, MultiSeq, SeqNo, Transaction, TxId};
 
@@ -87,73 +88,70 @@ impl Cmd {
         }
     }
 
-    /// A short tag used in digests and debugging.
-    fn tag(&self) -> &'static str {
+    /// The variant's tag byte in the digest encoding.
+    fn tag(&self) -> u8 {
         match self {
-            Cmd::Internal(_) => "internal",
-            Cmd::CoordPrepare { .. } => "coord-prepare",
-            Cmd::CrossPrepare { .. } => "cross-prepare",
-            Cmd::CoordCommit { .. } => "coord-commit",
-            Cmd::OptimisticCross(_) => "optimistic",
-            Cmd::ChildBlock { .. } => "child-block",
-            Cmd::MobileExtract { .. } => "mobile-extract",
-            Cmd::MobileInstall { .. } => "mobile-install",
+            Cmd::Internal(_) => 1,
+            Cmd::CoordPrepare { .. } => 2,
+            Cmd::CrossPrepare { .. } => 3,
+            Cmd::CoordCommit { .. } => 4,
+            Cmd::OptimisticCross(_) => 5,
+            Cmd::ChildBlock { .. } => 6,
+            Cmd::MobileExtract { .. } => 7,
+            Cmd::MobileInstall { .. } => 8,
         }
     }
 }
 
 impl saguaro_consensus::Command for Cmd {
+    /// SHA-256 over a tagged binary encoding of the identifying fields —
+    /// fixed-width per variant, so it is written into a stack buffer; only
+    /// `CoordCommit`'s sequence parts are streamed.
     fn digest(&self) -> Digest {
-        let detail: Vec<u8> = match self {
-            Cmd::Internal(tx) | Cmd::OptimisticCross(tx) => tx.id.0.to_be_bytes().to_vec(),
-            Cmd::CoordPrepare { tx, coord_seq } => {
-                let mut v = tx.id.0.to_be_bytes().to_vec();
-                v.extend_from_slice(&coord_seq.to_be_bytes());
-                v
+        let mut h = Sha256::new();
+        let mut buf = [0u8; 48];
+        buf[..11].copy_from_slice(b"saguaro-cmd");
+        buf[11] = self.tag();
+        let mut len = 12;
+        let mut put = |bytes: &[u8]| {
+            buf[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        };
+        match self {
+            Cmd::Internal(tx) | Cmd::OptimisticCross(tx) => put(&tx.id.0.to_be_bytes()),
+            Cmd::CoordPrepare { tx, coord_seq } | Cmd::CrossPrepare { tx, coord_seq } => {
+                put(&tx.id.0.to_be_bytes());
+                put(&coord_seq.to_be_bytes());
             }
-            Cmd::CrossPrepare { tx, coord_seq } => {
-                let mut v = tx.id.0.to_be_bytes().to_vec();
-                v.extend_from_slice(&coord_seq.to_be_bytes());
-                v
-            }
-            Cmd::CoordCommit {
-                tx_id,
-                seqs,
-                commit,
-            } => {
-                let mut v = tx_id.0.to_be_bytes().to_vec();
-                for (d, s) in seqs.iter() {
-                    v.push(d.height);
-                    v.extend_from_slice(&d.index.to_be_bytes());
-                    v.extend_from_slice(&s.to_be_bytes());
-                }
-                v.push(*commit as u8);
-                v
+            Cmd::CoordCommit { tx_id, commit, .. } => {
+                put(&tx_id.0.to_be_bytes());
+                put(&[*commit as u8]);
             }
             Cmd::ChildBlock { child, block } => {
-                let mut v = vec![child.height];
-                v.extend_from_slice(&child.index.to_be_bytes());
-                v.extend_from_slice(block.header.digest().as_ref());
-                v
+                put(&[child.height]);
+                put(&child.index.to_be_bytes());
+                put(block.header.digest().as_ref());
             }
             Cmd::MobileExtract {
                 device,
                 remote,
                 trigger,
             } => {
-                let mut v = device.0.to_be_bytes().to_vec();
-                v.push(remote.height);
-                v.extend_from_slice(&remote.index.to_be_bytes());
-                v.extend_from_slice(&trigger.0.to_be_bytes());
-                v
+                put(&device.0.to_be_bytes());
+                put(&[remote.height]);
+                put(&remote.index.to_be_bytes());
+                put(&trigger.0.to_be_bytes());
             }
             Cmd::MobileInstall { device, tx, .. } => {
-                let mut v = device.0.to_be_bytes().to_vec();
-                v.extend_from_slice(&tx.id.0.to_be_bytes());
-                v
+                put(&device.0.to_be_bytes());
+                put(&tx.id.0.to_be_bytes());
             }
-        };
-        sha256_parts(&[b"saguaro-cmd", self.tag().as_bytes(), &detail])
+        }
+        h.update(&buf[..len]);
+        if let Cmd::CoordCommit { seqs, .. } = self {
+            absorb_seq(&mut h, seqs);
+        }
+        h.finalize()
     }
 }
 

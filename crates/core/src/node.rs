@@ -50,8 +50,9 @@ pub struct SaguaroNode {
     pub(crate) tree: Arc<HierarchyTree>,
     pub(crate) config: ProtocolConfig,
     pub(crate) quorum: QuorumSpec,
-    /// All replicas of this node's domain (sorted), including `id`.
-    pub(crate) peers: Vec<NodeId>,
+    /// The other replicas of this node's domain (sorted): the recipients of
+    /// every consensus broadcast.
+    pub(crate) other_peers: Vec<NodeId>,
     pub(crate) consensus: ConsensusReplica<Cmd>,
 
     // ---------------- execution layer (height-1 domains) ----------------
@@ -130,7 +131,8 @@ impl SaguaroNode {
             .expect("node's domain is in the tree");
         let quorum = cfg.quorum;
         let peers = tree.nodes_of(id.domain).expect("domain has nodes");
-        let consensus = ConsensusReplica::with_batching(id, peers.clone(), quorum, config.batch)
+        let other_peers = peers.iter().copied().filter(|p| *p != id).collect();
+        let consensus = ConsensusReplica::with_batching(id, peers, quorum, config.batch)
             .with_checkpointing(config.checkpoint);
         let suspicion = SuspicionTimer::new(config.liveness);
         let tracer = Tracer::new(config.trace, TraceActor::Node(id));
@@ -139,7 +141,7 @@ impl SaguaroNode {
             tree,
             config,
             quorum,
-            peers,
+            other_peers,
             consensus,
             ledger: LinearLedger::new(id.domain),
             state: BlockchainState::new(),
@@ -263,24 +265,10 @@ impl SaguaroNode {
     // Helpers shared by the protocol modules
     // ------------------------------------------------------------------
 
-    /// All replicas of another domain.
-    pub(crate) fn nodes_of(&self, domain: DomainId) -> Vec<NodeId> {
-        self.tree.nodes_of(domain).unwrap_or_default()
-    }
-
     /// The number of certificate signatures this domain attaches to messages
     /// it sends to other domains (1 for CFT, 2f + 1 for BFT).
     pub(crate) fn cert_sigs(&self) -> usize {
         self.quorum.certificate_size()
-    }
-
-    /// Peers of this node's own domain, excluding itself.
-    pub(crate) fn other_peers(&self) -> Vec<NodeId> {
-        self.peers
-            .iter()
-            .copied()
-            .filter(|p| *p != self.id)
-            .collect()
     }
 
     /// Sends a message to every node of `domain`.
@@ -290,7 +278,7 @@ impl SaguaroNode {
         msg: SaguaroMsg,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
-        ctx.multicast(self.nodes_of(domain), msg);
+        ctx.multicast(self.tree.replicas_of(domain), msg);
     }
 
     /// Proposes a command through the internal consensus (primary only) and
@@ -397,7 +385,7 @@ impl SaguaroNode {
                                 .record(ctx.now(), TraceEventKind::ViewChangeStart { view });
                         }
                     }
-                    ctx.multicast(self.other_peers(), SaguaroMsg::Consensus(msg));
+                    ctx.multicast(self.other_peers.iter().copied(), SaguaroMsg::Consensus(msg));
                 }
                 Step::Deliver { seq, command } => {
                     // The delivery-stream hash only serves the fault suites'

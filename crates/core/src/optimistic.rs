@@ -20,30 +20,72 @@ use saguaro_types::{DomainId, SeqNo, Transaction, TxId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Height-1 bookkeeping for speculatively committed cross-domain transactions.
+///
+/// Every pending transaction carries the union of the keys written / read by
+/// itself and its (transitive) dependents.  A new execution conflicts with a
+/// pending entry iff its read/write sets intersect those unions the way
+/// [`Transaction::conflicts_with`] would intersect some member's sets — the
+/// union distributes over the "any dependent conflicts" existential.  The
+/// unions are stored inverted, key → pending ids, so an execution looks up
+/// the (at most two) keys it touches instead of walking every pending entry.
 #[derive(Default, Debug)]
 pub struct OptTracker {
     /// Undecided speculatively committed cross-domain transactions.
     pending: HashMap<TxId, PendingOpt>,
-    /// Order in which transactions were speculatively executed (for rollback).
-    exec_order: Vec<TxId>,
+    /// Key → pending transactions whose write union holds it.
+    writers: HashMap<String, Vec<TxId>>,
+    /// Key → pending transactions whose read union holds it.
+    readers: HashMap<String, Vec<TxId>>,
+    /// Position of each transaction's latest speculative execution (rollback
+    /// runs in reverse execution order).
+    exec_pos: HashMap<TxId, usize>,
+    /// Speculative executions recorded so far: the next position.
+    executions: usize,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct PendingOpt {
     /// Ids of later transactions with a (transitive) data dependency on the
     /// tracked transaction, in execution order.
     dependent_ids: Vec<TxId>,
-    /// Union of the keys written by the transaction and its dependents.
-    ///
-    /// A new execution conflicts with this entry iff its read/write sets
-    /// intersect these unions the same way [`Transaction::conflicts_with`]
-    /// would intersect some member's sets — the union distributes over the
-    /// "any dependent conflicts" existential, so membership tests replace
-    /// the per-dependent pairwise scan (which cloned every conflicting
-    /// transaction and went quadratic under contention).
-    writes: HashSet<String>,
-    /// Union of the keys read by the transaction and its dependents.
-    reads: HashSet<String>,
+    /// The keys this entry is listed under in `writers` / `readers`.
+    writes: Vec<String>,
+    reads: Vec<String>,
+}
+
+/// Lists `id` under each of `keys` in `index` (once), remembering the keys
+/// in `listed` so the entry can be unlisted when it is decided.
+fn list_under<'a>(
+    index: &mut HashMap<String, Vec<TxId>>,
+    listed: &mut Vec<String>,
+    id: TxId,
+    keys: impl Iterator<Item = &'a str>,
+) {
+    for key in keys {
+        match index.get_mut(key) {
+            Some(ids) if ids.contains(&id) => {}
+            Some(ids) => {
+                ids.push(id);
+                listed.push(key.to_string());
+            }
+            None => {
+                index.insert(key.to_string(), vec![id]);
+                listed.push(key.to_string());
+            }
+        }
+    }
+}
+
+/// Removes `id` from the buckets of `keys`, dropping buckets it empties.
+fn unlist(index: &mut HashMap<String, Vec<TxId>>, id: TxId, keys: &[String]) {
+    for key in keys {
+        if let Some(ids) = index.get_mut(key) {
+            ids.retain(|listed| *listed != id);
+            if ids.is_empty() {
+                index.remove(key);
+            }
+        }
+    }
 }
 
 impl OptTracker {
@@ -57,47 +99,49 @@ impl OptTracker {
         self.pending.contains_key(&id)
     }
 
-    /// Registers a newly executed transaction: records it in the execution
-    /// order and adds it to the dependent list of every pending speculative
-    /// transaction it conflicts with.
+    /// Registers a newly executed transaction: records its execution
+    /// position and adds it to the dependent list of every pending
+    /// speculative transaction it conflicts with.
     fn record_execution(&mut self, tx: &Transaction) {
-        self.exec_order.push(tx.id);
-        let tx_writes = tx.op.write_set();
-        let tx_reads = tx.op.read_set();
-        for (id, p) in self.pending.iter_mut() {
-            if *id == tx.id {
+        self.exec_pos.insert(tx.id, self.executions);
+        self.executions += 1;
+        // Mirrors `Transaction::conflicts_with(member, tx)` over the union
+        // sets: member-write ∩ tx-read/write, or member-read ∩ tx-write.
+        let mut hit: Vec<TxId> = Vec::new();
+        for key in tx.op.write_set() {
+            hit.extend(self.writers.get(key).into_iter().flatten());
+            hit.extend(self.readers.get(key).into_iter().flatten());
+        }
+        for key in tx.op.read_set() {
+            hit.extend(self.writers.get(key).into_iter().flatten());
+        }
+        hit.sort_unstable();
+        hit.dedup();
+        for id in hit {
+            if id == tx.id {
                 continue;
             }
-            // Mirrors `Transaction::conflicts_with(member, tx)` over the
-            // entry's union sets: member-write ∩ tx-read/write, or
-            // member-read ∩ tx-write.
-            let conflicts = tx_writes
-                .iter()
-                .any(|k| p.writes.contains(*k) || p.reads.contains(*k))
-                || tx_reads.iter().any(|k| p.writes.contains(*k));
-            if conflicts {
-                p.dependent_ids.push(tx.id);
-                for k in &tx_writes {
-                    if !p.writes.contains(*k) {
-                        p.writes.insert((*k).to_string());
-                    }
-                }
-                for k in &tx_reads {
-                    if !p.reads.contains(*k) {
-                        p.reads.insert((*k).to_string());
-                    }
-                }
-            }
+            let p = self.pending.get_mut(&id).expect("listed ids are pending");
+            p.dependent_ids.push(tx.id);
+            list_under(&mut self.writers, &mut p.writes, id, tx.op.write_set());
+            list_under(&mut self.readers, &mut p.reads, id, tx.op.read_set());
         }
     }
 
     /// Starts tracking a speculative cross-domain transaction.
-    fn track(&mut self, tx: Transaction) {
-        self.pending.entry(tx.id).or_insert_with(|| PendingOpt {
-            writes: tx.op.write_set().iter().map(|k| k.to_string()).collect(),
-            reads: tx.op.read_set().iter().map(|k| k.to_string()).collect(),
-            dependent_ids: Vec::new(),
-        });
+    fn track(&mut self, tx: &Transaction) {
+        if self.pending.contains_key(&tx.id) {
+            return;
+        }
+        let mut entry = PendingOpt::default();
+        list_under(
+            &mut self.writers,
+            &mut entry.writes,
+            tx.id,
+            tx.op.write_set(),
+        );
+        list_under(&mut self.readers, &mut entry.reads, tx.id, tx.op.read_set());
+        self.pending.insert(tx.id, entry);
     }
 
     /// Finalises a decision, returning the set of transactions to roll back
@@ -107,19 +151,17 @@ impl OptTracker {
         let Some(entry) = self.pending.remove(&id) else {
             return Vec::new();
         };
+        unlist(&mut self.writers, id, &entry.writes);
+        unlist(&mut self.readers, id, &entry.reads);
         if !abort {
             return Vec::new();
         }
-        let mut victims: Vec<TxId> = entry.dependent_ids.clone();
+        let mut victims = entry.dependent_ids;
         victims.push(id);
         // Roll back in reverse execution order.
-        let order: HashMap<TxId, usize> = self
-            .exec_order
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (*t, i))
-            .collect();
-        victims.sort_by_key(|t| std::cmp::Reverse(order.get(t).copied().unwrap_or(usize::MAX)));
+        victims.sort_by_key(|t| {
+            std::cmp::Reverse(self.exec_pos.get(t).copied().unwrap_or(usize::MAX))
+        });
         victims.dedup();
         victims
     }
@@ -354,7 +396,7 @@ impl SaguaroNode {
         }
         self.ledger
             .append_cross_domain(tx.clone(), seqs, TxStatus::SpeculativelyCommitted);
-        self.opt.track(tx.clone());
+        self.opt.track(&tx);
         self.opt.record_execution(&tx);
         self.stats.cross_committed += 1;
         self.stats.commit_times.record(tx.id, ctx.now());
@@ -473,7 +515,7 @@ mod tests {
     fn tracker_collects_dependents_transitively() {
         let mut t = OptTracker::default();
         let base = cross(1, "a", "b", &[d(0), d(1)]);
-        t.track(base.clone());
+        t.track(&base);
         t.record_execution(&base);
         // t2 conflicts with base (writes b), t3 conflicts with t2 (writes c)
         // but not with base directly.
@@ -488,11 +530,136 @@ mod tests {
         assert_eq!(t.pending_count(), 0);
     }
 
+    /// The tracker as it was before the key index: every execution walks
+    /// every pending entry's union sets.  Kept as the reference the indexed
+    /// tracker is checked against.
+    #[derive(Default)]
+    struct ScanTracker {
+        pending: HashMap<TxId, ScanEntry>,
+        exec_order: Vec<TxId>,
+    }
+
+    struct ScanEntry {
+        dependent_ids: Vec<TxId>,
+        writes: HashSet<String>,
+        reads: HashSet<String>,
+    }
+
+    impl ScanTracker {
+        fn record_execution(&mut self, tx: &Transaction) {
+            self.exec_order.push(tx.id);
+            for (id, p) in self.pending.iter_mut() {
+                if *id == tx.id {
+                    continue;
+                }
+                let conflicts = tx
+                    .op
+                    .write_set()
+                    .any(|k| p.writes.contains(k) || p.reads.contains(k))
+                    || tx.op.read_set().any(|k| p.writes.contains(k));
+                if conflicts {
+                    p.dependent_ids.push(tx.id);
+                    p.writes.extend(tx.op.write_set().map(str::to_string));
+                    p.reads.extend(tx.op.read_set().map(str::to_string));
+                }
+            }
+        }
+
+        fn track(&mut self, tx: &Transaction) {
+            self.pending.entry(tx.id).or_insert_with(|| ScanEntry {
+                writes: tx.op.write_set().map(str::to_string).collect(),
+                reads: tx.op.read_set().map(str::to_string).collect(),
+                dependent_ids: Vec::new(),
+            });
+        }
+
+        fn decide(&mut self, id: TxId, abort: bool) -> Vec<TxId> {
+            let Some(entry) = self.pending.remove(&id) else {
+                return Vec::new();
+            };
+            if !abort {
+                return Vec::new();
+            }
+            let mut victims = entry.dependent_ids;
+            victims.push(id);
+            let order: HashMap<TxId, usize> = self
+                .exec_order
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (*t, i))
+                .collect();
+            victims.sort_by_key(|t| std::cmp::Reverse(order.get(t).copied().unwrap_or(usize::MAX)));
+            victims.dedup();
+            victims
+        }
+    }
+
+    proptest::proptest! {
+        /// On random conflict graphs over a small key space — tracked and
+        /// untracked executions, re-executions, commits and aborts
+        /// interleaved — the indexed tracker keeps the same dependents per
+        /// pending transaction and returns the same victims in the same
+        /// order as the linear scan.
+        #[test]
+        fn indexed_tracker_equals_the_linear_scan(
+            steps in proptest::collection::vec((0u8..10, 0u64..24, 0u8..5, 0u8..5), 1..120),
+        ) {
+            let key = |k: u8| format!("k{k}");
+            let mut indexed = OptTracker::default();
+            let mut scan = ScanTracker::default();
+            for (action, id, a, b) in steps {
+                let op = match action % 4 {
+                    0 => Operation::Transfer { from: key(a), to: key(b), amount: 1 },
+                    1 => Operation::Put { key: key(a), value: 1 },
+                    2 => Operation::Get { key: key(a) },
+                    _ => Operation::RideTask { driver: key(a), minutes: 1, fare: 1 },
+                };
+                let tx = Transaction::cross_domain(TxId(id), ClientId(0), vec![d(0), d(1)], op);
+                match action {
+                    // Speculative execution of a tracked transaction.
+                    0..=4 => {
+                        indexed.track(&tx);
+                        scan.track(&tx);
+                        indexed.record_execution(&tx);
+                        scan.record_execution(&tx);
+                    }
+                    // An execution nobody tracks.
+                    5 | 6 => {
+                        indexed.record_execution(&tx);
+                        scan.record_execution(&tx);
+                    }
+                    _ => {
+                        let abort = action != 7;
+                        proptest::prop_assert_eq!(
+                            indexed.decide(TxId(id), abort),
+                            scan.decide(TxId(id), abort)
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(indexed.pending.len(), scan.pending.len());
+                for (id, entry) in &scan.pending {
+                    proptest::prop_assert_eq!(
+                        &indexed.pending[id].dependent_ids,
+                        &entry.dependent_ids
+                    );
+                }
+            }
+            // Deciding everything empties the index.
+            for id in 0..24 {
+                proptest::prop_assert_eq!(
+                    indexed.decide(TxId(id), true),
+                    scan.decide(TxId(id), true)
+                );
+            }
+            proptest::prop_assert!(indexed.writers.is_empty() && indexed.readers.is_empty());
+        }
+    }
+
     #[test]
     fn tracker_commit_rolls_back_nothing() {
         let mut t = OptTracker::default();
         let base = cross(1, "a", "b", &[d(0), d(1)]);
-        t.track(base.clone());
+        t.track(&base);
         t.record_execution(&base);
         assert!(t.is_pending(TxId(1)));
         assert!(t.decide(TxId(1), false).is_empty());

@@ -1,10 +1,21 @@
 //! A from-scratch SHA-256 implementation (FIPS 180-4).
 //!
-//! Used for message digests Δ(m), block hashes, and Merkle trees.  The
-//! implementation favours clarity over speed; digests in the simulator are
-//! computed over small byte strings so throughput is not a concern (the CPU
-//! *cost* of hashing in the modelled system is charged separately by the
-//! network simulator's service-time model).
+//! Used for message digests Δ(m), block hashes, and Merkle trees.  The CPU
+//! *cost* of hashing in the modelled system is charged by the network
+//! simulator's service-time model; what runs here is host time, and it is on
+//! every replica's commit path, so two things keep it small:
+//!
+//! * The compression function keeps a 16-word rolling message schedule,
+//!   hashes whole blocks straight from the input and pads in one step.
+//! * Hashing happens once per value, not once per holder.  A
+//!   `saguaro_ledger::Block` and a `saguaro_consensus::Batch` keep their
+//!   members immutably behind an `Arc` together with the memoized digest /
+//!   Merkle verdict, so every clone — every replica a multicast reaches, at
+//!   every level of the hierarchy — reads the value the first holder
+//!   computed.  The simulator may share a verdict across replicas because
+//!   verification is a pure function of the bytes and the bytes cannot change
+//!   behind the `Arc`: a tampered copy is a different body, built through a
+//!   constructor that starts with no verdict, and is hashed on its own.
 
 use std::fmt;
 
@@ -84,6 +95,8 @@ const H0: [u32; 8] = [
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
+    /// Bytes of the current, not yet compressed block (`buffer_len < 64`
+    /// between calls).
     buffer: [u8; 64],
     buffer_len: usize,
     total_len: u64,
@@ -111,79 +124,67 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         // Fill the partial buffer first.
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buffer_len).min(data.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
         // Whole blocks straight from the input.
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            compress(&mut self.state, block);
             data = rest;
         }
         // Stash the tail.
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        self.buffer[..data.len()].copy_from_slice(data);
+        self.buffer_len = data.len();
     }
 
     /// Finalises the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
+        // Padding in one step: 0x80, zeros up to the length field, then the
+        // 64-bit big-endian bit length — spilling into a second block when
+        // fewer than nine bytes of the current one are free.
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zeros then the 64-bit big-endian length.
-        self.update(&[0x80]);
-        // update() adjusted total_len; undo that for the length field only.
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        let used = self.buffer_len;
+        self.buffer[used] = 0x80;
+        self.buffer[used + 1..].fill(0);
+        if used + 1 > 56 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0u8; 64];
         }
-        let block_len = self.buffer_len;
-        self.buffer[block_len..block_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
+/// Compresses one 64-byte block into `state`.  The message schedule is a
+/// 16-word rolling window: word `i ≥ 16` overwrites word `i − 16`, the
+/// oldest one it depends on.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    // One round over `k + w`; `ch` and `maj` in their three-operation forms.
+    macro_rules! round {
+        ($kw:expr) => {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
+            let ch = g ^ (e & (f ^ g));
+            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add($kw);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
+            let maj = (a & b) | (c & (a | b));
             h = g;
             g = f;
             f = e;
@@ -191,17 +192,23 @@ impl Sha256 {
             d = c;
             c = b;
             b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+            a = temp1.wrapping_add(s0.wrapping_add(maj));
+        };
+    }
+    for i in 0..16 {
+        round!(K[i].wrapping_add(w[i]));
+    }
+    for i in 16..64 {
+        let w15 = w[(i + 1) % 16];
+        let w2 = w[(i + 14) % 16];
+        w[i % 16] = w[i % 16]
+            .wrapping_add(w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3))
+            .wrapping_add(w[(i + 9) % 16])
+            .wrapping_add(w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10));
+        round!(K[i].wrapping_add(w[i % 16]));
+    }
+    for (s, x) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(x);
     }
 }
 
@@ -276,6 +283,65 @@ mod tests {
                 h.update(c);
             }
             assert_eq!(h.finalize(), one_shot, "chunk size {chunk}");
+        }
+    }
+
+    /// Known answers (`hashlib.sha256(b"a" * n)`) on both sides of the two
+    /// padding boundaries: 55/56 (the length field still fits / spills into
+    /// a second block) and 63/64 (a block fills exactly), plus the same one
+    /// block further on.
+    #[test]
+    fn known_answers_at_the_padding_boundaries() {
+        for (len, expected) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(&sha256(&vec![b'a'; len])), expected, "{len} bytes");
+        }
+    }
+
+    /// `sha256_parts` is plain SHA-256 of the length-prefixed concatenation,
+    /// wherever the split falls.
+    #[test]
+    fn parts_equal_one_shot_over_the_prefixed_concatenation() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..200 {
+            let data: Vec<u8> = (0..next() % 200).map(|_| next() as u8).collect();
+            let (a, b) = data.split_at((next() % (data.len() as u64 + 1)) as usize);
+            let mut flat = Vec::new();
+            for part in [a, b] {
+                flat.extend_from_slice(&(part.len() as u64).to_be_bytes());
+                flat.extend_from_slice(part);
+            }
+            assert_eq!(sha256_parts(&[a, b]), sha256(&flat));
         }
     }
 

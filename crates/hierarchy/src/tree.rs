@@ -215,8 +215,15 @@ impl HierarchyTree {
 
     /// The replica node ids of a domain.
     pub fn nodes_of(&self, id: DomainId) -> Result<Vec<NodeId>> {
-        let cfg = self.config(id)?;
-        Ok((0..cfg.size() as u16).map(|i| NodeId::new(id, i)).collect())
+        self.config(id)?;
+        Ok(self.replicas_of(id).collect())
+    }
+
+    /// The replica node ids of a domain, yielded without allocating (what
+    /// the replicas hand to a multicast); empty for an unknown domain.
+    pub fn replicas_of(&self, id: DomainId) -> impl Iterator<Item = NodeId> {
+        let size = self.config(id).map_or(0, |cfg| cfg.size());
+        (0..size as u16).map(move |i| NodeId::new(id, i))
     }
 
     /// The region a domain is placed in.
@@ -348,6 +355,8 @@ mod tests {
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[2], NodeId::new(DomainId::new(1, 0), 2));
         assert!(t.nodes_of(DomainId::new(1, 9)).is_err());
+        assert!(t.replicas_of(DomainId::new(1, 0)).eq(nodes));
+        assert_eq!(t.replicas_of(DomainId::new(1, 9)).count(), 0);
     }
 
     #[test]

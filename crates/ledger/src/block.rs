@@ -7,10 +7,12 @@
 //! `prev` digest, which is what makes the per-domain ledger tamper-evident.
 
 use crate::abstraction::StateDelta;
-use saguaro_crypto::sha256::sha256_parts;
+use saguaro_crypto::sha256::{sha256_parts, Sha256};
 use saguaro_crypto::{Digest, MerkleTree};
-use saguaro_types::{DomainId, MultiSeq, Transaction};
+use saguaro_types::{DomainId, MultiSeq, Operation, Transaction};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a block: the producing domain and its round number.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,25 +63,86 @@ pub struct CommittedTx {
     pub status: TxStatus,
 }
 
-impl CommittedTx {
-    /// Canonical byte encoding used for Merkle leaves and digests.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&self.tx.id.0.to_be_bytes());
-        out.extend_from_slice(&self.tx.client.0.to_be_bytes());
-        for (d, s) in self.seq.iter() {
-            out.extend_from_slice(&[d.height]);
-            out.extend_from_slice(&d.index.to_be_bytes());
-            out.extend_from_slice(&s.to_be_bytes());
+/// Feeds the canonical encoding of a multi-part sequence number into `h`:
+/// the part count, then `(height, index, seq)` per part in domain order.
+pub fn absorb_seq(h: &mut Sha256, seq: &MultiSeq) {
+    h.update(&(seq.len() as u64).to_be_bytes());
+    for (d, s) in seq.iter() {
+        let mut part = [0u8; 11];
+        part[0] = d.height;
+        part[1..3].copy_from_slice(&d.index.to_be_bytes());
+        part[3..].copy_from_slice(&s.to_be_bytes());
+        h.update(&part);
+    }
+}
+
+/// Feeds the canonical encoding of an operation into `h`: a variant tag,
+/// then the variant's fields — keys length-prefixed, numbers big-endian.
+fn absorb_op(h: &mut Sha256, op: &Operation) {
+    fn key(h: &mut Sha256, key: &str) {
+        h.update(&(key.len() as u64).to_be_bytes());
+        h.update(key.as_bytes());
+    }
+    match op {
+        Operation::Transfer { from, to, amount } => {
+            h.update(&[1]);
+            key(h, from);
+            key(h, to);
+            h.update(&amount.to_be_bytes());
         }
-        out.push(match self.status {
+        Operation::Mint { account, amount } => {
+            h.update(&[2]);
+            key(h, account);
+            h.update(&amount.to_be_bytes());
+        }
+        Operation::RideTask {
+            driver,
+            minutes,
+            fare,
+        } => {
+            h.update(&[3]);
+            key(h, driver);
+            h.update(&minutes.to_be_bytes());
+            h.update(&fare.to_be_bytes());
+        }
+        Operation::Put { key: k, value } => {
+            h.update(&[4]);
+            key(h, k);
+            h.update(&value.to_be_bytes());
+        }
+        Operation::Get { key: k } => {
+            h.update(&[5]);
+            key(h, k);
+        }
+        Operation::Noop => h.update(&[6]),
+    }
+}
+
+impl CommittedTx {
+    /// The record's Merkle leaf: SHA-256 over a tagged binary encoding of
+    /// every field, streamed into the hasher without building the encoding
+    /// on the heap.
+    pub fn leaf_digest(&self) -> Digest {
+        let mut h = Sha256::new();
+        let mut head = [0u8; 27];
+        head[..10].copy_from_slice(b"saguaro-tx");
+        head[10..18].copy_from_slice(&self.tx.id.0.to_be_bytes());
+        head[18..26].copy_from_slice(&self.tx.client.0.to_be_bytes());
+        head[26] = match self.status {
             TxStatus::Committed => 1,
             TxStatus::SpeculativelyCommitted => 2,
             TxStatus::Aborted => 3,
-        });
-        out.extend_from_slice(format!("{:?}", self.tx.op).as_bytes());
-        out
+        };
+        h.update(&head);
+        absorb_seq(&mut h, &self.seq);
+        absorb_op(&mut h, &self.tx.op);
+        h.finalize()
     }
+}
+
+/// Merkle root over the leaf digests of `txs`.
+fn tx_root(txs: &[CommittedTx]) -> Digest {
+    MerkleTree::from_leaf_digests(txs.iter().map(CommittedTx::leaf_digest).collect()).root()
 }
 
 /// Header of a block (what gets signed/certified).
@@ -90,7 +153,7 @@ pub struct BlockHeader {
     /// Digest of the previous block of the same domain (`Digest::ZERO` for
     /// the first block).
     pub prev: Digest,
-    /// Merkle root over the encoded transactions.
+    /// Merkle root over the transactions' leaf digests.
     pub tx_root: Digest,
     /// Number of transactions in the block.
     pub tx_count: usize,
@@ -112,9 +175,10 @@ impl BlockHeader {
     }
 }
 
-/// A block produced by a domain at the end of a round.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Block {
+/// The contents of a [`Block`].  Reachable only through a shared reference
+/// (a `Block` derefs to it), so nothing can change once the block exists.
+#[derive(Debug)]
+pub struct BlockBody {
     /// The header.
     pub header: BlockHeader,
     /// Transactions committed (or speculatively committed / aborted) in this
@@ -123,11 +187,44 @@ pub struct Block {
     /// The abstracted state updates of the round (λ applied to the raw
     /// updates).
     pub state_delta: StateDelta,
+    /// Memoized [`Block::verify_content`] verdict, shared by every clone.
+    verdict: OnceLock<bool>,
+}
+
+/// A block produced by a domain at the end of a round.
+///
+/// The body is immutable and shared: cloning a block (one clone per
+/// recipient of a `block` message, per consensus hop, per level of the
+/// hierarchy) bumps a reference count, and the content verdict computed by
+/// the first holder is read by all the others.  A copy that differs in any
+/// member can only come from [`Block::from_parts`], which allocates a new
+/// body with no verdict — a tampered twin never inherits one.
+#[derive(Clone, Debug)]
+pub struct Block {
+    body: Arc<BlockBody>,
+}
+
+impl Deref for Block {
+    type Target = BlockBody;
+
+    fn deref(&self) -> &BlockBody {
+        &self.body
+    }
+}
+
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
+            || (self.header == other.header
+                && self.txs == other.txs
+                && self.state_delta == other.state_delta)
+    }
 }
 
 impl Block {
     /// Builds a block for `domain`'s round `round` from the given transaction
-    /// records, chaining it to `prev`.
+    /// records, chaining it to `prev`.  This is the one place a block's
+    /// Merkle tree is built; the block is born verified.
     pub fn build(
         domain: DomainId,
         round: u64,
@@ -135,18 +232,36 @@ impl Block {
         txs: Vec<CommittedTx>,
         state_delta: StateDelta,
     ) -> Self {
-        let leaves: Vec<Vec<u8>> = txs.iter().map(CommittedTx::encode).collect();
-        let tree = MerkleTree::from_leaves(&leaves);
         let header = BlockHeader {
             id: BlockId { domain, round },
             prev,
-            tx_root: tree.root(),
+            tx_root: tx_root(&txs),
             tx_count: txs.len(),
         };
+        Self::with_verdict(header, txs, state_delta, OnceLock::from(true))
+    }
+
+    /// Assembles a block from parts that did not come out of
+    /// [`Block::build`] — a header and a transaction list received
+    /// separately, or a deliberately inconsistent pair in a test.  Nothing
+    /// is trusted: the first [`Block::verify_content`] recomputes the root.
+    pub fn from_parts(header: BlockHeader, txs: Vec<CommittedTx>, state_delta: StateDelta) -> Self {
+        Self::with_verdict(header, txs, state_delta, OnceLock::new())
+    }
+
+    fn with_verdict(
+        header: BlockHeader,
+        txs: Vec<CommittedTx>,
+        state_delta: StateDelta,
+        verdict: OnceLock<bool>,
+    ) -> Self {
         Self {
-            header,
-            txs,
-            state_delta,
+            body: Arc::new(BlockBody {
+                header,
+                txs,
+                state_delta,
+                verdict,
+            }),
         }
     }
 
@@ -156,14 +271,12 @@ impl Block {
         self.txs.is_empty()
     }
 
-    /// Recomputes the Merkle root and verifies it matches the header, and
-    /// that the advertised count matches.
+    /// True if the transactions hash to the header's Merkle root and the
+    /// advertised count matches.  Computed at most once per body.
     pub fn verify_content(&self) -> bool {
-        if self.txs.len() != self.header.tx_count {
-            return false;
-        }
-        let leaves: Vec<Vec<u8>> = self.txs.iter().map(CommittedTx::encode).collect();
-        MerkleTree::from_leaves(&leaves).root() == self.header.tx_root
+        *self.verdict.get_or_init(|| {
+            self.txs.len() == self.header.tx_count && tx_root(&self.txs) == self.header.tx_root
+        })
     }
 
     /// Approximate wire size of the block message in bytes.
@@ -229,17 +342,20 @@ mod tests {
     #[test]
     fn tampering_with_a_transaction_breaks_verification() {
         let txs = vec![committed(1), committed(2)];
-        let mut b = Block::build(domain(), 1, Digest::ZERO, txs, StateDelta::default());
-        b.txs[1].status = TxStatus::Aborted;
-        assert!(!b.verify_content());
+        let b = Block::build(domain(), 1, Digest::ZERO, txs, StateDelta::default());
+        let mut tampered = b.txs.clone();
+        tampered[1].status = TxStatus::Aborted;
+        let twin = Block::from_parts(b.header.clone(), tampered, StateDelta::default());
+        assert!(!twin.verify_content());
+        assert!(b.verify_content(), "the original is untouched");
     }
 
     #[test]
     fn dropping_a_transaction_breaks_verification() {
         let txs = vec![committed(1), committed(2)];
-        let mut b = Block::build(domain(), 1, Digest::ZERO, txs, StateDelta::default());
-        b.txs.pop();
-        assert!(!b.verify_content());
+        let b = Block::build(domain(), 1, Digest::ZERO, txs, StateDelta::default());
+        let twin = Block::from_parts(b.header.clone(), b.txs[..1].to_vec(), StateDelta::default());
+        assert!(!twin.verify_content());
     }
 
     #[test]

@@ -195,12 +195,14 @@ impl BlockchainState {
 
     /// Extracts the sub-state relevant to one account — the "state of the
     /// mobile node" shipped to a remote domain by the mobile consensus
-    /// protocol (Algorithm 2's `GenerateState`).
+    /// protocol (Algorithm 2's `GenerateState`): the account's balance and
+    /// its `hours/{account}` ridesharing record, whichever exist, in key
+    /// order.
     pub fn extract_account_state(&self, account: &str) -> Vec<(String, u64)> {
-        self.values
-            .iter()
-            .filter(|(k, _)| k.as_str() == account || k.starts_with(&format!("hours/{account}")))
-            .map(|(k, v)| (k.clone(), *v))
+        let mut keys = [account.to_string(), format!("hours/{account}")];
+        keys.sort();
+        keys.into_iter()
+            .filter_map(|k| self.get(&k).map(|v| (k, v)))
             .collect()
     }
 
@@ -334,6 +336,33 @@ mod tests {
         assert_eq!(remote.balance("driver-7"), 42);
         assert_eq!(remote.get("hours/driver-7"), Some(120));
         assert_eq!(remote.get("unrelated"), None);
+    }
+
+    /// `a1_1` roaming away must not take `a1_10`'s records with it: the
+    /// `hours/` entry is matched exactly, not by prefix.
+    #[test]
+    fn extraction_leaves_accounts_sharing_a_prefix_alone() {
+        let mut home = BlockchainState::new();
+        for (account, balance, minutes) in [("a1_1", 40, 30), ("a1_10", 70, 55)] {
+            home.put(account, balance);
+            home.put(format!("hours/{account}"), minutes);
+        }
+        let extracted = home.extract_account_state("a1_1");
+        assert_eq!(
+            extracted,
+            vec![("a1_1".to_string(), 40), ("hours/a1_1".to_string(), 30)]
+        );
+
+        // The remote domain hosts its own `a1_10`-named records already.
+        let mut remote = BlockchainState::new();
+        remote.put("a1_10", 7);
+        remote.put("hours/a1_10", 9);
+        remote.install_account_state(&extracted);
+        assert_eq!(remote.get("a1_1"), Some(40));
+        assert_eq!(remote.get("hours/a1_1"), Some(30));
+        assert_eq!(remote.get("a1_10"), Some(7), "neither gained ...");
+        assert_eq!(remote.get("hours/a1_10"), Some(9), "... nor lost");
+        assert_eq!(remote.len(), 4);
     }
 
     #[test]

@@ -80,32 +80,33 @@ pub enum Operation {
 
 impl Operation {
     /// Keys read by this operation (used for conflict/contention detection).
-    pub fn read_set(&self) -> Vec<&str> {
-        match self {
-            Operation::Transfer { from, .. } => vec![from.as_str()],
-            Operation::Mint { .. } => vec![],
-            Operation::RideTask { driver, .. } => vec![driver.as_str()],
-            Operation::Put { .. } => vec![],
-            Operation::Get { key } => vec![key.as_str()],
-            Operation::Noop => vec![],
-        }
+    /// At most two, yielded without allocating.
+    pub fn read_set(&self) -> impl Iterator<Item = &str> + Clone {
+        let keys = match self {
+            Operation::Transfer { from, .. } => [Some(from), None],
+            Operation::RideTask { driver, .. } => [Some(driver), None],
+            Operation::Get { key } => [Some(key), None],
+            Operation::Mint { .. } | Operation::Put { .. } | Operation::Noop => [None, None],
+        };
+        keys.into_iter().flatten().map(String::as_str)
     }
 
-    /// Keys written by this operation.
-    pub fn write_set(&self) -> Vec<&str> {
-        match self {
-            Operation::Transfer { from, to, .. } => vec![from.as_str(), to.as_str()],
-            Operation::Mint { account, .. } => vec![account.as_str()],
-            Operation::RideTask { driver, .. } => vec![driver.as_str()],
-            Operation::Put { key, .. } => vec![key.as_str()],
-            Operation::Get { .. } => vec![],
-            Operation::Noop => vec![],
-        }
+    /// Keys written by this operation.  At most two, yielded without
+    /// allocating.
+    pub fn write_set(&self) -> impl Iterator<Item = &str> + Clone {
+        let keys = match self {
+            Operation::Transfer { from, to, .. } => [Some(from), Some(to)],
+            Operation::Mint { account, .. } => [Some(account), None],
+            Operation::RideTask { driver, .. } => [Some(driver), None],
+            Operation::Put { key, .. } => [Some(key), None],
+            Operation::Get { .. } | Operation::Noop => [None, None],
+        };
+        keys.into_iter().flatten().map(String::as_str)
     }
 
     /// True if the operation mutates the blockchain state.
     pub fn is_write(&self) -> bool {
-        !self.write_set().is_empty()
+        self.write_set().next().is_some()
     }
 }
 
@@ -237,14 +238,13 @@ impl Transaction {
     /// optimistic protocol's dependency tracking and the contention knob of
     /// the workload generator).
     pub fn conflicts_with(&self, other: &Transaction) -> bool {
-        let my_writes = self.op.write_set();
-        let my_reads = self.op.read_set();
-        let their_writes = other.op.write_set();
-        let their_reads = other.op.read_set();
-        my_writes
-            .iter()
-            .any(|k| their_writes.contains(k) || their_reads.contains(k))
-            || their_writes.iter().any(|k| my_reads.contains(k))
+        fn touches<'a>(mut set: impl Iterator<Item = &'a str>, key: &str) -> bool {
+            set.any(|k| k == key)
+        }
+        let (mine, theirs) = (&self.op, &other.op);
+        mine.write_set()
+            .any(|k| touches(theirs.write_set(), k) || touches(theirs.read_set(), k))
+            || theirs.write_set().any(|k| touches(mine.read_set(), k))
     }
 
     /// Approximate wire size of the transaction in bytes (the paper reports an
@@ -323,8 +323,8 @@ mod tests {
             to: "bob".into(),
             amount: 3,
         };
-        assert_eq!(op.read_set(), vec!["alice"]);
-        assert_eq!(op.write_set(), vec!["alice", "bob"]);
+        assert_eq!(op.read_set().collect::<Vec<_>>(), ["alice"]);
+        assert_eq!(op.write_set().collect::<Vec<_>>(), ["alice", "bob"]);
         assert!(op.is_write());
         assert!(!Operation::Get { key: "x".into() }.is_write());
     }

@@ -44,12 +44,12 @@ fn main() {
         // Blocks are Merkle-anchored so usage reports are tamper-evident.
         let block = ledger.cut_block(AbstractionFn::KeyPrefix("usage/").apply(&raw));
         assert!(block.verify_content());
-        let proof_ok = MerkleTree::from_leaves(
-            &block
+        let proof_ok = MerkleTree::from_leaf_digests(
+            block
                 .txs
                 .iter()
-                .map(saguaro::ledger::CommittedTx::encode)
-                .collect::<Vec<_>>(),
+                .map(saguaro::ledger::CommittedTx::leaf_digest)
+                .collect(),
         )
         .root()
             == block.header.tx_root;

@@ -1,11 +1,59 @@
 //! Cross-crate property-based tests (proptest) on the core invariants.
 
 use proptest::prelude::*;
-use saguaro::crypto::{merkle, MerkleTree};
+use saguaro::consensus::{Batch, Command};
+use saguaro::crypto::sha256::sha256_parts;
+use saguaro::crypto::{merkle, Digest, MerkleTree};
 use saguaro::hierarchy::TopologyBuilder;
-use saguaro::ledger::{BlockchainState, LinearLedger, StateDelta, TxStatus};
+use saguaro::ledger::{Block, BlockchainState, CommittedTx, LinearLedger, StateDelta, TxStatus};
 use saguaro::types::transaction::{account_key, account_owner_index};
-use saguaro::types::{ClientId, DomainId, Operation, Transaction, TxId};
+use saguaro::types::{ClientId, DomainId, MultiSeq, Operation, Transaction, TxId};
+
+/// A ledger record over a small key space: `kind` picks the operation,
+/// `a`/`b` its keys and `n` its number.
+fn record(id: u64, (kind, a, b, n): (u8, u8, u8, u64)) -> CommittedTx {
+    let domain = DomainId::new(1, 0);
+    let key = |k: u8| account_key(0, k as u64);
+    let op = match kind % 5 {
+        0 => Operation::Transfer {
+            from: key(a),
+            to: key(b),
+            amount: n,
+        },
+        1 => Operation::Mint {
+            account: key(a),
+            amount: n,
+        },
+        2 => Operation::RideTask {
+            driver: key(a),
+            minutes: n,
+            fare: b as u64,
+        },
+        3 => Operation::Put {
+            key: key(a),
+            value: n,
+        },
+        _ => Operation::Noop,
+    };
+    let mut seq = MultiSeq::new();
+    seq.set(domain, id + 1);
+    CommittedTx {
+        tx: Transaction::internal(TxId(id), ClientId(b as u64), domain, op),
+        seq,
+        status: if kind >= 128 {
+            TxStatus::SpeculativelyCommitted
+        } else {
+            TxStatus::Committed
+        },
+    }
+}
+
+/// The batch digest recomputed from nothing but the member commands.
+fn batch_digest_from_scratch(members: &[Vec<u8>]) -> Digest {
+    let leaves = members.iter().map(Command::digest).collect();
+    let root = MerkleTree::from_leaf_digests(leaves).root();
+    sha256_parts(&[b"saguaro-batch", root.as_ref()])
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -115,6 +163,77 @@ proptest! {
         for b in &blocks {
             prop_assert!(b.verify_content());
         }
+    }
+
+    /// A batch's memoized digest is the from-scratch digest, travels with
+    /// clones, and is never inherited by a batch that differs in one member.
+    #[test]
+    fn batch_digest_memo_equals_recomputation(
+        members in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 1..12),
+        pick in 0usize..64,
+    ) {
+        let batch = Batch::new(members.clone());
+        let expected = batch_digest_from_scratch(&members);
+        prop_assert_eq!(batch.digest(), expected);
+        prop_assert_eq!(batch.digest(), expected, "second read comes from the memo");
+        let clone = batch.clone();
+        prop_assert_eq!(clone.digest(), expected);
+        prop_assert_eq!(clone.into_commands(), members.clone());
+
+        let at = pick % members.len();
+        let mut changed = members.clone();
+        changed[at].push(0xFF);
+        let mut dropped = members.clone();
+        dropped.remove(at);
+        let mut appended = members.clone();
+        appended.push(vec![at as u8]);
+        for twin in [changed, dropped, appended] {
+            let digest = Batch::new(twin.clone()).digest();
+            prop_assert_eq!(digest, batch_digest_from_scratch(&twin));
+            prop_assert!(digest != expected, "a different body has a different digest");
+        }
+    }
+
+    /// A block's memoized content verdict equals a from-scratch
+    /// verification, travels with clones, and a body that differs in one
+    /// member — status flipped, record dropped, record appended — never
+    /// inherits a `true`, whichever of the two is verified first.
+    #[test]
+    fn block_verdict_memo_equals_recomputation(
+        specs in proptest::collection::vec((any::<u8>(), 0u8..6, 0u8..6, 1u64..50), 1..24),
+        pick in 0usize..64,
+        original_first in any::<bool>(),
+    ) {
+        let txs: Vec<CommittedTx> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| record(i as u64, *spec))
+            .collect();
+        let built = Block::build(DomainId::new(1, 0), 1, Digest::ZERO, txs.clone(), StateDelta::new());
+        if original_first {
+            prop_assert!(built.verify_content());
+        }
+
+        let at = pick % txs.len();
+        let mut flipped = txs.clone();
+        flipped[at].status = TxStatus::Aborted;
+        let mut dropped = txs.clone();
+        dropped.remove(at);
+        let mut appended = txs.clone();
+        appended.push(record(txs.len() as u64, specs[at]));
+        for tampered in [flipped, dropped, appended] {
+            let twin = Block::from_parts(built.header.clone(), tampered, StateDelta::new());
+            prop_assert!(!twin.verify_content());
+            prop_assert!(!twin.clone().verify_content(), "the verdict travels with clones");
+        }
+
+        // The same members reassembled from parts are verified from scratch
+        // and agree with the verdict the built block was born with.
+        let rebuilt = Block::from_parts(built.header.clone(), txs.clone(), StateDelta::new());
+        prop_assert!(rebuilt.verify_content());
+        prop_assert!(built.verify_content());
+        prop_assert!(built.clone().verify_content());
+        prop_assert_eq!(rebuilt, built);
     }
 
     /// Account-key ownership parsing is the inverse of construction.
