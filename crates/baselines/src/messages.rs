@@ -175,45 +175,11 @@ impl MessageMeta for BaselineMsg {
         matches!(self, BaselineMsg::Consensus(m) if m.is_state_transfer())
     }
 
-    /// Equivocating twin for Byzantine shards — mirrors `SaguaroMsg`: a
-    /// conflicting (empty) PBFT pre-prepare at the same `(view, seq)`, a
-    /// view-change vote with the prepared certificates stripped, or a
-    /// new-view whose re-proposed blocks are emptied.
+    /// The equivocating twin of PBFT traffic — see
+    /// [`ConsensusMsg::tampered`]; nothing else has a meaningful one.
     fn tampered(&self) -> Option<Self> {
-        use saguaro_consensus::{Batch, PbftMsg};
         match self {
-            BaselineMsg::Consensus(ConsensusMsg::Pbft(PbftMsg::PrePrepare {
-                view, seq, ..
-            })) => Some(BaselineMsg::Consensus(ConsensusMsg::Pbft(
-                PbftMsg::PrePrepare {
-                    view: *view,
-                    seq: *seq,
-                    cmd: Batch::new(Vec::new()),
-                },
-            ))),
-            BaselineMsg::Consensus(ConsensusMsg::Pbft(PbftMsg::ViewChange {
-                new_view, ..
-            })) => Some(BaselineMsg::Consensus(ConsensusMsg::Pbft(
-                PbftMsg::ViewChange {
-                    new_view: *new_view,
-                    prepared: Vec::new(),
-                    checkpoint: 0,
-                },
-            ))),
-            BaselineMsg::Consensus(ConsensusMsg::Pbft(PbftMsg::NewView {
-                view,
-                log,
-                checkpoint,
-            })) => Some(BaselineMsg::Consensus(ConsensusMsg::Pbft(
-                PbftMsg::NewView {
-                    view: *view,
-                    log: log
-                        .iter()
-                        .map(|(s, _)| (*s, Batch::new(Vec::new())))
-                        .collect(),
-                    checkpoint: *checkpoint,
-                },
-            ))),
+            BaselineMsg::Consensus(m) => m.tampered().map(BaselineMsg::Consensus),
             _ => None,
         }
     }

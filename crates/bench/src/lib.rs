@@ -27,22 +27,33 @@ use std::path::PathBuf;
 /// Parses the common command-line options of the figure binaries.
 ///
 /// `--quick` shrinks the measurement windows and the load grid so a figure
-/// regenerates in seconds (used by CI); `--seed N` changes the RNG seed.
+/// regenerates in seconds (used by CI); `--seed N` changes the RNG seed
+/// (42 when the flag is absent).  A `--seed` that is not an unsigned integer
+/// — or has no value at all — prints the reason and exits with status 2.
 pub fn options_from_args(args: &[String]) -> FigureOptions {
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let mut options = if quick {
+    parse_options(args).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_options(args: &[String]) -> Result<FigureOptions, String> {
+    let mut options = if args.iter().any(|a| a == "--quick") {
         FigureOptions::smoke()
     } else {
         FigureOptions::default()
     };
-    options.seed = seed;
-    options
+    options.seed = match args.iter().position(|a| a == "--seed") {
+        None => 42,
+        Some(flag) => {
+            let value = args.get(flag + 1);
+            value.and_then(|v| v.parse().ok()).ok_or_else(|| {
+                let got = value.map_or("nothing".into(), |v| format!("{v:?}"));
+                format!("--seed: expected an unsigned integer, got {got}")
+            })?
+        }
+    };
+    Ok(options)
 }
 
 /// Parses the `--json <path>` flag shared by the figure/ablation binaries.
@@ -242,6 +253,15 @@ mod tests {
         let opts = options_from_args(&[]);
         assert!(!opts.quick);
         assert_eq!(opts.seed, 42);
+        // Hostile input fails loudly instead of silently becoming 42.
+        assert_eq!(
+            parse_options(&["--seed".into(), "banana".into()]).unwrap_err(),
+            "--seed: expected an unsigned integer, got \"banana\""
+        );
+        assert_eq!(
+            parse_options(&["--quick".into(), "--seed".into()]).unwrap_err(),
+            "--seed: expected an unsigned integer, got nothing"
+        );
     }
 
     #[test]

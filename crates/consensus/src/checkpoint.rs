@@ -1,7 +1,7 @@
 //! Checkpoint agreement and state-transfer bookkeeping shared by both
 //! consensus engines.
 //!
-//! A [`CheckpointKeeper`] tracks three things for one replica:
+//! A [`CheckpointKeeper`] tracks four things for one replica:
 //!
 //! 1. **Stable checkpoints.**  Every `interval` deliveries a replica
 //!    announces its executed floor (a `Checkpoint` protocol message); once a
@@ -21,18 +21,29 @@
 //!    up-to-date peer (`StateRequest` / `StateReply`, the viewstamped
 //!    replication catch-up).  The keeper paces those requests so a stall
 //!    produces one request per new piece of evidence, not a request storm.
+//! 4. **The durable chain.**  Every delivered entry is retained for serving
+//!    state transfer, together with the latest application snapshot; under a
+//!    finite retention window the chain is pruned below the prune floor and
+//!    a request below the retained tail is answered with the snapshot plus
+//!    the tail instead of a full replay.
 //!
 //! The keeper is configuration-driven: under [`CheckpointConfig::legacy`]
 //! (the default) a Paxos engine keeps no checkpoints at all and a PBFT
 //! engine keeps its historical built-in interval, so every pre-subsystem
 //! golden run is reproduced bit for bit.
 
-use saguaro_types::{CheckpointConfig, NodeId, SeqNo};
+use saguaro_types::{CheckpointConfig, NodeId, SeqNo, StateSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-/// Per-replica checkpoint and state-transfer bookkeeping.
+/// The payload of a state-transfer reply: the snapshot to install first
+/// (when the requester's frontier was pruned away) and the contiguous
+/// committed `(seq, command)` entries to replay after it.
+pub(crate) type StateTransfer<C> = (Option<Arc<StateSnapshot>>, Vec<(SeqNo, C)>);
+
+/// Per-replica checkpoint, state-transfer and durable-chain bookkeeping.
 #[derive(Clone, Debug)]
-pub struct CheckpointKeeper {
+pub struct CheckpointKeeper<C> {
     /// Deliveries between announcements; `None` disables announcements.
     interval: Option<SeqNo>,
     /// Whether gap-stalled replicas fetch missing entries from peers.
@@ -55,9 +66,16 @@ pub struct CheckpointKeeper {
     /// Highest executed floor each member (including this replica) has ever
     /// announced — the evidence base for the prune floor.
     peer_floors: BTreeMap<NodeId, SeqNo>,
+    /// Every delivered entry, retained for serving state transfer (only
+    /// populated when state transfer is enabled, and pruned below the prune
+    /// floor under a finite retention window).
+    delivered_log: BTreeMap<SeqNo, C>,
+    /// The latest materialized (or catch-up-installed) application
+    /// snapshot, used to answer requests below the retained tail.
+    snapshot: Option<Arc<StateSnapshot>>,
 }
 
-impl CheckpointKeeper {
+impl<C: Clone> CheckpointKeeper<C> {
     /// Builds the keeper for one engine.  `legacy_interval` is the interval
     /// the engine historically ran with (`None` for Paxos, 128 for PBFT);
     /// it applies only under [`CheckpointConfig::legacy`].
@@ -79,6 +97,8 @@ impl CheckpointKeeper {
             requested: None,
             retention: config.prunes().then_some(config.retention),
             peer_floors: BTreeMap::new(),
+            delivered_log: BTreeMap::new(),
+            snapshot: None,
         }
     }
 
@@ -187,11 +207,6 @@ impl CheckpointKeeper {
         }
     }
 
-    /// The highest committed sequence number evidenced by peers.
-    pub fn hint(&self) -> SeqNo {
-        self.hint
-    }
-
     /// Decides whether a gap-stalled replica should fetch state now.
     /// `frontier` is the local delivery frontier; `next_commits_locally`
     /// says whether the slot right above it is already committed locally
@@ -221,12 +236,100 @@ impl CheckpointKeeper {
     pub fn transfer_applied(&mut self) {
         self.requested = None;
     }
+
+    /// Retains a delivered entry in the durable chain (nothing is kept when
+    /// state transfer is off: nobody would ever be served from it).
+    pub(crate) fn retain(&mut self, seq: SeqNo, command: C) {
+        if self.state_transfer {
+            self.delivered_log.insert(seq, command);
+        }
+    }
+
+    /// Number of delivered entries retained in the durable chain.
+    pub(crate) fn chain_len(&self) -> u64 {
+        self.delivered_log.len() as u64
+    }
+
+    /// First sequence number still retained in the durable chain
+    /// (`frontier + 1` when nothing is retained).
+    pub(crate) fn chain_start(&self, frontier: SeqNo) -> SeqNo {
+        let first = self.delivered_log.keys().next();
+        first.copied().unwrap_or(frontier + 1)
+    }
+
+    /// The snapshot point currently held, if any.
+    pub(crate) fn snapshot_seq(&self) -> Option<SeqNo> {
+        self.snapshot.as_ref().map(|s| s.seq)
+    }
+
+    /// Stores the application snapshot the adapter materialized in response
+    /// to a `Step::TakeSnapshot`, then prunes the entry-grained state the
+    /// snapshot makes redundant.  Stale snapshots (at or below the held one)
+    /// are ignored.
+    pub(crate) fn store_snapshot(&mut self, snapshot: Arc<StateSnapshot>, members: usize) {
+        if self.snapshot_seq().is_none_or(|held| held < snapshot.seq) {
+            self.snapshot = Some(snapshot);
+            self.prune_entry_state(members);
+        }
+    }
+
+    /// Discards durable-chain entries no future correct request can need:
+    /// everything at or below the prune floor, capped at the held snapshot
+    /// point so the tail above the snapshot stays servable.  A no-op unless
+    /// a finite retention window is configured.
+    pub(crate) fn prune_entry_state(&mut self, members: usize) {
+        let Some(snapshot_seq) = self.snapshot_seq() else {
+            return;
+        };
+        let floor = self.prune_floor(members).min(snapshot_seq);
+        if floor > 0 {
+            self.delivered_log = self.delivered_log.split_off(&(floor + 1));
+        }
+    }
+
+    /// Adopts a snapshot received through catch-up: the chain at or below
+    /// it is superseded, and because it was materialized at a quorum-stable
+    /// checkpoint its point becomes this replica's stable floor.
+    pub(crate) fn adopt_snapshot(&mut self, snapshot: Arc<StateSnapshot>) {
+        self.delivered_log = self.delivered_log.split_off(&(snapshot.seq + 1));
+        self.adopt_stable(snapshot.seq);
+        self.snapshot = Some(snapshot);
+    }
+
+    /// What a replica at frontier `last_delivered` sends a peer that asked
+    /// for everything above `above`: `None` when state transfer is off, the
+    /// peer misses nothing, or neither the chain nor the snapshot covers its
+    /// frontier.
+    pub(crate) fn answer_state_request(
+        &self,
+        above: SeqNo,
+        last_delivered: SeqNo,
+    ) -> Option<StateTransfer<C>> {
+        if !self.state_transfer || above >= last_delivered {
+            return None;
+        }
+        let tail = |from: SeqNo| {
+            let entries = self.delivered_log.range(from..);
+            entries.map(|(seq, cmd)| (*seq, cmd.clone())).collect()
+        };
+        if self.delivered_log.contains_key(&(above + 1)) {
+            // The full tail above the requester's frontier is retained:
+            // the historical full-replay reply.
+            return Some((None, tail(above + 1)));
+        }
+        // The requested frontier was pruned away: serve the snapshot plus
+        // the retained tail above it instead of a full replay.
+        let snapshot = self.snapshot.as_ref().filter(|s| s.seq > above)?;
+        Some((Some(snapshot.clone()), tail(snapshot.seq + 1)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use saguaro_types::DomainId;
+
+    type CheckpointKeeper = super::CheckpointKeeper<Vec<u8>>;
 
     fn node(i: u16) -> NodeId {
         NodeId::new(DomainId::new(1, 0), i)
@@ -339,6 +442,53 @@ mod tests {
         }
         assert!(!k.prunes());
         assert_eq!(k.prune_floor(3), 0);
+    }
+
+    /// A keeper over three members that delivered `1..=through`, storing a
+    /// snapshot at every announced (and at once stable) floor.
+    fn chain(config: CheckpointConfig, through: SeqNo) -> CheckpointKeeper {
+        let mut k = CheckpointKeeper::new(config, None);
+        for seq in 1..=through {
+            k.retain(seq, vec![seq as u8]);
+            if k.announces_at(seq) {
+                for n in 0..3 {
+                    k.record_vote(node(n), seq, 2, seq);
+                }
+                let snapshot = StateSnapshot {
+                    seq,
+                    ..StateSnapshot::default()
+                };
+                k.store_snapshot(Arc::new(snapshot), 3);
+            }
+        }
+        k
+    }
+
+    #[test]
+    fn state_requests_get_the_tail_the_snapshot_or_nothing() {
+        // Retention 0: everything at or below the stable checkpoint (8) is
+        // pruned; 9 and 10 are the retained tail above the snapshot.
+        let k = chain(CheckpointConfig::every(4).with_retention(0), 10);
+        assert_eq!((k.chain_start(0), k.chain_len()), (9, 2));
+        let tail = vec![(9, vec![9]), (10, vec![10])];
+        // Frontier inside the retained chain: the full tail, no snapshot.
+        assert_eq!(k.answer_state_request(8, 10), Some((None, tail.clone())));
+        // Frontier pruned away: the snapshot plus the tail above it.
+        let (snapshot, entries) = k.answer_state_request(3, 10).expect("snapshot");
+        assert_eq!((snapshot.map(|s| s.seq), entries), (Some(8), tail));
+        // The requester misses nothing, or nothing held covers its
+        // frontier: no answer.
+        assert_eq!(k.answer_state_request(10, 10), None);
+        let mut bare = CheckpointKeeper::new(CheckpointConfig::every(4), None);
+        bare.retain(5, vec![5]);
+        assert_eq!(bare.answer_state_request(2, 5), None);
+    }
+
+    #[test]
+    fn disabled_state_transfer_keeps_no_chain_and_never_answers() {
+        let k = chain(CheckpointConfig::legacy(), 10);
+        assert_eq!((k.chain_start(10), k.chain_len()), (11, 0));
+        assert_eq!(k.answer_state_request(0, 10), None);
     }
 
     #[test]

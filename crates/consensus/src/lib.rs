@@ -21,10 +21,11 @@
 //! * [`batch`] — request batching: the protocols order [`batch::Batch`]es
 //!   (blocks) of commands; the leader-side [`batch::Batcher`] cuts blocks by
 //!   size or age according to a [`batch::BatchConfig`].
-//! * [`checkpoint`] — checkpoint agreement and state-transfer pacing shared
-//!   by both engines: quorum-certified executed floors bound view-change
-//!   votes and slot maps, and gap-stalled replicas fetch missing committed
-//!   entries from up-to-date peers (`StateRequest` / `StateReply`).
+//! * [`checkpoint`] — checkpoint agreement, state-transfer pacing and the
+//!   durable chain shared by both engines: quorum-certified executed floors
+//!   bound view-change votes and slot maps, and gap-stalled replicas fetch
+//!   missing committed entries (or a snapshot plus the retained tail) from
+//!   up-to-date peers (`StateRequest` / `StateReply` / `SnapshotReply`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

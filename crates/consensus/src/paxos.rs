@@ -153,19 +153,11 @@ pub struct PaxosReplica<C> {
     /// progress timeouts escalate past it, so a view whose would-be leader
     /// is itself crashed cannot wedge the domain.
     highest_vc: u64,
-    /// Checkpoint agreement and state-transfer pacing.  Under the legacy
-    /// configuration (the default) Paxos keeps no checkpoints, votes carry
-    /// the full slot history, and the pipeline is bit-identical to the
-    /// pre-subsystem engine.
-    checkpoint: CheckpointKeeper,
-    /// Every delivered entry, retained for serving state transfer (the
-    /// durable chain; only populated when state transfer is enabled, and
-    /// pruned below the keeper's prune floor under a finite retention
-    /// window).
-    delivered_log: BTreeMap<SeqNo, C>,
-    /// The latest materialized (or catch-up-installed) application
-    /// snapshot, used to answer requests below the retained tail.
-    snapshot: Option<Arc<StateSnapshot>>,
+    /// Checkpoint agreement, state-transfer pacing and the durable chain.
+    /// Under the legacy configuration (the default) Paxos keeps no
+    /// checkpoints, votes carry the full slot history, and the pipeline is
+    /// bit-identical to the pre-subsystem engine.
+    checkpoint: CheckpointKeeper<C>,
 }
 
 impl<C: Command> PaxosReplica<C> {
@@ -188,8 +180,6 @@ impl<C: Command> PaxosReplica<C> {
             in_view_change: false,
             highest_vc: 0,
             checkpoint: CheckpointKeeper::new(CheckpointConfig::legacy(), None),
-            delivered_log: BTreeMap::new(),
-            snapshot: None,
         }
     }
 
@@ -245,58 +235,25 @@ impl<C: Command> PaxosReplica<C> {
 
     /// Number of delivered entries retained in the durable chain.
     pub fn chain_len(&self) -> u64 {
-        self.delivered_log.len() as u64
+        self.checkpoint.chain_len()
     }
 
     /// First sequence number still retained in the durable chain
     /// (`last_delivered + 1` when nothing is retained).
     pub fn chain_start(&self) -> SeqNo {
-        self.delivered_log
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or(self.last_delivered + 1)
+        self.checkpoint.chain_start(self.last_delivered)
     }
 
     /// The snapshot point currently held, if any.
     pub fn snapshot_seq(&self) -> Option<SeqNo> {
-        self.snapshot.as_ref().map(|s| s.seq)
+        self.checkpoint.snapshot_seq()
     }
 
-    /// Stores the application snapshot the adapter materialized in response
-    /// to a [`Step::TakeSnapshot`] (or obtained out of band), then prunes
-    /// the entry-grained state the snapshot makes redundant.  Stale
-    /// snapshots (at or below the held one) are ignored.
+    /// Hands the keeper the application snapshot the adapter materialized
+    /// in response to a [`Step::TakeSnapshot`] (or obtained out of band).
     pub fn store_snapshot(&mut self, snapshot: Arc<StateSnapshot>) {
-        if self
-            .snapshot
-            .as_ref()
-            .is_some_and(|s| s.seq >= snapshot.seq)
-        {
-            return;
-        }
-        self.snapshot = Some(snapshot);
-        self.prune_entry_state();
-    }
-
-    /// Discards durable-chain entries no future correct request can need:
-    /// everything at or below the keeper's prune floor, capped at the held
-    /// snapshot point so the tail above the snapshot stays servable.  A
-    /// no-op unless a finite retention window is configured.
-    fn prune_entry_state(&mut self) {
-        let Some(snapshot_seq) = self.snapshot_seq() else {
-            return;
-        };
-        if !self.checkpoint.prunes() {
-            return;
-        }
-        let floor = self
-            .checkpoint
-            .prune_floor(self.replicas.len())
-            .min(snapshot_seq);
-        if floor > 0 {
-            self.delivered_log = self.delivered_log.split_off(&(floor + 1));
-        }
+        self.checkpoint
+            .store_snapshot(snapshot, self.replicas.len());
     }
 
     fn majority(&self) -> usize {
@@ -354,12 +311,12 @@ impl<C: Command> PaxosReplica<C> {
             PaxosMsg::StateReply {
                 entries,
                 committed_to,
-            } => self.on_state_reply(from, entries, committed_to),
+            } => self.on_state_transfer(from, None, entries, committed_to),
             PaxosMsg::SnapshotReply {
                 snapshot,
                 tail,
                 committed_to,
-            } => self.on_snapshot_reply(from, snapshot, tail, committed_to),
+            } => self.on_state_transfer(from, Some(snapshot), tail, committed_to),
         }
     }
 
@@ -486,12 +443,7 @@ impl<C: Command> PaxosReplica<C> {
             match self.slots.get(&next) {
                 Some(slot) if slot.committed => {
                     let command = slot.cmd.clone();
-                    steps.push(Step::Deliver {
-                        seq: next,
-                        command: command.clone(),
-                    });
-                    self.last_delivered = next;
-                    steps.extend(self.note_executed(next, command));
+                    self.deliver(next, command, &mut steps);
                 }
                 _ => break,
             }
@@ -499,19 +451,20 @@ impl<C: Command> PaxosReplica<C> {
         steps
     }
 
-    /// Post-execution bookkeeping for one delivered entry: retain it for
-    /// state transfer and announce a checkpoint at interval boundaries.
-    fn note_executed(&mut self, seq: SeqNo, command: C) -> Vec<Step<C, PaxosMsg<C>>> {
-        let mut steps = Vec::new();
-        if self.checkpoint.state_transfer_enabled() {
-            self.delivered_log.insert(seq, command.clone());
-        }
-        if self.checkpoint.announces_at(seq) {
+    /// Delivers the entry at `seq` (the next one in order): emits the step,
+    /// retains the entry for state transfer and announces a checkpoint at
+    /// interval boundaries.
+    fn deliver(&mut self, seq: SeqNo, command: C, steps: &mut Vec<Step<C, PaxosMsg<C>>>) {
+        steps.push(Step::Deliver {
+            seq,
+            command: command.clone(),
+        });
+        self.last_delivered = seq;
+        let announce = self.checkpoint.announces_at(seq).then(|| command.digest());
+        self.checkpoint.retain(seq, command);
+        if let Some(digest) = announce {
             steps.push(Step::Broadcast {
-                msg: PaxosMsg::Checkpoint {
-                    seq,
-                    digest: command.digest(),
-                },
+                msg: PaxosMsg::Checkpoint { seq, digest },
             });
             if self.checkpoint.prunes() {
                 // The adapter materializes its state as of this point in
@@ -526,7 +479,6 @@ impl<C: Command> PaxosReplica<C> {
                 self.gc_below_stable();
             }
         }
-        steps
     }
 
     /// Garbage-collects every slot at or below the stable checkpoint.  Safe
@@ -536,7 +488,7 @@ impl<C: Command> PaxosReplica<C> {
         let stable = self.checkpoint.stable();
         self.slots.retain(|seq, _| *seq > stable);
         self.pending_learns.retain(|seq, _| *seq > stable);
-        self.prune_entry_state();
+        self.checkpoint.prune_entry_state(self.replicas.len());
     }
 
     fn on_checkpoint(
@@ -556,7 +508,7 @@ impl<C: Command> PaxosReplica<C> {
         }
         // Even a non-stabilising announcement can raise the prune floor
         // (the announcer's executed floor is new evidence).
-        self.prune_entry_state();
+        self.checkpoint.prune_entry_state(self.replicas.len());
         self.maybe_request_state()
     }
 
@@ -582,53 +534,29 @@ impl<C: Command> PaxosReplica<C> {
     }
 
     fn on_state_request(&mut self, from: NodeId, above: SeqNo) -> Vec<Step<C, PaxosMsg<C>>> {
-        if !self.checkpoint.state_transfer_enabled() {
-            return Vec::new();
-        }
-        if above >= self.last_delivered {
-            return Vec::new(); // nothing the requester is missing
-        }
-        if self.delivered_log.contains_key(&(above + 1)) {
-            // The full tail above the requester's frontier is retained:
-            // the historical full-replay reply.
-            let entries: Vec<(SeqNo, C)> = self
-                .delivered_log
-                .range(above + 1..)
-                .map(|(seq, cmd)| (*seq, cmd.clone()))
-                .collect();
-            return vec![Step::Send {
-                to: from,
-                msg: PaxosMsg::StateReply {
-                    entries,
-                    committed_to: self.last_delivered,
-                },
-            }];
-        }
-        // The requested frontier was pruned away: serve the snapshot plus
-        // the retained tail above it instead of a full replay.
-        match &self.snapshot {
-            Some(snapshot) if snapshot.seq > above => {
-                let tail: Vec<(SeqNo, C)> = self
-                    .delivered_log
-                    .range(snapshot.seq + 1..)
-                    .map(|(seq, cmd)| (*seq, cmd.clone()))
-                    .collect();
-                vec![Step::Send {
-                    to: from,
-                    msg: PaxosMsg::SnapshotReply {
-                        snapshot: snapshot.clone(),
-                        tail,
-                        committed_to: self.last_delivered,
-                    },
-                }]
-            }
-            _ => Vec::new(),
-        }
+        let committed_to = self.last_delivered;
+        let msg = match self.checkpoint.answer_state_request(above, committed_to) {
+            Some((None, entries)) => PaxosMsg::StateReply {
+                entries,
+                committed_to,
+            },
+            Some((Some(snapshot), tail)) => PaxosMsg::SnapshotReply {
+                snapshot,
+                tail,
+                committed_to,
+            },
+            None => return Vec::new(),
+        };
+        vec![Step::Send { to: from, msg }]
     }
 
-    fn on_state_reply(
+    /// Applies a state-transfer reply: installs `snapshot` when it is ahead
+    /// of the execution frontier, then replays the contiguous part of
+    /// `entries` through the normal delivery path.
+    fn on_state_transfer(
         &mut self,
         from: NodeId,
+        snapshot: Option<Arc<StateSnapshot>>,
         entries: Vec<(SeqNo, C)>,
         committed_to: SeqNo,
     ) -> Vec<Step<C, PaxosMsg<C>>> {
@@ -638,74 +566,29 @@ impl<C: Command> PaxosReplica<C> {
         self.checkpoint.note_hint(committed_to, from);
         let mut steps = Vec::new();
         let mut applied = false;
+        if let Some(snapshot) = snapshot.filter(|s| s.seq > self.last_delivered) {
+            // Jump the execution frontier to the snapshot point: everything
+            // at or below it is superseded by the snapshot's state.
+            self.last_delivered = snapshot.seq;
+            self.next_seq = self.next_seq.max(snapshot.seq + 1);
+            self.slots.retain(|seq, _| *seq > snapshot.seq);
+            self.pending_learns.retain(|seq, _| *seq > snapshot.seq);
+            self.checkpoint.adopt_snapshot(snapshot.clone());
+            steps.push(Step::InstallSnapshot { snapshot });
+            applied = true;
+        }
         for (seq, command) in entries {
             if seq != self.last_delivered + 1 {
                 continue; // already executed, or non-contiguous garbage
             }
             self.slots.remove(&seq);
             self.pending_learns.remove(&seq);
-            steps.push(Step::Deliver {
-                seq,
-                command: command.clone(),
-            });
-            self.last_delivered = seq;
+            self.deliver(seq, command, &mut steps);
             applied = true;
-            steps.extend(self.note_executed(seq, command));
         }
         if applied {
             self.checkpoint.transfer_applied();
             // Committed slots stranded above the gap drain now.
-            steps.extend(self.drain_deliveries());
-        }
-        steps.extend(self.maybe_request_state());
-        steps
-    }
-
-    fn on_snapshot_reply(
-        &mut self,
-        from: NodeId,
-        snapshot: Arc<StateSnapshot>,
-        tail: Vec<(SeqNo, C)>,
-        committed_to: SeqNo,
-    ) -> Vec<Step<C, PaxosMsg<C>>> {
-        if !self.checkpoint.state_transfer_enabled() {
-            return Vec::new();
-        }
-        self.checkpoint.note_hint(committed_to, from);
-        let mut steps = Vec::new();
-        let mut applied = false;
-        if snapshot.seq > self.last_delivered {
-            // Jump the execution frontier to the snapshot point: everything
-            // at or below it is superseded by the snapshot's state.  The
-            // snapshot was materialized at a quorum-stable checkpoint, so
-            // adopting it as our stable floor is sound.
-            self.last_delivered = snapshot.seq;
-            self.next_seq = self.next_seq.max(snapshot.seq + 1);
-            self.slots.retain(|seq, _| *seq > snapshot.seq);
-            self.pending_learns.retain(|seq, _| *seq > snapshot.seq);
-            self.delivered_log = self.delivered_log.split_off(&(snapshot.seq + 1));
-            self.checkpoint.adopt_stable(snapshot.seq);
-            self.snapshot = Some(snapshot.clone());
-            steps.push(Step::InstallSnapshot { snapshot });
-            applied = true;
-        }
-        // The retained tail replays through the normal delivery path.
-        for (seq, command) in tail {
-            if seq != self.last_delivered + 1 {
-                continue; // already executed, or non-contiguous garbage
-            }
-            self.slots.remove(&seq);
-            self.pending_learns.remove(&seq);
-            steps.push(Step::Deliver {
-                seq,
-                command: command.clone(),
-            });
-            self.last_delivered = seq;
-            applied = true;
-            steps.extend(self.note_executed(seq, command));
-        }
-        if applied {
-            self.checkpoint.transfer_applied();
             steps.extend(self.drain_deliveries());
         }
         steps.extend(self.maybe_request_state());

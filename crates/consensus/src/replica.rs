@@ -124,6 +124,48 @@ impl<C> ConsensusMsg<C> {
         }
     }
 
+    /// A Byzantine-equivocating replica's conflicting twin of this message
+    /// (`None` where equivocation is meaningless, which includes every
+    /// crash-model message):
+    ///
+    /// * PBFT pre-prepare: same `(view, seq)`, different (empty) block, so
+    ///   different backups may accept different digests for one slot.
+    /// * PBFT view-change vote: same view, but the prepared certificates are
+    ///   stripped — two recipients see incompatible votes from one replica.
+    /// * PBFT new-view: same view and checkpoint, but every re-proposed
+    ///   block is emptied, so the twin conflicts with any prepared slot.
+    pub fn tampered(&self) -> Option<Self> {
+        let ConsensusMsg::Pbft(msg) = self else {
+            return None;
+        };
+        let twin = match msg {
+            PbftMsg::PrePrepare { view, seq, .. } => PbftMsg::PrePrepare {
+                view: *view,
+                seq: *seq,
+                cmd: Batch::new(Vec::new()),
+            },
+            PbftMsg::ViewChange { new_view, .. } => PbftMsg::ViewChange {
+                new_view: *new_view,
+                prepared: Vec::new(),
+                checkpoint: 0,
+            },
+            PbftMsg::NewView {
+                view,
+                log,
+                checkpoint,
+            } => PbftMsg::NewView {
+                view: *view,
+                log: log
+                    .iter()
+                    .map(|(seq, _)| (*seq, Batch::new(Vec::new())))
+                    .collect(),
+                checkpoint: *checkpoint,
+            },
+            _ => return None,
+        };
+        Some(ConsensusMsg::Pbft(twin))
+    }
+
     /// Member commands carried beyond one per block.
     ///
     /// Wire-size models charge a per-member increment on top of the legacy
@@ -228,15 +270,6 @@ impl<C: Command> ConsensusReplica<C> {
         }
     }
 
-    /// Number of consensus slots currently retained (bounded by checkpoint
-    /// garbage collection when the subsystem is active).
-    pub fn log_len(&self) -> usize {
-        match &self.engine {
-            Engine::Paxos(r) => r.log_len(),
-            Engine::Pbft(r) => r.log_len(),
-        }
-    }
-
     /// Number of entries a view-change vote sent right now would carry —
     /// bounded by `history − stable checkpoint`.
     pub fn vote_entries(&self) -> usize {
@@ -258,11 +291,6 @@ impl<C: Command> ConsensusReplica<C> {
             Engine::Paxos(r) => r.certificate_conflicts(),
             Engine::Pbft(r) => r.certificate_conflicts(),
         }
-    }
-
-    /// The batching knobs this replica runs with.
-    pub fn batch_config(&self) -> &BatchConfig {
-        self.batcher.config()
     }
 
     /// Commands accumulated by the leader but not yet cut into a block.

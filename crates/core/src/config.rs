@@ -1,7 +1,7 @@
 //! Protocol configuration knobs.
 
 use saguaro_ledger::AbstractionFn;
-use saguaro_types::{BatchConfig, CheckpointConfig, Duration, LivenessConfig, TraceConfig};
+use saguaro_types::{Duration, StackConfig};
 
 /// How cross-domain transactions are processed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,28 +42,12 @@ pub struct ProtocolConfig {
     /// Number of rounds after which an optimistic cross-domain transaction
     /// that is still missing from some involved domain is considered aborted.
     pub optimistic_abort_rounds: u64,
-    /// Request batching of the internal consensus: the leader cuts blocks of
-    /// up to `batch.max_batch` commands, flushing under-full blocks after
-    /// `batch.max_delay`.  The default (`max_batch = 1`) reproduces the
-    /// unbatched per-request pipeline exactly.
-    pub batch: BatchConfig,
-    /// Progress-timer (primary suspicion) knobs.  Disabled by default: no
-    /// progress timers are scheduled and the event stream is bit-identical
-    /// to the historical failure-free pipeline.  Fault-injection runs enable
-    /// it so leader crashes actually trigger view changes.
-    pub liveness: LivenessConfig,
-    /// Record the consensus delivery stream (rolling hash per delivered
-    /// block) for post-run agreement checks.  On for fault-injection runs,
-    /// off for failure-free performance sweeps.
-    pub record_deliveries: bool,
-    /// Checkpointing / state-transfer knobs of the internal consensus.  The
-    /// legacy default reproduces the historical pipeline bit for bit; an
-    /// active interval bounds consensus logs and lets recovered replicas
-    /// catch up via state transfer.
-    pub checkpoint: CheckpointConfig,
-    /// Structured-tracing knobs.  Off by default: no buffers are allocated
-    /// and the event stream is bit-identical to an untraced run.
-    pub trace: TraceConfig,
+    /// The per-domain pipeline knobs every replica host is built from:
+    /// request batching, liveness timers, checkpointing / state transfer,
+    /// delivery recording and tracing.  The default is the historical
+    /// failure-free pipeline (unbatched, no progress timers, legacy
+    /// checkpointing, nothing recorded or traced).
+    pub stack: StackConfig,
 }
 
 impl ProtocolConfig {
@@ -78,11 +62,7 @@ impl ProtocolConfig {
             commit_query_timeout: Duration::from_millis(600),
             abstraction: AbstractionFn::Full,
             optimistic_abort_rounds: 8,
-            batch: BatchConfig::unbatched(),
-            liveness: LivenessConfig::disabled(),
-            record_deliveries: false,
-            checkpoint: CheckpointConfig::legacy(),
-            trace: TraceConfig::off(),
+            stack: StackConfig::default(),
         }
     }
 
@@ -92,36 +72,6 @@ impl ProtocolConfig {
             cross_mode: CrossDomainMode::Optimistic,
             ..Self::coordinator()
         }
-    }
-
-    /// Replaces the batching knobs (builder style).
-    pub fn with_batch(mut self, batch: BatchConfig) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Replaces the liveness knobs (builder style).
-    pub fn with_liveness(mut self, liveness: LivenessConfig) -> Self {
-        self.liveness = liveness;
-        self
-    }
-
-    /// Enables delivery-stream recording (builder style).
-    pub fn with_delivery_recording(mut self, record: bool) -> Self {
-        self.record_deliveries = record;
-        self
-    }
-
-    /// Replaces the checkpoint / state-transfer knobs (builder style).
-    pub fn with_checkpoint(mut self, checkpoint: CheckpointConfig) -> Self {
-        self.checkpoint = checkpoint;
-        self
-    }
-
-    /// Replaces the structured-tracing knobs (builder style).
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
     }
 
     /// Round interval for a domain at the given height (doubles per level
@@ -182,9 +132,10 @@ mod tests {
     #[test]
     fn batching_defaults_off_and_is_overridable() {
         let c = ProtocolConfig::coordinator();
-        assert_eq!(c.batch.max_batch, 1);
-        let b = c.with_batch(BatchConfig::with_max_batch(8));
-        assert_eq!(b.batch.max_batch, 8);
+        assert_eq!(c.stack.batch.max_batch, 1);
+        let stack = StackConfig::batched(saguaro_types::BatchConfig::with_max_batch(8));
+        let b = ProtocolConfig { stack, ..c };
+        assert_eq!(b.stack.batch.max_batch, 8);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! staggered timeouts that abort and retry.
 
 use crate::command::Cmd;
+use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
 use crate::node::SaguaroNode;
 use saguaro_ledger::TxStatus;
@@ -65,7 +66,7 @@ impl SaguaroNode {
     /// the LCA domain (Algorithm 1, lines 6-7).
     pub(crate) fn start_coordinated(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
         if !self.is_primary() {
-            ctx.send(self.consensus.primary(), SaguaroMsg::ClientRequest(tx));
+            ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
             return;
         }
         let involved = tx.involved_domains();
@@ -485,7 +486,6 @@ impl SaguaroNode {
             self.ledger
                 .append_cross_domain(tx.clone(), final_seqs, TxStatus::Committed);
             self.stats.cross_committed += 1;
-            self.stats.commit_times.record(tx_id, ctx.now());
             // Acknowledge to the coordinator and answer the client.
             let involved = tx.involved_domains();
             if let (Ok(lca), true) = (self.tree.lca(&involved), self.is_primary()) {

@@ -12,6 +12,9 @@
 //!   * **lazy ledger propagation and aggregation** ([`propagation`],
 //!     Section 5), and
 //!   * **mobile consensus** ([`mobile`], Section 7 / Algorithm 2).
+//! * [`host::ReplicaHost`] — the replica drive layer shared with the
+//!   baselines: consensus engine, flush and progress timers, reply targets,
+//!   tracer and harvest, written once behind [`host::HostedReplica`].
 //! * [`messages::SaguaroMsg`] — every wire message of a deployment, with
 //!   realistic sizes and signature counts for the network/CPU simulator.
 //! * [`command::Cmd`] — the commands ordered by each domain's internal
@@ -22,11 +25,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batching;
 pub mod command;
 pub mod config;
 pub mod coordinator;
 pub mod exec;
+pub mod host;
 pub mod messages;
 pub mod mobile;
 pub mod node;
@@ -36,6 +39,7 @@ pub mod stats;
 
 pub use command::Cmd;
 pub use config::{CrossDomainMode, ProtocolConfig};
+pub use host::{HostStats, HostedReplica, ReplicaHost};
 pub use messages::SaguaroMsg;
 pub use node::SaguaroNode;
 pub use optimistic::{OptDecision, OptTracker, OptimisticValidator};

@@ -270,51 +270,11 @@ impl MessageMeta for SaguaroMsg {
         matches!(self, SaguaroMsg::Consensus(m) if m.is_state_transfer())
     }
 
-    /// A Byzantine-equivocating replica's conflicting twin.
-    ///
-    /// * PBFT pre-prepare: same `(view, seq)`, different (empty) block, so
-    ///   different backups may accept different digests for one slot.
-    /// * PBFT view-change vote: same view, but the prepared certificates are
-    ///   stripped — two recipients see incompatible votes from one replica.
-    /// * PBFT new-view: same view and checkpoint, but every re-proposed
-    ///   block is emptied, so the twin conflicts with any prepared slot.
-    ///
-    /// Every other message has no meaningful equivocation.
+    /// The equivocating twin of PBFT traffic — see
+    /// [`ConsensusMsg::tampered`]; nothing else has a meaningful one.
     fn tampered(&self) -> Option<Self> {
-        use saguaro_consensus::{Batch, PbftMsg};
         match self {
-            SaguaroMsg::Consensus(ConsensusMsg::Pbft(PbftMsg::PrePrepare {
-                view, seq, ..
-            })) => Some(SaguaroMsg::Consensus(ConsensusMsg::Pbft(
-                PbftMsg::PrePrepare {
-                    view: *view,
-                    seq: *seq,
-                    cmd: Batch::new(Vec::new()),
-                },
-            ))),
-            SaguaroMsg::Consensus(ConsensusMsg::Pbft(PbftMsg::ViewChange { new_view, .. })) => {
-                Some(SaguaroMsg::Consensus(ConsensusMsg::Pbft(
-                    PbftMsg::ViewChange {
-                        new_view: *new_view,
-                        prepared: Vec::new(),
-                        checkpoint: 0,
-                    },
-                )))
-            }
-            SaguaroMsg::Consensus(ConsensusMsg::Pbft(PbftMsg::NewView {
-                view,
-                log,
-                checkpoint,
-            })) => Some(SaguaroMsg::Consensus(ConsensusMsg::Pbft(
-                PbftMsg::NewView {
-                    view: *view,
-                    log: log
-                        .iter()
-                        .map(|(s, _)| (*s, Batch::new(Vec::new())))
-                        .collect(),
-                    checkpoint: *checkpoint,
-                },
-            ))),
+            SaguaroMsg::Consensus(m) => m.tampered().map(SaguaroMsg::Consensus),
             _ => None,
         }
     }

@@ -15,6 +15,7 @@
 
 use crate::command::Cmd;
 use crate::exec::device_account;
+use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
 use crate::node::{MobileRecord, SaguaroNode};
 use saguaro_ledger::TxStatus;
@@ -105,7 +106,7 @@ impl SaguaroNode {
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
         if !self.is_primary() {
-            ctx.send(self.consensus.primary(), SaguaroMsg::ClientRequest(tx));
+            ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
             return;
         }
         let device = tx.client;
@@ -146,7 +147,7 @@ impl SaguaroNode {
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
         if !self.is_primary() {
-            ctx.send(self.consensus.primary(), SaguaroMsg::ClientRequest(tx));
+            ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
             return;
         }
         let device = tx.client;
@@ -453,7 +454,6 @@ impl SaguaroNode {
         } else {
             self.stats.mobile_committed += 1;
         }
-        self.stats.commit_times.record(tx.id, ctx.now());
         self.reply(tx.id, true, ctx);
     }
 }

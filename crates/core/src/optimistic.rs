@@ -12,6 +12,7 @@
 
 use crate::command::Cmd;
 use crate::config::CrossDomainMode;
+use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
 use crate::node::SaguaroNode;
 use saguaro_ledger::TxStatus;
@@ -358,7 +359,7 @@ impl SaguaroNode {
     /// order it locally.
     pub(crate) fn start_optimistic(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
         if !self.is_primary() {
-            ctx.send(self.consensus.primary(), SaguaroMsg::ClientRequest(tx));
+            ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
             return;
         }
         for d in tx.involved_domains() {
@@ -399,7 +400,6 @@ impl SaguaroNode {
         self.opt.track(&tx);
         self.opt.record_execution(&tx);
         self.stats.cross_committed += 1;
-        self.stats.commit_times.record(tx.id, ctx.now());
         self.reply(tx.id, true, ctx);
     }
 

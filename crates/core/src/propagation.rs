@@ -10,6 +10,7 @@
 //! cadence.
 
 use crate::command::Cmd;
+use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
 use crate::node::SaguaroNode;
 use saguaro_ledger::Block;
@@ -43,12 +44,6 @@ impl SaguaroNode {
         self.dag_new_since_round.clear();
         let interval = self.config.round_interval_for_height(self.domain().height);
         self.round_timer = Some(ctx.set_timer(interval, SaguaroMsg::RoundTimer));
-        // Fault-injection runs arm a per-replica progress timer so a crashed
-        // primary is actually suspected; `None` here either means this is the
-        // deployment kick-off or the loop died while the replica was crashed.
-        if self.config.liveness.enabled && self.progress_timer.is_none() {
-            self.schedule_progress_timer(ctx);
-        }
     }
 
     /// A block message arrived from a child domain: the primary orders it

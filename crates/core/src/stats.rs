@@ -1,56 +1,7 @@
 //! Per-node measurement counters.
 
-use saguaro_types::{DeliveryLog, SimTime, TxId};
-use std::collections::{HashMap, VecDeque};
-
-/// A bounded record of recent commit instants: a FIFO of at most
-/// [`CommitTimes::CAPACITY`] `(transaction, commit time)` pairs with an
-/// id-keyed index.  The unbounded `HashMap` it replaces grew one entry per
-/// committed transaction for the lifetime of the node, which made endurance
-/// (population-scale) runs O(total transactions) in memory for a diagnostic
-/// that only ever needs the recent past.
-#[derive(Clone, Debug, Default)]
-pub struct CommitTimes {
-    order: VecDeque<TxId>,
-    times: HashMap<TxId, SimTime>,
-}
-
-impl CommitTimes {
-    /// Entries retained; the oldest is evicted when a record would exceed it.
-    pub const CAPACITY: usize = 4_096;
-
-    /// Records `tx` committing at `at`, evicting the oldest entry when full.
-    /// Re-recording a transaction refreshes its time without growing the
-    /// window.
-    pub fn record(&mut self, tx: TxId, at: SimTime) {
-        if self.times.insert(tx, at).is_some() {
-            return;
-        }
-        self.order.push_back(tx);
-        if self.order.len() > Self::CAPACITY {
-            if let Some(evicted) = self.order.pop_front() {
-                self.times.remove(&evicted);
-            }
-        }
-    }
-
-    /// The recorded commit time of `tx`, if still within the window.
-    pub fn get(&self, tx: TxId) -> Option<SimTime> {
-        self.times.get(&tx).copied()
-    }
-
-    /// Number of transactions currently remembered (≤ [`Self::CAPACITY`]).
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-}
-
-/// Counters a Saguaro node keeps for the experiment harness.
+/// Protocol counters a Saguaro node keeps for the experiment harness (the
+/// internal-consensus ones live in [`crate::host::HostStats`]).
 #[derive(Clone, Debug, Default)]
 pub struct NodeStats {
     /// Internal transactions committed (and executed) by this node.
@@ -68,43 +19,9 @@ pub struct NodeStats {
     pub blocks_sent: u64,
     /// Ordering inconsistencies detected (height-2+ domains, optimistic mode).
     pub inconsistencies_detected: u64,
-    /// View changes observed by this node.
-    pub view_changes: u64,
-    /// Rolling hash of the internal consensus delivery stream, one snapshot
-    /// per delivered block, kept as a bounded window ([`DeliveryLog`]) so
-    /// endurance runs do not grow it per delivery.  Two replicas of a domain
-    /// agree on their common delivery prefix iff their windows agree at the
-    /// deepest shared index — the fault-injection suites assert exactly that.
-    pub consensus_log: DeliveryLog,
-    /// Application snapshots this node materialized at checkpoint points.
-    pub snapshots_taken: u64,
-    /// Application snapshots this node installed through snapshot-based
-    /// catch-up (each replaces a full missed-prefix replay).
-    pub snapshots_installed: u64,
-    /// Commit times of the transactions this node committed most recently as
-    /// the *receiving* domain primary (used to compute end-to-end latency
-    /// when replies are lost).  Bounded: see [`CommitTimes`].
-    pub commit_times: CommitTimes,
-    /// Member commands this node applied through state-transfer replies
-    /// (recovery catch-up) instead of the normal ordering pipeline.
-    pub state_transfer_commands: u64,
-    /// Wire bytes of the state-transfer replies this node applied.
-    pub state_transfer_bytes: u64,
-    /// The instant the last state-transfer reply was applied — for a
-    /// crashed-and-recovered replica, when its catch-up completed.
-    pub caught_up_at: Option<SimTime>,
 }
 
 impl NodeStats {
-    /// Folds one delivered consensus block (its sequence number plus a
-    /// fingerprint per member command) into the rolling delivery-stream
-    /// hash — see [`saguaro_types::delivery_hash`].
-    pub fn note_delivery(&mut self, seq: u64, members: impl Iterator<Item = u64>) {
-        let prev = self.consensus_log.last();
-        self.consensus_log
-            .push(saguaro_types::delivery_hash(prev, seq, members));
-    }
-
     /// Total committed transactions of every class.
     pub fn total_committed(&self) -> u64 {
         self.internal_committed + self.cross_committed + self.mobile_committed
@@ -124,39 +41,6 @@ impl NodeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn commit_times_stay_bounded_under_endurance_load() {
-        // Regression: the old HashMap grew one entry per committed tx
-        // forever.  Ten capacities' worth of commits must leave exactly one
-        // capacity remembered — the most recent ones.
-        let mut times = CommitTimes::default();
-        let total = (CommitTimes::CAPACITY * 10) as u64;
-        for i in 0..total {
-            times.record(TxId(i), SimTime::from_micros(i));
-        }
-        assert_eq!(times.len(), CommitTimes::CAPACITY);
-        // The newest entries survive, the oldest are evicted.
-        assert_eq!(
-            times.get(TxId(total - 1)),
-            Some(SimTime::from_micros(total - 1))
-        );
-        assert_eq!(times.get(TxId(0)), None);
-        // The index map is pruned in lockstep with the FIFO (no shadow
-        // growth).
-        assert_eq!(times.times.len(), times.order.len());
-    }
-
-    #[test]
-    fn commit_times_rerecord_refreshes_without_growth() {
-        let mut times = CommitTimes::default();
-        times.record(TxId(7), SimTime::from_micros(1));
-        times.record(TxId(7), SimTime::from_micros(9));
-        assert_eq!(times.len(), 1);
-        assert_eq!(times.get(TxId(7)), Some(SimTime::from_micros(9)));
-        assert!(!times.is_empty());
-        assert!(CommitTimes::default().is_empty());
-    }
 
     #[test]
     fn totals_and_ratios() {

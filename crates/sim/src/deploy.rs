@@ -6,11 +6,11 @@
 
 use crate::protocol::{NodeHarvest, RunHarvest};
 use saguaro_baselines::{BaselineMsg, BaselineNode, BaselineRole};
-use saguaro_core::{ProtocolConfig, SaguaroMsg, SaguaroNode};
+use saguaro_core::{HostedReplica, ProtocolConfig, SaguaroMsg, SaguaroNode};
 use saguaro_hierarchy::{HierarchyTree, Placement, TopologyBuilder};
-use saguaro_ledger::TxStatus;
+use saguaro_ledger::{LinearLedger, TxStatus};
 use saguaro_net::{Addr, CpuProfile, LatencyMatrix, SimRuntime};
-use saguaro_types::{ClientId, DomainId, FailureModel, NodeId, Result, SimTime, StackConfig};
+use saguaro_types::{ClientId, DomainId, FailureModel, Result, SimTime, StackConfig};
 use std::sync::Arc;
 
 /// Builds the paper's 4-level perfect binary tree with the given failure
@@ -131,12 +131,7 @@ pub fn deploy_baseline<S: SimRuntime<BaselineMsg>>(
         };
         let region = domain_cfg.region;
         for node in tree.nodes_of(domain).expect("domain nodes") {
-            let mut actor =
-                BaselineNode::with_batching(node, role, tree.clone(), committee, stack.batch)
-                    .with_checkpointing(stack.checkpoint)
-                    .with_liveness(stack.liveness)
-                    .with_delivery_recording(stack.record_deliveries)
-                    .with_trace(stack.trace);
+            let mut actor = BaselineNode::new(node, role, tree.clone(), committee, *stack);
             if domain.height == 1 {
                 for (d, accounts) in seed_accounts {
                     if *d == domain {
@@ -166,31 +161,54 @@ pub fn deploy_baseline<S: SimRuntime<BaselineMsg>>(
     committee
 }
 
-/// Shared harvest loop: walks every registered replica (skipping height-0
-/// domains when `skip_edge_devices`), downcasts to the concrete node type
-/// and extracts one [`NodeHarvest`] via `extract`.  Keeping a single loop
-/// means a new harvest field is threaded once, not once per stack family.
-fn harvest_with<A: 'static, M: saguaro_net::MessageMeta + Clone + 'static, S: SimRuntime<M>>(
+/// Shared harvest loop: walks every replica of every height ≥ 1 domain,
+/// downcasts the registered actor to the stack's node type `A` (domains the
+/// stack registered none for are skipped) and reads one [`NodeHarvest`] off
+/// its replica host and its ledger.
+fn harvest_with<A, S>(
     sim: &mut S,
     tree: &Arc<HierarchyTree>,
-    skip_edge_devices: bool,
-    extract: impl Fn(NodeId, &mut A) -> NodeHarvest,
-) -> RunHarvest {
+    ledger: impl Fn(&A) -> &LinearLedger,
+) -> RunHarvest
+where
+    A: HostedReplica + 'static,
+    A::Msg: 'static,
+    S: SimRuntime<A::Msg>,
+{
     let mut nodes = Vec::new();
-    for domain_cfg in tree.domains() {
-        if skip_edge_devices && domain_cfg.id.height == 0 {
-            continue;
-        }
+    for domain_cfg in tree.domains().filter(|d| d.id.height > 0) {
         for node in tree.nodes_of(domain_cfg.id).expect("domain nodes") {
             let harvested = sim.with_actor(node, |actor| {
-                actor
-                    .as_any()
-                    .and_then(|any| any.downcast_mut::<A>())
-                    .map(|n| extract(node, n))
+                let replica = actor.as_any()?.downcast_mut::<A>()?;
+                let ledger = ledger(replica);
+                let entries = ledger_entries(ledger);
+                let total_entries = ledger.len() as u64 + ledger.pruned_entries();
+                let host = replica.host_mut();
+                let (trace, trace_dropped) = host.take_trace();
+                let (consensus, stats) = (host.consensus(), host.stats());
+                Some(NodeHarvest {
+                    node,
+                    trace,
+                    trace_dropped,
+                    entries,
+                    total_entries,
+                    consensus_log: stats.consensus_log.clone(),
+                    view_changes: stats.view_changes,
+                    last_delivered: consensus.last_delivered(),
+                    stable_checkpoint: consensus.stable_checkpoint(),
+                    vote_entries: consensus.vote_entries(),
+                    certificate_conflicts: consensus.certificate_conflicts(),
+                    state_transfer_commands: stats.state_transfer_commands,
+                    state_transfer_bytes: stats.state_transfer_bytes,
+                    caught_up_at: stats.caught_up_at,
+                    chain_len: consensus.chain_len(),
+                    chain_start: consensus.chain_start(),
+                    snapshot_seq: consensus.snapshot_seq(),
+                    snapshots_taken: stats.snapshots_taken,
+                    snapshots_installed: stats.snapshots_installed,
+                })
             });
-            if let Some(Some(h)) = harvested {
-                nodes.push(h);
-            }
+            nodes.extend(harvested.flatten());
         }
     }
     RunHarvest { nodes }
@@ -201,30 +219,7 @@ pub fn harvest_saguaro<S: SimRuntime<SaguaroMsg>>(
     sim: &mut S,
     tree: &Arc<HierarchyTree>,
 ) -> RunHarvest {
-    harvest_with(sim, tree, true, |node, n: &mut SaguaroNode| {
-        let (trace, trace_dropped) = n.take_trace();
-        NodeHarvest {
-            node,
-            trace,
-            trace_dropped,
-            entries: ledger_entries(n.ledger()),
-            total_entries: n.ledger().len() as u64 + n.ledger().pruned_entries(),
-            consensus_log: n.stats().consensus_log.clone(),
-            view_changes: n.stats().view_changes,
-            last_delivered: n.consensus_frontier(),
-            stable_checkpoint: n.consensus_checkpoint(),
-            vote_entries: n.consensus_vote_entries(),
-            certificate_conflicts: n.consensus_certificate_conflicts(),
-            state_transfer_commands: n.stats().state_transfer_commands,
-            state_transfer_bytes: n.stats().state_transfer_bytes,
-            caught_up_at: n.stats().caught_up_at,
-            chain_len: n.consensus_chain_len(),
-            chain_start: n.consensus_chain_start(),
-            snapshot_seq: n.consensus_snapshot_seq(),
-            snapshots_taken: n.stats().snapshots_taken,
-            snapshots_installed: n.stats().snapshots_installed,
-        }
-    })
+    harvest_with(sim, tree, SaguaroNode::ledger)
 }
 
 /// Extracts post-run evidence from every replica of a baseline deployment.
@@ -232,37 +227,14 @@ pub fn harvest_baseline<S: SimRuntime<BaselineMsg>>(
     sim: &mut S,
     tree: &Arc<HierarchyTree>,
 ) -> RunHarvest {
-    harvest_with(sim, tree, false, |node, n: &mut BaselineNode| {
-        let (trace, trace_dropped) = n.take_trace();
-        NodeHarvest {
-            node,
-            trace,
-            trace_dropped,
-            entries: ledger_entries(n.ledger()),
-            total_entries: n.ledger().len() as u64 + n.ledger().pruned_entries(),
-            consensus_log: n.stats().consensus_log.clone(),
-            view_changes: n.stats().view_changes,
-            last_delivered: n.consensus_frontier(),
-            stable_checkpoint: n.consensus_checkpoint(),
-            vote_entries: n.consensus_vote_entries(),
-            certificate_conflicts: n.consensus_certificate_conflicts(),
-            state_transfer_commands: n.stats().state_transfer_commands,
-            state_transfer_bytes: n.stats().state_transfer_bytes,
-            caught_up_at: n.stats().caught_up_at,
-            chain_len: n.consensus_chain_len(),
-            chain_start: n.consensus_chain_start(),
-            snapshot_seq: n.consensus_snapshot_seq(),
-            snapshots_taken: n.stats().snapshots_taken,
-            snapshots_installed: n.stats().snapshots_installed,
-        }
-    })
+    harvest_with(sim, tree, BaselineNode::ledger)
 }
 
 /// Ledger entries as `(tx id, final status)` pairs in append order, bounded
 /// to the most recent [`saguaro_types::DeliveryLog::CAPACITY`] entries (older
 /// ones may already have been pruned under finite checkpoint retention; the
 /// bound keeps harvests from growing with run length either way).
-fn ledger_entries(ledger: &saguaro_ledger::LinearLedger) -> Vec<(saguaro_types::TxId, TxStatus)> {
+fn ledger_entries(ledger: &LinearLedger) -> Vec<(saguaro_types::TxId, TxStatus)> {
     let entries = ledger.entries();
     let skip = entries
         .len()

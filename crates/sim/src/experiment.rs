@@ -48,9 +48,8 @@ use saguaro_net::{
 };
 use saguaro_trace::{RunTrace, TraceActor, TraceEvent, TraceEventKind, Tracer};
 use saguaro_types::{
-    BatchConfig, CheckpointConfig, ClientId, ClientModel, ConsensusTuning, DomainId, Duration,
-    EngineMode, FailureModel, LivenessConfig, NodeId, PopulationConfig, SimTime, StackConfig,
-    TraceConfig, TxId,
+    ClientId, ClientModel, ConsensusTuning, DomainId, Duration, EngineMode, FailureModel,
+    LivenessConfig, NodeId, PopulationConfig, SimTime, StackConfig, TraceConfig, TxId,
 };
 use saguaro_workload::{MicropaymentWorkload, RidesharingWorkload, Workload, WorkloadConfig};
 use std::sync::Arc;
@@ -318,35 +317,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the consensus block size (batching), keeping the default cut
-    /// delay.  `batched(1)` is the unbatched pipeline.
-    #[deprecated(note = "use `spec.tune(|t| t.batch_size(n))`")]
-    pub fn batched(self, max_batch: usize) -> Self {
-        self.tune(|t| t.batch_size(max_batch))
-    }
-
-    /// Replaces the full batching configuration.
-    #[deprecated(note = "use `spec.tune(|t| t.batch(config))`")]
-    pub fn batch_config(self, batch: BatchConfig) -> Self {
-        self.tune(|t| t.batch(batch))
-    }
-
-    /// Turns on checkpointing and state transfer with the given
-    /// announcement interval: consensus logs stay bounded by the stable
-    /// checkpoint and gap-stalled replicas catch up from peers.
-    #[deprecated(note = "use `spec.tune(|t| t.checkpoint_every(interval))`")]
-    pub fn checkpointed(self, interval: u64) -> Self {
-        self.tune(|t| t.checkpoint_every(interval))
-    }
-
-    /// Replaces the full checkpoint configuration (e.g.
-    /// [`CheckpointConfig::unbounded`] for the `∞`-interval determinism
-    /// baseline).
-    #[deprecated(note = "use `spec.tune(|t| t.checkpoint(config))`")]
-    pub fn checkpoint_config(self, checkpoint: CheckpointConfig) -> Self {
-        self.tune(|t| t.checkpoint(checkpoint))
-    }
-
     /// Installs a scripted fault plan (crash/recover/partition/heal/delay
     /// events keyed by virtual time).  A non-empty plan implies the standard
     /// liveness configuration — pin `tune(|t| t.liveness(...))` to tune the
@@ -354,14 +324,6 @@ impl ExperimentSpec {
     pub fn fault_plan(mut self, plan: FaultSchedule) -> Self {
         self.fault_plan = plan;
         self
-    }
-
-    /// Sets the liveness-timer knobs explicitly (overriding what the fault
-    /// plan would imply — `LivenessConfig::disabled()` here really does
-    /// disable the timers).
-    #[deprecated(note = "use `spec.tune(|t| t.liveness(config))`")]
-    pub fn with_liveness(self, liveness: LivenessConfig) -> Self {
-        self.tune(|t| t.liveness(liveness))
     }
 
     /// The liveness configuration the run actually deploys with: an
@@ -570,26 +532,6 @@ pub struct RunArtifacts {
     /// Bucketed time-series metrics over `warmup + measure` (`None` with
     /// tracing off).
     pub timeline: Option<crate::timeline::RunTimeline>,
-}
-
-/// Runs one experiment, dispatching `spec.protocol` to the corresponding
-/// [`ProtocolStack`] implementation.
-#[deprecated(note = "use `spec.run()`")]
-pub fn run(spec: &ExperimentSpec) -> RunMetrics {
-    spec.run()
-}
-
-/// Like [`ExperimentSpec::run`], but also returns the raw per-transaction
-/// artifacts.
-#[deprecated(note = "use `spec.run_collecting()`")]
-pub fn run_collecting(spec: &ExperimentSpec) -> RunArtifacts {
-    spec.run_collecting()
-}
-
-/// Sweeps offered load, returning one point per load value.
-#[deprecated(note = "use `spec.sweep(loads)`")]
-pub fn sweep(spec: &ExperimentSpec, loads: &[f64]) -> Vec<LoadPoint> {
-    spec.sweep(loads)
 }
 
 /// One client's open-loop schedule: `(tx id, framed request, destination)`
@@ -1153,25 +1095,6 @@ mod tests {
         // armed and client targets spread.
         let timers_only = plain.tune(|t| t.liveness(LivenessConfig::standard()));
         assert!(timers_only.is_chaos());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builder_shims_still_reach_the_grouped_tuning() {
-        let spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
-            .batched(8)
-            .checkpointed(16)
-            .with_liveness(LivenessConfig::standard());
-        assert_eq!(spec.consensus.batch.max_batch, 8);
-        assert_eq!(spec.consensus.checkpoint.interval, 16);
-        assert_eq!(spec.consensus.liveness, Some(LivenessConfig::standard()));
-        let grouped = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator).tune(|t| {
-            t.batch_size(8)
-                .checkpoint_every(16)
-                .liveness(LivenessConfig::standard())
-        });
-        assert_eq!(spec.consensus, grouped.consensus);
-        assert_eq!(spec.stack_config(), grouped.stack_config());
     }
 
     #[test]

@@ -84,11 +84,6 @@ pub use experiment::{
     run_experiment, ExperimentSpec, LoadPoint, PopulationTally, RidesharingConfig, RunArtifacts,
     RunMetrics, WorkloadKind,
 };
-// Deprecated free-function shims, re-exported so downstream callers keep
-// compiling (with a deprecation warning) until they migrate to the
-// `ExperimentSpec` methods.
-#[allow(deprecated)]
-pub use experiment::{run_collecting, sweep};
 pub use figures::{
     FaultSeries, FigureSeries, PopulationPoint, RecoveryPoint, RecoverySeries, TimelineBin,
     TimeoutPoint, TimeoutSeries,

@@ -70,9 +70,10 @@ pub struct NodeHarvest {
     /// Append order interleaves consensus deliveries with directly-applied
     /// cross-domain commits, so it is replica-local; cross-replica agreement
     /// is checked on [`NodeHarvest::consensus_log`] instead.  Bounded to the
-    /// most recent [`DeliveryLog::CAPACITY`] entries (the same window
-    /// `commit_times` uses) so harvesting an endurance run stays O(window);
-    /// [`NodeHarvest::total_entries`] keeps the full count.
+    /// most recent [`DeliveryLog::CAPACITY`] entries (the window replicas
+    /// prune their ledgers to at snapshot time) so harvesting an endurance
+    /// run stays O(window); [`NodeHarvest::total_entries`] keeps the full
+    /// count.
     pub entries: Vec<(TxId, TxStatus)>,
     /// Total ledger entries this replica ever appended, including any that
     /// fell out of the bounded [`NodeHarvest::entries`] window or were
@@ -281,12 +282,10 @@ impl ProtocolStack for CoordinatorStack {
         seed_accounts: &SeedAccounts,
         stack: &StackConfig,
     ) {
-        let config = ProtocolConfig::coordinator()
-            .with_batch(stack.batch)
-            .with_liveness(stack.liveness)
-            .with_checkpoint(stack.checkpoint)
-            .with_delivery_recording(stack.record_deliveries)
-            .with_trace(stack.trace);
+        let config = ProtocolConfig {
+            stack: *stack,
+            ..ProtocolConfig::coordinator()
+        };
         deploy::deploy_saguaro(sim, tree, &config, seed_accounts);
     }
 
@@ -327,12 +326,10 @@ impl ProtocolStack for OptimisticStack {
         seed_accounts: &SeedAccounts,
         stack: &StackConfig,
     ) {
-        let config = ProtocolConfig::optimistic()
-            .with_batch(stack.batch)
-            .with_liveness(stack.liveness)
-            .with_checkpoint(stack.checkpoint)
-            .with_delivery_recording(stack.record_deliveries)
-            .with_trace(stack.trace);
+        let config = ProtocolConfig {
+            stack: *stack,
+            ..ProtocolConfig::optimistic()
+        };
         deploy::deploy_saguaro(sim, tree, &config, seed_accounts);
     }
 

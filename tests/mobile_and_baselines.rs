@@ -7,7 +7,7 @@ use saguaro::hierarchy::{HierarchyTree, Placement, TopologyBuilder};
 use saguaro::net::{CpuProfile, LatencyMatrix, Simulation};
 use saguaro::types::transaction::account_key;
 use saguaro::types::{
-    ClientId, DomainId, FailureModel, NodeId, Operation, SimTime, Transaction, TxId,
+    ClientId, DomainId, FailureModel, NodeId, Operation, SimTime, StackConfig, Transaction, TxId,
 };
 use std::sync::Arc;
 
@@ -303,7 +303,8 @@ fn baseline_sim(tree: &Arc<HierarchyTree>, sharper: bool) -> Simulation<Baseline
             continue;
         };
         for node in tree.nodes_of(domain.id).expect("nodes") {
-            let mut actor = BaselineNode::new(node, role, tree.clone(), committee);
+            let mut actor =
+                BaselineNode::new(node, role, tree.clone(), committee, StackConfig::default());
             if domain.id.height == 1 {
                 for n in 0..8u64 {
                     actor.seed_account(account_key(domain.id.index, n), 1_000);
