@@ -186,17 +186,15 @@ impl MessageMeta for BaselineMsg {
 }
 
 /// Wire size of intra-shard consensus traffic (also used by the node layer
-/// to account state-transfer volume without re-wrapping the message).
+/// to account state-transfer volume without re-wrapping the message): 240
+/// bytes per message, 200 per command beyond one per block and per command
+/// of a state reply, the snapshot if one is shipped — and 40 bytes of
+/// authentication on every message of a Byzantine shard.
 pub(crate) fn consensus_wire_bytes(m: &ConsensusMsg<BCmd>) -> usize {
-    let extra = 200 * (m.extra_commands() + m.state_reply_commands());
-    let snapshot = m
-        .snapshot_payload()
-        .map(|s| s.wire_bytes() as usize)
-        .unwrap_or(0);
-    match m {
-        ConsensusMsg::Paxos(_) => 240 + extra + snapshot,
-        ConsensusMsg::Pbft(_) => 280 + extra + snapshot,
-    }
+    let commands = 200 * (m.extra_commands() + m.state_reply_commands());
+    let snapshot = m.snapshot_payload().map_or(0, |s| s.wire_bytes() as usize);
+    let authentication = if m.is_byzantine() { 40 } else { 0 };
+    240 + commands + snapshot + authentication
 }
 
 #[cfg(test)]
@@ -239,13 +237,16 @@ mod tests {
 
     #[test]
     fn batched_consensus_messages_grow_per_extra_member() {
-        use saguaro_consensus::{Batch, PaxosMsg};
+        use saguaro_consensus::{Batch, MsgBody};
         let accept = |members: Vec<BCmd>| {
-            BaselineMsg::Consensus(ConsensusMsg::Paxos(PaxosMsg::Accept {
-                view: 0,
-                seq: 1,
-                cmd: Batch::new(members),
-            }))
+            BaselineMsg::Consensus(ConsensusMsg {
+                model: saguaro_types::FailureModel::Crash,
+                body: MsgBody::Accept {
+                    view: 0,
+                    seq: 1,
+                    batch: Batch::new(members),
+                },
+            })
         };
         let one = accept(vec![BCmd::Internal(tx(1))]);
         let three = accept(vec![
@@ -256,5 +257,152 @@ mod tests {
         assert_eq!(one.wire_bytes(), 240);
         assert_eq!(three.wire_bytes(), 240 + 2 * 200);
         assert!(three.wire_bytes() < 3 * one.wire_bytes());
+    }
+    /// Every intra-domain consensus message class of one failure model, in
+    /// the payload shapes the wire model distinguishes: a 1-command and a
+    /// 3-command block, two-entry votes / logs / replies over those two
+    /// blocks, and a snapshot reply (2 accounts, 1 hosted device) with the
+    /// same two-entry tail.
+    fn consensus_classes(byzantine: bool) -> Vec<(&'static str, ConsensusMsg<BCmd>)> {
+        use saguaro_consensus::{Batch, MsgBody};
+        use saguaro_types::FailureModel;
+        let one = Batch::single(BCmd::Internal(tx(1)));
+        let three = Batch::new(vec![BCmd::Internal(tx(1)); 3]);
+        let digest = saguaro_crypto::Digest::ZERO;
+        let entries = vec![(1, one.clone()), (2, three.clone())];
+        let voted = vec![(1, 0, one.clone()), (2, 0, three.clone())];
+        let snapshot = std::sync::Arc::new(saguaro_types::StateSnapshot {
+            seq: 8,
+            accounts: vec![("a".into(), 1), ("b".into(), 2)],
+            hosted: vec![ClientId(7)],
+            ..Default::default()
+        });
+        let (view, seq, committed_to) = (0, 1, 2);
+        let (model, mut classes) = if byzantine {
+            let classes = vec![
+                (
+                    "proposal/1",
+                    MsgBody::PrePrepare {
+                        view,
+                        seq,
+                        batch: one,
+                    },
+                ),
+                (
+                    "proposal/3",
+                    MsgBody::PrePrepare {
+                        view,
+                        seq,
+                        batch: three,
+                    },
+                ),
+                ("prepare", MsgBody::Prepare { view, seq, digest }),
+                ("commit", MsgBody::Commit { view, seq, digest }),
+            ];
+            (FailureModel::Byzantine, classes)
+        } else {
+            let classes = vec![
+                (
+                    "proposal/1",
+                    MsgBody::Accept {
+                        view,
+                        seq,
+                        batch: one,
+                    },
+                ),
+                (
+                    "proposal/3",
+                    MsgBody::Accept {
+                        view,
+                        seq,
+                        batch: three,
+                    },
+                ),
+                ("accepted", MsgBody::Accepted { view, seq, digest }),
+                ("learn", MsgBody::Learn { view, seq }),
+            ];
+            (FailureModel::Crash, classes)
+        };
+        classes.extend([
+            (
+                "view-change/2",
+                MsgBody::ViewChange {
+                    new_view: 1,
+                    entries: voted,
+                    last_delivered: 0,
+                    checkpoint: 0,
+                },
+            ),
+            (
+                "new-view/2",
+                MsgBody::NewView {
+                    view: 1,
+                    log: entries.clone(),
+                    frontier: 0,
+                },
+            ),
+            ("checkpoint", MsgBody::Checkpoint { seq, digest }),
+            ("state-request", MsgBody::StateRequest { above: 0 }),
+            (
+                "state-reply/2",
+                MsgBody::StateReply {
+                    entries: entries.clone(),
+                    committed_to,
+                },
+            ),
+            (
+                "snapshot-reply/2",
+                MsgBody::SnapshotReply {
+                    snapshot,
+                    tail: entries,
+                    committed_to,
+                },
+            ),
+        ]);
+        classes
+            .into_iter()
+            .map(|(class, body)| (class, ConsensusMsg { model, body }))
+            .collect()
+    }
+
+    #[test]
+    fn consensus_wire_model_is_pinned_per_class_and_failure_model() {
+        // (class, wire bytes, signatures).  Every command beyond one per
+        // block and every command of a state reply costs 200 B; the snapshot
+        // 96 + 2 * 24 + 8 = 152 B.
+        let crash = [
+            ("proposal/1", 240, 0),
+            ("proposal/3", 640, 0),
+            ("accepted", 240, 0),
+            ("learn", 240, 0),
+            ("view-change/2", 640, 0),
+            ("new-view/2", 640, 0),
+            ("checkpoint", 240, 0),
+            ("state-request", 240, 0),
+            ("state-reply/2", 1440, 0),
+            ("snapshot-reply/2", 1592, 0),
+        ];
+        let byzantine = [
+            ("proposal/1", 280, 1),
+            ("proposal/3", 680, 1),
+            ("prepare", 280, 1),
+            ("commit", 280, 1),
+            ("view-change/2", 680, 3),
+            ("new-view/2", 680, 3),
+            ("checkpoint", 280, 1),
+            ("state-request", 280, 1),
+            ("state-reply/2", 1480, 3),
+            ("snapshot-reply/2", 1632, 3),
+        ];
+        for (is_byzantine, expected) in [(false, crash), (true, byzantine)] {
+            let measured: Vec<(&str, usize, usize)> = consensus_classes(is_byzantine)
+                .into_iter()
+                .map(|(class, m)| {
+                    let m = BaselineMsg::Consensus(m);
+                    (class, m.wire_bytes(), m.signatures())
+                })
+                .collect();
+            assert_eq!(measured, expected, "byzantine = {is_byzantine}");
+        }
     }
 }

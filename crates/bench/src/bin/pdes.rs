@@ -25,7 +25,7 @@
 //! when the host actually has ≥ 4 cores, so single-core containers can
 //! still run the measurement without flaking.
 
-use saguaro_bench::{emit, json_path_from_args, options_from_args, JsonReport};
+use saguaro_bench::{emit, flag_from_args, json_path_from_args, options_from_args, JsonReport};
 use saguaro_sim::experiment::ExperimentSpec;
 use saguaro_sim::json::JsonValue;
 use saguaro_sim::protocol::ProtocolKind;
@@ -36,13 +36,6 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Cores the host must expose before the `--min-speedup` gate is enforced.
 const GATE_MIN_CORES: usize = 4;
-
-fn min_speedup_from_args(args: &[String]) -> Option<f64> {
-    args.iter()
-        .position(|a| a == "--min-speedup")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-}
 
 /// One timed configuration: the shared warmed-up measurement plus this
 /// binary's sweep bookkeeping (label, worker count).
@@ -125,6 +118,7 @@ fn rows_to_json(rows: &[Timed]) -> JsonValue {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let options = options_from_args(&args);
+    let min_speedup: Option<f64> = flag_from_args(&args, "--min-speedup", "a number");
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -195,7 +189,7 @@ fn main() {
     );
     report.merge_into_if_requested(json_path_from_args(&args).as_ref());
 
-    if let Some(min_speedup) = min_speedup_from_args(&args) {
+    if let Some(min_speedup) = min_speedup {
         if threads < GATE_MIN_CORES {
             eprintln!(
                 "pdes speedup gate skipped: host has {threads} core(s), \

@@ -16,7 +16,8 @@
 //! regressions without flaking on runner-speed variance.
 
 use saguaro_bench::{
-    emit, json_path_from_args, options_from_args, runtime_json, timed_run, JsonReport,
+    emit, flag_from_args, json_path_from_args, options_from_args, runtime_json, timed_run,
+    JsonReport,
 };
 use saguaro_sim::experiment::ExperimentSpec;
 use saguaro_sim::figures::{figure7, render_table, FigureOptions};
@@ -27,13 +28,6 @@ use std::time::Instant;
 
 /// Tolerated slowdown against the checked-in floor before CI fails.
 const FLOOR_TOLERANCE: f64 = 0.70;
-
-fn floor_path_from_args(args: &[String]) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == "--floor")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
 
 /// Reads `{"events_per_sec": N}` from the floor file.
 fn read_floor(path: &PathBuf) -> Option<f64> {
@@ -50,6 +44,7 @@ fn read_floor(path: &PathBuf) -> Option<f64> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let options = options_from_args(&args);
+    let floor_path: Option<PathBuf> = flag_from_args(&args, "--floor", "a path");
 
     // 1. Hot path: one figure-7-style run.
     let mut spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator).cross_domain(0.2);
@@ -110,7 +105,7 @@ fn main() {
     report.add_value("engine", JsonValue::object(engine_fields));
     report.merge_into_if_requested(json_path_from_args(&args).as_ref());
 
-    if let Some(floor_path) = floor_path_from_args(&args) {
+    if let Some(floor_path) = floor_path {
         match read_floor(&floor_path) {
             Some(floor) => {
                 let minimum = floor * FLOOR_TOLERANCE;

@@ -21,8 +21,8 @@
 //! `BENCH_results.json`.
 
 use saguaro_bench::{
-    emit, json_path_from_args, options_from_args, runtime_json, timed_run, trace_path_from_args,
-    JsonReport,
+    emit, flag_from_args, json_path_from_args, options_from_args, runtime_json, timed_run,
+    trace_path_from_args, JsonReport,
 };
 use saguaro_sim::experiment::ExperimentSpec;
 use saguaro_sim::json::{JsonValue, ToJson};
@@ -51,13 +51,6 @@ const REQUIRED_CATEGORIES: [&str; 9] = [
     "tx",
     "view_change",
 ];
-
-fn floor_path_from_args(args: &[String]) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == "--floor")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
 
 fn read_floor(path: &PathBuf) -> Option<f64> {
     let parsed = JsonValue::parse(&std::fs::read_to_string(path).ok()?)?;
@@ -104,6 +97,7 @@ fn category_table(trace: &RunTrace) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let options = options_from_args(&args);
+    let floor_path: Option<PathBuf> = flag_from_args(&args, "--floor", "a path");
 
     // 1. Chaos run: every category must fire.
     let chaos = chaos_spec(options.quick, options.seed).run_collecting();
@@ -182,7 +176,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    if let Some(floor_path) = floor_path_from_args(&args) {
+    if let Some(floor_path) = floor_path {
         match read_floor(&floor_path) {
             Some(floor) => {
                 let minimum = floor * FLOOR_TOLERANCE * TRACING_ALLOWANCE;

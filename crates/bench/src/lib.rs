@@ -23,6 +23,7 @@ use saguaro_sim::experiment::{ExperimentSpec, RunArtifacts};
 use saguaro_sim::figures::{FigureOptions, FigureSeries};
 use saguaro_sim::json::{JsonValue, ToJson};
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Parses the common command-line options of the figure binaries.
 ///
@@ -43,35 +44,50 @@ fn parse_options(args: &[String]) -> Result<FigureOptions, String> {
     } else {
         FigureOptions::default()
     };
-    options.seed = match args.iter().position(|a| a == "--seed") {
-        None => 42,
-        Some(flag) => {
-            let value = args.get(flag + 1);
-            value.and_then(|v| v.parse().ok()).ok_or_else(|| {
-                let got = value.map_or("nothing".into(), |v| format!("{v:?}"));
-                format!("--seed: expected an unsigned integer, got {got}")
-            })?
-        }
-    };
+    options.seed = flag_value(args, "--seed", "an unsigned integer")?.unwrap_or(42);
     Ok(options)
+}
+
+/// The value following `flag`, parsed: `Ok(None)` when the flag is absent,
+/// the reason when its value is missing (the arguments end, or another
+/// `--flag` follows) or does not parse — `expected` names what would have.
+fn flag_value<T: FromStr>(
+    args: &[String],
+    flag: &str,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args.get(at + 1).filter(|v| !v.starts_with("--"));
+    let parsed = value.and_then(|v| v.parse().ok());
+    parsed.map(Some).ok_or_else(|| {
+        let got = value.map_or("nothing".into(), |v| format!("{v:?}"));
+        format!("{flag}: expected {expected}, got {got}")
+    })
+}
+
+/// Parses a value-taking flag (`--floor <path>`, `--min-speedup <x>`, …):
+/// `None` when the flag is absent.  A flag whose value is missing or does
+/// not parse prints the reason and exits with status 2 — it never silently
+/// switches off what the flag asked for.
+pub fn flag_from_args<T: FromStr>(args: &[String], flag: &str, expected: &str) -> Option<T> {
+    flag_value(args, flag, expected).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
 }
 
 /// Parses the `--json <path>` flag shared by the figure/ablation binaries.
 pub fn json_path_from_args(args: &[String]) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+    flag_from_args(args, "--json", "a path")
 }
 
 /// Parses the `--trace <path>` flag: where to write the run's Chrome
 /// trace-event export (load it at <https://ui.perfetto.dev> or
 /// `chrome://tracing`).
 pub fn trace_path_from_args(args: &[String]) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
+    flag_from_args(args, "--trace", "a path")
 }
 
 /// One wall-clock-timed experiment run: the artifacts plus how long the
@@ -271,8 +287,16 @@ mod tests {
             json_path_from_args(&["--json".into(), "out.json".into()]),
             Some(PathBuf::from("out.json"))
         );
-        // A trailing --json without a path is ignored.
-        assert_eq!(json_path_from_args(&["--json".into()]), None);
+        // A --json without a path is an error, not a run that writes nothing.
+        assert_eq!(
+            flag_value::<PathBuf>(&["--json".into()], "--json", "a path").unwrap_err(),
+            "--json: expected a path, got nothing"
+        );
+        assert_eq!(
+            flag_value::<PathBuf>(&["--json".into(), "--quick".into()], "--json", "a path")
+                .unwrap_err(),
+            "--json: expected a path, got nothing"
+        );
     }
 
     #[test]
@@ -282,6 +306,17 @@ mod tests {
             trace_path_from_args(&["--trace".into(), "t.json".into()]),
             Some(PathBuf::from("t.json"))
         );
+        assert_eq!(
+            flag_value::<PathBuf>(&["--trace".into()], "--trace", "a path").unwrap_err(),
+            "--trace: expected a path, got nothing"
+        );
+        // The gates the other binaries hang off a flag fail the same way.
+        let gate = ["--min-speedup".to_string(), "banana".to_string()];
+        assert_eq!(
+            flag_value::<f64>(&gate, "--min-speedup", "a number").unwrap_err(),
+            "--min-speedup: expected a number, got \"banana\""
+        );
+        assert_eq!(flag_value::<f64>(&gate[..1], "--floor", "a path"), Ok(None));
     }
 
     #[test]

@@ -1,230 +1,182 @@
-//! A dispatch wrapper over the two internal consensus protocols.
+//! The replica of one domain: a replicated log plus an agreement rule.
 //!
 //! Higher layers (the Saguaro node, the baselines, the experiment harness)
 //! hold one [`ConsensusReplica`] per domain member and do not care whether
-//! the domain is crash-only or Byzantine: proposing, message handling and
-//! timeouts are forwarded to the protocol selected by the domain's failure
-//! model, and wire messages travel as [`ConsensusMsg`].
+//! the domain is crash-only or Byzantine.  The replica owns everything the
+//! two protocols have in common — membership and views, the delivery
+//! frontier, checkpoint agreement and garbage collection, state transfer,
+//! timeout escalation and the view-change vote table with its defence
+//! against conflicting votes — and holds a `Rule`, selected by the
+//! domain's failure model, that answers only what differs: the normal-case
+//! message handlers ([`crate::paxos`], [`crate::pbft`]), which slots go into
+//! a view-change vote, how a merged log is re-installed and a `NewView`
+//! accepted, and what is purged below a floor.
 //!
-//! The wrapper is also where request batching lives: the underlying Paxos /
-//! PBFT state machines order [`Batch`]es of commands (digest = Merkle root
-//! over the member digests), and the leader-side [`Batcher`] accumulates
-//! commands handed to [`ConsensusReplica::propose`] until a block is cut by
-//! size or — via the adapter's flush timer calling
-//! [`ConsensusReplica::flush`] — by age.  Every [`Step::Deliver`] therefore
-//! hands back a whole batch; consumers unpack it into per-command execution.
+//! The replica is also where request batching lives: it orders [`Batch`]es
+//! of commands (digest = Merkle root over the member digests), and the
+//! leader-side [`Batcher`] accumulates commands handed to
+//! [`ConsensusReplica::propose`] until a block is cut by size or — via the
+//! adapter's flush timer calling [`ConsensusReplica::flush`] — by age.
+//! Every [`Step::Deliver`] therefore hands back a whole batch; consumers
+//! unpack it into per-command execution.
 
 use crate::batch::{Batch, BatchConfig, Batcher};
-use crate::interface::{Command, Step};
-use crate::paxos::{PaxosMsg, PaxosReplica};
-use crate::pbft::{PbftMsg, PbftReplica};
+use crate::checkpoint::CheckpointKeeper;
+use crate::interface::{primary_for_view, Command, Step};
+use crate::msg::{ConsensusMsg, MsgBody};
+use crate::paxos::PaxosLog;
+use crate::pbft::PbftLog;
 use saguaro_types::{CheckpointConfig, FailureModel, NodeId, QuorumSpec, SeqNo, StateSnapshot};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Wire message of either protocol, carrying batches of commands.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ConsensusMsg<C> {
-    /// A Multi-Paxos message (crash-only domains).
-    Paxos(PaxosMsg<Batch<C>>),
-    /// A PBFT message (Byzantine domains).
-    Pbft(PbftMsg<Batch<C>>),
-}
+/// What a replica asks of its adapter in response to one input.
+pub type Steps<C> = Vec<Step<Batch<C>, ConsensusMsg<C>>>;
 
-impl<C> ConsensusMsg<C> {
-    /// Number of signatures a receiver has to verify for this message.
-    ///
-    /// Crash-only domains exchange unsigned messages inside the domain; BFT
-    /// messages carry one signature each (view changes carry certificates,
-    /// approximated as `1 + prepared entries`).  Batching does not change
-    /// the count: a block is certified as one unit, which is exactly why it
-    /// amortises the per-command verification cost.
-    pub fn signature_count(&self) -> usize {
-        match self {
-            ConsensusMsg::Paxos(_) => 0,
-            ConsensusMsg::Pbft(m) => match m {
-                PbftMsg::ViewChange { prepared, .. } => 1 + prepared.len(),
-                PbftMsg::NewView { log, .. } => 1 + log.len(),
-                // A state reply ships one checkpoint-style certificate per
-                // transferred entry.
-                PbftMsg::StateReply { entries, .. } => 1 + entries.len(),
-                // A snapshot reply ships the snapshot's checkpoint
-                // certificate plus one certificate per tail entry.
-                PbftMsg::SnapshotReply { tail, .. } => 1 + tail.len(),
-                _ => 1,
-            },
-        }
-    }
-
-    /// True for the VR-style state-transfer messages (used by the network
-    /// statistics to account transfer traffic separately).
-    pub fn is_state_transfer(&self) -> bool {
-        matches!(
-            self,
-            ConsensusMsg::Paxos(PaxosMsg::StateRequest { .. })
-                | ConsensusMsg::Paxos(PaxosMsg::StateReply { .. })
-                | ConsensusMsg::Paxos(PaxosMsg::SnapshotReply { .. })
-                | ConsensusMsg::Pbft(PbftMsg::StateRequest { .. })
-                | ConsensusMsg::Pbft(PbftMsg::StateReply { .. })
-                | ConsensusMsg::Pbft(PbftMsg::SnapshotReply { .. })
-        )
-    }
-
-    /// True for a state *reply* — the message whose application is how a
-    /// gap-stalled replica catches up (node layers watch for it to record
-    /// recovery instants).
-    pub fn is_state_reply(&self) -> bool {
-        matches!(
-            self,
-            ConsensusMsg::Paxos(PaxosMsg::StateReply { .. })
-                | ConsensusMsg::Paxos(PaxosMsg::SnapshotReply { .. })
-                | ConsensusMsg::Pbft(PbftMsg::StateReply { .. })
-                | ConsensusMsg::Pbft(PbftMsg::SnapshotReply { .. })
-        )
-    }
-
-    /// The view campaigned for by a view-change vote (`None` for every other
-    /// message) — node layers watch outgoing broadcasts for it to trace the
-    /// start of a view change.
-    pub fn view_change_view(&self) -> Option<u64> {
-        match self {
-            ConsensusMsg::Paxos(PaxosMsg::ViewChange { new_view, .. })
-            | ConsensusMsg::Pbft(PbftMsg::ViewChange { new_view, .. }) => Some(*new_view),
-            _ => None,
-        }
-    }
-
-    /// The application snapshot carried by a snapshot-based catch-up reply
-    /// (`None` for every other message) — wire-size models charge its
-    /// modeled size on top of the per-command terms.
-    pub fn snapshot_payload(&self) -> Option<&StateSnapshot> {
-        match self {
-            ConsensusMsg::Paxos(PaxosMsg::SnapshotReply { snapshot, .. }) => Some(snapshot),
-            ConsensusMsg::Pbft(PbftMsg::SnapshotReply { snapshot, .. }) => Some(snapshot),
-            _ => None,
-        }
-    }
-
-    /// Total member commands carried by a state reply (0 for any other
-    /// message) — wire-size models charge transfers per carried command.
-    pub fn state_reply_commands(&self) -> usize {
-        match self {
-            ConsensusMsg::Paxos(PaxosMsg::StateReply { entries, .. }) => {
-                entries.iter().map(|(_, b)| b.len()).sum()
-            }
-            ConsensusMsg::Pbft(PbftMsg::StateReply { entries, .. }) => {
-                entries.iter().map(|(_, b)| b.len()).sum()
-            }
-            ConsensusMsg::Paxos(PaxosMsg::SnapshotReply { tail, .. }) => {
-                tail.iter().map(|(_, b)| b.len()).sum()
-            }
-            ConsensusMsg::Pbft(PbftMsg::SnapshotReply { tail, .. }) => {
-                tail.iter().map(|(_, b)| b.len()).sum()
-            }
-            _ => 0,
-        }
-    }
-
-    /// A Byzantine-equivocating replica's conflicting twin of this message
-    /// (`None` where equivocation is meaningless, which includes every
-    /// crash-model message):
-    ///
-    /// * PBFT pre-prepare: same `(view, seq)`, different (empty) block, so
-    ///   different backups may accept different digests for one slot.
-    /// * PBFT view-change vote: same view, but the prepared certificates are
-    ///   stripped — two recipients see incompatible votes from one replica.
-    /// * PBFT new-view: same view and checkpoint, but every re-proposed
-    ///   block is emptied, so the twin conflicts with any prepared slot.
-    pub fn tampered(&self) -> Option<Self> {
-        let ConsensusMsg::Pbft(msg) = self else {
-            return None;
-        };
-        let twin = match msg {
-            PbftMsg::PrePrepare { view, seq, .. } => PbftMsg::PrePrepare {
-                view: *view,
-                seq: *seq,
-                cmd: Batch::new(Vec::new()),
-            },
-            PbftMsg::ViewChange { new_view, .. } => PbftMsg::ViewChange {
-                new_view: *new_view,
-                prepared: Vec::new(),
-                checkpoint: 0,
-            },
-            PbftMsg::NewView {
-                view,
-                log,
-                checkpoint,
-            } => PbftMsg::NewView {
-                view: *view,
-                log: log
-                    .iter()
-                    .map(|(seq, _)| (*seq, Batch::new(Vec::new())))
-                    .collect(),
-                checkpoint: *checkpoint,
-            },
-            _ => return None,
-        };
-        Some(ConsensusMsg::Pbft(twin))
-    }
-
-    /// Member commands carried beyond one per block.
-    ///
-    /// Wire-size models charge a per-member increment on top of the legacy
-    /// single-command message size, so an unbatched deployment
-    /// (`max_batch = 1`, every block a single command) costs exactly what it
-    /// did before batching existed.
-    pub fn extra_commands(&self) -> usize {
-        let batch_extra = |b: &Batch<C>| b.len().saturating_sub(1);
-        match self {
-            ConsensusMsg::Paxos(m) => match m {
-                PaxosMsg::Accept { cmd, .. } => batch_extra(cmd),
-                PaxosMsg::ViewChange { accepted, .. } => {
-                    accepted.iter().map(|(_, _, b)| batch_extra(b)).sum()
-                }
-                PaxosMsg::NewView { log, .. } => log.iter().map(|(_, b)| batch_extra(b)).sum(),
-                PaxosMsg::StateReply { entries, .. } => {
-                    entries.iter().map(|(_, b)| batch_extra(b)).sum()
-                }
-                PaxosMsg::SnapshotReply { tail, .. } => {
-                    tail.iter().map(|(_, b)| batch_extra(b)).sum()
-                }
-                PaxosMsg::Accepted { .. }
-                | PaxosMsg::Learn { .. }
-                | PaxosMsg::Checkpoint { .. }
-                | PaxosMsg::StateRequest { .. } => 0,
-            },
-            ConsensusMsg::Pbft(m) => match m {
-                PbftMsg::PrePrepare { cmd, .. } => batch_extra(cmd),
-                PbftMsg::ViewChange { prepared, .. } => {
-                    prepared.iter().map(|(_, _, b)| batch_extra(b)).sum()
-                }
-                PbftMsg::NewView { log, .. } => log.iter().map(|(_, b)| batch_extra(b)).sum(),
-                PbftMsg::StateReply { entries, .. } => {
-                    entries.iter().map(|(_, b)| batch_extra(b)).sum()
-                }
-                PbftMsg::SnapshotReply { tail, .. } => {
-                    tail.iter().map(|(_, b)| batch_extra(b)).sum()
-                }
-                PbftMsg::Prepare { .. }
-                | PbftMsg::Commit { .. }
-                | PbftMsg::Checkpoint { .. }
-                | PbftMsg::StateRequest { .. } => 0,
-            },
-        }
-    }
-}
-
-/// The protocol state machine a replica runs, ordering whole batches.
+/// The agreement rule of a domain — when a slot is chosen — with the slot
+/// state only that rule keeps.
 #[derive(Clone, Debug)]
-enum Engine<C> {
-    Paxos(PaxosReplica<Batch<C>>),
-    Pbft(PbftReplica<Batch<C>>),
+pub(crate) enum Rule<C> {
+    /// Multi-Paxos: crash-only domains.
+    Paxos(PaxosLog<C>),
+    /// PBFT: Byzantine domains.
+    Pbft(PbftLog<C>),
+}
+
+impl<C: Command> Rule<C> {
+    /// The block at `seq`, if that slot is committed.
+    fn committed(&self, seq: SeqNo) -> Option<&Batch<C>> {
+        match self {
+            Rule::Paxos(log) => log
+                .slots
+                .get(&seq)
+                .filter(|s| s.committed)
+                .map(|s| &s.batch),
+            Rule::Pbft(log) => log
+                .slots
+                .get(&seq)
+                .filter(|s| s.committed)
+                .map(|s| s.batch.as_ref().expect("committed slot has a block")),
+        }
+    }
+
+    /// Drops every slot at or below `floor` — and, under Paxos, the buffered
+    /// learns waiting for those slots.
+    fn purge_through(&mut self, floor: SeqNo) {
+        match self {
+            Rule::Paxos(log) => {
+                log.slots.retain(|seq, _| *seq > floor);
+                log.pending_learns.retain(|seq, _| *seq > floor);
+            }
+            Rule::Pbft(log) => log.slots.retain(|seq, _| *seq > floor),
+        }
+    }
+
+    /// Drops the slot at `seq` (superseded by a transferred entry).
+    fn remove(&mut self, seq: SeqNo) {
+        match self {
+            Rule::Paxos(log) => {
+                log.slots.remove(&seq);
+                log.pending_learns.remove(&seq);
+            }
+            Rule::Pbft(log) => {
+                log.slots.remove(&seq);
+            }
+        }
+    }
+
+    /// The `(seq, view, block)` entries above `stable` a view-change vote
+    /// carries, delivered ones included: quorum intersection then guarantees
+    /// the new primary's merge sees each chosen value even when the only
+    /// voter still holding it has already executed it (a delivered-entries
+    /// filter here once let a new leader re-assign an executed sequence
+    /// number to a fresh command, forking stragglers).  Entries at or below
+    /// the checkpoint are quorum-executed and immutable; laggards that still
+    /// need them catch up through state transfer, so omitting them is what
+    /// bounds the vote by `history − checkpoint`.
+    ///
+    /// A Paxos vote carries every accepted slot, a PBFT vote every prepared
+    /// certificate.
+    fn vote_entries(
+        &self,
+        stable: SeqNo,
+    ) -> Box<dyn Iterator<Item = (SeqNo, u64, &Batch<C>)> + '_> {
+        match self {
+            Rule::Paxos(log) => Box::new(
+                log.slots
+                    .range(stable + 1..)
+                    .map(|(seq, slot)| (*seq, slot.accepted_in_view, &slot.batch)),
+            ),
+            Rule::Pbft(log) => Box::new(
+                log.slots
+                    .range(stable + 1..)
+                    .filter(|(_, slot)| slot.prepared)
+                    .filter_map(|(seq, slot)| {
+                        Some((*seq, slot.pre_prepared_view, slot.batch.as_ref()?))
+                    }),
+            ),
+        }
+    }
+
+    /// The highest sequence number holding a slot.
+    fn last_seq(&self) -> Option<SeqNo> {
+        match self {
+            Rule::Paxos(log) => log.slots.keys().next_back().copied(),
+            Rule::Pbft(log) => log.slots.keys().next_back().copied(),
+        }
+    }
+}
+
+/// One replica's view-change vote.
+#[derive(Clone, Debug)]
+struct ViewChangeVote<C> {
+    /// The `(seq, view, block)` entries the voter holds above its checkpoint.
+    entries: Vec<(SeqNo, u64, Batch<C>)>,
+    /// The delivery frontier the vote states
+    /// (see [`ConsensusReplica::vote_frontier`]).
+    last_delivered: SeqNo,
+    /// The voter's stable checkpoint.
+    checkpoint: SeqNo,
 }
 
 /// A replica of one domain running whichever protocol the domain's failure
 /// model requires, plus the leader-side request batcher.
 #[derive(Clone, Debug)]
 pub struct ConsensusReplica<C> {
-    engine: Engine<C>,
+    pub(crate) me: NodeId,
+    pub(crate) replicas: Vec<NodeId>,
+    pub(crate) quorum: QuorumSpec,
+    pub(crate) view: u64,
+    /// Next sequence number the primary will assign.
+    next_seq: SeqNo,
+    /// Last sequence delivered to the application (no gaps).
+    pub(crate) last_delivered: SeqNo,
+    /// The agreement rule and its slots.
+    pub(crate) rule: Rule<C>,
+    /// View-change votes collected per proposed view.
+    view_change_votes: BTreeMap<u64, BTreeMap<NodeId, ViewChangeVote<C>>>,
+    /// Replicas caught sending two *conflicting* view-change votes for the
+    /// same view (a Byzantine twin certificate; Paxos assumes crash faults,
+    /// but a misbehaving or misconfigured replica must not poison the new
+    /// leader's merge either).  Both votes are discarded and further votes
+    /// from the sender are ignored for that view; the next view change
+    /// starts from a clean slate.
+    vc_tainted: BTreeMap<u64, BTreeSet<NodeId>>,
+    /// Conflicting certificates detected and discarded (twin view-change
+    /// votes and, under PBFT, rejected twin new-view messages).
+    pub(crate) certificate_conflicts: u64,
+    /// True while a view change is in progress (stop accepting in old view).
+    pub(crate) in_view_change: bool,
+    /// Highest view this replica has voted a view change towards.  Repeated
+    /// progress timeouts escalate past it, so a view whose would-be primary
+    /// is itself crashed cannot wedge the domain.
+    highest_vc: u64,
+    /// Checkpoint agreement (the classic PBFT low-water mark), state-transfer
+    /// pacing and the durable chain.  Under the legacy configuration (the
+    /// default) Paxos keeps no checkpoints and its votes carry the full slot
+    /// history, PBFT keeps its built-in interval of 128, and neither runs
+    /// state transfer.
+    pub(crate) checkpoint: CheckpointKeeper<Batch<C>>,
     batcher: Batcher<C>,
 }
 
@@ -236,61 +188,82 @@ impl<C: Command> ConsensusReplica<C> {
     }
 
     /// Creates a replica whose leader cuts blocks according to `batch`.
+    /// `replicas` must be the same list on every member of the domain.
+    ///
+    /// # Panics
+    ///
+    /// If `me` is not one of `replicas` (which includes an empty list): such
+    /// a replica could never lead or commit.
     pub fn with_batching(
         me: NodeId,
-        replicas: Vec<NodeId>,
+        mut replicas: Vec<NodeId>,
         quorum: QuorumSpec,
         batch: BatchConfig,
     ) -> Self {
-        let engine = match quorum.model {
-            FailureModel::Crash => Engine::Paxos(PaxosReplica::new(me, replicas, quorum)),
-            FailureModel::Byzantine => Engine::Pbft(PbftReplica::new(me, replicas, quorum)),
+        assert!(
+            replicas.contains(&me),
+            "consensus replica {me:?} is not in its domain's replica list {replicas:?}"
+        );
+        replicas.sort();
+        let rule = match quorum.model {
+            FailureModel::Crash => Rule::Paxos(PaxosLog::default()),
+            FailureModel::Byzantine => Rule::Pbft(PbftLog::default()),
         };
         Self {
-            engine,
+            me,
+            replicas,
+            quorum,
+            view: 0,
+            next_seq: 1,
+            last_delivered: 0,
+            rule,
+            view_change_votes: BTreeMap::new(),
+            vc_tainted: BTreeMap::new(),
+            certificate_conflicts: 0,
+            in_view_change: false,
+            highest_vc: 0,
+            checkpoint: Self::keeper(quorum.model, CheckpointConfig::legacy()),
             batcher: Batcher::new(batch),
         }
     }
 
-    /// Replaces the checkpoint / state-transfer configuration of the
-    /// underlying engine (builder style).
+    /// Replaces the checkpoint / state-transfer configuration (builder
+    /// style).  Under `legacy` Paxos keeps checkpointing off and PBFT keeps
+    /// its built-in interval of 128.
     pub fn with_checkpointing(mut self, checkpoint: CheckpointConfig) -> Self {
-        self.engine = match self.engine {
-            Engine::Paxos(r) => Engine::Paxos(r.with_checkpointing(checkpoint)),
-            Engine::Pbft(r) => Engine::Pbft(r.with_checkpointing(checkpoint)),
-        };
+        self.checkpoint = Self::keeper(self.quorum.model, checkpoint);
         self
     }
 
-    /// The last stable (quorum-certified executed) checkpoint.
+    fn keeper(model: FailureModel, config: CheckpointConfig) -> CheckpointKeeper<Batch<C>> {
+        let legacy_interval = match model {
+            FailureModel::Crash => None,
+            FailureModel::Byzantine => Some(CheckpointConfig::LEGACY_PBFT_INTERVAL),
+        };
+        CheckpointKeeper::new(config, legacy_interval)
+    }
+
+    /// The last stable (quorum-certified executed) checkpoint; 0 when
+    /// checkpointing is off.
     pub fn stable_checkpoint(&self) -> SeqNo {
-        match &self.engine {
-            Engine::Paxos(r) => r.stable_checkpoint(),
-            Engine::Pbft(r) => r.stable_checkpoint(),
-        }
+        self.checkpoint.stable()
     }
 
     /// Number of entries a view-change vote sent right now would carry —
     /// bounded by `history − stable checkpoint`.
     pub fn vote_entries(&self) -> usize {
-        match &self.engine {
-            Engine::Paxos(r) => r.vote_entries(),
-            Engine::Pbft(r) => r.vote_entries(),
-        }
+        self.rule.vote_entries(self.checkpoint.stable()).count()
     }
 
     /// True if the domain runs PBFT (Byzantine failure model).
     pub fn is_byzantine(&self) -> bool {
-        matches!(self.engine, Engine::Pbft(_))
+        matches!(self.rule, Rule::Pbft(_))
     }
 
     /// Conflicting view-change / new-view certificates this replica has
     /// detected and discarded (twin certificates from an equivocating peer).
     pub fn certificate_conflicts(&self) -> u64 {
-        match &self.engine {
-            Engine::Paxos(r) => r.certificate_conflicts(),
-            Engine::Pbft(r) => r.certificate_conflicts(),
-        }
+        self.certificate_conflicts
     }
 
     /// Commands accumulated by the leader but not yet cut into a block.
@@ -303,69 +276,54 @@ impl<C: Command> ConsensusReplica<C> {
 
     /// The current view number.
     pub fn view(&self) -> u64 {
-        match &self.engine {
-            Engine::Paxos(r) => r.view(),
-            Engine::Pbft(r) => r.view(),
-        }
+        self.view
     }
 
     /// The primary of the current view.
     pub fn primary(&self) -> NodeId {
-        match &self.engine {
-            Engine::Paxos(r) => r.primary(),
-            Engine::Pbft(r) => r.primary(),
-        }
+        primary_for_view(self.view, &self.replicas)
     }
 
     /// True if this replica is the primary of the current view.
     pub fn is_primary(&self) -> bool {
-        match &self.engine {
-            Engine::Paxos(r) => r.is_primary(),
-            Engine::Pbft(r) => r.is_primary(),
-        }
+        self.primary() == self.me
     }
 
     /// Last delivered sequence number (counts blocks, not member commands).
     pub fn last_delivered(&self) -> SeqNo {
-        match &self.engine {
-            Engine::Paxos(r) => r.last_delivered(),
-            Engine::Pbft(r) => r.last_delivered(),
-        }
+        self.last_delivered
     }
 
-    /// Hands the engine the application snapshot the adapter materialized in
-    /// response to a [`Step::TakeSnapshot`].  Stale snapshots (at or below
-    /// the one already held) are ignored.
+    /// Hands the keeper the application snapshot the adapter materialized in
+    /// response to a [`Step::TakeSnapshot`] (or obtained out of band).
+    /// Stale snapshots (at or below the one already held) are ignored.
     pub fn store_snapshot(&mut self, snapshot: Arc<StateSnapshot>) {
-        match &mut self.engine {
-            Engine::Paxos(r) => r.store_snapshot(snapshot),
-            Engine::Pbft(r) => r.store_snapshot(snapshot),
-        }
+        self.checkpoint
+            .store_snapshot(snapshot, self.replicas.len());
     }
 
-    /// Number of delivered-command chain entries the engine still retains
-    /// (the whole history under `retention = ∞`, a bounded suffix otherwise).
+    /// Number of delivered entries retained in the durable chain (the whole
+    /// history under `retention = ∞`, a bounded suffix otherwise).
     pub fn chain_len(&self) -> u64 {
-        match &self.engine {
-            Engine::Paxos(r) => r.chain_len(),
-            Engine::Pbft(r) => r.chain_len(),
-        }
+        self.checkpoint.chain_len()
     }
 
-    /// First sequence number still retained in the delivered-command chain.
+    /// First sequence number still retained in the durable chain
+    /// (`last_delivered + 1` when nothing is retained).
     pub fn chain_start(&self) -> SeqNo {
-        match &self.engine {
-            Engine::Paxos(r) => r.chain_start(),
-            Engine::Pbft(r) => r.chain_start(),
-        }
+        self.checkpoint.chain_start(self.last_delivered)
     }
 
-    /// Sequence number of the application snapshot the engine currently
-    /// holds, if any.
+    /// The snapshot point currently held, if any.
     pub fn snapshot_seq(&self) -> Option<SeqNo> {
-        match &self.engine {
-            Engine::Paxos(r) => r.snapshot_seq(),
-            Engine::Pbft(r) => r.snapshot_seq(),
+        self.checkpoint.snapshot_seq()
+    }
+
+    /// A message of this domain's protocol.
+    fn msg(&self, body: MsgBody<C>) -> ConsensusMsg<C> {
+        ConsensusMsg {
+            model: self.quorum.model,
+            body,
         }
     }
 
@@ -376,7 +334,7 @@ impl<C: Command> ConsensusReplica<C> {
     /// is non-zero, the adapter must arrange for
     /// [`ConsensusReplica::flush`] to run within
     /// [`BatchConfig::max_delay`].
-    pub fn propose(&mut self, cmd: C) -> Vec<Step<Batch<C>, ConsensusMsg<C>>> {
+    pub fn propose(&mut self, cmd: C) -> Steps<C> {
         if !self.is_primary() {
             return Vec::new();
         }
@@ -388,58 +346,520 @@ impl<C: Command> ConsensusReplica<C> {
 
     /// Cuts and proposes whatever the batcher holds (the `max_delay` path).
     ///
-    /// If the engine refuses the proposal — the flush timer raced a view
-    /// change that deposed (or is deposing) this leader — the commands are
-    /// put back into the batcher rather than destroyed: they are retried by
-    /// the next cut, and commit if this replica leads again.  (The
-    /// `propose` path deliberately keeps the legacy semantics instead — a
-    /// command handed to a mid-view-change leader is dropped, exactly as
-    /// the unbatched pipeline dropped it.)
-    pub fn flush(&mut self) -> Vec<Step<Batch<C>, ConsensusMsg<C>>> {
+    /// If the proposal is refused — the flush timer raced a view change that
+    /// deposed (or is deposing) this leader — the commands are put back into
+    /// the batcher rather than destroyed: they are retried by the next cut,
+    /// and commit if this replica leads again.  (The `propose` path
+    /// deliberately keeps the legacy semantics instead — a command handed to
+    /// a mid-view-change leader is dropped, exactly as the unbatched
+    /// pipeline dropped it.)
+    pub fn flush(&mut self) -> Steps<C> {
         let Some(batch) = self.batcher.flush() else {
             return Vec::new();
         };
         let retry = batch.clone();
         let steps = self.propose_batch(batch);
         if steps.is_empty() {
-            // The engine emits at least one Send/Broadcast for any accepted
-            // proposal; no steps means it refused the batch.
+            // Any accepted proposal is at least broadcast; no steps means
+            // it was refused.
             self.batcher.restore(retry);
         }
         steps
     }
 
-    fn propose_batch(&mut self, batch: Batch<C>) -> Vec<Step<Batch<C>, ConsensusMsg<C>>> {
-        match &mut self.engine {
-            Engine::Paxos(r) => wrap(r.propose(batch), ConsensusMsg::Paxos),
-            Engine::Pbft(r) => wrap(r.propose(batch), ConsensusMsg::Pbft),
+    /// Assigns the next sequence number to `batch` and starts the rule's
+    /// normal case on it.  Only the primary drives consensus (the adapter
+    /// forwards client requests to it), and not while a view change runs.
+    fn propose_batch(&mut self, batch: Batch<C>) -> Steps<C> {
+        let mut out = Vec::new();
+        if !self.is_primary() || self.in_view_change {
+            return out;
         }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        match self.rule {
+            Rule::Paxos(_) => self.propose_accept(seq, batch, &mut out),
+            Rule::Pbft(_) => self.propose_pre_prepare(seq, batch, &mut out),
+        }
+        out
     }
 
     /// Handles a wire message from a peer replica.  Messages of the wrong
     /// protocol (which a Byzantine peer could fabricate) are ignored.
-    pub fn on_message(
-        &mut self,
-        from: NodeId,
-        msg: ConsensusMsg<C>,
-    ) -> Vec<Step<Batch<C>, ConsensusMsg<C>>> {
-        match (&mut self.engine, msg) {
-            (Engine::Paxos(r), ConsensusMsg::Paxos(m)) => {
-                wrap(r.on_message(from, m), ConsensusMsg::Paxos)
+    pub fn on_message(&mut self, from: NodeId, msg: ConsensusMsg<C>) -> Steps<C> {
+        let mut steps = Vec::new();
+        if msg.model != self.quorum.model {
+            return steps;
+        }
+        let out = &mut steps;
+        match msg.body {
+            MsgBody::Accept { view, seq, batch } => self.on_accept(from, view, seq, batch, out),
+            MsgBody::Accepted { view, seq, digest } => {
+                self.on_accepted(from, view, seq, digest, out)
             }
-            (Engine::Pbft(r), ConsensusMsg::Pbft(m)) => {
-                wrap(r.on_message(from, m), ConsensusMsg::Pbft)
+            MsgBody::Learn { view, seq } => self.on_learn(from, view, seq, out),
+            MsgBody::PrePrepare { view, seq, batch } => {
+                self.on_pre_prepare(from, view, seq, batch, out)
             }
-            _ => Vec::new(),
+            MsgBody::Prepare { view, seq, digest } => self.on_prepare(from, view, seq, digest, out),
+            MsgBody::Commit { view, seq, digest } => self.on_commit(from, view, seq, digest, out),
+            MsgBody::ViewChange {
+                new_view,
+                entries,
+                last_delivered,
+                checkpoint,
+            } => {
+                let vote = ViewChangeVote {
+                    entries,
+                    last_delivered: self.vote_frontier(last_delivered),
+                    checkpoint,
+                };
+                self.on_view_change(from, new_view, vote, out)
+            }
+            MsgBody::NewView {
+                view,
+                log,
+                frontier,
+            } => self.on_new_view(from, view, log, frontier, out),
+            MsgBody::Checkpoint { seq, .. } => self.on_checkpoint(from, seq, out),
+            MsgBody::StateRequest { above } => self.on_state_request(from, above, out),
+            MsgBody::StateReply {
+                entries,
+                committed_to,
+            } => self.on_state_transfer(from, None, entries, committed_to, out),
+            MsgBody::SnapshotReply {
+                snapshot,
+                tail,
+                committed_to,
+            } => self.on_state_transfer(from, Some(snapshot), tail, committed_to, out),
+        }
+        steps
+    }
+
+    /// Emits `Deliver` steps for every committed block that directly follows
+    /// the last delivered sequence number, retaining each in the durable
+    /// chain and announcing periodic checkpoints when configured.
+    pub(crate) fn drain_deliveries(&mut self, out: &mut Steps<C>) {
+        while let Some(batch) = self.rule.committed(self.last_delivered + 1).cloned() {
+            self.deliver(self.last_delivered + 1, batch, out);
         }
     }
 
-    /// Progress timeout: suspect the primary if this replica is a backup.
-    pub fn on_progress_timeout(&mut self) -> Vec<Step<Batch<C>, ConsensusMsg<C>>> {
-        match &mut self.engine {
-            Engine::Paxos(r) => wrap(r.on_progress_timeout(), ConsensusMsg::Paxos),
-            Engine::Pbft(r) => wrap(r.on_progress_timeout(), ConsensusMsg::Pbft),
+    /// Delivers the entry at `seq` (the next one in order): emits the step,
+    /// retains the entry for state transfer and announces a checkpoint at
+    /// interval boundaries.
+    fn deliver(&mut self, seq: SeqNo, batch: Batch<C>, out: &mut Steps<C>) {
+        out.push(Step::Deliver {
+            seq,
+            command: batch.clone(),
+        });
+        self.last_delivered = seq;
+        let announce = self.checkpoint.announces_at(seq).then(|| batch.digest());
+        self.checkpoint.retain(seq, batch);
+        let Some(digest) = announce else {
+            return;
+        };
+        out.push(Step::Broadcast {
+            msg: self.msg(MsgBody::Checkpoint { seq, digest }),
+        });
+        if self.checkpoint.prunes() {
+            // The adapter materializes its state as of this point in the
+            // stream and hands it back via `store_snapshot`.
+            out.push(Step::TakeSnapshot { seq });
         }
+        match self.rule {
+            // Paxos records its own announcement as a plain vote.
+            Rule::Paxos(_) => {
+                let quorum = self.quorum.commit_quorum();
+                if self
+                    .checkpoint
+                    .record_vote(self.me, seq, quorum, self.last_delivered)
+                {
+                    self.gc_below_stable();
+                }
+            }
+            // PBFT handles it like a peer's: the prune floor is re-evaluated
+            // and a state request may go out.  That request's pacing is
+            // stateful, so the extra evaluation is observable.
+            Rule::Pbft(_) => self.on_checkpoint(self.me, seq, out),
+        }
+    }
+
+    /// Garbage-collects every slot at or below the stable checkpoint.  Safe
+    /// because stabilisation requires this replica to have executed the
+    /// floor: everything dropped has already been delivered locally.
+    fn gc_below_stable(&mut self) {
+        self.rule.purge_through(self.checkpoint.stable());
+        self.checkpoint.prune_entry_state(self.replicas.len());
+    }
+
+    fn on_checkpoint(&mut self, from: NodeId, seq: SeqNo, out: &mut Steps<C>) {
+        if from != self.me {
+            // A peer's announced floor proves `seq` committed there.
+            self.checkpoint.note_hint(seq, from);
+        }
+        let quorum = self.quorum.commit_quorum();
+        if self
+            .checkpoint
+            .record_vote(from, seq, quorum, self.last_delivered)
+        {
+            self.gc_below_stable();
+        }
+        // Even a non-stabilising announcement can raise the prune floor
+        // (the announcer's executed floor is new evidence).
+        self.checkpoint.prune_entry_state(self.replicas.len());
+        self.maybe_request_state(out);
+    }
+
+    /// Fetches missing committed entries when the commit-frontier evidence
+    /// runs ahead of a gap this replica cannot fill from its own slots (e.g.
+    /// after a `NewView` jumped the stable checkpoint past its frontier).
+    pub(crate) fn maybe_request_state(&mut self, out: &mut Steps<C>) {
+        let next_commits = self.rule.committed(self.last_delivered + 1).is_some();
+        match self
+            .checkpoint
+            .should_request(self.last_delivered, next_commits)
+        {
+            Some(peer) if peer != self.me => out.push(Step::Send {
+                to: peer,
+                msg: self.msg(MsgBody::StateRequest {
+                    above: self.last_delivered,
+                }),
+            }),
+            _ => {}
+        }
+    }
+
+    fn on_state_request(&mut self, from: NodeId, above: SeqNo, out: &mut Steps<C>) {
+        let committed_to = self.last_delivered;
+        let body = match self.checkpoint.answer_state_request(above, committed_to) {
+            Some((None, entries)) => MsgBody::StateReply {
+                entries,
+                committed_to,
+            },
+            Some((Some(snapshot), tail)) => MsgBody::SnapshotReply {
+                snapshot,
+                tail,
+                committed_to,
+            },
+            None => return,
+        };
+        out.push(Step::Send {
+            to: from,
+            msg: self.msg(body),
+        });
+    }
+
+    /// Applies a state-transfer reply: installs `snapshot` when it is ahead
+    /// of the execution frontier (under PBFT it was certified by a `2f + 1`
+    /// checkpoint quorum), then replays the contiguous part of `entries`
+    /// through the normal delivery path.
+    fn on_state_transfer(
+        &mut self,
+        from: NodeId,
+        snapshot: Option<Arc<StateSnapshot>>,
+        entries: Vec<(SeqNo, Batch<C>)>,
+        committed_to: SeqNo,
+        out: &mut Steps<C>,
+    ) {
+        if !self.checkpoint.state_transfer_enabled() {
+            return;
+        }
+        self.checkpoint.note_hint(committed_to, from);
+        let mut applied = false;
+        if let Some(snapshot) = snapshot.filter(|s| s.seq > self.last_delivered) {
+            // Jump the execution frontier to the snapshot point: everything
+            // at or below it is superseded by the snapshot's state.
+            self.last_delivered = snapshot.seq;
+            self.next_seq = self.next_seq.max(snapshot.seq + 1);
+            self.rule.purge_through(snapshot.seq);
+            self.checkpoint.adopt_snapshot(snapshot.clone());
+            out.push(Step::InstallSnapshot { snapshot });
+            applied = true;
+        }
+        for (seq, batch) in entries {
+            if seq != self.last_delivered + 1 {
+                continue; // already executed, or non-contiguous garbage
+            }
+            self.rule.remove(seq);
+            self.deliver(seq, batch, out);
+            applied = true;
+        }
+        if applied {
+            self.checkpoint.transfer_applied();
+            // Committed slots stranded above the gap drain now.
+            self.drain_deliveries(out);
+        }
+        self.maybe_request_state(out);
+    }
+
+    /// Called by the adapter when the progress timer fires while requests are
+    /// outstanding: suspect the primary and start a view change.
+    pub fn on_progress_timeout(&mut self) -> Steps<C> {
+        let mut out = Vec::new();
+        // The primary itself does not suspect itself.
+        if !self.is_primary() || self.in_view_change {
+            // Escalate past any view change already attempted: if the
+            // candidate primary of the last attempt is itself dead, the next
+            // timeout must move on to the following replica rather than
+            // retry forever.
+            self.start_view_change(self.view.max(self.highest_vc) + 1, &mut out);
+        }
+        out
+    }
+
+    /// The delivery frontier a view-change vote states.  A Paxos vote carries
+    /// the sender's `last_delivered` — crash-only replicas do not lie, and
+    /// the new leader re-proposes from the lowest one.  A PBFT vote states
+    /// none: a Byzantine voter's word about its own execution proves
+    /// nothing, only its quorum-certified checkpoint does.
+    fn vote_frontier(&self, last_delivered: SeqNo) -> SeqNo {
+        match self.rule {
+            Rule::Paxos(_) => last_delivered,
+            Rule::Pbft(_) => 0,
+        }
+    }
+
+    fn start_view_change(&mut self, new_view: u64, out: &mut Steps<C>) {
+        if new_view <= self.view {
+            return;
+        }
+        self.in_view_change = true;
+        self.highest_vc = self.highest_vc.max(new_view);
+        let stable = self.checkpoint.stable();
+        let vote = ViewChangeVote {
+            entries: self
+                .rule
+                .vote_entries(stable)
+                .map(|(seq, view, batch)| (seq, view, batch.clone()))
+                .collect(),
+            last_delivered: self.vote_frontier(self.last_delivered),
+            checkpoint: stable,
+        };
+        out.push(Step::Broadcast {
+            msg: self.msg(MsgBody::ViewChange {
+                new_view,
+                entries: vote.entries.clone(),
+                last_delivered: vote.last_delivered,
+                checkpoint: vote.checkpoint,
+            }),
+        });
+        // Record our own vote.
+        self.record_view_change_vote(self.me, new_view, vote, out);
+    }
+
+    fn on_view_change(
+        &mut self,
+        from: NodeId,
+        new_view: u64,
+        vote: ViewChangeVote<C>,
+        out: &mut Steps<C>,
+    ) {
+        if new_view <= self.view {
+            return;
+        }
+        // Join the view change ourselves (echo) the first time we hear of
+        // it — safe, since liveness is driven by timeouts either way — and
+        // again whenever a peer escalates beyond our last attempt.
+        if !self.in_view_change || new_view > self.highest_vc {
+            self.start_view_change(new_view, out);
+        }
+        self.record_view_change_vote(from, new_view, vote, out);
+    }
+
+    /// True if two view-change votes carry different certificates (compared
+    /// by digest, so only genuine payload conflicts count).
+    fn votes_conflict(a: &ViewChangeVote<C>, b: &ViewChangeVote<C>) -> bool {
+        a.last_delivered != b.last_delivered
+            || a.checkpoint != b.checkpoint
+            || a.entries.len() != b.entries.len()
+            || a.entries
+                .iter()
+                .zip(b.entries.iter())
+                .any(|((s1, v1, c1), (s2, v2, c2))| {
+                    s1 != s2 || v1 != v2 || c1.digest() != c2.digest()
+                })
+    }
+
+    fn record_view_change_vote(
+        &mut self,
+        from: NodeId,
+        new_view: u64,
+        vote: ViewChangeVote<C>,
+        out: &mut Steps<C>,
+    ) {
+        // Defence against conflicting view-change certificates — see
+        // `vc_tainted`.  Identical re-deliveries are harmless overwrites,
+        // and a replica always trusts its own vote.
+        if self
+            .vc_tainted
+            .get(&new_view)
+            .is_some_and(|t| t.contains(&from))
+        {
+            return;
+        }
+        let votes = self.view_change_votes.entry(new_view).or_default();
+        if from != self.me {
+            if let Some(existing) = votes.get(&from) {
+                if Self::votes_conflict(existing, &vote) {
+                    votes.remove(&from);
+                    self.vc_tainted.entry(new_view).or_default().insert(from);
+                    self.certificate_conflicts += 1;
+                    return;
+                }
+            }
+        }
+        votes.insert(from, vote);
+        let i_am_new_primary = primary_for_view(new_view, &self.replicas) == self.me;
+        if !i_am_new_primary || votes.len() < self.quorum.commit_quorum() {
+            return;
+        }
+        // Become the primary of the new view: merge the voted entries,
+        // preferring the value of the highest view per slot.
+        let votes = self
+            .view_change_votes
+            .remove(&new_view)
+            .expect("the quorum of votes counted just above");
+        // Paxos merges from the voters' delivery frontiers alone; PBFT from
+        // checkpoints, its own included.
+        let own = self.checkpoint.stable();
+        let (mut frontier, mut floor) = match self.rule {
+            Rule::Paxos(_) => (0, SeqNo::MAX),
+            Rule::Pbft(_) => (own, own),
+        };
+        let mut merged: BTreeMap<SeqNo, (u64, Batch<C>)> = BTreeMap::new();
+        let mut best_voter: Option<(SeqNo, NodeId)> = None;
+        for (voter, vote) in votes {
+            let progress = match self.rule {
+                Rule::Paxos(_) => vote.last_delivered,
+                Rule::Pbft(_) => vote.checkpoint,
+            };
+            // A voter's checkpoint certifies quorum execution through it, so
+            // the new view's frontier must clear it even when no vote
+            // carries the entries themselves.
+            frontier = frontier.max(progress).max(vote.checkpoint);
+            floor = floor.min(progress);
+            if best_voter.is_none_or(|(best, _)| progress > best) {
+                best_voter = Some((progress, voter));
+            }
+            for (seq, view, batch) in vote.entries {
+                if merged
+                    .get(&seq)
+                    .is_none_or(|(existing, _)| *existing < view)
+                {
+                    merged.insert(seq, (view, batch));
+                }
+            }
+        }
+        // If a voter is ahead of this new primary's own frontier, remember
+        // it as a state-transfer source: the primary itself may be the
+        // straggler.
+        if let Some((progress, voter)) = best_voter {
+            if voter != self.me {
+                self.checkpoint.note_hint(progress, voter);
+            }
+        }
+        self.view = new_view;
+        self.in_view_change = false;
+        // Taint records for completed views are no longer consulted.
+        self.vc_tainted.retain(|v, _| *v > new_view);
+
+        // The re-proposed log starts at the *lowest* voter floor, not the
+        // highest: a voter that has not yet executed an already-chosen entry
+        // needs its value re-proposed.  Re-running an entry a peer already
+        // executed is cheap (Paxos) or ignored by that peer's
+        // `seq <= stable checkpoint` guards (PBFT), and followers only treat
+        // re-accepted entries as committed — never whatever stale value an
+        // old view left in a slot.
+        let log: Vec<(SeqNo, Batch<C>)> = merged
+            .into_iter()
+            .filter(|(seq, _)| *seq > floor)
+            .map(|(seq, (_, batch))| (seq, batch))
+            .collect();
+        for (seq, batch) in &log {
+            self.reinstall(*seq, batch.clone(), new_view);
+        }
+        self.next_seq = self.rule.last_seq().unwrap_or(0).max(frontier) + 1;
+
+        let reproposed: Vec<SeqNo> = log.iter().map(|(seq, _)| *seq).collect();
+        out.push(Step::ViewChanged {
+            view: new_view,
+            primary: self.me,
+        });
+        out.push(Step::Broadcast {
+            msg: self.msg(MsgBody::NewView {
+                view: new_view,
+                log,
+                frontier,
+            }),
+        });
+        if let Rule::Paxos(_) = self.rule {
+            // Single-replica domains (f = 0) may be able to commit on their
+            // own acceptance; a PBFT primary always waits for prepares.
+            for seq in reproposed {
+                self.maybe_commit(seq, out);
+            }
+        }
+        // A new primary elected while itself gap-stalled (its voters
+        // executed past it) fetches the missing prefix rather than waiting
+        // forever.
+        self.maybe_request_state(out);
+    }
+
+    /// Installs `batch` at `seq` as proposed in the new view `view`,
+    /// restarting the slot's vote sets.  Votes collected in earlier views
+    /// were given for whatever value the slot held *then*; counting them
+    /// towards the re-proposed value could commit it with replicas that
+    /// never saw it.  Committed slots keep their flag — commitment is
+    /// value-stable.  (A Paxos follower does not come here: it keeps no
+    /// acknowledgements worth restarting.)
+    pub(crate) fn reinstall(&mut self, seq: SeqNo, batch: Batch<C>, view: u64) {
+        match &mut self.rule {
+            Rule::Paxos(log) => {
+                let slot = log.accept(seq, batch, view);
+                slot.acks.clear();
+                slot.acks.insert(self.me);
+            }
+            Rule::Pbft(log) => {
+                let slot = log.pre_prepare(seq, batch, view);
+                slot.prepares.clear();
+                slot.commits.clear();
+                slot.prepared = false;
+                slot.prepares.insert(self.me);
+            }
+        }
+    }
+
+    fn on_new_view(
+        &mut self,
+        from: NodeId,
+        view: u64,
+        log: Vec<(SeqNo, Batch<C>)>,
+        frontier: SeqNo,
+        out: &mut Steps<C>,
+    ) {
+        if view < self.view
+            || from != primary_for_view(view, &self.replicas)
+            || !self.admit_new_view(view, &log, frontier)
+        {
+            return;
+        }
+        self.view = view;
+        self.in_view_change = false;
+        // The advertised frontier is commit evidence from the new primary.
+        self.checkpoint.note_hint(frontier, from);
+        out.push(Step::ViewChanged {
+            view,
+            primary: from,
+        });
+        match self.rule {
+            Rule::Paxos(_) => self.accept_new_view(from, view, log, frontier, out),
+            Rule::Pbft(_) => self.prepare_new_view(view, log, out),
+        }
+        // Entries below the new primary's log start may be gone from every
+        // slot map (garbage-collected below the checkpoint): a follower
+        // still gapped after the catch-up above fetches them instead.
+        self.maybe_request_state(out);
     }
 }
 
@@ -456,107 +876,168 @@ pub fn delivered_commands<C, M>(steps: &[Step<Batch<C>, M>]) -> u64 {
         .sum()
 }
 
-fn wrap<C, M, W>(steps: Vec<Step<Batch<C>, M>>, f: impl Fn(M) -> W) -> Vec<Step<Batch<C>, W>> {
-    steps
-        .into_iter()
-        .map(|s| match s {
-            Step::Send { to, msg } => Step::Send { to, msg: f(msg) },
-            Step::Broadcast { msg } => Step::Broadcast { msg: f(msg) },
-            Step::Deliver { seq, command } => Step::Deliver { seq, command },
-            Step::ViewChanged { view, primary } => Step::ViewChanged { view, primary },
-            Step::TakeSnapshot { seq } => Step::TakeSnapshot { seq },
-            Step::InstallSnapshot { snapshot } => Step::InstallSnapshot { snapshot },
-        })
-        .collect()
-}
-
+/// The in-process router every test of this crate drives replicas through.
 #[cfg(test)]
-mod tests {
+pub(crate) mod testkit {
     use super::*;
-    use saguaro_types::{DomainId, Duration};
+    use saguaro_types::DomainId;
     use std::collections::VecDeque;
 
-    type Cmd = Vec<u8>;
+    pub(crate) type Cmd = Vec<u8>;
+    /// Per-origin initial protocol steps fed into the router.
+    pub(crate) type InitialSteps = Vec<(usize, Steps<Cmd>)>;
+    /// The `(seq, command)` pairs one replica delivered.
+    pub(crate) type Delivered = Vec<(SeqNo, Cmd)>;
 
-    fn domain_with(
+    pub(crate) fn msg(model: FailureModel, body: MsgBody<Cmd>) -> ConsensusMsg<Cmd> {
+        ConsensusMsg { model, body }
+    }
+
+    /// Number of slots `replica` currently retains (bounded by checkpoint GC).
+    pub(crate) fn slots(replica: &ConsensusReplica<Cmd>) -> usize {
+        match &replica.rule {
+            Rule::Paxos(log) => log.slots.len(),
+            Rule::Pbft(log) => log.slots.len(),
+        }
+    }
+
+    /// A block of the one command `cmd`.
+    pub(crate) fn block(cmd: &[u8]) -> Batch<Cmd> {
+        Batch::single(cmd.to_vec())
+    }
+
+    /// A domain of `n` replicas under `model`.
+    pub(crate) fn domain_with(
         model: FailureModel,
-        n: u16,
+        n: usize,
         batch: BatchConfig,
+        checkpoint: CheckpointConfig,
     ) -> (Vec<NodeId>, Vec<ConsensusReplica<Cmd>>) {
         let d = DomainId::new(1, 0);
-        let nodes: Vec<NodeId> = (0..n).map(|i| NodeId::new(d, i)).collect();
-        let quorum = QuorumSpec::for_size(model, n as usize);
-        let reps = nodes
-            .iter()
-            .map(|id| ConsensusReplica::with_batching(*id, nodes.clone(), quorum, batch))
-            .collect();
+        let nodes: Vec<NodeId> = (0..n as u16).map(|i| NodeId::new(d, i)).collect();
+        let quorum = QuorumSpec::for_size(model, n);
+        let replica = |id: &NodeId| {
+            ConsensusReplica::with_batching(*id, nodes.clone(), quorum, batch)
+                .with_checkpointing(checkpoint)
+        };
+        let reps = nodes.iter().map(replica).collect();
         (nodes, reps)
     }
 
-    fn domain(model: FailureModel, n: u16) -> (Vec<NodeId>, Vec<ConsensusReplica<Cmd>>) {
-        domain_with(model, n, BatchConfig::unbatched())
+    /// An unbatched domain of `n` replicas under the legacy checkpoint
+    /// regime.
+    pub(crate) fn domain(
+        model: FailureModel,
+        n: usize,
+    ) -> (Vec<NodeId>, Vec<ConsensusReplica<Cmd>>) {
+        let (batch, checkpoint) = (BatchConfig::unbatched(), CheckpointConfig::legacy());
+        domain_with(model, n, batch, checkpoint)
     }
 
-    /// Per-origin initial protocol steps fed into the test network.
-    type InitialSteps = Vec<(usize, Vec<Step<Batch<Cmd>, ConsensusMsg<Cmd>>>)>;
-
-    fn drive(
+    /// Routes every Send/Broadcast step until quiescence and returns what
+    /// each replica delivered.  `down` replicas receive nothing.  Stands in
+    /// for the adapter layer: materializes a (contents-free) snapshot
+    /// whenever a replica asks for one.
+    pub(crate) fn route(
         nodes: &[NodeId],
         reps: &mut [ConsensusReplica<Cmd>],
         initial: InitialSteps,
-    ) -> Vec<Vec<Cmd>> {
+        down: &[usize],
+    ) -> Vec<Delivered> {
         let mut delivered = vec![Vec::new(); reps.len()];
         let mut queue: VecDeque<(usize, NodeId, ConsensusMsg<Cmd>)> = VecDeque::new();
-        let idx = |id: NodeId| nodes.iter().position(|n| *n == id).unwrap();
-        let handle = |o: usize,
-                      steps: Vec<Step<Batch<Cmd>, ConsensusMsg<Cmd>>>,
-                      q: &mut VecDeque<(usize, NodeId, ConsensusMsg<Cmd>)>,
-                      del: &mut Vec<Vec<Cmd>>| {
-            for s in steps {
-                match s {
-                    Step::Send { to, msg } => q.push_back((idx(to), nodes[o], msg)),
+        let mut absorb = |origin: usize,
+                          rep: &mut ConsensusReplica<Cmd>,
+                          steps: Steps<Cmd>,
+                          queue: &mut VecDeque<_>| {
+            for step in steps {
+                match step {
+                    Step::Send { to, msg } => {
+                        let to = nodes.iter().position(|n| *n == to).expect("a member");
+                        queue.push_back((to, nodes[origin], msg));
+                    }
                     Step::Broadcast { msg } => {
-                        for i in 0..nodes.len() {
-                            if i != o {
-                                q.push_back((i, nodes[o], msg.clone()));
-                            }
+                        for to in (0..nodes.len()).filter(|to| *to != origin) {
+                            queue.push_back((to, nodes[origin], msg.clone()));
                         }
                     }
-                    Step::Deliver { command, .. } => del[o].extend(command.into_commands()),
-                    Step::ViewChanged { .. }
-                    | Step::TakeSnapshot { .. }
-                    | Step::InstallSnapshot { .. } => {}
+                    Step::Deliver { seq, command } => {
+                        delivered[origin].extend(command.into_iter().map(|c| (seq, c)));
+                    }
+                    Step::TakeSnapshot { seq } => rep.store_snapshot(Arc::new(StateSnapshot {
+                        seq,
+                        ..StateSnapshot::default()
+                    })),
+                    Step::ViewChanged { .. } | Step::InstallSnapshot { .. } => {}
                 }
             }
         };
-        for (o, s) in initial {
-            handle(o, s, &mut queue, &mut delivered);
+        for (origin, steps) in initial {
+            absorb(origin, &mut reps[origin], steps, &mut queue);
         }
+        let mut budget = 200_000;
         while let Some((to, from, msg)) = queue.pop_front() {
+            budget -= 1;
+            assert!(budget > 0, "message storm");
+            if down.contains(&to) {
+                continue;
+            }
             let steps = reps[to].on_message(from, msg);
-            handle(to, steps, &mut queue, &mut delivered);
+            absorb(to, &mut reps[to], steps, &mut queue);
         }
         delivered
     }
 
-    #[test]
-    fn selects_protocol_from_failure_model() {
-        let (_n, reps) = domain(FailureModel::Crash, 3);
-        assert!(!reps[0].is_byzantine());
-        let (_n, reps) = domain(FailureModel::Byzantine, 4);
-        assert!(reps[0].is_byzantine());
+    /// Proposes `commands` one-byte commands `[0], [1], …` at replica 0 and
+    /// routes them with `down` replicas silent.
+    pub(crate) fn commit_bytes(
+        nodes: &[NodeId],
+        reps: &mut [ConsensusReplica<Cmd>],
+        commands: u8,
+        down: &[usize],
+    ) -> Vec<Delivered> {
+        let initial = (0..commands).map(|i| (0, reps[0].propose(vec![i])));
+        let initial: InitialSteps = initial.collect();
+        route(nodes, reps, initial, down)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::*;
+    use super::*;
+    use saguaro_types::{DomainId, Duration};
+    use FailureModel::{Byzantine, Crash};
+
+    /// True if `steps` ask some peer for the state above `above`.
+    fn requests_state_above(steps: &Steps<Cmd>, above: SeqNo) -> bool {
+        steps.iter().any(
+            |s| matches!(s, Step::Send { msg, .. } if msg.body == MsgBody::StateRequest { above }),
+        )
     }
 
+    /// A checkpoint announcement for `seq`, as a recovering replica hears it.
+    fn announcement(model: FailureModel, seq: SeqNo) -> ConsensusMsg<Cmd> {
+        let digest = saguaro_crypto::sha256(b"modelled");
+        msg(model, MsgBody::Checkpoint { seq, digest })
+    }
+
+    // ------------------------------------------------------------------
+    // The conformance suite: what a replica does whichever rule it holds,
+    // run once per failure model.  The smallest domains tolerating f = 1
+    // are 3 (crash) and 4 (Byzantine) replicas; f = 2 needs 5 and 7.
+    // ------------------------------------------------------------------
+
     #[test]
-    fn both_protocols_commit_through_the_wrapper() {
-        for (model, n) in [(FailureModel::Crash, 3u16), (FailureModel::Byzantine, 4)] {
+    fn a_command_commits_on_all_replicas() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
             let (nodes, mut reps) = domain(model, n);
             assert!(reps[0].is_primary());
             assert_eq!(reps[0].primary(), nodes[0]);
-            let steps = reps[0].propose(b"hello".to_vec());
-            let delivered = drive(&nodes, &mut reps, vec![(0, steps)]);
+            let steps = reps[0].propose(b"tx1".to_vec());
+            let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
             for d in &delivered {
-                assert_eq!(d, &vec![b"hello".to_vec()]);
+                assert_eq!(d, &vec![(1, b"tx1".to_vec())], "{model:?}");
             }
             assert!(reps.iter().all(|r| r.last_delivered() == 1));
             assert_eq!(reps[0].view(), 0);
@@ -564,125 +1045,417 @@ mod tests {
     }
 
     #[test]
-    fn full_batch_commits_as_one_block() {
-        for (model, n) in [(FailureModel::Crash, 3u16), (FailureModel::Byzantine, 4)] {
-            let (nodes, mut reps) = domain_with(model, n, BatchConfig::with_max_batch(3));
-            let mut initial = Vec::new();
+    fn non_primary_propose_is_dropped_without_batching() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let batch = BatchConfig::with_max_batch(4);
+            let (_nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::legacy());
+            assert!(reps[1].propose(b"x".to_vec()).is_empty(), "{model:?}");
+            assert_eq!(reps[1].pending_commands(), 0);
+            assert!(!reps[1].is_primary());
+            assert!(reps[0].is_primary());
+        }
+    }
+
+    #[test]
+    fn commands_deliver_in_order_across_replicas() {
+        for (model, n) in [(Crash, 5), (Byzantine, 4)] {
+            let (nodes, mut reps) = domain(model, n);
+            let delivered = commit_bytes(&nodes, &mut reps, 10, &[]);
+            let expected: Delivered = (0..10u8).map(|i| (i as u64 + 1, vec![i])).collect();
+            for d in &delivered {
+                assert_eq!(d, &expected, "{model:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn commits_with_f_backups_down_but_not_with_more() {
+        // 5 crash-only replicas tolerate 2 silent backups, 4 Byzantine ones 1.
+        for (model, n, f) in [(Crash, 5, 2), (Byzantine, 4, 1)] {
+            let (nodes, mut reps) = domain(model, n);
+            let down: Vec<usize> = (n - f..n).collect();
+            let delivered = commit_bytes(&nodes, &mut reps, 1, &down);
+            for (i, d) in delivered.iter().enumerate() {
+                let expected = if down.contains(&i) { 0 } else { 1 };
+                assert_eq!(d.len(), expected, "{model:?} replica {i}");
+            }
+            // One more silent replica and no quorum remains.
+            let (nodes, mut reps) = domain(model, n);
+            let down: Vec<usize> = (n - f - 1..n).collect();
+            let delivered = commit_bytes(&nodes, &mut reps, 1, &down);
+            assert!(delivered.iter().all(|d| d.is_empty()), "{model:?}");
+        }
+    }
+
+    #[test]
+    fn only_backups_suspect_the_primary() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let (_nodes, mut reps) = domain(model, n);
+            assert!(reps[0].on_progress_timeout().is_empty(), "{model:?}");
+            assert!(!reps[1].on_progress_timeout().is_empty(), "{model:?}");
+        }
+    }
+
+    #[test]
+    fn repeated_timeouts_escalate_past_a_crashed_candidate() {
+        // f = 2.  Both the primary (0) and the next round-robin candidate (1)
+        // crash: the first timeout round targets view 1 and stalls (its
+        // candidate is dead); the second must escalate to view 2 instead of
+        // retrying view 1 forever.  Under PBFT view 2 forms with exactly the
+        // 2f + 1 = 5 live replicas.
+        for (model, n) in [(Crash, 5), (Byzantine, 7)] {
+            let (nodes, mut reps) = domain(model, n);
+            commit_bytes(&nodes, &mut reps, 1, &[]);
+            let live_time_out = |reps: &mut [ConsensusReplica<Cmd>]| {
+                let vc = (2..n).map(|i| (i, reps[i].on_progress_timeout()));
+                let vc: InitialSteps = vc.collect();
+                route(&nodes, reps, vc, &[0, 1]);
+            };
+            live_time_out(&mut reps);
+            assert_eq!(reps[2].view(), 0, "view 1 must not form without node 1");
+            live_time_out(&mut reps);
+            assert_eq!(reps[2].view(), 2, "{model:?}");
+            assert!(reps[2].is_primary());
+            assert_eq!(reps[3].view(), 2);
+
+            // Progress resumes under the view-2 primary.
+            let steps = reps[2].propose(b"after".to_vec());
+            let delivered = route(&nodes, &mut reps, vec![(2, steps)], &[0, 1]);
+            for (i, d) in delivered.iter().enumerate().skip(3) {
+                assert!(
+                    d.iter().any(|(_, c)| c == b"after"),
+                    "{model:?} replica {i} missed the post-escalation commit"
+                );
+            }
+            // The entry committed in view 0 survived both rounds.
+            assert!(reps[2].last_delivered() >= 2);
+        }
+    }
+
+    #[test]
+    fn checkpointing_garbage_collects_slots_and_bounds_view_change_votes() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let (batch, every_4) = (BatchConfig::unbatched(), CheckpointConfig::every(4));
+            let (nodes, mut reps) = domain_with(model, n, batch, every_4);
+            // After 8 commits the stable checkpoint is 8 and no slot is left.
+            commit_bytes(&nodes, &mut reps, 8, &[]);
+            for r in &reps {
+                assert_eq!(r.last_delivered(), 8);
+                assert_eq!(r.stable_checkpoint(), 8, "floor 8 must have stabilised");
+                assert_eq!(slots(r), 0, "{model:?} log not garbage collected");
+            }
+            // Two more stay above it.
+            let initial = (8..10u8).map(|i| (0, reps[0].propose(vec![i])));
+            let initial: InitialSteps = initial.collect();
+            route(&nodes, &mut reps, initial, &[]);
+            for r in &reps {
+                assert_eq!(r.last_delivered(), 10);
+                assert_eq!(r.stable_checkpoint(), 8);
+                assert!(slots(r) <= 2, "{model:?} holds {} slots", slots(r));
+                assert!(r.vote_entries() <= 2);
+            }
+            // The actual view-change vote payload is bounded by the stable
+            // checkpoint: `history − checkpoint` entries, not O(history).
+            let steps = reps[1].on_progress_timeout();
+            let vote = steps.iter().find_map(|s| match s {
+                Step::Broadcast { msg } => match &msg.body {
+                    MsgBody::ViewChange {
+                        entries,
+                        checkpoint,
+                        ..
+                    } => Some((entries.len(), *checkpoint)),
+                    _ => None,
+                },
+                _ => None,
+            });
+            let (entries, checkpoint) = vote.expect("timeout broadcasts a view-change vote");
+            assert_eq!(checkpoint, 8);
+            assert!(
+                entries <= 2,
+                "{model:?} vote carried {entries} entries for a history of 10 with checkpoint 8"
+            );
+        }
+    }
+
+    #[test]
+    fn gap_stalled_replica_catches_up_via_state_transfer() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let (batch, every_2) = (BatchConfig::unbatched(), CheckpointConfig::every(2));
+            let (nodes, mut reps) = domain_with(model, n, batch, every_2);
+            // The last replica misses six committed entries; the survivors (a
+            // commit quorum) stabilise checkpoint 6 and garbage-collect the
+            // slots below it, so the gap can never be filled by re-accepts.
+            let victim = n - 1;
+            commit_bytes(&nodes, &mut reps, 6, &[victim]);
+            assert_eq!(reps[0].stable_checkpoint(), 6);
+            assert_eq!(slots(&reps[0]), 0);
+            assert_eq!(reps[victim].last_delivered(), 0);
+
+            // On recovery the replica hears a checkpoint announcement
+            // (frontier evidence), requests state, and replays the whole
+            // missed prefix in order.
+            let steps = reps[victim].on_message(nodes[0], announcement(model, 6));
+            assert!(
+                requests_state_above(&steps, 0),
+                "{model:?} gap-stalled replica must fetch state: {steps:?}"
+            );
+            let delivered = route(&nodes, &mut reps, vec![(victim, steps)], &[]);
+            let missed: Delivered = (0..6u8).map(|i| (i as u64 + 1, vec![i])).collect();
+            assert_eq!(delivered[victim], missed, "{model:?}");
+            assert_eq!(reps[victim].last_delivered(), 6);
+
+            // Execution resumes: the next proposal commits on all replicas.
+            let steps = reps[0].propose(b"after".to_vec());
+            let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
+            assert!(delivered[victim].contains(&(7, b"after".to_vec())));
+        }
+    }
+
+    /// A domain announcing every 2 deliveries and retaining 2 below the
+    /// stable checkpoint.
+    fn pruned_domain(model: FailureModel, n: usize) -> (Vec<NodeId>, Vec<ConsensusReplica<Cmd>>) {
+        let checkpoint = CheckpointConfig::every(2).with_retention(2);
+        domain_with(model, n, BatchConfig::unbatched(), checkpoint)
+    }
+
+    #[test]
+    fn finite_retention_bounds_the_delivered_chain() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let (nodes, mut reps) = pruned_domain(model, n);
+            commit_bytes(&nodes, &mut reps, 20, &[]);
+            for r in &reps {
+                assert_eq!(r.last_delivered(), 20);
+                assert!(
+                    r.chain_len() <= 4,
+                    "{model:?} retention 2 (interval 2) must bound the chain, got {}",
+                    r.chain_len()
+                );
+                assert!(r.chain_start() > 1, "the chain prefix must be pruned");
+                assert!(r.snapshot_seq().is_some(), "a snapshot must be held");
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_responder_serves_snapshot_catch_up() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let (nodes, mut reps) = pruned_domain(model, n);
+            // The last replica misses twelve committed entries; the survivors
+            // stabilise checkpoints, materialize snapshots, and prune the
+            // chain prefix — a plain entry replay can no longer answer
+            // `above = 0`.
+            let victim = n - 1;
+            commit_bytes(&nodes, &mut reps, 12, &[victim]);
+            assert_eq!(reps[0].last_delivered(), 12);
+            assert!(reps[0].chain_start() > 1, "responder's log must be pruned");
+            assert!(reps[0].snapshot_seq().is_some());
+            assert_eq!(reps[victim].last_delivered(), 0);
+
+            // On recovery the laggard hears a checkpoint announcement,
+            // requests state, and is answered with a snapshot plus the
+            // retained tail.
+            let steps = reps[victim].on_message(nodes[0], announcement(model, 12));
+            assert!(
+                requests_state_above(&steps, 0),
+                "{model:?} gap-stalled replica must fetch state: {steps:?}"
+            );
+            let delivered = route(&nodes, &mut reps, vec![(victim, steps)], &[]);
+            assert_eq!(reps[victim].last_delivered(), 12);
+            assert_eq!(
+                reps[victim].snapshot_seq().unwrap_or(0) + delivered[victim].len() as u64,
+                12,
+                "{model:?} snapshot + replayed tail must cover the whole gap"
+            );
+
+            // Execution resumes: the next proposal commits on all replicas.
+            let steps = reps[0].propose(b"after".to_vec());
+            let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
+            assert!(delivered[victim].contains(&(13, b"after".to_vec())));
+        }
+    }
+
+    #[test]
+    fn stale_snapshot_reply_is_ignored() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let (nodes, mut reps) = pruned_domain(model, n);
+            commit_bytes(&nodes, &mut reps, 6, &[]);
+            assert_eq!(reps[1].last_delivered(), 6);
+            // A snapshot below the receiver's frontier must change nothing.
+            let snapshot = StateSnapshot {
+                seq: 2,
+                ..StateSnapshot::default()
+            };
+            let reply = MsgBody::SnapshotReply {
+                snapshot: Arc::new(snapshot),
+                tail: Vec::new(),
+                committed_to: 2,
+            };
+            let steps = reps[1].on_message(nodes[0], msg(model, reply));
+            assert!(
+                !steps
+                    .iter()
+                    .any(|s| matches!(s, Step::InstallSnapshot { .. } | Step::Deliver { .. })),
+                "{model:?} stale snapshot must not install or deliver: {steps:?}"
+            );
+            assert_eq!(reps[1].last_delivered(), 6);
+        }
+    }
+
+    #[test]
+    fn twin_view_change_votes_are_discarded_and_sender_ignored() {
+        // A voter that sends two conflicting votes for the same view is a
+        // provable equivocator: both its votes are discarded and it is
+        // ignored for that view only, but the remaining honest quorum still
+        // elects the primary — the defence does not cost liveness.
+        //
+        // Crash: n = 5, majority 3, replica 0 leads the escalated view 5 and
+        // replica 1 equivocates.  Byzantine: n = 4, quorum 3, replica 1
+        // leads view 1 and replica 3 equivocates.
+        for (model, n, view, leader, twin, honest) in
+            [(Crash, 5, 5, 0, 1, [2, 3]), (Byzantine, 4, 1, 1, 3, [0, 2])]
+        {
+            let (nodes, mut reps) = domain(model, n);
+            let vote = |entries: Vec<(SeqNo, u64, Batch<Cmd>)>| {
+                let body = MsgBody::ViewChange {
+                    new_view: view,
+                    entries,
+                    last_delivered: 0,
+                    checkpoint: 0,
+                };
+                msg(model, body)
+            };
+            // The first vote joins the leader into the view change (its own
+            // vote is recorded too).
+            let _ = reps[leader].on_message(nodes[twin], vote(vec![(1, 0, block(b"X"))]));
+            let _ = reps[leader].on_message(nodes[twin], vote(vec![(1, 0, block(b"Y"))]));
+            assert_eq!(reps[leader].certificate_conflicts(), 1, "{model:?}");
+            // Re-deliveries from the tainted voter no longer count.
+            let _ = reps[leader].on_message(nodes[twin], vote(vec![(1, 0, block(b"X"))]));
+            assert_eq!(reps[leader].view(), 0, "own + tainted vote must not elect");
+            // Two honest votes plus the leader's own echoed vote are a quorum.
+            let _ = reps[leader].on_message(nodes[honest[0]], vote(Vec::new()));
+            let steps = reps[leader].on_message(nodes[honest[1]], vote(Vec::new()));
+            assert!(steps
+                .iter()
+                .any(|s| matches!(s, Step::ViewChanged { view: v, .. } if *v == view)));
+            assert!(reps[leader].is_primary());
+            assert_eq!(reps[leader].view(), view);
+        }
+    }
+
+    #[test]
+    fn state_requests_are_ignored_when_transfer_is_disabled() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let (nodes, mut reps) = domain(model, n);
+            commit_bytes(&nodes, &mut reps, 3, &[]);
+            let request = msg(model, MsgBody::StateRequest { above: 0 });
+            assert!(
+                reps[0].on_message(nodes[2], request).is_empty(),
+                "{model:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn flush_racing_a_view_change_retains_buffered_commands() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let batch = BatchConfig::with_max_batch(8);
+            let (nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::legacy());
+            // The view-0 leader buffers two commands without cutting a block.
             assert!(reps[0].propose(b"a".to_vec()).is_empty());
             assert!(reps[0].propose(b"b".to_vec()).is_empty());
             assert_eq!(reps[0].pending_commands(), 2);
-            initial.push((0, reps[0].propose(b"c".to_vec())));
+            // The backups suspect it and elect replica 1; the deposed leader
+            // learns of the new view before its flush timer fires.
+            let vc = (1..n).map(|i| (i, reps[i].on_progress_timeout()));
+            let vc: InitialSteps = vc.collect();
+            route(&nodes, &mut reps, vc, &[]);
+            assert!(!reps[0].is_primary(), "{model:?}");
+            // The late flush must not destroy the buffered commands: the
+            // proposal is refused and the batcher keeps them for a retry.
+            assert!(reps[0].flush().is_empty());
+            assert_eq!(reps[0].pending_commands(), 2);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // The replica's own surface.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn selects_protocol_from_failure_model() {
+        let (_n, reps) = domain(Crash, 3);
+        assert!(!reps[0].is_byzantine());
+        let (_n, reps) = domain(Byzantine, 4);
+        assert!(reps[0].is_byzantine());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in its domain's replica list []")]
+    fn an_empty_replica_list_is_rejected() {
+        let me = NodeId::new(DomainId::new(1, 0), 0);
+        let quorum = QuorumSpec::for_size(Crash, 0);
+        let _ = ConsensusReplica::<Cmd>::new(me, Vec::new(), quorum);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "D10/n9 is not in its domain's replica list [D10/n0, D10/n1, D10/n2]"
+    )]
+    fn a_replica_outside_its_own_list_is_rejected() {
+        let d = DomainId::new(1, 0);
+        let members: Vec<NodeId> = (0..3).map(|i| NodeId::new(d, i)).collect();
+        let quorum = QuorumSpec::for_size(Crash, 3);
+        let _ = ConsensusReplica::<Cmd>::new(NodeId::new(d, 9), members, quorum);
+    }
+
+    #[test]
+    fn full_batch_commits_as_one_block() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let batch = BatchConfig::with_max_batch(3);
+            let (nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::legacy());
+            assert!(reps[0].propose(b"a".to_vec()).is_empty());
+            assert!(reps[0].propose(b"b".to_vec()).is_empty());
+            assert_eq!(reps[0].pending_commands(), 2);
+            let steps = reps[0].propose(b"c".to_vec());
             assert_eq!(reps[0].pending_commands(), 0);
-            let delivered = drive(&nodes, &mut reps, initial);
-            for d in &delivered {
-                assert_eq!(d, &vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]);
-            }
+            let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
             // Three commands, one consensus instance.
+            let block: Delivered = [b"a", b"b", b"c"].map(|c| (1, c.to_vec())).into();
+            for d in &delivered {
+                assert_eq!(d, &block);
+            }
             assert!(reps.iter().all(|r| r.last_delivered() == 1));
         }
     }
 
     #[test]
     fn flush_proposes_the_underfull_block() {
-        let (nodes, mut reps) = domain_with(
-            FailureModel::Crash,
-            3,
-            BatchConfig::with_max_batch(8).with_max_delay(Duration::from_millis(2)),
-        );
+        let batch = BatchConfig::with_max_batch(8).with_max_delay(Duration::from_millis(2));
+        let (nodes, mut reps) = domain_with(Crash, 3, batch, CheckpointConfig::legacy());
         assert!(reps[0].propose(b"only".to_vec()).is_empty());
         assert_eq!(reps[0].pending_commands(), 1);
         let steps = reps[0].flush();
         assert!(!steps.is_empty());
-        let delivered = drive(&nodes, &mut reps, vec![(0, steps)]);
+        let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
         for d in &delivered {
-            assert_eq!(d, &vec![b"only".to_vec()]);
+            assert_eq!(d, &vec![(1, b"only".to_vec())]);
         }
         assert!(reps[0].flush().is_empty(), "nothing left to flush");
     }
 
     #[test]
-    fn flush_racing_a_view_change_retains_buffered_commands() {
-        let (nodes, mut reps) = domain_with(FailureModel::Crash, 3, BatchConfig::with_max_batch(8));
-        // The view-0 leader buffers two commands without cutting a block.
-        assert!(reps[0].propose(b"a".to_vec()).is_empty());
-        assert!(reps[0].propose(b"b".to_vec()).is_empty());
-        assert_eq!(reps[0].pending_commands(), 2);
-        // The backups suspect it and elect replica 1; the deposed leader
-        // learns of the new view before its flush timer fires.
-        let vc1 = reps[1].on_progress_timeout();
-        let vc2 = reps[2].on_progress_timeout();
-        drive(&nodes, &mut reps, vec![(1, vc1), (2, vc2)]);
-        assert!(!reps[0].is_primary());
-        // The late flush must not destroy the buffered commands: the engine
-        // refuses the proposal and the batcher keeps them for a retry.
-        assert!(reps[0].flush().is_empty());
-        assert_eq!(reps[0].pending_commands(), 2);
-    }
-
-    #[test]
-    fn non_primary_propose_is_dropped_without_batching() {
-        let (_nodes, mut reps) =
-            domain_with(FailureModel::Crash, 3, BatchConfig::with_max_batch(4));
-        assert!(reps[1].propose(b"x".to_vec()).is_empty());
-        assert_eq!(reps[1].pending_commands(), 0);
-    }
-
-    #[test]
     fn cross_protocol_messages_are_ignored() {
-        let (_nodes, mut reps) = domain(FailureModel::Crash, 3);
-        let bogus = ConsensusMsg::Pbft(PbftMsg::Prepare {
+        let (nodes, mut reps) = domain(Crash, 3);
+        let prepare = MsgBody::Prepare {
             view: 0,
             seq: 1,
             digest: saguaro_crypto::sha256(b"x"),
-        });
+        };
         assert!(reps[1]
-            .on_message(NodeId::new(DomainId::new(1, 0), 0), bogus)
+            .on_message(nodes[0], msg(Byzantine, prepare.clone()))
             .is_empty());
-    }
-
-    #[test]
-    fn signature_counts_differ_between_models() {
-        let paxos: ConsensusMsg<Cmd> = ConsensusMsg::Paxos(PaxosMsg::Learn { view: 0, seq: 1 });
-        let pbft: ConsensusMsg<Cmd> = ConsensusMsg::Pbft(PbftMsg::Commit {
-            view: 0,
-            seq: 1,
-            digest: saguaro_crypto::sha256(b"x"),
-        });
-        assert_eq!(paxos.signature_count(), 0);
-        assert_eq!(pbft.signature_count(), 1);
-        let vc: ConsensusMsg<Cmd> = ConsensusMsg::Pbft(PbftMsg::ViewChange {
-            new_view: 1,
-            prepared: vec![
-                (1, 0, Batch::single(b"c".to_vec())),
-                (2, 0, Batch::single(b"d".to_vec())),
-            ],
-            checkpoint: 0,
-        });
-        assert_eq!(vc.signature_count(), 3);
-    }
-
-    #[test]
-    fn extra_commands_counts_members_beyond_one_per_block() {
-        let single: ConsensusMsg<Cmd> = ConsensusMsg::Paxos(PaxosMsg::Accept {
-            view: 0,
-            seq: 1,
-            cmd: Batch::single(b"a".to_vec()),
-        });
-        assert_eq!(single.extra_commands(), 0);
-        let triple: ConsensusMsg<Cmd> = ConsensusMsg::Pbft(PbftMsg::PrePrepare {
-            view: 0,
-            seq: 1,
-            cmd: Batch::new(vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]),
-        });
-        assert_eq!(triple.extra_commands(), 2);
-        let learn: ConsensusMsg<Cmd> = ConsensusMsg::Paxos(PaxosMsg::Learn { view: 0, seq: 1 });
-        assert_eq!(learn.extra_commands(), 0);
-    }
-
-    #[test]
-    fn timeout_dispatches_to_active_protocol() {
-        let (_nodes, mut reps) = domain(FailureModel::Byzantine, 4);
-        assert!(reps[0].on_progress_timeout().is_empty());
-        assert!(!reps[1].on_progress_timeout().is_empty());
+        // Neither does a body of the other protocol under this one's name.
+        assert!(reps[1].on_message(nodes[0], msg(Crash, prepare)).is_empty());
     }
 }

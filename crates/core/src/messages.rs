@@ -280,8 +280,12 @@ impl MessageMeta for SaguaroMsg {
     }
 }
 
+/// Wire size of intra-domain consensus traffic: a header per message class,
+/// the blocks carried, 16 bytes of `(seq, block)` framing per state-reply
+/// entry, the snapshot if one is shipped — and 32 bytes of authentication
+/// on every message of a Byzantine domain.
 pub(crate) fn consensus_bytes(m: &ConsensusMsg<Cmd>) -> usize {
-    use saguaro_consensus::{Batch, PaxosMsg, PbftMsg};
+    use saguaro_consensus::{Batch, MsgBody};
     let cmd_bytes = |c: &Cmd| -> usize {
         match c {
             Cmd::ChildBlock { block, .. } => block.wire_bytes(),
@@ -298,53 +302,20 @@ pub(crate) fn consensus_bytes(m: &ConsensusMsg<Cmd>) -> usize {
     let batch_bytes = |b: &Batch<Cmd>| -> usize {
         b.iter().map(cmd_bytes).sum::<usize>() + 24 * b.len().saturating_sub(1)
     };
-    // A state reply carries `(seq, block)` entries: 16 bytes of framing per
-    // entry plus the block itself.
-    let entry_bytes = |entries: &[(u64, Batch<Cmd>)]| -> usize {
-        entries.iter().map(|(_, b)| 16 + batch_bytes(b)).sum()
+    let header = match &m.body {
+        MsgBody::Accept { .. } | MsgBody::PrePrepare { .. } => 64,
+        MsgBody::Accepted { .. }
+        | MsgBody::Learn { .. }
+        | MsgBody::Prepare { .. }
+        | MsgBody::Commit { .. }
+        | MsgBody::Checkpoint { .. }
+        | MsgBody::StateRequest { .. } => 80,
+        MsgBody::ViewChange { .. } | MsgBody::NewView { .. } => 96,
+        MsgBody::StateReply { .. } | MsgBody::SnapshotReply { .. } => 96 + 16 * m.blocks().count(),
     };
-    match m {
-        ConsensusMsg::Paxos(p) => match p {
-            PaxosMsg::Accept { cmd, .. } => 64 + batch_bytes(cmd),
-            PaxosMsg::Accepted { .. }
-            | PaxosMsg::Learn { .. }
-            | PaxosMsg::Checkpoint { .. }
-            | PaxosMsg::StateRequest { .. } => 80,
-            PaxosMsg::ViewChange { accepted, .. } => {
-                96 + accepted
-                    .iter()
-                    .map(|(_, _, b)| batch_bytes(b))
-                    .sum::<usize>()
-            }
-            PaxosMsg::NewView { log, .. } => {
-                96 + log.iter().map(|(_, b)| batch_bytes(b)).sum::<usize>()
-            }
-            PaxosMsg::StateReply { entries, .. } => 96 + entry_bytes(entries),
-            PaxosMsg::SnapshotReply { snapshot, tail, .. } => {
-                96 + snapshot.wire_bytes() as usize + entry_bytes(tail)
-            }
-        },
-        ConsensusMsg::Pbft(p) => match p {
-            PbftMsg::PrePrepare { cmd, .. } => 96 + batch_bytes(cmd),
-            PbftMsg::Prepare { .. }
-            | PbftMsg::Commit { .. }
-            | PbftMsg::Checkpoint { .. }
-            | PbftMsg::StateRequest { .. } => 112,
-            PbftMsg::ViewChange { prepared, .. } => {
-                128 + prepared
-                    .iter()
-                    .map(|(_, _, b)| batch_bytes(b))
-                    .sum::<usize>()
-            }
-            PbftMsg::NewView { log, .. } => {
-                128 + log.iter().map(|(_, b)| batch_bytes(b)).sum::<usize>()
-            }
-            PbftMsg::StateReply { entries, .. } => 128 + entry_bytes(entries),
-            PbftMsg::SnapshotReply { snapshot, tail, .. } => {
-                128 + snapshot.wire_bytes() as usize + entry_bytes(tail)
-            }
-        },
-    }
+    let snapshot = m.snapshot_payload().map_or(0, |s| s.wire_bytes() as usize);
+    let authentication = if m.is_byzantine() { 32 } else { 0 };
+    header + m.blocks().map(batch_bytes).sum::<usize>() + snapshot + authentication
 }
 
 #[cfg(test)]
@@ -428,18 +399,25 @@ mod tests {
 
     #[test]
     fn consensus_messages_sized_by_protocol() {
-        use saguaro_consensus::{Batch, PaxosMsg, PbftMsg};
-        let cmd = Batch::single(Cmd::Internal(tx()));
-        let paxos = SaguaroMsg::Consensus(ConsensusMsg::Paxos(PaxosMsg::Accept {
-            view: 0,
-            seq: 1,
-            cmd: cmd.clone(),
-        }));
-        let pbft = SaguaroMsg::Consensus(ConsensusMsg::Pbft(PbftMsg::PrePrepare {
-            view: 0,
-            seq: 1,
-            cmd,
-        }));
+        use saguaro_consensus::{Batch, MsgBody};
+        use saguaro_types::FailureModel;
+        let batch = Batch::single(Cmd::Internal(tx()));
+        let paxos = SaguaroMsg::Consensus(ConsensusMsg {
+            model: FailureModel::Crash,
+            body: MsgBody::Accept {
+                view: 0,
+                seq: 1,
+                batch: batch.clone(),
+            },
+        });
+        let pbft = SaguaroMsg::Consensus(ConsensusMsg {
+            model: FailureModel::Byzantine,
+            body: MsgBody::PrePrepare {
+                view: 0,
+                seq: 1,
+                batch,
+            },
+        });
         assert!(paxos.wire_bytes() > 200);
         assert!(pbft.wire_bytes() > paxos.wire_bytes());
         assert_eq!(paxos.signatures(), 0);
@@ -448,13 +426,16 @@ mod tests {
 
     #[test]
     fn batched_accepts_grow_with_members_but_singles_match_legacy_size() {
-        use saguaro_consensus::{Batch, PaxosMsg};
+        use saguaro_consensus::{Batch, MsgBody};
         let accept = |members: Vec<Cmd>| {
-            SaguaroMsg::Consensus(ConsensusMsg::Paxos(PaxosMsg::Accept {
-                view: 0,
-                seq: 1,
-                cmd: Batch::new(members),
-            }))
+            SaguaroMsg::Consensus(ConsensusMsg {
+                model: saguaro_types::FailureModel::Crash,
+                body: MsgBody::Accept {
+                    view: 0,
+                    seq: 1,
+                    batch: Batch::new(members),
+                },
+            })
         };
         let one = accept(vec![Cmd::Internal(tx())]);
         let two = accept(vec![Cmd::Internal(tx()), Cmd::Internal(tx())]);
@@ -465,5 +446,151 @@ mod tests {
         // Batching amortises: two commands in one block cost less than two
         // separate accepts.
         assert!(two.wire_bytes() < 2 * one.wire_bytes());
+    }
+    /// Every intra-domain consensus message class of one failure model, in
+    /// the payload shapes the wire model distinguishes: a 1-command and a
+    /// 3-command block, two-entry votes / logs / replies over those two
+    /// blocks, and a snapshot reply (2 accounts, 1 hosted device) with the
+    /// same two-entry tail.
+    fn consensus_classes(byzantine: bool) -> Vec<(&'static str, ConsensusMsg<Cmd>)> {
+        use saguaro_consensus::{Batch, MsgBody};
+        use saguaro_types::FailureModel;
+        let one = Batch::single(Cmd::Internal(tx()));
+        let three = Batch::new(vec![Cmd::Internal(tx()); 3]);
+        let digest = saguaro_crypto::Digest::ZERO;
+        let entries = vec![(1, one.clone()), (2, three.clone())];
+        let voted = vec![(1, 0, one.clone()), (2, 0, three.clone())];
+        let snapshot = std::sync::Arc::new(saguaro_types::StateSnapshot {
+            seq: 8,
+            accounts: vec![("a".into(), 1), ("b".into(), 2)],
+            hosted: vec![ClientId(7)],
+            ..Default::default()
+        });
+        let (view, seq, committed_to) = (0, 1, 2);
+        let (model, mut classes) = if byzantine {
+            let classes = vec![
+                (
+                    "proposal/1",
+                    MsgBody::PrePrepare {
+                        view,
+                        seq,
+                        batch: one,
+                    },
+                ),
+                (
+                    "proposal/3",
+                    MsgBody::PrePrepare {
+                        view,
+                        seq,
+                        batch: three,
+                    },
+                ),
+                ("prepare", MsgBody::Prepare { view, seq, digest }),
+                ("commit", MsgBody::Commit { view, seq, digest }),
+            ];
+            (FailureModel::Byzantine, classes)
+        } else {
+            let classes = vec![
+                (
+                    "proposal/1",
+                    MsgBody::Accept {
+                        view,
+                        seq,
+                        batch: one,
+                    },
+                ),
+                (
+                    "proposal/3",
+                    MsgBody::Accept {
+                        view,
+                        seq,
+                        batch: three,
+                    },
+                ),
+                ("accepted", MsgBody::Accepted { view, seq, digest }),
+                ("learn", MsgBody::Learn { view, seq }),
+            ];
+            (FailureModel::Crash, classes)
+        };
+        classes.extend([
+            (
+                "view-change/2",
+                MsgBody::ViewChange {
+                    new_view: 1,
+                    entries: voted,
+                    last_delivered: 0,
+                    checkpoint: 0,
+                },
+            ),
+            (
+                "new-view/2",
+                MsgBody::NewView {
+                    view: 1,
+                    log: entries.clone(),
+                    frontier: 0,
+                },
+            ),
+            ("checkpoint", MsgBody::Checkpoint { seq, digest }),
+            ("state-request", MsgBody::StateRequest { above: 0 }),
+            (
+                "state-reply/2",
+                MsgBody::StateReply {
+                    entries: entries.clone(),
+                    committed_to,
+                },
+            ),
+            (
+                "snapshot-reply/2",
+                MsgBody::SnapshotReply {
+                    snapshot,
+                    tail: entries,
+                    committed_to,
+                },
+            ),
+        ]);
+        classes
+            .into_iter()
+            .map(|(class, body)| (class, ConsensusMsg { model, body }))
+            .collect()
+    }
+
+    #[test]
+    fn consensus_wire_model_is_pinned_per_class_and_failure_model() {
+        // (class, wire bytes, signatures).  One member command costs
+        // 186 + 48 = 234 B; the snapshot 96 + 2 * 24 + 8 = 152 B.
+        let crash = [
+            ("proposal/1", 298, 0),
+            ("proposal/3", 814, 0),
+            ("accepted", 80, 0),
+            ("learn", 80, 0),
+            ("view-change/2", 1080, 0),
+            ("new-view/2", 1080, 0),
+            ("checkpoint", 80, 0),
+            ("state-request", 80, 0),
+            ("state-reply/2", 1112, 0),
+            ("snapshot-reply/2", 1264, 0),
+        ];
+        let byzantine = [
+            ("proposal/1", 330, 1),
+            ("proposal/3", 846, 1),
+            ("prepare", 112, 1),
+            ("commit", 112, 1),
+            ("view-change/2", 1112, 3),
+            ("new-view/2", 1112, 3),
+            ("checkpoint", 112, 1),
+            ("state-request", 112, 1),
+            ("state-reply/2", 1144, 3),
+            ("snapshot-reply/2", 1296, 3),
+        ];
+        for (is_byzantine, expected) in [(false, crash), (true, byzantine)] {
+            let measured: Vec<(&str, usize, usize)> = consensus_classes(is_byzantine)
+                .into_iter()
+                .map(|(class, m)| {
+                    let m = SaguaroMsg::Consensus(m);
+                    (class, m.wire_bytes(), m.signatures())
+                })
+                .collect();
+            assert_eq!(measured, expected, "byzantine = {is_byzantine}");
+        }
     }
 }

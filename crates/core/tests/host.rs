@@ -1,7 +1,7 @@
 //! The replica host driven by a toy application: no hierarchy tree, no
 //! workload, one replica group on a bare simulator.
 
-use saguaro_consensus::{Batch, Command, ConsensusMsg, PaxosMsg};
+use saguaro_consensus::{Batch, Command, ConsensusMsg, MsgBody};
 use saguaro_core::{HostedReplica, ReplicaHost};
 use saguaro_net::{
     Actor, Addr, Context, CpuProfile, LatencyMatrix, MessageMeta, Simulation, TimerId,
@@ -260,10 +260,13 @@ fn a_state_reply_that_delivers_nothing_is_not_a_catch_up() {
     let stack = StackConfig::default().with_checkpoint(CheckpointConfig::every(4));
     let mut sim = group(FailureModel::Crash, stack);
     let reply = |entries| {
-        ToyMsg::Consensus(ConsensusMsg::Paxos(PaxosMsg::StateReply {
-            entries,
-            committed_to: 1,
-        }))
+        ToyMsg::Consensus(ConsensusMsg {
+            model: FailureModel::Crash,
+            body: MsgBody::StateReply {
+                entries,
+                committed_to: 1,
+            },
+        })
     };
     sim.inject_at(ms(0), node(0), node(2), reply(Vec::new()));
     sim.run_until(ms(1));
