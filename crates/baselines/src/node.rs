@@ -104,6 +104,12 @@ impl BaselineNode {
         self.state.put(key, balance);
     }
 
+    /// Starts the replica from a share of `state` — a whole shard's initial
+    /// balances, built once and handed to each of its replicas.
+    pub fn seed_state(&mut self, state: &BlockchainState) {
+        self.state = state.clone();
+    }
+
     /// The node's role in the deployment.
     pub fn role(&self) -> BaselineRole {
         self.role
@@ -522,7 +528,7 @@ impl HostedReplica for BaselineNode {
         let snapshot = StateSnapshot {
             seq,
             delivery_hash,
-            accounts: self.state.iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            accounts: self.state.share(),
             mobile: Vec::new(),
             hosted: Vec::new(),
         };
@@ -538,8 +544,7 @@ impl HostedReplica for BaselineNode {
     }
 
     fn install_app_state(&mut self, snapshot: &StateSnapshot) {
-        self.state = BlockchainState::new();
-        self.state.install_account_state(&snapshot.accounts);
+        self.state = BlockchainState::adopt(snapshot.accounts.clone());
     }
 
     /// A cross-shard transaction the committee is still coordinating.

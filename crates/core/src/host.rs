@@ -194,7 +194,7 @@ pub trait HostedReplica: Sized {
 
     /// Executes a command the domain's internal consensus has committed.
     fn apply_command(&mut self, cmd: Self::Cmd, ctx: &mut Context<'_, Self::Msg>);
-    /// Materializes the application state as of checkpoint `seq` — the step
+    /// Captures the application state as of checkpoint `seq` — the step
     /// arrives in-stream, immediately after the delivery of `seq` executed —
     /// stamped with `delivery_hash`.  Only requested under a finite
     /// retention window, where the node also bounds the per-transaction side

@@ -462,7 +462,7 @@ mod tests {
         let voted = vec![(1, 0, one.clone()), (2, 0, three.clone())];
         let snapshot = std::sync::Arc::new(saguaro_types::StateSnapshot {
             seq: 8,
-            accounts: vec![("a".into(), 1), ("b".into(), 2)],
+            accounts: [("a", 1), ("b", 2)].into_iter().collect(),
             hosted: vec![ClientId(7)],
             ..Default::default()
         });

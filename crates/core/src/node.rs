@@ -150,6 +150,12 @@ impl SaguaroNode {
         self.state.put(key, balance);
     }
 
+    /// Starts the replica from a share of `state` — a whole domain's initial
+    /// balances, built once and handed to each of its replicas.
+    pub fn seed_state(&mut self, state: &BlockchainState) {
+        self.state = state.clone();
+    }
+
     /// The domain this node belongs to.
     pub fn domain(&self) -> DomainId {
         self.id.domain
@@ -470,7 +476,7 @@ impl HostedReplica for SaguaroNode {
         let snapshot = StateSnapshot {
             seq,
             delivery_hash,
-            accounts: self.state.iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            accounts: self.state.share(),
             mobile,
             hosted,
         };
@@ -497,8 +503,7 @@ impl HostedReplica for SaguaroNode {
     /// transactions they belong to are quorum-executed behind a stable
     /// checkpoint and can no longer abort.
     fn install_app_state(&mut self, snapshot: &StateSnapshot) {
-        self.state = BlockchainState::new();
-        self.state.install_account_state(&snapshot.accounts);
+        self.state = BlockchainState::adopt(snapshot.accounts.clone());
         self.mobile = snapshot
             .mobile
             .iter()

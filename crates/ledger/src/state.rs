@@ -8,20 +8,28 @@
 //! optimistic cross-domain protocol can roll back an aborted transaction and
 //! its data-dependent successors.
 
-use saguaro_types::{Operation, Result, SaguaroError};
-use std::collections::BTreeMap;
+use saguaro_types::{CowMap, Key, Operation, Result, SaguaroError};
 
 /// One reversible state mutation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UndoRecord {
     /// `(key, previous value)` pairs; `None` means the key did not exist.
-    prior: Vec<(String, Option<u64>)>,
+    /// The key is the state map's own handle, not a copy of the string.
+    prior: Vec<(Key, Option<u64>)>,
 }
 
 impl UndoRecord {
     /// An undo record that changes nothing (read-only operations).
     pub fn empty() -> Self {
         Self { prior: Vec::new() }
+    }
+
+    /// The record of one write.  Sized for two: the usual record is a
+    /// transfer's debit merged with its credit.
+    fn of((key, previous): (Key, Option<u64>)) -> Self {
+        let mut prior = Vec::with_capacity(2);
+        prior.push((key, previous));
+        Self { prior }
     }
 
     /// True if applying this undo record would change nothing.
@@ -31,27 +39,44 @@ impl UndoRecord {
 
     /// Keys touched by the recorded mutation.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.prior.iter().map(|(k, _)| k.as_str())
+        self.prior.iter().map(|(k, _)| &**k)
     }
 
     /// Chains another undo record after this one.  Reverting the merged
     /// record undoes both mutations (later one first).
     pub fn merge(mut self, later: UndoRecord) -> UndoRecord {
+        if self.prior.is_empty() {
+            return later;
+        }
         self.prior.extend(later.prior);
         self
     }
 }
 
 /// The key/value blockchain state of one domain.
+///
+/// The values live in a [`CowMap`], so a clone of the state — a replica
+/// seeded from its domain's initial state, a checkpoint snapshot — shares
+/// every leaf with the original until one of the two writes to it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockchainState {
-    values: BTreeMap<String, u64>,
+    values: CowMap,
 }
 
 impl BlockchainState {
     /// An empty state.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A state over `values`, sharing its leaves (snapshot install).
+    pub fn adopt(values: CowMap) -> Self {
+        Self { values }
+    }
+
+    /// The state's values as a map sharing its leaves (snapshot capture).
+    pub fn share(&self) -> CowMap {
+        self.values.clone()
     }
 
     /// Number of keys in the state.
@@ -66,7 +91,7 @@ impl BlockchainState {
 
     /// Reads a key.
     pub fn get(&self, key: &str) -> Option<u64> {
-        self.values.get(key).copied()
+        self.values.get(key)
     }
 
     /// Reads an account balance, defaulting to zero for unknown accounts.
@@ -77,21 +102,21 @@ impl BlockchainState {
     /// Directly sets a key (used to seed initial balances and to install
     /// state snapshots received through the mobile consensus protocol).
     pub fn put(&mut self, key: impl Into<String>, value: u64) {
-        self.values.insert(key.into(), value);
+        self.values.insert(&key.into(), value);
     }
 
     /// Iterates over all `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
+        self.values.iter()
     }
 
     /// Sum of the values of all keys with the given prefix (e.g. the total
     /// amount of assets held by accounts of one application).
     pub fn sum_by_prefix(&self, prefix: &str) -> u64 {
         self.values
-            .range(prefix.to_string()..)
+            .range_from(prefix)
             .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| *v)
+            .map(|(_, v)| v)
             .sum()
     }
 
@@ -100,47 +125,20 @@ impl BlockchainState {
     pub fn execute(&mut self, op: &Operation) -> Result<UndoRecord> {
         match op {
             Operation::Transfer { from, to, amount } => {
-                let from_balance = self.balance(from);
-                if from_balance < *amount {
-                    return Err(SaguaroError::InsufficientBalance {
-                        account: from.clone(),
-                        balance: from_balance,
-                        requested: *amount,
-                    });
-                }
-                let prior = vec![(from.clone(), self.get(from)), (to.clone(), self.get(to))];
-                self.values.insert(from.clone(), from_balance - amount);
-                let to_balance = self.balance(to);
-                self.values.insert(to.clone(), to_balance + amount);
-                Ok(UndoRecord { prior })
+                let debit = self.debit(from, *amount)?;
+                Ok(debit.merge(self.credit(to, *amount)))
             }
-            Operation::Mint { account, amount } => {
-                let prior = vec![(account.clone(), self.get(account))];
-                let balance = self.balance(account);
-                self.values.insert(account.clone(), balance + amount);
-                Ok(UndoRecord { prior })
-            }
+            Operation::Mint { account, amount } => Ok(self.credit(account, *amount)),
             Operation::RideTask {
                 driver, minutes, ..
-            } => {
-                let key = format!("hours/{driver}");
-                let prior = vec![(key.clone(), self.get(&key))];
-                let total = self.get(&key).unwrap_or(0) + minutes;
-                self.values.insert(key, total);
-                Ok(UndoRecord { prior })
-            }
+            } => Ok(self.credit(&format!("hours/{driver}"), *minutes)),
             Operation::Put { key, value } => {
-                let prior = vec![(key.clone(), self.get(key))];
-                self.values.insert(key.clone(), *value);
-                Ok(UndoRecord { prior })
+                Ok(UndoRecord::of(self.values.update(key, |_| *value)))
             }
-            Operation::Get { key } => {
-                if self.values.contains_key(key) {
-                    Ok(UndoRecord::empty())
-                } else {
-                    Err(SaguaroError::UnknownAccount(key.clone()))
-                }
-            }
+            Operation::Get { key } => match self.get(key) {
+                Some(_) => Ok(UndoRecord::empty()),
+                None => Err(SaguaroError::UnknownAccount(key.clone())),
+            },
             Operation::Noop => Ok(UndoRecord::empty()),
         }
     }
@@ -150,25 +148,22 @@ impl BlockchainState {
     /// where each involved domain applies only the side of a transfer it
     /// owns.
     pub fn debit(&mut self, account: &str, amount: u64) -> Result<UndoRecord> {
-        let balance = self.balance(account);
-        if balance < amount {
-            return Err(SaguaroError::InsufficientBalance {
-                account: account.to_string(),
-                balance,
-                requested: amount,
-            });
-        }
-        let prior = vec![(account.to_string(), self.get(account))];
-        self.values.insert(account.to_string(), balance - amount);
-        Ok(UndoRecord { prior })
+        let debited = self.values.try_update(account, |current| {
+            let balance = current.unwrap_or(0);
+            balance
+                .checked_sub(amount)
+                .ok_or_else(|| SaguaroError::InsufficientBalance {
+                    account: account.to_string(),
+                    balance,
+                    requested: amount,
+                })
+        })?;
+        Ok(UndoRecord::of(debited))
     }
 
     /// Credits `amount` to `account` (creating it if necessary).
     pub fn credit(&mut self, account: &str, amount: u64) -> UndoRecord {
-        let prior = vec![(account.to_string(), self.get(account))];
-        let balance = self.balance(account);
-        self.values.insert(account.to_string(), balance + amount);
-        UndoRecord { prior }
+        UndoRecord::of(self.values.update(account, |v| v.unwrap_or(0) + amount))
     }
 
     /// Reverts a previously returned undo record (rollback of an aborted
@@ -177,20 +172,16 @@ impl BlockchainState {
     pub fn revert(&mut self, undo: &UndoRecord) {
         for (key, prior) in undo.prior.iter().rev() {
             match prior {
-                Some(v) => {
-                    self.values.insert(key.clone(), *v);
-                }
-                None => {
-                    self.values.remove(key);
-                }
-            }
+                Some(v) => self.values.insert(key, *v),
+                None => self.values.remove(key),
+            };
         }
     }
 
     /// Total of all values (conservation checks in tests: transfers preserve
     /// the total supply).
     pub fn total_supply(&self) -> u64 {
-        self.values.values().sum()
+        self.iter().map(|(_, v)| v).sum()
     }
 
     /// Extracts the sub-state relevant to one account — the "state of the
@@ -209,7 +200,7 @@ impl BlockchainState {
     /// Installs a sub-state received from another domain (mobile consensus).
     pub fn install_account_state(&mut self, entries: &[(String, u64)]) {
         for (k, v) in entries {
-            self.values.insert(k.clone(), *v);
+            self.values.insert(k, *v);
         }
     }
 }
@@ -378,6 +369,51 @@ mod tests {
         s.revert(&merged);
         assert_eq!(s.balance("a"), 50);
         assert_eq!(s.get("b"), None);
+    }
+
+    /// Pinned corner cases of the read-modify-write paths: a zero debit of an
+    /// unknown account creates it with 0 (and reverting removes it again), a
+    /// refused debit creates nothing, and a transfer to oneself reverts to
+    /// the balance it started from.
+    #[test]
+    fn zero_debits_refusals_and_self_transfers_keep_their_semantics() {
+        let mut s = BlockchainState::new();
+        let undo = s.debit("ghost", 0).unwrap();
+        assert_eq!(s.get("ghost"), Some(0));
+        assert_eq!(undo.keys().collect::<Vec<_>>(), vec!["ghost"]);
+        s.revert(&undo);
+        assert_eq!(s.get("ghost"), None);
+
+        assert!(s.debit("ghost", 1).is_err());
+        assert!(s.is_empty(), "a refused debit leaves no trace");
+
+        s.put("a", 10);
+        let undo = s.execute(&transfer("a", "a", 4)).unwrap();
+        assert_eq!(s.balance("a"), 10);
+        assert_eq!(undo.keys().collect::<Vec<_>>(), vec!["a", "a"]);
+        s.revert(&undo);
+        assert_eq!(s.balance("a"), 10);
+    }
+
+    #[test]
+    fn a_shared_copy_never_sees_later_writes_of_either_side() {
+        let mut donor = BlockchainState::new();
+        for i in 0..200u64 {
+            donor.put(format!("a0_{i}"), 100);
+        }
+        let taken = donor.share();
+        let at_share = donor.clone();
+        donor.execute(&transfer("a0_3", "a0_150", 40)).unwrap();
+        donor.put("new", 1);
+
+        let mut adopter = BlockchainState::adopt(taken.clone());
+        assert_eq!(adopter, at_share);
+        adopter.execute(&transfer("a0_9", "a0_3", 5)).unwrap();
+
+        assert_eq!(BlockchainState::adopt(taken), at_share);
+        assert_eq!(donor.balance("a0_3"), 60);
+        assert_eq!(adopter.balance("a0_3"), 105);
+        assert_eq!(adopter.get("new"), None);
     }
 
     #[test]

@@ -8,9 +8,10 @@ use crate::protocol::{NodeHarvest, RunHarvest};
 use saguaro_baselines::{BaselineMsg, BaselineNode, BaselineRole};
 use saguaro_core::{HostedReplica, ProtocolConfig, SaguaroMsg, SaguaroNode};
 use saguaro_hierarchy::{HierarchyTree, Placement, TopologyBuilder};
-use saguaro_ledger::{LinearLedger, TxStatus};
+use saguaro_ledger::{BlockchainState, LinearLedger, TxStatus};
 use saguaro_net::{Addr, CpuProfile, LatencyMatrix, SimRuntime};
 use saguaro_types::{ClientId, DomainId, FailureModel, Result, SimTime, StackConfig};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Builds the paper's 4-level perfect binary tree with the given failure
@@ -63,6 +64,39 @@ pub fn harness_addr() -> Addr {
     Addr::Client(ClientId(u64::MAX))
 }
 
+/// The initial state of every seeded height-1 domain, built once per domain;
+/// the deployments hand each replica a share of it.  Several entries for one
+/// domain apply in order, a repeated key keeping its last balance.
+///
+/// # Panics
+///
+/// If an entry names a domain that is not a height-1 domain of `tree`: no
+/// replica would ever hold those balances, and every transfer of the run
+/// would fail for want of funds.
+fn seeded_states(
+    tree: &HierarchyTree,
+    seed_accounts: &[(DomainId, Vec<(String, u64)>)],
+) -> BTreeMap<DomainId, BlockchainState> {
+    let edge_domains = tree.edge_server_domains();
+    let mut lists: BTreeMap<DomainId, Vec<&[(String, u64)]>> = BTreeMap::new();
+    for (domain, accounts) in seed_accounts {
+        assert!(
+            edge_domains.contains(domain),
+            "seed accounts given for {domain:?}, which is not an edge-server (height-1) domain \
+             of this tree; its edge-server domains are {edge_domains:?}"
+        );
+        lists.entry(*domain).or_default().push(accounts);
+    }
+    lists
+        .into_iter()
+        .map(|(domain, lists)| {
+            let pairs = lists.into_iter().flatten();
+            let values = pairs.map(|(key, balance)| (key.as_str(), *balance));
+            (domain, BlockchainState::adopt(values.collect()))
+        })
+        .collect()
+}
+
 /// Registers a full Saguaro deployment (every replica of every height ≥ 1
 /// domain) and starts its round timers.  `seed_accounts` gives the initial
 /// balances installed on every replica of each height-1 domain.
@@ -72,6 +106,7 @@ pub fn deploy_saguaro<S: SimRuntime<SaguaroMsg>>(
     config: &ProtocolConfig,
     seed_accounts: &[(DomainId, Vec<(String, u64)>)],
 ) {
+    let seeded = seeded_states(tree, seed_accounts);
     for domain_cfg in tree.domains() {
         let domain = domain_cfg.id;
         if domain.height == 0 {
@@ -80,14 +115,8 @@ pub fn deploy_saguaro<S: SimRuntime<SaguaroMsg>>(
         let region = domain_cfg.region;
         for node in tree.nodes_of(domain).expect("domain nodes") {
             let mut actor = SaguaroNode::new(node, tree.clone(), config.clone());
-            if domain.height == 1 {
-                for (d, accounts) in seed_accounts {
-                    if *d == domain {
-                        for (k, v) in accounts {
-                            actor.seed_account(k.clone(), *v);
-                        }
-                    }
-                }
+            if let Some(state) = seeded.get(&domain) {
+                actor.seed_state(state);
             }
             sim.register(node, region, CpuProfile::server(), Box::new(actor));
         }
@@ -115,6 +144,7 @@ pub fn deploy_baseline<S: SimRuntime<BaselineMsg>>(
     stack: &StackConfig,
 ) -> DomainId {
     let committee = tree.root();
+    let seeded = seeded_states(tree, seed_accounts);
     let mut registered = Vec::new();
     for domain_cfg in tree.domains() {
         let domain = domain_cfg.id;
@@ -132,14 +162,8 @@ pub fn deploy_baseline<S: SimRuntime<BaselineMsg>>(
         let region = domain_cfg.region;
         for node in tree.nodes_of(domain).expect("domain nodes") {
             let mut actor = BaselineNode::new(node, role, tree.clone(), committee, *stack);
-            if domain.height == 1 {
-                for (d, accounts) in seed_accounts {
-                    if *d == domain {
-                        for (k, v) in accounts {
-                            actor.seed_account(k.clone(), *v);
-                        }
-                    }
-                }
+            if let Some(state) = seeded.get(&domain) {
+                actor.seed_state(state);
             }
             sim.register(node, region, CpuProfile::server(), Box::new(actor));
             registered.push(node);
@@ -274,6 +298,83 @@ mod tests {
         assert_eq!(sim.actor_count(), 21);
         // Round-timer kick-offs are queued.
         assert_eq!(sim.pending_events(), 21);
+    }
+
+    /// Seed lists for two edge domains, the first given in two entries that
+    /// both name `a0_1`.
+    fn seeds() -> Vec<(DomainId, Vec<(String, u64)>)> {
+        let account = |key: &str, balance| (key.to_string(), balance);
+        vec![
+            (
+                DomainId::new(1, 0),
+                vec![account("a0_2", 20), account("a0_1", 10)],
+            ),
+            (DomainId::new(1, 3), vec![account("a3_1", 30)]),
+            (DomainId::new(1, 0), vec![account("a0_1", 11)]),
+        ]
+    }
+
+    /// What every replica of `domain` holds, having checked they all agree.
+    fn state_of<A: HostedReplica + 'static>(
+        sim: &mut Simulation<A::Msg>,
+        tree: &HierarchyTree,
+        domain: DomainId,
+        state: impl Fn(&A) -> &BlockchainState,
+    ) -> BlockchainState {
+        let nodes = tree.nodes_of(domain).unwrap();
+        let mut held = nodes.into_iter().map(|node| {
+            sim.with_actor(node, |actor| {
+                state(actor.as_any().unwrap().downcast_mut::<A>().unwrap()).clone()
+            })
+            .expect("registered")
+        });
+        let first = held.next().expect("a domain has replicas");
+        assert!(held.all(|other| other == first));
+        first
+    }
+
+    #[test]
+    fn both_deployments_seed_every_replica_and_a_repeated_key_keeps_its_last_balance() {
+        let tree = build_tree(FailureModel::Crash, 1, Placement::NearbyRegions).unwrap();
+        let latency = || latency_for(Placement::NearbyRegions);
+        let expected = [
+            vec![("a0_1", 11), ("a0_2", 20)],
+            vec![],
+            vec![],
+            vec![("a3_1", 30)],
+        ]
+        .map(|pairs| BlockchainState::adopt(pairs.into_iter().collect()));
+        let domains = tree.edge_server_domains();
+
+        let mut sim: Simulation<SaguaroMsg> = Simulation::new(latency(), 1);
+        deploy_saguaro(&mut sim, &tree, &ProtocolConfig::coordinator(), &seeds());
+        for (domain, want) in domains.iter().zip(&expected) {
+            let got = state_of(&mut sim, &tree, *domain, SaguaroNode::blockchain_state);
+            assert_eq!(&got, want, "{domain:?}");
+        }
+
+        let mut sim: Simulation<BaselineMsg> = Simulation::new(latency(), 1);
+        deploy_baseline(&mut sim, &tree, true, &seeds(), &StackConfig::default());
+        for (domain, want) in domains.iter().zip(&expected) {
+            let got = state_of(&mut sim, &tree, *domain, BaselineNode::blockchain_state);
+            assert_eq!(&got, want, "{domain:?}");
+        }
+    }
+
+    /// A seed list for a domain no replica will ever serve used to be dropped
+    /// without a word, leaving a run in which every transfer lacks funds.
+    #[test]
+    #[should_panic(
+        expected = "seed accounts given for D14, which is not an edge-server (height-1) domain \
+                    of this tree; its edge-server domains are [D10, D11, D12, D13]"
+    )]
+    fn seeds_for_a_domain_the_tree_does_not_have_are_refused() {
+        let tree = build_tree(FailureModel::Crash, 1, Placement::NearbyRegions).unwrap();
+        let mut sim: Simulation<SaguaroMsg> =
+            Simulation::new(latency_for(Placement::NearbyRegions), 1);
+        let mut seeds = seeds();
+        seeds.push((DomainId::new(1, 4), vec![("a4_1".to_string(), 1)]));
+        deploy_saguaro(&mut sim, &tree, &ProtocolConfig::coordinator(), &seeds);
     }
 
     #[test]

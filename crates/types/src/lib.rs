@@ -15,6 +15,8 @@
 //!   transaction carries one part per involved domain, e.g. `12-22-31`).
 //! * [`config`] — failure models, quorum arithmetic and per-domain
 //!   configuration.
+//! * [`cowmap`] — the persistent `key → u64` map a domain's account state
+//!   lives in, shared between its replicas and its checkpoint snapshots.
 //! * [`time`] — virtual time used by the discrete-event substrate.
 //! * [`error`] — the shared error type.
 
@@ -22,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod cowmap;
 pub mod error;
 pub mod ids;
 pub mod sequence;
@@ -34,6 +37,7 @@ pub use config::{
     EngineMode, FailureModel, LivenessConfig, PopulationConfig, QuorumSpec, RateEnvelope,
     StackConfig, TraceConfig,
 };
+pub use cowmap::{CowMap, Key};
 pub use error::SaguaroError;
 pub use ids::{ClientId, DomainId, Height, NodeId, Region};
 pub use sequence::{delivery_hash, DeliveryLog, MultiSeq, SeqNo};

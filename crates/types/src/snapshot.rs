@@ -1,14 +1,18 @@
 //! Application-state snapshots used by snapshot-based state transfer.
 //!
 //! At every quorum-stable checkpoint a replica whose retention window is
-//! finite materializes a [`StateSnapshot`] of its executed application state
+//! finite takes a [`StateSnapshot`] of its executed application state
 //! — balance map, delivery-stream hash and mobile ownership table — keyed by
-//! the checkpoint sequence number.  A `StateRequest` whose frontier has
+//! the checkpoint sequence number.  The balance map is a share of the
+//! replica's own [`CowMap`], not a copy: the snapshot costs one pointer per
+//! leaf, and the replica's later writes unshare the leaves they touch.  A
+//! `StateRequest` whose frontier has
 //! fallen below the responder's retained log tail is then answered with the
 //! snapshot plus the short command tail above it, so catch-up cost is
 //! O(retention) regardless of how long the requester was away (the
 //! historical full-replay reply is O(outage)).
 
+use crate::cowmap::CowMap;
 use crate::ids::{ClientId, DomainId};
 use crate::sequence::SeqNo;
 use serde::{Deserialize, Serialize};
@@ -26,7 +30,7 @@ pub struct MobileOwnership {
     pub remote: Option<DomainId>,
 }
 
-/// A materialized application snapshot at a stable checkpoint.
+/// An application snapshot at a stable checkpoint.
 ///
 /// Everything a fresh replica needs to resume execution at `seq + 1`:
 /// the executed balance map, the delivery-stream hash pinning the executed
@@ -40,7 +44,7 @@ pub struct StateSnapshot {
     /// stream through `seq`; `None` when the run records no deliveries.
     pub delivery_hash: Option<u64>,
     /// Executed account balances, in key order.
-    pub accounts: Vec<(String, u64)>,
+    pub accounts: CowMap,
     /// Mobile ownership table (lock + remote-host per known device).
     pub mobile: Vec<MobileOwnership>,
     /// Devices whose state this domain currently hosts for a remote owner.
@@ -69,7 +73,7 @@ mod tests {
         let full = StateSnapshot {
             seq: 7,
             delivery_hash: Some(1),
-            accounts: vec![("a".into(), 1), ("b".into(), 2)],
+            accounts: [("a", 1), ("b", 2)].into_iter().collect(),
             mobile: vec![MobileOwnership {
                 device: ClientId(3),
                 locked: true,
