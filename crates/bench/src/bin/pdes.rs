@@ -1,6 +1,6 @@
-//! Parallel-engine speedup benchmark: how much faster does the
-//! conservative-parallel engine run a *single* simulation than the
-//! sequential engine?
+//! Parallel-engine speedup benchmark: how much faster does the event engine
+//! run a *single* simulation when it is split into one partition per edge
+//! domain and advanced by worker threads than as one sequential partition?
 //!
 //! Two topologies, both under the coordinator stack with 20 % cross-domain
 //! micropayments:
@@ -16,8 +16,9 @@
 //! parallel engine at 1, 2 and 4 workers (warm-up run first; the workloads
 //! are deterministic per engine, so the timed runs repeat identical event
 //! histories).  Speedup is the events/sec ratio against the sequential
-//! baseline — the engines process slightly different event totals (their
-//! RNG streams differ by design), so wall-clock alone would mislead.
+//! baseline — a many-partition run processes a slightly different event
+//! total (every partition draws from its own RNG stream), so wall-clock
+//! alone would mislead.
 //!
 //! `--json <path>` merges a `pdes` section into the shared
 //! `BENCH_results.json`.  `--min-speedup <x>` exits non-zero if the wide

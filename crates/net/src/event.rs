@@ -105,159 +105,6 @@ impl<M> EventQueue<M> {
     pub fn len(&self) -> usize {
         self.heap.len()
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// A calendar-queue (timer-wheel) scheduler with a heap fallback, used by
-/// the parallel engine's per-partition queues.
-///
-/// Near-future events — within `bucket_us × nbuckets` of the cursor — go
-/// into a ring of buckets in O(1); a bucket is only sorted when the cursor
-/// reaches it, so the hot path (push, pop within the current window) does no
-/// heap sifting.  Far-future events (long timers, wide-area flights) overflow
-/// into a [`BinaryHeap`] and migrate back into the ring as the cursor
-/// approaches them.  Pop order is exactly the [`EventQueue`] contract —
-/// ascending `(time, seq)` — which the equivalence property test pins down.
-#[derive(Debug)]
-pub(crate) struct CalendarQueue<M> {
-    /// The ring: `buckets[i]` holds events with `time/bucket_us % nbuckets
-    /// == i` inside the current span.  Kept sorted *descending* by
-    /// `(time, seq)` once prepared, so pops come off the tail.
-    buckets: Vec<Vec<Event<M>>>,
-    /// Whether a bucket has unsorted pushes since it was last prepared.
-    dirty: Vec<bool>,
-    /// Width of one bucket in microseconds (≥ 1; sized to the lookahead).
-    bucket_us: u64,
-    /// Bucket index the cursor is on.
-    cursor: usize,
-    /// Start time (µs, bucket-aligned) of the cursor bucket; the ring spans
-    /// `[base_us, base_us + bucket_us × nbuckets)`.
-    base_us: u64,
-    /// Far-future events beyond the ring span.
-    overflow: BinaryHeap<Event<M>>,
-    /// Events currently held (ring + overflow).
-    len: usize,
-    next_seq: u64,
-}
-
-impl<M> CalendarQueue<M> {
-    /// Number of ring buckets.  At the default 250 µs lookahead the ring
-    /// spans 256 ms — beyond the widest built-in one-way delay — so in
-    /// steady state only extreme timers touch the overflow heap.
-    const NBUCKETS: usize = 1024;
-
-    pub fn new(bucket_us: u64) -> Self {
-        let bucket_us = bucket_us.max(1);
-        Self {
-            buckets: (0..Self::NBUCKETS).map(|_| Vec::new()).collect(),
-            dirty: vec![false; Self::NBUCKETS],
-            bucket_us,
-            cursor: 0,
-            base_us: 0,
-            overflow: BinaryHeap::new(),
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
-    fn span_us(&self) -> u64 {
-        self.bucket_us.saturating_mul(Self::NBUCKETS as u64)
-    }
-
-    pub fn push(&mut self, time: SimTime, kind: EventKind<M>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_event(Event { time, seq, kind });
-    }
-
-    fn push_event(&mut self, ev: Event<M>) {
-        self.len += 1;
-        let t = ev.time.as_micros();
-        if t >= self.base_us.saturating_add(self.span_us()) {
-            self.overflow.push(ev);
-            return;
-        }
-        // Late pushes at or before the cursor's base (same-instant events)
-        // land in the cursor bucket; sorting there keeps pop order exact.
-        let idx = if t <= self.base_us {
-            self.cursor
-        } else {
-            ((t / self.bucket_us) as usize) % Self::NBUCKETS
-        };
-        self.buckets[idx].push(ev);
-        self.dirty[idx] = true;
-    }
-
-    /// Positions the cursor on the bucket holding the earliest event and
-    /// sorts it.  Returns `false` if the queue is empty.
-    fn prepare_front(&mut self) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        loop {
-            // Overflow events that fell inside the ring horizon (the cursor
-            // advanced toward them) migrate back so they pop in order.
-            let horizon = self.base_us.saturating_add(self.span_us());
-            while self
-                .overflow
-                .peek()
-                .is_some_and(|e| e.time.as_micros() < horizon)
-            {
-                let ev = self.overflow.pop().expect("peeked");
-                self.len -= 1; // push_event re-counts it
-                self.push_event(ev);
-            }
-            if !self.buckets[self.cursor].is_empty() {
-                if self.dirty[self.cursor] {
-                    self.buckets[self.cursor]
-                        .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
-                    self.dirty[self.cursor] = false;
-                }
-                return true;
-            }
-            if self.len == self.overflow.len() {
-                // Ring empty: jump the cursor to the overflow minimum.
-                let t = self
-                    .overflow
-                    .peek()
-                    .expect("len > 0 and ring empty")
-                    .time
-                    .as_micros();
-                self.base_us = (t / self.bucket_us) * self.bucket_us;
-                self.cursor = ((self.base_us / self.bucket_us) as usize) % Self::NBUCKETS;
-                continue;
-            }
-            self.cursor = (self.cursor + 1) % Self::NBUCKETS;
-            self.base_us = self.base_us.saturating_add(self.bucket_us);
-        }
-    }
-
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        if !self.prepare_front() {
-            return None;
-        }
-        let ev = self.buckets[self.cursor].pop().expect("prepared bucket");
-        self.len -= 1;
-        Some(ev)
-    }
-
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if !self.prepare_front() {
-            return None;
-        }
-        self.buckets[self.cursor].last().map(|e| e.time)
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 #[cfg(test)]
@@ -276,7 +123,7 @@ mod tests {
         Addr::Client(ClientId(i))
     }
 
-    fn deliver(msg: &'static str) -> EventKind<&'static str> {
+    fn delivery(msg: &'static str) -> EventKind<&'static str> {
         EventKind::Deliver {
             from: client(0),
             to: client(1),
@@ -295,9 +142,9 @@ mod tests {
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::default();
-        q.push(SimTime::from_micros(30), deliver("c"));
-        q.push(SimTime::from_micros(10), deliver("a"));
-        q.push(SimTime::from_micros(20), deliver("b"));
+        q.push(SimTime::from_micros(30), delivery("c"));
+        q.push(SimTime::from_micros(10), delivery("a"));
+        q.push(SimTime::from_micros(20), delivery("b"));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(payload).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
@@ -322,97 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_matches_heap_queue_on_random_workloads() {
-        // The property the parallel engine relies on: whatever the push
-        // pattern (interleaved with pops, near and far future, ties), the
-        // calendar queue pops in exactly the heap queue's (time, seq) order.
-        // A simple LCG stands in for an RNG to keep the test self-contained.
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for bucket_us in [1u64, 250, 8_500] {
-            let mut cal: CalendarQueue<&'static str> = CalendarQueue::new(bucket_us);
-            let mut heap: EventQueue<&'static str> = EventQueue::default();
-            let mut clock = 0u64;
-            for round in 0..2_000 {
-                let r = next();
-                if r % 3 != 0 || cal.is_empty() {
-                    // Push relative to the current front so the workload
-                    // walks forward in time like a real simulation: mostly
-                    // near-future, occasionally far beyond the ring span.
-                    let delta = match r % 7 {
-                        0 => bucket_us * 2_000 + r % 10_000, // far future
-                        1 => 0,                              // same instant
-                        _ => r % (bucket_us * 40 + 17),
-                    };
-                    let t = SimTime::from_micros(clock + delta);
-                    cal.push(t, deliver("x"));
-                    heap.push(t, deliver("x"));
-                } else {
-                    let (c, h) = (cal.pop().unwrap(), heap.pop().unwrap());
-                    assert_eq!(
-                        (c.time, c.seq),
-                        (h.time, h.seq),
-                        "bucket_us={bucket_us} round={round}"
-                    );
-                    clock = c.time.as_micros();
-                }
-                assert_eq!(cal.len(), heap.len());
-                assert_eq!(cal.peek_time(), heap.peek_time());
-            }
-            while let Some(h) = heap.pop() {
-                let c = cal.pop().expect("same length");
-                assert_eq!((c.time, c.seq), (h.time, h.seq));
-            }
-            assert!(cal.is_empty());
-        }
-    }
-
-    #[test]
-    fn calendar_queue_ties_break_by_insertion_order() {
-        let mut q: CalendarQueue<&'static str> = CalendarQueue::new(250);
-        let t = SimTime::from_micros(777);
-        for (i, name) in ["first", "second", "third"].iter().enumerate() {
-            q.push(
-                t,
-                EventKind::Timer {
-                    owner: client(i as u64),
-                    owner_idx: i as u32,
-                    id: i as u64,
-                    msg: *name,
-                },
-            );
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(payload).collect();
-        assert_eq!(order, vec!["first", "second", "third"]);
-    }
-
-    #[test]
-    fn calendar_queue_migrates_overflow_back_in_order() {
-        // An event far beyond the ring span must still pop in time order
-        // relative to ring events pushed later but timed earlier/later.
-        let mut q: CalendarQueue<&'static str> = CalendarQueue::new(10);
-        let span = 10 * 1024;
-        q.push(SimTime::from_micros(span + 500), deliver("far"));
-        q.push(SimTime::from_micros(3), deliver("near"));
-        q.push(SimTime::from_micros(span + 20_000), deliver("farther"));
-        assert_eq!(q.pop().unwrap().time, SimTime::from_micros(3));
-        assert_eq!(q.pop().unwrap().time, SimTime::from_micros(span + 500));
-        assert_eq!(q.pop().unwrap().time, SimTime::from_micros(span + 20_000));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
     fn peek_time_reports_earliest() {
         let mut q: EventQueue<&'static str> = EventQueue::default();
         assert!(q.peek_time().is_none());
-        assert!(q.is_empty());
-        q.push(SimTime::from_micros(9), deliver("x"));
-        q.push(SimTime::from_micros(3), deliver("y"));
+        assert_eq!(q.len(), 0);
+        q.push(SimTime::from_micros(9), delivery("x"));
+        q.push(SimTime::from_micros(3), delivery("y"));
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
         assert_eq!(q.len(), 2);
     }

@@ -17,10 +17,18 @@
 //!    the service capacity shows up as queueing delay, which produces the
 //!    latency-vs-throughput hockey-stick curves of Figures 7–13.
 //!
-//! The runtime ([`sim::Simulation`]) hosts [`sim::Actor`]s addressed by
-//! [`Addr`] (replica nodes and edge-device clients), delivers messages and
-//! timers in virtual-time order and supports fault injection
-//! ([`fault::FaultPlan`]): message loss, node crashes and network partitions.
+//! The runtime hosts [`sim::Actor`]s addressed by [`Addr`] (replica nodes and
+//! edge-device clients), delivers messages and timers in virtual-time order
+//! and supports fault injection ([`fault::FaultPlan`],
+//! [`fault::FaultSchedule`]): message loss, node crashes, network partitions,
+//! delay spikes and equivocation.  There is one event engine — the partition
+//! core in `partition.rs`, private to this crate, which owns the actors, the
+//! event queue, an RNG stream, timers, fault state and statistics of one
+//! slice of the deployment and is the only place an event is processed —
+//! behind two façades that share the [`sim::SimRuntime`] surface:
+//! [`sim::Simulation`] is the one-partition case, drained sequentially, and
+//! [`psim::ParallelSimulation`] advances several partitions on worker threads
+//! under a conservative window protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +39,7 @@ pub mod envelope;
 pub mod event;
 pub mod fault;
 pub mod latency;
+mod partition;
 pub mod psim;
 pub mod sim;
 pub mod stats;

@@ -1,366 +1,63 @@
 //! Conservative parallel discrete-event engine.
 //!
-//! [`ParallelSimulation`] shards the actor population into partitions — the
-//! harness maps each height-1 edge domain to its own partition and everything
-//! else (root/LCA committees, clients) to partition 0 — and advances them on
-//! worker threads under a conservative time-window protocol:
+//! [`ParallelSimulation`] shards the actor population over several
+//! partitions of the event core (`partition.rs`) — the harness maps each
+//! height-1 edge domain to its own partition and everything else (root/LCA
+//! committees, clients) to partition 0 — and advances them on worker threads
+//! under a conservative time-window protocol:
 //!
-//! 1. The coordinator scans every partition's queue for the global minimum
-//!    event time `m` and announces the window `[m, m + lookahead)`, where
-//!    `lookahead = LatencyMatrix::min_one_way()` (no message sent at `t` can
-//!    arrive anywhere before `t + lookahead`, see [`crate::latency`]).
+//! 1. The coordinator merges every outbox into its destination queue in
+//!    deterministic `(destination, time, source partition, sequence)` order,
+//!    so arrival tie-breaks never depend on thread scheduling, then scans the
+//!    queues for the global minimum event time `m` and announces the window
+//!    `[m, m + lookahead)`, where `lookahead = LatencyMatrix::min_one_way()`
+//!    (no message sent at `t` can arrive anywhere before `t + lookahead`, see
+//!    [`crate::latency`]).
 //! 2. Workers claim partitions and drain each local queue up to the window
 //!    end.  Same-partition sends go straight into the local queue; sends to
 //!    another partition are buffered in the sender's outbox.  Both are safe:
 //!    every send lands at or beyond the window end, and timers are always
 //!    owner-local.
-//! 3. At the barrier the coordinator merges all outboxes in deterministic
-//!    `(destination, time, source partition, sequence)` order, so arrival
-//!    tie-breaks never depend on thread scheduling.
+//! 3. At the barrier the coordinator starts over at step 1.
 //!
-//! Each partition owns a private RNG stream (golden-ratio derived from the
-//! run seed, as the aggregate-client harness does per domain), a private
-//! [`TimerSlab`], private [`NetStats`] and a [`CalendarQueue`] whose buckets
-//! are sized to the lookahead window, so the intra-window hot path touches no
-//! shared state at all.  The result is bit-reproducible per seed and
-//! invariant to the worker-thread count — runs differ from the sequential
-//! engine (different RNG consumption order) but never from themselves.
+//! Everything an event does — delivery, timers, sends, scripted faults — is
+//! the core's code, the same the sequential [`Simulation`] runs, and touches
+//! only the partition's own queue, RNG stream, timer slab and statistics, so
+//! the intra-window hot path shares no state at all.  The result is
+//! bit-reproducible per seed and invariant to the worker-thread count.
 //!
-//! Divergences from [`Simulation`], by design:
+//! A one-partition engine has nobody to wait for: its window is the whole
+//! run, its stream is the run seed's, and it is bit-for-bit [`Simulation`].
+//! With more partitions each one draws latency and loss from its own stream
+//! and same-instant arrivals from other partitions are ordered by the merge
+//! key rather than by global send order, so a many-partition run is its own
+//! deterministic mode: it agrees with the sequential engine exactly only
+//! where no randomness and no cross-partition tie is involved.
 //!
-//! * [`ParallelSimulation::inject`] draws latency from a dedicated control
-//!   stream and does not consult drop faults (harness injections precede the
-//!   run; the sequential engine's behaviour for in-run injections with a
-//!   lossy fault plan is not reproduced).
-//! * `run_to_completion(max_events)` stops at a window boundary, so it may
-//!   overshoot `max_events` by up to one window's worth of events.
+//! [`Simulation`]: crate::sim::Simulation
 
 use crate::addr::Addr;
 use crate::cpu::{CpuProfile, MessageMeta};
-use crate::envelope::Envelope;
-use crate::event::{CalendarQueue, EventKind, TimerId};
-use crate::fault::{FaultEvent, FaultPlan, FaultSchedule, SpikeState};
+use crate::fault::FaultSchedule;
 use crate::latency::LatencyMatrix;
-use crate::sim::{Action, Actor, ActorSlot, BoxedActor, Context, SimRuntime};
+use crate::partition::{Partition, Remote, RouteEntry, Routing, FOREVER};
+use crate::sim::{Actor, BoxedActor, SimRuntime};
 use crate::stats::{NetStats, PdesRunStats};
-use crate::timer::TimerSlab;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use saguaro_types::{Duration, Region, SimTime};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-/// Per-partition RNG streams derive from the run seed with this multiplier
-/// (2^64 / φ), mirroring the per-domain streams of the aggregate-client
-/// harness so streams are decorrelated but fully seed-determined.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Where an address lives: its partition, its dense index *within* that
-/// partition, and its region (resolved at send time without touching the
-/// destination partition).
-#[derive(Clone, Copy)]
-struct RouteEntry {
-    part: u32,
-    local: u32,
-    region: Region,
-}
-
-/// A cross-partition event buffered in the sender's outbox until the next
-/// window barrier.  `(dest, time, src, seq)` is the deterministic merge key.
-struct Remote<M> {
-    dest: u32,
-    time: SimTime,
-    src: u32,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-/// One event shard: a slice of the actor population plus everything needed
-/// to advance it without synchronization inside a window.
-struct Partition<M> {
-    id: u32,
-    slots: Vec<ActorSlot<M>>,
-    queue: CalendarQueue<M>,
-    rng: StdRng,
-    timers: TimerSlab,
-    faults: FaultPlan,
-    /// Every partition holds the full scripted schedule and applies it
-    /// against its private clock; fault events are pure state flips, so the
-    /// copies stay in agreement without communication.
-    schedule: FaultSchedule,
-    schedule_pos: usize,
-    spikes: SpikeState,
-    stats: NetStats,
-    now: SimTime,
-    outbox: Vec<Remote<M>>,
-    out_seq: u64,
-    /// Events processed by this partition over the engine's lifetime.
-    events: u64,
-    routing: Arc<HashMap<Addr, RouteEntry>>,
-    latency: Arc<LatencyMatrix>,
-}
-
-impl<M: MessageMeta + Clone + 'static> Partition<M> {
-    fn new(id: u32, seed: u64, bucket_us: u64, latency: Arc<LatencyMatrix>) -> Self {
-        Self {
-            id,
-            slots: Vec::new(),
-            queue: CalendarQueue::new(bucket_us),
-            rng: StdRng::seed_from_u64(seed.wrapping_add((id as u64 + 1).wrapping_mul(GOLDEN))),
-            timers: TimerSlab::default(),
-            faults: FaultPlan::none(),
-            schedule: FaultSchedule::none(),
-            schedule_pos: 0,
-            spikes: SpikeState::none(),
-            stats: NetStats::default(),
-            now: SimTime::ZERO,
-            outbox: Vec::new(),
-            out_seq: 0,
-            events: 0,
-            routing: Arc::new(HashMap::new()),
-            latency,
-        }
-    }
-
-    /// Drains the local queue while the head event is strictly before
-    /// `window_end` and at or before `deadline`.  Returns events processed.
-    fn run_window(&mut self, window_end: SimTime, deadline: SimTime) -> u64 {
-        let mut n = 0u64;
-        while let Some(t) = self.queue.peek_time() {
-            if t >= window_end || t > deadline {
-                break;
-            }
-            if self.schedule_pos < self.schedule.len() {
-                self.apply_faults_until(t);
-            }
-            let event = self.queue.pop().expect("peeked event present");
-            self.now = event.time;
-            match event.kind {
-                EventKind::Deliver {
-                    from,
-                    to,
-                    to_idx,
-                    env,
-                } => self.deliver(from, to, to_idx, env),
-                EventKind::Timer {
-                    owner,
-                    owner_idx,
-                    id,
-                    msg,
-                } => self.fire_timer(owner, owner_idx, id, msg),
-            }
-            n += 1;
-        }
-        self.events += n;
-        n
-    }
-
-    /// Applies every scheduled fault event with time `≤ t` (the partition
-    /// clone of [`Simulation::set_fault_schedule`]'s semantics).  Busy-time
-    /// trimming on a crash only touches actors this partition owns.
-    fn apply_faults_until(&mut self, t: SimTime) {
-        while let Some((at, event)) = self.schedule.events().get(self.schedule_pos) {
-            if *at > t {
-                break;
-            }
-            let (at, event) = (*at, event.clone());
-            self.schedule_pos += 1;
-            match event {
-                FaultEvent::CrashActor(a) => {
-                    self.faults.crash(a);
-                    if let Some(e) = self.routing.get(&a) {
-                        if e.part == self.id {
-                            let slot = &mut self.slots[e.local as usize];
-                            if slot.busy_until > at {
-                                self.stats.trim_busy(e.local, slot.busy_until - at);
-                                slot.busy_until = at;
-                            }
-                        }
-                    }
-                }
-                FaultEvent::RecoverActor(a) => self.faults.restart(a),
-                FaultEvent::PartitionLink(a, b) => self.faults.partition(a, b),
-                FaultEvent::HealLink(a, b) => self.faults.heal(a, b),
-                FaultEvent::PartitionDomain(d) => self.faults.sever_domain(d),
-                FaultEvent::HealDomain(d) => self.faults.rejoin_domain(d),
-                FaultEvent::DelaySpike { scope, extra } => self.spikes.apply(&scope, extra),
-                FaultEvent::Equivocate(a) => self.faults.equivocate(a),
-                FaultEvent::StopEquivocate(a) => self.faults.stop_equivocate(a),
-            }
-        }
-    }
-
-    fn deliver(&mut self, from: Addr, to: Addr, to_idx: Option<u32>, env: Envelope<M>) {
-        if self.faults.is_crashed(to) {
-            self.stats.on_drop();
-            return;
-        }
-        // The local index was resolved at send time; fall back to the routing
-        // table only for recipients registered after the send.
-        let idx = match to_idx.or_else(|| {
-            self.routing
-                .get(&to)
-                .and_then(|e| (e.part == self.id).then_some(e.local))
-        }) {
-            Some(i) => i,
-            None => {
-                self.stats.on_drop();
-                return;
-            }
-        };
-        let slot = &mut self.slots[idx as usize];
-        let service = slot.cpu.service_time(env.wire_bytes(), env.signatures());
-        let start = if slot.busy_until > self.now {
-            slot.busy_until
-        } else {
-            self.now
-        };
-        let done = start + service;
-        slot.busy_until = done;
-        self.stats
-            .on_deliver(idx, env.wire_bytes(), service, env.is_state_transfer());
-
-        let mut actor = slot.actor.take().expect("actor present outside callback");
-        let mut ctx = Context::enter(done, to, &mut self.rng, &mut self.timers);
-        actor.on_message(from, env.into_payload(), &mut ctx);
-        let actions = ctx.into_actions();
-        self.slots[idx as usize].actor = Some(actor);
-        self.apply_actions(to, idx, done, actions);
-    }
-
-    fn fire_timer(&mut self, owner: Addr, owner_idx: u32, id: TimerId, msg: M) {
-        if !self.timers.retire(id) {
-            return;
-        }
-        if self.faults.is_crashed(owner) {
-            return;
-        }
-        let slot = &mut self.slots[owner_idx as usize];
-        if slot.actor.is_none() {
-            return;
-        }
-        self.stats.on_timer();
-        let mut actor = slot.actor.take().expect("actor checked above");
-        let mut ctx = Context::enter(self.now, owner, &mut self.rng, &mut self.timers);
-        actor.on_timer(id, msg, &mut ctx);
-        let actions = ctx.into_actions();
-        self.slots[owner_idx as usize].actor = Some(actor);
-        self.apply_actions(owner, owner_idx, self.now, actions);
-    }
-
-    fn apply_actions(
-        &mut self,
-        origin: Addr,
-        origin_idx: u32,
-        origin_time: SimTime,
-        actions: Vec<Action<M>>,
-    ) {
-        let origin_region = self.slots[origin_idx as usize].region;
-        for action in actions {
-            match action {
-                Action::Send { to, env } => {
-                    let slot = &mut self.slots[origin_idx as usize];
-                    let t = slot.cpu.send_time();
-                    slot.busy_until = slot.busy_until.max(origin_time) + t;
-                    self.schedule_send(origin, origin_region, origin_time, to, env);
-                }
-                Action::SetTimer { id, delay, msg } => {
-                    // Timers are always owner-local, so a zero/short delay
-                    // landing inside the current window is safe.
-                    self.queue.push(
-                        origin_time + delay,
-                        EventKind::Timer {
-                            owner: origin,
-                            owner_idx: origin_idx,
-                            id,
-                            msg,
-                        },
-                    );
-                }
-                Action::CancelTimer { id } => {
-                    self.timers.retire(id);
-                }
-            }
-        }
-    }
-
-    fn schedule_send(
-        &mut self,
-        from: Addr,
-        from_region: Region,
-        at: SimTime,
-        to: Addr,
-        env: Envelope<M>,
-    ) {
-        // Equivocating senders emit a conflicting twin through the normal
-        // path, exactly as the sequential engine does.
-        if self.faults.is_equivocating(from) {
-            if let Some(twin) = env.payload().tampered() {
-                self.schedule_send_inner(from, from_region, at, to, Envelope::new(twin));
-            }
-        }
-        self.schedule_send_inner(from, from_region, at, to, env);
-    }
-
-    fn schedule_send_inner(
-        &mut self,
-        from: Addr,
-        from_region: Region,
-        at: SimTime,
-        to: Addr,
-        env: Envelope<M>,
-    ) {
-        self.stats.on_send();
-        // Drop decisions draw from the *sender* partition's stream, keeping
-        // them independent of what other partitions do concurrently.
-        if self.faults.should_drop(from, to, &mut self.rng) {
-            self.stats.on_drop();
-            return;
-        }
-        // Unknown destinations stay local and count as a drop at delivery,
-        // mirroring the sequential engine.
-        let (dest, to_idx, to_region) = match self.routing.get(&to) {
-            Some(e) => (e.part, Some(e.local), e.region),
-            None => (self.id, None, Region::LOCAL),
-        };
-        let delay = self
-            .latency
-            .one_way(from_region, to_region, env.wire_bytes(), &mut self.rng)
-            + self.spikes.extra_for(from, to);
-        let arrival = at + delay;
-        let kind = EventKind::Deliver {
-            from,
-            to,
-            to_idx,
-            env,
-        };
-        if dest == self.id {
-            self.queue.push(arrival, kind);
-        } else {
-            self.outbox.push(Remote {
-                dest,
-                time: arrival,
-                src: self.id,
-                seq: self.out_seq,
-                kind,
-            });
-            self.out_seq += 1;
-        }
-    }
-}
-
-/// The conservative-parallel counterpart of [`Simulation`]; see the module
-/// docs for the protocol.  Construct with a partition-routing function, then
-/// drive through the shared [`SimRuntime`] surface.
+/// The many-partition counterpart of [`Simulation`](crate::sim::Simulation);
+/// see the module docs for the protocol.  Construct with a partition-routing
+/// function, then drive through the shared [`SimRuntime`] surface.
 pub struct ParallelSimulation<M> {
     parts: Vec<Mutex<Partition<M>>>,
     route: Box<dyn Fn(Addr) -> u32 + Send + Sync>,
     /// The master routing table; partitions hold a shared snapshot, refreshed
     /// lazily when registrations dirty it.
-    index: HashMap<Addr, RouteEntry>,
+    index: Routing,
     /// Registration order, so merged stats intern addresses deterministically.
     reg_order: Vec<Addr>,
     routing_dirty: bool,
@@ -368,23 +65,25 @@ pub struct ParallelSimulation<M> {
     lookahead: Duration,
     workers: usize,
     now: SimTime,
-    /// Harness injections draw latency from this stream (seeded exactly like
-    /// the sequential engine's global RNG) so injection delays per seed do
-    /// not depend on partitioning.
-    control_rng: StdRng,
     /// Network-wide view, rebuilt from the per-partition blocks after each
     /// run call.
     merged: NetStats,
     pdes: PdesRunStats,
+    /// High-water mark of events pending across *all* partitions, sampled
+    /// when a window is planned.
     peak_pending: u64,
 }
 
 impl<M: MessageMeta + Clone + Send + Sync + 'static> ParallelSimulation<M> {
     /// Creates a parallel simulation with `partitions` shards and `workers`
-    /// threads.  `route` maps an address to its partition (out-of-range
-    /// results clamp to the last partition); the mapping must be total and
-    /// stable for the lifetime of the run.  `workers == 0` or `1` runs the
-    /// identical window protocol inline on the calling thread.
+    /// threads.  `route` maps an address to its partition; the mapping must
+    /// be total, stable for the lifetime of the run and stay below
+    /// `partitions`.  `workers` of `0` or `1` runs the identical window
+    /// protocol inline on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// If `partitions` is zero.
     pub fn new(
         latency: LatencyMatrix,
         seed: u64,
@@ -392,32 +91,24 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> ParallelSimulation<M> {
         workers: usize,
         route: impl Fn(Addr) -> u32 + Send + Sync + 'static,
     ) -> Self {
-        let partitions = partitions.max(1);
+        assert!(partitions > 0, "a simulation needs at least one partition");
         // A zero lookahead would stall the window protocol; clamp to 1µs so
         // windows always advance (built-in matrices floor at 250µs anyway).
         let lookahead = Duration::from_micros(latency.min_one_way().as_micros().max(1));
         let latency = Arc::new(latency);
-        let parts = (0..partitions)
-            .map(|p| {
-                Mutex::new(Partition::new(
-                    p as u32,
-                    seed,
-                    lookahead.as_micros(),
-                    Arc::clone(&latency),
-                ))
-            })
+        let parts = (0..partitions as u32)
+            .map(|p| Mutex::new(Partition::new(p, seed, Arc::clone(&latency))))
             .collect();
         Self {
             parts,
             route: Box::new(route),
-            index: HashMap::new(),
+            index: Routing::new(),
             reg_order: Vec::new(),
             routing_dirty: false,
             latency,
             lookahead,
-            workers: workers.max(1),
+            workers,
             now: SimTime::ZERO,
-            control_rng: StdRng::seed_from_u64(seed),
             merged: NetStats::default(),
             pdes: PdesRunStats {
                 partitions,
@@ -450,8 +141,13 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> ParallelSimulation<M> {
         &self.latency
     }
 
-    /// Registers an actor; see [`Simulation::register`].  The partition is
-    /// chosen by the routing function supplied at construction.
+    /// Registers an actor on the partition the routing function names; a
+    /// replacement keeps the original partition and index, as in
+    /// [`Simulation::register`](crate::sim::Simulation::register).
+    ///
+    /// # Panics
+    ///
+    /// If the routing function names a partition the engine does not have.
     pub fn register(
         &mut self,
         addr: impl Into<Addr>,
@@ -460,50 +156,43 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> ParallelSimulation<M> {
         actor: BoxedActor<M>,
     ) {
         let addr = addr.into();
-        let slot = ActorSlot {
-            actor: Some(actor),
-            region,
-            cpu,
-            busy_until: SimTime::ZERO,
+        let (routed, n) = ((self.route)(addr), self.parts.len());
+        assert!(
+            (routed as usize) < n,
+            "route returned partition {routed} for {addr:?}, but the engine has {n}"
+        );
+        let (part, known) = match self.index.get(&addr) {
+            Some(e) => (e.part, Some(e.local)),
+            None => (routed, None),
         };
-        let part = ((self.route)(addr)).min(self.parts.len() as u32 - 1);
-        match self.index.entry(addr) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                // Replacement keeps the original partition and index so
-                // in-flight events still resolve.
-                let entry = e.get_mut();
-                entry.region = region;
-                let mut p = self.parts[entry.part as usize].lock();
-                p.slots[entry.local as usize] = slot;
-                self.routing_dirty = true;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let mut p = self.parts[part as usize].lock();
-                let local = p.slots.len() as u32;
-                p.slots.push(slot);
-                p.stats.register(addr);
-                drop(p);
-                e.insert(RouteEntry {
-                    part,
-                    local,
-                    region,
-                });
-                self.reg_order.push(addr);
-                self.routing_dirty = true;
-            }
+        let local = self.parts[part as usize]
+            .lock()
+            .install(known, addr, region, cpu, actor);
+        let entry = RouteEntry {
+            part,
+            local,
+            region,
+        };
+        if self.index.insert(addr, entry).is_none() {
+            self.reg_order.push(addr);
         }
+        self.routing_dirty = true;
     }
 
     /// Removes an actor and returns it (post-run result extraction).
     pub fn take_actor(&mut self, addr: impl Into<Addr>) -> Option<BoxedActor<M>> {
         let e = *self.index.get(&addr.into())?;
-        self.parts[e.part as usize].lock().slots[e.local as usize]
-            .actor
+        self.parts[e.part as usize]
+            .lock()
+            .actor_slot(e.local)
             .take()
     }
 
-    /// Runs until no events remain or a window boundary at or beyond
-    /// `max_events` processed events.  Returns events processed.
+    /// Runs until no events remain or `max_events` have been processed.
+    /// Each partition may spend what is left of the budget within a window,
+    /// so a many-partition run can overshoot by up to one window's events —
+    /// by the same amount whatever the worker count; a one-partition run
+    /// stops exactly.  Returns events processed.
     pub fn run_to_completion(&mut self, max_events: u64) -> u64 {
         self.run_windows(None, max_events)
     }
@@ -520,9 +209,10 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> ParallelSimulation<M> {
         self.routing_dirty = false;
     }
 
-    /// Scans all partitions for the global minimum event time and records the
-    /// pending high-water mark.  Returns the next window end, or `None` when
-    /// the run is over.
+    /// Scans all partitions for the global minimum event time `m` and records
+    /// the pending high-water mark.  Returns the last instant of the window
+    /// `[m, m + lookahead)`, capped at `deadline`, or `None` when nothing is
+    /// left to run by then.
     fn plan_window(
         parts: &[Mutex<Partition<M>>],
         deadline: SimTime,
@@ -532,21 +222,20 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> ParallelSimulation<M> {
         let mut min_t: Option<SimTime> = None;
         let mut pending = 0u64;
         for p in parts {
-            let mut g = p.lock();
-            if g.queue.is_empty() {
-                continue;
-            }
-            pending += g.queue.len() as u64;
-            if let Some(t) = g.queue.peek_time() {
-                min_t = Some(min_t.map_or(t, |m: SimTime| m.min(t)));
+            let part = p.lock();
+            pending += part.queue.len() as u64;
+            if let Some(t) = part.queue.peek_time() {
+                min_t = Some(min_t.map_or(t, |m| m.min(t)));
             }
         }
         *peak = (*peak).max(pending);
-        let min_t = min_t?;
-        if min_t > deadline {
-            return None;
+        let min_t = min_t.filter(|t| *t <= deadline)?;
+        if parts.len() == 1 {
+            // Nothing can arrive from elsewhere: the window is the whole run.
+            return Some(deadline);
         }
-        Some(min_t + lookahead)
+        let last = min_t.as_micros().saturating_add(lookahead.as_micros() - 1);
+        Some(SimTime::from_micros(last).min(deadline))
     }
 
     /// Drains every outbox and pushes the buffered events into their
@@ -564,132 +253,106 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> ParallelSimulation<M> {
         all.sort_by_key(|a| (a.dest, a.time, a.src, a.seq));
         let mut iter = all.into_iter().peekable();
         while let Some(r) = iter.next() {
-            let dest = r.dest as usize;
-            let mut g = parts[dest].lock();
-            g.queue.push(r.time, r.kind);
-            while iter.peek().is_some_and(|nx| nx.dest as usize == dest) {
-                let nx = iter.next().expect("peeked");
-                g.queue.push(nx.time, nx.kind);
+            let dest = r.dest;
+            let mut part = parts[dest as usize].lock();
+            part.queue.push(r.time, r.kind);
+            while let Some(nx) = iter.next_if(|nx| nx.dest == dest) {
+                part.queue.push(nx.time, nx.kind);
             }
         }
     }
 
-    /// The window loop shared by `run_until` and `run_to_completion`.
+    /// The window loop behind `run_until` and `run_to_completion`.
     fn run_windows(&mut self, deadline: Option<SimTime>, max_events: u64) -> u64 {
         self.ensure_routing();
-        let hard_deadline = deadline.unwrap_or(SimTime::from_micros(u64::MAX));
+        let horizon = deadline.unwrap_or(FOREVER);
         let lookahead = self.lookahead;
-        let nparts = self.parts.len();
-        let workers = self.workers.min(nparts);
-        let mut processed: u64 = 0;
+        let parts = &self.parts;
+        let pdes = &mut self.pdes;
+        let peak = &mut self.peak_pending;
+        let workers = self.workers.min(parts.len());
 
-        {
-            let parts = &self.parts;
-            let pdes = &mut self.pdes;
-            let peak = &mut self.peak_pending;
+        // The protocol, written once.  `run_window(last, budget)` drains every
+        // partition up to `last` — inline or on the worker pool — and returns
+        // the events processed.  Merging comes first so that sends injected
+        // between runs are in their queues before the first window is planned.
+        let mut windows = |run_window: &mut dyn FnMut(SimTime, u64) -> u64| {
+            let mut processed = 0u64;
+            while processed < max_events {
+                let serial_start = Instant::now();
+                Self::merge_mailboxes(parts, pdes);
+                let plan = Self::plan_window(parts, horizon, lookahead, peak);
+                pdes.merge_wall_us += serial_start.elapsed().as_micros() as u64;
+                let Some(last) = plan else { break };
+                pdes.windows += 1;
+                processed += run_window(last, max_events - processed);
+            }
+            processed
+        };
 
-            if workers <= 1 {
-                // Inline path: same windows, same merge order, no threads.
-                // Plan/merge time is still recorded so the x1 configuration
-                // reports the same instrumentation as the threaded one.
-                loop {
-                    let serial_start = Instant::now();
-                    let plan = Self::plan_window(parts, hard_deadline, lookahead, peak);
-                    let Some(window_end) = plan else {
-                        pdes.merge_wall_us += serial_start.elapsed().as_micros() as u64;
-                        break;
-                    };
-                    pdes.merge_wall_us += serial_start.elapsed().as_micros() as u64;
-                    pdes.windows += 1;
-                    for p in parts {
-                        processed += p.lock().run_window(window_end, hard_deadline);
-                    }
-                    let merge_start = Instant::now();
-                    Self::merge_mailboxes(parts, pdes);
-                    pdes.merge_wall_us += merge_start.elapsed().as_micros() as u64;
-                    if processed >= max_events {
-                        break;
-                    }
-                }
-            } else {
-                let barrier = Barrier::new(workers + 1);
-                let window_end_us = AtomicU64::new(0);
-                let next_part = AtomicUsize::new(0);
-                let window_events = AtomicU64::new(0);
-                let finished = AtomicBool::new(false);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            barrier.wait();
-                            if finished.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let window_end =
-                                SimTime::from_micros(window_end_us.load(Ordering::Acquire));
-                            let mut n = 0u64;
-                            loop {
-                                let i = next_part.fetch_add(1, Ordering::Relaxed);
-                                if i >= nparts {
-                                    break;
-                                }
-                                n += parts[i].lock().run_window(window_end, hard_deadline);
-                            }
-                            window_events.fetch_add(n, Ordering::Relaxed);
-                            barrier.wait();
-                        });
-                    }
-                    loop {
-                        let serial_start = Instant::now();
-                        let plan = Self::plan_window(parts, hard_deadline, lookahead, peak);
-                        pdes.merge_wall_us += serial_start.elapsed().as_micros() as u64;
-                        let Some(window_end) = plan else { break };
-                        pdes.windows += 1;
-                        window_end_us.store(window_end.as_micros(), Ordering::Release);
-                        next_part.store(0, Ordering::Release);
-                        let stall_start = Instant::now();
-                        barrier.wait(); // release workers into the window
-                        barrier.wait(); // wait for the slowest worker
-                        pdes.barrier_wall_us += stall_start.elapsed().as_micros() as u64;
-                        processed += window_events.swap(0, Ordering::Relaxed);
-                        let merge_start = Instant::now();
-                        Self::merge_mailboxes(parts, pdes);
-                        pdes.merge_wall_us += merge_start.elapsed().as_micros() as u64;
-                        if processed >= max_events {
+        let processed = if workers <= 1 {
+            windows(&mut |last, budget| parts.iter().map(|p| p.lock().drain(last, budget)).sum())
+        } else {
+            // The barrier orders the coordinator's stores before the workers'
+            // loads and the workers' counts before the coordinator's swap.
+            let barrier = Barrier::new(workers + 1);
+            let window_last_us = AtomicU64::new(0);
+            let window_budget = AtomicU64::new(0);
+            let next_part = AtomicUsize::new(0);
+            let window_events = AtomicU64::new(0);
+            let finished = AtomicBool::new(false);
+            let mut stalled_us = 0u64;
+            let processed = std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        barrier.wait();
+                        if finished.load(Ordering::Acquire) {
                             break;
                         }
-                    }
-                    finished.store(true, Ordering::Release);
-                    barrier.wait(); // let workers observe the flag and exit
+                        let last = SimTime::from_micros(window_last_us.load(Ordering::Acquire));
+                        let budget = window_budget.load(Ordering::Acquire);
+                        let mut n = 0u64;
+                        loop {
+                            let i = next_part.fetch_add(1, Ordering::Relaxed);
+                            if i >= parts.len() {
+                                break;
+                            }
+                            n += parts[i].lock().drain(last, budget);
+                        }
+                        window_events.fetch_add(n, Ordering::Relaxed);
+                        barrier.wait();
+                    });
+                }
+                let processed = windows(&mut |last, budget| {
+                    window_last_us.store(last.as_micros(), Ordering::Release);
+                    window_budget.store(budget, Ordering::Release);
+                    next_part.store(0, Ordering::Release);
+                    let stall_start = Instant::now();
+                    barrier.wait(); // release workers into the window
+                    barrier.wait(); // wait for the slowest worker
+                    stalled_us += stall_start.elapsed().as_micros() as u64;
+                    window_events.swap(0, Ordering::Relaxed)
                 });
-            }
-        }
+                finished.store(true, Ordering::Release);
+                barrier.wait(); // let workers observe the flag and exit
+                processed
+            });
+            pdes.barrier_wall_us += stalled_us;
+            processed
+        };
 
         // Clock catch-up: a bounded run leaves every partition at the
-        // deadline (trailing scripted faults included, matching the
-        // sequential engine); an unbounded run stops at the last event.
-        match deadline {
-            Some(d) => {
-                for p in &mut self.parts {
-                    let mut part = p.lock();
-                    if part.now < d {
-                        part.now = d;
-                    }
-                    if part.schedule_pos < part.schedule.len() {
-                        part.apply_faults_until(d);
-                    }
-                }
-                self.now = self.now.max(d);
+        // deadline (trailing scripted faults included); an unbounded run
+        // stops at the last event.
+        let mut last_event = SimTime::ZERO;
+        for p in &self.parts {
+            let mut part = p.lock();
+            if let Some(d) = deadline {
+                part.advance_to(d);
             }
-            None => {
-                let last = self
-                    .parts
-                    .iter_mut()
-                    .map(|p| p.lock().now)
-                    .max()
-                    .unwrap_or(SimTime::ZERO);
-                self.now = self.now.max(last);
-            }
+            last_event = last_event.max(part.now);
         }
+        self.now = self.now.max(last_event);
         self.refresh_merged();
         processed
     }
@@ -723,65 +386,30 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> SimRuntime<M> for ParallelS
         ParallelSimulation::register(self, addr, region, cpu, actor);
     }
 
+    /// The send is made on the sender's partition (partition 0 for
+    /// unregistered senders such as the harness) and, if it crosses, waits in
+    /// that outbox for the next run call.  Injecting refreshes the routing
+    /// snapshot, so register first and inject afterwards.
     fn inject(&mut self, from: impl Into<Addr>, to: impl Into<Addr>, msg: M) {
+        self.ensure_routing();
         let from = from.into();
-        let to = to.into();
-        let from_region = self
-            .index
-            .get(&from)
-            .map(|e| e.region)
-            .unwrap_or(Region::LOCAL);
-        let env = Envelope::new(msg);
-        let (dest, to_idx, to_region) = match self.index.get(&to) {
-            Some(e) => (e.part as usize, Some(e.local), e.region),
-            None => (0, None, Region::LOCAL),
-        };
-        let delay = self.latency.one_way(
-            from_region,
-            to_region,
-            env.wire_bytes(),
-            &mut self.control_rng,
-        );
-        let at = self.now + delay;
-        let mut part = self.parts[dest].lock();
-        part.stats.on_send();
-        part.queue.push(
-            at,
-            EventKind::Deliver {
-                from,
-                to,
-                to_idx,
-                env,
-            },
-        );
+        let src = self.index.get(&from).map_or(0, |e| e.part);
+        self.parts[src as usize]
+            .lock()
+            .inject(self.now, from, to.into(), msg);
     }
 
     fn inject_at(&mut self, at: SimTime, from: impl Into<Addr>, to: impl Into<Addr>, msg: M) {
-        let from = from.into();
         let to = to.into();
-        let at = if at < self.now { self.now } else { at };
-        let (dest, to_idx) = match self.index.get(&to) {
-            Some(e) => (e.part as usize, Some(e.local)),
-            None => (0, None),
-        };
-        let mut part = self.parts[dest].lock();
-        part.stats.on_send();
-        part.queue.push(
-            at,
-            EventKind::Deliver {
-                from,
-                to,
-                to_idx,
-                env: Envelope::new(msg),
-            },
-        );
+        let dest = self.index.get(&to).map_or(0, |e| e.part);
+        self.parts[dest as usize]
+            .lock()
+            .inject_at(at.max(self.now), from.into(), to, msg);
     }
 
     fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        for p in &mut self.parts {
-            let mut part = p.lock();
-            part.schedule = schedule.clone();
-            part.schedule_pos = 0;
+        for p in &self.parts {
+            p.lock().set_fault_schedule(schedule.clone());
         }
     }
 
@@ -800,7 +428,7 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> SimRuntime<M> for ParallelS
     ) -> Option<R> {
         let e = *self.index.get(&addr.into())?;
         let mut part = self.parts[e.part as usize].lock();
-        let actor = part.slots[e.local as usize].actor.as_mut()?;
+        let actor = part.actor_slot(e.local).as_mut()?;
         Some(f(actor.as_mut()))
     }
 
@@ -809,21 +437,16 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> SimRuntime<M> for ParallelS
     }
 
     fn pending_events(&self) -> usize {
-        self.parts.iter().map(|p| p.lock().len_pending()).sum()
-    }
-}
-
-impl<M> Partition<M> {
-    fn len_pending(&self) -> usize {
-        self.queue.len()
+        self.parts.iter().map(|p| p.lock().pending()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulation;
-    use saguaro_types::ClientId;
+    use crate::sim::{Context, Simulation};
+    use crate::timer::TimerId;
+    use saguaro_types::{ClientId, DomainId, NodeId};
 
     #[derive(Clone, Debug)]
     enum Msg {
@@ -838,26 +461,40 @@ mod tests {
         fn signatures(&self) -> usize {
             1
         }
+        fn tampered(&self) -> Option<Self> {
+            match self {
+                Msg::Ping(hops) => Some(Msg::Pong(*hops)),
+                Msg::Pong(_) => None,
+            }
+        }
     }
 
-    /// Replies to pings until a hop budget runs out; counts everything.
+    /// Replies to pings until a hop budget runs out; records everything.
+    /// Every third message also sets two timers and cancels one of them; a
+    /// timer that fires passes the baton on with one hop left.
     struct Bouncer {
         peer: Addr,
-        received: u32,
-        times: Vec<SimTime>,
+        history: Vec<(Addr, SimTime)>,
     }
 
     impl Actor<Msg> for Bouncer {
-        fn on_message(&mut self, _from: Addr, msg: Msg, ctx: &mut Context<'_, Msg>) {
-            self.received += 1;
-            self.times.push(ctx.now());
+        fn on_message(&mut self, from: Addr, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            self.history.push((from, ctx.now()));
+            if self.history.len().is_multiple_of(3) {
+                ctx.set_timer(Duration::from_millis(7), Msg::Ping(1));
+                let cancelled = ctx.set_timer(Duration::from_millis(3), Msg::Ping(1));
+                ctx.cancel_timer(cancelled);
+            }
             match msg {
                 Msg::Ping(hops) if hops > 0 => ctx.send(self.peer, Msg::Pong(hops - 1)),
                 Msg::Pong(hops) if hops > 0 => ctx.send(self.peer, Msg::Ping(hops - 1)),
                 _ => {}
             }
         }
-        fn on_timer(&mut self, _id: TimerId, _msg: Msg, _ctx: &mut Context<'_, Msg>) {}
+        fn on_timer(&mut self, _id: TimerId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            self.history.push((ctx.self_addr(), ctx.now()));
+            ctx.send(self.peer, msg);
+        }
         fn as_any(&mut self) -> Option<&mut dyn std::any::Any> {
             Some(self)
         }
@@ -867,65 +504,64 @@ mod tests {
         Addr::Client(ClientId(i))
     }
 
-    /// Two actors in different partitions bouncing a deterministic rally;
-    /// a jitter-free matrix lets us cross-check against the sequential
-    /// engine exactly.
-    fn deploy(sim: &mut impl SimRuntime<Msg>, hops: u32) {
-        for i in 0..2u64 {
-            sim.register(
-                a(i),
-                Region::LOCAL,
-                CpuProfile::default(),
-                Box::new(Bouncer {
-                    peer: a(1 - i),
-                    received: 0,
-                    times: Vec::new(),
-                }),
-            );
+    /// `n` bouncers in a ring over the matrix's four regions, each passing
+    /// what it receives to the next.
+    fn deploy(sim: &mut impl SimRuntime<Msg>, n: u64) {
+        for i in 0..n {
+            let bouncer = Bouncer {
+                peer: a((i + 1) % n),
+                history: Vec::new(),
+            };
+            let region = Region((i % 4) as u8);
+            sim.register(a(i), region, CpuProfile::default(), Box::new(bouncer));
         }
-        sim.inject_at(SimTime::ZERO, a(1), a(0), Msg::Ping(hops));
     }
 
-    fn par(workers: usize) -> ParallelSimulation<Msg> {
-        ParallelSimulation::new(
-            LatencyMatrix::nearby_regions().with_jitter(0.0),
-            7,
-            2,
-            workers,
-            |addr| match addr {
-                Addr::Client(c) => (c.0 % 2) as u32,
-                _ => 0,
-            },
-        )
-    }
+    /// Each bouncer's `(from, now)` history and accumulated busy time.
+    type Harvest = Vec<(Vec<(Addr, SimTime)>, Duration)>;
 
-    fn harvest(sim: &mut impl SimRuntime<Msg>) -> Vec<(u32, Vec<SimTime>)> {
-        (0..2u64)
-            .filter_map(|i| {
-                sim.with_actor(a(i), |actor| {
-                    actor
-                        .as_any()
-                        .and_then(|any| any.downcast_mut::<Bouncer>())
-                        .map(|b| (b.received, b.times.clone()))
-                })
-                .flatten()
+    fn harvest(sim: &mut impl SimRuntime<Msg>, n: u64) -> Harvest {
+        (0..n)
+            .map(|i| {
+                let history = sim
+                    .with_actor(a(i), |actor| {
+                        let any = actor.as_any().expect("inspectable");
+                        any.downcast_mut::<Bouncer>()
+                            .expect("a bouncer")
+                            .history
+                            .clone()
+                    })
+                    .expect("registered");
+                (history, sim.stats().busy_time(a(i)))
             })
             .collect()
+    }
+
+    /// Two partitions, clients split by parity.
+    fn par(workers: usize) -> ParallelSimulation<Msg> {
+        let latency = LatencyMatrix::nearby_regions().with_jitter(0.0);
+        ParallelSimulation::new(latency, 7, 2, workers, |addr| match addr {
+            Addr::Client(c) => (c.0 % 2) as u32,
+            Addr::Node(_) => 0,
+        })
     }
 
     #[test]
     fn cross_partition_rally_matches_sequential_engine() {
         let mut seq = Simulation::new(LatencyMatrix::nearby_regions().with_jitter(0.0), 7);
-        deploy(&mut seq, 40);
+        deploy(&mut seq, 2);
+        seq.inject_at(SimTime::ZERO, a(1), a(0), Msg::Ping(40));
         let seq_events = seq.run_until(SimTime::from_millis(200));
 
         let mut par = par(4);
-        deploy(&mut par, 40);
+        deploy(&mut par, 2);
+        par.inject_at(SimTime::ZERO, a(1), a(0), Msg::Ping(40));
         let par_events = par.run_until(SimTime::from_millis(200));
 
         // Jitter-free latency means both engines see identical arrival
         // times, so the whole history must line up.
         assert_eq!(seq_events, par_events);
+        assert_eq!(harvest(&mut seq, 2), harvest(&mut par, 2));
         assert_eq!(
             seq.stats().messages_delivered,
             par.stats().messages_delivered
@@ -937,80 +573,113 @@ mod tests {
         assert_eq!(p.partition_events.iter().sum::<u64>(), par_events);
     }
 
-    type RunFingerprint = (u64, Vec<(u32, Vec<SimTime>)>, u64);
-
     #[test]
     fn parallel_runs_are_worker_count_invariant() {
-        let mut reference: Option<RunFingerprint> = None;
+        let mut reference = None;
         for workers in [1usize, 2, 4, 8] {
             let mut sim = par(workers);
-            deploy(&mut sim, 64);
+            deploy(&mut sim, 2);
+            sim.inject_at(SimTime::ZERO, a(1), a(0), Msg::Ping(64));
             let events = sim.run_until(SimTime::from_millis(500));
-            let state = harvest(&mut sim);
-            let delivered = sim.stats().messages_delivered;
-            match &reference {
-                None => reference = Some((events, state, delivered)),
-                Some((e, s, d)) => {
-                    assert_eq!((*e, *d), (events, delivered), "workers={workers}");
-                    assert_eq!(*s, state, "workers={workers}");
-                }
+            let run = (events, harvest(&mut sim, 2), sim.stats().messages_delivered);
+            let reference = reference.get_or_insert_with(|| run.clone());
+            assert_eq!(*reference, run, "workers={workers}");
+        }
+    }
+
+    /// Everything the equivalence test compares: events processed per run
+    /// call, the public counters, and what every actor saw and when.
+    fn fingerprint(sim: &mut impl SimRuntime<Msg>, events: [u64; 2]) -> ([u64; 10], Harvest) {
+        let s = sim.stats();
+        let counters = [
+            events[0],
+            events[1],
+            s.messages_sent,
+            s.messages_delivered,
+            s.messages_dropped,
+            s.bytes_delivered,
+            s.state_messages_delivered,
+            s.state_bytes_delivered,
+            s.timers_fired,
+            s.peak_pending_events,
+        ];
+        (counters, harvest(sim, 16))
+    }
+
+    /// A 16-bouncer ring (plus one replica they all write to) under a crash
+    /// and recovery, a link partition and heal, a domain spike and an
+    /// equivocation window, with one `inject` made between two `run_until`
+    /// calls.
+    fn stormy_run(sim: &mut impl SimRuntime<Msg>) -> ([u64; 10], Harvest) {
+        let ms = SimTime::from_millis;
+        deploy(sim, 16);
+        let replica = NodeId::new(DomainId::new(1, 0), 0);
+        let bouncer = Bouncer {
+            peer: a(0),
+            history: Vec::new(),
+        };
+        sim.register(replica, Region(1), CpuProfile::server(), Box::new(bouncer));
+        sim.set_fault_schedule(
+            FaultSchedule::none()
+                .crash_at(ms(20), a(3))
+                .recover_at(ms(60), a(3))
+                .partition_at(ms(30), a(5), a(6))
+                .heal_at(ms(70), a(5), a(6))
+                .domain_spike_at(ms(10), [replica.domain], Duration::from_millis(4))
+                .domain_spike_at(ms(90), [replica.domain], Duration::ZERO)
+                .equivocate_at(ms(40), a(8))
+                .stop_equivocate_at(ms(120), a(8)),
+        );
+        for i in 0..16 {
+            sim.inject(a(i), a((i + 5) % 16), Msg::Ping(60));
+            sim.inject_at(ms(i), a(i), Addr::Node(replica), Msg::Ping(3));
+        }
+        let first = sim.run_until(ms(100));
+        sim.inject(a(8), a(9), Msg::Ping(30));
+        let second = sim.run_until(ms(400));
+        fingerprint(sim, [first, second])
+    }
+
+    #[test]
+    fn one_partition_is_the_sequential_engine_bit_for_bit() {
+        for seed in [3u64, 17, 4242] {
+            let mut seq = Simulation::new(LatencyMatrix::nearby_regions(), seed);
+            seq.faults_mut().set_drop_probability(0.05);
+            let expected = stormy_run(&mut seq);
+            let (counters, _) = &expected;
+            assert!(
+                counters[4] > 0 && counters[8] > 0,
+                "loss and timers: {counters:?}"
+            );
+            for workers in [1, 4] {
+                let mut par = ParallelSimulation::new(
+                    LatencyMatrix::nearby_regions(),
+                    seed,
+                    1,
+                    workers,
+                    |_| 0,
+                );
+                par.parts[0].lock().faults.set_drop_probability(0.05);
+                assert_eq!(
+                    expected,
+                    stormy_run(&mut par),
+                    "seed {seed} workers {workers}"
+                );
             }
         }
     }
 
     #[test]
-    fn timers_and_faults_apply_per_partition() {
-        struct Ticker {
-            fired: u32,
-        }
-        impl Actor<Msg> for Ticker {
-            fn on_message(&mut self, _from: Addr, _msg: Msg, ctx: &mut Context<'_, Msg>) {
-                ctx.set_timer(Duration::from_micros(5), Msg::Ping(0));
-            }
-            fn on_timer(&mut self, _id: TimerId, _msg: Msg, _ctx: &mut Context<'_, Msg>) {
-                self.fired += 1;
-            }
-            fn as_any(&mut self) -> Option<&mut dyn std::any::Any> {
-                Some(self)
-            }
-        }
-        let mut sim = par(2);
-        sim.register(
-            a(0),
-            Region::LOCAL,
-            CpuProfile::default(),
-            Box::new(Ticker { fired: 0 }),
-        );
-        sim.register(
-            a(1),
-            Region::LOCAL,
-            CpuProfile::default(),
-            Box::new(Ticker { fired: 0 }),
-        );
-        sim.inject_at(SimTime::ZERO, a(9), a(0), Msg::Ping(0));
-        sim.inject_at(SimTime::ZERO, a(9), a(1), Msg::Ping(0));
-        // Crash a(1) before its timer fires: the timer must be suppressed on
-        // its partition even though a(0)'s partition proceeds normally.
-        sim.set_fault_schedule(FaultSchedule::none().crash_at(SimTime::from_micros(2), a(1)));
-        sim.run_until(SimTime::from_millis(10));
-        let fired0 = sim
-            .with_actor(a(0), |actor| {
-                actor
-                    .as_any()
-                    .and_then(|any| any.downcast_mut::<Ticker>())
-                    .map(|t| t.fired)
-            })
-            .flatten();
-        let fired1 = sim
-            .with_actor(a(1), |actor| {
-                actor
-                    .as_any()
-                    .and_then(|any| any.downcast_mut::<Ticker>())
-                    .map(|t| t.fired)
-            })
-            .flatten();
-        assert_eq!(fired0, Some(1));
-        assert_eq!(fired1, Some(0));
-        assert_eq!(sim.stats().timers_fired, 1);
+    #[should_panic(expected = "a simulation needs at least one partition")]
+    fn zero_partitions_are_refused_at_construction() {
+        ParallelSimulation::<Msg>::new(LatencyMatrix::single_region(), 1, 0, 1, |_| 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "route returned partition 2 for c0, but the engine has 2")]
+    fn out_of_range_routes_are_refused_at_registration() {
+        let latency = LatencyMatrix::single_region();
+        let mut sim = ParallelSimulation::<Msg>::new(latency, 1, 2, 1, |_| 2);
+        deploy(&mut sim, 8);
     }
 }

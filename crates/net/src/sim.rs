@@ -1,37 +1,29 @@
-//! The discrete-event simulation runtime.
+//! The actor interface and the sequential engine.
 //!
-//! [`Simulation`] owns every registered [`Actor`], an event queue ordered by
+//! [`Actor`]s communicate exclusively by sending messages and setting timers
+//! through the [`Context`] handed to their callbacks, which keeps the whole
+//! system deterministic: a simulation with the same seed and the same actor
+//! logic always produces the same history.
+//!
+//! [`Simulation`] is the sequential engine: **one** partition of the event
+//! core (`partition.rs`, which owns the actors, the event queue ordered by
 //! virtual time, the [`LatencyMatrix`], the per-actor [`CpuProfile`]s and the
-//! [`FaultPlan`].  Actors communicate exclusively by sending messages and
-//! setting timers through the [`Context`] handed to their callbacks, which
-//! keeps the whole system deterministic: a simulation with the same seed and
-//! the same actor logic always produces the same history.
-//!
-//! # Hot-path layout
-//!
-//! Addresses are interned at registration: every actor gets a dense `u32`
-//! index, and the actor slots (trait object, region, CPU profile,
-//! busy-until) live in a flat `Vec` indexed by it.  Events carry the
-//! resolved index, so delivering a message or firing a timer costs an array
-//! access instead of a hash-map probe; the only `Addr → index` hash left on
-//! the hot path is the single recipient lookup when a send is scheduled.
-//! Payloads travel in reference-counted [`Envelope`]s with memoized wire
-//! metadata (see [`crate::envelope`]), and timer lifecycle is tracked by a
-//! generation-checked slab (see [`crate::timer`]) so cancels are O(1) and
-//! nothing accumulates over long runs.
+//! [`FaultPlan`]) drained with no window, no lock and no thread-safety bound
+//! on the message type.  [`SimRuntime`] is the surface it shares with the
+//! many-partition [`ParallelSimulation`](crate::psim::ParallelSimulation).
 
 use crate::addr::Addr;
 use crate::cpu::{CpuProfile, MessageMeta};
 use crate::envelope::Envelope;
-use crate::event::{EventKind, EventQueue, TimerId};
-use crate::fault::{FaultEvent, FaultPlan, FaultSchedule, SpikeState};
+use crate::event::TimerId;
+use crate::fault::{FaultPlan, FaultSchedule};
 use crate::latency::LatencyMatrix;
+use crate::partition::{Partition, RouteEntry, FOREVER};
 use crate::stats::NetStats;
 use crate::timer::TimerSlab;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use saguaro_types::{Duration, Region, SimTime};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A simulated participant.
 ///
@@ -96,7 +88,8 @@ impl<'a, M> Context<'a, M> {
         self.self_addr
     }
 
-    /// Deterministic random number generator shared by the whole simulation.
+    /// Deterministic random number generator: the stream of the partition
+    /// hosting this actor (the whole simulation's, on the sequential engine).
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
@@ -149,8 +142,8 @@ impl<'a, M> Context<'a, M> {
         self.actions.push(Action::CancelTimer { id });
     }
 
-    /// Builds a callback context (shared by the sequential and parallel
-    /// engines; not part of the public API).
+    /// Builds a callback context (the partition core's entry point; not part
+    /// of the public API).
     pub(crate) fn enter(
         now: SimTime,
         self_addr: Addr,
@@ -172,53 +165,16 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
-pub(crate) struct ActorSlot<M> {
-    pub(crate) actor: Option<BoxedActor<M>>,
-    pub(crate) region: Region,
-    pub(crate) cpu: CpuProfile,
-    /// The node is busy processing earlier messages until this instant.
-    pub(crate) busy_until: SimTime,
-}
-
-/// The simulation runtime.
+/// The sequential simulation runtime: one partition, drained in order.
 pub struct Simulation<M> {
-    /// `Addr → slot index` interning table (cold path: registration and the
-    /// recipient lookup at schedule time).
-    index: HashMap<Addr, u32>,
-    /// Dense actor table, indexed by the interned id.
-    slots: Vec<ActorSlot<M>>,
-    queue: EventQueue<M>,
-    latency: LatencyMatrix,
-    faults: FaultPlan,
-    /// Scripted fault events applied as virtual time advances.
-    schedule: FaultSchedule,
-    /// Index of the next unapplied schedule entry.
-    schedule_pos: usize,
-    /// Live extra-delay state while [`FaultEvent::DelaySpike`]s are active
-    /// (global, per-link and per-domain scopes).
-    spikes: SpikeState,
-    stats: NetStats,
-    rng: StdRng,
-    now: SimTime,
-    timers: TimerSlab,
+    part: Partition<M>,
 }
 
 impl<M: MessageMeta + Clone + 'static> Simulation<M> {
     /// Creates a simulation with the given latency model and RNG seed.
     pub fn new(latency: LatencyMatrix, seed: u64) -> Self {
         Self {
-            index: HashMap::new(),
-            slots: Vec::new(),
-            queue: EventQueue::default(),
-            latency,
-            faults: FaultPlan::none(),
-            schedule: FaultSchedule::none(),
-            schedule_pos: 0,
-            spikes: SpikeState::none(),
-            stats: NetStats::default(),
-            rng: StdRng::seed_from_u64(seed),
-            now: SimTime::ZERO,
-            timers: TimerSlab::default(),
+            part: Partition::new(0, seed, Arc::new(latency)),
         }
     }
 
@@ -233,49 +189,41 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
         actor: BoxedActor<M>,
     ) {
         let addr = addr.into();
-        let slot = ActorSlot {
-            actor: Some(actor),
+        let known = self.part.routing.get(&addr).map(|e| e.local);
+        let local = self.part.install(known, addr, region, cpu, actor);
+        let entry = RouteEntry {
+            part: 0,
+            local,
             region,
-            cpu,
-            busy_until: SimTime::ZERO,
         };
-        match self.index.entry(addr) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.slots[*e.get() as usize] = slot;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let idx = self.slots.len() as u32;
-                e.insert(idx);
-                self.slots.push(slot);
-                self.stats.register(addr);
-            }
-        }
+        // Sole owner of the table: `make_mut` edits it in place.
+        Arc::make_mut(&mut self.part.routing).insert(addr, entry);
     }
 
     /// Number of registered actors.
     pub fn actor_count(&self) -> usize {
-        self.slots.len()
+        self.part.routing.len()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.part.now
     }
 
     /// Immutable access to the collected statistics.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.part.stats
     }
 
     /// Mutable access to the fault plan (crash nodes, partition links, set
     /// drop probability).
     pub fn faults_mut(&mut self) -> &mut FaultPlan {
-        &mut self.faults
+        &mut self.part.faults
     }
 
     /// Read access to the current fault state.
     pub fn faults(&self) -> &FaultPlan {
-        &self.faults
+        &self.part.faults
     }
 
     /// Installs a scripted fault schedule.  Events are applied in time order
@@ -284,101 +232,39 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
     /// is processed (a crash at the same instant as a delivery wins).  An
     /// empty schedule leaves the run bit-identical to a failure-free one.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.schedule = schedule;
-        self.schedule_pos = 0;
-    }
-
-    /// Applies every scheduled fault event with time `≤ t`.
-    fn apply_faults_until(&mut self, t: SimTime) {
-        while let Some((at, event)) = self.schedule.events().get(self.schedule_pos) {
-            if *at > t {
-                break;
-            }
-            let (at, event) = (*at, event.clone());
-            self.schedule_pos += 1;
-            match event {
-                FaultEvent::CrashActor(a) => {
-                    self.faults.crash(a);
-                    // Freeze the crashed node's busy window: queued work it
-                    // had not yet performed must neither delay post-recovery
-                    // deliveries nor count as busy time.
-                    if let Some(&idx) = self.index.get(&a) {
-                        let slot = &mut self.slots[idx as usize];
-                        if slot.busy_until > at {
-                            self.stats.trim_busy(idx, slot.busy_until - at);
-                            slot.busy_until = at;
-                        }
-                    }
-                }
-                FaultEvent::RecoverActor(a) => self.faults.restart(a),
-                FaultEvent::PartitionLink(a, b) => self.faults.partition(a, b),
-                FaultEvent::HealLink(a, b) => self.faults.heal(a, b),
-                FaultEvent::PartitionDomain(d) => self.faults.sever_domain(d),
-                FaultEvent::HealDomain(d) => self.faults.rejoin_domain(d),
-                FaultEvent::DelaySpike { scope, extra } => self.spikes.apply(&scope, extra),
-                FaultEvent::Equivocate(a) => self.faults.equivocate(a),
-                FaultEvent::StopEquivocate(a) => self.faults.stop_equivocate(a),
-            }
-        }
+        self.part.set_fault_schedule(schedule);
     }
 
     /// The latency matrix in use.
     pub fn latency(&self) -> &LatencyMatrix {
-        &self.latency
+        &self.part.latency
     }
 
     /// Number of timers currently pending (set but neither fired nor
     /// cancelled).
     pub fn live_timers(&self) -> usize {
-        self.timers.live()
+        self.part.timers.live()
     }
 
     /// Injects a message from the outside world (the experiment harness) as
     /// if `from` had sent it; it is delivered to `to` after normal network
     /// latency and CPU service time.
     pub fn inject(&mut self, from: impl Into<Addr>, to: impl Into<Addr>, msg: M) {
-        let from = from.into();
-        let to = to.into();
-        let from_region = self.region_of(from);
-        self.schedule_send(from, from_region, to, Envelope::new(msg));
+        self.part.inject(self.part.now, from.into(), to.into(), msg);
     }
 
     /// Injects a message that is delivered at an absolute virtual time
     /// (used by the harness to start clients at staggered offsets).
     pub fn inject_at(&mut self, at: SimTime, from: impl Into<Addr>, to: impl Into<Addr>, msg: M) {
-        let from = from.into();
-        let to = to.into();
-        self.stats.on_send();
-        let at = if at < self.now { self.now } else { at };
-        let to_idx = self.index.get(&to).copied();
-        self.queue.push(
-            at,
-            EventKind::Deliver {
-                from,
-                to,
-                to_idx,
-                env: Envelope::new(msg),
-            },
-        );
+        let at = at.max(self.part.now);
+        self.part.inject_at(at, from.into(), to.into(), msg);
     }
 
     /// Runs until the event queue is empty or `deadline` is reached,
     /// whichever comes first.  Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut processed = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            processed += 1;
-        }
-        self.now = deadline.max(self.now);
-        // The clock has reached the deadline: scripted faults up to it have
-        // happened even if no queue event was left to trigger them.
-        if self.schedule_pos < self.schedule.len() {
-            self.apply_faults_until(deadline);
-        }
+        let processed = self.part.drain(deadline, u64::MAX);
+        self.part.advance_to(deadline);
         processed
     }
 
@@ -386,205 +272,12 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
     /// `max_events` guards against protocol bugs that generate unbounded
     /// message storms.
     pub fn run_to_completion(&mut self, max_events: u64) -> u64 {
-        let mut processed = 0;
-        while !self.queue.is_empty() && processed < max_events {
-            self.step();
-            processed += 1;
-        }
-        processed
+        self.part.drain(FOREVER, max_events)
     }
 
     /// Processes a single event, if any.
     pub fn step(&mut self) -> bool {
-        // Scripted faults scheduled at or before the next event's time apply
-        // first (no-op — a single bounds check — when no schedule is set).
-        if self.schedule_pos < self.schedule.len() {
-            if let Some(t) = self.queue.peek_time() {
-                self.apply_faults_until(t);
-            }
-        }
-        // High-water mark of the queue, tracked here so every driver
-        // (`run_until`, `run_to_completion`, manual stepping) reports it.
-        let pending = self.queue.len() as u64;
-        if pending > self.stats.peak_pending_events {
-            self.stats.peak_pending_events = pending;
-        }
-        let Some(event) = self.queue.pop() else {
-            return false;
-        };
-        self.now = event.time;
-        match event.kind {
-            EventKind::Deliver {
-                from,
-                to,
-                to_idx,
-                env,
-            } => self.deliver(from, to, to_idx, env),
-            EventKind::Timer {
-                owner,
-                owner_idx,
-                id,
-                msg,
-            } => self.fire_timer(owner, owner_idx, id, msg),
-        }
-        true
-    }
-
-    /// Region of an address, defaulting to [`Region::LOCAL`] for
-    /// unregistered participants (e.g. the harness).
-    fn region_of(&self, addr: Addr) -> Region {
-        self.index
-            .get(&addr)
-            .map(|&i| self.slots[i as usize].region)
-            .unwrap_or(Region::LOCAL)
-    }
-
-    fn schedule_send(&mut self, from: Addr, from_region: Region, to: Addr, env: Envelope<M>) {
-        // A Byzantine-equivocating sender also emits a conflicting twin of
-        // every message that has a meaningful equivocation (e.g. a PBFT
-        // pre-prepare with a mutated block).  The twin goes through the
-        // normal scheduling path, so it draws its own latency and can
-        // overtake the original at some recipients.
-        if self.faults.is_equivocating(from) {
-            if let Some(twin) = env.payload().tampered() {
-                self.schedule_send_inner(from, from_region, to, Envelope::new(twin));
-            }
-        }
-        self.schedule_send_inner(from, from_region, to, env);
-    }
-
-    fn schedule_send_inner(&mut self, from: Addr, from_region: Region, to: Addr, env: Envelope<M>) {
-        self.stats.on_send();
-        if self.faults.should_drop(from, to, &mut self.rng) {
-            self.stats.on_drop();
-            return;
-        }
-        let to_idx = self.index.get(&to).copied();
-        let to_region = to_idx
-            .map(|i| self.slots[i as usize].region)
-            .unwrap_or(Region::LOCAL);
-        let delay = self
-            .latency
-            .one_way(from_region, to_region, env.wire_bytes(), &mut self.rng)
-            + self.spikes.extra_for(from, to);
-        self.queue.push(
-            self.now + delay,
-            EventKind::Deliver {
-                from,
-                to,
-                to_idx,
-                env,
-            },
-        );
-    }
-
-    fn deliver(&mut self, from: Addr, to: Addr, to_idx: Option<u32>, env: Envelope<M>) {
-        if self.faults.is_crashed(to) {
-            self.stats.on_drop();
-            return;
-        }
-        // The index was resolved at schedule time; fall back to the map only
-        // for recipients registered after the send.
-        let Some(idx) = to_idx.or_else(|| self.index.get(&to).copied()) else {
-            self.stats.on_drop();
-            return;
-        };
-        let slot = &mut self.slots[idx as usize];
-        // FIFO single-server queueing: processing starts when the node is
-        // free, completes after the service time; the callback observes the
-        // completion time.
-        let service = slot.cpu.service_time(env.wire_bytes(), env.signatures());
-        let start = if slot.busy_until > self.now {
-            slot.busy_until
-        } else {
-            self.now
-        };
-        let done = start + service;
-        slot.busy_until = done;
-        self.stats
-            .on_deliver(idx, env.wire_bytes(), service, env.is_state_transfer());
-
-        let mut actor = slot.actor.take().expect("actor present outside callback");
-        let saved_now = self.now;
-        self.now = done;
-        let mut ctx = Context {
-            now: done,
-            self_addr: to,
-            rng: &mut self.rng,
-            timers: &mut self.timers,
-            actions: Vec::new(),
-        };
-        actor.on_message(from, env.into_payload(), &mut ctx);
-        let actions = ctx.actions;
-        self.slots[idx as usize].actor = Some(actor);
-        self.apply_actions(to, idx, done, actions);
-        self.now = saved_now;
-    }
-
-    fn fire_timer(&mut self, owner: Addr, owner_idx: u32, id: TimerId, msg: M) {
-        if !self.timers.retire(id) {
-            // Cancelled (or stale) — never delivered.
-            return;
-        }
-        if self.faults.is_crashed(owner) {
-            return;
-        }
-        let slot = &mut self.slots[owner_idx as usize];
-        if slot.actor.is_none() {
-            return;
-        }
-        self.stats.on_timer();
-        let mut actor = slot.actor.take().expect("actor checked above");
-        let mut ctx = Context {
-            now: self.now,
-            self_addr: owner,
-            rng: &mut self.rng,
-            timers: &mut self.timers,
-            actions: Vec::new(),
-        };
-        actor.on_timer(id, msg, &mut ctx);
-        let actions = ctx.actions;
-        self.slots[owner_idx as usize].actor = Some(actor);
-        self.apply_actions(owner, owner_idx, self.now, actions);
-    }
-
-    fn apply_actions(
-        &mut self,
-        origin: Addr,
-        origin_idx: u32,
-        origin_time: SimTime,
-        actions: Vec<Action<M>>,
-    ) {
-        let saved_now = self.now;
-        self.now = origin_time;
-        let origin_region = self.slots[origin_idx as usize].region;
-        for action in actions {
-            match action {
-                Action::Send { to, env } => {
-                    // Sending also costs the origin a little CPU, folded into
-                    // busy_until so a node multicast-storm shows up as load.
-                    let slot = &mut self.slots[origin_idx as usize];
-                    let t = slot.cpu.send_time();
-                    slot.busy_until = slot.busy_until.max(self.now) + t;
-                    self.schedule_send(origin, origin_region, to, env);
-                }
-                Action::SetTimer { id, delay, msg } => {
-                    self.queue.push(
-                        self.now + delay,
-                        EventKind::Timer {
-                            owner: origin,
-                            owner_idx: origin_idx,
-                            id,
-                            msg,
-                        },
-                    );
-                }
-                Action::CancelTimer { id } => {
-                    self.timers.retire(id);
-                }
-            }
-        }
-        self.now = saved_now;
+        self.part.drain(FOREVER, 1) == 1
     }
 
     /// Gives the harness temporary access to a registered actor, e.g. to read
@@ -595,28 +288,27 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
         addr: impl Into<Addr>,
         f: impl FnOnce(&mut dyn Actor<M>) -> R,
     ) -> Option<R> {
-        let addr = addr.into();
-        let idx = *self.index.get(&addr)?;
-        let actor = self.slots[idx as usize].actor.as_mut()?;
+        let local = self.part.routing.get(&addr.into())?.local;
+        let actor = self.part.actor_slot(local).as_mut()?;
         Some(f(actor.as_mut()))
     }
 
     /// Removes an actor and returns it (used by harnesses that downcast to a
     /// concrete type to extract results).
     pub fn take_actor(&mut self, addr: impl Into<Addr>) -> Option<BoxedActor<M>> {
-        let addr = addr.into();
-        let idx = *self.index.get(&addr)?;
-        self.slots[idx as usize].actor.take()
+        let local = self.part.routing.get(&addr.into())?.local;
+        self.part.actor_slot(local).take()
     }
 
     /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.part.pending()
     }
 }
 
-/// The runtime surface shared by the sequential [`Simulation`] and the
-/// conservative-parallel [`crate::psim::ParallelSimulation`].
+/// The runtime surface shared by the two façades over the partition core:
+/// the sequential [`Simulation`] and the conservative-parallel
+/// [`crate::psim::ParallelSimulation`].
 ///
 /// Deployment and harness code written against this trait (statically
 /// dispatched — the trait is deliberately not object-safe) runs unchanged on
@@ -713,6 +405,7 @@ impl<M: MessageMeta + Clone + 'static> SimRuntime<M> for Simulation<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::psim::ParallelSimulation;
     use saguaro_types::ClientId;
 
     /// Minimal ping-pong message for runtime tests.
@@ -740,29 +433,22 @@ mod tests {
         }
     }
 
-    /// Replies to pings; counts pongs; records delivery times.
+    /// Replies to pings; records when each message arrived.
     #[derive(Default)]
     struct PingPong {
-        pongs: u32,
-        timer_fired: bool,
         deliveries: Vec<SimTime>,
-        cancelled_should_not_fire: bool,
     }
 
     impl Actor<TestMsg> for PingPong {
         fn on_message(&mut self, from: Addr, msg: TestMsg, ctx: &mut Context<'_, TestMsg>) {
             self.deliveries.push(ctx.now());
-            match msg {
-                TestMsg::Ping(n) => ctx.send(from, TestMsg::Pong(n)),
-                TestMsg::Pong(_) => self.pongs += 1,
-                TestMsg::Tick => {}
+            if let TestMsg::Ping(n) = msg {
+                ctx.send(from, TestMsg::Pong(n));
             }
         }
-        fn on_timer(&mut self, _id: TimerId, msg: TestMsg, _ctx: &mut Context<'_, TestMsg>) {
-            match msg {
-                TestMsg::Tick => self.timer_fired = true,
-                _ => self.cancelled_should_not_fire = true,
-            }
+        fn on_timer(&mut self, _id: TimerId, _msg: TestMsg, _ctx: &mut Context<'_, TestMsg>) {}
+        fn as_any(&mut self) -> Option<&mut dyn std::any::Any> {
+            Some(self)
         }
     }
 
@@ -770,89 +456,120 @@ mod tests {
         Addr::Client(ClientId(i))
     }
 
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
+    /// Past the last event of every test below.
+    const END: SimTime = SimTime::from_millis(1_000);
+
+    /// Jitter-free, so arrival times do not depend on which partition's
+    /// stream a send drew from and one set of assertions fits every engine.
+    fn quiet() -> LatencyMatrix {
+        LatencyMatrix::nearby_regions().with_jitter(0.0)
+    }
+
+    fn local() -> LatencyMatrix {
+        LatencyMatrix::single_region().with_jitter(0.0)
+    }
+
     fn sim() -> Simulation<TestMsg> {
-        Simulation::new(LatencyMatrix::nearby_regions().with_jitter(0.0), 1)
+        Simulation::new(quiet(), 1)
+    }
+
+    /// One millisecond per message, nothing else.
+    fn slow() -> CpuProfile {
+        CpuProfile {
+            base_us: 1000.0,
+            per_signature_us: 0.0,
+            per_byte_us: 0.0,
+            send_us: 0.0,
+        }
+    }
+
+    fn ping_pong(s: &mut impl SimRuntime<TestMsg>, i: u64, region: u8) {
+        let actor = Box::new(PingPong::default());
+        s.register(addr(i), Region(region), CpuProfile::client(), actor);
+    }
+
+    /// When each message reached the `PingPong` at `addr(i)`.
+    fn arrivals(s: &mut impl SimRuntime<TestMsg>, i: u64) -> Vec<SimTime> {
+        s.with_actor(addr(i), |a| {
+            let any = a.as_any().expect("inspectable");
+            any.downcast_mut::<PingPong>()
+                .expect("a PingPong")
+                .deliveries
+                .clone()
+        })
+        .expect("registered")
+    }
+
+    /// The conformance harness: runs `case(engine, partitions)` on the
+    /// parallel engine with one partition and with two (clients split by
+    /// parity) on 1 and 4 workers, then on the sequential engine, which it
+    /// evaluates to so a test can go on to check what only that one exposes.
+    macro_rules! on_every_engine {
+        ($latency:expr, $seed:expr, $case:path) => {{
+            for (partitions, workers) in [(1u64, 1), (2, 1), (2, 4)] {
+                let route = move |a| match a {
+                    Addr::Client(c) => (c.0 % partitions) as u32,
+                    Addr::Node(_) => 0,
+                };
+                let mut par =
+                    ParallelSimulation::new($latency, $seed, partitions as usize, workers, route);
+                $case(&mut par, partitions);
+            }
+            let mut seq = Simulation::new($latency, $seed);
+            $case(&mut seq, 1);
+            seq
+        }};
     }
 
     #[test]
     fn ping_pong_round_trip_takes_one_rtt_plus_service() {
-        let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.register(
-            addr(1),
-            Region(2),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.inject(addr(0), addr(1), TestMsg::Ping(7));
-        s.run_to_completion(100);
-        // Pong went back to addr(0).
-        let pongs = s
-            .with_actor(addr(0), |a| {
-                // We cannot downcast through the trait object here; instead
-                // verify via stats that two deliveries happened.
-                let _ = a;
-            })
-            .is_some();
-        assert!(pongs);
-        assert_eq!(s.stats().messages_delivered, 2);
-        // FR -> LDN one-way is 8.5 ms; the round trip is ≥ 17 ms.
-        assert!(s.now() >= SimTime::from_micros(17_000));
-        assert!(s.now() < SimTime::from_micros(19_000));
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            ping_pong(s, 0, 0);
+            ping_pong(s, 1, 2);
+            s.inject(addr(0), addr(1), TestMsg::Ping(7));
+            s.run_until(END);
+            assert_eq!(s.stats().messages_delivered, 2);
+            // FR -> LDN one-way is 8.5 ms; the pong is back after ≥ 17 ms.
+            let back = arrivals(s, 0)[0];
+            assert!(back >= SimTime::from_micros(17_000), "{back:?}");
+            assert!(back < SimTime::from_micros(19_000), "{back:?}");
+        }
+        on_every_engine!(quiet(), 1, case);
     }
 
     #[test]
     fn timers_fire_and_cancelled_timers_do_not() {
-        struct TimerSetter {
-            fired: u32,
-        }
+        struct TimerSetter;
         impl Actor<TestMsg> for TimerSetter {
             fn on_message(&mut self, _from: Addr, _msg: TestMsg, ctx: &mut Context<'_, TestMsg>) {
-                let keep = ctx.set_timer(Duration::from_millis(5), TestMsg::Tick);
+                ctx.set_timer(Duration::from_millis(5), TestMsg::Tick);
                 let cancel = ctx.set_timer(Duration::from_millis(1), TestMsg::Ping(0));
                 ctx.cancel_timer(cancel);
-                let _ = keep;
             }
             fn on_timer(&mut self, _id: TimerId, msg: TestMsg, _ctx: &mut Context<'_, TestMsg>) {
-                match msg {
-                    TestMsg::Tick => self.fired += 1,
-                    _ => panic!("cancelled timer fired"),
-                }
+                assert!(matches!(msg, TestMsg::Tick), "cancelled timer fired");
             }
         }
-        let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(TimerSetter { fired: 0 }),
-        );
-        s.inject(addr(1), addr(0), TestMsg::Tick);
-        s.run_to_completion(100);
-        assert_eq!(s.stats().timers_fired, 1);
-        assert_eq!(s.live_timers(), 0, "fired + cancelled timers both retire");
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            let actor = Box::new(TimerSetter);
+            s.register(addr(0), Region(0), CpuProfile::client(), actor);
+            s.inject(addr(1), addr(0), TestMsg::Tick);
+            s.run_until(END);
+            assert_eq!(s.stats().timers_fired, 1);
+        }
+        let seq = on_every_engine!(quiet(), 1, case);
+        assert_eq!(seq.live_timers(), 0, "fired + cancelled timers both retire");
     }
 
     #[test]
     fn crashed_actor_receives_nothing() {
         let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.register(
-            addr(1),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
+        ping_pong(&mut s, 0, 0);
+        ping_pong(&mut s, 1, 0);
         s.faults_mut().crash(ClientId(1));
         s.inject(addr(0), addr(1), TestMsg::Ping(1));
         s.run_to_completion(100);
@@ -862,127 +579,86 @@ mod tests {
 
     #[test]
     fn unknown_recipient_counts_as_drop() {
-        let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.inject(addr(0), addr(9), TestMsg::Ping(1));
-        s.run_to_completion(100);
-        assert_eq!(s.stats().messages_delivered, 0);
-        assert_eq!(s.stats().messages_dropped, 1);
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            ping_pong(s, 0, 0);
+            s.inject(addr(0), addr(9), TestMsg::Ping(1));
+            s.run_until(END);
+            assert_eq!(s.stats().messages_delivered, 0);
+            assert_eq!(s.stats().messages_dropped, 1);
+        }
+        on_every_engine!(quiet(), 1, case);
     }
 
     #[test]
     fn recipient_registered_after_send_still_receives() {
-        // The cached index is a hint, not a requirement: an actor registered
-        // between schedule and delivery is resolved the cold way.
-        let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.inject(addr(0), addr(5), TestMsg::Ping(1));
-        s.register(
-            addr(5),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.run_to_completion(100);
-        assert_eq!(s.stats().messages_delivered, 2, "ping + pong");
+        fn case(s: &mut impl SimRuntime<TestMsg>, partitions: u64) {
+            // The cached index is a hint, not a requirement: an actor
+            // registered between schedule and delivery is resolved the cold
+            // way.
+            ping_pong(s, 0, 0);
+            s.inject(addr(0), addr(4), TestMsg::Ping(1));
+            ping_pong(s, 4, 0);
+            s.run_until(END);
+            assert_eq!(s.stats().messages_delivered, 2, "ping + pong");
+            // Unless the latecomer routes to *another* partition: a send to
+            // an unknown address is queued where the sender lives, and an
+            // event cannot change partitions inside a planned window, so the
+            // window protocol defines this one as a drop.
+            s.inject(addr(0), addr(5), TestMsg::Ping(2));
+            ping_pong(s, 5, 0);
+            s.run_until(ms(2_000));
+            let (delivered, dropped) = if partitions == 1 { (4, 0) } else { (2, 1) };
+            assert_eq!(s.stats().messages_delivered, delivered);
+            assert_eq!(s.stats().messages_dropped, dropped);
+        }
+        on_every_engine!(quiet(), 1, case);
     }
 
     #[test]
     fn re_registration_replaces_the_actor_and_keeps_the_index() {
-        let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.register(
-            addr(1),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.inject(addr(1), addr(0), TestMsg::Tick);
-        s.run_to_completion(10);
-        assert_eq!(s.stats().messages_delivered, 1);
-        // Replace the actor behind addr(0); the address keeps its interned
-        // slot and its accumulated statistics.
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        assert_eq!(s.actor_count(), 2, "re-registration must not grow tables");
-        s.inject(addr(1), addr(0), TestMsg::Tick);
-        s.run_to_completion(10);
-        assert_eq!(s.stats().messages_delivered, 2);
-        let fresh = s.take_actor(addr(0)).expect("replacement actor present");
-        drop(fresh);
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            ping_pong(s, 0, 0);
+            ping_pong(s, 1, 0);
+            s.inject(addr(1), addr(0), TestMsg::Tick);
+            s.run_until(ms(10));
+            assert_eq!(s.stats().messages_delivered, 1);
+            // Replace the actor behind addr(0); the address keeps its
+            // interned slot and its accumulated statistics.
+            ping_pong(s, 0, 0);
+            assert_eq!(s.actor_count(), 2, "re-registration must not grow tables");
+            s.inject(addr(1), addr(0), TestMsg::Tick);
+            s.run_until(ms(20));
+            assert_eq!(s.stats().messages_delivered, 2);
+            assert_eq!(arrivals(s, 0).len(), 1, "the replacement saw one");
+        }
+        on_every_engine!(quiet(), 1, case);
     }
 
     #[test]
     fn fifo_queueing_serialises_busy_node() {
         // A server with a large per-message cost receives 10 messages at the
-        // same instant; the last delivery must observe ~10x the service time.
-        struct Sink {
-            times: Vec<SimTime>,
-        }
-        impl Actor<TestMsg> for Sink {
-            fn on_message(&mut self, _f: Addr, _m: TestMsg, ctx: &mut Context<'_, TestMsg>) {
-                self.times.push(ctx.now());
+        // same instant; the last delivery must observe 10x the service time.
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            let sink = Box::new(PingPong::default());
+            s.register(addr(0), Region(0), slow(), sink);
+            for i in 0..10 {
+                s.inject_at(SimTime::ZERO, addr(1), addr(0), TestMsg::Pong(i));
             }
-            fn on_timer(&mut self, _i: TimerId, _m: TestMsg, _c: &mut Context<'_, TestMsg>) {}
+            s.run_until(END);
+            // All ten were delivered and the node accumulated 10 x 1 ms of
+            // work; the last callback observed the queueing delay.
+            assert_eq!(s.stats().messages_delivered, 10);
+            assert_eq!(s.stats().busy_time(addr(0)), Duration::from_millis(10));
+            assert_eq!(arrivals(s, 0).last(), Some(&ms(10)));
         }
-        let mut s: Simulation<TestMsg> =
-            Simulation::new(LatencyMatrix::single_region().with_jitter(0.0), 3);
-        let slow = CpuProfile {
-            base_us: 1000.0,
-            per_signature_us: 0.0,
-            per_byte_us: 0.0,
-            send_us: 0.0,
-        };
-        s.register(addr(0), Region(0), slow, Box::new(Sink { times: vec![] }));
-        for i in 0..10 {
-            s.inject_at(SimTime::ZERO, addr(1), addr(0), TestMsg::Ping(i));
-        }
-        s.run_to_completion(1000);
-        // All ten were delivered and the node accumulated 10 x 1 ms of work.
-        assert_eq!(s.stats().messages_delivered, 10);
-        let busy = s.stats().busy_time(addr(0));
-        assert_eq!(busy, Duration::from_millis(10));
-        // The last delivery callback observed the queueing delay: ~10 ms.
-        let Some(actor) = s.take_actor(addr(0)) else {
-            panic!("actor missing")
-        };
-        drop(actor);
+        on_every_engine!(local(), 3, case);
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
         let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.register(
-            addr(1),
-            Region(1),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
+        ping_pong(&mut s, 0, 0);
+        ping_pong(&mut s, 1, 1);
         // MI is 11 ms RTT from FR: one-way 5.5 ms > 1 ms deadline.
         s.inject(addr(0), addr(1), TestMsg::Ping(1));
         let processed = s.run_until(SimTime::from_millis(1));
@@ -996,18 +672,8 @@ mod tests {
     #[test]
     fn drop_probability_loses_messages() {
         let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
-        s.register(
-            addr(1),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
+        ping_pong(&mut s, 0, 0);
+        ping_pong(&mut s, 1, 0);
         s.faults_mut().set_drop_probability(1.0);
         for i in 0..5 {
             s.inject(addr(0), addr(1), TestMsg::Ping(i));
@@ -1020,12 +686,7 @@ mod tests {
     #[test]
     fn take_actor_removes_it() {
         let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(PingPong::default()),
-        );
+        ping_pong(&mut s, 0, 0);
         assert_eq!(s.actor_count(), 1);
         assert!(s.take_actor(addr(0)).is_some());
         assert!(s.take_actor(addr(0)).is_none());
@@ -1038,12 +699,7 @@ mod tests {
         // queued at the same instant must surface as a peak of 10 through
         // either driver.
         let queue_ten = |s: &mut Simulation<TestMsg>| {
-            s.register(
-                addr(0),
-                Region(0),
-                CpuProfile::client(),
-                Box::new(PingPong::default()),
-            );
+            ping_pong(s, 0, 0);
             for i in 0..10 {
                 s.inject_at(SimTime::ZERO, addr(1), addr(0), TestMsg::Pong(i));
             }
@@ -1067,18 +723,10 @@ mod tests {
     fn deterministic_given_same_seed() {
         let run = |seed| {
             let mut s: Simulation<TestMsg> = Simulation::new(LatencyMatrix::nearby_regions(), seed);
-            s.register(
-                addr(0),
-                Region(0),
-                CpuProfile::server(),
-                Box::new(PingPong::default()),
-            );
-            s.register(
-                addr(1),
-                Region(3),
-                CpuProfile::server(),
-                Box::new(PingPong::default()),
-            );
+            for (i, region) in [(0, 0), (1, 3)] {
+                let actor = Box::new(PingPong::default());
+                s.register(addr(i), Region(region), CpuProfile::server(), actor);
+            }
             for i in 0..20 {
                 s.inject(addr(0), addr(1), TestMsg::Ping(i));
             }
@@ -1087,6 +735,29 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn messages_need_not_be_send() {
+        // The sequential engine puts no thread-safety bound on `M`.
+        #[derive(Clone)]
+        struct Local(std::rc::Rc<u32>);
+        impl MessageMeta for Local {
+            fn wire_bytes(&self) -> usize {
+                8
+            }
+        }
+        struct Sum(u32);
+        impl Actor<Local> for Sum {
+            fn on_message(&mut self, _from: Addr, msg: Local, _ctx: &mut Context<'_, Local>) {
+                self.0 += *msg.0;
+            }
+            fn on_timer(&mut self, _id: TimerId, _msg: Local, _ctx: &mut Context<'_, Local>) {}
+        }
+        let mut s = Simulation::new(quiet(), 1);
+        s.register(addr(0), Region(0), CpuProfile::client(), Box::new(Sum(0)));
+        s.inject(addr(1), addr(0), Local(std::rc::Rc::new(5)));
+        assert_eq!(s.run_to_completion(10), 1);
     }
 
     #[test]
@@ -1105,60 +776,53 @@ mod tests {
             fn on_timer(&mut self, _id: TimerId, _m: TestMsg, ctx: &mut Context<'_, TestMsg>) {
                 self.fired += 1;
                 if self.fired == 1 {
-                    let second = ctx.set_timer(Duration::from_millis(1), TestMsg::Tick);
+                    ctx.set_timer(Duration::from_millis(1), TestMsg::Tick);
                     // Cancelling the already-fired first id must not cancel
                     // the second timer, even though it reuses the slot.
                     ctx.cancel_timer(self.first.expect("first timer was set"));
                     // Cancel-twice on the stale handle is equally harmless.
                     ctx.cancel_timer(self.first.expect("first timer was set"));
-                    let _ = second;
                 }
             }
         }
-        let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(Reuser {
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            let actor = Box::new(Reuser {
                 first: None,
                 fired: 0,
-            }),
-        );
-        s.inject(addr(1), addr(0), TestMsg::Tick);
-        s.run_to_completion(100);
-        assert_eq!(s.stats().timers_fired, 2, "recycled timer must still fire");
-        assert_eq!(s.live_timers(), 0);
+            });
+            s.register(addr(0), Region(0), CpuProfile::client(), actor);
+            s.inject(addr(1), addr(0), TestMsg::Tick);
+            s.run_until(END);
+            assert_eq!(s.stats().timers_fired, 2, "recycled timer must still fire");
+        }
+        let seq = on_every_engine!(quiet(), 1, case);
+        assert_eq!(seq.live_timers(), 0);
     }
 
     #[test]
     fn scheduled_crash_and_recovery_gate_deliveries() {
-        let mut s = sim();
-        for i in 0..2 {
-            s.register(
-                addr(i),
-                Region(0),
-                CpuProfile::client(),
-                Box::new(PingPong::default()),
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            ping_pong(s, 0, 0);
+            ping_pong(s, 1, 0);
+            // Crash the receiver at 5 ms, recover it at 15 ms.
+            s.set_fault_schedule(
+                FaultSchedule::none()
+                    .crash_at(ms(5), ClientId(1))
+                    .recover_at(ms(15), ClientId(1)),
             );
+            // Delivered at ~0: before the crash — goes through (plus its
+            // pong).  At 10 ms: while crashed — dropped.  At 20 ms: after
+            // recovery — goes through again.
+            for (i, at) in [0, 10, 20].into_iter().enumerate() {
+                s.inject_at(ms(at), addr(0), addr(1), TestMsg::Ping(i as u32));
+            }
+            s.run_until(END);
+            // Pings 0 and 2 delivered and answered; ping 1 dropped.
+            assert_eq!(s.stats().messages_delivered, 4);
+            assert_eq!(s.stats().messages_dropped, 1);
         }
-        // Crash the receiver at 5 ms, recover it at 15 ms.
-        s.set_fault_schedule(
-            FaultSchedule::none()
-                .crash_at(SimTime::from_millis(5), ClientId(1))
-                .recover_at(SimTime::from_millis(15), ClientId(1)),
-        );
-        // Delivered at ~0: before the crash — goes through (plus its pong).
-        s.inject_at(SimTime::ZERO, addr(0), addr(1), TestMsg::Ping(0));
-        // Delivered at 10 ms: while crashed — dropped.
-        s.inject_at(SimTime::from_millis(10), addr(0), addr(1), TestMsg::Ping(1));
-        // Delivered at 20 ms: after recovery — goes through again.
-        s.inject_at(SimTime::from_millis(20), addr(0), addr(1), TestMsg::Ping(2));
-        s.run_to_completion(100);
-        // Pings 0 and 2 delivered and answered; ping 1 dropped.
-        assert_eq!(s.stats().messages_delivered, 4);
-        assert_eq!(s.stats().messages_dropped, 1);
-        assert!(!s.faults().is_crashed(addr(1)));
+        let seq = on_every_engine!(quiet(), 1, case);
+        assert!(!seq.faults().is_crashed(addr(1)));
     }
 
     #[test]
@@ -1167,144 +831,135 @@ mod tests {
         // crashes at 3.5 ms: only the work actually performed before the
         // crash may count as busy time, and post-recovery deliveries must
         // not queue behind the abandoned backlog.
-        struct Sink;
-        impl Actor<TestMsg> for Sink {
-            fn on_message(&mut self, _f: Addr, _m: TestMsg, _c: &mut Context<'_, TestMsg>) {}
-            fn on_timer(&mut self, _i: TimerId, _m: TestMsg, _c: &mut Context<'_, TestMsg>) {}
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            let sink = Box::new(PingPong::default());
+            s.register(addr(0), Region(0), slow(), sink);
+            for i in 0..10 {
+                s.inject_at(SimTime::ZERO, addr(1), addr(0), TestMsg::Pong(i));
+            }
+            let crash_at = SimTime::from_micros(3_500);
+            s.set_fault_schedule(FaultSchedule::none().crash_at(crash_at, ClientId(0)));
+            s.run_until(ms(50));
+            // All ten were "delivered" at t=0 (service charged up front), but
+            // the crash at 3.5 ms hands back the 6.5 ms of unperformed work.
+            assert_eq!(s.stats().busy_time(addr(0)), Duration::from_micros(3_500));
         }
-        let mut s: Simulation<TestMsg> =
-            Simulation::new(LatencyMatrix::single_region().with_jitter(0.0), 3);
-        let slow = CpuProfile {
-            base_us: 1000.0,
-            per_signature_us: 0.0,
-            per_byte_us: 0.0,
-            send_us: 0.0,
-        };
-        s.register(addr(0), Region(0), slow, Box::new(Sink));
-        for i in 0..10 {
-            s.inject_at(SimTime::ZERO, addr(1), addr(0), TestMsg::Ping(i));
-        }
-        let crash_at = SimTime::from_micros(3_500);
-        s.set_fault_schedule(FaultSchedule::none().crash_at(crash_at, ClientId(0)));
-        s.run_until(SimTime::from_millis(50));
-        // All ten were "delivered" at t=0 (service charged up front), but the
-        // crash at 3.5 ms hands back the 6.5 ms of unperformed work.
-        assert_eq!(s.stats().busy_time(addr(0)), Duration::from_micros(3_500));
+        on_every_engine!(local(), 3, case);
     }
 
     #[test]
     fn scheduled_partition_and_heal_gate_links() {
-        let mut s = sim();
-        for i in 0..2 {
-            s.register(
-                addr(i),
-                Region(0),
-                CpuProfile::client(),
-                Box::new(PingPong::default()),
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            ping_pong(s, 0, 0);
+            ping_pong(s, 1, 0);
+            s.set_fault_schedule(
+                FaultSchedule::none()
+                    .partition_at(SimTime::ZERO, ClientId(0), ClientId(1))
+                    .heal_at(ms(10), ClientId(0), ClientId(1)),
             );
+            // A ping delivered at 2 ms (inject_at bypasses the link filter,
+            // the actor's pong does not): the pong is dropped by the live
+            // partition.
+            s.inject_at(ms(2), addr(0), addr(1), TestMsg::Ping(0));
+            s.run_until(ms(11));
+            assert_eq!(s.stats().messages_delivered, 1, "pong dropped");
+            assert_eq!(s.stats().messages_dropped, 1);
+            // After healing, a ping round-trips again.
+            s.inject_at(ms(12), addr(0), addr(1), TestMsg::Ping(1));
+            s.run_until(END);
+            assert_eq!(s.stats().messages_delivered, 3, "ping + pong after heal");
         }
-        s.set_fault_schedule(
-            FaultSchedule::none()
-                .partition_at(SimTime::ZERO, ClientId(0), ClientId(1))
-                .heal_at(SimTime::from_millis(10), ClientId(0), ClientId(1)),
-        );
-        // A ping delivered at 2 ms (inject_at bypasses the link filter, the
-        // actor's pong does not): the pong is dropped by the live partition.
-        s.inject_at(SimTime::from_millis(2), addr(0), addr(1), TestMsg::Ping(0));
-        s.run_to_completion(100);
-        assert_eq!(s.stats().messages_delivered, 1, "pong dropped");
-        assert_eq!(s.stats().messages_dropped, 1);
-        // After healing, a ping round-trips again.
-        s.inject_at(SimTime::from_millis(12), addr(0), addr(1), TestMsg::Ping(1));
-        s.run_to_completion(100);
-        assert_eq!(s.stats().messages_delivered, 3, "ping + pong after heal");
+        on_every_engine!(quiet(), 1, case);
     }
 
     #[test]
     fn delay_spike_slows_messages_then_ends() {
-        let mut s: Simulation<TestMsg> =
-            Simulation::new(LatencyMatrix::single_region().with_jitter(0.0), 1);
-        for i in 0..2 {
-            s.register(
-                addr(i),
-                Region(0),
-                CpuProfile::client(),
-                Box::new(PingPong::default()),
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            ping_pong(s, 0, 0);
+            ping_pong(s, 1, 0);
+            // Spike of +20 ms between 1 ms and 30 ms of virtual time.
+            s.set_fault_schedule(
+                FaultSchedule::none()
+                    .delay_spike_at(ms(1), Duration::from_millis(20))
+                    .delay_spike_at(ms(30), Duration::ZERO),
             );
+            // The pings are delivered at 2 and 40 ms (inject_at bypasses the
+            // network); the pongs are sent by the actor then.  The first
+            // suffers the spike, the second leaves after it ended.
+            s.inject_at(ms(2), addr(0), addr(1), TestMsg::Ping(0));
+            s.inject_at(ms(40), addr(0), addr(1), TestMsg::Ping(1));
+            s.run_until(END);
+            let back = arrivals(s, 0);
+            assert!(back[0] >= ms(22), "back={back:?}");
+            assert!(back[1] < ms(41), "back={back:?}");
         }
-        // Spike of +20 ms between 1 ms and 30 ms of virtual time.
-        s.set_fault_schedule(
-            FaultSchedule::none()
-                .delay_spike_at(SimTime::from_millis(1), Duration::from_millis(20))
-                .delay_spike_at(SimTime::from_millis(30), Duration::ZERO),
-        );
-        // The ping is *scheduled* at 2 ms (kick delivered then, reply sent
-        // from the actor): its pong suffers the spike.
-        s.inject_at(SimTime::from_millis(2), addr(0), addr(1), TestMsg::Ping(0));
-        s.run_to_completion(100);
-        // The pong left addr(1) at ~2 ms and took 20+ ms extra: the clock
-        // ran past 22 ms before going quiet.
-        assert!(s.now() >= SimTime::from_millis(22), "now={:?}", s.now());
+        on_every_engine!(local(), 1, case);
     }
 
     #[test]
     fn timers_of_crashed_actors_are_silently_retired() {
-        struct TimerLoop {
-            fired: u32,
-        }
+        struct TimerLoop;
         impl Actor<TestMsg> for TimerLoop {
             fn on_message(&mut self, _f: Addr, _m: TestMsg, ctx: &mut Context<'_, TestMsg>) {
                 ctx.set_timer(Duration::from_millis(2), TestMsg::Tick);
             }
             fn on_timer(&mut self, _i: TimerId, _m: TestMsg, ctx: &mut Context<'_, TestMsg>) {
-                self.fired += 1;
                 ctx.set_timer(Duration::from_millis(2), TestMsg::Tick);
             }
         }
-        let mut s = sim();
-        s.register(
-            addr(0),
-            Region(0),
-            CpuProfile::client(),
-            Box::new(TimerLoop { fired: 0 }),
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            // Two self-perpetuating 2 ms timer loops (on different partitions
+            // when there are two); the second dies at its 5 ms crash and the
+            // first is none the wiser.
+            for i in 0..2 {
+                s.register(
+                    addr(i),
+                    Region(0),
+                    CpuProfile::client(),
+                    Box::new(TimerLoop),
+                );
+                s.inject_at(SimTime::ZERO, addr(9), addr(i), TestMsg::Tick);
+            }
+            s.set_fault_schedule(FaultSchedule::none().crash_at(ms(5), ClientId(1)));
+            s.run_until(ms(9));
+            assert_eq!(
+                s.stats().timers_fired,
+                4 + 2,
+                "at 2, 4, 6, 8 and at 2, 4 ms"
+            );
+        }
+        let seq = on_every_engine!(quiet(), 1, case);
+        assert_eq!(
+            seq.live_timers(),
+            1,
+            "the dead loop's 6 ms timer was retired"
         );
-        s.inject_at(SimTime::ZERO, addr(9), addr(0), TestMsg::Tick);
-        // The self-perpetuating 2 ms timer loop dies at the 5 ms crash.
-        s.set_fault_schedule(FaultSchedule::none().crash_at(SimTime::from_millis(5), ClientId(0)));
-        s.run_to_completion(1000);
-        assert_eq!(s.stats().timers_fired, 2, "timers at 2 and 4 ms only");
-        assert_eq!(s.live_timers(), 0, "the 6 ms timer was retired, not leaked");
     }
 
     #[test]
     fn equivocating_sender_duplicates_tamperable_messages_only() {
-        let mut s = sim();
-        for i in 0..2 {
-            s.register(
-                addr(i),
-                Region(0),
-                CpuProfile::client(),
-                Box::new(PingPong::default()),
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            ping_pong(s, 0, 0);
+            ping_pong(s, 1, 0);
+            s.set_fault_schedule(
+                FaultSchedule::none()
+                    .equivocate_at(SimTime::ZERO, ClientId(0))
+                    .stop_equivocate_at(ms(50), ClientId(0)),
             );
+            // Reach t = 0 so the scheduled Equivocate applies before the send.
+            s.run_until(SimTime::ZERO);
+            // A ping from the equivocator gains a conflicting twin; both are
+            // answered, but the pongs (sent by the honest addr(1)) are not
+            // duplicated, and neither are post-stop pings.
+            s.inject(addr(0), addr(1), TestMsg::Ping(1));
+            s.run_until(ms(55));
+            assert_eq!(s.stats().messages_delivered, 4, "2 pings + 2 pongs");
+            s.inject(addr(0), addr(1), TestMsg::Ping(2));
+            s.run_until(END);
+            assert_eq!(s.stats().messages_delivered, 6, "no twin after stop");
         }
-        s.set_fault_schedule(
-            FaultSchedule::none()
-                .equivocate_at(SimTime::ZERO, ClientId(0))
-                .stop_equivocate_at(SimTime::from_millis(50), ClientId(0)),
-        );
-        // Reach t = 0 so the scheduled Equivocate applies before the send.
-        s.run_until(SimTime::ZERO);
-        assert!(s.faults().is_equivocating(addr(0)));
-        // A ping from the equivocator gains a conflicting twin; both are
-        // answered, but the pongs (sent by the honest addr(1)) are not
-        // duplicated, and neither are post-stop pings.
-        s.inject(addr(0), addr(1), TestMsg::Ping(1));
-        s.run_until(SimTime::from_millis(55));
-        assert_eq!(s.stats().messages_delivered, 4, "2 pings + 2 pongs");
-        assert!(!s.faults().is_equivocating(addr(0)));
-        s.inject(addr(0), addr(1), TestMsg::Ping(2));
-        s.run_to_completion(100);
-        assert_eq!(s.stats().messages_delivered, 6, "no twin after stop");
+        let seq = on_every_engine!(quiet(), 1, case);
+        assert!(!seq.faults().is_equivocating(addr(0)));
     }
 
     #[test]
@@ -1312,12 +967,8 @@ mod tests {
         let run = |with_empty_schedule: bool| {
             let mut s: Simulation<TestMsg> = Simulation::new(LatencyMatrix::nearby_regions(), 11);
             for i in 0..2 {
-                s.register(
-                    addr(i),
-                    Region(i as u8),
-                    CpuProfile::server(),
-                    Box::new(PingPong::default()),
-                );
+                let actor = Box::new(PingPong::default());
+                s.register(addr(i), Region(i as u8), CpuProfile::server(), actor);
             }
             if with_empty_schedule {
                 s.set_fault_schedule(FaultSchedule::none());
@@ -1349,19 +1000,16 @@ mod tests {
             }
             fn on_timer(&mut self, _i: TimerId, _m: TestMsg, _c: &mut Context<'_, TestMsg>) {}
         }
-        let mut s = sim();
-        s.register(addr(0), Region(0), CpuProfile::server(), Box::new(FanOut));
-        for i in 1..=3 {
-            s.register(
-                addr(i),
-                Region(0),
-                CpuProfile::client(),
-                Box::new(PingPong::default()),
-            );
+        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
+            s.register(addr(0), Region(0), CpuProfile::server(), Box::new(FanOut));
+            for i in 1..=3 {
+                ping_pong(s, i, 0);
+            }
+            s.inject(addr(9), addr(0), TestMsg::Tick);
+            s.run_until(END);
+            // Kick-off + 3 pings + 3 pongs back to the fan-out actor.
+            assert_eq!(s.stats().messages_delivered, 7);
         }
-        s.inject(addr(9), addr(0), TestMsg::Tick);
-        s.run_to_completion(100);
-        // Kick-off + 3 pings + 3 pongs back to the fan-out actor.
-        assert_eq!(s.stats().messages_delivered, 7);
+        on_every_engine!(quiet(), 1, case);
     }
 }

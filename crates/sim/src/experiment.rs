@@ -176,12 +176,13 @@ pub struct ExperimentSpec {
     /// population sweeps use flat wide shapes like `(2, 128)` for hundreds
     /// of height-1 domains.
     pub topology: Option<(u8, usize)>,
-    /// Which simulation engine drives the run.  The default, `Sequential`,
-    /// is the historical single-threaded loop (the bit-identical golden
-    /// path); `Parallel(workers)` shards events per height-1 domain and runs
-    /// conservative lookahead windows on worker threads — deterministic per
-    /// seed and invariant to the worker count, but a *different*
-    /// deterministic mode than sequential (per-partition RNG streams).
+    /// How the event engine is partitioned.  The default, `Sequential`, is
+    /// one partition drained on the calling thread (the bit-identical golden
+    /// path); `Parallel(workers)` gives every height-1 domain its own
+    /// partition of the same engine and runs conservative lookahead windows
+    /// on worker threads — deterministic per seed and invariant to the
+    /// worker count, but its own deterministic mode (each partition draws
+    /// from its own RNG stream).
     pub engine: EngineMode,
     /// Structured-tracing knobs.  Off by default — the pinned golden path:
     /// no buffers, no events, bit-identical to a build without the

@@ -824,23 +824,24 @@ impl ClientModel {
     }
 }
 
-/// Which simulation engine an experiment runs on.
+/// How many partitions of the event engine an experiment runs on.
 ///
-/// Both engines are deterministic per seed; they are *distinct* deterministic
-/// modes (per-partition RNG streams consume randomness in a different order
-/// than the sequential engine's single stream), so goldens are engine-mode
-/// specific.  Sequential stays the default — and bit-identical to the
-/// historical goldens.
+/// There is one engine; the two modes differ in how it is partitioned.  Both
+/// are deterministic per seed, but a many-partition run is its *own*
+/// deterministic mode — each partition draws latency and loss from its own
+/// RNG stream and same-instant arrivals from other partitions are ordered by
+/// a merge key — so goldens are mode specific.  Sequential stays the default
+/// — and bit-identical to the historical goldens.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum EngineMode {
-    /// The single-threaded event loop (the historical, golden path).
+    /// One partition holding every actor, drained in order on the calling
+    /// thread (the historical, golden path).
     #[default]
     Sequential,
-    /// The conservative-parallel engine: one event shard per height-1 edge
-    /// domain plus a root/client shard, advanced in lookahead windows by the
-    /// given number of worker threads.  `Parallel(0)` sizes the pool to the
-    /// host's available parallelism.  Results are invariant to the worker
-    /// count.
+    /// One partition per height-1 edge domain plus a root/client partition,
+    /// advanced in conservative lookahead windows by the given number of
+    /// worker threads.  `Parallel(0)` sizes the pool to the host's available
+    /// parallelism.  Results are invariant to the worker count.
     Parallel(usize),
 }
 

@@ -1,12 +1,14 @@
-//! The conservative-parallel engine's determinism contract: per seed,
-//! results are bit-reproducible and invariant to the worker-thread count —
-//! for every protocol stack and both client models — and the sequential
-//! engine stays the untouched default.
+//! The many-partition engine's determinism contract: per seed, results are
+//! bit-reproducible and invariant to the worker-thread count — for every
+//! protocol stack and both client models — and the sequential engine stays
+//! the untouched default.
 //!
-//! Parallel runs are a *separate* deterministic mode (per-partition RNG
-//! streams consume randomness in a different order than the sequential
-//! engine's single stream), so these tests compare parallel against
-//! parallel; the sequential goldens live in `determinism.rs`.
+//! Both modes run the same event core; a run over several partitions is its
+//! own deterministic mode (each partition draws from its own RNG stream and
+//! cross-partition ties are ordered by the merge key), so these tests
+//! compare parallel against parallel.  The sequential goldens live in
+//! `determinism.rs`; that a *one*-partition parallel engine equals the
+//! sequential one bit for bit is pinned in `saguaro-net`'s unit tests.
 
 use saguaro::sim::{ExperimentSpec, ProtocolKind, RunArtifacts};
 use saguaro::types::{EngineMode, PopulationConfig};
