@@ -1,4 +1,4 @@
-//! Endurance figure: snapshot catch-up and log pruning over a long run
+//! The `endurance` row: snapshot catch-up and log pruning over a long run
 //! with a mid-run replica outage.
 //!
 //! Three aggregate-population runs drive one Saguaro deployment with a
@@ -9,7 +9,7 @@
 //! 3. **long-outage** — full-length with an outage several times longer
 //!    (the headline run: ≥ 10⁶ committed transactions in full mode).
 //!
-//! Four gates make the run self-checking so CI fails loudly instead of
+//! Four gates make the row self-checking so CI fails loudly instead of
 //! silently shipping a regression:
 //!
 //! * **Flat RSS** — doubling the committed-transaction count (half → full
@@ -24,16 +24,16 @@
 //! * **Volume** — the long-outage run must commit the target transaction
 //!   count (10⁶ full, scaled down under `--quick`).
 //!
-//! `--json <path>` merges an `endurance` section into the shared
-//! `BENCH_results.json` (other sections are preserved).
+//! The RSS cells read this process's resident set, which earlier rows of the
+//! same invocation may already have raised: run the row on its own when the
+//! memory gates are the point.
 
-use saguaro_bench::{emit, json_path_from_args, options_from_args, timed_run_cold, JsonReport};
+use crate::{Options, Outcome};
 use saguaro_sim::experiment::ExperimentSpec;
-use saguaro_sim::figures::resident_kb;
-use saguaro_sim::json::JsonValue;
+use saguaro_sim::figures::{recovery_victim, resident_kb};
 use saguaro_sim::protocol::ProtocolKind;
 use saguaro_sim::FaultSchedule;
-use saguaro_types::{DomainId, Duration, NodeId, PopulationConfig, SimTime};
+use saguaro_types::{Duration, PopulationConfig, SimTime};
 
 /// Consensus block size: amortises per-message cost so the full-mode run
 /// reaches 10⁶ commits in reasonable wall time.
@@ -100,22 +100,14 @@ impl Scenario {
     }
 }
 
-/// The backup replica crashed mid-run (domain 0 at height 1, replica 1 —
-/// never the view-0 primary, so no view change is needed to keep
-/// committing while it is down).
-fn victim() -> NodeId {
-    NodeId::new(DomainId::new(1, 0), 1)
-}
-
 /// Measured outcome of one endurance run.
+#[derive(Clone)]
 struct RunOutcome {
     label: &'static str,
     outage_ms: f64,
     committed: u64,
     throughput_tps: f64,
-    events: u64,
     wall_ms: f64,
-    events_per_sec: f64,
     rss_kb: u64,
     catch_up_ms: Option<f64>,
     max_chain_len: u64,
@@ -145,32 +137,28 @@ fn endurance_spec(scenario: &Scenario, seed: u64) -> ExperimentSpec {
 /// Runs one endurance point; `outage = None` is the failure-free baseline.
 fn run_point(
     label: &'static str,
-    scenario: &Scenario,
-    seed: u64,
-    measure: Duration,
+    mut spec: ExperimentSpec,
     outage: Option<Duration>,
 ) -> RunOutcome {
-    let mut spec = endurance_spec(scenario, seed);
-    spec.measure = measure;
     let mut recover_at = None;
     if let Some(outage) = outage {
-        let crash_at = spec.warmup + Duration::from_micros(measure.as_micros() / 4);
+        let crash_at = spec.warmup + Duration::from_micros(spec.measure.as_micros() / 4);
         let back_at = crash_at + outage;
         recover_at = Some(back_at);
+        // The victim is a backup, never the view-0 primary: the domain keeps
+        // committing while it is down and no view change is needed.
         spec = spec.fault_plan(
             FaultSchedule::none()
-                .crash_at(SimTime::ZERO + crash_at, victim())
-                .recover_at(SimTime::ZERO + back_at, victim()),
+                .crash_at(SimTime::ZERO + crash_at, recovery_victim())
+                .recover_at(SimTime::ZERO + back_at, recovery_victim()),
         );
     }
-    // No warm-up pass: these runs are minutes long in full mode, and the
-    // engine rate is a secondary output here.
-    let run = timed_run_cold(&spec);
-    let (art, wall_ms) = (run.artifacts, run.wall_ms);
-    let events_per_sec = art.events_processed as f64 / (wall_ms / 1e3).max(1e-9);
+    let started = std::time::Instant::now();
+    let art = spec.run_collecting();
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let catch_up_ms = recover_at.and_then(|back_at| {
-        let caught = art.harvest.node(victim())?.caught_up_at?;
+        let caught = art.harvest.node(recovery_victim())?.caught_up_at?;
         Some((caught - (SimTime::ZERO + back_at)).as_millis_f64())
     });
     RunOutcome {
@@ -178,9 +166,7 @@ fn run_point(
         outage_ms: outage.map_or(0.0, |o| o.as_millis_f64()),
         committed: art.metrics.committed,
         throughput_tps: art.metrics.throughput_tps,
-        events: art.events_processed,
         wall_ms,
-        events_per_sec,
         rss_kb: resident_kb(),
         catch_up_ms,
         max_chain_len: art
@@ -193,7 +179,7 @@ fn run_point(
         snapshots_taken: art.harvest.nodes.iter().map(|n| n.snapshots_taken).sum(),
         victim_installs: art
             .harvest
-            .node(victim())
+            .node(recovery_victim())
             .map_or(0, |n| n.snapshots_installed),
         peak_events: art.peak_pending_events,
     }
@@ -309,88 +295,91 @@ fn render_table(runs: &[&RunOutcome]) -> String {
     out
 }
 
-fn outcome_json(r: &RunOutcome) -> JsonValue {
-    JsonValue::object([
-        ("label", JsonValue::Str(r.label.to_string())),
-        ("outage_ms", JsonValue::Num(r.outage_ms)),
-        ("committed", JsonValue::Num(r.committed as f64)),
-        ("throughput_tps", JsonValue::Num(r.throughput_tps)),
-        ("events_processed", JsonValue::Num(r.events as f64)),
-        ("wall_ms", JsonValue::Num(r.wall_ms)),
-        ("events_per_sec", JsonValue::Num(r.events_per_sec)),
-        ("rss_kb", JsonValue::Num(r.rss_kb as f64)),
-        (
-            "catch_up_ms",
-            r.catch_up_ms.map_or(JsonValue::Null, JsonValue::Num),
-        ),
-        ("max_chain_len", JsonValue::Num(r.max_chain_len as f64)),
-        ("snapshots_taken", JsonValue::Num(r.snapshots_taken as f64)),
-        (
-            "victim_snapshot_installs",
-            JsonValue::Num(r.victim_installs as f64),
-        ),
-        ("peak_pending_events", JsonValue::Num(r.peak_events as f64)),
-    ])
+/// Runs the three endurance points and checks the gates.
+pub fn run(options: &Options) -> Outcome {
+    let scenario = Scenario::for_mode(options.figure.quick);
+    let spec = endurance_spec(&scenario, options.figure.seed);
+    let mut half_spec = spec.clone();
+    half_spec.measure = Duration::from_micros(scenario.measure.as_micros() / 2);
+    let half = run_point("half", half_spec, None);
+    let short = run_point("short-outage", spec.clone(), Some(scenario.outage_short));
+    let long = run_point("long-outage", spec, Some(scenario.outage_long));
+    Outcome {
+        tables: vec![render_table(&[&half, &short, &long])],
+        failures: gates(&scenario, &half, &short, &long),
+    }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let options = options_from_args(&args);
-    let scenario = Scenario::for_mode(options.quick);
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let half_measure = Duration::from_micros(scenario.measure.as_micros() / 2);
-    let half = run_point("half", &scenario, options.seed, half_measure, None);
-    let short = run_point(
-        "short-outage",
-        &scenario,
-        options.seed,
-        scenario.measure,
-        Some(scenario.outage_short),
-    );
-    let long = run_point(
-        "long-outage",
-        &scenario,
-        options.seed,
-        scenario.measure,
-        Some(scenario.outage_long),
-    );
-
-    emit("endurance", render_table(&[&half, &short, &long]));
-
-    let mut report = JsonReport::new();
-    report.add_value(
-        "endurance",
-        JsonValue::object([
-            ("quick", JsonValue::Bool(options.quick)),
-            ("batch", JsonValue::Num(BATCH as f64)),
-            ("checkpoint_interval", JsonValue::Num(INTERVAL as f64)),
-            ("retention", JsonValue::Num(RETENTION as f64)),
-            (
-                "runs",
-                JsonValue::Array(vec![
-                    outcome_json(&half),
-                    outcome_json(&short),
-                    outcome_json(&long),
-                ]),
-            ),
-        ]),
-    );
-    report.merge_into_if_requested(json_path_from_args(&args).as_ref());
-
-    let errors = gates(&scenario, &half, &short, &long);
-    if !errors.is_empty() {
-        for e in &errors {
-            eprintln!("ENDURANCE REGRESSION: {e}");
+    /// An outcome that passes every gate of the quick scenario.
+    fn passing(label: &'static str, outage_ms: f64) -> RunOutcome {
+        RunOutcome {
+            label,
+            outage_ms,
+            committed: 40_000,
+            throughput_tps: 20_000.0,
+            wall_ms: 1_500.0,
+            rss_kb: 300 * 1024,
+            catch_up_ms: (outage_ms > 0.0).then_some(4.0),
+            max_chain_len: 14,
+            snapshots_taken: 700,
+            victim_installs: 1,
+            peak_events: 196,
         }
-        std::process::exit(1);
     }
-    eprintln!(
-        "endurance gates ok: {} committed, chains <= {}, catch-up flat \
-         ({:.1} ms / {:.1} ms), RSS flat ({:.1} MiB)",
-        long.committed,
-        CHAIN_CEILING,
-        short.catch_up_ms.unwrap_or(0.0),
-        long.catch_up_ms.unwrap_or(0.0),
-        long.rss_kb as f64 / 1024.0
-    );
+
+    #[test]
+    fn each_endurance_condition_fails_with_its_message() {
+        let scenario = Scenario::for_mode(true);
+        let good = [
+            passing("half", 0.0),
+            passing("short-outage", 600.0),
+            passing("long-outage", 1_500.0),
+        ];
+        crate::assert_each_violation_reported(
+            &good,
+            |r| gates(&scenario, &r[0], &r[1], &r[2]),
+            &[
+                (
+                    |r| r[2].committed = 29_999,
+                    "committed 29999 < target 30000",
+                ),
+                (
+                    |r| r[0].snapshots_taken = 0,
+                    "half: no replica materialised a snapshot",
+                ),
+                (
+                    |r| r[1].max_chain_len = CHAIN_CEILING + 1,
+                    "short-outage: max retained chain 385 exceeds ceiling 384",
+                ),
+                (
+                    |r| r[2].victim_installs = 0,
+                    "long-outage: recovered victim installed no snapshot",
+                ),
+                (
+                    |r| r[2].catch_up_ms = Some(400.0),
+                    "catch-up scales with outage: 400.0 ms",
+                ),
+                (
+                    |r| r[1].catch_up_ms = None,
+                    "victim never caught up after recovery",
+                ),
+                (
+                    |r| r[0].rss_kb -= RSS_GROWTH_CEILING_KB + 1,
+                    "KiB when the run length doubled",
+                ),
+                (
+                    |r| r[2].rss_kb += RSS_GROWTH_CEILING_KB + 1,
+                    "KiB when the outage stretched",
+                ),
+                (
+                    |r| r.iter_mut().for_each(|r| r.rss_kb = RSS_ABS_CEILING_KB + 1),
+                    "exceeds absolute ceiling 3145728 KiB",
+                ),
+            ],
+        );
+    }
 }

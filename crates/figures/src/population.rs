@@ -1,4 +1,4 @@
-//! Population-scale load generation benchmark.
+//! The `population` row: population-scale load generation.
 //!
 //! Sweeps aggregate client populations of 10³ → 10⁵ modeled users (10⁶ in
 //! full mode) over progressively wider topologies — up to 128 height-1
@@ -6,26 +6,13 @@
 //! engine cost (events per committed transaction, event-queue high-water
 //! mark) and host-side cost (wall clock, resident set) per point.
 //!
-//! Two gates make the run self-checking so CI fails loudly instead of
-//! silently shipping a regression:
-//!
-//! 1. **Scale gate** — the 10⁵-user, 100+-domain point must commit work,
-//!    keep the client-side in-flight high-water mark O(1) in the
-//!    transaction count, and finish under a wall-clock / resident-set
-//!    ceiling.
-//! 2. **Parity gate** — the exact per-actor latencies of a common-topology
-//!    run are replayed into a streaming histogram; every reported quantile
-//!    must agree with the exact nearest-rank value within the histogram's
-//!    documented relative-error bound.
-//!
-//! `--json <path>` merges a `population` section into the shared
-//! `BENCH_results.json` (other sections are preserved).
+//! Two gates make the row self-checking so CI fails loudly instead of
+//! silently shipping a regression: [`scale_gate`] and [`parity_gate`].
 
-use saguaro_bench::{emit, json_path_from_args, options_from_args, JsonReport};
+use crate::{Options, Outcome};
 use saguaro_loadgen::LatencyHistogram;
 use saguaro_sim::experiment::ExperimentSpec;
-use saguaro_sim::figures::{population, render_population_table, FigureOptions, PopulationPoint};
-use saguaro_sim::json::{JsonValue, ToJson};
+use saguaro_sim::figures::{population, render_population_table, PopulationPoint};
 use saguaro_sim::protocol::ProtocolKind;
 use saguaro_types::SimTime;
 
@@ -86,8 +73,8 @@ fn scale_gate(points: &[PopulationPoint], quick: bool) -> Vec<String> {
 
 /// The parity gate: replay the exact per-actor latencies of a common
 /// topology into the streaming histogram and compare quantiles.  Returns
-/// the `(p, exact_ms, approx_ms)` rows and any violations.
-fn parity_gate(seed: u64) -> (Vec<(f64, f64, f64)>, Vec<String>) {
+/// the exact-vs-histogram table and any violations.
+fn parity_gate(seed: u64) -> (String, Vec<String>) {
     let mut spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
         .quick()
         .cross_domain(0.3)
@@ -103,7 +90,10 @@ fn parity_gate(seed: u64) -> (Vec<(f64, f64, f64)>, Vec<String>) {
             hist.record(c.latency.as_micros());
         }
     }
-    let mut rows = Vec::new();
+    let mut table = format!(
+        "# Histogram-vs-exact quantile parity (common topology)\n{:>6} {:>10} {:>14}\n",
+        "p", "exact_ms", "histogram_ms"
+    );
     let mut errors = Vec::new();
     for (p, exact_ms) in [
         (0.50, exact.p50_latency_ms),
@@ -111,7 +101,7 @@ fn parity_gate(seed: u64) -> (Vec<(f64, f64, f64)>, Vec<String>) {
         (0.99, exact.p99_latency_ms),
     ] {
         let approx_ms = hist.quantile(p) as f64 / 1_000.0;
-        rows.push((p, exact_ms, approx_ms));
+        table.push_str(&format!("{p:>6.2} {exact_ms:>10.3} {approx_ms:>14.3}\n"));
         let tolerance = exact_ms * LatencyHistogram::RELATIVE_ERROR_BOUND + 1e-3;
         if (approx_ms - exact_ms).abs() > tolerance {
             errors.push(format!(
@@ -120,67 +110,71 @@ fn parity_gate(seed: u64) -> (Vec<(f64, f64, f64)>, Vec<String>) {
             ));
         }
     }
-    (rows, errors)
+    (table, errors)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let options: FigureOptions = options_from_args(&args);
-
-    let points = population(&options);
-    emit(
-        "population",
-        render_population_table("Population-scale load generation sweep", &points),
-    );
-
-    let (parity_rows, parity_errors) = parity_gate(options.seed);
-    let mut parity_table = String::new();
-    parity_table.push_str("# Histogram-vs-exact quantile parity (common topology)\n");
-    parity_table.push_str(&format!(
-        "{:>6} {:>10} {:>14}\n",
-        "p", "exact_ms", "histogram_ms"
-    ));
-    for (p, exact_ms, approx_ms) in &parity_rows {
-        parity_table.push_str(&format!("{p:>6.2} {exact_ms:>10.3} {approx_ms:>14.3}\n"));
+/// Runs the sweep and the parity replay; prints both tables.
+pub fn run(options: &Options) -> Outcome {
+    let points = population(&options.figure);
+    let (parity_table, parity_errors) = parity_gate(options.figure.seed);
+    let mut failures = scale_gate(&points, options.figure.quick);
+    failures.extend(parity_errors);
+    Outcome {
+        tables: vec![
+            render_population_table("Population-scale load generation sweep", &points),
+            parity_table,
+        ],
+        failures,
     }
-    emit("population_parity", parity_table);
+}
 
-    let mut report = JsonReport::new();
-    report.add_value(
-        "population",
-        JsonValue::object([
-            ("quick", JsonValue::Bool(options.quick)),
-            ("points", points.to_json()),
-            (
-                "parity",
-                JsonValue::Array(
-                    parity_rows
-                        .iter()
-                        .map(|(p, exact_ms, approx_ms)| {
-                            JsonValue::object([
-                                ("p", JsonValue::Num(*p)),
-                                ("exact_ms", JsonValue::Num(*exact_ms)),
-                                ("histogram_ms", JsonValue::Num(*approx_ms)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-    );
-    report.merge_into_if_requested(json_path_from_args(&args).as_ref());
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let mut errors = scale_gate(&points, options.quick);
-    errors.extend(parity_errors);
-    if !errors.is_empty() {
-        for e in &errors {
-            eprintln!("POPULATION REGRESSION: {e}");
+    /// A 10⁵-user point that passes every scale condition.
+    fn passing() -> PopulationPoint {
+        PopulationPoint {
+            users: 100_000,
+            domains: 128,
+            metrics: saguaro_sim::RunMetrics {
+                committed: 10_000,
+                ..Default::default()
+            },
+            submitted: 10_000,
+            sampled: 10_000,
+            peak_inflight: 3,
+            peak_pending_events: 200,
+            events_processed: 250_000,
+            events_per_tx: 25.0,
+            wall_ms: 500.0,
+            resident_kb: 160 * 1024,
         }
-        std::process::exit(1);
     }
-    eprintln!(
-        "population gates ok: 10^5-user point within ceilings, quantile \
-         parity within {:.1}% of exact",
-        LatencyHistogram::RELATIVE_ERROR_BOUND * 100.0
-    );
+
+    #[test]
+    fn each_scale_condition_fails_with_its_message() {
+        crate::assert_each_violation_reported(
+            &passing(),
+            |p| scale_gate(std::slice::from_ref(p), true),
+            &[
+                (|p| p.users = 10_000, "no 10^5-user point in the sweep"),
+                (|p| p.domains = 64, "ran on 64 domains, need >= 100"),
+                (|p| p.metrics.committed = 0, "committed nothing"),
+                (
+                    |p| p.peak_inflight = 2_757,
+                    "peak in-flight 2757 exceeds 2756",
+                ),
+                (|p| p.wall_ms = 60_001.0, "took 60001 ms (ceiling 60000 ms)"),
+                (
+                    |p| p.resident_kb = QUICK_RSS_CEILING_KB + 1,
+                    "exceeds ceiling 2097152 KiB",
+                ),
+            ],
+        );
+        // The wall-clock and resident-set ceilings are quick-mode only.
+        let mut slow = passing();
+        slow.wall_ms = 600_000.0;
+        assert_eq!(scale_gate(&[slow], false), [""; 0]);
+    }
 }

@@ -2,8 +2,8 @@
 //! evaluation (Figures 7–13) plus the ablations called out in `DESIGN.md`.
 //!
 //! Each `figure*` function returns one [`FigureSeries`] per curve of the
-//! corresponding figure; the `saguaro-bench` binaries print them as tables
-//! and `EXPERIMENTS.md` records the paper-vs-measured comparison.
+//! corresponding figure; the `figures` driver (`crates/figures`) prints them
+//! as tables, one row per figure (`figures list`).
 
 use crate::experiment::{ExperimentSpec, LoadPoint, RidesharingConfig, RunMetrics};
 use crate::par::parallel_map;
@@ -43,7 +43,7 @@ impl Default for FigureOptions {
 }
 
 impl FigureOptions {
-    /// A fast configuration for tests and Criterion benches.
+    /// A fast configuration for tests and the `figures` driver's `--quick`.
     pub fn smoke() -> Self {
         Self {
             loads: vec![600.0, 1_200.0],
@@ -453,7 +453,7 @@ pub struct RecoveryPoint {
     pub outage_ms: f64,
     /// Catch-up time: from the scripted recovery instant to the victim's
     /// last applied state-transfer reply (virtual ms).  `-1` when the victim
-    /// never caught up (a regression the binary asserts against).
+    /// never caught up (a regression the `recovery` row gates against).
     pub recovery_ms: f64,
     /// Member commands the victim received through state transfer.
     pub transferred_commands: u64,
@@ -786,8 +786,7 @@ pub struct PopulationPoint {
     pub sampled: u64,
     /// High-water mark of the client-side in-flight map — the only
     /// per-transaction state the aggregate model keeps.  O(1) in the
-    /// transaction count by construction; the `population` binary enforces
-    /// it.
+    /// transaction count by construction; the `population` row enforces it.
     pub peak_inflight: u64,
     /// High-water mark of the simulator's event queue.
     pub peak_pending_events: u64,

@@ -1,20 +1,14 @@
-//! Minimal JSON rendering for machine-readable benchmark output.
+//! Minimal JSON: a value tree with a renderer and a parser.
 //!
 //! The build environment vendors a marker-only `serde` stand-in (see
-//! `vendor/serde`), so the workspace cannot rely on `serde_json`.  The
-//! figure and ablation binaries still need to emit `BENCH_results.json`
-//! trajectories; this module renders the handful of result types
-//! ([`RunMetrics`], [`LoadPoint`], [`FigureSeries`]) by hand.  The types all
-//! derive `serde::Serialize`, so swapping the vendored stand-in for the real
-//! crates-io `serde` + `serde_json` makes this module redundant without any
-//! type changes.
+//! `vendor/serde`), so the workspace cannot rely on `serde_json`.  This
+//! layer exists for `benchmark/`: its result lines, reports and span export
+//! are [`JsonValue`] trees, it reads result lines and `BENCHMARK.json` back
+//! with [`JsonValue::parse`], and it renders a run's [`RunMetrics`] through
+//! [`ToJson`].  The `figures` driver uses the parser once, to check that the
+//! Chrome trace export stayed valid JSON.
 
-use crate::experiment::{LoadPoint, RunMetrics};
-use crate::figures::{
-    FaultSeries, FigureSeries, PopulationPoint, RecoveryPoint, RecoverySeries, TimelineBin,
-    TimeoutPoint, TimeoutSeries,
-};
-use crate::scenarios::{AdaptiveComparison, PolicyOutcome, ScenarioCell};
+use crate::experiment::RunMetrics;
 
 /// A JSON value assembled programmatically and rendered with
 /// [`JsonValue::render`].
@@ -37,10 +31,8 @@ pub enum JsonValue {
 impl JsonValue {
     /// Parses a JSON document (the inverse of [`JsonValue::render`]).
     ///
-    /// Used by the benchmark binaries to merge a new section into an
-    /// existing `BENCH_results.json` without discarding the sections other
-    /// binaries wrote.  Object keys keep their document order.  Returns
-    /// `None` on any syntax error or trailing garbage.
+    /// Object keys keep their document order.  Returns `None` on any syntax
+    /// error or trailing garbage.
     pub fn parse(text: &str) -> Option<Self> {
         let bytes = text.as_bytes();
         let mut pos = 0;
@@ -298,227 +290,6 @@ impl ToJson for RunMetrics {
     }
 }
 
-impl ToJson for LoadPoint {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("offered_tps", JsonValue::Num(self.offered_tps)),
-            ("metrics", self.metrics.to_json()),
-        ])
-    }
-}
-
-impl ToJson for FigureSeries {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("label", JsonValue::Str(self.label.clone())),
-            (
-                "points",
-                JsonValue::Array(self.points.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl ToJson for TimelineBin {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("t_ms", JsonValue::Num(self.t_ms)),
-            ("committed_tps", JsonValue::Num(self.committed_tps)),
-            ("avg_latency_ms", JsonValue::Num(self.avg_latency_ms)),
-        ])
-    }
-}
-
-impl ToJson for FaultSeries {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("label", JsonValue::Str(self.label.clone())),
-            ("crash_ms", JsonValue::Num(self.crash_ms)),
-            ("recover_ms", JsonValue::Num(self.recover_ms)),
-            ("view_changes", JsonValue::Num(self.view_changes as f64)),
-            (
-                "timeline",
-                JsonValue::Array(self.timeline.iter().map(ToJson::to_json).collect()),
-            ),
-            ("metrics", self.metrics.to_json()),
-        ])
-    }
-}
-
-impl ToJson for RecoveryPoint {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("outage_ms", JsonValue::Num(self.outage_ms)),
-            ("recovery_ms", JsonValue::Num(self.recovery_ms)),
-            (
-                "transferred_commands",
-                JsonValue::Num(self.transferred_commands as f64),
-            ),
-            (
-                "transferred_bytes",
-                JsonValue::Num(self.transferred_bytes as f64),
-            ),
-            (
-                "victim_frontier",
-                JsonValue::Num(self.victim_frontier as f64),
-            ),
-            (
-                "healthy_frontier",
-                JsonValue::Num(self.healthy_frontier as f64),
-            ),
-            ("vote_entries", JsonValue::Num(self.vote_entries as f64)),
-            (
-                "vote_entries_unbounded",
-                JsonValue::Num(self.vote_entries_unbounded as f64),
-            ),
-            ("vote_bytes", JsonValue::Num(self.vote_bytes() as f64)),
-            (
-                "vote_bytes_unbounded",
-                JsonValue::Num(self.vote_bytes_unbounded() as f64),
-            ),
-            (
-                "stable_checkpoint",
-                JsonValue::Num(self.stable_checkpoint as f64),
-            ),
-            ("metrics", self.metrics.to_json()),
-        ])
-    }
-}
-
-impl ToJson for RecoverySeries {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("label", JsonValue::Str(self.label.clone())),
-            (
-                "checkpoint_interval",
-                JsonValue::Num(self.checkpoint_interval as f64),
-            ),
-            (
-                "points",
-                JsonValue::Array(self.points.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl ToJson for TimeoutPoint {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("timeout_ms", JsonValue::Num(self.timeout_ms)),
-            (
-                "false_suspicions",
-                JsonValue::Num(self.false_suspicions as f64),
-            ),
-            (
-                "false_suspicion_rate",
-                JsonValue::Num(self.false_suspicion_rate),
-            ),
-            ("recovery_ms", JsonValue::Num(self.recovery_ms)),
-            ("crash_run_tps", JsonValue::Num(self.crash_run_tps)),
-        ])
-    }
-}
-
-impl ToJson for TimeoutSeries {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("label", JsonValue::Str(self.label.clone())),
-            (
-                "points",
-                JsonValue::Array(self.points.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl ToJson for ScenarioCell {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("scenario", JsonValue::Str(self.scenario.clone())),
-            ("stack", JsonValue::Str(self.stack.clone())),
-            ("policy", JsonValue::Str(self.policy.clone())),
-            ("metrics", self.metrics.to_json()),
-            ("view_changes", JsonValue::Num(self.view_changes as f64)),
-            (
-                "certificate_conflicts",
-                JsonValue::Num(self.certificate_conflicts as f64),
-            ),
-            (
-                "safety_violations",
-                JsonValue::Array(
-                    self.safety_violations
-                        .iter()
-                        .map(|v| JsonValue::Str(v.clone()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl ToJson for PolicyOutcome {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("label", JsonValue::Str(self.label.clone())),
-            ("recovery_ms", JsonValue::Num(self.recovery_ms)),
-            (
-                "false_suspicions",
-                JsonValue::Num(self.false_suspicions as f64),
-            ),
-            ("crash_run_tps", JsonValue::Num(self.crash_run_tps)),
-        ])
-    }
-}
-
-impl ToJson for AdaptiveComparison {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            (
-                "fixed",
-                JsonValue::Array(self.fixed.iter().map(ToJson::to_json).collect()),
-            ),
-            ("adaptive", self.adaptive.to_json()),
-            ("best_fixed", self.best_fixed.to_json()),
-        ])
-    }
-}
-
-impl ToJson for PopulationPoint {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("users", JsonValue::Num(self.users as f64)),
-            ("domains", JsonValue::Num(self.domains as f64)),
-            ("metrics", self.metrics.to_json()),
-            ("submitted", JsonValue::Num(self.submitted as f64)),
-            ("sampled", JsonValue::Num(self.sampled as f64)),
-            ("peak_inflight", JsonValue::Num(self.peak_inflight as f64)),
-            (
-                "peak_pending_events",
-                JsonValue::Num(self.peak_pending_events as f64),
-            ),
-            (
-                "events_processed",
-                JsonValue::Num(self.events_processed as f64),
-            ),
-            ("events_per_tx", JsonValue::Num(self.events_per_tx)),
-            ("wall_ms", JsonValue::Num(self.wall_ms)),
-            ("resident_kb", JsonValue::Num(self.resident_kb as f64)),
-        ])
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> JsonValue {
-        self.as_slice().to_json()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,17 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_handles_existing_bench_results_shape() {
-        let existing = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_results.json"),
-        );
-        if let Ok(text) = existing {
-            let parsed = JsonValue::parse(&text).expect("checked-in BENCH_results parses");
-            assert!(matches!(parsed, JsonValue::Object(_)));
-        }
-    }
-
-    #[test]
     fn scalars_render() {
         assert_eq!(JsonValue::Null.render(), "null");
         assert_eq!(JsonValue::Bool(true).render(), "true");
@@ -604,19 +364,5 @@ mod tests {
             assert!(json.contains(&format!("\"{key}\":")), "missing {key}");
         }
         assert!(json.contains("\"committed\":177"));
-    }
-
-    #[test]
-    fn series_render_with_labels_and_points() {
-        let series = vec![FigureSeries {
-            label: "Coordinator b=8".into(),
-            points: vec![LoadPoint {
-                offered_tps: 600.0,
-                metrics: RunMetrics::default(),
-            }],
-        }];
-        let json = series.to_json().render();
-        assert!(json.contains("\"label\":\"Coordinator b=8\""));
-        assert!(json.contains("\"points\":[{"));
     }
 }

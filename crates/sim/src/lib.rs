@@ -28,15 +28,13 @@
 //!   paper's evaluation (7 through 13) plus the ablations listed in
 //!   `DESIGN.md` (including the request-batching ablation,
 //!   [`figures::ablation_batch`]).
-//! * [`json`] — hand-rolled JSON rendering for the `BENCH_results.json`
-//!   trajectories the figure/ablation binaries write with `--json` (the
-//!   vendored `serde` is a marker-only stand-in, so there is no
-//!   `serde_json`).
+//! * [`json`] — a hand-rolled JSON value, renderer and parser for
+//!   `benchmark/`'s result lines and reports (the vendored `serde` is a
+//!   marker-only stand-in, so there is no `serde_json`).
 //! * [`timeline`] — the bucketed time-series metrics of a traced run
 //!   (throughput, latency quantiles, queue depth, view changes per bucket),
 //!   built from [`RunArtifacts::trace`] when the spec enables
-//!   [`saguaro_types::TraceConfig`] and emitted as the `timeline` section
-//!   of `BENCH_results.json`.
+//!   [`saguaro_types::TraceConfig`]; `figures trace` prints it.
 //!
 //! # Request batching
 //!

@@ -70,7 +70,7 @@ impl Scenario {
         ]
     }
 
-    /// Short name used in tables and JSON.
+    /// Short name used in tables.
     pub fn label(&self) -> &'static str {
         match self {
             Scenario::DomainOutage => "domain-outage",
@@ -148,7 +148,7 @@ impl Scenario {
 }
 
 /// The adaptive suspicion-window knobs the scenario matrix (and the
-/// `scenarios` binary) deploy: a 30 ms floor — half the conservative 60 ms
+/// `figures scenarios` row) deploy: a 30 ms floor — half the conservative 60 ms
 /// default, low enough to roughly halve crash recovery but high enough to
 /// stay false-suspicion-free — backing off ×2 on failed view changes up to
 /// 240 ms and decaying ×½ on progress.

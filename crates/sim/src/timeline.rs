@@ -7,8 +7,8 @@
 //! engine uses), the number of submitted-but-not-yet-completed transactions
 //! at each bucket boundary, and per-bucket view-change / equivocation
 //! counts.  It is built only when tracing is on (see
-//! [`crate::experiment::RunArtifacts::timeline`]) and rendered into the
-//! `timeline` section of `BENCH_results.json` by the benchmark binaries.
+//! [`crate::experiment::RunArtifacts::timeline`]); the `figures trace` row
+//! prints it as a table.
 //!
 //! The bucket grid covers exactly `warmup + measure`; completions landing in
 //! the post-measure drain tail are not binned.  The name deliberately avoids
@@ -16,7 +16,6 @@
 //! fault figures already print.
 
 use crate::client::CompletedTx;
-use crate::json::{JsonValue, ToJson};
 use saguaro_loadgen::LatencyHistogram;
 use saguaro_trace::{RunTrace, TraceEventKind};
 use saguaro_types::{Duration, SimTime};
@@ -150,40 +149,6 @@ impl RunTimeline {
     }
 }
 
-impl ToJson for TimelinePoint {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            ("start_ms", JsonValue::Num(self.start_ms)),
-            ("committed", JsonValue::Num(self.committed as f64)),
-            ("aborted", JsonValue::Num(self.aborted as f64)),
-            ("throughput_tps", JsonValue::Num(self.throughput_tps)),
-            ("p50_latency_ms", JsonValue::Num(self.p50_latency_ms)),
-            ("p95_latency_ms", JsonValue::Num(self.p95_latency_ms)),
-            ("in_flight", JsonValue::Num(self.in_flight as f64)),
-            ("view_changes", JsonValue::Num(self.view_changes as f64)),
-            (
-                "certificate_conflicts",
-                JsonValue::Num(self.certificate_conflicts as f64),
-            ),
-        ])
-    }
-}
-
-impl ToJson for RunTimeline {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::object([
-            (
-                "bucket_ms",
-                JsonValue::Num(self.bucket.as_micros() as f64 / 1_000.0),
-            ),
-            (
-                "points",
-                JsonValue::Array(self.points.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,20 +220,5 @@ mod tests {
         );
         let depths: Vec<u64> = tl.points.iter().map(|p| p.in_flight).collect();
         assert_eq!(depths, vec![1, 1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn renders_as_json() {
-        let tl = RunTimeline::build(
-            Duration::ZERO,
-            Duration::from_millis(10),
-            2,
-            &[done(1, 1, 2, true)],
-            &RunTrace::default(),
-        );
-        let json = tl.to_json().render();
-        assert!(json.contains("\"bucket_ms\":5"));
-        assert!(json.contains("\"points\":[{"));
-        assert!(JsonValue::parse(&json).is_some());
     }
 }

@@ -106,5 +106,7 @@ fn main() {
     println!("simulated {} messages", sim.stats().messages_delivered);
     println!("cross-domain payment committed through the LCA coordinator.");
     println!("run `cargo run --release --example quickstart` for measured numbers,");
-    println!("or `cargo run --release -p saguaro-bench --bin figure7 -- --quick` for a figure.");
+    println!(
+        "or `cargo run --release -p saguaro-figures --bin figures -- 7 --quick` for a figure."
+    );
 }
