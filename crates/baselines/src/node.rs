@@ -142,6 +142,19 @@ impl BaselineNode {
         self.host.quorum().certificate_size()
     }
 
+    /// The one fan-out: sends `msg` to every node of every domain in
+    /// `domains`, domain by domain in the order given.
+    fn send_to_domains(
+        &self,
+        domains: impl IntoIterator<Item = DomainId>,
+        msg: BaselineMsg,
+        ctx: &mut Context<'_, BaselineMsg>,
+    ) {
+        let tree = &self.tree;
+        let nodes = domains.into_iter().flat_map(|d| tree.replicas_of(d));
+        ctx.multicast(nodes, msg);
+    }
+
     fn execute_and_commit(
         &mut self,
         tx: &Transaction,
@@ -185,10 +198,7 @@ impl BaselineNode {
         match self.role {
             BaselineRole::AhlShard | BaselineRole::AhlCommittee => {
                 // Forward to the reference committee for 2PC coordination.
-                ctx.multicast(
-                    self.tree.replicas_of(self.committee),
-                    BaselineMsg::CrossSubmit { tx },
-                );
+                self.send_to_domains([self.committee], BaselineMsg::CrossSubmit { tx }, ctx);
             }
             BaselineRole::SharperShard => self.start_flattened(tx, ctx),
         }
@@ -216,15 +226,8 @@ impl BaselineNode {
         });
         if self.is_primary() {
             let cert_sigs = self.cert_sigs();
-            for d in tx.involved_domains() {
-                ctx.multicast(
-                    self.tree.replicas_of(d),
-                    BaselineMsg::TwoPcPrepare {
-                        tx: tx.clone(),
-                        cert_sigs,
-                    },
-                );
-            }
+            let involved = tx.involved_domains();
+            self.send_to_domains(involved, BaselineMsg::TwoPcPrepare { tx, cert_sigs }, ctx);
         }
     }
 
@@ -242,16 +245,13 @@ impl BaselineNode {
         // The shard ordered (locked) the transaction; its primary votes.
         self.prepared_cache.insert(tx.id, tx.clone());
         if self.is_primary() {
-            let cert_sigs = self.cert_sigs();
-            ctx.multicast(
-                self.tree.replicas_of(self.committee),
-                BaselineMsg::TwoPcVote {
-                    tx_id: tx.id,
-                    domain: self.domain(),
-                    ok: true,
-                    cert_sigs,
-                },
-            );
+            let vote = BaselineMsg::TwoPcVote {
+                tx_id: tx.id,
+                domain: self.domain(),
+                ok: true,
+                cert_sigs: self.cert_sigs(),
+            };
+            self.send_to_domains([self.committee], vote, ctx);
         }
     }
 
@@ -265,36 +265,22 @@ impl BaselineNode {
         if self.role != BaselineRole::AhlCommittee {
             return;
         }
-        let (ready, tx) = {
-            let Some(entry) = self.coordinating.get_mut(&tx_id) else {
-                return;
-            };
-            if entry.decided || !ok {
-                return;
-            }
-            entry.votes.insert(domain);
-            let ready = entry
-                .tx
-                .involved_domains()
-                .iter()
-                .all(|d| entry.votes.contains(d));
-            if ready {
-                entry.decided = true;
-            }
-            (ready, entry.tx.clone())
+        let Some(entry) = self.coordinating.get_mut(&tx_id) else {
+            return;
         };
-        if ready && self.is_primary() {
-            let cert_sigs = self.cert_sigs();
-            for d in tx.involved_domains() {
-                ctx.multicast(
-                    self.tree.replicas_of(d),
-                    BaselineMsg::TwoPcDecision {
-                        tx_id,
-                        commit: true,
-                        cert_sigs,
-                    },
-                );
-            }
+        if entry.decided || !ok {
+            return;
+        }
+        entry.votes.insert(domain);
+        let involved = entry.tx.involved_domains();
+        entry.decided = involved.iter().all(|d| entry.votes.contains(d));
+        if entry.decided && self.is_primary() {
+            let decision = BaselineMsg::TwoPcDecision {
+                tx_id,
+                commit: true,
+                cert_sigs: self.cert_sigs(),
+            };
+            self.send_to_domains(involved, decision, ctx);
         }
     }
 
@@ -337,52 +323,35 @@ impl BaselineNode {
         self.flat_seq += 1;
         let seq = self.flat_seq;
         self.flattened.entry(tx.id).or_default();
-        let leader_domain = self.domain();
-        for d in tx.involved_domains() {
-            ctx.multicast(
-                self.tree.replicas_of(d),
-                BaselineMsg::FlatAccept {
-                    tx: tx.clone(),
-                    seq,
-                    leader_domain,
-                },
-            );
-        }
+        let involved = tx.involved_domains();
+        let accept = BaselineMsg::FlatAccept {
+            tx,
+            seq,
+            leader_domain: self.domain(),
+        };
+        self.send_to_domains(involved, accept, ctx);
     }
 
     fn on_flat_accept(
         &mut self,
         tx: Transaction,
-        _seq: SeqNo,
         leader_domain: DomainId,
         ctx: &mut Context<'_, BaselineMsg>,
     ) {
-        self.prepared_cache.insert(tx.id, tx.clone());
-        let leader_primary = NodeId::new(leader_domain, 0);
+        let (tx_id, domain) = (tx.id, self.domain());
         match self.host.quorum().model {
-            FailureModel::Crash => {
-                // CFT: vote straight back to the leader.
-                ctx.send(
-                    leader_primary,
-                    BaselineMsg::FlatVote {
-                        tx_id: tx.id,
-                        domain: self.domain(),
-                    },
-                );
-            }
+            // CFT: vote straight back to the leader.
+            FailureModel::Crash => ctx.send(
+                NodeId::new(leader_domain, 0),
+                BaselineMsg::FlatVote { tx_id, domain },
+            ),
+            // BFT: all-to-all echo across every involved shard first.
             FailureModel::Byzantine => {
-                // BFT: all-to-all echo across every involved shard first.
-                for d in tx.involved_domains() {
-                    ctx.multicast(
-                        self.tree.replicas_of(d),
-                        BaselineMsg::FlatEcho {
-                            tx_id: tx.id,
-                            domain: self.domain(),
-                        },
-                    );
-                }
+                let echo = BaselineMsg::FlatEcho { tx_id, domain };
+                self.send_to_domains(tx.involved_domains(), echo, ctx)
             }
         }
+        self.prepared_cache.insert(tx_id, tx);
     }
 
     fn on_flat_echo(
@@ -434,29 +403,18 @@ impl BaselineNode {
             // After the echo phase each shard only needs one quorate reporter.
             FailureModel::Byzantine => 1,
         };
-        let (ready, involved) = {
-            let entry = self.flattened.entry(tx_id).or_default();
-            if entry.committed {
-                return;
-            }
-            entry.votes.entry(domain).or_default().insert(node);
-            let involved = tx.involved_domains();
-            let ready = involved
-                .iter()
-                .all(|d| entry.votes.get(d).map(BTreeSet::len).unwrap_or(0) >= needed_per_shard);
-            if ready {
-                entry.committed = true;
-            }
-            (ready, involved)
-        };
-        if ready {
+        let entry = self.flattened.entry(tx_id).or_default();
+        if entry.committed {
+            return;
+        }
+        entry.votes.entry(domain).or_default().insert(node);
+        let involved = tx.involved_domains();
+        entry.committed = involved
+            .iter()
+            .all(|d| entry.votes.get(d).map(BTreeSet::len).unwrap_or(0) >= needed_per_shard);
+        if entry.committed {
             let cert_sigs = self.cert_sigs();
-            for d in involved {
-                ctx.multicast(
-                    self.tree.replicas_of(d),
-                    BaselineMsg::FlatCommit { tx_id, cert_sigs },
-                );
-            }
+            self.send_to_domains(involved, BaselineMsg::FlatCommit { tx_id, cert_sigs }, ctx);
         }
     }
 
@@ -547,9 +505,12 @@ impl HostedReplica for BaselineNode {
         self.state = BlockchainState::adopt(snapshot.accounts.clone());
     }
 
-    /// A cross-shard transaction the committee is still coordinating.
+    /// A cross-shard transaction the committee has not decided yet.  Decided
+    /// entries stay until their ledger prefix is pruned (never, on the
+    /// committee) and must not count: an idle committee replica would
+    /// suspect a healthy primary forever.
     fn work_pending(&self) -> bool {
-        !self.coordinating.is_empty()
+        self.coordinating.values().any(|e| !e.decided)
     }
 }
 
@@ -567,10 +528,8 @@ impl Actor<BaselineMsg> for BaselineNode {
                 self.on_two_pc_decision(tx_id, commit, ctx)
             }
             BaselineMsg::FlatAccept {
-                tx,
-                seq,
-                leader_domain,
-            } => self.on_flat_accept(tx, seq, leader_domain, ctx),
+                tx, leader_domain, ..
+            } => self.on_flat_accept(tx, leader_domain, ctx),
             BaselineMsg::FlatEcho { tx_id, domain } => self.on_flat_echo(tx_id, domain, from, ctx),
             BaselineMsg::FlatVote { tx_id, domain } => self.on_flat_vote(tx_id, domain, from, ctx),
             BaselineMsg::FlatCommit { tx_id, .. } => self.on_flat_commit(tx_id, ctx),

@@ -82,10 +82,8 @@ impl<C: Clone> CheckpointKeeper<C> {
     pub fn new(config: CheckpointConfig, legacy_interval: Option<SeqNo>) -> Self {
         let interval = if config.is_active() {
             Some(config.interval)
-        } else if config.interval == 0 {
-            legacy_interval
         } else {
-            None // unbounded: no checkpoints at all
+            legacy_interval
         };
         Self {
             interval,
@@ -343,13 +341,6 @@ mod tests {
         let pbft = CheckpointKeeper::new(CheckpointConfig::legacy(), Some(128));
         assert!(pbft.announces_at(128));
         assert!(!pbft.announces_at(127));
-    }
-
-    #[test]
-    fn unbounded_disables_even_the_pbft_builtin() {
-        let pbft = CheckpointKeeper::new(CheckpointConfig::unbounded(), Some(128));
-        assert!(!pbft.announces_at(128));
-        assert!(!pbft.state_transfer_enabled());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Protocol configuration knobs.
+//! What a deployment chooses about the protocol, and the timing constants of
+//! rounds and deadlock resolution.
 
 use saguaro_ledger::AbstractionFn;
 use saguaro_types::{Duration, StackConfig};
@@ -14,34 +15,36 @@ pub enum CrossDomainMode {
     Optimistic,
 }
 
-/// Static protocol parameters shared by every node of a deployment.
+/// Length of a height-1 round — the time between `block` messages to the
+/// parent (Section 5).  Higher levels double it per level, as in Figure 4
+/// where "the time interval of height-2 domains is twice the height-1
+/// domains".
+const ROUND_INTERVAL: Duration = Duration::from_millis(50);
+
+/// The optimistic protocol's height-1 round: shorter, so inconsistencies are
+/// detected earlier (Section 6, "the predefined time interval for completion
+/// of rounds is smaller").
+const OPTIMISTIC_ROUND_INTERVAL: Duration = Duration::from_millis(20);
+
+/// How long a coordinator waits for every `prepared` message before it
+/// aborts and retries the transaction (Algorithm 1's deadlock resolution).
+const CROSS_DOMAIN_TIMEOUT: Duration = Duration::from_millis(400);
+
+/// Added to `CROSS_DOMAIN_TIMEOUT` once per domain index so two deadlocked
+/// coordinators do not retry in lockstep ("Saguaro assigns different timers
+/// to different domains to prevent consecutive deadlock situations").
+const DEADLOCK_STAGGER: Duration = Duration::from_millis(37);
+
+/// What a deployment chooses about the protocol: the cross-domain mode, the
+/// application's abstraction function and the replica pipeline.  Every round
+/// interval and timeout is a constant of the module that uses it.
 #[derive(Clone, Debug)]
 pub struct ProtocolConfig {
     /// Cross-domain processing mode.
     pub cross_mode: CrossDomainMode,
-    /// Length of a height-1 round (time between `block` messages to the
-    /// parent).  Higher levels double this per level, as in Figure 4 where
-    /// "the time interval of height-2 domains is twice the height-1 domains".
-    pub round_interval: Duration,
-    /// The optimistic protocol uses a shorter round so inconsistencies are
-    /// detected earlier ("the predefined time interval for completion of
-    /// rounds is smaller").
-    pub optimistic_round_interval: Duration,
-    /// Timeout after which a coordinator aborts and retries a cross-domain
-    /// transaction that has not gathered all prepared messages (deadlock
-    /// resolution).  Staggered per domain by `deadlock_stagger`.
-    pub cross_domain_timeout: Duration,
-    /// Additional per-domain-index stagger added to `cross_domain_timeout` so
-    /// two deadlocked coordinators do not retry in lockstep.
-    pub deadlock_stagger: Duration,
-    /// Timeout after which a participant queries the coordinator for a
-    /// missing commit message.
-    pub commit_query_timeout: Duration,
-    /// Abstraction function applied to state updates before propagation.
+    /// Abstraction function applied to state updates before propagation
+    /// (Section 5: chosen per application).
     pub abstraction: AbstractionFn,
-    /// Number of rounds after which an optimistic cross-domain transaction
-    /// that is still missing from some involved domain is considered aborted.
-    pub optimistic_abort_rounds: u64,
     /// The per-domain pipeline knobs every replica host is built from:
     /// request batching, liveness timers, checkpointing / state transfer,
     /// delivery recording and tracing.  The default is the historical
@@ -55,13 +58,7 @@ impl ProtocolConfig {
     pub fn coordinator() -> Self {
         Self {
             cross_mode: CrossDomainMode::Coordinator,
-            round_interval: Duration::from_millis(50),
-            optimistic_round_interval: Duration::from_millis(20),
-            cross_domain_timeout: Duration::from_millis(400),
-            deadlock_stagger: Duration::from_millis(37),
-            commit_query_timeout: Duration::from_millis(600),
             abstraction: AbstractionFn::Full,
-            optimistic_abort_rounds: 8,
             stack: StackConfig::default(),
         }
     }
@@ -78,20 +75,17 @@ impl ProtocolConfig {
     /// above 1).
     pub fn round_interval_for_height(&self, height: u8) -> Duration {
         let base = match self.cross_mode {
-            CrossDomainMode::Coordinator => self.round_interval,
-            CrossDomainMode::Optimistic => self.optimistic_round_interval,
+            CrossDomainMode::Coordinator => ROUND_INTERVAL,
+            CrossDomainMode::Optimistic => OPTIMISTIC_ROUND_INTERVAL,
         };
         let factor = 1u64 << (height.saturating_sub(1).min(6)) as u64;
         Duration::from_micros(base.as_micros() * factor)
     }
 
-    /// Deadlock/retry timeout for a coordinator domain with the given index
-    /// ("Saguaro assigns different timers to different domains to prevent
-    /// consecutive deadlock situations").
+    /// Deadlock/retry timeout for a coordinator domain with the given index.
     pub fn deadlock_timeout_for(&self, domain_index: u16) -> Duration {
         Duration::from_micros(
-            self.cross_domain_timeout.as_micros()
-                + self.deadlock_stagger.as_micros() * domain_index as u64,
+            CROSS_DOMAIN_TIMEOUT.as_micros() + DEADLOCK_STAGGER.as_micros() * domain_index as u64,
         )
     }
 }

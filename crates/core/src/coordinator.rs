@@ -13,15 +13,20 @@
 use crate::command::Cmd;
 use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
-use crate::node::SaguaroNode;
-use saguaro_ledger::TxStatus;
+use crate::node::{Commit, SaguaroNode};
 use saguaro_net::{Context, TimerId};
-use saguaro_types::{DomainId, MultiSeq, SeqNo, Transaction, TxId};
+use saguaro_types::{DomainId, Duration, MultiSeq, NodeId, SeqNo, Transaction, TxId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Maximum number of deadlock-timeout retries before a coordinator gives up
 /// and aborts a cross-domain transaction permanently.
 pub(crate) const MAX_CROSS_RETRIES: u32 = 3;
+
+/// How long a participant that ordered a prepare waits for the decision
+/// before it queries the LCA (Algorithm 1's failure handling) — and the
+/// period at which a primary waiting for a mobile device's state re-issues
+/// its `state-query` (Algorithm 2).
+pub(crate) const COMMIT_QUERY_TIMEOUT: Duration = Duration::from_millis(600);
 
 /// Coordinator-side bookkeeping for one cross-domain transaction.
 #[derive(Clone, Debug)]
@@ -31,20 +36,23 @@ pub(crate) struct CoordEntry {
     pub involved: Vec<DomainId>,
     /// Local sequence numbers reported by involved domains so far.
     pub prepared: BTreeMap<DomainId, SeqNo>,
-    /// Domains that acknowledged the commit.
-    pub acks: BTreeSet<DomainId>,
     pub decided: bool,
     pub retries: u32,
     pub timer: Option<TimerId>,
+}
+
+impl CoordEntry {
+    /// The sequence numbers reported so far, concatenated.
+    fn seqs(&self) -> MultiSeq {
+        MultiSeq::from_parts(self.prepared.iter().map(|(d, s)| (*d, *s)).collect())
+    }
 }
 
 /// Participant-side bookkeeping for one cross-domain transaction.
 #[derive(Clone, Debug)]
 pub(crate) struct ParticipantEntry {
     pub tx: Transaction,
-    pub coord_seq: SeqNo,
-    pub local_seq: Option<SeqNo>,
-    pub committed: bool,
+    pub local_seq: SeqNo,
     pub timer: Option<TimerId>,
 }
 
@@ -65,12 +73,7 @@ impl SaguaroNode {
     /// the receiving primary forwards the request directly to all nodes of
     /// the LCA domain (Algorithm 1, lines 6-7).
     pub(crate) fn start_coordinated(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
-        if !self.is_primary() {
-            ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
-            return;
-        }
-        let involved = tx.involved_domains();
-        let Ok(lca) = self.tree.lca(&involved) else {
+        let Some(lca) = self.lca_of(&tx) else {
             self.reply(tx.id, false, ctx);
             return;
         };
@@ -96,6 +99,13 @@ impl SaguaroNode {
         if self.coordinated.contains_key(&tx.id) {
             return; // duplicate forward
         }
+        self.admit(tx, ctx);
+    }
+
+    /// The coordinator's admission rule: a transaction that intersects an
+    /// undecided coordinated one in two or more domains waits in
+    /// `coord_queue`; any other starts an attempt now.
+    fn admit(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
         let involved = tx.involved_domains();
         let blocked = self
             .coordinated
@@ -103,28 +113,67 @@ impl SaguaroNode {
             .any(|e| !e.decided && intersect_two(&e.involved, &involved));
         if blocked {
             self.coord_queue.push_back(tx);
-            return;
+        } else {
+            self.start_attempt(tx, ctx);
         }
+    }
+
+    /// Orders one attempt at `tx` under the next coordinator sequence number.
+    fn start_attempt(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
         let coord_seq = self.next_coord_seq;
         self.next_coord_seq += 1;
         self.propose(Cmd::CoordPrepare { tx, coord_seq }, ctx);
     }
 
+    /// LCA primary → every node of every domain `tx_id` involves: the
+    /// decision.
+    fn send_decision(
+        &self,
+        tx_id: TxId,
+        seqs: MultiSeq,
+        commit: bool,
+        ctx: &mut Context<'_, SaguaroMsg>,
+    ) {
+        let Some(entry) = self.coordinated.get(&tx_id) else {
+            return;
+        };
+        let cert_sigs = self.cert_sigs();
+        let decision = SaguaroMsg::CommitCross {
+            tx_id,
+            seqs,
+            commit,
+            cert_sigs,
+        };
+        self.send_to_domains(entry.involved.iter().copied(), decision, ctx);
+    }
+
     /// The coordinator domain agreed to coordinate `tx` (delivered by its
-    /// internal consensus).
+    /// internal consensus): every replica records the attempt, the primary
+    /// asks the involved domains to prepare and arms the deadlock timer.
     pub(crate) fn apply_coord_prepare(
         &mut self,
         tx: Transaction,
         coord_seq: SeqNo,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
+        let tx_id = tx.id;
         let involved = tx.involved_domains();
-        let entry = self.coordinated.entry(tx.id).or_insert_with(|| CoordEntry {
-            tx: tx.clone(),
+        let timer = self.is_primary().then(|| {
+            let cert_sigs = self.cert_sigs();
+            let prepare = SaguaroMsg::Prepare {
+                tx: tx.clone(),
+                coord_seq,
+                cert_sigs,
+            };
+            self.send_to_domains(involved.iter().copied(), prepare, ctx);
+            let timeout = self.config.deadlock_timeout_for(self.domain().index);
+            ctx.set_timer(timeout, SaguaroMsg::CrossTimeout { tx_id })
+        });
+        let entry = self.coordinated.entry(tx_id).or_insert_with(|| CoordEntry {
+            tx,
             coord_seq,
-            involved: involved.clone(),
+            involved,
             prepared: BTreeMap::new(),
-            acks: BTreeSet::new(),
             decided: false,
             retries: 0,
             timer: None,
@@ -132,24 +181,8 @@ impl SaguaroNode {
         entry.coord_seq = coord_seq;
         entry.prepared.clear();
         entry.decided = false;
-        if self.is_primary() {
-            let cert_sigs = self.cert_sigs();
-            for d in involved {
-                self.send_to_domain(
-                    d,
-                    SaguaroMsg::Prepare {
-                        tx: tx.clone(),
-                        coord_seq,
-                        cert_sigs,
-                    },
-                    ctx,
-                );
-            }
-            let timeout = self.config.deadlock_timeout_for(self.domain().index);
-            let timer = ctx.set_timer(timeout, SaguaroMsg::CrossTimeout { tx_id: tx.id });
-            if let Some(e) = self.coordinated.get_mut(&tx.id) {
-                e.timer = Some(timer);
-            }
+        if timer.is_some() {
+            entry.timer = timer;
         }
     }
 
@@ -162,25 +195,15 @@ impl SaguaroNode {
         domain: DomainId,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
-        let (all_prepared, parts) = {
-            let Some(entry) = self.coordinated.get_mut(&tx_id) else {
-                return;
-            };
-            if entry.decided || entry.coord_seq != coord_seq {
-                return;
-            }
-            entry.prepared.insert(domain, local_seq);
-            (
-                entry.prepared.len() == entry.involved.len(),
-                entry
-                    .prepared
-                    .iter()
-                    .map(|(d, s)| (*d, *s))
-                    .collect::<Vec<_>>(),
-            )
+        let Some(entry) = self.coordinated.get_mut(&tx_id) else {
+            return;
         };
-        if all_prepared && self.is_primary() {
-            let seqs = MultiSeq::from_parts(parts);
+        if entry.decided || entry.coord_seq != coord_seq {
+            return;
+        }
+        entry.prepared.insert(domain, local_seq);
+        if entry.prepared.len() == entry.involved.len() && self.is_primary() {
+            let seqs = self.coordinated[&tx_id].seqs();
             self.propose(
                 Cmd::CoordCommit {
                     tx_id,
@@ -207,53 +230,14 @@ impl SaguaroNode {
         if let Some(t) = entry.timer.take() {
             ctx.cancel_timer(t);
         }
-        let involved = entry.involved.clone();
         if self.is_primary() {
-            let cert_sigs = self.cert_sigs();
-            for d in involved {
-                self.send_to_domain(
-                    d,
-                    SaguaroMsg::CommitCross {
-                        tx_id,
-                        seqs: seqs.clone(),
-                        commit,
-                        cert_sigs,
-                    },
-                    ctx,
-                );
+            self.send_decision(tx_id, seqs, commit, ctx);
+            // Coordination for this transaction is finished; unblock any
+            // queued cross-domain transactions that were waiting on it.
+            let queued: Vec<Transaction> = self.coord_queue.drain(..).collect();
+            for tx in queued {
+                self.admit(tx, ctx);
             }
-        }
-        // Coordination for this transaction is finished; unblock any queued
-        // cross-domain transactions that were waiting on it.
-        self.drain_coord_queue(ctx);
-    }
-
-    pub(crate) fn drain_coord_queue(&mut self, ctx: &mut Context<'_, SaguaroMsg>) {
-        if !self.is_primary() {
-            return;
-        }
-        let mut still_blocked = Vec::new();
-        while let Some(tx) = self.coord_queue.pop_front() {
-            let involved = tx.involved_domains();
-            let blocked = self
-                .coordinated
-                .values()
-                .any(|e| !e.decided && intersect_two(&e.involved, &involved));
-            if blocked {
-                still_blocked.push(tx);
-            } else {
-                let coord_seq = self.next_coord_seq;
-                self.next_coord_seq += 1;
-                self.propose(Cmd::CoordPrepare { tx, coord_seq }, ctx);
-            }
-        }
-        self.coord_queue.extend(still_blocked);
-    }
-
-    /// A participant acknowledged the commit (line 21); pure bookkeeping.
-    pub(crate) fn on_ack_cross(&mut self, tx_id: TxId, domain: DomainId) {
-        if let Some(entry) = self.coordinated.get_mut(&tx_id) {
-            entry.acks.insert(domain);
         }
     }
 
@@ -264,105 +248,39 @@ impl SaguaroNode {
         if !self.is_primary() {
             return;
         }
-        let (retries, tx, involved) = {
-            let Some(entry) = self.coordinated.get_mut(&tx_id) else {
-                return;
-            };
-            if entry.decided {
-                return;
-            }
-            entry.retries += 1;
-            (entry.retries, entry.tx.clone(), entry.involved.clone())
+        let Some(entry) = self.coordinated.get_mut(&tx_id) else {
+            return;
         };
-        let cert_sigs = self.cert_sigs();
+        if entry.decided {
+            return;
+        }
+        entry.retries += 1;
+        let retry = (entry.retries <= MAX_CROSS_RETRIES).then(|| entry.tx.clone());
         // Tell participants to discard the blocked attempt so the deadlock is
         // broken.
-        for d in involved {
-            self.send_to_domain(
-                d,
-                SaguaroMsg::CommitCross {
-                    tx_id,
-                    seqs: MultiSeq::new(),
-                    commit: false,
-                    cert_sigs,
-                },
-                ctx,
-            );
-        }
-        if retries > MAX_CROSS_RETRIES {
+        self.send_decision(tx_id, MultiSeq::new(), false, ctx);
+        match retry {
+            Some(tx) => self.start_attempt(tx, ctx),
             // Give up: decide abort through internal consensus so every
             // coordinator replica records the same outcome.
-            self.propose(
+            None => self.propose(
                 Cmd::CoordCommit {
                     tx_id,
                     seqs: MultiSeq::new(),
                     commit: false,
                 },
                 ctx,
-            );
-        } else {
-            let coord_seq = self.next_coord_seq;
-            self.next_coord_seq += 1;
-            self.propose(Cmd::CoordPrepare { tx, coord_seq }, ctx);
+            ),
         }
     }
 
     /// A participant asks what happened to a prepared transaction.
-    pub(crate) fn on_commit_query(
-        &mut self,
-        tx_id: TxId,
-        _from_domain: DomainId,
-        ctx: &mut Context<'_, SaguaroMsg>,
-    ) {
+    pub(crate) fn on_commit_query(&mut self, tx_id: TxId, ctx: &mut Context<'_, SaguaroMsg>) {
         let Some(entry) = self.coordinated.get(&tx_id) else {
             return;
         };
         if entry.decided && self.is_primary() {
-            let seqs = MultiSeq::from_parts(
-                entry
-                    .prepared
-                    .iter()
-                    .map(|(d, s)| (*d, *s))
-                    .collect::<Vec<_>>(),
-            );
-            let involved = entry.involved.clone();
-            let cert_sigs = self.cert_sigs();
-            for d in involved {
-                self.send_to_domain(
-                    d,
-                    SaguaroMsg::CommitCross {
-                        tx_id,
-                        seqs: seqs.clone(),
-                        commit: true,
-                        cert_sigs,
-                    },
-                    ctx,
-                );
-            }
-        }
-    }
-
-    /// The coordinator asks a participant to (re-)send its prepared message.
-    pub(crate) fn on_prepared_query(&mut self, tx_id: TxId, ctx: &mut Context<'_, SaguaroMsg>) {
-        let Some(entry) = self.participating.get(&tx_id) else {
-            return;
-        };
-        if let (Some(local_seq), true) = (entry.local_seq, self.is_primary()) {
-            let involved = entry.tx.involved_domains();
-            if let Ok(lca) = self.tree.lca(&involved) {
-                let cert_sigs = self.cert_sigs();
-                self.send_to_domain(
-                    lca,
-                    SaguaroMsg::PreparedMsg {
-                        tx_id,
-                        coord_seq: entry.coord_seq,
-                        local_seq,
-                        domain: self.domain(),
-                        cert_sigs,
-                    },
-                    ctx,
-                );
-            }
+            self.send_decision(tx_id, entry.seqs(), true, ctx);
         }
     }
 
@@ -370,12 +288,13 @@ impl SaguaroNode {
     // Participant (involved height-1 domain) side
     // ------------------------------------------------------------------
 
-    /// A prepare message arrived from the LCA domain (lines 12-15).
+    /// A prepare message arrived from the LCA domain (lines 12-15), or left
+    /// the participant queue: order it unless it intersects a transaction
+    /// this domain is still preparing in two or more domains.
     pub(crate) fn on_prepare(
         &mut self,
         tx: Transaction,
         coord_seq: SeqNo,
-        _cert_sigs: usize,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
         if !self.is_primary() {
@@ -388,10 +307,9 @@ impl SaguaroNode {
         let blocked = self
             .participating
             .values()
-            .any(|e| !e.committed && intersect_two(&e.tx.involved_domains(), &involved));
+            .any(|e| intersect_two(&e.tx.involved_domains(), &involved));
         if blocked {
-            self.participant_queue
-                .push_back((tx, coord_seq, _cert_sigs));
+            self.participant_queue.push_back((tx, coord_seq));
             return;
         }
         self.propose(Cmd::CrossPrepare { tx, coord_seq }, ctx);
@@ -404,28 +322,19 @@ impl SaguaroNode {
         coord_seq: SeqNo,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
-        if self.participating.contains_key(&tx.id) {
+        let tx_id = tx.id;
+        if self.participating.contains_key(&tx_id) {
             return;
         }
         let local_seq = self.ledger.reserve_seq();
-        self.participating.insert(
-            tx.id,
-            ParticipantEntry {
-                tx: tx.clone(),
-                coord_seq,
-                local_seq: Some(local_seq),
-                committed: false,
-                timer: None,
-            },
-        );
+        let mut timer = None;
         if self.is_primary() {
-            let involved = tx.involved_domains();
-            if let Ok(lca) = self.tree.lca(&involved) {
+            if let Some(lca) = self.lca_of(&tx) {
                 let cert_sigs = self.cert_sigs();
                 self.send_to_domain(
                     lca,
                     SaguaroMsg::PreparedMsg {
-                        tx_id: tx.id,
+                        tx_id,
                         coord_seq,
                         local_seq,
                         domain: self.domain(),
@@ -434,87 +343,57 @@ impl SaguaroNode {
                     ctx,
                 );
             }
-            let timer = ctx.set_timer(
-                self.config.commit_query_timeout,
-                SaguaroMsg::CommitQueryTimer { tx_id: tx.id },
-            );
-            if let Some(e) = self.participating.get_mut(&tx.id) {
-                e.timer = Some(timer);
-            }
+            let query = SaguaroMsg::CommitQueryTimer { tx_id };
+            timer = Some(ctx.set_timer(COMMIT_QUERY_TIMEOUT, query));
         }
+        let entry = ParticipantEntry {
+            tx,
+            local_seq,
+            timer,
+        };
+        self.participating.insert(tx_id, entry);
     }
 
     /// The commit (or abort) decision arrived from the LCA (lines 19-21).
     pub(crate) fn on_commit_cross(
         &mut self,
         tx_id: TxId,
-        seqs: MultiSeq,
+        mut seqs: MultiSeq,
         commit: bool,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
-        let (tx, local_seq) = {
-            let Some(entry) = self.participating.get_mut(&tx_id) else {
-                // An abort for a transaction we never prepared (it was queued
-                // or unknown): drop it from the queue if present.
-                if !commit {
-                    self.participant_queue.retain(|(t, _, _)| t.id != tx_id);
-                }
-                return;
-            };
-            if entry.committed {
-                return;
+        let Some(entry) = self.participating.remove(&tx_id) else {
+            // An abort for a transaction we never prepared (it was queued
+            // or unknown): drop it from the queue if present.
+            if !commit {
+                self.participant_queue.retain(|(t, _)| t.id != tx_id);
             }
-            if let Some(t) = entry.timer.take() {
-                ctx.cancel_timer(t);
-            }
-            if commit {
-                entry.committed = true;
-            }
-            (entry.tx.clone(), entry.local_seq)
+            return;
         };
+        if let Some(t) = entry.timer {
+            ctx.cancel_timer(t);
+        }
         if commit {
-            let mut final_seqs = seqs;
-            if final_seqs.get(self.domain()).is_none() {
-                if let Some(ls) = local_seq {
-                    final_seqs.set(self.domain(), ls);
-                }
+            if seqs.get(self.domain()).is_none() {
+                seqs.set(self.domain(), entry.local_seq);
             }
-            self.note_reply_target(&tx);
-            if let Some(undo) = self.execute_owned(&tx.op) {
-                self.undo_log.insert(tx_id, undo);
+            // Acknowledge to the coordinator (line 21), then commit and
+            // answer the client: sends draw their latencies in this order.
+            if let (Some(lca), true) = (self.lca_of(&entry.tx), self.is_primary()) {
+                let domain = self.domain();
+                ctx.send(NodeId::new(lca, 0), SaguaroMsg::AckCross { tx_id, domain });
             }
-            self.ledger
-                .append_cross_domain(tx.clone(), final_seqs, TxStatus::Committed);
-            self.stats.cross_committed += 1;
-            // Acknowledge to the coordinator and answer the client.
-            let involved = tx.involved_domains();
-            if let (Ok(lca), true) = (self.tree.lca(&involved), self.is_primary()) {
-                let primary_guess = saguaro_types::NodeId::new(lca, 0);
-                ctx.send(
-                    primary_guess,
-                    SaguaroMsg::AckCross {
-                        tx_id,
-                        domain: self.domain(),
-                    },
-                );
-            }
-            self.participating.remove(&tx_id);
-            self.reply(tx_id, true, ctx);
+            self.commit(entry.tx, Commit::Coordinated(seqs), ctx);
         } else {
             // Abort: discard the attempt (a retry prepare may follow).
-            self.participating.remove(&tx_id);
             self.stats.cross_aborted += 1;
         }
-        self.drain_participant_queue(ctx);
-    }
-
-    pub(crate) fn drain_participant_queue(&mut self, ctx: &mut Context<'_, SaguaroMsg>) {
-        if !self.is_primary() {
-            return;
-        }
-        let queued: Vec<(Transaction, SeqNo, usize)> = self.participant_queue.drain(..).collect();
-        for (tx, coord_seq, cert) in queued {
-            self.on_prepare(tx, coord_seq, cert, ctx);
+        // Whatever this transaction was blocking may be ordered now.
+        if self.is_primary() {
+            let queued: Vec<(Transaction, SeqNo)> = self.participant_queue.drain(..).collect();
+            for (tx, coord_seq) in queued {
+                self.on_prepare(tx, coord_seq, ctx);
+            }
         }
     }
 
@@ -523,19 +402,9 @@ impl SaguaroNode {
         let Some(entry) = self.participating.get(&tx_id) else {
             return;
         };
-        if entry.committed {
-            return;
-        }
-        let involved = entry.tx.involved_domains();
-        if let Ok(lca) = self.tree.lca(&involved) {
-            self.send_to_domain(
-                lca,
-                SaguaroMsg::CommitQuery {
-                    tx_id,
-                    domain: self.domain(),
-                },
-                ctx,
-            );
+        if let Some(lca) = self.lca_of(&entry.tx) {
+            let domain = self.domain();
+            self.send_to_domain(lca, SaguaroMsg::CommitQuery { tx_id, domain }, ctx);
         }
     }
 }

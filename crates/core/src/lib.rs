@@ -19,8 +19,8 @@
 //!   realistic sizes and signature counts for the network/CPU simulator.
 //! * [`command::Cmd`] — the commands ordered by each domain's internal
 //!   consensus.
-//! * [`config::ProtocolConfig`] — round intervals, timeouts and the
-//!   abstraction function.
+//! * [`config::ProtocolConfig`] — what a deployment chooses: the
+//!   cross-domain mode, the abstraction function and the replica pipeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -84,7 +84,9 @@ pub enum SaguaroMsg {
         /// Number of signatures in the attached certificate.
         cert_sigs: usize,
     },
-    /// Involved node → LCA primary: acknowledgement of the commit.
+    /// Involved node → LCA primary: acknowledgement of the commit
+    /// (Algorithm 1, line 21).  Modeled traffic: it is charged to the network
+    /// and the receiving CPU, and nothing waits for it.
     AckCross {
         /// The transaction.
         tx_id: TxId,
@@ -98,11 +100,6 @@ pub enum SaguaroMsg {
         tx_id: TxId,
         /// The querying domain.
         domain: DomainId,
-    },
-    /// LCA node → participant nodes: where is your prepared message?
-    PreparedQuery {
-        /// The transaction.
-        tx_id: TxId,
     },
 
     // ------------------------------------------------------------------
@@ -212,7 +209,7 @@ impl MessageMeta for SaguaroMsg {
                 seqs, cert_sigs, ..
             } => 96 + 16 * seqs.len() + 40 * cert_sigs,
             SaguaroMsg::AckCross { .. } => 96,
-            SaguaroMsg::CommitQuery { .. } | SaguaroMsg::PreparedQuery { .. } => 96,
+            SaguaroMsg::CommitQuery { .. } => 96,
             SaguaroMsg::BlockMsg {
                 block, cert_sigs, ..
             } => block.wire_bytes() + 40 * cert_sigs,
@@ -247,7 +244,6 @@ impl MessageMeta for SaguaroMsg {
             | SaguaroMsg::StateMsg { cert_sigs, .. } => 1 + cert_sigs,
             SaguaroMsg::AckCross { .. }
             | SaguaroMsg::CommitQuery { .. }
-            | SaguaroMsg::PreparedQuery { .. }
             | SaguaroMsg::OptForward { .. }
             | SaguaroMsg::OptAbort { .. }
             | SaguaroMsg::OptCommit { .. }

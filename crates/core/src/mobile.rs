@@ -14,11 +14,11 @@
 //! acting as the intermediary.
 
 use crate::command::Cmd;
+use crate::coordinator::COMMIT_QUERY_TIMEOUT;
 use crate::exec::device_account;
 use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
-use crate::node::{MobileRecord, SaguaroNode};
-use saguaro_ledger::TxStatus;
+use crate::node::{Commit, MobileRecord, SaguaroNode};
 use saguaro_net::Context;
 use saguaro_types::{ClientId, DomainId, Transaction, TxKind};
 
@@ -27,38 +27,53 @@ impl SaguaroNode {
     /// whose queue has been drained counts as "no pending": leaving the
     /// empty entry behind once suppressed the next excursion's `StateQuery`
     /// entirely, wedging every later pull-back.
-    pub(crate) fn no_pending_mobile(&self, device: saguaro_types::ClientId) -> bool {
+    pub(crate) fn no_pending_mobile(&self, device: ClientId) -> bool {
         self.pending_mobile
             .get(&device)
             .is_none_or(|queue| queue.is_empty())
+    }
+
+    /// The remote domain this (home) domain's records say holds `device`'s
+    /// freshest state, if it was handed away.
+    pub(crate) fn roamed_to(&self, device: ClientId) -> Option<DomainId> {
+        let record = self.mobile.get(&device)?;
+        if record.lock {
+            None
+        } else {
+            record.remote
+        }
     }
 
     /// Arms (at most one) retry loop for a device whose state is in flight:
     /// if the `StateQuery` or its `StateMsg` answer dies with a crashed
     /// primary on either side of the hand-off, the requests queued in
     /// `pending_mobile` would otherwise be stranded forever.
-    pub(crate) fn arm_mobile_retry(
-        &mut self,
-        device: saguaro_types::ClientId,
-        ctx: &mut Context<'_, SaguaroMsg>,
-    ) {
+    pub(crate) fn arm_mobile_retry(&mut self, device: ClientId, ctx: &mut Context<'_, SaguaroMsg>) {
         if !self.mobile_retry_armed.insert(device) {
             return; // a loop is already live for this device
         }
         ctx.set_timer(
-            self.config.commit_query_timeout,
+            COMMIT_QUERY_TIMEOUT,
             SaguaroMsg::MobileRetryTimer { device },
         );
+    }
+
+    /// Asks every node of `holder` for `device`'s state on behalf of `tx`.
+    fn send_state_query(
+        &self,
+        holder: DomainId,
+        device: ClientId,
+        tx: Transaction,
+        ctx: &mut Context<'_, SaguaroMsg>,
+    ) {
+        let remote = self.domain();
+        self.send_to_domain(holder, SaguaroMsg::StateQuery { device, tx, remote }, ctx);
     }
 
     /// The retry timer fired: if the device's state still has not arrived,
     /// re-issue the query along the route the queued transaction implies and
     /// re-arm; otherwise let the loop die.
-    pub(crate) fn on_mobile_retry(
-        &mut self,
-        device: saguaro_types::ClientId,
-        ctx: &mut Context<'_, SaguaroMsg>,
-    ) {
+    pub(crate) fn on_mobile_retry(&mut self, device: ClientId, ctx: &mut Context<'_, SaguaroMsg>) {
         self.mobile_retry_armed.remove(&device);
         let Some(tx) = self
             .pending_mobile
@@ -77,103 +92,79 @@ impl SaguaroNode {
         // intermediary) queries wherever its record says the state went.
         let target = match &tx.kind {
             TxKind::Mobile { local, remote } if *remote == self.domain() => Some(*local),
-            _ => self
-                .mobile
-                .get(&device)
-                .and_then(|r| if r.lock { None } else { r.remote }),
+            _ => self.roamed_to(device),
         };
-        if let Some(target) = target {
-            if target != self.domain() {
-                self.send_to_domain(
-                    target,
-                    SaguaroMsg::StateQuery {
-                        device,
-                        tx,
-                        remote: self.domain(),
-                    },
-                    ctx,
-                );
-            }
+        if let Some(target) = target.filter(|t| *t != self.domain()) {
+            self.send_state_query(target, device, tx, ctx);
         }
         self.arm_mobile_retry(device, ctx);
     }
 
-    /// A request from a roaming device arrived at this (remote) domain.
+    /// A request from a roaming device arrived at this (remote) domain's
+    /// primary.
     pub(crate) fn handle_remote_mobile_request(
         &mut self,
         tx: Transaction,
         local: DomainId,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
-        if !self.is_primary() {
-            ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
-            return;
-        }
-        let device = tx.client;
-        if self.hosted_devices.contains(&device) {
+        if self.hosted_devices.contains(&tx.client) {
             // The device's state is already here: its transactions execute as
             // internal transactions (this is what makes mobile consensus
             // cheap — one state transfer per excursion, the paper's "10
             // transactions within the remote domain").
             self.propose(Cmd::Internal(tx), ctx);
-            return;
+        } else {
+            self.queue_and_query(local, tx, false, ctx);
         }
-        // First transaction of the excursion: ask the home domain for the
-        // device's state and queue the request until it arrives.
+    }
+
+    /// Queues `tx` until its device's state arrives and asks `holder` for
+    /// that state.  Only the first request of an excursion (or pull-back)
+    /// asks — the retry loop re-asks for all of them — unless the query is
+    /// `relayed`: the home domain passes every query it cannot answer on to
+    /// wherever its records say the state went.
+    pub(crate) fn queue_and_query(
+        &mut self,
+        holder: DomainId,
+        tx: Transaction,
+        relayed: bool,
+        ctx: &mut Context<'_, SaguaroMsg>,
+    ) {
+        let device = tx.client;
         let first_query = self.no_pending_mobile(device);
         self.pending_mobile
             .entry(device)
             .or_default()
             .push(tx.clone());
-        if first_query {
-            self.send_to_domain(
-                local,
-                SaguaroMsg::StateQuery {
-                    device,
-                    tx,
-                    remote: self.domain(),
-                },
-                ctx,
-            );
+        if first_query || relayed {
+            self.send_state_query(holder, device, tx, ctx);
             self.arm_mobile_retry(device, ctx);
         }
     }
 
-    /// An internal transaction arrived for a device whose state currently
-    /// lives in a remote domain: pull the state back first.
-    pub(crate) fn request_state_return(
-        &mut self,
+    /// Hands `device`'s state over: extracts the account of its `home` from
+    /// this replica's copy and sends it, certified, to every node of `to`
+    /// together with the transaction that asked for it.
+    fn hand_over(
+        &self,
+        device: ClientId,
+        home: DomainId,
+        to: DomainId,
         tx: Transaction,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
-        if !self.is_primary() {
-            ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
-            return;
-        }
-        let device = tx.client;
-        let Some(record) = self.mobile.get(&device) else {
-            return;
+        let entries = self
+            .state
+            .extract_account_state(&device_account(home, device));
+        let cert_sigs = self.cert_sigs();
+        let state = SaguaroMsg::StateMsg {
+            device,
+            entries,
+            tx,
+            cert_sigs,
         };
-        let Some(remote) = record.remote else {
-            return;
-        };
-        let first_query = self.no_pending_mobile(device);
-        self.pending_mobile
-            .entry(device)
-            .or_default()
-            .push(tx.clone());
-        if first_query {
-            self.send_to_domain(
-                remote,
-                SaguaroMsg::StateQuery {
-                    device,
-                    tx,
-                    remote: self.domain(),
-                },
-                ctx,
-            );
-            self.arm_mobile_retry(device, ctx);
-        }
+        self.send_to_domain(to, state, ctx);
     }
 
     /// A state query arrived: either this domain is the device's home (and
@@ -190,84 +181,41 @@ impl SaguaroNode {
         if !self.is_primary() || requester == self.domain() {
             return;
         }
-        if self.hosted_devices.contains(&device) {
+        let home = device_home(&tx);
+        if self.hosted_devices.remove(&device) {
             // A previous remote domain handing the state over directly.
-            let home = device_home(&tx, device);
-            let entries = self
-                .state
-                .extract_account_state(&device_account(home, device));
-            self.hosted_devices.remove(&device);
-            let cert_sigs = self.cert_sigs();
-            self.send_to_domain(
-                requester,
-                SaguaroMsg::StateMsg {
-                    device,
-                    entries,
-                    tx,
-                    cert_sigs,
-                },
-                ctx,
-            );
+            self.hand_over(device, home, requester, tx, ctx);
             return;
         }
-        let record = self.mobile.entry(device).or_insert(MobileRecord {
-            lock: true,
-            remote: None,
-        });
-        if record.lock {
+        let &mut MobileRecord { lock, remote } =
+            self.mobile.entry(device).or_insert(MobileRecord {
+                lock: true,
+                remote: None,
+            });
+        if lock {
             // Algorithm 2, lines 8-9: the home copy is current; extract it.
-            self.pending_mobile
-                .entry(device)
-                .or_default()
-                .push(tx.clone());
+            let trigger = tx.id;
+            self.pending_mobile.entry(device).or_default().push(tx);
             self.propose(
                 Cmd::MobileExtract {
                     device,
                     remote: requester,
-                    trigger: tx.id,
+                    trigger,
                 },
                 ctx,
             );
-        } else if let Some(current_remote) = record.remote {
-            if current_remote == requester {
-                // The records point at the requester itself: the previous
-                // `StateMsg` to it was lost (its primary crashed mid
-                // hand-off before installing).  This domain's copy is still
-                // the freshest — extraction copies, it does not erase — so
-                // re-extract and answer directly instead of bouncing the
-                // query back to the requester forever.
-                let entries = self
-                    .state
-                    .extract_account_state(&device_account(device_home(&tx, device), device));
-                let cert_sigs = self.cert_sigs();
-                self.send_to_domain(
-                    requester,
-                    SaguaroMsg::StateMsg {
-                        device,
-                        entries,
-                        tx,
-                        cert_sigs,
-                    },
-                    ctx,
-                );
-                return;
-            }
+        } else if remote == Some(requester) {
+            // The records point at the requester itself: the previous
+            // `StateMsg` to it was lost (its primary crashed mid hand-off
+            // before installing).  This domain's copy is still the freshest
+            // — extraction copies, it does not erase — so re-extract and
+            // answer directly instead of bouncing the query back to the
+            // requester forever.
+            self.hand_over(device, home, requester, tx, ctx);
+        } else if let Some(current_remote) = remote {
             // Lines 10-12: some other remote domain has the freshest records;
             // pull them back here first, then forward to the requester.
-            self.pending_mobile
-                .entry(device)
-                .or_default()
-                .push(tx.clone());
-            self.send_to_domain(
-                current_remote,
-                SaguaroMsg::StateQuery {
-                    device,
-                    tx,
-                    remote: self.domain(),
-                },
-                ctx,
-            );
-            self.arm_mobile_retry(device, ctx);
+            self.queue_and_query(current_remote, tx, true, ctx);
         }
     }
 
@@ -277,7 +225,6 @@ impl SaguaroNode {
         &mut self,
         device: ClientId,
         remote: DomainId,
-        _trigger: saguaro_types::TxId,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
         // Every replica of the home domain flips the lock and records the new
@@ -290,29 +237,12 @@ impl SaguaroNode {
             },
         );
         if self.is_primary() {
-            let entries = self
-                .state
-                .extract_account_state(&device_account(self.domain(), device));
-            let cert_sigs = self.cert_sigs();
             let trigger_tx = self.pending_mobile.get_mut(&device).and_then(|q| q.pop());
-            if self
-                .pending_mobile
-                .get(&device)
-                .is_some_and(|q| q.is_empty())
-            {
+            if self.no_pending_mobile(device) {
                 self.pending_mobile.remove(&device);
             }
             if let Some(tx) = trigger_tx {
-                self.send_to_domain(
-                    remote,
-                    SaguaroMsg::StateMsg {
-                        device,
-                        entries,
-                        tx,
-                        cert_sigs,
-                    },
-                    ctx,
-                );
+                self.hand_over(device, self.domain(), remote, tx, ctx);
             }
         }
     }
@@ -350,7 +280,7 @@ impl SaguaroNode {
         tx: Transaction,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
-        let home = device_home(&tx, device);
+        let home = device_home(&tx);
         let my_domain = self.domain();
         let destination = match &tx.kind {
             TxKind::Mobile { remote, .. } => *remote,
@@ -387,41 +317,16 @@ impl SaguaroNode {
             } else {
                 self.hosted_devices.insert(device);
             }
-            self.execute_mobile_tx(tx, home, ctx);
-            let queued: Vec<Transaction> = self.pending_mobile.remove(&device).unwrap_or_default();
-            for q in queued {
-                self.execute_mobile_tx(q, home, ctx);
+            let queued = self.pending_mobile.remove(&device).unwrap_or_default();
+            for tx in std::iter::once(tx).chain(queued) {
+                self.commit(tx, Commit::Mobile { home }, ctx);
             }
-        } else if home == my_domain && self.is_primary() {
-            // Intermediary: the home domain pulled the state back from a
-            // previous remote and now forwards it to the new remote.  The
-            // pulled-back copy supersedes the home's stale one.
-            self.state.install_account_state(&entries);
-            self.mobile.insert(
-                device,
-                MobileRecord {
-                    lock: false,
-                    remote: Some(destination),
-                },
-            );
-            let fresh = self
-                .state
-                .extract_account_state(&device_account(home, device));
-            let cert_sigs = self.cert_sigs();
-            self.send_to_domain(
-                destination,
-                SaguaroMsg::StateMsg {
-                    device,
-                    entries: fresh,
-                    tx,
-                    cert_sigs,
-                },
-                ctx,
-            );
         } else if home == my_domain {
-            // Non-primary replicas of the intermediary install the
-            // pulled-back copy too and record the pointer so a view change
-            // keeps both the state and the routing information.
+            // Intermediary: the home domain pulled the state back from a
+            // previous remote and its primary now forwards it to the new
+            // remote.  Every replica installs the pulled-back copy — it
+            // supersedes the home's stale one — and records the pointer, so a
+            // view change keeps both the state and the routing information.
             self.state.install_account_state(&entries);
             self.mobile.insert(
                 device,
@@ -430,37 +335,16 @@ impl SaguaroNode {
                     remote: Some(destination),
                 },
             );
+            if self.is_primary() {
+                self.hand_over(device, home, destination, tx, ctx);
+            }
         }
-    }
-
-    /// Executes a (now local) transaction of a mobile device and commits it
-    /// to the ledger.
-    fn execute_mobile_tx(
-        &mut self,
-        tx: Transaction,
-        home: DomainId,
-        ctx: &mut Context<'_, SaguaroMsg>,
-    ) {
-        if self.ledger.contains(tx.id) {
-            return;
-        }
-        self.note_reply_target(&tx);
-        if let Some(undo) = self.execute_owned(&tx.op) {
-            self.undo_log.insert(tx.id, undo);
-        }
-        self.ledger.append_internal(tx.clone(), TxStatus::Committed);
-        if home == self.domain() {
-            self.stats.internal_committed += 1;
-        } else {
-            self.stats.mobile_committed += 1;
-        }
-        self.reply(tx.id, true, ctx);
     }
 }
 
 /// The home domain of the device issuing `tx` (falls back to the transaction
 /// kind's information; every mobile transaction carries its local domain).
-fn device_home(tx: &Transaction, _device: ClientId) -> DomainId {
+fn device_home(tx: &Transaction) -> DomainId {
     match &tx.kind {
         TxKind::Mobile { local, .. } => *local,
         TxKind::Internal { domain } => *domain,
@@ -482,8 +366,8 @@ mod tests {
             DomainId::new(1, 3),
             Operation::Noop,
         );
-        assert_eq!(device_home(&tx, ClientId(9)), DomainId::new(1, 2));
+        assert_eq!(device_home(&tx), DomainId::new(1, 2));
         let tx = Transaction::internal(TxId(2), ClientId(9), DomainId::new(1, 1), Operation::Noop);
-        assert_eq!(device_home(&tx, ClientId(9)), DomainId::new(1, 1));
+        assert_eq!(device_home(&tx), DomainId::new(1, 1));
     }
 }

@@ -29,8 +29,8 @@ use saguaro_ledger::{
 };
 use saguaro_net::{Actor, Addr, Context, TimerId};
 use saguaro_types::{
-    ClientId, DeliveryLog, DomainId, MobileOwnership, NodeId, Operation, SeqNo, StateSnapshot,
-    Transaction, TxId,
+    ClientId, DeliveryLog, DomainId, MobileOwnership, MultiSeq, NodeId, Operation, SeqNo,
+    StateSnapshot, Transaction, TxId, TxKind,
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -42,6 +42,24 @@ pub(crate) struct MobileRecord {
     pub lock: bool,
     /// The remote domain holding the most recent records when `lock == false`.
     pub remote: Option<DomainId>,
+}
+
+/// How the commit step ([`SaguaroNode::commit`]) records a transaction: where
+/// it goes in the ledger and which counter it bumps — one variant per caller.
+pub(crate) enum Commit {
+    /// Ordered by this domain's consensus as `Cmd::Internal`.
+    Internal,
+    /// Decided by the LCA (Algorithm 1) under the agreed sequence numbers.
+    Coordinated(MultiSeq),
+    /// Ordered here alone and executed speculatively (Section 6); an
+    /// ancestor's verdict finalises or reverts it.
+    Speculative,
+    /// Executed when the device's state arrived (Algorithm 2); `home` tells
+    /// a returning device from a visiting one.
+    Mobile {
+        /// The device's home domain.
+        home: DomainId,
+    },
 }
 
 /// A Saguaro replica node (one per VM of the paper's testbed).
@@ -57,7 +75,8 @@ pub struct SaguaroNode {
     pub(crate) state: BlockchainState,
     /// Raw state updates of the current round (input to the abstraction fn).
     pub(crate) round_updates: Vec<(String, u64)>,
-    /// Undo records of executed transactions (needed for optimistic aborts).
+    /// Undo records of executed transactions, kept in optimistic mode only:
+    /// nothing but an optimistic abort ever reverts an execution.
     pub(crate) undo_log: HashMap<TxId, UndoRecord>,
 
     // ---------------- summarized layer (height-2+ domains) ----------------
@@ -65,9 +84,6 @@ pub struct SaguaroNode {
     pub(crate) agg: AggregateView,
     /// Child blocks that arrived out of order, buffered until their turn.
     pub(crate) pending_child_blocks: BTreeMap<(DomainId, u64), Block>,
-    /// Transactions newly added to the DAG since the last round (contents of
-    /// the next block this domain sends to its own parent).
-    pub(crate) dag_new_since_round: Vec<TxId>,
 
     // ---------------- coordinator-based cross-domain state ----------------
     /// Transactions this domain currently coordinates (it is their LCA).
@@ -80,7 +96,7 @@ pub struct SaguaroNode {
     /// Cross-domain transactions this domain participates in.
     pub(crate) participating: HashMap<TxId, ParticipantEntry>,
     /// Prepares queued at a participant because of conflict blocking.
-    pub(crate) participant_queue: VecDeque<(Transaction, SeqNo, usize)>,
+    pub(crate) participant_queue: VecDeque<(Transaction, SeqNo)>,
 
     // ---------------- optimistic cross-domain state ----------------
     pub(crate) opt: OptTracker,
@@ -127,7 +143,6 @@ impl SaguaroNode {
             dag: DagLedger::new(),
             agg: AggregateView::new(),
             pending_child_blocks: BTreeMap::new(),
-            dag_new_since_round: Vec::new(),
             coordinated: HashMap::new(),
             coord_queue: VecDeque::new(),
             next_coord_seq: 1,
@@ -201,6 +216,19 @@ impl SaguaroNode {
         self.host.quorum().certificate_size()
     }
 
+    /// The one fan-out: sends `msg` to every node of every domain in
+    /// `domains`, domain by domain in the order given.
+    pub(crate) fn send_to_domains(
+        &self,
+        domains: impl IntoIterator<Item = DomainId>,
+        msg: SaguaroMsg,
+        ctx: &mut Context<'_, SaguaroMsg>,
+    ) {
+        let tree = &self.tree;
+        let nodes = domains.into_iter().flat_map(|d| tree.replicas_of(d));
+        ctx.multicast(nodes, msg);
+    }
+
     /// Sends a message to every node of `domain`.
     pub(crate) fn send_to_domain(
         &self,
@@ -208,83 +236,103 @@ impl SaguaroNode {
         msg: SaguaroMsg,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
-        ctx.multicast(self.tree.replicas_of(domain), msg);
+        self.send_to_domains([domain], msg, ctx);
+    }
+
+    /// The LCA of the domains `tx` involves: its coordinator.
+    pub(crate) fn lca_of(&self, tx: &Transaction) -> Option<DomainId> {
+        self.tree.lca(&tx.involved_domains()).ok()
     }
 
     // ------------------------------------------------------------------
-    // Internal transactions
+    // Client requests and the commit step
     // ------------------------------------------------------------------
 
     fn handle_client_request(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
         // The domain that receives the request replies after commit.
         self.host.note_request(&tx);
-        match &tx.kind {
-            saguaro_types::TxKind::Internal { .. } => {
-                // A device that roamed away must have its state pulled back
-                // before its internal transactions can execute (Section 7).
-                if self
-                    .mobile
-                    .get(&tx.client)
-                    .is_some_and(|m| !m.lock && m.remote.is_some())
-                {
-                    self.request_state_return(tx, ctx);
-                    return;
-                }
-                if self.is_primary() {
-                    self.propose(Cmd::Internal(tx), ctx);
-                } else {
-                    // Relay to the primary (the paper's client retry path).
-                    ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
-                }
-            }
-            saguaro_types::TxKind::CrossDomain { .. } => match self.config.cross_mode {
+        if !self.is_primary() {
+            // Relay to the primary (the paper's client retry path).
+            ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
+            return;
+        }
+        match tx.kind {
+            TxKind::CrossDomain { .. } => match self.config.cross_mode {
                 CrossDomainMode::Coordinator => self.start_coordinated(tx, ctx),
                 CrossDomainMode::Optimistic => self.start_optimistic(tx, ctx),
             },
-            saguaro_types::TxKind::Mobile { local, remote } => {
-                let (local, remote) = (*local, *remote);
-                if remote == self.domain() && local != self.domain() {
-                    self.handle_remote_mobile_request(tx, local, ctx);
-                } else {
-                    // Device back home (or a degenerate mobile tx): internal path.
-                    if self
-                        .mobile
-                        .get(&tx.client)
-                        .is_some_and(|m| !m.lock && m.remote.is_some())
-                    {
-                        self.request_state_return(tx, ctx);
-                    } else if self.is_primary() {
-                        self.propose(Cmd::Internal(tx), ctx);
-                    } else {
-                        ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
-                    }
-                }
+            TxKind::Mobile { local, remote } if remote == self.domain() && local != remote => {
+                self.handle_remote_mobile_request(tx, local, ctx)
             }
+            // An internal transaction, or a device back home (or a
+            // degenerate mobile transaction): the internal path — once the
+            // state of a device that roamed away has been pulled back
+            // (Section 7).
+            TxKind::Internal { .. } | TxKind::Mobile { .. } => match self.roamed_to(tx.client) {
+                Some(remote) => self.queue_and_query(remote, tx, false, ctx),
+                None => self.propose(Cmd::Internal(tx), ctx),
+            },
         }
     }
 
-    /// Executes and commits an internal transaction delivered by consensus.
-    fn apply_internal(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
-        if self.ledger.contains(tx.id) {
-            // A view change may re-propose an already-committed batch (the
-            // new primary cannot tell commitment from preparation for every
-            // slot); executing it twice would double-spend.
+    /// The commit step, shared by every path that commits a transaction at a
+    /// height-1 domain: execute what this domain owns, append to the ledger
+    /// as `how` says, count, and answer the client.  Does nothing for a
+    /// transaction already in the ledger: a view change may re-propose an
+    /// already-committed batch (the new primary cannot tell commitment from
+    /// preparation for every slot), and executing it twice would
+    /// double-spend.
+    pub(crate) fn commit(
+        &mut self,
+        tx: Transaction,
+        how: Commit,
+        ctx: &mut Context<'_, SaguaroMsg>,
+    ) {
+        let id = tx.id;
+        if self.ledger.contains(id) {
             return;
         }
         self.note_reply_target(&tx);
         let undo = self.execute_owned(&tx.op);
-        if let Some(u) = undo {
-            self.undo_log.insert(tx.id, u);
+        if let (Some(undo), CrossDomainMode::Optimistic) = (undo, self.config.cross_mode) {
+            self.undo_log.insert(id, undo);
         }
-        self.ledger.append_internal(tx.clone(), TxStatus::Committed);
-        self.stats.internal_committed += 1;
-        self.host.trace_executed(tx.id, ctx.now());
-        self.reply(tx.id, true, ctx);
+        let counter = match how {
+            Commit::Internal => {
+                self.ledger.append_internal(tx, TxStatus::Committed);
+                self.host.trace_executed(id, ctx.now());
+                &mut self.stats.internal_committed
+            }
+            Commit::Coordinated(seqs) => {
+                self.ledger
+                    .append_cross_domain(tx, seqs, TxStatus::Committed);
+                &mut self.stats.cross_committed
+            }
+            Commit::Speculative => {
+                let mut seqs = MultiSeq::new();
+                seqs.set(self.id.domain, self.ledger.reserve_seq());
+                self.opt.track(&tx);
+                self.opt.record_execution(&tx);
+                self.ledger
+                    .append_cross_domain(tx, seqs, TxStatus::SpeculativelyCommitted);
+                &mut self.stats.cross_committed
+            }
+            Commit::Mobile { home } => {
+                self.ledger.append_internal(tx, TxStatus::Committed);
+                if home == self.id.domain {
+                    &mut self.stats.internal_committed
+                } else {
+                    &mut self.stats.mobile_committed
+                }
+            }
+        };
+        *counter += 1;
+        self.reply(id, true, ctx);
     }
 
     /// Executes the parts of an operation owned by (or hosted in) this domain
     /// and records the updates for the next block's state delta.
-    pub(crate) fn execute_owned(&mut self, op: &Operation) -> Option<UndoRecord> {
+    fn execute_owned(&mut self, op: &Operation) -> Option<UndoRecord> {
         let domain = self.id.domain;
         let undo = crate::exec::execute_in_domain(&mut self.state, op, domain);
         match undo {
@@ -330,11 +378,7 @@ impl Actor<SaguaroMsg> for SaguaroNode {
             SaguaroMsg::Consensus(m) => self.on_consensus_message(from, m, ctx),
             // Coordinator-based protocol.
             SaguaroMsg::CrossForward { tx } => self.on_cross_forward(tx, ctx),
-            SaguaroMsg::Prepare {
-                tx,
-                coord_seq,
-                cert_sigs,
-            } => self.on_prepare(tx, coord_seq, cert_sigs, ctx),
+            SaguaroMsg::Prepare { tx, coord_seq, .. } => self.on_prepare(tx, coord_seq, ctx),
             SaguaroMsg::PreparedMsg {
                 tx_id,
                 coord_seq,
@@ -348,15 +392,13 @@ impl Actor<SaguaroMsg> for SaguaroNode {
                 commit,
                 ..
             } => self.on_commit_cross(tx_id, seqs, commit, ctx),
-            SaguaroMsg::AckCross { tx_id, domain } => self.on_ack_cross(tx_id, domain),
-            SaguaroMsg::CommitQuery { tx_id, domain } => self.on_commit_query(tx_id, domain, ctx),
-            SaguaroMsg::PreparedQuery { tx_id } => self.on_prepared_query(tx_id, ctx),
+            SaguaroMsg::CommitQuery { tx_id, .. } => self.on_commit_query(tx_id, ctx),
             // Propagation.
             SaguaroMsg::BlockMsg { child, block, .. } => self.on_block_msg(child, block, ctx),
             // Optimistic protocol.
             SaguaroMsg::OptForward { tx } => self.on_opt_forward(tx, ctx),
             SaguaroMsg::OptAbort { tx_id } => self.on_opt_abort(tx_id, ctx),
-            SaguaroMsg::OptCommit { tx_id } => self.on_opt_commit(tx_id, ctx),
+            SaguaroMsg::OptCommit { tx_id } => self.on_opt_commit(tx_id),
             // Mobile consensus.
             SaguaroMsg::StateQuery { device, tx, remote } => {
                 self.on_state_query(device, tx, remote, ctx)
@@ -375,7 +417,8 @@ impl Actor<SaguaroMsg> for SaguaroNode {
             SaguaroMsg::CrossTimeout { tx_id } => self.on_cross_timeout(tx_id, ctx),
             SaguaroMsg::CommitQueryTimer { tx_id } => self.on_commit_query_timer(tx_id, ctx),
             SaguaroMsg::MobileRetryTimer { device } => self.on_mobile_retry(device, ctx),
-            SaguaroMsg::Reply { .. } | SaguaroMsg::ClientTick => {}
+            // `AckCross` is modeled traffic: nothing waits for it.
+            SaguaroMsg::AckCross { .. } | SaguaroMsg::Reply { .. } | SaguaroMsg::ClientTick => {}
         }
     }
 
@@ -437,7 +480,7 @@ impl HostedReplica for SaguaroNode {
 
     fn apply_command(&mut self, cmd: Cmd, ctx: &mut Context<'_, SaguaroMsg>) {
         match cmd {
-            Cmd::Internal(tx) => self.apply_internal(tx, ctx),
+            Cmd::Internal(tx) => self.commit(tx, Commit::Internal, ctx),
             Cmd::CoordPrepare { tx, coord_seq } => self.apply_coord_prepare(tx, coord_seq, ctx),
             Cmd::CrossPrepare { tx, coord_seq } => self.apply_cross_prepare(tx, coord_seq, ctx),
             Cmd::CoordCommit {
@@ -445,13 +488,11 @@ impl HostedReplica for SaguaroNode {
                 seqs,
                 commit,
             } => self.apply_coord_commit(tx_id, seqs, commit, ctx),
-            Cmd::OptimisticCross(tx) => self.apply_optimistic(tx, ctx),
+            Cmd::OptimisticCross(tx) => self.commit(tx, Commit::Speculative, ctx),
             Cmd::ChildBlock { child, block } => self.apply_child_block(child, block, ctx),
-            Cmd::MobileExtract {
-                device,
-                remote,
-                trigger,
-            } => self.apply_mobile_extract(device, remote, trigger, ctx),
+            Cmd::MobileExtract { device, remote, .. } => {
+                self.apply_mobile_extract(device, remote, ctx)
+            }
             Cmd::MobileInstall {
                 device,
                 entries,
@@ -521,9 +562,11 @@ impl HostedReplica for SaguaroNode {
         self.undo_log.clear();
     }
 
-    /// An in-flight cross-domain transaction, coordinated or participated in.
+    /// An undecided cross-domain transaction, coordinated or participated
+    /// in.  Decided `coordinated` entries are never retired, so they must not
+    /// count: an idle LCA replica would suspect a healthy primary forever.
     fn work_pending(&self) -> bool {
-        !self.participating.is_empty() || !self.coordinated.is_empty()
+        !self.participating.is_empty() || self.coordinated.values().any(|e| !e.decided)
     }
 }
 
@@ -532,3 +575,136 @@ impl HostedReplica for SaguaroNode {
 //  - crate::optimistic   (Section 6)
 //  - crate::propagation  (Section 5)
 //  - crate::mobile       (Section 7 / Algorithm 2)
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use saguaro_hierarchy::{Placement, TopologyBuilder};
+    use saguaro_net::{CpuProfile, LatencyMatrix, Simulation};
+    use saguaro_types::transaction::account_key;
+    use saguaro_types::{FailureModel, SimTime};
+
+    const HARNESS: ClientId = ClientId(u64::MAX);
+
+    /// The paper's tree of crash-only domains with every replica registered,
+    /// accounts `a<d>_0..4` seeded with 1 000 at each height-1 domain `d`.
+    fn deployment(config: ProtocolConfig) -> (Simulation<SaguaroMsg>, Arc<HierarchyTree>) {
+        let topology = TopologyBuilder::paper_binary_tree()
+            .failure_model(FailureModel::Crash)
+            .placement(Placement::NearbyRegions);
+        let tree = Arc::new(topology.build().expect("valid topology"));
+        let mut sim = Simulation::new(LatencyMatrix::nearby_regions().with_jitter(0.0), 7);
+        for domain in tree.domains().filter(|d| d.id.height > 0) {
+            for id in tree.nodes_of(domain.id).expect("nodes") {
+                let mut node = SaguaroNode::new(id, tree.clone(), config.clone());
+                for n in 0..4 {
+                    node.seed_account(account_key(domain.id.index, n), 1_000);
+                }
+                sim.register(id, domain.region, CpuProfile::server(), Box::new(node));
+                sim.inject(HARNESS, id, SaguaroMsg::RoundTimer);
+            }
+        }
+        (sim, tree)
+    }
+
+    fn read<R>(
+        sim: &mut Simulation<SaguaroMsg>,
+        node: NodeId,
+        f: impl FnOnce(&SaguaroNode) -> R,
+    ) -> R {
+        let read = sim.with_actor(node, |a| {
+            f(a.as_any()
+                .and_then(|any| any.downcast_mut::<SaguaroNode>())
+                .expect("a Saguaro node"))
+        });
+        read.expect("registered")
+    }
+
+    fn put(id: u64, domains: [DomainId; 2], key: &str, value: u64) -> Transaction {
+        let key = key.to_string();
+        Transaction::cross_domain(
+            TxId(id),
+            ClientId(1),
+            domains.to_vec(),
+            Operation::Put { key, value },
+        )
+    }
+
+    /// Nothing but an optimistic abort reverts an execution, so a
+    /// coordinator-mode replica keeps no undo record however it commits.
+    #[test]
+    fn coordinator_mode_keeps_no_undo_records() {
+        let (mut sim, tree) = deployment(ProtocolConfig::coordinator());
+        let d = |i| DomainId::new(1, i);
+        let pay = |from: u16, to: u16| Operation::Transfer {
+            from: account_key(from, 1),
+            to: account_key(to, 2),
+            amount: 10,
+        };
+        let requests = [
+            (
+                d(0),
+                Transaction::internal(TxId(1), ClientId(1), d(0), pay(0, 0)),
+            ),
+            (
+                d(0),
+                Transaction::cross_domain(TxId(2), ClientId(1), vec![d(0), d(3)], pay(0, 3)),
+            ),
+            (
+                d(2),
+                Transaction::mobile(TxId(3), ClientId(1), d(0), d(2), pay(0, 2)),
+            ),
+        ];
+        for (at, tx) in requests {
+            sim.inject(
+                ClientId(1),
+                NodeId::new(at, 0),
+                SaguaroMsg::ClientRequest(tx),
+            );
+        }
+        sim.run_until(SimTime::from_millis(600));
+        let committed = |n: &SaguaroNode| n.stats.total_committed();
+        assert_eq!(read(&mut sim, NodeId::new(d(0), 0), committed), 2);
+        assert_eq!(read(&mut sim, NodeId::new(d(2), 0), committed), 1);
+        for domain in tree.domains().filter(|d| d.id.height > 0) {
+            for node in tree.nodes_of(domain.id).expect("nodes") {
+                let records = read(&mut sim, node, |n| n.undo_log.len());
+                assert_eq!(records, 0, "{node:?} kept undo records");
+            }
+        }
+    }
+
+    /// An abort reverts the victim and the later executions that depend on
+    /// it, newest first: two writes to one key only restore the seeded value
+    /// if the second is undone before the first.
+    #[test]
+    fn an_optimistic_abort_reverts_the_victim_and_its_dependents_newest_first() {
+        let (mut sim, tree) = deployment(ProtocolConfig::optimistic());
+        let (d0, d1) = (DomainId::new(1, 0), DomainId::new(1, 1));
+        let key = account_key(0, 1);
+        let primary = NodeId::new(d0, 0);
+        for tx in [put(1, [d0, d1], &key, 5), put(2, [d0, d1], &key, 7)] {
+            sim.inject(ClientId(1), primary, SaguaroMsg::ClientRequest(tx));
+        }
+        // Both executed speculatively; no ancestor has a verdict yet.
+        sim.run_until(SimTime::from_millis(10));
+        let replicas = tree.nodes_of(d0).expect("nodes");
+        for node in &replicas {
+            let (value, records) = read(&mut sim, *node, |n| (n.state.get(&key), n.undo_log.len()));
+            assert_eq!((value, records), (Some(7), 2), "{node:?} before the abort");
+            sim.inject(HARNESS, *node, SaguaroMsg::OptAbort { tx_id: TxId(1) });
+        }
+        sim.run_until(SimTime::from_millis(15));
+        for node in replicas {
+            read(&mut sim, node, |n| {
+                assert_eq!(n.state.get(&key), Some(1_000), "{node:?}: wrong undo order");
+                assert!(n.undo_log.is_empty(), "{node:?} kept undo records");
+                for id in [TxId(1), TxId(2)] {
+                    let status = n.ledger.get(id).map(|e| e.status);
+                    assert_eq!(status, Some(TxStatus::Aborted), "{node:?} {id:?}");
+                }
+                assert_eq!((n.stats.cross_aborted, n.stats.cross_committed), (2, 0));
+            });
+        }
+    }
+}

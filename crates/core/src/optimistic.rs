@@ -20,6 +20,11 @@ use saguaro_net::Context;
 use saguaro_types::{DomainId, SeqNo, Transaction, TxId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
+/// Rounds after which the LCA aborts an optimistic cross-domain transaction
+/// that some involved domain still has not reported (Section 6: a transaction
+/// "never fully reported" is aborted deterministically).
+pub(crate) const OPTIMISTIC_ABORT_ROUNDS: u64 = 8;
+
 /// Height-1 bookkeeping for speculatively committed cross-domain transactions.
 ///
 /// Every pending transaction carries the union of the keys written / read by
@@ -103,7 +108,7 @@ impl OptTracker {
     /// Registers a newly executed transaction: records its execution
     /// position and adds it to the dependent list of every pending
     /// speculative transaction it conflicts with.
-    fn record_execution(&mut self, tx: &Transaction) {
+    pub(crate) fn record_execution(&mut self, tx: &Transaction) {
         self.exec_pos.insert(tx.id, self.executions);
         self.executions += 1;
         // Mirrors `Transaction::conflicts_with(member, tx)` over the union
@@ -130,7 +135,7 @@ impl OptTracker {
     }
 
     /// Starts tracking a speculative cross-domain transaction.
-    fn track(&mut self, tx: &Transaction) {
+    pub(crate) fn track(&mut self, tx: &Transaction) {
         if self.pending.contains_key(&tx.id) {
             return;
         }
@@ -358,15 +363,9 @@ impl SaguaroNode {
     /// multicast the request to every node of the other involved domains and
     /// order it locally.
     pub(crate) fn start_optimistic(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
-        if !self.is_primary() {
-            ctx.send(self.host.primary(), SaguaroMsg::ClientRequest(tx));
-            return;
-        }
-        for d in tx.involved_domains() {
-            if d != self.domain() {
-                self.send_to_domain(d, SaguaroMsg::OptForward { tx: tx.clone() }, ctx);
-            }
-        }
+        let me = self.domain();
+        let others = tx.involved_domains().into_iter().filter(|d| *d != me);
+        self.send_to_domains(others, SaguaroMsg::OptForward { tx: tx.clone() }, ctx);
         self.propose(Cmd::OptimisticCross(tx), ctx);
     }
 
@@ -382,36 +381,12 @@ impl SaguaroNode {
         self.propose(Cmd::OptimisticCross(tx), ctx);
     }
 
-    /// The domain's internal consensus ordered an optimistic cross-domain
-    /// transaction: execute it speculatively and reply immediately.
-    pub(crate) fn apply_optimistic(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
-        if self.ledger.contains(tx.id) {
-            return;
-        }
-        self.note_reply_target(&tx);
-        let seq = self.ledger.reserve_seq();
-        let mut seqs = saguaro_types::MultiSeq::new();
-        seqs.set(self.domain(), seq);
-        if let Some(undo) = self.execute_owned(&tx.op) {
-            self.undo_log.insert(tx.id, undo);
-        }
-        self.ledger
-            .append_cross_domain(tx.clone(), seqs, TxStatus::SpeculativelyCommitted);
-        self.opt.track(&tx);
-        self.opt.record_execution(&tx);
-        self.stats.cross_committed += 1;
-        self.reply(tx.id, true, ctx);
-    }
-
     /// An ancestor decided the transaction must be aborted: roll it back
     /// together with its data-dependent successors.
     pub(crate) fn on_opt_abort(&mut self, tx_id: TxId, ctx: &mut Context<'_, SaguaroMsg>) {
-        let victims = self.opt.decide(tx_id, true);
-        if victims.is_empty() {
-            // Either unknown or already decided; nothing to roll back.
-            return;
-        }
-        for victim in victims {
+        // Nothing to roll back if the transaction is unknown or already
+        // decided.
+        for victim in self.opt.decide(tx_id, true) {
             if let Some(entry) = self.ledger.get(victim) {
                 let tx = entry.tx.clone();
                 self.note_reply_target(&tx);
@@ -429,7 +404,7 @@ impl SaguaroNode {
 
     /// The LCA confirmed the transaction was committed by every involved
     /// domain: finalise it.
-    pub(crate) fn on_opt_commit(&mut self, tx_id: TxId, _ctx: &mut Context<'_, SaguaroMsg>) {
+    pub(crate) fn on_opt_commit(&mut self, tx_id: TxId) {
         self.opt.decide(tx_id, false);
         self.ledger.mark_committed(tx_id);
         self.undo_log.remove(&tx_id);
@@ -463,27 +438,19 @@ impl SaguaroNode {
         let decisions = self.validator.check(
             |involved| tree.lca(involved).map(|l| l == me).unwrap_or(false),
             round,
-            self.config.optimistic_abort_rounds,
+            OPTIMISTIC_ABORT_ROUNDS,
         );
-        let is_primary = self.is_primary();
         for decision in decisions {
-            match decision {
+            let (verdict, involved) = match decision {
                 OptDecision::Abort(tx_id, involved) => {
                     self.stats.inconsistencies_detected += 1;
                     self.dag.mark_aborted(tx_id);
-                    if is_primary {
-                        for d in involved {
-                            self.send_to_domain(d, SaguaroMsg::OptAbort { tx_id }, ctx);
-                        }
-                    }
+                    (SaguaroMsg::OptAbort { tx_id }, involved)
                 }
-                OptDecision::Commit(tx_id, involved) => {
-                    if is_primary {
-                        for d in involved {
-                            self.send_to_domain(d, SaguaroMsg::OptCommit { tx_id }, ctx);
-                        }
-                    }
-                }
+                OptDecision::Commit(tx_id, involved) => (SaguaroMsg::OptCommit { tx_id }, involved),
+            };
+            if self.is_primary() {
+                self.send_to_domains(involved, verdict, ctx);
             }
         }
     }
@@ -546,7 +513,7 @@ mod tests {
     }
 
     impl ScanTracker {
-        fn record_execution(&mut self, tx: &Transaction) {
+        pub(crate) fn record_execution(&mut self, tx: &Transaction) {
             self.exec_order.push(tx.id);
             for (id, p) in self.pending.iter_mut() {
                 if *id == tx.id {
@@ -565,7 +532,7 @@ mod tests {
             }
         }
 
-        fn track(&mut self, tx: &Transaction) {
+        pub(crate) fn track(&mut self, tx: &Transaction) {
             self.pending.entry(tx.id).or_insert_with(|| ScanEntry {
                 writes: tx.op.write_set().map(str::to_string).collect(),
                 reads: tx.op.read_set().map(str::to_string).collect(),

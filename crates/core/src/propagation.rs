@@ -41,7 +41,6 @@ impl SaguaroNode {
                 );
             }
         }
-        self.dag_new_since_round.clear();
         let interval = self.config.round_interval_for_height(self.domain().height);
         self.round_timer = Some(ctx.set_timer(interval, SaguaroMsg::RoundTimer));
     }
@@ -123,7 +122,6 @@ impl SaguaroNode {
                 let record = entry.record.clone();
                 self.ledger
                     .append_cross_domain(record.tx, record.seq, record.status);
-                self.dag_new_since_round.push(id);
             }
         }
     }

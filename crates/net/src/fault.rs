@@ -31,8 +31,6 @@ use std::collections::{HashMap, HashSet};
 pub enum SpikeScope {
     /// Every message in the deployment (the historical single-knob form).
     Global,
-    /// Only messages travelling one of these (bidirectional) links.
-    Links(Vec<(Addr, Addr)>),
     /// Only messages with at least one endpoint inside one of these domains
     /// (a congested or brown-out region; intra-domain traffic included).
     Domains(Vec<DomainId>),
@@ -88,7 +86,6 @@ pub enum FaultEvent {
 #[derive(Clone, Debug, Default)]
 pub struct SpikeState {
     global: Duration,
-    links: HashMap<(Addr, Addr), Duration>,
     domains: HashMap<DomainId, Duration>,
 }
 
@@ -103,16 +100,6 @@ impl SpikeState {
     pub fn apply(&mut self, scope: &SpikeScope, extra: Duration) {
         match scope {
             SpikeScope::Global => self.global = extra,
-            SpikeScope::Links(links) => {
-                for (a, b) in links {
-                    let key = ordered(*a, *b);
-                    if extra == Duration::ZERO {
-                        self.links.remove(&key);
-                    } else {
-                        self.links.insert(key, extra);
-                    }
-                }
-            }
             SpikeScope::Domains(domains) => {
                 for d in domains {
                     if extra == Duration::ZERO {
@@ -126,16 +113,10 @@ impl SpikeState {
     }
 
     /// The extra one-way delay a message from `from` to `to` pays right now:
-    /// the global spike, plus any per-link spike, plus the largest per-domain
-    /// spike covering either endpoint (crossing two slowed domains does not
-    /// pay twice).
+    /// the global spike plus the largest per-domain spike covering either
+    /// endpoint (crossing two slowed domains does not pay twice).
     pub fn extra_for(&self, from: Addr, to: Addr) -> Duration {
         let mut extra = self.global;
-        if !self.links.is_empty() {
-            if let Some(d) = self.links.get(&ordered(from, to)) {
-                extra = extra + *d;
-            }
-        }
         if !self.domains.is_empty() {
             let of = |a: Addr| {
                 a.as_node()
@@ -146,14 +127,6 @@ impl SpikeState {
             extra = extra + of(from).max(of(to));
         }
         extra
-    }
-}
-
-fn ordered(a: Addr, b: Addr) -> (Addr, Addr) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
     }
 }
 
@@ -228,29 +201,6 @@ impl FaultSchedule {
             at,
             FaultEvent::DelaySpike {
                 scope: SpikeScope::Global,
-                extra,
-            },
-        );
-        self
-    }
-
-    /// Builder: add `extra` one-way delay to messages on the given
-    /// (bidirectional) links from `at` on (`Duration::ZERO` ends the spike
-    /// on those links).
-    pub fn link_spike_at<I, A, B>(mut self, at: SimTime, links: I, extra: Duration) -> Self
-    where
-        I: IntoIterator<Item = (A, B)>,
-        A: Into<Addr>,
-        B: Into<Addr>,
-    {
-        let links: Vec<(Addr, Addr)> = links
-            .into_iter()
-            .map(|(a, b)| (a.into(), b.into()))
-            .collect();
-        self.push(
-            at,
-            FaultEvent::DelaySpike {
-                scope: SpikeScope::Links(links),
                 extra,
             },
         );
@@ -614,20 +564,15 @@ mod tests {
         let mut spikes = SpikeState::none();
         // Empty state adds nothing (the bit-identical failure-free path).
         assert_eq!(spikes.extra_for(n(d0, 0), n(d1, 0)), Duration::ZERO);
-        // A global spike hits everything; link and domain scopes stack.
+        // A global spike hits everything; a domain scope stacks on it.
         spikes.apply(&SpikeScope::Global, ms(1));
-        spikes.apply(&SpikeScope::Links(vec![(n(d0, 0), n(d1, 0))]), ms(2));
         spikes.apply(&SpikeScope::Domains(vec![d1]), ms(4));
-        assert_eq!(spikes.extra_for(n(d1, 0), n(d0, 0)), ms(1) + ms(2) + ms(4));
+        assert_eq!(spikes.extra_for(n(d1, 0), n(d0, 0)), ms(1) + ms(4));
         assert_eq!(spikes.extra_for(n(d0, 1), n(d0, 2)), ms(1));
         // Crossing a slowed domain pays its spike once, not per endpoint.
         assert_eq!(spikes.extra_for(n(d1, 0), n(d1, 1)), ms(1) + ms(4));
         // ZERO clears each scope independently.
         spikes.apply(&SpikeScope::Global, Duration::ZERO);
-        spikes.apply(
-            &SpikeScope::Links(vec![(n(d1, 0), n(d0, 0))]),
-            Duration::ZERO,
-        );
         assert_eq!(spikes.extra_for(n(d0, 0), n(d1, 0)), ms(4));
         spikes.apply(&SpikeScope::Domains(vec![d1]), Duration::ZERO);
         assert_eq!(spikes.extra_for(n(d0, 0), n(d1, 0)), Duration::ZERO);

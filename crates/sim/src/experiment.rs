@@ -15,10 +15,10 @@
 //!
 //! The two extension points are deliberately narrow:
 //!
-//! * [`ProtocolStack`](crate::protocol::ProtocolStack) says how to frame a
+//! * [`ProtocolStack`] says how to frame a
 //!   request, recognise a reply, and deploy nodes.  The four paper stacks
 //!   (coordinator, optimistic, AHL, SharPer) live in [`crate::protocol`].
-//! * [`Workload`](saguaro_workload::Workload) says where clients live and
+//! * [`Workload`] says where clients live and
 //!   what they send.  Micropayments and ridesharing live in
 //!   `saguaro-workload`; [`WorkloadKind`] names them on the spec.
 //!
@@ -27,7 +27,8 @@
 //! 1. Define a zero-sized marker type and `impl ProtocolStack for It` — the
 //!    message type, `wrap_request`, `client_tick`, `parse_reply` and
 //!    `deploy` are the whole surface.
-//! 2. Add a [`ProtocolKind`] variant and dispatch it in [`run`].
+//! 2. Add a [`ProtocolKind`] variant and dispatch it in
+//!    [`ExperimentSpec::run_collecting`].
 //! 3. Every figure, sweep and bench now works with the new stack.
 //!
 //! Adding a new workload is symmetric: implement `Workload`, add a
@@ -495,7 +496,7 @@ fn summarise(
 /// tests to check that batching loses, duplicates and reorders nothing.
 #[derive(Clone, Debug)]
 pub struct RunArtifacts {
-    /// The summary metrics (what [`run`] returns).
+    /// The summary metrics (what [`ExperimentSpec::run`] returns).
     pub metrics: RunMetrics,
     /// Every completion observed by a client, in completion order.
     pub completions: Vec<CompletedTx>,

@@ -244,7 +244,8 @@ fn batch_ablation_grid(quick: bool) -> (Vec<f64>, Vec<usize>) {
 /// saturation offered load.  One series per `(stack, max_batch)` pair, all
 /// four stacks, so the batched-vs-unbatched delta is apples-to-apples across
 /// Saguaro and the baselines.  `options.loads` is ignored: the ablation
-/// picks saturation loads itself (see [`batch_ablation_grid`]).
+/// picks saturation loads itself: at and beyond the unbatched pipeline's
+/// saturation point.
 pub fn ablation_batch(options: &FigureOptions) -> Vec<FigureSeries> {
     let (loads, sizes) = batch_ablation_grid(options.quick);
     let mut entries = Vec::new();

@@ -5,8 +5,9 @@
 //! optimistic Saguaro, and the AHL and SharPer baselines — over the same
 //! topology, workload and client model.  Each stack differs only in its
 //! message type, how a client request is framed, how replies are recognised,
-//! and how nodes are deployed.  `ProtocolStack` captures exactly those
-//! differences so [`crate::experiment::run_experiment`] can drive any stack
+//! and how nodes are deployed — and the two Saguaro stacks, like the two
+//! baselines, only in what they deploy, so there is one implementation per
+//! message type.  `ProtocolStack` captures exactly those differences so [`crate::experiment::run_experiment`] can drive any stack
 //! generically, and a fifth protocol plugs in without touching the engine
 //! (see the module docs of [`crate::experiment`] for the recipe).
 
@@ -251,14 +252,25 @@ pub trait ProtocolStack {
     fn harvest<S: SimRuntime<Self::Msg>>(sim: &mut S, tree: &Arc<HierarchyTree>) -> RunHarvest;
 }
 
-/// Saguaro with the coordinator-based cross-domain protocol.
-pub struct CoordinatorStack;
+/// A Saguaro deployment; `OPTIMISTIC` picks the cross-domain protocol.  Named
+/// through [`CoordinatorStack`] and [`OptimisticStack`].
+pub struct SaguaroStack<const OPTIMISTIC: bool>;
 
-impl ProtocolStack for CoordinatorStack {
+/// Saguaro with the coordinator-based cross-domain protocol.
+pub type CoordinatorStack = SaguaroStack<false>;
+
+/// Saguaro with the optimistic cross-domain protocol.
+pub type OptimisticStack = SaguaroStack<true>;
+
+impl<const OPTIMISTIC: bool> ProtocolStack for SaguaroStack<OPTIMISTIC> {
     type Msg = SaguaroMsg;
 
     fn kind() -> ProtocolKind {
-        ProtocolKind::SaguaroCoordinator
+        if OPTIMISTIC {
+            ProtocolKind::SaguaroOptimistic
+        } else {
+            ProtocolKind::SaguaroCoordinator
+        }
     }
 
     fn wrap_request(tx: Transaction) -> SaguaroMsg {
@@ -282,9 +294,14 @@ impl ProtocolStack for CoordinatorStack {
         seed_accounts: &SeedAccounts,
         stack: &StackConfig,
     ) {
+        let preset = if OPTIMISTIC {
+            ProtocolConfig::optimistic()
+        } else {
+            ProtocolConfig::coordinator()
+        };
         let config = ProtocolConfig {
             stack: *stack,
-            ..ProtocolConfig::coordinator()
+            ..preset
         };
         deploy::deploy_saguaro(sim, tree, &config, seed_accounts);
     }
@@ -298,59 +315,26 @@ impl ProtocolStack for CoordinatorStack {
     }
 }
 
-/// Saguaro with the optimistic cross-domain protocol.
-pub struct OptimisticStack;
-
-impl ProtocolStack for OptimisticStack {
-    type Msg = SaguaroMsg;
-
-    fn kind() -> ProtocolKind {
-        ProtocolKind::SaguaroOptimistic
-    }
-
-    fn wrap_request(tx: Transaction) -> SaguaroMsg {
-        SaguaroMsg::ClientRequest(tx)
-    }
-
-    fn client_tick() -> SaguaroMsg {
-        SaguaroMsg::ClientTick
-    }
-
-    fn parse_reply(msg: &SaguaroMsg) -> Option<(TxId, bool)> {
-        CoordinatorStack::parse_reply(msg)
-    }
-
-    fn deploy<S: SimRuntime<SaguaroMsg>>(
-        sim: &mut S,
-        tree: &Arc<HierarchyTree>,
-        seed_accounts: &SeedAccounts,
-        stack: &StackConfig,
-    ) {
-        let config = ProtocolConfig {
-            stack: *stack,
-            ..ProtocolConfig::optimistic()
-        };
-        deploy::deploy_saguaro(sim, tree, &config, seed_accounts);
-    }
-
-    fn recovery_kick() -> SaguaroMsg {
-        SaguaroMsg::RoundTimer
-    }
-
-    fn harvest<S: SimRuntime<SaguaroMsg>>(sim: &mut S, tree: &Arc<HierarchyTree>) -> RunHarvest {
-        deploy::harvest_saguaro(sim, tree)
-    }
-}
+/// A baseline deployment over the same shards; `SHARPER` picks the
+/// cross-shard protocol.  Named through [`AhlStack`] and [`SharperStack`].
+pub struct BaselineStack<const SHARPER: bool>;
 
 /// The AHL baseline: per-shard consensus plus a reference committee running
 /// 2PC for cross-shard transactions.
-pub struct AhlStack;
+pub type AhlStack = BaselineStack<false>;
 
-impl ProtocolStack for AhlStack {
+/// The SharPer baseline: flattened cross-shard consensus, no committee.
+pub type SharperStack = BaselineStack<true>;
+
+impl<const SHARPER: bool> ProtocolStack for BaselineStack<SHARPER> {
     type Msg = BaselineMsg;
 
     fn kind() -> ProtocolKind {
-        ProtocolKind::Ahl
+        if SHARPER {
+            ProtocolKind::Sharper
+        } else {
+            ProtocolKind::Ahl
+        }
     }
 
     fn wrap_request(tx: Transaction) -> BaselineMsg {
@@ -374,47 +358,7 @@ impl ProtocolStack for AhlStack {
         seed_accounts: &SeedAccounts,
         stack: &StackConfig,
     ) {
-        deploy::deploy_baseline(sim, tree, false, seed_accounts, stack);
-    }
-
-    fn recovery_kick() -> BaselineMsg {
-        BaselineMsg::ProgressTimer
-    }
-
-    fn harvest<S: SimRuntime<BaselineMsg>>(sim: &mut S, tree: &Arc<HierarchyTree>) -> RunHarvest {
-        deploy::harvest_baseline(sim, tree)
-    }
-}
-
-/// The SharPer baseline: flattened cross-shard consensus, no committee.
-pub struct SharperStack;
-
-impl ProtocolStack for SharperStack {
-    type Msg = BaselineMsg;
-
-    fn kind() -> ProtocolKind {
-        ProtocolKind::Sharper
-    }
-
-    fn wrap_request(tx: Transaction) -> BaselineMsg {
-        BaselineMsg::ClientRequest(tx)
-    }
-
-    fn client_tick() -> BaselineMsg {
-        BaselineMsg::ProgressTimer
-    }
-
-    fn parse_reply(msg: &BaselineMsg) -> Option<(TxId, bool)> {
-        AhlStack::parse_reply(msg)
-    }
-
-    fn deploy<S: SimRuntime<BaselineMsg>>(
-        sim: &mut S,
-        tree: &Arc<HierarchyTree>,
-        seed_accounts: &SeedAccounts,
-        stack: &StackConfig,
-    ) {
-        deploy::deploy_baseline(sim, tree, true, seed_accounts, stack);
+        deploy::deploy_baseline(sim, tree, SHARPER, seed_accounts, stack);
     }
 
     fn recovery_kick() -> BaselineMsg {
@@ -439,7 +383,33 @@ mod tests {
         assert_eq!(SharperStack::kind(), ProtocolKind::Sharper);
         assert_eq!(CoordinatorStack::label(), "Coordinator");
         assert_eq!(SharperStack::label(), "SharPer");
-        assert_eq!(ProtocolKind::ALL.len(), 4);
+        // Two implementations, four stacks: the aliases are the four kinds.
+        let kinds = [
+            CoordinatorStack::kind(),
+            OptimisticStack::kind(),
+            AhlStack::kind(),
+            SharperStack::kind(),
+        ];
+        assert_eq!(kinds, ProtocolKind::ALL);
+        // `deploy` under the optimistic alias yields optimistic nodes: only
+        // they execute a cross-domain transaction speculatively, before any
+        // ancestor has heard of it.
+        let placement = saguaro_hierarchy::Placement::NearbyRegions;
+        let tree = deploy::build_tree(FailureModel::Crash, 1, placement).unwrap();
+        let mut sim = saguaro_net::Simulation::new(deploy::latency_for(placement), 1);
+        OptimisticStack::deploy(&mut sim, &tree, &[], &StackConfig::default());
+        let (d0, d1) = (DomainId::new(1, 0), DomainId::new(1, 1));
+        let tx = Transaction::cross_domain(TxId(1), ClientId(1), vec![d0, d1], Operation::Noop);
+        let primary = NodeId::new(d0, 0);
+        sim.inject(ClientId(1), primary, OptimisticStack::wrap_request(tx));
+        sim.run_until(saguaro_types::SimTime::from_millis(10));
+        let status = sim.with_actor(primary, |actor| {
+            let node = actor
+                .as_any()?
+                .downcast_mut::<saguaro_core::SaguaroNode>()?;
+            Some(node.ledger().get(TxId(1))?.status)
+        });
+        assert_eq!(status.flatten(), Some(TxStatus::SpeculativelyCommitted));
     }
 
     #[test]

@@ -209,12 +209,6 @@ impl AdaptiveTimeout {
         self
     }
 
-    /// Replaces the upper clamp (builder style).
-    pub const fn capped_at(mut self, max: Duration) -> Self {
-        self.max = max;
-        self
-    }
-
     /// One backoff step: `current × backoff_percent`, clamped to `max`.
     pub fn backoff(&self, current: Duration) -> Duration {
         let scaled = current.as_micros().saturating_mul(self.backoff_percent) / 100;
@@ -317,20 +311,18 @@ impl Default for LivenessConfig {
 /// it missed from any up-to-date peer (VR-style state transfer) instead of
 /// stalling at its log gap forever.
 ///
-/// Three regimes:
+/// Two regimes:
 ///
 /// * [`CheckpointConfig::legacy`] (the default) reproduces the historical
-///   pipeline bit-for-bit: Paxos keeps no checkpoints, PBFT keeps its
-///   built-in interval of 128, and no state transfer runs.
+///   pipeline bit-for-bit — the one the goldens are pinned against: Paxos
+///   keeps no checkpoints, PBFT keeps its built-in interval of 128, and no
+///   state transfer runs.
 /// * [`CheckpointConfig::every`] turns the full subsystem on in both engines
 ///   with the given announcement interval.
-/// * [`CheckpointConfig::unbounded`] (`interval = ∞`) disables checkpoints
-///   everywhere — the determinism baseline the goldens are pinned against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct CheckpointConfig {
     /// Deliveries between checkpoint announcements.  `0` selects the legacy
-    /// behaviour (no Paxos checkpoints, PBFT's built-in 128); `u64::MAX`
-    /// disables checkpointing entirely.
+    /// behaviour (no Paxos checkpoints, PBFT's built-in 128).
     pub interval: u64,
     /// Whether gap-stalled replicas fetch missing committed entries from
     /// up-to-date peers (`StateRequest` / `StateReply`).
@@ -372,16 +364,6 @@ impl CheckpointConfig {
         }
     }
 
-    /// `interval = ∞`: no checkpoints anywhere, no state transfer — logs
-    /// grow with history exactly as they did before this subsystem existed.
-    pub const fn unbounded() -> Self {
-        Self {
-            interval: u64::MAX,
-            state_transfer: false,
-            retention: u64::MAX,
-        }
-    }
-
     /// Replaces the retention window (builder style).  `u64::MAX` keeps full
     /// history; any finite value enables snapshotting + pruning (clamped to
     /// at least one delivery so a snapshot responder always retains a
@@ -391,10 +373,10 @@ impl CheckpointConfig {
         self
     }
 
-    /// True if this configuration runs the new subsystem (explicit finite
-    /// interval, as opposed to the legacy or unbounded regimes).
+    /// True if this configuration runs the new subsystem (an explicit
+    /// interval, as opposed to the legacy regime).
     pub const fn is_active(&self) -> bool {
-        self.interval > 0 && self.interval < u64::MAX
+        self.interval > 0
     }
 
     /// True if entry-grained state is pruned (and snapshots materialized):
@@ -468,12 +450,6 @@ impl TraceConfig {
         self
     }
 
-    /// Replaces the timeline bucket count (builder style).
-    pub const fn with_timeline_buckets(mut self, buckets: u32) -> Self {
-        self.timeline_buckets = if buckets == 0 { 1 } else { buckets };
-        self
-    }
-
     /// True if a lifecycle span should be recorded for transaction `id`.
     pub const fn samples(&self, id: u64) -> bool {
         self.enabled
@@ -529,18 +505,6 @@ impl StackConfig {
     /// Replaces the checkpoint knobs (builder style).
     pub const fn with_checkpoint(mut self, checkpoint: CheckpointConfig) -> Self {
         self.checkpoint = checkpoint;
-        self
-    }
-
-    /// Enables delivery-stream recording (builder style).
-    pub const fn with_delivery_recording(mut self, record: bool) -> Self {
-        self.record_deliveries = record;
-        self
-    }
-
-    /// Replaces the tracing knobs (builder style).
-    pub const fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
         self
     }
 }
@@ -1012,9 +976,6 @@ mod tests {
         assert!(active.is_active());
         assert!(active.state_transfer);
         assert_eq!(CheckpointConfig::every(0).interval, 1);
-        let unbounded = CheckpointConfig::unbounded();
-        assert!(!unbounded.is_active());
-        assert_eq!(unbounded.interval, u64::MAX);
         let stack = StackConfig::default().with_checkpoint(active);
         assert_eq!(stack.checkpoint, active);
     }
@@ -1022,11 +983,7 @@ mod tests {
     #[test]
     fn retention_gates_pruning() {
         // Every historical constructor keeps full history and never prunes.
-        for c in [
-            CheckpointConfig::legacy(),
-            CheckpointConfig::every(8),
-            CheckpointConfig::unbounded(),
-        ] {
+        for c in [CheckpointConfig::legacy(), CheckpointConfig::every(8)] {
             assert_eq!(c.retention, u64::MAX);
             assert!(!c.prunes());
         }
@@ -1036,7 +993,6 @@ mod tests {
         assert_eq!(CheckpointConfig::every(8).with_retention(0).retention, 1);
         // Retention without checkpoints (or without transfer) cannot prune:
         // there would be no snapshot to serve.
-        assert!(!CheckpointConfig::unbounded().with_retention(64).prunes());
         assert!(!CheckpointConfig::legacy().with_retention(64).prunes());
     }
 

@@ -5,7 +5,7 @@
 
 use saguaro::net::FaultSchedule;
 use saguaro::sim::{ExperimentSpec, ProtocolKind, RidesharingConfig, RunMetrics};
-use saguaro::types::{CheckpointConfig, ClientModel, PopulationConfig, SimTime};
+use saguaro::types::{ClientModel, PopulationConfig, SimTime};
 
 /// The reference spec the golden metrics below were captured with.
 fn golden_spec(protocol: ProtocolKind) -> ExperimentSpec {
@@ -158,24 +158,6 @@ fn same_seed_and_fault_plan_reproduce_identical_metrics() {
             first,
             golden_metrics(protocol),
             "{protocol:?}: the crash schedule should change the run"
-        );
-    }
-}
-
-#[test]
-fn unbounded_checkpoint_interval_is_bit_identical_to_the_goldens() {
-    // `checkpoint_interval = ∞` disables checkpoints everywhere: no
-    // announcements, no garbage collection, no state transfer.  On these
-    // crash-model goldens (captured long before the subsystem existed) the
-    // run must not change by a single bit — the subsystem is pay-for-play.
-    for protocol in ProtocolKind::ALL {
-        let unbounded = golden_spec(protocol)
-            .tune(|t| t.checkpoint(CheckpointConfig::unbounded()))
-            .run();
-        assert_eq!(
-            unbounded,
-            golden_metrics(protocol),
-            "{protocol:?}: an infinite checkpoint interval changed the run"
         );
     }
 }

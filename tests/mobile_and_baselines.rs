@@ -2,12 +2,13 @@
 //! baselines.
 
 use saguaro::baselines::{BaselineMsg, BaselineNode, BaselineRole};
-use saguaro::core::{ProtocolConfig, SaguaroMsg, SaguaroNode};
+use saguaro::core::{HostedReplica, ProtocolConfig, SaguaroMsg, SaguaroNode};
 use saguaro::hierarchy::{HierarchyTree, Placement, TopologyBuilder};
 use saguaro::net::{CpuProfile, LatencyMatrix, Simulation};
 use saguaro::types::transaction::account_key;
 use saguaro::types::{
-    ClientId, DomainId, FailureModel, NodeId, Operation, SimTime, StackConfig, Transaction, TxId,
+    ClientId, DomainId, FailureModel, LivenessConfig, NodeId, Operation, SimTime, StackConfig,
+    Transaction, TxId,
 };
 use std::sync::Arc;
 
@@ -31,9 +32,16 @@ fn primary(domain: DomainId) -> NodeId {
 // ---------------------------------------------------------------------
 
 fn saguaro_sim(tree: &Arc<HierarchyTree>) -> Simulation<SaguaroMsg> {
+    saguaro_sim_with(tree, StackConfig::default())
+}
+
+fn saguaro_sim_with(tree: &Arc<HierarchyTree>, stack: StackConfig) -> Simulation<SaguaroMsg> {
     let mut sim: Simulation<SaguaroMsg> =
         Simulation::new(LatencyMatrix::nearby_regions().with_jitter(0.0), 5);
-    let config = ProtocolConfig::coordinator();
+    let config = ProtocolConfig {
+        stack,
+        ..ProtocolConfig::coordinator()
+    };
     for domain in tree.domains() {
         if domain.id.height == 0 {
             continue;
@@ -287,6 +295,14 @@ fn mobile_handoff_survives_a_remote_primary_crash() {
 // ---------------------------------------------------------------------
 
 fn baseline_sim(tree: &Arc<HierarchyTree>, sharper: bool) -> Simulation<BaselineMsg> {
+    baseline_sim_with(tree, sharper, StackConfig::default())
+}
+
+fn baseline_sim_with(
+    tree: &Arc<HierarchyTree>,
+    sharper: bool,
+    stack: StackConfig,
+) -> Simulation<BaselineMsg> {
     let mut sim: Simulation<BaselineMsg> =
         Simulation::new(LatencyMatrix::nearby_regions().with_jitter(0.0), 6);
     let committee = tree.root();
@@ -303,8 +319,7 @@ fn baseline_sim(tree: &Arc<HierarchyTree>, sharper: bool) -> Simulation<Baseline
             continue;
         };
         for node in tree.nodes_of(domain.id).expect("nodes") {
-            let mut actor =
-                BaselineNode::new(node, role, tree.clone(), committee, StackConfig::default());
+            let mut actor = BaselineNode::new(node, role, tree.clone(), committee, stack);
             if domain.id.height == 1 {
                 for n in 0..8u64 {
                     actor.seed_account(account_key(domain.id.index, n), 1_000);
@@ -437,4 +452,80 @@ fn sharper_internal_transactions_do_not_touch_other_shards() {
     with_baseline(&mut sim, primary(DomainId::new(1, 1)), |n| {
         assert!(n.ledger().is_empty());
     });
+}
+
+// ---------------------------------------------------------------------
+// Both: a coordinator with nothing left to decide is idle
+// ---------------------------------------------------------------------
+
+/// `(view, view changes seen)` of a replica's internal consensus.
+fn views<N: HostedReplica>(node: &mut N) -> (u64, u64) {
+    let host = node.host_mut();
+    (host.consensus().view(), host.stats().view_changes)
+}
+
+/// Once its first cross-domain transaction is decided, a coordinator —
+/// Saguaro's LCA, AHL's reference committee — has no work pending, so left
+/// idle its replicas must not suspect their healthy primary.  The decided
+/// entry stays in the coordinator's table (nothing retires it) and used to
+/// count as pending work forever.  No round timers run here: block
+/// propagation delivers something to an LCA every round, which is what hid
+/// this from every other suite.
+#[test]
+fn an_idle_coordinator_does_not_suspect_its_healthy_primary() {
+    let t = tree(FailureModel::Crash);
+    let stack = StackConfig::default().with_liveness(LivenessConfig::standard());
+    let (d0, d1) = (DomainId::new(1, 0), DomainId::new(1, 1));
+    let client = ClientId(7);
+    let cross = Transaction::cross_domain(
+        TxId(1),
+        client,
+        vec![d0, d1],
+        Operation::Transfer {
+            from: account_key(0, 2),
+            to: account_key(1, 3),
+            amount: 40,
+        },
+    );
+    let idle_until = SimTime::from_millis(400);
+
+    let lca = t.lca(&[d0, d1]).expect("lca");
+    let mut sim = saguaro_sim_with(&t, stack);
+    for node in t.nodes_of(lca).unwrap() {
+        sim.inject(client, node, SaguaroMsg::ProgressTimer);
+    }
+    sim.inject(
+        client,
+        primary(d0),
+        SaguaroMsg::ClientRequest(cross.clone()),
+    );
+    sim.run_until(SimTime::from_millis(100));
+    with_saguaro(&mut sim, primary(d1), |n| {
+        assert!(n.ledger().contains(TxId(1)), "decided well before the idle");
+    });
+    sim.run_until(idle_until);
+    for node in t.nodes_of(lca).unwrap() {
+        let seen = sim.with_actor(node, |a| {
+            views(a.as_any().unwrap().downcast_mut::<SaguaroNode>().unwrap())
+        });
+        assert_eq!(seen, Some((0, 0)), "LCA replica {node:?} suspected");
+    }
+
+    let committee = t.root();
+    let mut sim = baseline_sim_with(&t, false, stack);
+    for node in t.nodes_of(committee).unwrap() {
+        sim.inject(client, node, BaselineMsg::ProgressTimer);
+    }
+    sim.inject(client, primary(d0), BaselineMsg::ClientRequest(cross));
+    sim.run_until(SimTime::from_millis(100));
+    with_baseline(&mut sim, primary(d1), |n| {
+        assert!(n.ledger().contains(TxId(1)), "decided well before the idle");
+    });
+    sim.run_until(idle_until);
+    for node in t.nodes_of(committee).unwrap() {
+        let seen = sim.with_actor(node, |a| {
+            views(a.as_any().unwrap().downcast_mut::<BaselineNode>().unwrap())
+        });
+        assert_eq!(seen, Some((0, 0)), "committee replica {node:?} suspected");
+    }
 }

@@ -4,7 +4,8 @@
 
 use saguaro::core::{ProtocolConfig, SaguaroMsg, SaguaroNode};
 use saguaro::hierarchy::{HierarchyTree, Placement, TopologyBuilder};
-use saguaro::net::{Addr, CpuProfile, LatencyMatrix, Simulation};
+use saguaro::ledger::TxStatus;
+use saguaro::net::{Actor, Addr, Context, CpuProfile, LatencyMatrix, Simulation, TimerId};
 use saguaro::types::transaction::account_key;
 use saguaro::types::{
     ClientId, DomainId, FailureModel, NodeId, Operation, SimTime, Transaction, TxId,
@@ -298,5 +299,131 @@ fn message_loss_does_not_violate_replica_agreement() {
             ledgers.iter().all(|l| l[i] == first),
             "replicas disagree at position {i}"
         );
+    }
+}
+
+/// A client that records the replies it receives.
+#[derive(Default)]
+struct ReplySink(Vec<(TxId, bool)>);
+
+impl Actor<SaguaroMsg> for ReplySink {
+    fn on_message(&mut self, _from: Addr, msg: SaguaroMsg, _ctx: &mut Context<'_, SaguaroMsg>) {
+        if let SaguaroMsg::Reply { tx_id, committed } = msg {
+            self.0.push((tx_id, committed));
+        }
+    }
+
+    fn on_timer(&mut self, _id: TimerId, _msg: SaguaroMsg, _ctx: &mut Context<'_, SaguaroMsg>) {}
+
+    fn as_any(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
+}
+
+/// The commit step has four callers — a delivered internal transaction, the
+/// LCA's decision on a coordinated cross-domain one, a delivered optimistic
+/// one, and the transactions a mobile hand-over releases.  Each must leave
+/// the same things behind on every replica of the committing domain: one
+/// ledger entry with its status and sequence number parts, one counter
+/// bumped, the balances moved — and one reply at the client.
+#[test]
+fn the_commit_step_is_the_same_through_each_of_its_callers() {
+    let d = |i| DomainId::new(1, i);
+    let client = ClientId(3);
+    let pay = |from: DomainId, to: DomainId| Operation::Transfer {
+        from: account_key(from.index, client.0),
+        to: account_key(to.index, 1),
+        amount: 10,
+    };
+    struct Case {
+        caller: &'static str,
+        config: ProtocolConfig,
+        tx: Transaction,
+        /// The domain that receives the request and whose replicas are read.
+        at: DomainId,
+        /// Read this early for the optimistic path: before any verdict.
+        read_at_ms: u64,
+        status: TxStatus,
+        seq: Vec<(DomainId, u64)>,
+        /// `[internal, cross, mobile]_committed`.
+        counters: [u64; 3],
+    }
+    let cases = [
+        Case {
+            caller: "Cmd::Internal",
+            config: ProtocolConfig::coordinator(),
+            tx: Transaction::internal(TxId(1), client, d(0), pay(d(0), d(0))),
+            at: d(0),
+            read_at_ms: 600,
+            status: TxStatus::Committed,
+            seq: vec![(d(0), 1)],
+            counters: [1, 0, 0],
+        },
+        Case {
+            caller: "CommitCross",
+            config: ProtocolConfig::coordinator(),
+            tx: Transaction::cross_domain(TxId(2), client, vec![d(0), d(3)], pay(d(0), d(3))),
+            at: d(0),
+            read_at_ms: 600,
+            status: TxStatus::Committed,
+            seq: vec![(d(0), 1), (d(3), 1)],
+            counters: [0, 1, 0],
+        },
+        Case {
+            caller: "Cmd::OptimisticCross",
+            config: ProtocolConfig::optimistic(),
+            tx: Transaction::cross_domain(TxId(3), client, vec![d(0), d(3)], pay(d(0), d(3))),
+            at: d(0),
+            read_at_ms: 15,
+            status: TxStatus::SpeculativelyCommitted,
+            seq: vec![(d(0), 1)],
+            counters: [0, 1, 0],
+        },
+        Case {
+            caller: "Cmd::MobileInstall",
+            config: ProtocolConfig::coordinator(),
+            tx: Transaction::mobile(TxId(4), client, d(0), d(2), pay(d(0), d(2))),
+            at: d(2),
+            read_at_ms: 600,
+            status: TxStatus::Committed,
+            seq: vec![(d(2), 1)],
+            counters: [0, 0, 1],
+        },
+    ];
+    for case in cases {
+        let Case { caller, at, .. } = case;
+        let (mut sim, tree) = build(FailureModel::Crash, case.config);
+        let region = tree.region_of(at).expect("region");
+        let sink = Box::new(ReplySink::default());
+        sim.register(client, region, CpuProfile::client(), sink);
+        let id = case.tx.id;
+        sim.inject(client, primary(at), SaguaroMsg::ClientRequest(case.tx));
+        sim.run_until(SimTime::from_millis(case.read_at_ms));
+
+        for node in tree.nodes_of(at).unwrap() {
+            with_node(&mut sim, node, |n| {
+                assert_eq!(n.ledger().len(), 1, "{caller}: entries on {node:?}");
+                let entry = n.ledger().get(id).expect("the committed entry");
+                assert_eq!(entry.status, case.status, "{caller}: status on {node:?}");
+                let seq: Vec<_> = entry.seq.iter().collect();
+                assert_eq!(seq, case.seq, "{caller}: sequence parts on {node:?}");
+                let stats = n.stats();
+                let counters = [
+                    stats.internal_committed,
+                    stats.cross_committed,
+                    stats.mobile_committed,
+                ];
+                assert_eq!(counters, case.counters, "{caller}: counters on {node:?}");
+                // The payer's account lives in domain 0: it is debited where
+                // that state is (at home, or where the device carried it).
+                let payer = n.blockchain_state().balance(&account_key(0, client.0));
+                assert_eq!(payer, 990, "{caller}: payer's balance on {node:?}");
+            });
+        }
+        let replies = sim.with_actor(client, |a| {
+            let sink = a.as_any().and_then(|any| any.downcast_mut::<ReplySink>());
+            sink.expect("the reply sink").0.clone()
+        });
+        assert_eq!(replies, Some(vec![(id, true)]), "{caller}: replies");
     }
 }
