@@ -473,12 +473,12 @@ impl HostedReplica for BaselineNode {
         tx.id.0 ^ (tag << 60)
     }
 
-    fn apply_command(&mut self, cmd: BCmd, ctx: &mut Context<'_, BaselineMsg>) {
+    fn apply_command(&mut self, cmd: &BCmd, ctx: &mut Context<'_, BaselineMsg>) {
         match cmd {
-            BCmd::Internal(tx) => self.execute_and_commit(&tx, false, ctx),
-            BCmd::CommitteeOrder(tx) => self.apply_committee_order(tx, ctx),
-            BCmd::ShardPrepare(tx) => self.apply_shard_prepare(tx, ctx),
-            BCmd::ShardCommit(tx) => self.execute_and_commit(&tx, true, ctx),
+            BCmd::Internal(tx) => self.execute_and_commit(tx, false, ctx),
+            BCmd::CommitteeOrder(tx) => self.apply_committee_order(tx.clone(), ctx),
+            BCmd::ShardPrepare(tx) => self.apply_shard_prepare(tx.clone(), ctx),
+            BCmd::ShardCommit(tx) => self.execute_and_commit(tx, true, ctx),
         }
     }
 

@@ -93,25 +93,6 @@ impl<C> Batch<C> {
     }
 }
 
-impl<C: Clone> Batch<C> {
-    /// Consumes the batch, yielding the member commands in block order
-    /// (moved out by the last holder, copied otherwise).
-    pub fn into_commands(self) -> Vec<C> {
-        match Arc::try_unwrap(self.body) {
-            Ok(body) => body.commands,
-            Err(shared) => shared.commands.clone(),
-        }
-    }
-}
-
-impl<C: Clone> IntoIterator for Batch<C> {
-    type Item = C;
-    type IntoIter = std::vec::IntoIter<C>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.into_commands().into_iter()
-    }
-}
-
 impl<'a, C> IntoIterator for &'a Batch<C> {
     type Item = &'a C;
     type IntoIter = std::slice::Iter<'a, C>;
@@ -197,9 +178,8 @@ impl<C: Clone> Batcher<C> {
     /// consensus engine refused the proposal, e.g. mid-view-change, so the
     /// commands are retried instead of destroyed).
     pub fn restore(&mut self, batch: Batch<C>) {
-        let mut commands = batch.into_commands();
-        commands.append(&mut self.pending);
-        self.pending = commands;
+        let behind = std::mem::replace(&mut self.pending, batch.commands().to_vec());
+        self.pending.extend(behind);
     }
 
     fn cut(&mut self) -> Option<Batch<C>> {
@@ -266,7 +246,7 @@ mod tests {
         assert_eq!(full.commands(), &[vec![0], vec![1], vec![2]]);
         assert!(b.push(vec![3]).is_none());
         let partial = b.flush().expect("flush cuts the under-full block");
-        assert_eq!(partial.into_commands(), vec![vec![3]]);
+        assert_eq!(partial.commands(), &[vec![3]]);
         assert!(b.flush().is_none());
     }
 
@@ -280,7 +260,7 @@ mod tests {
         b.restore(cut);
         assert_eq!(b.pending(), 3);
         let all = b.flush().expect("restored + new");
-        assert_eq!(all.into_commands(), vec![vec![0], vec![1], vec![2]]);
+        assert_eq!(all.commands(), &[vec![0], vec![1], vec![2]]);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! golden run is reproduced bit for bit.
 
 use saguaro_types::{CheckpointConfig, NodeId, SeqNo, StateSnapshot};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The payload of a state-transfer reply: the snapshot to install first
@@ -50,8 +50,8 @@ pub struct CheckpointKeeper<C> {
     state_transfer: bool,
     /// The last stable (quorum-certified, locally executed) checkpoint.
     stable: SeqNo,
-    /// Announcement votes per floor, including our own.
-    votes: BTreeMap<SeqNo, BTreeSet<NodeId>>,
+    /// The distinct announcers of each floor, our own vote included.
+    votes: BTreeMap<SeqNo, Vec<NodeId>>,
     /// Highest sequence number some peer evidenced as committed.
     hint: SeqNo,
     /// The peer that evidenced [`CheckpointKeeper::hint`].
@@ -178,7 +178,9 @@ impl<C: Clone> CheckpointKeeper<C> {
             return false;
         }
         let votes = self.votes.entry(seq).or_default();
-        votes.insert(from);
+        if !votes.contains(&from) {
+            votes.push(from);
+        }
         if votes.len() >= quorum && last_delivered >= seq {
             self.stable = seq;
             self.votes.retain(|s, _| *s > seq);

@@ -20,10 +20,10 @@
 use crate::batch::Batch;
 use crate::interface::{primary_for_view, Command, Step};
 use crate::msg::{ConsensusMsg, MsgBody};
-use crate::replica::{ConsensusReplica, Rule, Steps};
+use crate::replica::{ConsensusReplica, Rule, Steps, VoteMask};
 use saguaro_crypto::Digest;
 use saguaro_types::{FailureModel, NodeId, SeqNo};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Per-sequence bookkeeping at the leader and replicas.
 #[derive(Clone, Debug)]
@@ -31,7 +31,7 @@ pub(crate) struct Slot<C> {
     pub(crate) batch: Batch<C>,
     pub(crate) accepted_in_view: u64,
     /// Replicas (including self) known to have accepted.
-    pub(crate) acks: BTreeSet<NodeId>,
+    pub(crate) acks: VoteMask,
     pub(crate) committed: bool,
 }
 
@@ -61,7 +61,7 @@ impl<C: Command> PaxosLog<C> {
         let slot = self.slots.entry(seq).or_insert_with(|| Slot {
             batch: batch.clone(),
             accepted_in_view: view,
-            acks: BTreeSet::new(),
+            acks: VoteMask::default(),
             committed: false,
         });
         slot.batch = batch;
@@ -84,12 +84,13 @@ impl<C: Command> ConsensusReplica<C> {
             return;
         };
         let view = self.view;
-        let slot = Slot {
+        let mut slot = Slot {
             batch: batch.clone(),
             accepted_in_view: view,
-            acks: BTreeSet::from([self.me]),
+            acks: VoteMask::default(),
             committed: false,
         };
+        slot.acks.insert(&self.replicas, self.me);
         log.slots.insert(seq, slot);
         out.push(Step::Broadcast {
             msg: msg(MsgBody::Accept { view, seq, batch }),
@@ -119,7 +120,8 @@ impl<C: Command> ConsensusReplica<C> {
         // A newer view means we missed a view change; adopt it.
         self.view = view;
         let digest = batch.digest();
-        log.accept(seq, batch, view).acks.insert(self.me);
+        let slot = log.accept(seq, batch, view);
+        slot.acks.insert(&self.replicas, self.me);
         out.push(Step::Send {
             to: from,
             msg: msg(MsgBody::Accepted { view, seq, digest }),
@@ -156,7 +158,7 @@ impl<C: Command> ConsensusReplica<C> {
         if slot.batch.digest() != digest || slot.committed {
             return;
         }
-        slot.acks.insert(from);
+        slot.acks.insert(&self.replicas, from);
         self.maybe_commit(seq, out);
     }
 

@@ -27,10 +27,10 @@
 use crate::batch::Batch;
 use crate::interface::{primary_for_view, Command, Step};
 use crate::msg::{ConsensusMsg, MsgBody};
-use crate::replica::{ConsensusReplica, Rule, Steps};
+use crate::replica::{ConsensusReplica, Rule, Steps, VoteMask};
 use saguaro_crypto::Digest;
 use saguaro_types::{FailureModel, NodeId, SeqNo};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Per-sequence bookkeeping; a slot can collect votes before its
 /// pre-prepare arrives.
@@ -39,8 +39,8 @@ pub(crate) struct Slot<C> {
     pub(crate) batch: Option<Batch<C>>,
     digest: Option<Digest>,
     pub(crate) pre_prepared_view: u64,
-    pub(crate) prepares: BTreeSet<NodeId>,
-    pub(crate) commits: BTreeSet<NodeId>,
+    pub(crate) prepares: VoteMask,
+    pub(crate) commits: VoteMask,
     pub(crate) prepared: bool,
     pub(crate) committed: bool,
 }
@@ -51,8 +51,8 @@ impl<C> Default for Slot<C> {
             batch: None,
             digest: None,
             pre_prepared_view: 0,
-            prepares: BTreeSet::new(),
-            commits: BTreeSet::new(),
+            prepares: VoteMask::default(),
+            commits: VoteMask::default(),
             prepared: false,
             committed: false,
         }
@@ -106,7 +106,7 @@ impl<C: Command> ConsensusReplica<C> {
         let view = self.view;
         // The primary's pre-prepare counts as its prepare.
         let slot = log.pre_prepare(seq, batch.clone(), view);
-        slot.prepares.insert(self.me);
+        slot.prepares.insert(&self.replicas, self.me);
         out.push(Step::Broadcast {
             msg: msg(MsgBody::PrePrepare { view, seq, batch }),
         });
@@ -141,16 +141,22 @@ impl<C: Command> ConsensusReplica<C> {
             return;
         }
         let slot = log.pre_prepare(seq, batch, view);
-        slot.prepares.insert(self.me);
+        slot.prepares.insert(&self.replicas, self.me);
         out.push(Step::Broadcast {
             msg: msg(MsgBody::Prepare { view, seq, digest }),
         });
         self.check_prepared(seq, out);
     }
 
-    /// The slot a digest vote for `seq` in `view` counts towards, unless the
-    /// vote is stale or names a different block than the slot holds.
-    fn voted_slot(&mut self, view: u64, seq: SeqNo, digest: Digest) -> Option<&mut Slot<C>> {
+    /// The slot a digest vote for `seq` in `view` counts towards — unless the
+    /// vote is stale or names a different block than the slot holds — and the
+    /// members whose votes count.
+    fn voted_slot(
+        &mut self,
+        view: u64,
+        seq: SeqNo,
+        digest: Digest,
+    ) -> Option<(&mut Slot<C>, &[NodeId])> {
         let Rule::Pbft(log) = &mut self.rule else {
             return None;
         };
@@ -158,7 +164,8 @@ impl<C: Command> ConsensusReplica<C> {
             return None;
         }
         let slot = log.slots.entry(seq).or_default();
-        slot.digest.is_none_or(|d| d == digest).then_some(slot)
+        let names_it = slot.digest.is_none_or(|d| d == digest);
+        names_it.then_some((slot, &self.replicas[..]))
     }
 
     pub(crate) fn on_prepare(
@@ -169,8 +176,8 @@ impl<C: Command> ConsensusReplica<C> {
         digest: Digest,
         out: &mut Steps<C>,
     ) {
-        if let Some(slot) = self.voted_slot(view, seq, digest) {
-            slot.prepares.insert(from);
+        if let Some((slot, members)) = self.voted_slot(view, seq, digest) {
+            slot.prepares.insert(members, from);
             self.check_prepared(seq, out);
         }
     }
@@ -191,7 +198,7 @@ impl<C: Command> ConsensusReplica<C> {
             return;
         }
         slot.prepared = true;
-        slot.commits.insert(self.me);
+        slot.commits.insert(&self.replicas, self.me);
         let digest = slot.digest.expect("digest set with the block");
         let view = self.view;
         out.push(Step::Broadcast {
@@ -208,8 +215,8 @@ impl<C: Command> ConsensusReplica<C> {
         digest: Digest,
         out: &mut Steps<C>,
     ) {
-        if let Some(slot) = self.voted_slot(view, seq, digest) {
-            slot.commits.insert(from);
+        if let Some((slot, members)) = self.voted_slot(view, seq, digest) {
+            slot.commits.insert(members, from);
             self.check_committed(seq, out);
         }
     }

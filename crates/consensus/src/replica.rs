@@ -33,6 +33,29 @@ use std::sync::Arc;
 /// What a replica asks of its adapter in response to one input.
 pub type Steps<C> = Vec<Step<Batch<C>, ConsensusMsg<C>>>;
 
+/// The members of a domain that voted for one slot in one phase: bit `i` is
+/// the replica at position `i` of the domain's sorted replica list.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct VoteMask(u64);
+
+impl VoteMask {
+    /// The largest domain a mask can count.
+    pub(crate) const CAPACITY: usize = u64::BITS as usize;
+
+    /// Records the vote of `voter`.  A node outside `replicas` (sorted) has
+    /// no bit, so its vote counts for nothing.
+    pub(crate) fn insert(&mut self, replicas: &[NodeId], voter: NodeId) {
+        if let Ok(position) = replicas.binary_search(&voter) {
+            self.0 |= 1 << position;
+        }
+    }
+
+    /// Distinct members that voted.
+    pub(crate) fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+}
+
 /// The agreement rule of a domain — when a slot is chosen — with the slot
 /// state only that rule keeps.
 #[derive(Clone, Debug)]
@@ -161,7 +184,7 @@ pub struct ConsensusReplica<C> {
     /// leader's merge either).  Both votes are discarded and further votes
     /// from the sender are ignored for that view; the next view change
     /// starts from a clean slate.
-    vc_tainted: BTreeMap<u64, BTreeSet<NodeId>>,
+    vc_tainted: BTreeSet<(u64, NodeId)>,
     /// Conflicting certificates detected and discarded (twin view-change
     /// votes and, under PBFT, rejected twin new-view messages).
     pub(crate) certificate_conflicts: u64,
@@ -193,7 +216,8 @@ impl<C: Command> ConsensusReplica<C> {
     /// # Panics
     ///
     /// If `me` is not one of `replicas` (which includes an empty list): such
-    /// a replica could never lead or commit.
+    /// a replica could never lead or commit.  If the domain has more than 64
+    /// members: a slot's votes are counted in a 64-bit mask.
     pub fn with_batching(
         me: NodeId,
         mut replicas: Vec<NodeId>,
@@ -203,6 +227,12 @@ impl<C: Command> ConsensusReplica<C> {
         assert!(
             replicas.contains(&me),
             "consensus replica {me:?} is not in its domain's replica list {replicas:?}"
+        );
+        assert!(
+            replicas.len() <= VoteMask::CAPACITY,
+            "a domain of {} replicas exceeds the {} a vote mask can count",
+            replicas.len(),
+            VoteMask::CAPACITY
         );
         replicas.sort();
         let rule = match quorum.model {
@@ -218,7 +248,7 @@ impl<C: Command> ConsensusReplica<C> {
             last_delivered: 0,
             rule,
             view_change_votes: BTreeMap::new(),
-            vc_tainted: BTreeMap::new(),
+            vc_tainted: BTreeSet::new(),
             certificate_conflicts: 0,
             in_view_change: false,
             highest_vc: 0,
@@ -388,7 +418,9 @@ impl<C: Command> ConsensusReplica<C> {
     /// protocol (which a Byzantine peer could fabricate) are ignored.
     pub fn on_message(&mut self, from: NodeId, msg: ConsensusMsg<C>) -> Steps<C> {
         let mut steps = Vec::new();
-        if msg.model != self.quorum.model {
+        // A node outside the domain has no say in it: no vote, no view
+        // change, no checkpoint, no state transfer.
+        if msg.model != self.quorum.model || self.replicas.binary_search(&from).is_err() {
             return steps;
         }
         let out = &mut steps;
@@ -691,11 +723,7 @@ impl<C: Command> ConsensusReplica<C> {
         // Defence against conflicting view-change certificates — see
         // `vc_tainted`.  Identical re-deliveries are harmless overwrites,
         // and a replica always trusts its own vote.
-        if self
-            .vc_tainted
-            .get(&new_view)
-            .is_some_and(|t| t.contains(&from))
-        {
+        if self.vc_tainted.contains(&(new_view, from)) {
             return;
         }
         let votes = self.view_change_votes.entry(new_view).or_default();
@@ -703,7 +731,7 @@ impl<C: Command> ConsensusReplica<C> {
             if let Some(existing) = votes.get(&from) {
                 if Self::votes_conflict(existing, &vote) {
                     votes.remove(&from);
-                    self.vc_tainted.entry(new_view).or_default().insert(from);
+                    self.vc_tainted.insert((new_view, from));
                     self.certificate_conflicts += 1;
                     return;
                 }
@@ -762,7 +790,7 @@ impl<C: Command> ConsensusReplica<C> {
         self.view = new_view;
         self.in_view_change = false;
         // Taint records for completed views are no longer consulted.
-        self.vc_tainted.retain(|v, _| *v > new_view);
+        self.vc_tainted.retain(|(v, _)| *v > new_view);
 
         // The re-proposed log starts at the *lowest* voter floor, not the
         // highest: a voter that has not yet executed an already-chosen entry
@@ -817,15 +845,15 @@ impl<C: Command> ConsensusReplica<C> {
         match &mut self.rule {
             Rule::Paxos(log) => {
                 let slot = log.accept(seq, batch, view);
-                slot.acks.clear();
-                slot.acks.insert(self.me);
+                slot.acks = VoteMask::default();
+                slot.acks.insert(&self.replicas, self.me);
             }
             Rule::Pbft(log) => {
                 let slot = log.pre_prepare(seq, batch, view);
-                slot.prepares.clear();
-                slot.commits.clear();
+                slot.prepares = VoteMask::default();
+                slot.commits = VoteMask::default();
                 slot.prepared = false;
-                slot.prepares.insert(self.me);
+                slot.prepares.insert(&self.replicas, self.me);
             }
         }
     }
@@ -962,7 +990,7 @@ pub(crate) mod testkit {
                         }
                     }
                     Step::Deliver { seq, command } => {
-                        delivered[origin].extend(command.into_iter().map(|c| (seq, c)));
+                        delivered[origin].extend(command.iter().map(|c| (seq, c.clone())));
                     }
                     Step::TakeSnapshot { seq } => rep.store_snapshot(Arc::new(StateSnapshot {
                         seq,
@@ -1407,6 +1435,81 @@ mod tests {
         let members: Vec<NodeId> = (0..3).map(|i| NodeId::new(d, i)).collect();
         let quorum = QuorumSpec::for_size(Crash, 3);
         let _ = ConsensusReplica::<Cmd>::new(NodeId::new(d, 9), members, quorum);
+    }
+
+    #[test]
+    #[should_panic(expected = "a domain of 65 replicas exceeds the 64 a vote mask can count")]
+    fn a_domain_wider_than_the_vote_mask_is_rejected() {
+        let d = DomainId::new(1, 0);
+        let members: Vec<NodeId> = (0..65).map(|i| NodeId::new(d, i)).collect();
+        let quorum = QuorumSpec::for_size(Byzantine, 65);
+        let _ = ConsensusReplica::<Cmd>::new(members[0], members, quorum);
+    }
+
+    /// Nodes of another domain have no say: a slot that holds only its
+    /// proposal stays where it is however many strangers vote for it, and so
+    /// do the view and the stable checkpoint.
+    #[test]
+    fn votes_from_outside_the_domain_are_ignored() {
+        let elsewhere = DomainId::new(1, 7);
+        let strangers: Vec<NodeId> = (0..4).map(|i| NodeId::new(elsewhere, i)).collect();
+        let (view, seq, digest) = (0, 1, block(b"tx").digest());
+        for model in [Crash, Byzantine] {
+            let (nodes, mut reps) = domain(model, 4);
+            // The replica the votes are sent to, holding the proposal alone:
+            // the Paxos leader, or a PBFT backup that was sent the block.
+            let (voter, votes) = match model {
+                Crash => {
+                    let _ = reps[0].propose(b"tx".to_vec());
+                    (0, vec![MsgBody::Accepted { view, seq, digest }])
+                }
+                Byzantine => {
+                    let batch = block(b"tx");
+                    let proposal = msg(model, MsgBody::PrePrepare { view, seq, batch });
+                    let _ = reps[1].on_message(nodes[0], proposal);
+                    let prepare = MsgBody::Prepare { view, seq, digest };
+                    (1, vec![prepare, MsgBody::Commit { view, seq, digest }])
+                }
+            };
+            let view_change = MsgBody::ViewChange {
+                new_view: 1,
+                entries: Vec::new(),
+                last_delivered: 0,
+                checkpoint: 0,
+            };
+            let checkpoint = MsgBody::Checkpoint { seq: 5, digest };
+            for vote in votes.into_iter().chain([view_change, checkpoint]) {
+                for stranger in &strangers {
+                    let steps = reps[voter].on_message(*stranger, msg(model, vote.clone()));
+                    assert!(steps.is_empty(), "{model:?}: {stranger:?} moved {steps:?}");
+                }
+            }
+            let rep = &reps[voter];
+            let moved = (rep.last_delivered(), rep.view(), rep.stable_checkpoint());
+            assert_eq!((moved, rep.in_view_change), ((0, 0, 0), false), "{model:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// A vote mask counts what a set of the voting members would: each
+        /// member once, a stranger never.
+        #[test]
+        fn a_vote_mask_counts_members_once_and_strangers_never(
+            members in 1u16..65,
+            votes in proptest::collection::vec((0u16..2, 0u16..70), 0..120),
+        ) {
+            let home = DomainId::new(1, 0);
+            let replicas: Vec<NodeId> = (0..members).map(|i| NodeId::new(home, i)).collect();
+            let (mut mask, mut model) = (VoteMask::default(), BTreeSet::new());
+            for (domain, index) in votes {
+                let from = NodeId::new(DomainId::new(1, domain), index);
+                mask.insert(&replicas, from);
+                if replicas.contains(&from) {
+                    model.insert(from);
+                }
+                proptest::prop_assert_eq!(mask.len(), model.len());
+            }
+        }
     }
 
     #[test]

@@ -193,7 +193,7 @@ pub trait HostedReplica: Sized {
     fn command_fingerprint(cmd: &Self::Cmd) -> u64;
 
     /// Executes a command the domain's internal consensus has committed.
-    fn apply_command(&mut self, cmd: Self::Cmd, ctx: &mut Context<'_, Self::Msg>);
+    fn apply_command(&mut self, cmd: &Self::Cmd, ctx: &mut Context<'_, Self::Msg>);
     /// Captures the application state as of checkpoint `seq` — the step
     /// arrives in-stream, immediately after the delivery of `seq` executed —
     /// stamped with `delivery_hash`.  Only requested under a finite
@@ -283,10 +283,10 @@ pub trait HostedReplica: Sized {
                         let hash = saguaro_types::delivery_hash(prev, seq, members);
                         host.stats.consensus_log.push(hash);
                     }
-                    for cmd in command {
+                    for cmd in &command {
                         let host = self.host_mut();
                         if host.tracer.enabled() {
-                            let tx = Self::command_tx(&cmd);
+                            let tx = Self::command_tx(cmd);
                             if let Some(tx) = tx.filter(|t| host.tracer.samples(t.id.0)) {
                                 let kind = TraceEventKind::TxOrdered { tx: tx.id, seq };
                                 host.tracer.record(ctx.now(), kind);

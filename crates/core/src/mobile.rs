@@ -276,7 +276,7 @@ impl SaguaroNode {
     pub(crate) fn apply_mobile_install(
         &mut self,
         device: ClientId,
-        entries: Vec<(String, u64)>,
+        entries: &[(String, u64)],
         tx: Transaction,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
@@ -304,7 +304,7 @@ impl SaguaroNode {
                 self.hosted_devices.contains(&device)
             };
             if !already_authoritative {
-                self.state.install_account_state(&entries);
+                self.state.install_account_state(entries);
             }
             if home == my_domain {
                 self.mobile.insert(
@@ -327,7 +327,7 @@ impl SaguaroNode {
             // remote.  Every replica installs the pulled-back copy — it
             // supersedes the home's stale one — and records the pointer, so a
             // view change keeps both the state and the routing information.
-            self.state.install_account_state(&entries);
+            self.state.install_account_state(entries);
             self.mobile.insert(
                 device,
                 MobileRecord {

@@ -74,7 +74,8 @@ pub struct SaguaroNode {
     pub(crate) ledger: LinearLedger,
     pub(crate) state: BlockchainState,
     /// Raw state updates of the current round (input to the abstraction fn).
-    pub(crate) round_updates: Vec<(String, u64)>,
+    /// The root domain, which has no parent to report to, collects none.
+    pub(crate) round_updates: Vec<(Arc<str>, u64)>,
     /// Undo records of executed transactions, kept in optimistic mode only:
     /// nothing but an optimistic abort ever reverts an execution.
     pub(crate) undo_log: HashMap<TxId, UndoRecord>,
@@ -339,7 +340,7 @@ impl SaguaroNode {
             Ok(u) => {
                 for key in op.write_set() {
                     if let Some(v) = self.state.get(key) {
-                        self.round_updates.push((key.to_string(), v));
+                        self.round_updates.push((key.into(), v));
                     }
                 }
                 Some(u)
@@ -478,26 +479,30 @@ impl HostedReplica for SaguaroNode {
         }
     }
 
-    fn apply_command(&mut self, cmd: Cmd, ctx: &mut Context<'_, SaguaroMsg>) {
+    fn apply_command(&mut self, cmd: &Cmd, ctx: &mut Context<'_, SaguaroMsg>) {
         match cmd {
-            Cmd::Internal(tx) => self.commit(tx, Commit::Internal, ctx),
-            Cmd::CoordPrepare { tx, coord_seq } => self.apply_coord_prepare(tx, coord_seq, ctx),
-            Cmd::CrossPrepare { tx, coord_seq } => self.apply_cross_prepare(tx, coord_seq, ctx),
+            Cmd::Internal(tx) => self.commit(tx.clone(), Commit::Internal, ctx),
+            Cmd::CoordPrepare { tx, coord_seq } => {
+                self.apply_coord_prepare(tx.clone(), *coord_seq, ctx)
+            }
+            Cmd::CrossPrepare { tx, coord_seq } => {
+                self.apply_cross_prepare(tx.clone(), *coord_seq, ctx)
+            }
             Cmd::CoordCommit {
                 tx_id,
                 seqs,
                 commit,
-            } => self.apply_coord_commit(tx_id, seqs, commit, ctx),
-            Cmd::OptimisticCross(tx) => self.commit(tx, Commit::Speculative, ctx),
-            Cmd::ChildBlock { child, block } => self.apply_child_block(child, block, ctx),
+            } => self.apply_coord_commit(*tx_id, seqs.clone(), *commit, ctx),
+            Cmd::OptimisticCross(tx) => self.commit(tx.clone(), Commit::Speculative, ctx),
+            Cmd::ChildBlock { child, block } => self.apply_child_block(*child, block.clone(), ctx),
             Cmd::MobileExtract { device, remote, .. } => {
-                self.apply_mobile_extract(device, remote, ctx)
+                self.apply_mobile_extract(*device, *remote, ctx)
             }
             Cmd::MobileInstall {
                 device,
                 entries,
                 tx,
-            } => self.apply_mobile_install(device, entries, tx, ctx),
+            } => self.apply_mobile_install(*device, entries, tx.clone(), ctx),
         }
     }
 
@@ -524,7 +529,8 @@ impl HostedReplica for SaguaroNode {
         // Replicas that never cut blocks — backups, and nodes of the root
         // domain, which has no parent to send blocks to — accumulate round
         // state nobody will ever read: the pending-round cursor pins the
-        // whole ledger as unprunable and `round_updates` grows per write.
+        // whole ledger as unprunable and a backup's `round_updates` grows per
+        // write.
         // End their round here so the prune below actually bounds memory.
         let cuts_blocks = self.is_primary() && self.tree.parent(self.domain()).is_some();
         if !cuts_blocks {
@@ -671,6 +677,32 @@ mod tests {
                 let records = read(&mut sim, node, |n| n.undo_log.len());
                 assert_eq!(records, 0, "{node:?} kept undo records");
             }
+        }
+    }
+
+    /// A child's abstracted updates are folded into the next block only where
+    /// a next block exists: a fog domain's block carries them, prefixed, and
+    /// the root — which cuts no block — keeps no list of them.
+    #[test]
+    fn only_a_domain_with_a_parent_folds_its_childrens_keys() {
+        let (mut sim, tree) = deployment(ProtocolConfig::coordinator());
+        let d0 = DomainId::new(1, 0);
+        let pay = Operation::Transfer {
+            from: account_key(0, 1),
+            to: account_key(0, 2),
+            amount: 10,
+        };
+        let tx = Transaction::internal(TxId(1), ClientId(1), d0, pay);
+        let request = SaguaroMsg::ClientRequest(tx);
+        sim.inject(ClientId(1), NodeId::new(d0, 0), request);
+        sim.run_until(SimTime::from_millis(1_500));
+        let fog = tree.parent(d0).expect("a fog parent");
+        let folded = format!("{d0:?}/{}", account_key(0, 1));
+        for node in tree.nodes_of(tree.root()).expect("nodes") {
+            read(&mut sim, node, |n| {
+                assert_eq!(n.agg.child_value(fog, &folded), Some(990), "{node:?}");
+                assert!(n.round_updates.is_empty(), "{node:?} folds for nobody");
+            });
         }
     }
 

@@ -16,6 +16,7 @@ use crate::node::SaguaroNode;
 use saguaro_ledger::Block;
 use saguaro_net::Context;
 use saguaro_types::DomainId;
+use std::fmt::Write;
 
 impl SaguaroNode {
     /// End-of-round handler: cut and send this domain's block, then schedule
@@ -105,24 +106,27 @@ impl SaguaroNode {
         // numbers carried inside the block.
         self.validate_optimistic_block(child, &block, ctx);
 
-        let Ok(new_ids) = self.dag.apply_block(child, &block) else {
+        let Ok(appended) = self.dag.apply_block(child, &block) else {
             return;
         };
         self.stats.child_blocks_applied += 1;
         self.agg.apply_delta(child, &block.state_delta);
         // Fold the child's abstracted updates into this domain's own next
-        // block so summaries keep flowing towards the root.
-        for (k, v) in block.state_delta.iter() {
-            self.round_updates.push((format!("{child:?}/{k}"), v));
+        // block so summaries keep flowing towards the root — which has no
+        // next block, so there nothing is folded.
+        if self.tree.parent(self.domain()).is_some() {
+            let mut key = String::new();
+            for (k, v) in block.state_delta.iter() {
+                key.clear();
+                write!(key, "{child:?}/{k}").expect("writing to a String cannot fail");
+                self.round_updates.push((key.as_str().into(), v));
+            }
         }
         // Record newly seen transactions in this domain's own (summary)
         // ledger so they are included in the next block sent to the parent.
-        for id in new_ids {
-            if let Some(entry) = self.dag.get(id) {
-                let record = entry.record.clone();
-                self.ledger
-                    .append_cross_domain(record.tx, record.seq, record.status);
-            }
+        for record in appended {
+            self.ledger
+                .append_cross_domain(record.tx, record.seq, record.status);
         }
     }
 }

@@ -77,7 +77,7 @@ impl HostedReplica for Toy {
         cmd.0.id.0
     }
 
-    fn apply_command(&mut self, cmd: ToyCmd, ctx: &mut Context<'_, ToyMsg>) {
+    fn apply_command(&mut self, cmd: &ToyCmd, ctx: &mut Context<'_, ToyMsg>) {
         self.applied += 1;
         self.note_reply_target(&cmd.0);
         self.reply(cmd.0.id, true, ctx);

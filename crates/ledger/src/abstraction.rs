@@ -8,13 +8,17 @@
 //! only the working-hour attribute in the ridesharing application.
 
 use saguaro_types::DomainId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The abstracted state updates of one round: `(key, new value)` pairs after
-/// applying the abstraction function.
+/// applying the abstraction function.  Keys are shared handles: the replica
+/// that executed a write allocates its key once, and every delta, block and
+/// aggregate view the key travels through on the way up holds that
+/// allocation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StateDelta {
-    entries: Vec<(String, u64)>,
+    entries: Vec<(Arc<str>, u64)>,
 }
 
 impl StateDelta {
@@ -24,12 +28,12 @@ impl StateDelta {
     }
 
     /// Builds a delta from `(key, value)` pairs.
-    pub fn from_entries(entries: Vec<(String, u64)>) -> Self {
+    pub fn from_entries(entries: Vec<(Arc<str>, u64)>) -> Self {
         Self { entries }
     }
 
     /// Adds one entry.
-    pub fn push(&mut self, key: impl Into<String>, value: u64) {
+    pub fn push(&mut self, key: impl Into<Arc<str>>, value: u64) {
         self.entries.push((key.into(), value));
     }
 
@@ -45,7 +49,7 @@ impl StateDelta {
 
     /// Iterates over the entries.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), *v))
+        self.entries.iter().map(|(k, v)| (&**k, *v))
     }
 }
 
@@ -66,8 +70,8 @@ pub enum AbstractionFn {
 
 impl AbstractionFn {
     /// Applies the abstraction to the raw `(key, new value)` updates of one
-    /// round.
-    pub fn apply(&self, raw_updates: &[(String, u64)]) -> StateDelta {
+    /// round.  The delta shares the keys it keeps.
+    pub fn apply(&self, raw_updates: &[(Arc<str>, u64)]) -> StateDelta {
         match self {
             AbstractionFn::Full => StateDelta::from_entries(raw_updates.to_vec()),
             AbstractionFn::KeyPrefix(prefix) => StateDelta::from_entries(
@@ -95,8 +99,9 @@ impl AbstractionFn {
 /// hours of a driver").
 #[derive(Clone, Debug, Default)]
 pub struct AggregateView {
-    /// child domain -> key -> latest value
-    per_child: BTreeMap<DomainId, BTreeMap<String, u64>>,
+    /// child domain -> key -> latest value.  The inner maps only answer
+    /// point look-ups and sums; [`AggregateView::to_delta`] sorts on demand.
+    per_child: BTreeMap<DomainId, HashMap<Arc<str>, u64>>,
 }
 
 impl AggregateView {
@@ -108,8 +113,8 @@ impl AggregateView {
     /// Applies the abstracted delta received from `child` in one round.
     pub fn apply_delta(&mut self, child: DomainId, delta: &StateDelta) {
         let entry = self.per_child.entry(child).or_default();
-        for (k, v) in delta.iter() {
-            entry.insert(k.to_string(), v);
+        for (k, v) in &delta.entries {
+            entry.insert(k.clone(), *v);
         }
     }
 
@@ -164,7 +169,9 @@ impl AggregateView {
     pub fn to_delta(&self) -> StateDelta {
         let mut d = StateDelta::new();
         for (child, map) in &self.per_child {
-            for (k, v) in map {
+            let mut sorted: Vec<_> = map.iter().collect();
+            sorted.sort();
+            for (k, v) in sorted {
                 d.push(format!("{child:?}/{k}"), *v);
             }
         }
@@ -180,7 +187,7 @@ mod tests {
         DomainId::new(1, i)
     }
 
-    fn raw() -> Vec<(String, u64)> {
+    fn raw() -> Vec<(Arc<str>, u64)> {
         vec![
             ("alice".into(), 70),
             ("bob".into(), 30),
@@ -247,6 +254,39 @@ mod tests {
         let flat = a.to_delta();
         assert_eq!(flat.len(), 2);
         assert!(flat.iter().any(|(k, v)| k.contains("D11") && v == 2));
+    }
+
+    /// A key is allocated by whoever wrote it and shared from there on: the
+    /// delta an abstraction produces and the view that applies it hold the
+    /// same handle.
+    #[test]
+    fn a_key_travels_from_the_raw_updates_to_the_view_without_a_copy() {
+        let raw = raw();
+        let (key, _) = &raw[2];
+        for abstraction in [AbstractionFn::Full, AbstractionFn::KeyPrefix("hours/")] {
+            let delta = abstraction.apply(&raw);
+            assert!(Arc::ptr_eq(&delta.entries.last().unwrap().0, key));
+            let mut view = AggregateView::new();
+            view.apply_delta(d(0), &delta);
+            let (held, _) = view.per_child[&d(0)].get_key_value(&**key).unwrap();
+            assert!(Arc::ptr_eq(held, key), "{abstraction:?}");
+        }
+    }
+
+    #[test]
+    fn to_delta_lists_children_in_order_and_their_keys_in_order() {
+        let mut view = AggregateView::new();
+        view.apply_delta(
+            d(1),
+            &StateDelta::from_entries(vec![("b".into(), 2), ("a".into(), 1)]),
+        );
+        view.apply_delta(d(0), &StateDelta::from_entries(vec![("z".into(), 9)]));
+        view.apply_delta(d(1), &StateDelta::from_entries(vec![("b".into(), 5)]));
+        let flat = view.to_delta();
+        assert_eq!(
+            flat.iter().collect::<Vec<_>>(),
+            vec![("D10/z", 9), ("D11/a", 1), ("D11/b", 5)]
+        );
     }
 
     #[test]

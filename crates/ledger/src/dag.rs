@@ -12,16 +12,60 @@ use crate::block::{Block, BlockId, CommittedTx, TxStatus};
 use saguaro_types::{DomainId, Result, SaguaroError, TxId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+/// A set whose first element sits inline.  An internal transaction has one
+/// reporter and at most one parent, so its vertex allocates for neither; only
+/// a cross-domain transaction reported by a second child spills to `rest`.
+#[derive(Clone, Debug, Default)]
+struct SmallSet<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T: Ord + Copy> SmallSet<T> {
+    fn of(first: Option<T>) -> Self {
+        let rest = Vec::new();
+        Self { first, rest }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.first.iter().chain(&self.rest).copied()
+    }
+
+    fn contains(&self, item: T) -> bool {
+        self.iter().any(|held| held == item)
+    }
+
+    fn insert(&mut self, item: T) {
+        match self.first {
+            _ if self.contains(item) => {}
+            None => self.first = Some(item),
+            Some(_) => self.rest.push(item),
+        }
+    }
+
+    fn retain(&mut self, keep: impl Fn(&T) -> bool) {
+        self.first = self.first.filter(&keep);
+        self.rest.retain(keep);
+    }
+
+    /// The elements also in `other`, ascending.
+    fn intersection(&self, other: &Self) -> Vec<T> {
+        let mut both: Vec<T> = self.iter().filter(|item| other.contains(*item)).collect();
+        both.sort();
+        both
+    }
+}
+
 /// One vertex of the DAG ledger.
 #[derive(Clone, Debug)]
 pub struct DagEntry {
     /// The recorded transaction.
     pub record: CommittedTx,
     /// Child domains whose blocks contained this transaction so far.
-    pub reported_by: BTreeSet<DomainId>,
+    reported_by: SmallSet<DomainId>,
     /// Direct predecessors in the DAG (the previous transaction of each child
     /// ledger in which this transaction appears).
-    pub parents: BTreeSet<TxId>,
+    parents: SmallSet<TxId>,
 }
 
 /// The DAG-structured, summarized ledger of a height-2+ domain.
@@ -89,13 +133,13 @@ impl DagLedger {
     ///
     /// Cross-domain transactions already present (reported by another child)
     /// are not duplicated; instead the reporting child is recorded and new
-    /// dependency edges are added.  Returns the ids of transactions appended
-    /// for the first time.
+    /// dependency edges are added.  Returns the records appended for the
+    /// first time, in block order.
     ///
     /// Fails if the block round is not the next expected round from that
     /// child (parents process child rounds in order; the caller buffers
     /// out-of-order blocks).
-    pub fn apply_block(&mut self, child: DomainId, block: &Block) -> Result<Vec<TxId>> {
+    pub fn apply_block(&mut self, child: DomainId, block: &Block) -> Result<Vec<CommittedTx>> {
         if !block.verify_content() {
             return Err(SaguaroError::InvalidBlock(format!(
                 "Merkle root mismatch in {:?}",
@@ -132,20 +176,14 @@ impl DagLedger {
                     }
                 }
                 None => {
-                    let mut parents = BTreeSet::new();
-                    if let Some(p) = prev_tail {
-                        parents.insert(p);
-                    }
-                    self.entries.insert(
-                        id,
-                        DagEntry {
-                            record: record.clone(),
-                            reported_by: [child].into(),
-                            parents,
-                        },
-                    );
+                    let entry = DagEntry {
+                        record: record.clone(),
+                        reported_by: SmallSet::of(Some(child)),
+                        parents: SmallSet::of(prev_tail),
+                    };
+                    self.entries.insert(id, entry);
                     self.order.push(id);
-                    appended.push(id);
+                    appended.push(record.clone());
                 }
             }
             self.child_tails.insert(child, id);
@@ -213,7 +251,7 @@ impl DagLedger {
         self.iter()
             .filter(|e| {
                 let involved = e.record.tx.involved_domains();
-                involved.iter().all(|d| e.reported_by.contains(d))
+                involved.iter().all(|d| e.reported_by.contains(*d))
             })
             .map(|e| e.record.tx.id)
             .collect()
@@ -225,8 +263,8 @@ impl DagLedger {
         // Kahn's algorithm over the parent edges.
         let mut indegree: HashMap<TxId, usize> = self.entries.keys().map(|k| (*k, 0)).collect();
         for e in self.entries.values() {
-            for p in &e.parents {
-                if self.entries.contains_key(p) {
+            for p in e.parents.iter() {
+                if self.entries.contains_key(&p) {
                     *indegree.get_mut(&e.record.tx.id).expect("present") += 1;
                 }
             }
@@ -240,8 +278,8 @@ impl DagLedger {
         // children index: parent -> list of children
         let mut children: HashMap<TxId, Vec<TxId>> = HashMap::new();
         for e in self.entries.values() {
-            for p in &e.parents {
-                children.entry(*p).or_default().push(e.record.tx.id);
+            for p in e.parents.iter() {
+                children.entry(p).or_default().push(e.record.tx.id);
             }
         }
         while let Some(n) = queue.pop() {
@@ -267,11 +305,7 @@ impl DagLedger {
     /// based on block application order, which the core crate drives.)
     pub fn reported_by_both(&self, a: TxId, b: TxId) -> Vec<DomainId> {
         match (self.entries.get(&a), self.entries.get(&b)) {
-            (Some(ea), Some(eb)) => ea
-                .reported_by
-                .intersection(&eb.reported_by)
-                .copied()
-                .collect(),
+            (Some(ea), Some(eb)) => ea.reported_by.intersection(&eb.reported_by),
             _ => Vec::new(),
         }
     }
@@ -338,13 +372,14 @@ mod tests {
             .unwrap();
         assert_eq!(new0.len(), 2);
         // The cross-domain tx was already present; only tx 2 is new.
-        assert_eq!(new1, vec![TxId(2)]);
+        assert_eq!(new1.len(), 1);
+        assert_eq!(new1[0].tx.id, TxId(2));
         assert_eq!(dag.len(), 3);
         let entry = dag.get(TxId(100)).unwrap();
-        assert_eq!(entry.reported_by.len(), 2);
+        assert_eq!(entry.reported_by.iter().count(), 2);
         assert!(dag.is_acyclic());
         // Dependency edges: tx100 depends on tx1 (order in d0's ledger).
-        assert!(entry.parents.contains(&TxId(1)));
+        assert!(entry.parents.contains(TxId(1)));
         assert_eq!(dag.fully_reported(), vec![TxId(1), TxId(100), TxId(2)]);
     }
 
@@ -430,8 +465,61 @@ mod tests {
         dag.apply_block(d(0), &b2).unwrap();
         assert_eq!(dag.last_round_of(d(0)), 2);
         // tx2 depends on tx1 even though they were in different blocks.
-        assert!(dag.get(TxId(2)).unwrap().parents.contains(&TxId(1)));
+        assert!(dag.get(TxId(2)).unwrap().parents.contains(TxId(1)));
         assert!(dag.is_acyclic());
+    }
+
+    proptest::proptest! {
+        /// `SmallSet` is a `BTreeSet` that keeps its first element inline.
+        #[test]
+        fn a_small_set_behaves_like_a_btree_set(
+            inserted in proptest::collection::vec(0u16..12, 0..10),
+            other in proptest::collection::vec(0u16..12, 0..10),
+            dropped in proptest::collection::vec(0u16..12, 0..6),
+        ) {
+            let sorted = |set: &SmallSet<u16>| set.intersection(set);
+            let (mut small, mut model) = (SmallSet::default(), BTreeSet::new());
+            for item in inserted {
+                small.insert(item);
+                model.insert(item);
+                proptest::prop_assert_eq!(sorted(&small), Vec::from_iter(model.clone()));
+                proptest::prop_assert_eq!(small.iter().count(), model.len());
+            }
+            for probe in 0..12 {
+                proptest::prop_assert_eq!(small.contains(probe), model.contains(&probe));
+            }
+            let mut other_small = SmallSet::default();
+            other.iter().for_each(|item| other_small.insert(*item));
+            let other_model = BTreeSet::from_iter(other);
+            let both = Vec::from_iter(model.intersection(&other_model).copied());
+            proptest::prop_assert_eq!(small.intersection(&other_small), both);
+            small.retain(|item| !dropped.contains(item));
+            model.retain(|item| !dropped.contains(item));
+            proptest::prop_assert_eq!(sorted(&small), Vec::from_iter(model));
+        }
+    }
+
+    /// The vertex of an internal transaction allocates for neither of its
+    /// sets, and its record is the block's, not a copy.
+    #[test]
+    fn an_internal_vertex_is_inline_and_shares_the_blocks_record() {
+        let mut l0 = LinearLedger::new(d(0));
+        internal(&mut l0, 1);
+        internal(&mut l0, 2);
+        let block = l0.cut_block(StateDelta::new());
+        let mut dag = DagLedger::new();
+        let appended = dag.apply_block(d(0), &block).unwrap();
+        let parents = [None, Some(TxId(1))];
+        for ((record, held), parent) in block.txs.iter().zip(&appended).zip(parents) {
+            let vertex = dag.get(record.tx.id).unwrap();
+            assert!(Transaction::ptr_eq(&record.tx, &held.tx));
+            assert!(Transaction::ptr_eq(&record.tx, &vertex.record.tx));
+            assert_eq!(*record, vertex.record);
+            assert_eq!(vertex.reported_by.first, Some(d(0)));
+            assert_eq!(vertex.parents.first, parent);
+            let spilled = vertex.reported_by.rest.capacity() + vertex.parents.rest.capacity();
+            assert_eq!(spilled, 0);
+        }
     }
 
     #[test]

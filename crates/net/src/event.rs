@@ -4,7 +4,7 @@ use crate::addr::Addr;
 use crate::envelope::Envelope;
 pub use crate::timer::TimerId;
 use saguaro_types::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A scheduled event.
@@ -40,41 +40,18 @@ pub(crate) enum EventKind<M> {
     },
 }
 
-#[derive(Debug)]
-pub(crate) struct Event<M> {
-    pub time: SimTime,
-    /// Monotonic sequence number breaking ties deterministically (FIFO).
-    pub seq: u64,
-    pub kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// A deterministic min-heap of events keyed by (time, insertion order).
+///
+/// The heap orders 24-byte `(time, seq, slab slot)` keys — `seq` is unique, so
+/// the slot never decides — and a sift moves three words per level whatever
+/// `M` is; the payloads sit still in a slab whose freed slots are reused, so
+/// the slab is as long as the queue's peak length.
 #[derive(Debug)]
 pub(crate) struct EventQueue<M> {
-    heap: BinaryHeap<Event<M>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slab: Vec<Option<EventKind<M>>>,
+    /// Vacant slab slots.
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -82,6 +59,8 @@ impl<M> Default for EventQueue<M> {
     fn default() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -91,15 +70,24 @@ impl<M> EventQueue<M> {
     pub fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { time, seq, kind });
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+        });
+        self.slab[slot as usize] = Some(kind);
+        self.heap.push(Reverse((time, seq, slot)));
     }
 
-    pub fn pop(&mut self) -> Option<Event<M>> {
-        self.heap.pop()
+    /// The earliest event: its time and what happens then.
+    pub fn pop(&mut self) -> Option<(SimTime, EventKind<M>)> {
+        let Reverse((time, _, slot)) = self.heap.pop()?;
+        let kind = self.slab[slot as usize].take();
+        self.free.push(slot);
+        Some((time, kind.expect("a queued entry's slot is occupied")))
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(|Reverse((time, ..))| *time)
     }
 
     pub fn len(&self) -> usize {
@@ -110,72 +98,47 @@ impl<M> EventQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::MessageMeta;
-    use saguaro_types::{ClientId, SimTime};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use saguaro_types::ClientId;
 
-    impl MessageMeta for &'static str {
-        fn wire_bytes(&self) -> usize {
-            self.len()
-        }
-    }
-
-    fn client(i: u64) -> Addr {
-        Addr::Client(ClientId(i))
-    }
-
-    fn delivery(msg: &'static str) -> EventKind<&'static str> {
-        EventKind::Deliver {
-            from: client(0),
-            to: client(1),
-            to_idx: None,
-            env: Envelope::new(msg),
-        }
-    }
-
-    fn payload(e: Event<&'static str>) -> &'static str {
-        match e.kind {
-            EventKind::Deliver { env, .. } => env.into_payload(),
-            EventKind::Timer { msg, .. } => msg,
-        }
-    }
-
+    /// 10 000 random pushes and pops against a sorted reference: events
+    /// leave in `(time, insertion)` order, ties first-in first-out, the head
+    /// is what `peek_time` announced, and the slab reuses freed slots — it
+    /// never outgrows the peak queue length.
     #[test]
-    fn events_pop_in_time_order() {
+    fn random_pushes_and_pops_match_a_sorted_reference() {
+        let mut rng = StdRng::seed_from_u64(21);
         let mut q = EventQueue::default();
-        q.push(SimTime::from_micros(30), delivery("c"));
-        q.push(SimTime::from_micros(10), delivery("a"));
-        q.push(SimTime::from_micros(20), delivery("b"));
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(payload).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::default();
-        let t = SimTime::from_micros(5);
-        for (i, name) in ["first", "second", "third"].iter().enumerate() {
-            q.push(
-                t,
-                EventKind::Timer {
-                    owner: client(i as u64),
-                    owner_idx: i as u32,
-                    id: i as u64,
-                    msg: *name,
-                },
-            );
+        assert_eq!((q.peek_time(), q.len()), (None, 0));
+        // The reference: `(time, insertion number)`, kept sorted.
+        let mut reference: Vec<(u64, u64)> = Vec::new();
+        let (mut pushed, mut peak) = (0u64, 0usize);
+        for _ in 0..10_000 {
+            if reference.is_empty() || rng.gen_range(0..100) < 55 {
+                // Few distinct times, so ties are common.
+                let time = rng.gen_range(0..40u64);
+                let kind = EventKind::Timer {
+                    owner: Addr::Client(ClientId(0)),
+                    owner_idx: 0,
+                    id: pushed,
+                    msg: (),
+                };
+                q.push(SimTime::from_micros(time), kind);
+                let at = reference.partition_point(|held| *held <= (time, pushed));
+                reference.insert(at, (time, pushed));
+                pushed += 1;
+            } else {
+                let (time, number) = reference.remove(0);
+                assert_eq!(q.peek_time(), Some(SimTime::from_micros(time)));
+                let Some((at, EventKind::Timer { id, .. })) = q.pop() else {
+                    panic!("the reference holds a timer");
+                };
+                assert_eq!((at, id), (SimTime::from_micros(time), number));
+            }
+            assert_eq!(q.len(), reference.len());
+            peak = peak.max(reference.len());
+            assert!(q.slab.len() <= peak, "slab {} > peak {peak}", q.slab.len());
         }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(payload).collect();
-        assert_eq!(order, vec!["first", "second", "third"]);
-    }
-
-    #[test]
-    fn peek_time_reports_earliest() {
-        let mut q: EventQueue<&'static str> = EventQueue::default();
-        assert!(q.peek_time().is_none());
-        assert_eq!(q.len(), 0);
-        q.push(SimTime::from_micros(9), delivery("x"));
-        q.push(SimTime::from_micros(3), delivery("y"));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
-        assert_eq!(q.len(), 2);
+        assert!(peak > 100, "the walk built a deep queue");
     }
 }

@@ -231,9 +231,9 @@ impl<M: MessageMeta + Clone + 'static> Partition<M> {
             if pending > self.stats.peak_pending_events {
                 self.stats.peak_pending_events = pending;
             }
-            let event = self.queue.pop().expect("peeked event present");
-            self.now = event.time;
-            match event.kind {
+            let (time, kind) = self.queue.pop().expect("peeked event present");
+            self.now = time;
+            match kind {
                 EventKind::Deliver {
                     from,
                     to,

@@ -140,7 +140,20 @@ impl DeliveryLog {
 /// that equality and hashing are canonical.
 #[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct MultiSeq {
-    parts: Vec<(DomainId, SeqNo)>,
+    parts: Parts,
+}
+
+/// One part sits inline — an internal transaction's number has only one, and
+/// every ledger, block and DAG record holds a copy of it — in the 24 bytes
+/// the `Vec` of a cross-domain number takes.  Each value has one
+/// representation, so the derived equality is canonical.
+#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+enum Parts {
+    #[default]
+    Empty,
+    One((DomainId, SeqNo)),
+    /// Two or more, ascending by domain.
+    Many(Vec<(DomainId, SeqNo)>),
 }
 
 impl MultiSeq {
@@ -153,43 +166,59 @@ impl MultiSeq {
     pub fn from_parts(mut parts: Vec<(DomainId, SeqNo)>) -> Self {
         parts.sort_by_key(|(d, _)| *d);
         parts.dedup_by_key(|(d, _)| *d);
+        let parts = match parts[..] {
+            [] => Parts::Empty,
+            [only] => Parts::One(only),
+            _ => Parts::Many(parts),
+        };
         Self { parts }
+    }
+
+    /// The parts in domain order.
+    fn as_slice(&self) -> &[(DomainId, SeqNo)] {
+        match &self.parts {
+            Parts::Empty => &[],
+            Parts::One(only) => std::slice::from_ref(only),
+            Parts::Many(sorted) => sorted,
+        }
     }
 
     /// Records (or overwrites) the sequence number assigned by `domain`.
     pub fn set(&mut self, domain: DomainId, seq: SeqNo) {
-        match self.parts.binary_search_by_key(&domain, |(d, _)| *d) {
-            Ok(i) => self.parts[i].1 = seq,
-            Err(i) => self.parts.insert(i, (domain, seq)),
+        if self.is_empty() {
+            self.parts = Parts::One((domain, seq));
+            return;
         }
+        // Only a cross-domain number gets here: rebuilt, not edited in place.
+        let mut parts = self.as_slice().to_vec();
+        parts.retain(|(d, _)| *d != domain);
+        parts.push((domain, seq));
+        *self = Self::from_parts(parts);
     }
 
     /// The sequence number assigned by `domain`, if any.
     pub fn get(&self, domain: DomainId) -> Option<SeqNo> {
-        self.parts
-            .binary_search_by_key(&domain, |(d, _)| *d)
-            .ok()
-            .map(|i| self.parts[i].1)
+        self.iter().find(|(d, _)| *d == domain).map(|(_, s)| s)
     }
 
     /// Number of domains that have assigned a part.
     pub fn len(&self) -> usize {
-        self.parts.len()
+        self.as_slice().len()
     }
 
     /// True if no domain has assigned a part yet.
     pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Iterates over `(domain, seq)` pairs in domain order.
     pub fn iter(&self) -> impl Iterator<Item = (DomainId, SeqNo)> + '_ {
-        self.parts.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// The domains that have contributed a part.
     pub fn domains(&self) -> impl Iterator<Item = DomainId> + '_ {
-        self.parts.iter().map(|(d, _)| *d)
+        self.iter().map(|(d, _)| d)
     }
 
     /// True if every domain in `required` has contributed a part.
@@ -202,7 +231,7 @@ impl fmt::Debug for MultiSeq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Mirrors the paper's `ni-nj-...-nk` concatenated notation.
         let mut first = true;
-        for (d, s) in &self.parts {
+        for (d, s) in self.iter() {
             if !first {
                 write!(f, "-")?;
             }
@@ -254,6 +283,13 @@ mod tests {
         b.set(d(0), 3);
         b.set(d(2), 5);
         assert_eq!(a, b);
+        // Set in the other order: the first part is displaced, then a later
+        // one overwritten.
+        let mut c = MultiSeq::new();
+        for (domain, seq) in [(d(2), 9), (d(0), 3), (d(2), 5)] {
+            c.set(domain, seq);
+        }
+        assert_eq!(a, c);
         let order: Vec<_> = a.domains().collect();
         assert_eq!(order, vec![d(0), d(2)]);
     }

@@ -9,6 +9,8 @@
 use crate::ids::{ClientId, DomainId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Globally unique transaction identifier (assigned by the issuing client).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -184,9 +186,11 @@ pub fn account_owner_index(key: &str) -> Option<u16> {
     idx.parse().ok()
 }
 
-/// A client transaction as submitted to a height-1 domain.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct Transaction {
+/// The contents of a [`Transaction`].  Reachable only through a shared
+/// reference (a `Transaction` derefs to it), so nothing can change once the
+/// transaction exists.
+#[derive(PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub struct TxBody {
     /// Unique transaction identifier.
     pub id: TxId,
     /// The issuing edge device.
@@ -197,15 +201,52 @@ pub struct Transaction {
     pub op: Operation,
 }
 
+/// A client transaction as submitted to a height-1 domain.
+///
+/// The body is immutable and shared: cloning a transaction — into a consensus
+/// command, a ledger entry, a round's block, an ancestor's DAG — bumps a
+/// reference count, so one request is one allocation from the client to the
+/// root.  Equality is by content (`Arc` compares the bodies unless both
+/// handles are one): a twin built from the same fields is the same transaction.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Transaction {
+    body: Arc<TxBody>,
+}
+
+impl Deref for Transaction {
+    type Target = TxBody;
+
+    fn deref(&self) -> &TxBody {
+        &self.body
+    }
+}
+
+impl fmt::Debug for Transaction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Transaction")
+            .field("id", &self.id)
+            .field("client", &self.client)
+            .field("kind", &self.kind)
+            .field("op", &self.op)
+            .finish()
+    }
+}
+
 impl Transaction {
     /// Creates a new transaction.
     pub fn new(id: TxId, client: ClientId, kind: TxKind, op: Operation) -> Self {
-        Self {
+        let body = Arc::new(TxBody {
             id,
             client,
             kind,
             op,
-        }
+        });
+        Self { body }
+    }
+
+    /// True if both handles share one body (one allocation).
+    pub fn ptr_eq(a: &Transaction, b: &Transaction) -> bool {
+        Arc::ptr_eq(&a.body, &b.body)
     }
 
     /// Convenience constructor for an internal transaction.
@@ -368,6 +409,28 @@ mod tests {
         assert_eq!(account_owner_index("a12_400"), Some(12));
         assert_eq!(account_owner_index("hours/driver"), None);
         assert_eq!(account_owner_index("aX_1"), None);
+    }
+
+    /// The handle changes what a clone costs and nothing else: equality is
+    /// by content, `Debug` prints the fields and the modelled size is the
+    /// body's.
+    #[test]
+    fn a_clone_shares_the_body_and_a_twin_is_still_equal() {
+        let tx = transfer(1, "alice", "bob");
+        let clone = tx.clone();
+        assert!(Transaction::ptr_eq(&tx, &clone));
+        let twin = transfer(1, "alice", "bob");
+        assert!(!Transaction::ptr_eq(&tx, &twin));
+        assert_eq!(tx, twin);
+        assert_ne!(tx, transfer(2, "alice", "bob"));
+        assert_ne!(tx, transfer(1, "alice", "carol"));
+        assert_eq!(
+            format!("{tx:?}"),
+            "Transaction { id: tx1, client: c1, kind: Internal { domain: D10 }, \
+             op: Transfer { from: \"alice\", to: \"bob\", amount: 5 } }"
+        );
+        assert_eq!(tx.payload_bytes(), 160 + 5 + 3 + 8);
+        assert_eq!(clone.payload_bytes(), twin.payload_bytes());
     }
 
     #[test]

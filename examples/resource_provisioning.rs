@@ -37,7 +37,7 @@ fn main() {
                     },
                 );
                 state.execute(&tx.op).expect("puts always execute");
-                raw.push((key.clone(), usage));
+                raw.push((key.as_str().into(), usage));
                 ledger.append_internal(tx, TxStatus::Committed);
             }
         }

@@ -35,7 +35,7 @@ fn main() {
             if let Operation::RideTask { driver, .. } = &tx.op {
                 state.execute(&tx.op).expect("ride executes");
                 raw_updates.push((
-                    format!("hours/{driver}"),
+                    format!("hours/{driver}").into(),
                     state.get(&format!("hours/{driver}")).unwrap_or(0),
                 ));
             }

@@ -178,7 +178,7 @@ proptest! {
         prop_assert_eq!(batch.digest(), expected, "second read comes from the memo");
         let clone = batch.clone();
         prop_assert_eq!(clone.digest(), expected);
-        prop_assert_eq!(clone.into_commands(), members.clone());
+        prop_assert_eq!(clone.commands(), &members[..]);
 
         let at = pick % members.len();
         let mut changed = members.clone();

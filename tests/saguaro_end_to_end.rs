@@ -194,6 +194,55 @@ fn blocks_propagate_to_fog_and_cloud_with_aggregation() {
     });
 }
 
+/// A committed transaction is one allocation wherever it is recorded: its
+/// domain's four ledgers, the DAG and the summary ledger of every ancestor
+/// replica all hold the body the client's request carried.
+#[test]
+fn one_transaction_is_one_allocation_from_the_request_to_the_roots_dag() {
+    let (mut sim, tree) = build(FailureModel::Byzantine, ProtocolConfig::coordinator());
+    let d0 = DomainId::new(1, 0);
+    let transfer = |i: u64| Operation::Transfer {
+        from: account_key(0, i % 8),
+        to: account_key(0, (i + 3) % 8),
+        amount: 1,
+    };
+    let requests: Vec<Transaction> = (0..300)
+        .map(|i| Transaction::internal(TxId(2_000 + i), ClientId(i % 5), d0, transfer(i)))
+        .collect();
+    for tx in &requests {
+        let request = SaguaroMsg::ClientRequest(tx.clone());
+        sim.inject(tx.client, primary(d0), request);
+    }
+    sim.run_until(SimTime::from_millis(1_500));
+
+    let sent = &requests[123];
+    let twin = Transaction::internal(sent.id, sent.client, d0, transfer(123));
+    assert!(!Transaction::ptr_eq(sent, &twin));
+    let edge = tree.nodes_of(d0).unwrap();
+    assert_eq!(edge.len(), 4);
+    for node in edge {
+        with_node(&mut sim, node, |n| {
+            assert_eq!(n.ledger().len(), requests.len(), "{node:?}");
+            let entry = n.ledger().get(sent.id).expect("committed");
+            assert!(Transaction::ptr_eq(&entry.tx, sent), "{node:?} copied it");
+            assert_eq!(entry.tx, twin);
+        });
+    }
+    let fog = tree.parent(d0).expect("fog parent");
+    for ancestor in [fog, tree.root()] {
+        for node in tree.nodes_of(ancestor).unwrap() {
+            with_node(&mut sim, node, |n| {
+                let vertex = n.dag_ledger().get(sent.id).expect("propagated");
+                assert!(Transaction::ptr_eq(&vertex.record.tx, sent), "{node:?} DAG");
+                let summary = n.ledger().get(sent.id).expect("summarised");
+                assert!(Transaction::ptr_eq(&summary.tx, sent), "{node:?} ledger");
+                assert_eq!(summary.tx, twin);
+                assert_eq!(summary.tx.payload_bytes(), twin.payload_bytes());
+            });
+        }
+    }
+}
+
 #[test]
 fn optimistic_cross_domain_commits_without_coordinator_round_trips() {
     let (mut sim, tree) = build(FailureModel::Crash, ProtocolConfig::optimistic());
