@@ -7,11 +7,12 @@ use saguaro_core::host::{HostedReplica, ReplicaHost};
 use saguaro_hierarchy::HierarchyTree;
 use saguaro_ledger::{BlockchainState, LinearLedger, TxStatus};
 use saguaro_net::{Actor, Addr, Context, TimerId};
+use saguaro_types::hash::FxHashMap;
 use saguaro_types::{
     DeliveryLog, DomainId, FailureModel, MultiSeq, NodeId, SeqNo, StackConfig, StateSnapshot,
     Transaction, TxId,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Protocol counters the experiment harness reads after a baseline run (the
@@ -54,13 +55,13 @@ pub struct BaselineNode {
     ledger: LinearLedger,
     state: BlockchainState,
     // AHL committee bookkeeping.
-    coordinating: HashMap<TxId, AhlCoordEntry>,
+    coordinating: FxHashMap<TxId, AhlCoordEntry>,
     // SharPer leader bookkeeping.
-    flattened: HashMap<TxId, FlatEntry>,
+    flattened: FxHashMap<TxId, FlatEntry>,
     flat_seq: SeqNo,
     /// Cross-shard transactions seen in a prepare/accept, kept so later
     /// phases can re-propose them locally.
-    prepared_cache: HashMap<TxId, Transaction>,
+    prepared_cache: FxHashMap<TxId, Transaction>,
     /// Statistics for the harness.
     pub stats: BaselineStats,
 }
@@ -91,10 +92,10 @@ impl BaselineNode {
             committee,
             ledger: LinearLedger::new(id.domain),
             state: BlockchainState::new(),
-            coordinating: HashMap::new(),
-            flattened: HashMap::new(),
+            coordinating: FxHashMap::default(),
+            flattened: FxHashMap::default(),
             flat_seq: 0,
-            prepared_cache: HashMap::new(),
+            prepared_cache: FxHashMap::default(),
             stats: BaselineStats::default(),
         }
     }

@@ -15,8 +15,8 @@ use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
 use crate::node::{Commit, SaguaroNode};
 use saguaro_net::{Context, TimerId};
-use saguaro_types::{DomainId, Duration, MultiSeq, NodeId, SeqNo, Transaction, TxId};
-use std::collections::{BTreeMap, BTreeSet};
+use saguaro_types::{DomainId, Duration, MultiSeq, NodeId, SeqNo, Transaction, TxId, TxKind};
+use std::collections::BTreeMap;
 
 /// Maximum number of deadlock-timeout retries before a coordinator gives up
 /// and aborts a cross-domain transaction permanently.
@@ -58,10 +58,10 @@ pub(crate) struct ParticipantEntry {
 
 /// True if two involved-domain sets intersect in at least two domains — the
 /// condition under which Algorithm 1 serialises two cross-domain
-/// transactions.
+/// transactions.  Allocation-free: the admission scans call it once per
+/// in-flight entry.
 pub(crate) fn intersect_two(a: &[DomainId], b: &[DomainId]) -> bool {
-    let set: BTreeSet<&DomainId> = a.iter().collect();
-    b.iter().filter(|d| set.contains(d)).count() >= 2
+    b.iter().filter(|d| a.contains(d)).count() >= 2
 }
 
 impl SaguaroNode {
@@ -304,10 +304,12 @@ impl SaguaroNode {
             return; // duplicate prepare (e.g. retry after deadlock)
         }
         let involved = tx.involved_domains();
-        let blocked = self
-            .participating
-            .values()
-            .any(|e| intersect_two(&e.tx.involved_domains(), &involved));
+        // A cross-domain entry lends its domain list; only another kind
+        // builds one.
+        let blocked = self.participating.values().any(|e| match &e.tx.kind {
+            TxKind::CrossDomain { domains } => intersect_two(domains, &involved),
+            kind => intersect_two(&kind.involved_domains(), &involved),
+        });
         if blocked {
             self.participant_queue.push_back((tx, coord_seq));
             return;
@@ -417,11 +419,23 @@ mod tests {
         DomainId::new(1, i)
     }
 
-    #[test]
-    fn intersect_two_requires_two_common_domains() {
-        assert!(intersect_two(&[d(0), d(1), d(2)], &[d(1), d(2), d(5)]));
-        assert!(!intersect_two(&[d(0), d(1)], &[d(1), d(2)]));
-        assert!(!intersect_two(&[d(0)], &[d(1)]));
-        assert!(intersect_two(&[d(0), d(1)], &[d(0), d(1)]));
+    proptest::proptest! {
+        /// The hand-picked cases, then random lists over six domains (repeats
+        /// included) against the `BTreeSet` model once built per call.
+        #[test]
+        fn intersect_two_requires_two_common_domains(
+            a in proptest::collection::vec(0u16..6, 0..6),
+            b in proptest::collection::vec(0u16..6, 0..6),
+        ) {
+            assert!(intersect_two(&[d(0), d(1), d(2)], &[d(1), d(2), d(5)]));
+            assert!(!intersect_two(&[d(0), d(1)], &[d(1), d(2)]));
+            assert!(!intersect_two(&[d(0)], &[d(1)]));
+            assert!(intersect_two(&[d(0), d(1)], &[d(0), d(1)]));
+            let a: Vec<DomainId> = a.into_iter().map(d).collect();
+            let b: Vec<DomainId> = b.into_iter().map(d).collect();
+            let set: std::collections::BTreeSet<&DomainId> = a.iter().collect();
+            let model = b.iter().filter(|x| set.contains(x)).count() >= 2;
+            proptest::prop_assert_eq!(intersect_two(&a, &b), model, "{:?} {:?}", a, b);
+        }
     }
 }

@@ -26,11 +26,11 @@ use saguaro_consensus::{
 };
 use saguaro_net::{Addr, Context, MessageMeta, TimerId};
 use saguaro_trace::{TraceActor, TraceEvent, TraceEventKind, Tracer};
+use saguaro_types::hash::FxHashMap;
 use saguaro_types::{
     ClientId, DeliveryLog, FailureModel, NodeId, QuorumSpec, SeqNo, SimTime, StackConfig,
     StateSnapshot, Transaction, TxId,
 };
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The steps a [`ConsensusReplica`] over commands `C` hands its host.
@@ -83,7 +83,7 @@ pub struct ReplicaHost<C> {
     /// non-adaptive [`saguaro_types::LivenessConfig`]).
     suspicion: SuspicionTimer,
     /// Clients whose request this domain received directly (reply targets).
-    reply_to: HashMap<TxId, ClientId>,
+    reply_to: FxHashMap<TxId, ClientId>,
     tracer: Tracer,
     stats: HostStats,
 }
@@ -104,7 +104,7 @@ impl<C: Command> ReplicaHost<C> {
             progress_timer: None,
             last_progress_check: 0,
             suspicion: SuspicionTimer::new(stack.liveness),
-            reply_to: HashMap::new(),
+            reply_to: FxHashMap::default(),
             tracer: Tracer::new(stack.trace, TraceActor::Node(id)),
             stats: HostStats::default(),
         }

@@ -28,11 +28,12 @@ use saguaro_ledger::{
     AggregateView, Block, BlockchainState, DagLedger, LinearLedger, TxStatus, UndoRecord,
 };
 use saguaro_net::{Actor, Addr, Context, TimerId};
+use saguaro_types::hash::{FxHashMap, FxHashSet};
 use saguaro_types::{
     ClientId, DeliveryLog, DomainId, MobileOwnership, MultiSeq, NodeId, Operation, SeqNo,
     StateSnapshot, Transaction, TxId, TxKind,
 };
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// State kept for a mobile device registered in (or hosted by) this domain.
@@ -78,7 +79,7 @@ pub struct SaguaroNode {
     pub(crate) round_updates: Vec<(Arc<str>, u64)>,
     /// Undo records of executed transactions, kept in optimistic mode only:
     /// nothing but an optimistic abort ever reverts an execution.
-    pub(crate) undo_log: HashMap<TxId, UndoRecord>,
+    pub(crate) undo_log: FxHashMap<TxId, UndoRecord>,
 
     // ---------------- summarized layer (height-2+ domains) ----------------
     pub(crate) dag: DagLedger,
@@ -88,14 +89,14 @@ pub struct SaguaroNode {
 
     // ---------------- coordinator-based cross-domain state ----------------
     /// Transactions this domain currently coordinates (it is their LCA).
-    pub(crate) coordinated: HashMap<TxId, CoordEntry>,
+    pub(crate) coordinated: FxHashMap<TxId, CoordEntry>,
     /// Cross-domain transactions queued at the coordinator because they
     /// intersect an in-flight transaction in two or more domains.
     pub(crate) coord_queue: VecDeque<Transaction>,
     /// Next coordinator sequence number.
     pub(crate) next_coord_seq: SeqNo,
     /// Cross-domain transactions this domain participates in.
-    pub(crate) participating: HashMap<TxId, ParticipantEntry>,
+    pub(crate) participating: FxHashMap<TxId, ParticipantEntry>,
     /// Prepares queued at a participant because of conflict blocking.
     pub(crate) participant_queue: VecDeque<(Transaction, SeqNo)>,
 
@@ -105,15 +106,15 @@ pub struct SaguaroNode {
 
     // ---------------- mobile consensus state ----------------
     /// Lock bit / remote pointer for devices whose home is this domain.
-    pub(crate) mobile: HashMap<ClientId, MobileRecord>,
+    pub(crate) mobile: FxHashMap<ClientId, MobileRecord>,
     /// Devices whose state this (remote) domain currently hosts.
-    pub(crate) hosted_devices: HashSet<ClientId>,
+    pub(crate) hosted_devices: FxHashSet<ClientId>,
     /// Requests waiting for a device state to arrive, keyed by device.
-    pub(crate) pending_mobile: HashMap<ClientId, Vec<Transaction>>,
+    pub(crate) pending_mobile: FxHashMap<ClientId, Vec<Transaction>>,
     /// Devices with a live state-query retry loop (at most one per device),
     /// so a crashed primary on either side of a hand-off cannot strand the
     /// queued requests forever.
-    pub(crate) mobile_retry_armed: HashSet<ClientId>,
+    pub(crate) mobile_retry_armed: FxHashSet<ClientId>,
 
     // ---------------- timers & misc ----------------
     pub(crate) round: u64,
@@ -140,21 +141,21 @@ impl SaguaroNode {
             ledger: LinearLedger::new(id.domain),
             state: BlockchainState::new(),
             round_updates: Vec::new(),
-            undo_log: HashMap::new(),
+            undo_log: FxHashMap::default(),
             dag: DagLedger::new(),
             agg: AggregateView::new(),
             pending_child_blocks: BTreeMap::new(),
-            coordinated: HashMap::new(),
+            coordinated: FxHashMap::default(),
             coord_queue: VecDeque::new(),
             next_coord_seq: 1,
-            participating: HashMap::new(),
+            participating: FxHashMap::default(),
             participant_queue: VecDeque::new(),
             opt: OptTracker::default(),
             validator: OptimisticValidator::default(),
-            mobile: HashMap::new(),
-            hosted_devices: HashSet::new(),
-            pending_mobile: HashMap::new(),
-            mobile_retry_armed: HashSet::new(),
+            mobile: FxHashMap::default(),
+            hosted_devices: FxHashSet::default(),
+            pending_mobile: FxHashMap::default(),
+            mobile_retry_armed: FxHashSet::default(),
             round: 0,
             round_timer: None,
             stats: NodeStats::default(),
@@ -361,9 +362,12 @@ impl SaguaroNode {
             ctx.cancel_timer(id);
         }
         // Mobile retry loops also died with the crash: devices still waiting
-        // for their state when this replica went down must be re-queried.
+        // for their state when this replica went down must be re-queried —
+        // in device order: each retry timer is an event, so hash order must
+        // not decide which fires first.
         self.mobile_retry_armed.clear();
-        let waiting: Vec<ClientId> = self.pending_mobile.keys().copied().collect();
+        let mut waiting: Vec<ClientId> = self.pending_mobile.keys().copied().collect();
+        waiting.sort_unstable();
         for device in waiting {
             self.arm_mobile_retry(device, ctx);
         }
@@ -624,6 +628,30 @@ mod tests {
                 .expect("a Saguaro node"))
         });
         read.expect("registered")
+    }
+
+    /// A recovery kick re-queries every device still waiting for its state
+    /// in ascending device order, whatever order the map holds them in; the
+    /// hand-overs, and so the commits, follow the queries.
+    #[test]
+    fn a_recovery_kick_requeries_waiting_devices_in_device_order() {
+        let (mut sim, _) = deployment(ProtocolConfig::coordinator());
+        sim.run_until(SimTime::from_millis(50));
+        let (home, remote) = (DomainId::new(1, 0), DomainId::new(1, 2));
+        let visited = NodeId::new(remote, 0);
+        sim.with_actor(visited, |a| {
+            let node = a.as_any().and_then(|any| any.downcast_mut::<SaguaroNode>());
+            let node = node.expect("a Saguaro node");
+            for device in [ClientId(4), ClientId(8)] {
+                let tx = Transaction::mobile(TxId(device.0), device, home, remote, Operation::Noop);
+                node.pending_mobile.insert(device, vec![tx]);
+            }
+        });
+        sim.inject(HARNESS, visited, SaguaroMsg::RoundTimer);
+        sim.run_until(SimTime::from_millis(1_200));
+        let clients = |n: &SaguaroNode| n.ledger.entries().iter().map(|e| e.tx.client).collect();
+        let committed: Vec<ClientId> = read(&mut sim, visited, clients);
+        assert_eq!(committed, [ClientId(4), ClientId(8)]);
     }
 
     fn put(id: u64, domains: [DomainId; 2], key: &str, value: u64) -> Transaction {

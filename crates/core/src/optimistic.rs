@@ -17,8 +17,9 @@ use crate::messages::SaguaroMsg;
 use crate::node::SaguaroNode;
 use saguaro_ledger::TxStatus;
 use saguaro_net::Context;
+use saguaro_types::hash::{FxHashMap, FxHashSet};
 use saguaro_types::{DomainId, SeqNo, Transaction, TxId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Rounds after which the LCA aborts an optimistic cross-domain transaction
 /// that some involved domain still has not reported (Section 6: a transaction
@@ -37,14 +38,14 @@ pub(crate) const OPTIMISTIC_ABORT_ROUNDS: u64 = 8;
 #[derive(Default, Debug)]
 pub struct OptTracker {
     /// Undecided speculatively committed cross-domain transactions.
-    pending: HashMap<TxId, PendingOpt>,
+    pending: FxHashMap<TxId, PendingOpt>,
     /// Key → pending transactions whose write union holds it.
-    writers: HashMap<String, Vec<TxId>>,
+    writers: FxHashMap<String, Vec<TxId>>,
     /// Key → pending transactions whose read union holds it.
-    readers: HashMap<String, Vec<TxId>>,
+    readers: FxHashMap<String, Vec<TxId>>,
     /// Position of each transaction's latest speculative execution (rollback
     /// runs in reverse execution order).
-    exec_pos: HashMap<TxId, usize>,
+    exec_pos: FxHashMap<TxId, usize>,
     /// Speculative executions recorded so far: the next position.
     executions: usize,
 }
@@ -62,7 +63,7 @@ struct PendingOpt {
 /// Lists `id` under each of `keys` in `index` (once), remembering the keys
 /// in `listed` so the entry can be unlisted when it is decided.
 fn list_under<'a>(
-    index: &mut HashMap<String, Vec<TxId>>,
+    index: &mut FxHashMap<String, Vec<TxId>>,
     listed: &mut Vec<String>,
     id: TxId,
     keys: impl Iterator<Item = &'a str>,
@@ -83,7 +84,7 @@ fn list_under<'a>(
 }
 
 /// Removes `id` from the buckets of `keys`, dropping buckets it empties.
-fn unlist(index: &mut HashMap<String, Vec<TxId>>, id: TxId, keys: &[String]) {
+fn unlist(index: &mut FxHashMap<String, Vec<TxId>>, id: TxId, keys: &[String]) {
     for key in keys {
         if let Some(ids) = index.get_mut(key) {
             ids.retain(|listed| *listed != id);
@@ -185,7 +186,7 @@ impl OptTracker {
 pub struct OptimisticValidator {
     observed: BTreeMap<TxId, ObservedTx>,
     /// Transactions already committed or aborted; late reports are ignored.
-    decided_ids: HashSet<TxId>,
+    decided_ids: FxHashSet<TxId>,
 }
 
 #[derive(Debug)]
@@ -295,8 +296,8 @@ impl OptimisticValidator {
     /// `<` comparisons differ) and replayed in the same sorted pair order.
     fn ordering_abort_scan(&mut self, decisions: &mut Vec<OptDecision>) {
         /// `(seq at first domain, seq at second domain, tx)` per domain pair.
-        type SeqPairBuckets = HashMap<(DomainId, DomainId), Vec<(SeqNo, SeqNo, TxId)>>;
-        let mut buckets: SeqPairBuckets = HashMap::new();
+        type SeqPairBuckets = FxHashMap<(DomainId, DomainId), Vec<(SeqNo, SeqNo, TxId)>>;
+        let mut buckets: SeqPairBuckets = FxHashMap::default();
         for (id, o) in self.observed.iter() {
             if o.decided || o.seqs.len() < 2 {
                 continue;
@@ -502,14 +503,14 @@ mod tests {
     /// tracker is checked against.
     #[derive(Default)]
     struct ScanTracker {
-        pending: HashMap<TxId, ScanEntry>,
+        pending: FxHashMap<TxId, ScanEntry>,
         exec_order: Vec<TxId>,
     }
 
     struct ScanEntry {
         dependent_ids: Vec<TxId>,
-        writes: HashSet<String>,
-        reads: HashSet<String>,
+        writes: FxHashSet<String>,
+        reads: FxHashSet<String>,
     }
 
     impl ScanTracker {
@@ -549,7 +550,7 @@ mod tests {
             }
             let mut victims = entry.dependent_ids;
             victims.push(id);
-            let order: HashMap<TxId, usize> = self
+            let order: FxHashMap<TxId, usize> = self
                 .exec_order
                 .iter()
                 .enumerate()

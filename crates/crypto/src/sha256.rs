@@ -3,10 +3,14 @@
 //! Used for message digests Δ(m), block hashes, and Merkle trees.  The CPU
 //! *cost* of hashing in the modelled system is charged by the network
 //! simulator's service-time model; what runs here is host time, and it is on
-//! every replica's commit path, so two things keep it small:
+//! every replica's commit path, so three things keep it small:
 //!
-//! * The compression function keeps a 16-word rolling message schedule,
-//!   hashes whole blocks straight from the input and pads in one step.
+//! * x86-64 CPUs with the SHA extensions (asked once; std caches the answer)
+//!   compress on them, in `compress_sha_ni`; elsewhere `compress_portable`, a
+//!   16-word rolling schedule in plain Rust, runs — the reference the tests
+//!   hold the hardware path to.  Both are FIPS 180-4 exactly: every digest
+//!   is bit-identical whichever ran.
+//! * Whole blocks are hashed straight from the input and padding is one step.
 //! * Hashing happens once per value, not once per holder.  A
 //!   `saguaro_ledger::Block` and a `saguaro_consensus::Batch` keep their
 //!   members immutably behind an `Arc` together with the memoized digest /
@@ -159,19 +163,95 @@ impl Sha256 {
         }
         self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.state, &self.buffer);
-
-        let mut out = [0u8; 32];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        to_digest(self.state)
     }
 }
 
-/// Compresses one 64-byte block into `state`.  The message schedule is a
-/// 16-word rolling window: word `i ≥ 16` overwrites word `i − 16`, the
-/// oldest one it depends on.
+/// The big-endian bytes of a final state.
+fn to_digest(state: [u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest(out)
+}
+
+/// Compresses one 64-byte block into `state`, on the SHA extensions where
+/// the CPU has them.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    if !compress_hw(state, block) {
+        compress_portable(state, block);
+    }
+}
+
+/// Compresses `block` into `state` with `compress_sha_ni` if this CPU has
+/// the SHA extensions; returns false, `state` untouched, if not.
+#[allow(unsafe_code)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn compress_hw(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sha")
+        && std::is_x86_feature_detected!("ssse3")
+        && std::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `compress_sha_ni` is safe code that requires the `sha`,
+        // `sse2`, `ssse3` and `sse4.1` target features.  The runtime check
+        // just above found `sha`, `ssse3` and `sse4.1` on this CPU, and
+        // `sse2` is part of the x86-64 baseline.
+        unsafe { compress_sha_ni(state, block) };
+        return true;
+    }
+    false
+}
+
+/// One block on the SHA extensions, the standard 16 × 4-round schedule: the
+/// state is two lanes, `ABEF` and `CDGH`, each `sha256rnds2` two rounds;
+/// `w0..w3` are the next four groups of message words, rotated in registers
+/// (through memory the schedule's store-to-load chain outlasts the rounds).
+/// Lanes are built from `u32` words and read back by index: no pointers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) {
+    use std::arch::x86_64::*;
+    let lanes = |w: &[u32]| _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32);
+    let mut words = [0u32; 16];
+    for (word, bytes) in words.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
+    }
+    let [a, b, c, d, e, f, g, h] = *state;
+    let (abef_in, cdgh_in) = (lanes(&[f, e, b, a]), lanes(&[h, g, d, c]));
+    let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+    let [mut w0, mut w1, mut w2, mut w3] = [0, 4, 8, 12].map(|i| lanes(&words[i..i + 4]));
+    for group in 0..16 {
+        let kw = _mm_add_epi32(w0, lanes(&K[4 * group..4 * group + 4]));
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, kw);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(kw, 0x0E));
+        if group < 12 {
+            let w7 = _mm_alignr_epi8(w3, w2, 4);
+            let next = _mm_sha256msg2_epu32(_mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), w7), w3);
+            (w0, w1, w2, w3) = (w1, w2, w3, next);
+        } else {
+            (w0, w1, w2) = (w1, w2, w3);
+        }
+    }
+    let abef = _mm_add_epi32(abef, abef_in);
+    let cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    *state = [
+        _mm_extract_epi32(abef, 3) as u32,
+        _mm_extract_epi32(abef, 2) as u32,
+        _mm_extract_epi32(cdgh, 3) as u32,
+        _mm_extract_epi32(cdgh, 2) as u32,
+        _mm_extract_epi32(abef, 1) as u32,
+        _mm_extract_epi32(abef, 0) as u32,
+        _mm_extract_epi32(cdgh, 1) as u32,
+        _mm_extract_epi32(cdgh, 0) as u32,
+    ];
+}
+
+/// Compresses one 64-byte block into `state` in plain Rust.  The message
+/// schedule is a 16-word rolling window: word `i ≥ 16` overwrites word
+/// `i − 16`, the oldest one it depends on.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
         *word = u32::from_be_bytes(bytes.try_into().expect("4 bytes"));
@@ -233,44 +313,102 @@ pub fn sha256_parts(parts: &[&[u8]]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
-    fn hex(d: &Digest) -> String {
-        d.to_hex()
+    /// SHA-256 on `compress_portable` alone, padded longhand: the reference
+    /// `Sha256` and the hardware kernel are held to.
+    fn portable_sha256(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        padded.resize((data.len() + 8) / 64 * 64 + 56, 0);
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            compress_portable(&mut state, block.try_into().expect("64 bytes"));
+        }
+        to_digest(state)
+    }
+
+    /// `Sha256` (on whichever kernel this CPU runs) and `compress_portable`
+    /// called directly both give the known answer.
+    fn assert_known_answer(data: &[u8], expected: &str) {
+        let n = data.len();
+        assert_eq!(sha256(data).to_hex(), expected, "Sha256, {n} B");
+        assert_eq!(portable_sha256(data).to_hex(), expected, "portable, {n} B");
+    }
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
     }
 
     #[test]
     fn fips_vector_empty() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_known_answer(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn fips_vector_abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_known_answer(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn fips_vector_448_bits() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_known_answer(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn fips_vector_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_known_answer(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
+    }
+
+    /// `compress_sha_ni` equals `compress_portable` on 10 000 random (state,
+    /// block) pairs (with the extensions), and `Sha256` on random chunkings
+    /// of every length 0..=300 equals the portable reference.
+    #[test]
+    fn sha_ni_equals_portable_on_random_blocks_and_chunkings() {
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        let sha_ni = compress_hw(&mut H0.clone(), &[0; 64]);
+        // Past the harness's capture: every test log says what it covered.
+        let _ = match sha_ni {
+            true => writeln!(std::io::stderr(), "sha256: compress_sha_ni = portable"),
+            false => writeln!(std::io::stderr(), "sha256: portable only, no SHA-NI"),
+        };
+        for _ in 0..if sha_ni { 10_000 } else { 0 } {
+            let state: [u32; 8] = std::array::from_fn(|_| next() as u32);
+            let block: [u8; 64] = std::array::from_fn(|_| next() as u8);
+            let (mut portable, mut hw) = (state, state);
+            compress_portable(&mut portable, &block);
+            assert!(compress_hw(&mut hw, &block));
+            assert_eq!(hw, portable, "state {state:08x?} block {block:02x?}");
+        }
+        for len in 0..=300 {
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let mut h = Sha256::new();
+            let mut rest = data.as_slice();
+            while !rest.is_empty() {
+                let take = next() as usize % (rest.len().min(130) + 1);
+                h.update(&rest[..take]);
+                rest = &rest[take..];
+            }
+            assert_eq!(h.finalize(), portable_sha256(&data), "{len} bytes");
+        }
     }
 
     #[test]
@@ -318,7 +456,7 @@ mod tests {
                 "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
             ),
         ] {
-            assert_eq!(hex(&sha256(&vec![b'a'; len])), expected, "{len} bytes");
+            assert_known_answer(&vec![b'a'; len], expected);
         }
     }
 
@@ -326,13 +464,7 @@ mod tests {
     /// wherever the split falls.
     #[test]
     fn parts_equal_one_shot_over_the_prefixed_concatenation() {
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         for _ in 0..200 {
             let data: Vec<u8> = (0..next() % 200).map(|_| next() as u8).collect();
             let (a, b) = data.split_at((next() % (data.len() as u64 + 1)) as usize);

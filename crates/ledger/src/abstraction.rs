@@ -7,8 +7,9 @@
 //! apply these deltas to maintain an aggregate view of their subtree — e.g.
 //! only the working-hour attribute in the ridesharing application.
 
+use saguaro_types::hash::FxHashMap;
 use saguaro_types::DomainId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The abstracted state updates of one round: `(key, new value)` pairs after
@@ -101,7 +102,7 @@ impl AbstractionFn {
 pub struct AggregateView {
     /// child domain -> key -> latest value.  The inner maps only answer
     /// point look-ups and sums; [`AggregateView::to_delta`] sorts on demand.
-    per_child: BTreeMap<DomainId, HashMap<Arc<str>, u64>>,
+    per_child: BTreeMap<DomainId, FxHashMap<Arc<str>, u64>>,
 }
 
 impl AggregateView {

@@ -9,8 +9,9 @@
 //! dependencies so the parent's ledger is consistent with every child ledger.
 
 use crate::block::{Block, BlockId, CommittedTx, TxStatus};
+use saguaro_types::hash::FxHashMap;
 use saguaro_types::{DomainId, Result, SaguaroError, TxId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A set whose first element sits inline.  An internal transaction has one
 /// reporter and at most one parent, so its vertex allocates for neither; only
@@ -71,7 +72,7 @@ pub struct DagEntry {
 /// The DAG-structured, summarized ledger of a height-2+ domain.
 #[derive(Clone, Debug, Default)]
 pub struct DagLedger {
-    entries: HashMap<TxId, DagEntry>,
+    entries: FxHashMap<TxId, DagEntry>,
     /// Insertion order, for deterministic iteration and audit.
     order: Vec<TxId>,
     /// Last transaction seen per child domain (tail of that child's chain as
@@ -261,7 +262,7 @@ impl DagLedger {
     /// from later to earlier insertions — but tests exercise this invariant).
     pub fn is_acyclic(&self) -> bool {
         // Kahn's algorithm over the parent edges.
-        let mut indegree: HashMap<TxId, usize> = self.entries.keys().map(|k| (*k, 0)).collect();
+        let mut indegree: FxHashMap<TxId, usize> = self.entries.keys().map(|k| (*k, 0)).collect();
         for e in self.entries.values() {
             for p in e.parents.iter() {
                 if self.entries.contains_key(&p) {
@@ -276,7 +277,7 @@ impl DagLedger {
             .collect();
         let mut visited = 0;
         // children index: parent -> list of children
-        let mut children: HashMap<TxId, Vec<TxId>> = HashMap::new();
+        let mut children: FxHashMap<TxId, Vec<TxId>> = FxHashMap::default();
         for e in self.entries.values() {
             for p in e.parents.iter() {
                 children.entry(p).or_default().push(e.record.tx.id);

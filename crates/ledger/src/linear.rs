@@ -9,8 +9,8 @@
 use crate::abstraction::StateDelta;
 use crate::block::{Block, BlockId, CommittedTx, TxStatus};
 use saguaro_crypto::Digest;
+use saguaro_types::hash::FxHashMap;
 use saguaro_types::{DomainId, MultiSeq, SeqNo, Transaction, TxId};
-use std::collections::HashMap;
 
 /// The linear, totally ordered ledger of one height-1 domain.
 #[derive(Clone, Debug)]
@@ -19,7 +19,7 @@ pub struct LinearLedger {
     /// All entries in commit order.
     entries: Vec<CommittedTx>,
     /// Index from transaction id to position in `entries`.
-    index: HashMap<TxId, usize>,
+    index: FxHashMap<TxId, usize>,
     /// Sequence number that will be assigned to the next appended transaction.
     next_seq: SeqNo,
     /// Index in `entries` of the first transaction of the current (uncut) round.
@@ -40,7 +40,7 @@ impl LinearLedger {
         Self {
             domain,
             entries: Vec::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             next_seq: 1,
             round_start: 0,
             rounds_cut: 0,

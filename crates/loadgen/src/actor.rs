@@ -14,8 +14,8 @@ use crate::hist::LatencyHistogram;
 use crate::population::PopulationGenerator;
 use parking_lot::Mutex;
 use saguaro_net::{Actor, Addr, Context, MessageMeta, TimerId};
+use saguaro_types::hash::FxHashMap;
 use saguaro_types::{Duration, NodeId, SimTime, Transaction, TxId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How long a fully-paused population (envelope level 0) waits before
@@ -97,8 +97,8 @@ pub struct AggregateClientActor<M> {
     /// Submissions stop here (the run horizon minus drain margin).
     submit_until: SimTime,
     sample_stride: u64,
-    pending: HashMap<TxId, Pending>,
-    reply_counts: HashMap<TxId, (usize, usize)>,
+    pending: FxHashMap<TxId, Pending>,
+    reply_counts: FxHashMap<TxId, (usize, usize)>,
     tally: Tally,
     peak_inflight: usize,
     started: bool,
@@ -133,8 +133,8 @@ impl<M: MessageMeta + Clone + 'static> AggregateClientActor<M> {
             window_end,
             submit_until: window_end + Duration::from_millis(200),
             sample_stride,
-            pending: HashMap::new(),
-            reply_counts: HashMap::new(),
+            pending: FxHashMap::default(),
+            reply_counts: FxHashMap::default(),
             tally,
             peak_inflight: 0,
             started: false,

@@ -18,8 +18,8 @@
 
 use crate::addr::Addr;
 use rand::Rng;
+use saguaro_types::hash::{FxHashMap, FxHashSet};
 use saguaro_types::{DomainId, Duration, SimTime};
-use std::collections::{HashMap, HashSet};
 
 /// Which traffic a [`FaultEvent::DelaySpike`] slows down.
 ///
@@ -86,7 +86,7 @@ pub enum FaultEvent {
 #[derive(Clone, Debug, Default)]
 pub struct SpikeState {
     global: Duration,
-    domains: HashMap<DomainId, Duration>,
+    domains: FxHashMap<DomainId, Duration>,
 }
 
 impl SpikeState {
@@ -315,15 +315,15 @@ impl FaultSchedule {
 /// Dynamic description of which failures are currently active.
 #[derive(Debug, Default, Clone)]
 pub struct FaultPlan {
-    crashed: HashSet<Addr>,
+    crashed: FxHashSet<Addr>,
     /// Unordered pairs of addresses that cannot exchange messages.
-    partitions: HashSet<(Addr, Addr)>,
+    partitions: FxHashSet<(Addr, Addr)>,
     /// Domains currently severed from the rest of the deployment: only
     /// intra-domain traffic flows for their replicas.
-    severed: HashSet<DomainId>,
+    severed: FxHashSet<DomainId>,
     /// Actors currently equivocating (duplicating/mutating their outbound
     /// consensus messages).
-    equivocating: HashSet<Addr>,
+    equivocating: FxHashSet<Addr>,
     /// Probability in `[0, 1]` that any given message is silently dropped.
     drop_probability: f64,
 }

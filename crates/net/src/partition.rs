@@ -34,8 +34,8 @@ use crate::stats::NetStats;
 use crate::timer::TimerSlab;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use saguaro_types::hash::{mix64, FxHashMap};
 use saguaro_types::{Region, SimTime};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A bound no event time exceeds: draining up to it drains everything.
@@ -52,7 +52,7 @@ pub(crate) struct RouteEntry {
 }
 
 /// The `Addr → RouteEntry` table every partition resolves recipients in.
-pub(crate) type Routing = HashMap<Addr, RouteEntry>;
+pub(crate) type Routing = FxHashMap<Addr, RouteEntry>;
 
 /// A cross-partition event buffered in the sender's outbox until the next
 /// window barrier.  `(dest, time, src, seq)` is the deterministic merge key.
@@ -70,14 +70,6 @@ struct ActorSlot<M> {
     cpu: CpuProfile,
     /// The node is busy processing earlier messages until this instant.
     busy_until: SimTime,
-}
-
-/// splitmix64's output function — the finalizer the vendored `StdRng` passes
-/// its counter through.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The RNG recipe: partition 0 draws from the run seed itself (so a
@@ -138,7 +130,7 @@ impl<M: MessageMeta + Clone + 'static> Partition<M> {
             outbox: Vec::new(),
             out_seq: 0,
             events: 0,
-            routing: Arc::new(HashMap::new()),
+            routing: Arc::default(),
             latency,
         }
     }

@@ -102,7 +102,7 @@ impl<M: MessageMeta + Clone + Send + Sync + 'static> ParallelSimulation<M> {
         Self {
             parts,
             route: Box::new(route),
-            index: Routing::new(),
+            index: Routing::default(),
             reg_order: Vec::new(),
             routing_dirty: false,
             latency,

@@ -1,8 +1,8 @@
 //! Simulation statistics.
 
 use crate::addr::Addr;
+use saguaro_types::hash::FxHashMap;
 use saguaro_types::Duration;
-use std::collections::HashMap;
 
 /// Counters collected by the simulation runtime.
 ///
@@ -41,7 +41,7 @@ pub struct NetStats {
     /// Interned index → address (reporting).
     addrs: Vec<Addr>,
     /// Address → interned index (cold queries).
-    index: HashMap<Addr, u32>,
+    index: FxHashMap<Addr, u32>,
 }
 
 /// Instrumentation of one conservative-parallel run: how the event load

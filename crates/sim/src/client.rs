@@ -10,8 +10,9 @@ use parking_lot::Mutex;
 use rand::Rng;
 use saguaro_net::{Actor, Addr, Context, MessageMeta, TimerId};
 use saguaro_trace::{TraceEvent, TraceEventKind, Tracer};
+use saguaro_types::hash::FxHashMap;
 use saguaro_types::{ClientId, Duration, SimTime, TxId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One completed (or aborted) transaction as observed by a client.
@@ -46,12 +47,12 @@ pub struct ClientActor<M> {
     /// Number of matching replies needed before a transaction counts as
     /// complete (1 for CFT, f + 1 for BFT).
     reply_quorum: usize,
-    pending: HashMap<TxId, SimTime>,
+    pending: FxHashMap<TxId, SimTime>,
     /// Per-transaction `(commit replies, abort replies)` seen so far.  The
     /// two verdicts are counted separately: under BFT, up to f faulty
     /// replicas may send a conflicting verdict, and a transaction must only
     /// complete once `reply_quorum` replicas agree on the *same* outcome.
-    reply_counts: HashMap<TxId, (usize, usize)>,
+    reply_counts: FxHashMap<TxId, (usize, usize)>,
     collector: Collector,
     started: bool,
     /// Structured tracing for sampled transaction lifecycle spans.
@@ -78,8 +79,8 @@ impl<M: MessageMeta + Clone + 'static> ClientActor<M> {
             tick,
             parse_reply,
             reply_quorum: reply_quorum.max(1),
-            pending: HashMap::new(),
-            reply_counts: HashMap::new(),
+            pending: FxHashMap::default(),
+            reply_counts: FxHashMap::default(),
             collector,
             started: false,
             tracer,

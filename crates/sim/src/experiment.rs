@@ -731,7 +731,7 @@ fn parallel_sim_for<P: ProtocolStack>(
     spec: &ExperimentSpec,
     tree: &Arc<HierarchyTree>,
 ) -> ParallelSimulation<P::Msg> {
-    let part_of: std::collections::HashMap<DomainId, u32> = tree
+    let part_of: saguaro_types::hash::FxHashMap<DomainId, u32> = tree
         .edge_server_domains()
         .iter()
         .enumerate()

@@ -195,14 +195,14 @@ impl TimeoutPolicy {
 /// transaction present in some ledger.
 pub fn safety_violations(artifacts: &RunArtifacts) -> Vec<String> {
     let mut violations = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = saguaro_types::hash::FxHashSet::default();
     for c in &artifacts.completions {
         if !seen.insert(c.tx_id) {
             violations.push(format!("tx {:?} completed twice at a client", c.tx_id));
         }
     }
     for node in &artifacts.harvest.nodes {
-        let mut ids = std::collections::HashSet::new();
+        let mut ids = saguaro_types::hash::FxHashSet::default();
         for (id, _) in &node.entries {
             if !ids.insert(*id) {
                 violations.push(format!("replica {:?} committed {id:?} twice", node.node));

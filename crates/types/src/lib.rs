@@ -18,6 +18,7 @@
 //! * [`cowmap`] — the persistent `key → u64` map a domain's account state
 //!   lives in, shared between its replicas and its checkpoint snapshots.
 //! * [`time`] — virtual time used by the discrete-event substrate.
+//! * [`hash`] — the one fixed, fast hasher behind every simulator map.
 //! * [`error`] — the shared error type.
 
 #![forbid(unsafe_code)]
@@ -26,6 +27,7 @@
 pub mod config;
 pub mod cowmap;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod sequence;
 pub mod snapshot;
