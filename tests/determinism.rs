@@ -193,6 +193,30 @@ fn explicit_per_actor_client_model_stays_pinned_to_the_goldens() {
     }
 }
 
+/// Seed-7 goldens of the aggregate client model: `(avg, p50, p95/p99)`
+/// latency in ms, then events processed.  Every stack commits 163 in-window
+/// transactions at 543.3 tx/s; the tally submits and completes 335, samples
+/// 163 and peaks at 4 in flight.
+fn aggregate_golden(protocol: ProtocolKind) -> (RunMetrics, u64) {
+    let (avg, p50, tail, events) = match protocol {
+        ProtocolKind::SaguaroCoordinator => (1.0478098159509202, 1.04, 1.065, 3871),
+        ProtocolKind::SaguaroOptimistic => (1.0474601226993867, 1.04, 1.064, 5158),
+        ProtocolKind::Ahl => (1.0466564417177915, 1.04, 1.065, 3019),
+        ProtocolKind::Sharper => (1.0466564417177915, 1.04, 1.065, 3019),
+    };
+    let metrics = RunMetrics {
+        offered_tps: 500.0,
+        throughput_tps: 543.3333333333334,
+        avg_latency_ms: avg,
+        p50_latency_ms: p50,
+        p95_latency_ms: tail,
+        p99_latency_ms: tail,
+        committed: 163,
+        aborted: 0,
+    };
+    (metrics, events)
+}
+
 #[test]
 fn aggregate_population_runs_reproduce_bit_identically_per_seed() {
     for protocol in ProtocolKind::ALL {
@@ -201,16 +225,30 @@ fn aggregate_population_runs_reproduce_bit_identically_per_seed() {
                 .quick()
                 .aggregate(PopulationConfig::with_users(1_000).per_user(0.5));
             spec.seed = seed;
-            let first = spec.run();
+            let first = spec.run_collecting();
             assert!(
-                first.committed > 0,
+                first.metrics.committed > 0,
                 "{protocol:?} seed {seed} committed nothing"
             );
             assert_eq!(
-                first,
+                first.metrics,
                 spec.run(),
                 "{protocol:?} seed {seed}: aggregate run not deterministic"
             );
+            if seed == 7 {
+                let tally = first.population.expect("aggregate runs keep a tally");
+                assert_eq!(
+                    (first.metrics, first.events_processed),
+                    aggregate_golden(protocol),
+                    "{protocol:?}: the aggregate run diverged from its seed-7 golden"
+                );
+                assert_eq!(
+                    (tally.submitted, tally.completed, tally.sampled),
+                    (335, 335, 163),
+                    "{protocol:?}: tally counters"
+                );
+                assert_eq!(tally.peak_inflight, 4, "{protocol:?}: peak in flight");
+            }
         }
     }
 }
