@@ -136,7 +136,7 @@ pub const ROWS: &[Row] = &[
     },
     Row {
         name: "population",
-        about: "10^3-10^5 (10^6 full) modeled users on up to 128 domains; scale and parity gates",
+        about: "10^3-10^5 (10^6 full) modeled users on up to 128 domains; gate: scale",
         run: population::run,
     },
     Row {

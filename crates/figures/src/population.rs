@@ -6,15 +6,11 @@
 //! engine cost (events per committed transaction, event-queue high-water
 //! mark) and host-side cost (wall clock, resident set) per point.
 //!
-//! Two gates make the row self-checking so CI fails loudly instead of
-//! silently shipping a regression: [`scale_gate`] and [`parity_gate`].
+//! The [`scale_gate`] makes the row self-checking so CI fails loudly
+//! instead of silently shipping a regression.
 
 use crate::{Options, Outcome};
-use saguaro_loadgen::LatencyHistogram;
-use saguaro_sim::experiment::ExperimentSpec;
 use saguaro_sim::figures::{population, render_population_table, PopulationPoint};
-use saguaro_sim::protocol::ProtocolKind;
-use saguaro_types::SimTime;
 
 /// Wall-clock ceiling for the 10⁵-user quick point (generous: CI runners
 /// are slow and shared, and the point takes well under a second locally).
@@ -71,60 +67,15 @@ fn scale_gate(points: &[PopulationPoint], quick: bool) -> Vec<String> {
     errors
 }
 
-/// The parity gate: replay the exact per-actor latencies of a common
-/// topology into the streaming histogram and compare quantiles.  Returns
-/// the exact-vs-histogram table and any violations.
-fn parity_gate(seed: u64) -> (String, Vec<String>) {
-    let mut spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
-        .quick()
-        .cross_domain(0.3)
-        .load(600.0);
-    spec.seed = seed;
-    let artifacts = spec.run_collecting();
-    let exact = artifacts.metrics;
-    let window_start = SimTime::ZERO + spec.warmup;
-    let window_end = window_start + spec.measure;
-    let mut hist = LatencyHistogram::new();
-    for c in &artifacts.completions {
-        if c.committed && c.submitted_at >= window_start && c.submitted_at < window_end {
-            hist.record(c.latency.as_micros());
-        }
-    }
-    let mut table = format!(
-        "# Histogram-vs-exact quantile parity (common topology)\n{:>6} {:>10} {:>14}\n",
-        "p", "exact_ms", "histogram_ms"
-    );
-    let mut errors = Vec::new();
-    for (p, exact_ms) in [
-        (0.50, exact.p50_latency_ms),
-        (0.95, exact.p95_latency_ms),
-        (0.99, exact.p99_latency_ms),
-    ] {
-        let approx_ms = hist.quantile(p) as f64 / 1_000.0;
-        table.push_str(&format!("{p:>6.2} {exact_ms:>10.3} {approx_ms:>14.3}\n"));
-        let tolerance = exact_ms * LatencyHistogram::RELATIVE_ERROR_BOUND + 1e-3;
-        if (approx_ms - exact_ms).abs() > tolerance {
-            errors.push(format!(
-                "p{p}: histogram {approx_ms} ms vs exact {exact_ms} ms \
-                 (tolerance {tolerance} ms)"
-            ));
-        }
-    }
-    (table, errors)
-}
-
-/// Runs the sweep and the parity replay; prints both tables.
+/// Runs the sweep and prints its table.
 pub fn run(options: &Options) -> Outcome {
     let points = population(&options.figure);
-    let (parity_table, parity_errors) = parity_gate(options.figure.seed);
-    let mut failures = scale_gate(&points, options.figure.quick);
-    failures.extend(parity_errors);
     Outcome {
-        tables: vec![
-            render_population_table("Population-scale load generation sweep", &points),
-            parity_table,
-        ],
-        failures,
+        tables: vec![render_population_table(
+            "Population-scale load generation sweep",
+            &points,
+        )],
+        failures: scale_gate(&points, options.figure.quick),
     }
 }
 

@@ -1,37 +1,42 @@
-//! Population-scale load generation.
+//! Clients and load generation.
 //!
 //! The paper pitches Saguaro at edge networks with *millions of mobile
-//! devices*, but a harness that models every client as its own simulator
-//! actor — with a stored `Vec` of per-transaction completions — hits memory
-//! and event-volume walls long before consensus does.  This crate is the
-//! layer between the workloads and the simulator that removes both walls:
+//! devices*.  This crate is the layer between the workloads and the
+//! simulator that submits their transactions and accounts for the replies:
 //!
+//! * [`Client`] is the one client actor: it submits open-loop, keeps one
+//!   in-flight map, completes a transaction with the verdict its reply
+//!   quorum agrees on and records the `TxSubmitted` / `TxCompleted` spans.
+//!   It is generic over its [`ArrivalSource`], of which there are two:
+//!   [`Schedule`] (one actor per device over a precomputed queue, exact
+//!   [`CompletedTx`] records into a [`Collector`] — [`ClientActor`]) and
+//!   [`Population`] (one actor per height-1 domain over a
+//!   [`PopulationGenerator`], completions streamed into a [`PopulationTally`]
+//!   — [`AggregateClientActor`]).
 //! * [`PopulationGenerator`] models a whole per-domain client population as
 //!   one open-loop arrival process: Poisson arrivals at `users ×
 //!   per_user_tps` (a superposition of `users` independent Poisson clients
 //!   is itself Poisson at the summed rate), Zipf-skewed account selection,
 //!   and optional diurnal / flash-crowd rate envelopes.  One generator costs
 //!   O(1) memory however large `users` is.
-//! * [`AggregateClientActor`] drives one generator per height-1 domain on
-//!   the simulator — a single actor standing in for the domain's whole
-//!   population — submitting arrivals open-loop and folding completions
-//!   into a shared [`PopulationTally`].
 //! * [`LatencyHistogram`] is the streaming accounting that replaces stored
 //!   per-transaction latency vectors: HDR-style log-bucketed, mergeable,
 //!   O(1) per record with zero allocation, and within a documented
 //!   [`relative error bound`](LatencyHistogram::RELATIVE_ERROR_BOUND) of the
 //!   exact percentiles.
 //!
-//! The experiment engine selects between the historical per-actor client
-//! model and this one via `saguaro_types::ClientModel`.
+//! The experiment engine picks the source from `saguaro_types::ClientModel`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod actor;
+pub mod client;
 pub mod hist;
 pub mod population;
 
-pub use actor::{AggregateClientActor, PopulationTally, Tally};
+pub use client::{
+    AggregateClientActor, ArrivalSource, Client, ClientActor, Collector, CompletedTx, Population,
+    PopulationTally, Schedule, Tally,
+};
 pub use hist::{nearest_rank_index, LatencyHistogram};
 pub use population::PopulationGenerator;

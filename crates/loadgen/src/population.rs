@@ -8,7 +8,7 @@
 //! are modeled.  Account selection is Zipf-skewed (the classic web-workload
 //! shape) via Hörmann's O(1) rejection-inversion-style approximation used by
 //! YCSB, and the instantaneous rate is shaped by the spec's
-//! [`RateEnvelope`].
+//! [`RateEnvelope`](saguaro_types::RateEnvelope).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -3,15 +3,25 @@
 //!
 //! # Architecture
 //!
-//! One generic engine, [`run_experiment`], drives every protocol and every
-//! workload:
+//! One generic engine, [`run_experiment`], drives every protocol, every
+//! workload and both client models through one run body:
 //!
 //! ```text
-//! ExperimentSpec ──▶ prepare::<P>()   (Workload trait: schedules + seeds)
-//!                 ──▶ P::deploy()     (ProtocolStack trait: nodes on the sim)
-//!                 ──▶ ClientActor     (open loop, P::parse_reply quorum)
-//!                 ──▶ summarise()     (RunMetrics over the measure window)
+//! ExperimentSpec ──▶ clients           (PerActor: one ClientActor per workload
+//!                                        client over its schedule; Aggregate: one
+//!                                        AggregateClientActor per edge domain)
+//!                 ──▶ P::deploy()      (ProtocolStack trait: nodes on the sim)
+//!                 ──▶ fault plan, register, staggered kick-off, run
+//!                 ──▶ harvest, trace
+//!                 ──▶ sink summary     (Collector: exact percentiles; Tally:
+//!                                        histogram percentiles — one RunMetrics)
 //! ```
+//!
+//! Both client models are `saguaro_loadgen::Client` over a different arrival
+//! source, so submission, reply-quorum counting and the transaction spans
+//! are the same code whichever the spec picks.  A spec that offers no load
+//! (no per-actor clients, a rate that is not finite and positive, a
+//! population offering 0 tx/s) panics instead of reporting zeros.
 //!
 //! The two extension points are deliberately narrow:
 //!
@@ -34,7 +44,6 @@
 //! Adding a new workload is symmetric: implement `Workload`, add a
 //! [`WorkloadKind`] variant, and give `ExperimentSpec` a builder for it.
 
-use crate::client::{ClientActor, Collector, CompletedTx};
 use crate::deploy;
 use crate::protocol::RunHarvest;
 use crate::protocol::{
@@ -42,7 +51,10 @@ use crate::protocol::{
 };
 use parking_lot::Mutex;
 use saguaro_hierarchy::{HierarchyTree, Placement};
-use saguaro_loadgen::{nearest_rank_index, AggregateClientActor, PopulationGenerator, Tally};
+use saguaro_loadgen::{
+    nearest_rank_index, AggregateClientActor, ArrivalSource, Client, ClientActor, Collector,
+    CompletedTx, Population, PopulationGenerator, Schedule, Tally,
+};
 use saguaro_net::{
     Addr, CpuProfile, FaultEvent, FaultSchedule, ParallelSimulation, PdesRunStats, SimRuntime,
     Simulation,
@@ -50,7 +62,7 @@ use saguaro_net::{
 use saguaro_trace::{RunTrace, TraceActor, TraceEvent, TraceEventKind, Tracer};
 use saguaro_types::{
     ClientId, ClientModel, ConsensusTuning, DomainId, Duration, EngineMode, FailureModel,
-    LivenessConfig, NodeId, PopulationConfig, SimTime, StackConfig, TraceConfig, TxId,
+    LivenessConfig, NodeId, PopulationConfig, Region, SimTime, StackConfig, TraceConfig, TxId,
 };
 use saguaro_workload::{MicropaymentWorkload, RidesharingWorkload, Workload, WorkloadConfig};
 use std::sync::Arc;
@@ -441,52 +453,63 @@ pub struct LoadPoint {
     pub metrics: RunMetrics,
 }
 
-/// Exact-vector percentile under the harness's shared nearest-rank
-/// convention ([`nearest_rank_index`]): the sample at 0-based sorted index
-/// `round((n − 1) × p)`.  The histogram path
-/// ([`saguaro_loadgen::LatencyHistogram::quantile`]) uses the *same* index,
-/// so the two report the same sample up to the histogram's documented bucket
-/// error.
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    sorted_ms[nearest_rank_index(sorted_ms.len(), p)]
-}
-
+/// [`RunMetrics`] from a [`Collector`]'s exact records: the transactions
+/// submitted in `[warmup, warmup + measure)`, percentiles over every commit
+/// under the nearest-rank convention the histogram shares
+/// ([`nearest_rank_index`]), so the two sinks report the same sample up to
+/// the histogram's bucket error.
 fn summarise(
     completions: &[CompletedTx],
     warmup: Duration,
     measure: Duration,
     offered: f64,
 ) -> RunMetrics {
-    let start = SimTime::ZERO + warmup;
-    let end = start + measure;
-    let in_window: Vec<&CompletedTx> = completions
-        .iter()
-        .filter(|c| c.submitted_at >= start && c.submitted_at < end)
-        .collect();
-    let committed: Vec<&&CompletedTx> = in_window.iter().filter(|c| c.committed).collect();
-    let aborted = in_window.len() as u64 - committed.len() as u64;
-    let mut lat_ms: Vec<f64> = committed
-        .iter()
+    let window = SimTime::ZERO + warmup..SimTime::ZERO + warmup + measure;
+    let in_window = || {
+        completions
+            .iter()
+            .filter(|c| window.contains(&c.submitted_at))
+    };
+    let mut lat_ms: Vec<f64> = in_window()
+        .filter(|c| c.committed)
         .map(|c| c.latency.as_millis_f64())
         .collect();
     lat_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let avg = if lat_ms.is_empty() {
-        0.0
-    } else {
-        lat_ms.iter().sum::<f64>() / lat_ms.len() as f64
+    let committed = lat_ms.len() as u64;
+    let percentile = |p: f64| match lat_ms.len() {
+        0 => 0.0,
+        n => lat_ms[nearest_rank_index(n, p)],
     };
     RunMetrics {
         offered_tps: offered,
-        throughput_tps: committed.len() as f64 / measure.as_secs_f64(),
-        avg_latency_ms: avg,
-        p50_latency_ms: percentile(&lat_ms, 0.50),
-        p95_latency_ms: percentile(&lat_ms, 0.95),
-        p99_latency_ms: percentile(&lat_ms, 0.99),
-        committed: committed.len() as u64,
-        aborted,
+        throughput_tps: committed as f64 / measure.as_secs_f64(),
+        avg_latency_ms: match committed {
+            0 => 0.0,
+            n => lat_ms.iter().sum::<f64>() / n as f64,
+        },
+        p50_latency_ms: percentile(0.50),
+        p95_latency_ms: percentile(0.95),
+        p99_latency_ms: percentile(0.99),
+        committed,
+        aborted: in_window().count() as u64 - committed,
+    }
+}
+
+/// [`RunMetrics`] from a [`Tally`]'s streaming counters: counts are exact
+/// (the tally applies the same window as [`summarise`]); the mean and the
+/// quantiles come from the latency histogram under the shared nearest-rank
+/// convention.
+fn summarise_population(tally: &PopulationTally, offered: f64, measure: Duration) -> RunMetrics {
+    let us_to_ms = |us: u64| us as f64 / 1_000.0;
+    RunMetrics {
+        offered_tps: offered,
+        throughput_tps: tally.committed as f64 / measure.as_secs_f64(),
+        avg_latency_ms: tally.hist.mean() / 1_000.0,
+        p50_latency_ms: us_to_ms(tally.hist.quantile(0.50)),
+        p95_latency_ms: us_to_ms(tally.hist.quantile(0.95)),
+        p99_latency_ms: us_to_ms(tally.hist.quantile(0.99)),
+        committed: tally.committed,
+        aborted: tally.aborted,
     }
 }
 
@@ -532,76 +555,17 @@ pub struct RunArtifacts {
     /// the fault plan synthesized as harness events.
     pub trace: Option<RunTrace>,
     /// Bucketed time-series metrics over `warmup + measure` (`None` with
-    /// tracing off).
+    /// tracing off, and for aggregate runs, which keep no per-transaction
+    /// records to bucket).
     pub timeline: Option<crate::timeline::RunTimeline>,
-}
-
-/// One client's open-loop schedule: `(tx id, framed request, destination)`
-/// triples, tagged with the client's identity and home domain.
-type ClientSchedule<M> = (ClientId, DomainId, Vec<(TxId, M, Addr)>);
-
-/// The per-client schedules and the account seeds for a spec.
-struct Prepared<M> {
-    schedules: Vec<ClientSchedule<M>>,
-    seeds: Vec<(DomainId, Vec<(String, u64)>)>,
-    mean_interarrival_us: f64,
-}
-
-/// Builds the open-loop schedules (one per client) and the per-domain seed
-/// accounts from the spec's workload, framing each transaction as a stack
-/// `P` request.
-///
-/// `spread` is the number of replicas per height-1 domain client requests
-/// are spread over.  Failure-free runs keep the historical behaviour
-/// (`spread = 1`: everything goes to replica 0, the view-0 primary);
-/// fault-injection runs spread deterministically by transaction id so a
-/// crashed primary does not silently swallow every request — backups relay
-/// to whichever primary the current view elected.
-fn prepare<P: ProtocolStack>(
-    spec: &ExperimentSpec,
-    edge_domains: Vec<DomainId>,
-    spread: u64,
-) -> Prepared<P::Msg> {
-    let mut generator = spec
-        .workload
-        .build(edge_domains.clone(), spec.num_clients, spec.seed);
-
-    let horizon = spec.warmup + spec.measure + Duration::from_millis(200);
-    let per_client_rate = spec.offered_load_tps / spec.num_clients as f64; // tx per second
-    let txs_per_client = ((per_client_rate * horizon.as_secs_f64()).ceil() as usize + 2).max(4);
-    let mean_interarrival_us = 1_000_000.0 / per_client_rate.max(0.001);
-
-    let mut schedules = Vec::with_capacity(spec.num_clients);
-    for c in 0..spec.num_clients {
-        let home = generator.home_of(c);
-        let mut schedule = Vec::with_capacity(txs_per_client);
-        for _ in 0..txs_per_client {
-            let (tx, submit_to) = generator.next_for_client(c);
-            let replica = (tx.id.0 % spread.max(1)) as u16;
-            let target = Addr::Node(NodeId::new(submit_to, replica));
-            schedule.push((tx.id, P::wrap_request(tx), target));
-        }
-        schedules.push((ClientId(c as u64), home, schedule));
-    }
-
-    let seeds = edge_domains
-        .iter()
-        .map(|d| (*d, generator.seed_accounts(*d)))
-        .collect();
-
-    Prepared {
-        schedules,
-        seeds,
-        mean_interarrival_us,
-    }
 }
 
 /// Runs one experiment on a statically chosen protocol stack `P`.
 ///
-/// This is the engine every run goes through, whatever the protocol and
-/// workload: build the tree, deploy `P`'s nodes, register one open-loop
-/// [`ClientActor`] per workload client, run the simulator past the
-/// measurement window, and summarise the collected completions.
+/// This is the engine every run goes through, whatever the protocol,
+/// workload and client model: build the tree and the clients, deploy `P`'s
+/// nodes, register the clients, run the simulator past the measurement
+/// window, and summarise what the clients' sink collected.
 pub fn run_experiment<P: ProtocolStack>(spec: &ExperimentSpec) -> RunMetrics {
     run_experiment_collecting::<P>(spec).metrics
 }
@@ -621,6 +585,31 @@ fn build_spec_tree(spec: &ExperimentSpec) -> Arc<HierarchyTree> {
         )
         .expect("valid shaped topology"),
     }
+}
+
+/// Replicas per height-1 domain client requests are spread over (replica
+/// `tx id % spread`).  Failure-free runs send everything to replica 0, the
+/// view-0 primary; runs with liveness timers spread over the whole domain so
+/// a crashed primary does not silently swallow every request — backups
+/// relay to whichever primary the current view elected.
+fn replica_spread(spec: &ExperimentSpec, tree: &HierarchyTree) -> u64 {
+    if !spec.is_chaos() {
+        return 1;
+    }
+    let edge = tree.edge_server_domains();
+    tree.config(edge[0]).map(|c| c.quorum.n as u64).unwrap_or(1)
+}
+
+/// When a client's kick-off lands: clients start staggered over one mean
+/// arrival gap (`1 / rate_tps`; 1 ms for a paused population) so they do
+/// not begin in phase.
+fn start_offset(client: ClientId, rate_tps: f64) -> SimTime {
+    let mean_gap_us = if rate_tps > 0.0 {
+        (1_000_000.0 / rate_tps) as u64
+    } else {
+        1_000
+    };
+    SimTime::from_micros((client.0 % 97) * (mean_gap_us / 97).max(1))
 }
 
 /// Installs the spec's scripted fault plan plus the recovery kicks that
@@ -667,10 +656,9 @@ fn fault_trace_events(spec: &ExperimentSpec, horizon: Duration) -> Vec<TraceEven
 
 /// Merges the per-actor trace buffers of a finished run into one
 /// deterministic [`RunTrace`]: every replica's harvested buffer, every
-/// per-actor client's buffer (drained via downcast, like the replica
-/// harvest), and the synthesized fault-plan events.  Aggregate-population
-/// runs pass no client ids — their domain actors record no tx spans.
-fn collect_trace<P: ProtocolStack, S: SimRuntime<P::Msg>>(
+/// client's span buffer (drained via downcast, like the replica harvest;
+/// a population records none) and the synthesized fault-plan events.
+fn collect_trace<P: ProtocolStack, S: SimRuntime<P::Msg>, Src: 'static>(
     spec: &ExperimentSpec,
     sim: &mut S,
     harvest: &mut RunHarvest,
@@ -687,7 +675,7 @@ fn collect_trace<P: ProtocolStack, S: SimRuntime<P::Msg>>(
         let drained = sim.with_actor(*client, |actor| {
             actor
                 .as_any()
-                .and_then(|any| any.downcast_mut::<ClientActor<P::Msg>>())
+                .and_then(|any| any.downcast_mut::<Client<P::Msg, Src>>())
                 .map(|c| c.take_trace())
         });
         if let Some(Some((events, d))) = drained {
@@ -713,11 +701,11 @@ pub fn run_experiment_collecting<P: ProtocolStack>(spec: &ExperimentSpec) -> Run
         EngineMode::Sequential => {
             let mut sim: Simulation<P::Msg> =
                 Simulation::new(deploy::latency_for(spec.placement), spec.seed);
-            run_collecting_on::<P, _>(spec, &tree, &mut sim)
+            run_on::<P, _>(spec, &tree, &mut sim)
         }
         EngineMode::Parallel(_) => {
             let mut sim = parallel_sim_for::<P>(spec, &tree);
-            run_collecting_on::<P, _>(spec, &tree, &mut sim)
+            run_on::<P, _>(spec, &tree, &mut sim)
         }
     }
 }
@@ -750,133 +738,129 @@ fn parallel_sim_for<P: ProtocolStack>(
     )
 }
 
-/// Engine-generic run body: branches on the client model.
-fn run_collecting_on<P: ProtocolStack, S: SimRuntime<P::Msg>>(
+/// Where a run's clients report to.
+enum Sink {
+    /// Per-actor clients: every completion, plus each client's schedule.
+    Collector(Collector, Vec<(ClientId, Vec<TxId>)>),
+    /// Aggregate populations: the streaming tally and the offered load.
+    Tally(Tally, f64),
+}
+
+/// One run's clients, built for either client model before anything is
+/// deployed.
+struct Clients<M, Src> {
+    /// Account seeds per edge domain.
+    seeds: Vec<(DomainId, Vec<(String, u64)>)>,
+    /// Each client with its region and arrival rate (tx/s, for the start
+    /// stagger), in registration order.
+    actors: Vec<(ClientId, Region, Client<M, Src>, f64)>,
+    sink: Sink,
+}
+
+/// Engine-generic: builds the clients of the spec's model and runs them.
+fn run_on<P: ProtocolStack, S: SimRuntime<P::Msg>>(
     spec: &ExperimentSpec,
     tree: &Arc<HierarchyTree>,
     sim: &mut S,
 ) -> RunArtifacts {
-    if let ClientModel::Aggregate(population) = spec.client_model {
-        return run_aggregate_on::<P, S>(spec, &population, tree, sim);
+    let spread = replica_spread(spec, tree);
+    match spec.client_model {
+        ClientModel::PerActor => {
+            run_clients::<P, S, _>(spec, tree, sim, schedule_clients::<P>(spec, tree, spread))
+        }
+        ClientModel::Aggregate(population) => {
+            let clients = population_clients::<P>(spec, &population, tree, spread);
+            run_clients::<P, S, _>(spec, tree, sim, clients)
+        }
     }
-    let liveness = spec.effective_liveness();
-    let spread = if liveness.enabled {
-        let edge = tree.edge_server_domains();
-        tree.config(edge[0]).map(|c| c.quorum.n as u64).unwrap_or(1)
-    } else {
-        1
-    };
-    let prepared = prepare::<P>(spec, tree.edge_server_domains(), spread);
-    let stack = spec.stack_config();
-    P::deploy(sim, tree, &prepared.seeds, &stack);
-    install_fault_plan::<P, S>(sim, spec);
+}
 
+/// One [`ClientActor`] per workload client over its precomputed schedule,
+/// each transaction framed as a stack `P` request.
+fn schedule_clients<P: ProtocolStack>(
+    spec: &ExperimentSpec,
+    tree: &HierarchyTree,
+    spread: u64,
+) -> Clients<P::Msg, Schedule<P::Msg>> {
+    assert!(
+        spec.num_clients > 0,
+        "a per-actor spec needs num_clients > 0"
+    );
+    assert!(
+        spec.offered_load_tps.is_finite() && spec.offered_load_tps > 0.0,
+        "offered load must be finite and positive, got {} tx/s",
+        spec.offered_load_tps
+    );
+    let edge_domains = tree.edge_server_domains();
+    let mut generator = spec
+        .workload
+        .build(edge_domains.clone(), spec.num_clients, spec.seed);
+    let horizon = spec.warmup + spec.measure + Duration::from_millis(200);
+    let rate = spec.offered_load_tps / spec.num_clients as f64; // per client
+    let txs_per_client = ((rate * horizon.as_secs_f64()).ceil() as usize + 2).max(4);
     let collector: Collector = Arc::new(Mutex::new(Vec::new()));
     let reply_quorum = P::reply_quorum(spec.failure_model, spec.faults);
-    let schedules: Vec<(ClientId, Vec<TxId>)> = prepared
-        .schedules
-        .iter()
-        .map(|(client, _, schedule)| (*client, schedule.iter().map(|(id, _, _)| *id).collect()))
-        .collect();
-    for (client_id, home, schedule) in prepared.schedules {
-        let region = tree.region_of(home).expect("home region");
+    let mut actors = Vec::with_capacity(spec.num_clients);
+    let mut schedules = Vec::with_capacity(spec.num_clients);
+    for c in 0..spec.num_clients {
+        let client = ClientId(c as u64);
+        let home = generator.home_of(c);
+        let schedule: Vec<(TxId, P::Msg, Addr)> = (0..txs_per_client)
+            .map(|_| {
+                let (tx, submit_to) = generator.next_for_client(c);
+                let target = Addr::Node(NodeId::new(submit_to, (tx.id.0 % spread) as u16));
+                (tx.id, P::wrap_request(tx), target)
+            })
+            .collect();
+        schedules.push((client, schedule.iter().map(|(id, _, _)| *id).collect()));
         let actor = ClientActor::new(
-            client_id,
+            client,
             schedule,
-            prepared.mean_interarrival_us,
+            1_000_000.0 / rate,
             P::client_tick(),
             P::parse_reply,
             reply_quorum,
             collector.clone(),
-            Tracer::new(spec.trace, TraceActor::Client(client_id)),
+            Tracer::new(spec.trace, TraceActor::Client(client)),
         );
-        sim.register(client_id, region, CpuProfile::client(), Box::new(actor));
-        // Stagger client start over one mean inter-arrival.
-        let offset = (client_id.0 % 97) * (prepared.mean_interarrival_us as u64 / 97).max(1);
-        sim.inject_at(
-            SimTime::from_micros(offset),
-            deploy::harness_addr(),
-            client_id,
-            P::client_tick(),
-        );
+        let region = tree.region_of(home).expect("home region");
+        actors.push((client, region, actor, rate));
     }
-
-    let horizon = spec.warmup + spec.measure + Duration::from_millis(300);
-    let events_processed = sim.run_until(SimTime::ZERO + horizon);
-    let state_transfer_messages = sim.stats().state_messages_delivered;
-    let state_transfer_bytes = sim.stats().state_bytes_delivered;
-    let peak_pending_events = sim.stats().peak_pending_events;
-    let pdes = sim.stats().pdes.clone();
-    let mut harvest = P::harvest(sim, tree);
-    let completions = std::mem::take(&mut *collector.lock());
-    let (trace, timeline) = if spec.trace.enabled {
-        let clients: Vec<ClientId> = schedules.iter().map(|(c, _)| *c).collect();
-        let trace = collect_trace::<P, S>(spec, sim, &mut harvest, &clients, horizon);
-        let timeline = crate::timeline::RunTimeline::build(
-            spec.warmup,
-            spec.measure,
-            spec.trace.timeline_buckets,
-            &completions,
-            &trace,
-        );
-        (Some(trace), Some(timeline))
-    } else {
-        (None, None)
-    };
-    let metrics = summarise(
-        &completions,
-        spec.warmup,
-        spec.measure,
-        spec.offered_load_tps,
-    );
-    RunArtifacts {
-        metrics,
-        completions,
-        schedules,
-        events_processed,
-        harvest,
-        state_transfer_messages,
-        state_transfer_bytes,
-        peak_pending_events,
-        population: None,
-        pdes,
-        trace,
-        timeline,
+    let seeds = edge_domains
+        .iter()
+        .map(|d| (*d, generator.seed_accounts(*d)))
+        .collect();
+    Clients {
+        seeds,
+        actors,
+        sink: Sink::Collector(collector, schedules),
     }
 }
 
-/// The aggregate-population engine: one [`AggregateClientActor`] per
-/// height-1 domain instead of one actor per client, streaming tallies
-/// instead of stored completions.  Client-side memory is O(domains +
-/// in-flight), independent of modeled users and of run length.
-fn run_aggregate_on<P: ProtocolStack, S: SimRuntime<P::Msg>>(
+/// One [`AggregateClientActor`] per height-1 domain with users, standing in
+/// for the domain's whole population.
+fn population_clients<P: ProtocolStack>(
     spec: &ExperimentSpec,
     population: &PopulationConfig,
-    tree: &Arc<HierarchyTree>,
-    sim: &mut S,
-) -> RunArtifacts {
-    let liveness = spec.effective_liveness();
+    tree: &HierarchyTree,
+    spread: u64,
+) -> Clients<P::Msg, Population<P::Msg>> {
+    assert!(
+        population.offered_tps() > 0.0,
+        "an aggregate spec must offer load, got {} users x {} tx/s",
+        population.users,
+        population.per_user_tps
+    );
     let edge_domains = tree.edge_server_domains();
-    let spread = if liveness.enabled {
-        tree.config(edge_domains[0])
-            .map(|c| c.quorum.n as u64)
-            .unwrap_or(1)
-    } else {
-        1
-    };
-    let seeds: Vec<(DomainId, Vec<(String, u64)>)> = edge_domains
+    let seeds = edge_domains
         .iter()
         .map(|d| (*d, population.seed_accounts_for(*d)))
         .collect();
-    let stack = spec.stack_config();
-    P::deploy(sim, tree, &seeds, &stack);
-    install_fault_plan::<P, S>(sim, spec);
-
     let tally: Tally = Arc::new(Mutex::new(PopulationTally::new()));
     let reply_quorum = P::reply_quorum(spec.failure_model, spec.faults);
-    let domain_count = edge_domains.len();
+    let mut actors = Vec::new();
     for (ordinal, domain) in edge_domains.iter().enumerate() {
-        if population.users_in_domain(ordinal, domain_count) == 0 {
+        if population.users_in_domain(ordinal, edge_domains.len()) == 0 {
             continue;
         }
         // Each domain's actor draws from its own seeded stream so the run is
@@ -886,8 +870,7 @@ fn run_aggregate_on<P: ProtocolStack, S: SimRuntime<P::Msg>>(
             .wrapping_add((ordinal as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let generator =
             PopulationGenerator::new(*population, ordinal, edge_domains.clone(), domain_seed);
-        let client = generator.client_id();
-        let domain_rate = generator.rate_at(Duration::ZERO);
+        let (client, rate) = (generator.client_id(), generator.rate_at(Duration::ZERO));
         let actor = AggregateClientActor::new(
             generator,
             P::wrap_request,
@@ -900,21 +883,39 @@ fn run_aggregate_on<P: ProtocolStack, S: SimRuntime<P::Msg>>(
             tally.clone(),
         );
         let region = tree.region_of(*domain).expect("edge domain region");
+        actors.push((client, region, actor, rate));
+    }
+    Clients {
+        seeds,
+        actors,
+        sink: Sink::Tally(tally, population.offered_tps()),
+    }
+}
+
+/// The one run body: deploy, fault plan, register with a staggered
+/// kick-off, run past the window, harvest, collect the trace, summarise
+/// through the clients' sink.
+fn run_clients<P, S, Src>(
+    spec: &ExperimentSpec,
+    tree: &Arc<HierarchyTree>,
+    sim: &mut S,
+    clients: Clients<P::Msg, Src>,
+) -> RunArtifacts
+where
+    P: ProtocolStack,
+    S: SimRuntime<P::Msg>,
+    Src: ArrivalSource<P::Msg> + Send + 'static,
+{
+    P::deploy(sim, tree, &clients.seeds, &spec.stack_config());
+    install_fault_plan::<P, S>(sim, spec);
+    let mut traced = Vec::new();
+    for (client, region, actor, rate) in clients.actors {
         sim.register(client, region, CpuProfile::client(), Box::new(actor));
-        // Stagger domain start over one mean inter-arrival (mirroring the
-        // per-actor client stagger) so populations do not begin in phase.
-        let mean_us = if domain_rate > 0.0 {
-            (1_000_000.0 / domain_rate) as u64
-        } else {
-            1_000
-        };
-        let offset = (ordinal as u64 % 97) * (mean_us / 97).max(1);
-        sim.inject_at(
-            SimTime::from_micros(offset),
-            deploy::harness_addr(),
-            client,
-            P::client_tick(),
-        );
+        let at = start_offset(client, rate);
+        sim.inject_at(at, deploy::harness_addr(), client, P::client_tick());
+        if spec.trace.enabled {
+            traced.push(client);
+        }
     }
 
     let horizon = spec.warmup + spec.measure + Duration::from_millis(300);
@@ -924,51 +925,52 @@ fn run_aggregate_on<P: ProtocolStack, S: SimRuntime<P::Msg>>(
     let peak_pending_events = sim.stats().peak_pending_events;
     let pdes = sim.stats().pdes.clone();
     let mut harvest = P::harvest(sim, tree);
-    // Aggregate domain actors keep no per-transaction records, so the trace
-    // carries replica protocol events and fault-plan events only (no tx
-    // lifecycle spans) and the timeline is skipped.
     let trace = spec
         .trace
         .enabled
-        .then(|| collect_trace::<P, S>(spec, sim, &mut harvest, &[], horizon));
-    let tally = Arc::try_unwrap(tally)
-        .map(Mutex::into_inner)
-        .unwrap_or_else(|shared| shared.lock().clone());
-    let metrics = summarise_population(&tally, population, spec.measure);
+        .then(|| collect_trace::<P, S, Src>(spec, sim, &mut harvest, &traced, horizon));
+    let (metrics, completions, schedules, population) = match clients.sink {
+        Sink::Collector(collector, schedules) => {
+            let completions = std::mem::take(&mut *collector.lock());
+            let metrics = summarise(
+                &completions,
+                spec.warmup,
+                spec.measure,
+                spec.offered_load_tps,
+            );
+            (metrics, completions, schedules, None)
+        }
+        Sink::Tally(tally, offered) => {
+            let tally = tally.lock().clone();
+            let metrics = summarise_population(&tally, offered, spec.measure);
+            (metrics, Vec::new(), Vec::new(), Some(tally))
+        }
+    };
+    let timeline = trace
+        .as_ref()
+        .filter(|_| population.is_none())
+        .map(|trace| {
+            crate::timeline::RunTimeline::build(
+                spec.warmup,
+                spec.measure,
+                spec.trace.timeline_buckets,
+                &completions,
+                trace,
+            )
+        });
     RunArtifacts {
         metrics,
-        completions: Vec::new(),
-        schedules: Vec::new(),
+        completions,
+        schedules,
         events_processed,
         harvest,
         state_transfer_messages,
         state_transfer_bytes,
         peak_pending_events,
-        population: Some(tally),
+        population,
         pdes,
         trace,
-        timeline: None,
-    }
-}
-
-/// Builds [`RunMetrics`] from a streaming tally: counts are exact; the mean
-/// and the quantiles come from the latency histogram (sampled committed
-/// in-window transactions) under the shared nearest-rank convention.
-fn summarise_population(
-    tally: &PopulationTally,
-    population: &PopulationConfig,
-    measure: Duration,
-) -> RunMetrics {
-    let us_to_ms = |us: u64| us as f64 / 1_000.0;
-    RunMetrics {
-        offered_tps: population.offered_tps(),
-        throughput_tps: tally.committed as f64 / measure.as_secs_f64(),
-        avg_latency_ms: tally.hist.mean() / 1_000.0,
-        p50_latency_ms: us_to_ms(tally.hist.quantile(0.50)),
-        p95_latency_ms: us_to_ms(tally.hist.quantile(0.95)),
-        p99_latency_ms: us_to_ms(tally.hist.quantile(0.99)),
-        committed: tally.committed,
-        aborted: tally.aborted,
+        timeline,
     }
 }
 
@@ -977,11 +979,76 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_helper_handles_edges() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        let v = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 1.0), 4.0);
+    fn both_sinks_summarise_one_completion_stream_alike() {
+        // Submissions every 2 ms over [0, 480) ms against the window
+        // [100, 400) ms — so one lands exactly on each edge — with every
+        // 37th request unanswered and every 11th aborted.
+        let (warmup, measure) = (Duration::from_millis(100), Duration::from_millis(300));
+        let window = SimTime::ZERO + warmup..SimTime::ZERO + warmup + measure;
+        let mut completions = Vec::new();
+        let mut tally = PopulationTally::new();
+        for i in 0..240u64 {
+            if i % 37 == 0 {
+                continue;
+            }
+            let submitted_at = SimTime::from_millis(2 * i);
+            let latency = Duration::from_micros(900 + i * 7_919 % 40_000);
+            let committed = i % 11 != 0;
+            tally.complete(submitted_at, latency, committed, true, &window);
+            completions.push(CompletedTx {
+                tx_id: TxId(i),
+                client: ClientId(0),
+                submitted_at,
+                latency,
+                committed,
+            });
+        }
+        let exact = summarise(&completions, warmup, measure, 600.0);
+        let streamed = summarise_population(&tally, 600.0, measure);
+        assert_eq!((exact.committed, exact.aborted), (132, 14));
+        assert_eq!(
+            (streamed.committed, streamed.aborted, tally.hist.count()),
+            (exact.committed, exact.aborted, exact.committed)
+        );
+        assert_eq!(streamed.throughput_tps, exact.throughput_tps);
+        for (p, exact_ms, streamed_ms) in [
+            (50, exact.p50_latency_ms, streamed.p50_latency_ms),
+            (95, exact.p95_latency_ms, streamed.p95_latency_ms),
+            (99, exact.p99_latency_ms, streamed.p99_latency_ms),
+        ] {
+            let tolerance =
+                exact_ms * saguaro_loadgen::LatencyHistogram::RELATIVE_ERROR_BOUND + 1e-3;
+            assert!(
+                (streamed_ms - exact_ms).abs() <= tolerance,
+                "p{p}: histogram {streamed_ms} ms vs exact {exact_ms} ms (tolerance {tolerance})"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a per-actor spec needs num_clients > 0")]
+    fn a_per_actor_spec_without_clients_fails_loudly() {
+        let mut spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator).quick();
+        spec.num_clients = 0;
+        spec.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "offered load must be finite and positive, got 0 tx/s")]
+    fn a_per_actor_spec_without_load_fails_loudly() {
+        ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
+            .quick()
+            .load(0.0)
+            .run();
+    }
+
+    #[test]
+    #[should_panic(expected = "an aggregate spec must offer load, got 1000 users x 0 tx/s")]
+    fn an_aggregate_spec_without_load_fails_loudly() {
+        ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
+            .quick()
+            .aggregate(PopulationConfig::with_users(1_000).per_user(0.0))
+            .run();
     }
 
     #[test]
@@ -996,55 +1063,10 @@ mod tests {
     }
 
     #[test]
-    fn cross_domain_coordinator_and_optimistic_both_commit() {
-        for protocol in [
-            ProtocolKind::SaguaroCoordinator,
-            ProtocolKind::SaguaroOptimistic,
-        ] {
-            let spec = ExperimentSpec::new(protocol)
-                .quick()
-                .cross_domain(0.5)
-                .load(600.0);
-            let metrics = spec.run();
-            assert!(
-                metrics.committed > 30,
-                "{protocol:?} committed {}",
-                metrics.committed
-            );
-        }
-    }
-
-    #[test]
-    fn baselines_commit_cross_domain_transactions() {
-        for protocol in [ProtocolKind::Ahl, ProtocolKind::Sharper] {
-            let spec = ExperimentSpec::new(protocol)
-                .quick()
-                .cross_domain(0.5)
-                .load(600.0);
-            let metrics = spec.run();
-            assert!(
-                metrics.committed > 30,
-                "{protocol:?} committed {}",
-                metrics.committed
-            );
-        }
-    }
-
-    #[test]
     fn mobile_workload_commits_under_saguaro() {
         let spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
             .quick()
             .mobile(0.5)
-            .load(500.0);
-        let metrics = spec.run();
-        assert!(metrics.committed > 20, "committed {}", metrics.committed);
-    }
-
-    #[test]
-    fn ridesharing_workload_commits_through_the_same_engine() {
-        let spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
-            .ridesharing(RidesharingConfig::default())
-            .quick()
             .load(500.0);
         let metrics = spec.run();
         assert!(metrics.committed > 20, "committed {}", metrics.committed);

@@ -390,7 +390,7 @@ pub fn faults(options: &FigureOptions) -> Vec<FaultSeries> {
 /// Buckets completions by submission time over `[0, horizon)` into twelve
 /// bins per measurement window.
 fn timeline_bins(
-    completions: &[crate::client::CompletedTx],
+    completions: &[saguaro_loadgen::CompletedTx],
     horizon: Duration,
     measure: Duration,
 ) -> Vec<TimelineBin> {
@@ -713,7 +713,7 @@ pub fn timeout_sweep(options: &FigureOptions) -> Vec<TimeoutSeries> {
         // three healthy domains answer throughout.  Clients are assigned
         // round-robin over the four edge domains, and the scripted victim is
         // the domain-0 primary.
-        let victim_domain_client = |c: &crate::client::CompletedTx| c.client.0.is_multiple_of(4);
+        let victim_domain_client = |c: &saguaro_loadgen::CompletedTx| c.client.0.is_multiple_of(4);
         let recovery_ms = crash_art
             .completions
             .iter()

@@ -16,12 +16,14 @@
 //!   [`AhlStack`], [`SharperStack`]).  This is the extension point for new
 //!   protocols.
 //! * [`experiment`] — the generic engine:
-//!   [`experiment::run_experiment`]`::<P>` drives any stack;
+//!   [`experiment::run_experiment`]`::<P>` drives any stack through one run
+//!   body whichever client model the spec picks;
 //!   [`ExperimentSpec`] (with [`experiment::WorkloadKind`]) is the
 //!   data-level description and [`ExperimentSpec::run`],
 //!   [`ExperimentSpec::run_collecting`] and [`ExperimentSpec::sweep`] are
-//!   its entry points.
-//! * [`client`] — the open-loop client actor shared by every protocol.
+//!   its entry points.  The clients themselves are `saguaro_loadgen`'s one
+//!   client actor, re-exported here as [`ClientActor`] with its
+//!   [`Collector`] of [`CompletedTx`] records.
 //! * [`deploy`] — topology building and the node-registration helpers the
 //!   stacks' `deploy` impls use.
 //! * [`figures`] — ready-made experiment grids for every figure of the
@@ -67,7 +69,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod deploy;
 pub mod experiment;
 pub mod figures;
@@ -77,7 +78,6 @@ pub mod protocol;
 pub mod scenarios;
 pub mod timeline;
 
-pub use client::{ClientActor, Collector, CompletedTx};
 pub use experiment::{
     run_experiment, ExperimentSpec, LoadPoint, PopulationTally, RidesharingConfig, RunArtifacts,
     RunMetrics, WorkloadKind,
@@ -92,6 +92,7 @@ pub use protocol::{
     AhlStack, CoordinatorStack, NodeHarvest, OptimisticStack, ProtocolKind, ProtocolStack,
     RunHarvest, SharperStack,
 };
+pub use saguaro_loadgen::{ClientActor, Collector, CompletedTx};
 pub use saguaro_net::{FaultEvent, FaultSchedule, PdesRunStats, SimRuntime};
 pub use saguaro_trace::{RunTrace, TraceActor, TraceEvent, TraceEventKind, Tracer};
 pub use saguaro_types::{

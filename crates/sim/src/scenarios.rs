@@ -19,11 +19,11 @@
 //! policy against the best fixed window on both recovery time and
 //! false-suspicion count.
 
-use crate::client::CompletedTx;
 use crate::experiment::{ExperimentSpec, RunArtifacts, RunMetrics};
 use crate::figures::{fault_victim, FigureOptions};
 use crate::par::parallel_map;
 use crate::protocol::ProtocolKind;
+use saguaro_loadgen::CompletedTx;
 use saguaro_net::FaultSchedule;
 use saguaro_types::{
     AdaptiveTimeout, DomainId, Duration, LivenessConfig, NodeId, PopulationConfig, RateEnvelope,

@@ -15,8 +15,7 @@
 //! [`crate::figures::TimelineBin`], the coarser throughput-only series the
 //! fault figures already print.
 
-use crate::client::CompletedTx;
-use saguaro_loadgen::LatencyHistogram;
+use saguaro_loadgen::{CompletedTx, LatencyHistogram};
 use saguaro_trace::{RunTrace, TraceEventKind};
 use saguaro_types::{Duration, SimTime};
 
