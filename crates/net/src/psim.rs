@@ -446,7 +446,7 @@ mod tests {
     use super::*;
     use crate::sim::{Context, Simulation};
     use crate::timer::TimerId;
-    use saguaro_types::{ClientId, DomainId, NodeId};
+    use saguaro_types::ClientId;
 
     #[derive(Clone, Debug)]
     enum Msg {
@@ -584,88 +584,6 @@ mod tests {
             let run = (events, harvest(&mut sim, 2), sim.stats().messages_delivered);
             let reference = reference.get_or_insert_with(|| run.clone());
             assert_eq!(*reference, run, "workers={workers}");
-        }
-    }
-
-    /// Everything the equivalence test compares: events processed per run
-    /// call, the public counters, and what every actor saw and when.
-    fn fingerprint(sim: &mut impl SimRuntime<Msg>, events: [u64; 2]) -> ([u64; 10], Harvest) {
-        let s = sim.stats();
-        let counters = [
-            events[0],
-            events[1],
-            s.messages_sent,
-            s.messages_delivered,
-            s.messages_dropped,
-            s.bytes_delivered,
-            s.state_messages_delivered,
-            s.state_bytes_delivered,
-            s.timers_fired,
-            s.peak_pending_events,
-        ];
-        (counters, harvest(sim, 16))
-    }
-
-    /// A 16-bouncer ring (plus one replica they all write to) under a crash
-    /// and recovery, a link partition and heal, a domain spike and an
-    /// equivocation window, with one `inject` made between two `run_until`
-    /// calls.
-    fn stormy_run(sim: &mut impl SimRuntime<Msg>) -> ([u64; 10], Harvest) {
-        let ms = SimTime::from_millis;
-        deploy(sim, 16);
-        let replica = NodeId::new(DomainId::new(1, 0), 0);
-        let bouncer = Bouncer {
-            peer: a(0),
-            history: Vec::new(),
-        };
-        sim.register(replica, Region(1), CpuProfile::server(), Box::new(bouncer));
-        sim.set_fault_schedule(
-            FaultSchedule::none()
-                .crash_at(ms(20), a(3))
-                .recover_at(ms(60), a(3))
-                .partition_at(ms(30), a(5), a(6))
-                .heal_at(ms(70), a(5), a(6))
-                .domain_spike_at(ms(10), [replica.domain], Duration::from_millis(4))
-                .domain_spike_at(ms(90), [replica.domain], Duration::ZERO)
-                .equivocate_at(ms(40), a(8))
-                .stop_equivocate_at(ms(120), a(8)),
-        );
-        for i in 0..16 {
-            sim.inject(a(i), a((i + 5) % 16), Msg::Ping(60));
-            sim.inject_at(ms(i), a(i), Addr::Node(replica), Msg::Ping(3));
-        }
-        let first = sim.run_until(ms(100));
-        sim.inject(a(8), a(9), Msg::Ping(30));
-        let second = sim.run_until(ms(400));
-        fingerprint(sim, [first, second])
-    }
-
-    #[test]
-    fn one_partition_is_the_sequential_engine_bit_for_bit() {
-        for seed in [3u64, 17, 4242] {
-            let mut seq = Simulation::new(LatencyMatrix::nearby_regions(), seed);
-            seq.faults_mut().set_drop_probability(0.05);
-            let expected = stormy_run(&mut seq);
-            let (counters, _) = &expected;
-            assert!(
-                counters[4] > 0 && counters[8] > 0,
-                "loss and timers: {counters:?}"
-            );
-            for workers in [1, 4] {
-                let mut par = ParallelSimulation::new(
-                    LatencyMatrix::nearby_regions(),
-                    seed,
-                    1,
-                    workers,
-                    |_| 0,
-                );
-                par.parts[0].lock().faults.set_drop_probability(0.05);
-                assert_eq!(
-                    expected,
-                    stormy_run(&mut par),
-                    "seed {seed} workers {workers}"
-                );
-            }
         }
     }
 

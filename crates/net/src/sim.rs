@@ -1012,4 +1012,166 @@ mod tests {
         }
         on_every_engine!(quiet(), 1, case);
     }
+
+    /// A jittery, lossy, fault-scripted run whose every counter and every
+    /// actor's history is pinned: a change to an RNG draw, a tie order or
+    /// fault timing anywhere in the event loop moves one of them.
+    mod stormy {
+        use super::*;
+        use saguaro_types::hash::FxHasher;
+        use saguaro_types::{DomainId, NodeId};
+        use std::hash::{Hash, Hasher};
+
+        #[derive(Clone, Debug)]
+        enum Msg {
+            Ping(u32),
+            Pong(u32),
+        }
+
+        impl MessageMeta for Msg {
+            fn wire_bytes(&self) -> usize {
+                128
+            }
+            fn signatures(&self) -> usize {
+                1
+            }
+            fn tampered(&self) -> Option<Self> {
+                match self {
+                    Msg::Ping(hops) => Some(Msg::Pong(*hops)),
+                    Msg::Pong(_) => None,
+                }
+            }
+        }
+
+        /// Replies to pings until a hop budget runs out; records everything.
+        /// Every third message also sets two timers and cancels one of them;
+        /// a timer that fires passes the baton on with one hop left.
+        struct Bouncer {
+            peer: Addr,
+            history: Vec<(Addr, SimTime)>,
+        }
+
+        impl Actor<Msg> for Bouncer {
+            fn on_message(&mut self, from: Addr, msg: Msg, ctx: &mut Context<'_, Msg>) {
+                self.history.push((from, ctx.now()));
+                if self.history.len().is_multiple_of(3) {
+                    ctx.set_timer(Duration::from_millis(7), Msg::Ping(1));
+                    let cancelled = ctx.set_timer(Duration::from_millis(3), Msg::Ping(1));
+                    ctx.cancel_timer(cancelled);
+                }
+                match msg {
+                    Msg::Ping(hops) if hops > 0 => ctx.send(self.peer, Msg::Pong(hops - 1)),
+                    Msg::Pong(hops) if hops > 0 => ctx.send(self.peer, Msg::Ping(hops - 1)),
+                    _ => {}
+                }
+            }
+            fn on_timer(&mut self, _id: TimerId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+                self.history.push((ctx.self_addr(), ctx.now()));
+                ctx.send(self.peer, msg);
+            }
+            fn as_any(&mut self) -> Option<&mut dyn std::any::Any> {
+                Some(self)
+            }
+        }
+
+        /// Events processed by the two run calls, the public counters, and
+        /// a digest of what each of the 16 bouncers saw, when, and how long
+        /// it was busy.
+        fn fingerprint(sim: &mut Simulation<Msg>, events: [u64; 2]) -> ([u64; 10], u64) {
+            let s = sim.stats();
+            let counters = [
+                events[0],
+                events[1],
+                s.messages_sent,
+                s.messages_delivered,
+                s.messages_dropped,
+                s.bytes_delivered,
+                s.state_messages_delivered,
+                s.state_bytes_delivered,
+                s.timers_fired,
+                s.peak_pending_events,
+            ];
+            let mut digest = FxHasher::default();
+            for i in 0..16 {
+                let history = sim
+                    .with_actor(addr(i), |actor| {
+                        let any = actor.as_any().expect("inspectable");
+                        any.downcast_mut::<Bouncer>()
+                            .expect("a bouncer")
+                            .history
+                            .clone()
+                    })
+                    .expect("registered");
+                (history, sim.stats().busy_time(addr(i))).hash(&mut digest);
+            }
+            (counters, digest.finish())
+        }
+
+        /// A 16-bouncer ring over the matrix's four regions (plus one
+        /// replica they all write to) with 5 % loss, under a crash and
+        /// recovery, a link partition and heal, a domain spike and an
+        /// equivocation window, with one `inject` made between two
+        /// `run_until` calls.
+        fn stormy_run(seed: u64) -> ([u64; 10], u64) {
+            let mut sim = Simulation::new(LatencyMatrix::nearby_regions(), seed);
+            sim.faults_mut().set_drop_probability(0.05);
+            for i in 0..16 {
+                let bouncer = Bouncer {
+                    peer: addr((i + 1) % 16),
+                    history: Vec::new(),
+                };
+                let region = Region((i % 4) as u8);
+                sim.register(addr(i), region, CpuProfile::default(), Box::new(bouncer));
+            }
+            let replica = NodeId::new(DomainId::new(1, 0), 0);
+            let bouncer = Bouncer {
+                peer: addr(0),
+                history: Vec::new(),
+            };
+            sim.register(replica, Region(1), CpuProfile::server(), Box::new(bouncer));
+            sim.set_fault_schedule(
+                FaultSchedule::none()
+                    .crash_at(ms(20), addr(3))
+                    .recover_at(ms(60), addr(3))
+                    .partition_at(ms(30), addr(5), addr(6))
+                    .heal_at(ms(70), addr(5), addr(6))
+                    .domain_spike_at(ms(10), [replica.domain], Duration::from_millis(4))
+                    .domain_spike_at(ms(90), [replica.domain], Duration::ZERO)
+                    .equivocate_at(ms(40), addr(8))
+                    .stop_equivocate_at(ms(120), addr(8)),
+            );
+            for i in 0..16 {
+                sim.inject(addr(i), addr((i + 5) % 16), Msg::Ping(60));
+                sim.inject_at(ms(i), addr(i), Addr::Node(replica), Msg::Ping(3));
+            }
+            let first = sim.run_until(ms(100));
+            sim.inject(addr(8), addr(9), Msg::Ping(30));
+            let second = sim.run_until(ms(400));
+            fingerprint(&mut sim, [first, second])
+        }
+
+        #[test]
+        fn stormy_run_is_pinned() {
+            let goldens: [(u64, [u64; 10], u64); 3] = [
+                (
+                    3,
+                    [560, 1246, 1142, 1056, 80, 135_168, 0, 0, 374, 66],
+                    14_819_991_721_707_834_921,
+                ),
+                (
+                    17,
+                    [450, 826, 767, 701, 59, 89_728, 0, 0, 286, 53],
+                    739_968_856_868_163_183,
+                ),
+                (
+                    4242,
+                    [524, 742, 795, 711, 82, 91_008, 0, 0, 276, 65],
+                    16_616_574_962_829_046_969,
+                ),
+            ];
+            for (seed, counters, digest) in goldens {
+                assert_eq!(stormy_run(seed), (counters, digest), "seed {seed}");
+            }
+        }
+    }
 }
