@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 
 mod endurance;
-mod pdes;
 mod population;
 mod sweeps;
 mod trace;
@@ -148,11 +147,6 @@ pub const ROWS: &[Row] = &[
         name: "trace",
         about: "traced chaos run; gates: every category fires, the Chrome export parses",
         run: trace::run,
-    },
-    Row {
-        name: "pdes",
-        about: "sequential vs parallel engine at 1/2/4 workers on two topologies (no gate)",
-        run: pdes::run,
     },
 ];
 
@@ -289,10 +283,10 @@ mod tests {
 
     #[test]
     fn quick_flag_and_seed_are_parsed() {
-        let (rows, opts) = parsed(&["pdes", "7", "--quick", "--seed", "7", "faults"]).unwrap();
+        let (rows, opts) = parsed(&["trace", "7", "--quick", "--seed", "7", "faults"]).unwrap();
         assert_eq!(
             rows,
-            ["7", "faults", "pdes"],
+            ["7", "faults", "trace"],
             "table order, not argument order"
         );
         assert!(opts.figure.quick);

@@ -17,7 +17,7 @@ fn text(bytes: &[u8]) -> &str {
 #[test]
 fn hostile_arguments_exit_2_with_one_line() {
     let rows = "7 8 9 10 11 12 13 ablation ablation_batch workloads faults recovery \
-                timeout_sweep scenarios population endurance trace pdes";
+                timeout_sweep scenarios population endurance trace";
     let cases: [(&[&str], String); 11] = [
         (&[], format!("no figure named; rows are: {rows} (or all)")),
         (
@@ -71,9 +71,9 @@ fn list_prints_one_line_per_row_with_unique_names() {
         .lines()
         .map(|line| line.split_whitespace().next().expect("a name per line"))
         .collect();
-    assert_eq!(names.len(), 18);
+    assert_eq!(names.len(), 17);
     assert_eq!(names[0], "7");
-    assert_eq!(names[17], "pdes");
+    assert_eq!(names[16], "trace");
     let mut unique = names.clone();
     unique.sort_unstable();
     unique.dedup();

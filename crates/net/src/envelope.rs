@@ -68,7 +68,9 @@ impl<M> Envelope<M> {
 
 impl<M: Clone> Envelope<M> {
     /// Consumes the envelope, yielding an owned payload.  The final
-    /// reference moves the payload out without cloning it.
+    /// reference moves the payload out without cloning it.  Inlined into
+    /// the event loop, as `EventQueue::pop` is (see `net::event`).
+    #[inline]
     pub fn into_payload(self) -> M {
         Arc::try_unwrap(self.payload).unwrap_or_else(|shared| (*shared).clone())
     }

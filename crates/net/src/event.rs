@@ -66,7 +66,12 @@ impl<M> Default for EventQueue<M> {
     }
 }
 
+// `push`, `pop` and `Envelope::into_payload` run once per event inside
+// `Simulation`'s loop.  Without the hint, release builds of the workspace
+// have left them as out-of-line calls from the loop once it is inlined
+// into `run_until` (visible as their own symbols in `nm`).
 impl<M> EventQueue<M> {
+    #[inline]
     pub fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -79,6 +84,7 @@ impl<M> EventQueue<M> {
     }
 
     /// The earliest event: its time and what happens then.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, EventKind<M>)> {
         let Reverse((time, _, slot)) = self.heap.pop()?;
         let kind = self.slab[slot as usize].take();

@@ -134,29 +134,6 @@ impl LatencyMatrix {
         self
     }
 
-    /// A lower bound on [`LatencyMatrix::one_way`] over *every* region pair
-    /// and message size: the minimum base propagation delay, excluding
-    /// jitter and bandwidth serialization (both only ever add).
-    ///
-    /// This is the lookahead bound the conservative parallel engine relies
-    /// on: no message scheduled at virtual time `t` can arrive anywhere
-    /// before `t + min_one_way()`, so partitions may safely advance through
-    /// a `min_one_way()`-wide window without synchronizing.
-    pub fn min_one_way(&self) -> Duration {
-        // The intra-region delay is itself a floor for cross-region pairs
-        // (`one_way` clamps `rtt/2` up to it), so it bounds every pair; the
-        // scan keeps the bound honest should that clamp ever be relaxed.
-        let mut min_us = self.intra_region_us;
-        for (i, row) in self.rtt_us.iter().enumerate() {
-            for (j, rtt) in row.iter().enumerate() {
-                if i != j {
-                    min_us = min_us.min((rtt / 2).max(self.intra_region_us));
-                }
-            }
-        }
-        Duration::from_micros(min_us)
-    }
-
     /// One-way delay for a message of `bytes` bytes from region `a` to region
     /// `b`, sampling jitter from `rng`.
     pub fn one_way<R: Rng + ?Sized>(
@@ -254,51 +231,6 @@ mod tests {
     #[should_panic(expected = "square")]
     fn non_square_matrix_panics() {
         LatencyMatrix::from_rtt_ms(vec!["a", "b"], vec![vec![0.0, 1.0], vec![1.0]]);
-    }
-
-    #[test]
-    fn min_one_way_lower_bounds_every_sampled_delay() {
-        // The lookahead-soundness proof obligation: for all three built-in
-        // matrices, under jitter and bandwidth serialization, no sampled
-        // one-way delay is ever below `min_one_way()`.
-        for (name, m) in [
-            ("single", LatencyMatrix::single_region()),
-            ("nearby", LatencyMatrix::nearby_regions()),
-            ("wide", LatencyMatrix::wide_area_regions()),
-        ] {
-            let m = m.with_jitter(0.25);
-            let floor = m.min_one_way();
-            assert!(floor >= Duration::from_micros(1), "{name}: zero lookahead");
-            let mut rng = StdRng::seed_from_u64(99);
-            let regions = m.region_count() as u8;
-            for a in 0..regions {
-                for b in 0..regions {
-                    for bytes in [0usize, 100, 10_000, 1_250_000] {
-                        let d = m.one_way(Region(a), Region(b), bytes, &mut rng);
-                        assert!(
-                            d >= floor,
-                            "{name}: one_way({a},{b},{bytes}) = {d:?} < floor {floor:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn min_one_way_is_the_intra_region_floor_for_builtins() {
-        // `one_way` clamps cross-region delays up to the intra-region
-        // latency, so for every built-in matrix the bound is exactly it.
-        for m in [
-            LatencyMatrix::single_region(),
-            LatencyMatrix::nearby_regions(),
-            LatencyMatrix::wide_area_regions(),
-        ] {
-            assert_eq!(m.min_one_way(), Duration::from_micros(250));
-        }
-        // And it follows an override of that floor.
-        let tight = LatencyMatrix::nearby_regions().with_intra_region_us(40);
-        assert_eq!(tight.min_one_way(), Duration::from_micros(40));
     }
 
     #[test]

@@ -21,36 +21,33 @@
 //! edge-device clients), delivers messages and timers in virtual-time order
 //! and supports fault injection ([`fault::FaultPlan`],
 //! [`fault::FaultSchedule`]): message loss, node crashes, network partitions,
-//! delay spikes and equivocation.  There is one event engine — the partition
-//! core in `partition.rs`, private to this crate, which owns the actors, the
-//! event queue, an RNG stream, timers, fault state and statistics of one
-//! slice of the deployment and is the only place an event is processed —
-//! behind two façades that share the [`sim::SimRuntime`] surface:
-//! [`sim::Simulation`] is the one-partition case, drained sequentially, and
-//! [`psim::ParallelSimulation`] advances several partitions on worker threads
-//! under a conservative window protocol.
+//! delay spikes and equivocation.  There is one event engine,
+//! [`sim::Simulation`]: it owns the actors, the event queue, the run's RNG
+//! stream, timers, fault state and statistics, and is the only place an
+//! event is processed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
+#[doc(hidden)]
+pub mod compat;
 pub mod cpu;
 pub mod envelope;
 pub mod event;
 pub mod fault;
 pub mod latency;
-mod partition;
-pub mod psim;
 pub mod sim;
 pub mod stats;
 pub mod timer;
 
 pub use addr::Addr;
+#[doc(hidden)]
+pub use compat::*;
 pub use cpu::{CpuProfile, MessageMeta};
 pub use envelope::Envelope;
 pub use fault::{FaultEvent, FaultPlan, FaultSchedule, SpikeScope, SpikeState};
 pub use latency::LatencyMatrix;
-pub use psim::ParallelSimulation;
-pub use sim::{Actor, BoxedActor, Context, SimRuntime, Simulation};
-pub use stats::{NetStats, PdesRunStats};
+pub use sim::{Actor, BoxedActor, Context, Simulation};
+pub use stats::NetStats;
 pub use timer::TimerId;

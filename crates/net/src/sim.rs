@@ -1,29 +1,44 @@
-//! The actor interface and the sequential engine.
+//! The actor interface and the event engine.
 //!
 //! [`Actor`]s communicate exclusively by sending messages and setting timers
 //! through the [`Context`] handed to their callbacks, which keeps the whole
 //! system deterministic: a simulation with the same seed and the same actor
 //! logic always produces the same history.
 //!
-//! [`Simulation`] is the sequential engine: **one** partition of the event
-//! core (`partition.rs`, which owns the actors, the event queue ordered by
-//! virtual time, the [`LatencyMatrix`], the per-actor [`CpuProfile`]s and the
-//! [`FaultPlan`]) drained with no window, no lock and no thread-safety bound
-//! on the message type.  [`SimRuntime`] is the surface it shares with the
-//! many-partition [`ParallelSimulation`](crate::psim::ParallelSimulation).
+//! [`Simulation`] is the one event loop, the shape of a single-`BinaryHeap`
+//! discrete-event engine: it owns the actor slots, the event queue ordered by
+//! `(virtual time, insertion order)`, one RNG stream seeded with the run
+//! seed, the timer slab, the [`FaultPlan`] with its scripted schedule and
+//! spike state, the [`LatencyMatrix`], the per-actor [`CpuProfile`]s and the
+//! [`NetStats`].  Stepping, delivery, timers, sends and scripted faults are
+//! written here and nowhere else.  Neither the message type nor the actors
+//! need to be thread-safe.
+//!
+//! # Hot-path layout
+//!
+//! Addresses are interned at registration: every actor gets a dense `u32`
+//! index, and the actor slots (trait object, region, CPU profile, busy-until)
+//! live in a flat `Vec` indexed by it.  Events carry the resolved index, so
+//! delivering a message or firing a timer costs an array access instead of a
+//! hash-map probe; the only `Addr` hash left on the hot path is the single
+//! recipient lookup when a send is scheduled.  Payloads travel in
+//! reference-counted [`Envelope`]s with memoized wire metadata (see
+//! [`crate::envelope`]), and timer lifecycle is tracked by a
+//! generation-checked slab (see [`crate::timer`]) so cancels are O(1) and
+//! nothing accumulates over long runs.
 
 use crate::addr::Addr;
 use crate::cpu::{CpuProfile, MessageMeta};
 use crate::envelope::Envelope;
-use crate::event::TimerId;
-use crate::fault::{FaultPlan, FaultSchedule};
+use crate::event::{EventKind, EventQueue, TimerId};
+use crate::fault::{FaultEvent, FaultPlan, FaultSchedule, SpikeState};
 use crate::latency::LatencyMatrix;
-use crate::partition::{Partition, RouteEntry, FOREVER};
 use crate::stats::NetStats;
 use crate::timer::TimerSlab;
 use rand::rngs::StdRng;
+use rand::SeedableRng;
+use saguaro_types::hash::FxHashMap;
 use saguaro_types::{Duration, Region, SimTime};
-use std::sync::Arc;
 
 /// A simulated participant.
 ///
@@ -46,14 +61,11 @@ pub trait Actor<M> {
     }
 }
 
-/// The owned actor handle the runtimes store.  `Send` so a deployment can
-/// be driven by the parallel engine's worker threads; every actor in the
-/// workspace is a plain struct (possibly holding `Arc`s), so the bound is
-/// free.
-pub type BoxedActor<M> = Box<dyn Actor<M> + Send>;
+/// The owned actor handle the simulation stores.
+pub type BoxedActor<M> = Box<dyn Actor<M>>;
 
 /// What an actor asked the runtime to do during a callback.
-pub(crate) enum Action<M> {
+enum Action<M> {
     Send {
         to: Addr,
         env: Envelope<M>,
@@ -88,8 +100,9 @@ impl<'a, M> Context<'a, M> {
         self.self_addr
     }
 
-    /// Deterministic random number generator: the stream of the partition
-    /// hosting this actor (the whole simulation's, on the sequential engine).
+    /// Deterministic random number generator: the simulation's one stream,
+    /// seeded with the run seed and shared by every actor and by the
+    /// network model's loss and latency draws.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
@@ -141,46 +154,71 @@ impl<'a, M> Context<'a, M> {
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.actions.push(Action::CancelTimer { id });
     }
-
-    /// Builds a callback context (the partition core's entry point; not part
-    /// of the public API).
-    pub(crate) fn enter(
-        now: SimTime,
-        self_addr: Addr,
-        rng: &'a mut StdRng,
-        timers: &'a mut TimerSlab,
-    ) -> Self {
-        Self {
-            now,
-            self_addr,
-            rng,
-            timers,
-            actions: Vec::new(),
-        }
-    }
-
-    /// Consumes the context, yielding the actions the actor queued.
-    pub(crate) fn into_actions(self) -> Vec<Action<M>> {
-        self.actions
-    }
 }
 
-/// The sequential simulation runtime: one partition, drained in order.
+/// A bound no event time exceeds: draining up to it drains everything.
+const FOREVER: SimTime = SimTime::from_micros(u64::MAX);
+
+/// Where an address lives: its dense slot index and its region (resolved at
+/// send time without touching the slot).
+#[derive(Clone, Copy)]
+struct RouteEntry {
+    local: u32,
+    region: Region,
+}
+
+struct ActorSlot<M> {
+    actor: Option<BoxedActor<M>>,
+    region: Region,
+    cpu: CpuProfile,
+    /// The node is busy processing earlier messages until this instant.
+    busy_until: SimTime,
+}
+
+/// The simulation runtime; see the module docs.
 pub struct Simulation<M> {
-    part: Partition<M>,
+    slots: Vec<ActorSlot<M>>,
+    queue: EventQueue<M>,
+    rng: StdRng,
+    timers: TimerSlab,
+    faults: FaultPlan,
+    /// The scripted schedule, applied against the clock.
+    schedule: FaultSchedule,
+    /// Index of the next unapplied schedule entry.
+    schedule_pos: usize,
+    /// Live extra-delay state while [`FaultEvent::DelaySpike`]s are active.
+    spikes: SpikeState,
+    stats: NetStats,
+    now: SimTime,
+    routing: FxHashMap<Addr, RouteEntry>,
+    latency: LatencyMatrix,
 }
 
-impl<M: MessageMeta + Clone + 'static> Simulation<M> {
+impl<M> Simulation<M> {
     /// Creates a simulation with the given latency model and RNG seed.
     pub fn new(latency: LatencyMatrix, seed: u64) -> Self {
         Self {
-            part: Partition::new(0, seed, Arc::new(latency)),
+            slots: Vec::new(),
+            queue: EventQueue::default(),
+            rng: StdRng::seed_from_u64(seed),
+            timers: TimerSlab::default(),
+            faults: FaultPlan::none(),
+            schedule: FaultSchedule::none(),
+            schedule_pos: 0,
+            spikes: SpikeState::none(),
+            stats: NetStats::default(),
+            now: SimTime::ZERO,
+            routing: FxHashMap::default(),
+            latency,
         }
     }
+}
 
+impl<M: MessageMeta + Clone + 'static> Simulation<M> {
     /// Registers an actor at `addr`, placed in `region`, with CPU profile
     /// `cpu`.  Re-registering an address replaces the previous actor (the
-    /// address keeps its interned index and accumulated statistics).
+    /// address keeps its interned index and accumulated statistics, so
+    /// in-flight events still resolve).
     pub fn register(
         &mut self,
         addr: impl Into<Addr>,
@@ -189,41 +227,50 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
         actor: BoxedActor<M>,
     ) {
         let addr = addr.into();
-        let known = self.part.routing.get(&addr).map(|e| e.local);
-        let local = self.part.install(known, addr, region, cpu, actor);
-        let entry = RouteEntry {
-            part: 0,
-            local,
+        let slot = ActorSlot {
+            actor: Some(actor),
             region,
+            cpu,
+            busy_until: SimTime::ZERO,
         };
-        // Sole owner of the table: `make_mut` edits it in place.
-        Arc::make_mut(&mut self.part.routing).insert(addr, entry);
+        let local = match self.routing.get(&addr).copied() {
+            Some(known) => {
+                self.slots[known.local as usize] = slot;
+                known.local
+            }
+            None => {
+                self.slots.push(slot);
+                self.stats.register(addr);
+                self.slots.len() as u32 - 1
+            }
+        };
+        self.routing.insert(addr, RouteEntry { local, region });
     }
 
     /// Number of registered actors.
     pub fn actor_count(&self) -> usize {
-        self.part.routing.len()
+        self.routing.len()
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.part.now
+        self.now
     }
 
     /// Immutable access to the collected statistics.
     pub fn stats(&self) -> &NetStats {
-        &self.part.stats
+        &self.stats
     }
 
     /// Mutable access to the fault plan (crash nodes, partition links, set
     /// drop probability).
     pub fn faults_mut(&mut self) -> &mut FaultPlan {
-        &mut self.part.faults
+        &mut self.faults
     }
 
     /// Read access to the current fault state.
     pub fn faults(&self) -> &FaultPlan {
-        &self.part.faults
+        &self.faults
     }
 
     /// Installs a scripted fault schedule.  Events are applied in time order
@@ -232,39 +279,56 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
     /// is processed (a crash at the same instant as a delivery wins).  An
     /// empty schedule leaves the run bit-identical to a failure-free one.
     pub fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        self.part.set_fault_schedule(schedule);
+        self.schedule = schedule;
+        self.schedule_pos = 0;
     }
 
     /// The latency matrix in use.
     pub fn latency(&self) -> &LatencyMatrix {
-        &self.part.latency
+        &self.latency
     }
 
     /// Number of timers currently pending (set but neither fired nor
     /// cancelled).
     pub fn live_timers(&self) -> usize {
-        self.part.timers.live()
+        self.timers.live()
     }
 
     /// Injects a message from the outside world (the experiment harness) as
     /// if `from` had sent it; it is delivered to `to` after normal network
-    /// latency and CPU service time.
+    /// latency and CPU service time.  It takes the path an actor's send
+    /// takes, so loss, spikes and equivocation apply too.
     pub fn inject(&mut self, from: impl Into<Addr>, to: impl Into<Addr>, msg: M) {
-        self.part.inject(self.part.now, from.into(), to.into(), msg);
+        let from = from.into();
+        let from_region = self.routing.get(&from).map_or(Region::LOCAL, |e| e.region);
+        self.schedule_send(from, from_region, self.now, to.into(), Envelope::new(msg));
     }
 
-    /// Injects a message that is delivered at an absolute virtual time
-    /// (used by the harness to start clients at staggered offsets).
+    /// Injects a message that is delivered at an absolute virtual time,
+    /// past the network model and the fault plan (used by the harness to
+    /// start clients at staggered offsets).
     pub fn inject_at(&mut self, at: SimTime, from: impl Into<Addr>, to: impl Into<Addr>, msg: M) {
-        let at = at.max(self.part.now);
-        self.part.inject_at(at, from.into(), to.into(), msg);
+        let to = to.into();
+        self.stats.on_send();
+        let kind = EventKind::Deliver {
+            from: from.into(),
+            to,
+            to_idx: self.local_of(to),
+            env: Envelope::new(msg),
+        };
+        self.queue.push(at.max(self.now), kind);
     }
 
     /// Runs until the event queue is empty or `deadline` is reached,
     /// whichever comes first.  Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let processed = self.part.drain(deadline, u64::MAX);
-        self.part.advance_to(deadline);
+        let processed = self.drain(deadline, u64::MAX);
+        // The clock has reached the deadline: scripted faults up to it have
+        // happened even if no queue event was left to trigger them.
+        self.now = self.now.max(deadline);
+        if self.schedule_pos < self.schedule.len() {
+            self.apply_faults_until(deadline);
+        }
         processed
     }
 
@@ -272,12 +336,12 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
     /// `max_events` guards against protocol bugs that generate unbounded
     /// message storms.
     pub fn run_to_completion(&mut self, max_events: u64) -> u64 {
-        self.part.drain(FOREVER, max_events)
+        self.drain(FOREVER, max_events)
     }
 
     /// Processes a single event, if any.
     pub fn step(&mut self) -> bool {
-        self.part.drain(FOREVER, 1) == 1
+        self.drain(FOREVER, 1) == 1
     }
 
     /// Gives the harness temporary access to a registered actor, e.g. to read
@@ -288,124 +352,256 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
         addr: impl Into<Addr>,
         f: impl FnOnce(&mut dyn Actor<M>) -> R,
     ) -> Option<R> {
-        let local = self.part.routing.get(&addr.into())?.local;
-        let actor = self.part.actor_slot(local).as_mut()?;
+        let local = self.local_of(addr.into())?;
+        let actor = self.slots[local as usize].actor.as_mut()?;
         Some(f(actor.as_mut()))
     }
 
     /// Removes an actor and returns it (used by harnesses that downcast to a
     /// concrete type to extract results).
     pub fn take_actor(&mut self, addr: impl Into<Addr>) -> Option<BoxedActor<M>> {
-        let local = self.part.routing.get(&addr.into())?.local;
-        self.part.actor_slot(local).take()
+        let local = self.local_of(addr.into())?;
+        self.slots[local as usize].actor.take()
     }
 
     /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
-        self.part.pending()
+        self.queue.len()
     }
-}
 
-/// The runtime surface shared by the two façades over the partition core:
-/// the sequential [`Simulation`] and the conservative-parallel
-/// [`crate::psim::ParallelSimulation`].
-///
-/// Deployment and harness code written against this trait (statically
-/// dispatched — the trait is deliberately not object-safe) runs unchanged on
-/// either engine; an `EngineMode` switch picks the concrete type.
-pub trait SimRuntime<M: MessageMeta + Clone + 'static> {
-    /// Registers an actor at `addr`, placed in `region`, with CPU profile
-    /// `cpu`.  Re-registering an address replaces the previous actor.
-    fn register(
+    /// The event loop: processes events in `(time, seq)` order while the head
+    /// is at or before `last` and fewer than `budget` have run.  Returns
+    /// events processed.
+    fn drain(&mut self, last: SimTime, budget: u64) -> u64 {
+        let mut n = 0;
+        while n < budget {
+            let Some(t) = self.queue.peek_time().filter(|t| *t <= last) else {
+                break;
+            };
+            // Scripted faults scheduled at or before the event's time apply
+            // first (a single bounds check when no schedule is set).
+            if self.schedule_pos < self.schedule.len() {
+                self.apply_faults_until(t);
+            }
+            // High-water mark of the queue, tracked per event so every
+            // driver reports it.
+            let pending = self.queue.len() as u64;
+            if pending > self.stats.peak_pending_events {
+                self.stats.peak_pending_events = pending;
+            }
+            let (time, kind) = self.queue.pop().expect("peeked event present");
+            self.now = time;
+            match kind {
+                EventKind::Deliver {
+                    from,
+                    to,
+                    to_idx,
+                    env,
+                } => self.deliver(from, to, to_idx, env),
+                EventKind::Timer {
+                    owner,
+                    owner_idx,
+                    id,
+                    msg,
+                } => self.fire_timer(owner, owner_idx, id, msg),
+            }
+            n += 1;
+        }
+        n
+    }
+
+    /// The slot of `addr`, if registered.
+    fn local_of(&self, addr: Addr) -> Option<u32> {
+        self.routing.get(&addr).map(|e| e.local)
+    }
+
+    /// Applies every scheduled fault event with time `≤ t`.
+    fn apply_faults_until(&mut self, t: SimTime) {
+        while let Some((at, event)) = self.schedule.events().get(self.schedule_pos) {
+            if *at > t {
+                break;
+            }
+            let (at, event) = (*at, event.clone());
+            self.schedule_pos += 1;
+            match event {
+                FaultEvent::CrashActor(a) => {
+                    self.faults.crash(a);
+                    // Freeze the crashed node's busy window: queued work it
+                    // had not yet performed must neither delay
+                    // post-recovery deliveries nor count as busy time.
+                    if let Some(idx) = self.local_of(a) {
+                        let slot = &mut self.slots[idx as usize];
+                        if slot.busy_until > at {
+                            self.stats.trim_busy(idx, slot.busy_until - at);
+                            slot.busy_until = at;
+                        }
+                    }
+                }
+                FaultEvent::RecoverActor(a) => self.faults.restart(a),
+                FaultEvent::PartitionLink(a, b) => self.faults.partition(a, b),
+                FaultEvent::HealLink(a, b) => self.faults.heal(a, b),
+                FaultEvent::PartitionDomain(d) => self.faults.sever_domain(d),
+                FaultEvent::HealDomain(d) => self.faults.rejoin_domain(d),
+                FaultEvent::DelaySpike { scope, extra } => self.spikes.apply(&scope, extra),
+                FaultEvent::Equivocate(a) => self.faults.equivocate(a),
+                FaultEvent::StopEquivocate(a) => self.faults.stop_equivocate(a),
+            }
+        }
+    }
+
+    fn deliver(&mut self, from: Addr, to: Addr, to_idx: Option<u32>, env: Envelope<M>) {
+        if self.faults.is_crashed(to) {
+            self.stats.on_drop();
+            return;
+        }
+        // The index was resolved at schedule time; fall back to the routing
+        // table only for recipients registered after the send.
+        let Some(idx) = to_idx.or_else(|| self.local_of(to)) else {
+            self.stats.on_drop();
+            return;
+        };
+        let slot = &mut self.slots[idx as usize];
+        // FIFO single-server queueing: processing starts when the node is
+        // free, completes after the service time; the callback observes the
+        // completion time.
+        let service = slot.cpu.service_time(env.wire_bytes(), env.signatures());
+        let done = slot.busy_until.max(self.now) + service;
+        slot.busy_until = done;
+        self.stats
+            .on_deliver(idx, env.wire_bytes(), service, env.is_state_transfer());
+
+        let mut actor = slot.actor.take().expect("actor present outside callback");
+        let mut ctx = Context {
+            now: done,
+            self_addr: to,
+            rng: &mut self.rng,
+            timers: &mut self.timers,
+            actions: Vec::new(),
+        };
+        actor.on_message(from, env.into_payload(), &mut ctx);
+        let actions = ctx.actions;
+        self.slots[idx as usize].actor = Some(actor);
+        self.apply_actions(to, idx, done, actions);
+    }
+
+    fn fire_timer(&mut self, owner: Addr, owner_idx: u32, id: TimerId, msg: M) {
+        if !self.timers.retire(id) {
+            // Cancelled (or stale) — never delivered.
+            return;
+        }
+        if self.faults.is_crashed(owner) {
+            return;
+        }
+        let Some(mut actor) = self.slots[owner_idx as usize].actor.take() else {
+            return;
+        };
+        self.stats.on_timer();
+        let mut ctx = Context {
+            now: self.now,
+            self_addr: owner,
+            rng: &mut self.rng,
+            timers: &mut self.timers,
+            actions: Vec::new(),
+        };
+        actor.on_timer(id, msg, &mut ctx);
+        let actions = ctx.actions;
+        self.slots[owner_idx as usize].actor = Some(actor);
+        self.apply_actions(owner, owner_idx, self.now, actions);
+    }
+
+    /// Carries out what `origin` asked for in a callback that completed at
+    /// `at`.
+    fn apply_actions(
         &mut self,
-        addr: impl Into<Addr>,
-        region: Region,
-        cpu: CpuProfile,
-        actor: BoxedActor<M>,
-    );
-
-    /// Injects a message from the outside world as if `from` had sent it.
-    fn inject(&mut self, from: impl Into<Addr>, to: impl Into<Addr>, msg: M);
-
-    /// Injects a message delivered at an absolute virtual time.
-    fn inject_at(&mut self, at: SimTime, from: impl Into<Addr>, to: impl Into<Addr>, msg: M);
-
-    /// Installs a scripted fault schedule.
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule);
-
-    /// Runs until the queue drains or `deadline` is reached; returns the
-    /// number of events processed.
-    fn run_until(&mut self, deadline: SimTime) -> u64;
-
-    /// The collected network-wide statistics.
-    fn stats(&self) -> &NetStats;
-
-    /// Temporary access to a registered actor (post-run harvesting).
-    fn with_actor<R>(
-        &mut self,
-        addr: impl Into<Addr>,
-        f: impl FnOnce(&mut dyn Actor<M>) -> R,
-    ) -> Option<R>;
-
-    /// Number of registered actors.
-    fn actor_count(&self) -> usize;
-
-    /// Number of events still pending.
-    fn pending_events(&self) -> usize;
-}
-
-impl<M: MessageMeta + Clone + 'static> SimRuntime<M> for Simulation<M> {
-    fn register(
-        &mut self,
-        addr: impl Into<Addr>,
-        region: Region,
-        cpu: CpuProfile,
-        actor: BoxedActor<M>,
+        origin: Addr,
+        origin_idx: u32,
+        at: SimTime,
+        actions: Vec<Action<M>>,
     ) {
-        Simulation::register(self, addr, region, cpu, actor);
+        let origin_region = self.slots[origin_idx as usize].region;
+        for action in actions {
+            match action {
+                Action::Send { to, env } => {
+                    // Sending also costs the origin a little CPU, folded into
+                    // busy_until so a node multicast-storm shows up as load.
+                    let slot = &mut self.slots[origin_idx as usize];
+                    let t = slot.cpu.send_time();
+                    slot.busy_until = slot.busy_until.max(at) + t;
+                    self.schedule_send(origin, origin_region, at, to, env);
+                }
+                Action::SetTimer { id, delay, msg } => {
+                    let kind = EventKind::Timer {
+                        owner: origin,
+                        owner_idx: origin_idx,
+                        id,
+                        msg,
+                    };
+                    self.queue.push(at + delay, kind);
+                }
+                Action::CancelTimer { id } => {
+                    self.timers.retire(id);
+                }
+            }
+        }
     }
 
-    fn inject(&mut self, from: impl Into<Addr>, to: impl Into<Addr>, msg: M) {
-        Simulation::inject(self, from, to, msg);
-    }
-
-    fn inject_at(&mut self, at: SimTime, from: impl Into<Addr>, to: impl Into<Addr>, msg: M) {
-        Simulation::inject_at(self, at, from, to, msg);
-    }
-
-    fn set_fault_schedule(&mut self, schedule: FaultSchedule) {
-        Simulation::set_fault_schedule(self, schedule);
-    }
-
-    fn run_until(&mut self, deadline: SimTime) -> u64 {
-        Simulation::run_until(self, deadline)
-    }
-
-    fn stats(&self) -> &NetStats {
-        Simulation::stats(self)
-    }
-
-    fn with_actor<R>(
+    fn schedule_send(
         &mut self,
-        addr: impl Into<Addr>,
-        f: impl FnOnce(&mut dyn Actor<M>) -> R,
-    ) -> Option<R> {
-        Simulation::with_actor(self, addr, f)
+        from: Addr,
+        from_region: Region,
+        at: SimTime,
+        to: Addr,
+        env: Envelope<M>,
+    ) {
+        // A Byzantine-equivocating sender also emits a conflicting twin of
+        // every message that has a meaningful equivocation (e.g. a PBFT
+        // pre-prepare with a mutated block).  The twin goes through the
+        // normal scheduling path, so it draws its own latency and can
+        // overtake the original at some recipients.
+        if self.faults.is_equivocating(from) {
+            if let Some(twin) = env.payload().tampered() {
+                self.schedule_send_inner(from, from_region, at, to, Envelope::new(twin));
+            }
+        }
+        self.schedule_send_inner(from, from_region, at, to, env);
     }
 
-    fn actor_count(&self) -> usize {
-        Simulation::actor_count(self)
-    }
-
-    fn pending_events(&self) -> usize {
-        Simulation::pending_events(self)
+    fn schedule_send_inner(
+        &mut self,
+        from: Addr,
+        from_region: Region,
+        at: SimTime,
+        to: Addr,
+        env: Envelope<M>,
+    ) {
+        self.stats.on_send();
+        if self.faults.should_drop(from, to, &mut self.rng) {
+            self.stats.on_drop();
+            return;
+        }
+        // Unknown destinations count as a drop at delivery unless someone
+        // registers there first.
+        let (to_idx, to_region) = match self.routing.get(&to) {
+            Some(e) => (Some(e.local), e.region),
+            None => (None, Region::LOCAL),
+        };
+        let delay = self
+            .latency
+            .one_way(from_region, to_region, env.wire_bytes(), &mut self.rng)
+            + self.spikes.extra_for(from, to);
+        let kind = EventKind::Deliver {
+            from,
+            to,
+            to_idx,
+            env,
+        };
+        self.queue.push(at + delay, kind);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::psim::ParallelSimulation;
     use saguaro_types::ClientId;
 
     /// Minimal ping-pong message for runtime tests.
@@ -463,18 +659,14 @@ mod tests {
     /// Past the last event of every test below.
     const END: SimTime = SimTime::from_millis(1_000);
 
-    /// Jitter-free, so arrival times do not depend on which partition's
-    /// stream a send drew from and one set of assertions fits every engine.
-    fn quiet() -> LatencyMatrix {
-        LatencyMatrix::nearby_regions().with_jitter(0.0)
-    }
-
-    fn local() -> LatencyMatrix {
-        LatencyMatrix::single_region().with_jitter(0.0)
-    }
-
+    /// Jitter-free, so arrival times can be asserted exactly.
     fn sim() -> Simulation<TestMsg> {
-        Simulation::new(quiet(), 1)
+        Simulation::new(LatencyMatrix::nearby_regions().with_jitter(0.0), 1)
+    }
+
+    /// One region, jitter-free.
+    fn local() -> Simulation<TestMsg> {
+        Simulation::new(LatencyMatrix::single_region().with_jitter(0.0), 3)
     }
 
     /// One millisecond per message, nothing else.
@@ -487,13 +679,13 @@ mod tests {
         }
     }
 
-    fn ping_pong(s: &mut impl SimRuntime<TestMsg>, i: u64, region: u8) {
+    fn ping_pong(s: &mut Simulation<TestMsg>, i: u64, region: u8) {
         let actor = Box::new(PingPong::default());
         s.register(addr(i), Region(region), CpuProfile::client(), actor);
     }
 
     /// When each message reached the `PingPong` at `addr(i)`.
-    fn arrivals(s: &mut impl SimRuntime<TestMsg>, i: u64) -> Vec<SimTime> {
+    fn arrivals(s: &mut Simulation<TestMsg>, i: u64) -> Vec<SimTime> {
         s.with_actor(addr(i), |a| {
             let any = a.as_any().expect("inspectable");
             any.downcast_mut::<PingPong>()
@@ -504,41 +696,18 @@ mod tests {
         .expect("registered")
     }
 
-    /// The conformance harness: runs `case(engine, partitions)` on the
-    /// parallel engine with one partition and with two (clients split by
-    /// parity) on 1 and 4 workers, then on the sequential engine, which it
-    /// evaluates to so a test can go on to check what only that one exposes.
-    macro_rules! on_every_engine {
-        ($latency:expr, $seed:expr, $case:path) => {{
-            for (partitions, workers) in [(1u64, 1), (2, 1), (2, 4)] {
-                let route = move |a| match a {
-                    Addr::Client(c) => (c.0 % partitions) as u32,
-                    Addr::Node(_) => 0,
-                };
-                let mut par =
-                    ParallelSimulation::new($latency, $seed, partitions as usize, workers, route);
-                $case(&mut par, partitions);
-            }
-            let mut seq = Simulation::new($latency, $seed);
-            $case(&mut seq, 1);
-            seq
-        }};
-    }
-
     #[test]
     fn ping_pong_round_trip_takes_one_rtt_plus_service() {
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            ping_pong(s, 0, 0);
-            ping_pong(s, 1, 2);
-            s.inject(addr(0), addr(1), TestMsg::Ping(7));
-            s.run_until(END);
-            assert_eq!(s.stats().messages_delivered, 2);
-            // FR -> LDN one-way is 8.5 ms; the pong is back after ≥ 17 ms.
-            let back = arrivals(s, 0)[0];
-            assert!(back >= SimTime::from_micros(17_000), "{back:?}");
-            assert!(back < SimTime::from_micros(19_000), "{back:?}");
-        }
-        on_every_engine!(quiet(), 1, case);
+        let mut s = sim();
+        ping_pong(&mut s, 0, 0);
+        ping_pong(&mut s, 1, 2);
+        s.inject(addr(0), addr(1), TestMsg::Ping(7));
+        s.run_until(END);
+        assert_eq!(s.stats().messages_delivered, 2);
+        // FR -> LDN one-way is 8.5 ms; the pong is back after ≥ 17 ms.
+        let back = arrivals(&mut s, 0)[0];
+        assert!(back >= SimTime::from_micros(17_000), "{back:?}");
+        assert!(back < SimTime::from_micros(19_000), "{back:?}");
     }
 
     #[test]
@@ -554,15 +723,17 @@ mod tests {
                 assert!(matches!(msg, TestMsg::Tick), "cancelled timer fired");
             }
         }
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            let actor = Box::new(TimerSetter);
-            s.register(addr(0), Region(0), CpuProfile::client(), actor);
-            s.inject(addr(1), addr(0), TestMsg::Tick);
-            s.run_until(END);
-            assert_eq!(s.stats().timers_fired, 1);
-        }
-        let seq = on_every_engine!(quiet(), 1, case);
-        assert_eq!(seq.live_timers(), 0, "fired + cancelled timers both retire");
+        let mut s = sim();
+        s.register(
+            addr(0),
+            Region(0),
+            CpuProfile::client(),
+            Box::new(TimerSetter),
+        );
+        s.inject(addr(1), addr(0), TestMsg::Tick);
+        s.run_until(END);
+        assert_eq!(s.stats().timers_fired, 1);
+        assert_eq!(s.live_timers(), 0, "fired + cancelled timers both retire");
     }
 
     #[test]
@@ -579,79 +750,60 @@ mod tests {
 
     #[test]
     fn unknown_recipient_counts_as_drop() {
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            ping_pong(s, 0, 0);
-            s.inject(addr(0), addr(9), TestMsg::Ping(1));
-            s.run_until(END);
-            assert_eq!(s.stats().messages_delivered, 0);
-            assert_eq!(s.stats().messages_dropped, 1);
-        }
-        on_every_engine!(quiet(), 1, case);
+        let mut s = sim();
+        ping_pong(&mut s, 0, 0);
+        s.inject(addr(0), addr(9), TestMsg::Ping(1));
+        s.run_until(END);
+        assert_eq!(s.stats().messages_delivered, 0);
+        assert_eq!(s.stats().messages_dropped, 1);
     }
 
     #[test]
     fn recipient_registered_after_send_still_receives() {
-        fn case(s: &mut impl SimRuntime<TestMsg>, partitions: u64) {
-            // The cached index is a hint, not a requirement: an actor
-            // registered between schedule and delivery is resolved the cold
-            // way.
-            ping_pong(s, 0, 0);
-            s.inject(addr(0), addr(4), TestMsg::Ping(1));
-            ping_pong(s, 4, 0);
-            s.run_until(END);
-            assert_eq!(s.stats().messages_delivered, 2, "ping + pong");
-            // Unless the latecomer routes to *another* partition: a send to
-            // an unknown address is queued where the sender lives, and an
-            // event cannot change partitions inside a planned window, so the
-            // window protocol defines this one as a drop.
-            s.inject(addr(0), addr(5), TestMsg::Ping(2));
-            ping_pong(s, 5, 0);
-            s.run_until(ms(2_000));
-            let (delivered, dropped) = if partitions == 1 { (4, 0) } else { (2, 1) };
-            assert_eq!(s.stats().messages_delivered, delivered);
-            assert_eq!(s.stats().messages_dropped, dropped);
-        }
-        on_every_engine!(quiet(), 1, case);
+        // The cached index is a hint, not a requirement: an actor registered
+        // between schedule and delivery is resolved the cold way.
+        let mut s = sim();
+        ping_pong(&mut s, 0, 0);
+        s.inject(addr(0), addr(4), TestMsg::Ping(1));
+        ping_pong(&mut s, 4, 0);
+        s.run_until(END);
+        assert_eq!(s.stats().messages_delivered, 2, "ping + pong");
+        assert_eq!(s.stats().messages_dropped, 0);
     }
 
     #[test]
     fn re_registration_replaces_the_actor_and_keeps_the_index() {
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            ping_pong(s, 0, 0);
-            ping_pong(s, 1, 0);
-            s.inject(addr(1), addr(0), TestMsg::Tick);
-            s.run_until(ms(10));
-            assert_eq!(s.stats().messages_delivered, 1);
-            // Replace the actor behind addr(0); the address keeps its
-            // interned slot and its accumulated statistics.
-            ping_pong(s, 0, 0);
-            assert_eq!(s.actor_count(), 2, "re-registration must not grow tables");
-            s.inject(addr(1), addr(0), TestMsg::Tick);
-            s.run_until(ms(20));
-            assert_eq!(s.stats().messages_delivered, 2);
-            assert_eq!(arrivals(s, 0).len(), 1, "the replacement saw one");
-        }
-        on_every_engine!(quiet(), 1, case);
+        let mut s = sim();
+        ping_pong(&mut s, 0, 0);
+        ping_pong(&mut s, 1, 0);
+        s.inject(addr(1), addr(0), TestMsg::Tick);
+        s.run_until(ms(10));
+        assert_eq!(s.stats().messages_delivered, 1);
+        // Replace the actor behind addr(0); the address keeps its interned
+        // slot and its accumulated statistics.
+        ping_pong(&mut s, 0, 0);
+        assert_eq!(s.actor_count(), 2, "re-registration must not grow tables");
+        s.inject(addr(1), addr(0), TestMsg::Tick);
+        s.run_until(ms(20));
+        assert_eq!(s.stats().messages_delivered, 2);
+        assert_eq!(arrivals(&mut s, 0).len(), 1, "the replacement saw one");
     }
 
     #[test]
     fn fifo_queueing_serialises_busy_node() {
         // A server with a large per-message cost receives 10 messages at the
         // same instant; the last delivery must observe 10x the service time.
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            let sink = Box::new(PingPong::default());
-            s.register(addr(0), Region(0), slow(), sink);
-            for i in 0..10 {
-                s.inject_at(SimTime::ZERO, addr(1), addr(0), TestMsg::Pong(i));
-            }
-            s.run_until(END);
-            // All ten were delivered and the node accumulated 10 x 1 ms of
-            // work; the last callback observed the queueing delay.
-            assert_eq!(s.stats().messages_delivered, 10);
-            assert_eq!(s.stats().busy_time(addr(0)), Duration::from_millis(10));
-            assert_eq!(arrivals(s, 0).last(), Some(&ms(10)));
+        let mut s = local();
+        s.register(addr(0), Region(0), slow(), Box::new(PingPong::default()));
+        for i in 0..10 {
+            s.inject_at(SimTime::ZERO, addr(1), addr(0), TestMsg::Pong(i));
         }
-        on_every_engine!(local(), 3, case);
+        s.run_until(END);
+        // All ten were delivered and the node accumulated 10 x 1 ms of work;
+        // the last callback observed the queueing delay.
+        assert_eq!(s.stats().messages_delivered, 10);
+        assert_eq!(s.stats().busy_time(addr(0)), Duration::from_millis(10));
+        assert_eq!(arrivals(&mut s, 0).last(), Some(&ms(10)));
     }
 
     #[test]
@@ -738,8 +890,8 @@ mod tests {
     }
 
     #[test]
-    fn messages_need_not_be_send() {
-        // The sequential engine puts no thread-safety bound on `M`.
+    fn messages_and_actors_need_not_be_send() {
+        // The engine puts no thread-safety bound on `M` or on the actors.
         #[derive(Clone)]
         struct Local(std::rc::Rc<u32>);
         impl MessageMeta for Local {
@@ -747,17 +899,20 @@ mod tests {
                 8
             }
         }
-        struct Sum(u32);
+        struct Sum(std::rc::Rc<std::cell::Cell<u32>>);
         impl Actor<Local> for Sum {
             fn on_message(&mut self, _from: Addr, msg: Local, _ctx: &mut Context<'_, Local>) {
-                self.0 += *msg.0;
+                self.0.set(self.0.get() + *msg.0);
             }
             fn on_timer(&mut self, _id: TimerId, _msg: Local, _ctx: &mut Context<'_, Local>) {}
         }
-        let mut s = Simulation::new(quiet(), 1);
-        s.register(addr(0), Region(0), CpuProfile::client(), Box::new(Sum(0)));
+        let total = std::rc::Rc::default();
+        let mut s = Simulation::new(LatencyMatrix::single_region(), 1);
+        let sum = Box::new(Sum(std::rc::Rc::clone(&total)));
+        s.register(addr(0), Region(0), CpuProfile::client(), sum);
         s.inject(addr(1), addr(0), Local(std::rc::Rc::new(5)));
         assert_eq!(s.run_to_completion(10), 1);
+        assert_eq!(total.get(), 5);
     }
 
     #[test]
@@ -785,44 +940,40 @@ mod tests {
                 }
             }
         }
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            let actor = Box::new(Reuser {
-                first: None,
-                fired: 0,
-            });
-            s.register(addr(0), Region(0), CpuProfile::client(), actor);
-            s.inject(addr(1), addr(0), TestMsg::Tick);
-            s.run_until(END);
-            assert_eq!(s.stats().timers_fired, 2, "recycled timer must still fire");
-        }
-        let seq = on_every_engine!(quiet(), 1, case);
-        assert_eq!(seq.live_timers(), 0);
+        let mut s = sim();
+        let actor = Box::new(Reuser {
+            first: None,
+            fired: 0,
+        });
+        s.register(addr(0), Region(0), CpuProfile::client(), actor);
+        s.inject(addr(1), addr(0), TestMsg::Tick);
+        s.run_until(END);
+        assert_eq!(s.stats().timers_fired, 2, "recycled timer must still fire");
+        assert_eq!(s.live_timers(), 0);
     }
 
     #[test]
     fn scheduled_crash_and_recovery_gate_deliveries() {
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            ping_pong(s, 0, 0);
-            ping_pong(s, 1, 0);
-            // Crash the receiver at 5 ms, recover it at 15 ms.
-            s.set_fault_schedule(
-                FaultSchedule::none()
-                    .crash_at(ms(5), ClientId(1))
-                    .recover_at(ms(15), ClientId(1)),
-            );
-            // Delivered at ~0: before the crash — goes through (plus its
-            // pong).  At 10 ms: while crashed — dropped.  At 20 ms: after
-            // recovery — goes through again.
-            for (i, at) in [0, 10, 20].into_iter().enumerate() {
-                s.inject_at(ms(at), addr(0), addr(1), TestMsg::Ping(i as u32));
-            }
-            s.run_until(END);
-            // Pings 0 and 2 delivered and answered; ping 1 dropped.
-            assert_eq!(s.stats().messages_delivered, 4);
-            assert_eq!(s.stats().messages_dropped, 1);
+        let mut s = sim();
+        ping_pong(&mut s, 0, 0);
+        ping_pong(&mut s, 1, 0);
+        // Crash the receiver at 5 ms, recover it at 15 ms.
+        s.set_fault_schedule(
+            FaultSchedule::none()
+                .crash_at(ms(5), ClientId(1))
+                .recover_at(ms(15), ClientId(1)),
+        );
+        // Delivered at ~0: before the crash — goes through (plus its pong).
+        // At 10 ms: while crashed — dropped.  At 20 ms: after recovery —
+        // goes through again.
+        for (i, at) in [0, 10, 20].into_iter().enumerate() {
+            s.inject_at(ms(at), addr(0), addr(1), TestMsg::Ping(i as u32));
         }
-        let seq = on_every_engine!(quiet(), 1, case);
-        assert!(!seq.faults().is_crashed(addr(1)));
+        s.run_until(END);
+        // Pings 0 and 2 delivered and answered; ping 1 dropped.
+        assert_eq!(s.stats().messages_delivered, 4);
+        assert_eq!(s.stats().messages_dropped, 1);
+        assert!(!s.faults().is_crashed(addr(1)));
     }
 
     #[test]
@@ -831,69 +982,61 @@ mod tests {
         // crashes at 3.5 ms: only the work actually performed before the
         // crash may count as busy time, and post-recovery deliveries must
         // not queue behind the abandoned backlog.
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            let sink = Box::new(PingPong::default());
-            s.register(addr(0), Region(0), slow(), sink);
-            for i in 0..10 {
-                s.inject_at(SimTime::ZERO, addr(1), addr(0), TestMsg::Pong(i));
-            }
-            let crash_at = SimTime::from_micros(3_500);
-            s.set_fault_schedule(FaultSchedule::none().crash_at(crash_at, ClientId(0)));
-            s.run_until(ms(50));
-            // All ten were "delivered" at t=0 (service charged up front), but
-            // the crash at 3.5 ms hands back the 6.5 ms of unperformed work.
-            assert_eq!(s.stats().busy_time(addr(0)), Duration::from_micros(3_500));
+        let mut s = local();
+        s.register(addr(0), Region(0), slow(), Box::new(PingPong::default()));
+        for i in 0..10 {
+            s.inject_at(SimTime::ZERO, addr(1), addr(0), TestMsg::Pong(i));
         }
-        on_every_engine!(local(), 3, case);
+        let crash_at = SimTime::from_micros(3_500);
+        s.set_fault_schedule(FaultSchedule::none().crash_at(crash_at, ClientId(0)));
+        s.run_until(ms(50));
+        // All ten were "delivered" at t=0 (service charged up front), but
+        // the crash at 3.5 ms hands back the 6.5 ms of unperformed work.
+        assert_eq!(s.stats().busy_time(addr(0)), Duration::from_micros(3_500));
     }
 
     #[test]
     fn scheduled_partition_and_heal_gate_links() {
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            ping_pong(s, 0, 0);
-            ping_pong(s, 1, 0);
-            s.set_fault_schedule(
-                FaultSchedule::none()
-                    .partition_at(SimTime::ZERO, ClientId(0), ClientId(1))
-                    .heal_at(ms(10), ClientId(0), ClientId(1)),
-            );
-            // A ping delivered at 2 ms (inject_at bypasses the link filter,
-            // the actor's pong does not): the pong is dropped by the live
-            // partition.
-            s.inject_at(ms(2), addr(0), addr(1), TestMsg::Ping(0));
-            s.run_until(ms(11));
-            assert_eq!(s.stats().messages_delivered, 1, "pong dropped");
-            assert_eq!(s.stats().messages_dropped, 1);
-            // After healing, a ping round-trips again.
-            s.inject_at(ms(12), addr(0), addr(1), TestMsg::Ping(1));
-            s.run_until(END);
-            assert_eq!(s.stats().messages_delivered, 3, "ping + pong after heal");
-        }
-        on_every_engine!(quiet(), 1, case);
+        let mut s = sim();
+        ping_pong(&mut s, 0, 0);
+        ping_pong(&mut s, 1, 0);
+        s.set_fault_schedule(
+            FaultSchedule::none()
+                .partition_at(SimTime::ZERO, ClientId(0), ClientId(1))
+                .heal_at(ms(10), ClientId(0), ClientId(1)),
+        );
+        // A ping delivered at 2 ms (inject_at bypasses the link filter, the
+        // actor's pong does not): the pong is dropped by the live partition.
+        s.inject_at(ms(2), addr(0), addr(1), TestMsg::Ping(0));
+        s.run_until(ms(11));
+        assert_eq!(s.stats().messages_delivered, 1, "pong dropped");
+        assert_eq!(s.stats().messages_dropped, 1);
+        // After healing, a ping round-trips again.
+        s.inject_at(ms(12), addr(0), addr(1), TestMsg::Ping(1));
+        s.run_until(END);
+        assert_eq!(s.stats().messages_delivered, 3, "ping + pong after heal");
     }
 
     #[test]
     fn delay_spike_slows_messages_then_ends() {
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            ping_pong(s, 0, 0);
-            ping_pong(s, 1, 0);
-            // Spike of +20 ms between 1 ms and 30 ms of virtual time.
-            s.set_fault_schedule(
-                FaultSchedule::none()
-                    .delay_spike_at(ms(1), Duration::from_millis(20))
-                    .delay_spike_at(ms(30), Duration::ZERO),
-            );
-            // The pings are delivered at 2 and 40 ms (inject_at bypasses the
-            // network); the pongs are sent by the actor then.  The first
-            // suffers the spike, the second leaves after it ended.
-            s.inject_at(ms(2), addr(0), addr(1), TestMsg::Ping(0));
-            s.inject_at(ms(40), addr(0), addr(1), TestMsg::Ping(1));
-            s.run_until(END);
-            let back = arrivals(s, 0);
-            assert!(back[0] >= ms(22), "back={back:?}");
-            assert!(back[1] < ms(41), "back={back:?}");
-        }
-        on_every_engine!(local(), 1, case);
+        let mut s = Simulation::new(LatencyMatrix::single_region().with_jitter(0.0), 1);
+        ping_pong(&mut s, 0, 0);
+        ping_pong(&mut s, 1, 0);
+        // Spike of +20 ms between 1 ms and 30 ms of virtual time.
+        s.set_fault_schedule(
+            FaultSchedule::none()
+                .delay_spike_at(ms(1), Duration::from_millis(20))
+                .delay_spike_at(ms(30), Duration::ZERO),
+        );
+        // The pings are delivered at 2 and 40 ms (inject_at bypasses the
+        // network); the pongs are sent by the actor then.  The first suffers
+        // the spike, the second leaves after it ended.
+        s.inject_at(ms(2), addr(0), addr(1), TestMsg::Ping(0));
+        s.inject_at(ms(40), addr(0), addr(1), TestMsg::Ping(1));
+        s.run_until(END);
+        let back = arrivals(&mut s, 0);
+        assert!(back[0] >= ms(22), "back={back:?}");
+        assert!(back[1] < ms(41), "back={back:?}");
     }
 
     #[test]
@@ -907,59 +1050,50 @@ mod tests {
                 ctx.set_timer(Duration::from_millis(2), TestMsg::Tick);
             }
         }
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            // Two self-perpetuating 2 ms timer loops (on different partitions
-            // when there are two); the second dies at its 5 ms crash and the
-            // first is none the wiser.
-            for i in 0..2 {
-                s.register(
-                    addr(i),
-                    Region(0),
-                    CpuProfile::client(),
-                    Box::new(TimerLoop),
-                );
-                s.inject_at(SimTime::ZERO, addr(9), addr(i), TestMsg::Tick);
-            }
-            s.set_fault_schedule(FaultSchedule::none().crash_at(ms(5), ClientId(1)));
-            s.run_until(ms(9));
-            assert_eq!(
-                s.stats().timers_fired,
-                4 + 2,
-                "at 2, 4, 6, 8 and at 2, 4 ms"
+        // Two self-perpetuating 2 ms timer loops; the second dies at its
+        // 5 ms crash and the first is none the wiser.
+        let mut s = sim();
+        for i in 0..2 {
+            s.register(
+                addr(i),
+                Region(0),
+                CpuProfile::client(),
+                Box::new(TimerLoop),
             );
+            s.inject_at(SimTime::ZERO, addr(9), addr(i), TestMsg::Tick);
         }
-        let seq = on_every_engine!(quiet(), 1, case);
+        s.set_fault_schedule(FaultSchedule::none().crash_at(ms(5), ClientId(1)));
+        s.run_until(ms(9));
         assert_eq!(
-            seq.live_timers(),
-            1,
-            "the dead loop's 6 ms timer was retired"
+            s.stats().timers_fired,
+            4 + 2,
+            "at 2, 4, 6, 8 and at 2, 4 ms"
         );
+        assert_eq!(s.live_timers(), 1, "the dead loop's 6 ms timer was retired");
     }
 
     #[test]
     fn equivocating_sender_duplicates_tamperable_messages_only() {
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            ping_pong(s, 0, 0);
-            ping_pong(s, 1, 0);
-            s.set_fault_schedule(
-                FaultSchedule::none()
-                    .equivocate_at(SimTime::ZERO, ClientId(0))
-                    .stop_equivocate_at(ms(50), ClientId(0)),
-            );
-            // Reach t = 0 so the scheduled Equivocate applies before the send.
-            s.run_until(SimTime::ZERO);
-            // A ping from the equivocator gains a conflicting twin; both are
-            // answered, but the pongs (sent by the honest addr(1)) are not
-            // duplicated, and neither are post-stop pings.
-            s.inject(addr(0), addr(1), TestMsg::Ping(1));
-            s.run_until(ms(55));
-            assert_eq!(s.stats().messages_delivered, 4, "2 pings + 2 pongs");
-            s.inject(addr(0), addr(1), TestMsg::Ping(2));
-            s.run_until(END);
-            assert_eq!(s.stats().messages_delivered, 6, "no twin after stop");
-        }
-        let seq = on_every_engine!(quiet(), 1, case);
-        assert!(!seq.faults().is_equivocating(addr(0)));
+        let mut s = sim();
+        ping_pong(&mut s, 0, 0);
+        ping_pong(&mut s, 1, 0);
+        s.set_fault_schedule(
+            FaultSchedule::none()
+                .equivocate_at(SimTime::ZERO, ClientId(0))
+                .stop_equivocate_at(ms(50), ClientId(0)),
+        );
+        // Reach t = 0 so the scheduled Equivocate applies before the send.
+        s.run_until(SimTime::ZERO);
+        // A ping from the equivocator gains a conflicting twin; both are
+        // answered, but the pongs (sent by the honest addr(1)) are not
+        // duplicated, and neither are post-stop pings.
+        s.inject(addr(0), addr(1), TestMsg::Ping(1));
+        s.run_until(ms(55));
+        assert_eq!(s.stats().messages_delivered, 4, "2 pings + 2 pongs");
+        s.inject(addr(0), addr(1), TestMsg::Ping(2));
+        s.run_until(END);
+        assert_eq!(s.stats().messages_delivered, 6, "no twin after stop");
+        assert!(!s.faults().is_equivocating(addr(0)));
     }
 
     #[test]
@@ -1000,17 +1134,15 @@ mod tests {
             }
             fn on_timer(&mut self, _i: TimerId, _m: TestMsg, _c: &mut Context<'_, TestMsg>) {}
         }
-        fn case(s: &mut impl SimRuntime<TestMsg>, _partitions: u64) {
-            s.register(addr(0), Region(0), CpuProfile::server(), Box::new(FanOut));
-            for i in 1..=3 {
-                ping_pong(s, i, 0);
-            }
-            s.inject(addr(9), addr(0), TestMsg::Tick);
-            s.run_until(END);
-            // Kick-off + 3 pings + 3 pongs back to the fan-out actor.
-            assert_eq!(s.stats().messages_delivered, 7);
+        let mut s = sim();
+        s.register(addr(0), Region(0), CpuProfile::server(), Box::new(FanOut));
+        for i in 1..=3 {
+            ping_pong(&mut s, i, 0);
         }
-        on_every_engine!(quiet(), 1, case);
+        s.inject(addr(9), addr(0), TestMsg::Tick);
+        s.run_until(END);
+        // Kick-off + 3 pings + 3 pongs back to the fan-out actor.
+        assert_eq!(s.stats().messages_delivered, 7);
     }
 
     /// A jittery, lossy, fault-scripted run whose every counter and every

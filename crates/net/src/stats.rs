@@ -32,45 +32,12 @@ pub struct NetStats {
     /// memory proxy population sweeps report (a per-client-actor load model
     /// keeps O(clients) events in flight; the aggregate model O(domains)).
     pub peak_pending_events: u64,
-    /// Parallel-engine instrumentation (`None` for sequential runs): event
-    /// counts per partition and window/barrier timings, so window size and
-    /// partition balance are measurable.
-    pub pdes: Option<PdesRunStats>,
     /// Per-node accumulated CPU busy time, indexed by interned actor index.
     busy: Vec<Duration>,
     /// Interned index → address (reporting).
     addrs: Vec<Addr>,
     /// Address → interned index (cold queries).
     index: FxHashMap<Addr, u32>,
-}
-
-/// Instrumentation of one conservative-parallel run: how the event load
-/// spread over partitions and where the wall-clock went.
-///
-/// All virtual-time quantities are deterministic (identical per seed,
-/// whatever the worker count); the two `*_wall_us` fields are wall-clock
-/// measurements and vary run to run.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct PdesRunStats {
-    /// Number of event partitions (1 root/client shard + one per edge
-    /// domain).
-    pub partitions: usize,
-    /// Conservative windows executed.
-    pub windows: u64,
-    /// The lookahead bound (µs) the windows advanced by.
-    pub lookahead_us: u64,
-    /// Events processed by each partition (partition 0 is the root/LCA
-    /// committee + client shard) — the partition-balance signal.
-    pub partition_events: Vec<u64>,
-    /// Cross-partition messages merged through the window mailboxes.
-    pub cross_messages: u64,
-    /// Wall-clock µs the coordinator spent in the serial section of each
-    /// window barrier: draining mailboxes, merging them in deterministic
-    /// order and computing the next window bound.
-    pub merge_wall_us: u64,
-    /// Wall-clock µs the coordinator spent stalled waiting for the slowest
-    /// worker of each window — the imbalance/stall signal.
-    pub barrier_wall_us: u64,
 }
 
 impl NetStats {
@@ -125,34 +92,6 @@ impl NetStats {
     pub(crate) fn trim_busy(&mut self, idx: u32, unperformed: Duration) {
         let cell = &mut self.busy[idx as usize];
         *cell = cell.saturating_sub(unperformed);
-    }
-
-    /// Folds another stats block into this one: scalar counters add,
-    /// `peak_pending_events` takes the max, and per-address busy time merges
-    /// by address (registering addresses this block has not seen).  The
-    /// parallel engine uses this to combine per-partition stats into the one
-    /// network-wide view the harness reads.
-    pub(crate) fn absorb(&mut self, other: &NetStats) {
-        self.messages_sent += other.messages_sent;
-        self.messages_delivered += other.messages_delivered;
-        self.messages_dropped += other.messages_dropped;
-        self.bytes_delivered += other.bytes_delivered;
-        self.state_messages_delivered += other.state_messages_delivered;
-        self.state_bytes_delivered += other.state_bytes_delivered;
-        self.timers_fired += other.timers_fired;
-        self.peak_pending_events = self.peak_pending_events.max(other.peak_pending_events);
-        for (addr, busy) in other.addrs.iter().zip(other.busy.iter()) {
-            match self.index.get(addr) {
-                Some(&i) => {
-                    let cell = &mut self.busy[i as usize];
-                    *cell = *cell + *busy;
-                }
-                None => {
-                    self.register(*addr);
-                    *self.busy.last_mut().expect("just registered") = *busy;
-                }
-            }
-        }
     }
 
     /// Accumulated CPU busy time of one participant.
@@ -261,37 +200,6 @@ mod tests {
     #[test]
     fn busiest_of_empty_stats_is_none() {
         assert!(NetStats::default().busiest().is_none());
-    }
-
-    #[test]
-    fn absorb_merges_counters_and_busy_time_by_address() {
-        let mut a = stats_with(2);
-        a.on_send();
-        a.on_deliver(0, 100, Duration::from_micros(10), false);
-        a.peak_pending_events = 7;
-        // The other block knows c(1) (shared) and c(5) (new to `a`).
-        let mut b = NetStats::default();
-        b.register(c(1));
-        b.register(c(5));
-        b.on_send();
-        b.on_send();
-        b.on_drop();
-        b.on_deliver(0, 50, Duration::from_micros(20), true);
-        b.on_deliver(1, 30, Duration::from_micros(5), false);
-        b.on_timer();
-        b.peak_pending_events = 3;
-        a.absorb(&b);
-        assert_eq!(a.messages_sent, 3);
-        assert_eq!(a.messages_delivered, 3);
-        assert_eq!(a.messages_dropped, 1);
-        assert_eq!(a.bytes_delivered, 180);
-        assert_eq!(a.state_messages_delivered, 1);
-        assert_eq!(a.state_bytes_delivered, 50);
-        assert_eq!(a.timers_fired, 1);
-        assert_eq!(a.peak_pending_events, 7, "peak takes the max, not the sum");
-        assert_eq!(a.busy_time(c(0)), Duration::from_micros(10));
-        assert_eq!(a.busy_time(c(1)), Duration::from_micros(20));
-        assert_eq!(a.busy_time(c(5)), Duration::from_micros(5));
     }
 
     #[test]

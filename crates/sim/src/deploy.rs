@@ -9,7 +9,7 @@ use saguaro_baselines::{BaselineMsg, BaselineNode, BaselineRole};
 use saguaro_core::{HostedReplica, ProtocolConfig, SaguaroMsg, SaguaroNode};
 use saguaro_hierarchy::{HierarchyTree, Placement, TopologyBuilder};
 use saguaro_ledger::{BlockchainState, LinearLedger, TxStatus};
-use saguaro_net::{Addr, CpuProfile, LatencyMatrix, SimRuntime};
+use saguaro_net::{Addr, CpuProfile, LatencyMatrix, MessageMeta, Simulation};
 use saguaro_types::{ClientId, DomainId, FailureModel, Result, SimTime, StackConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -100,8 +100,8 @@ fn seeded_states(
 /// Registers a full Saguaro deployment (every replica of every height ≥ 1
 /// domain) and starts its round timers.  `seed_accounts` gives the initial
 /// balances installed on every replica of each height-1 domain.
-pub fn deploy_saguaro<S: SimRuntime<SaguaroMsg>>(
-    sim: &mut S,
+pub fn deploy_saguaro(
+    sim: &mut Simulation<SaguaroMsg>,
     tree: &Arc<HierarchyTree>,
     config: &ProtocolConfig,
     seed_accounts: &[(DomainId, Vec<(String, u64)>)],
@@ -136,8 +136,8 @@ pub fn deploy_saguaro<S: SimRuntime<SaguaroMsg>>(
 /// same tree, configuring each shard's internal consensus per `stack`.  For
 /// AHL the tree's root domain doubles as the reference committee.  Returns
 /// the committee domain used.
-pub fn deploy_baseline<S: SimRuntime<BaselineMsg>>(
-    sim: &mut S,
+pub fn deploy_baseline(
+    sim: &mut Simulation<BaselineMsg>,
     tree: &Arc<HierarchyTree>,
     sharper: bool,
     seed_accounts: &[(DomainId, Vec<(String, u64)>)],
@@ -189,15 +189,14 @@ pub fn deploy_baseline<S: SimRuntime<BaselineMsg>>(
 /// downcasts the registered actor to the stack's node type `A` (domains the
 /// stack registered none for are skipped) and reads one [`NodeHarvest`] off
 /// its replica host and its ledger.
-fn harvest_with<A, S>(
-    sim: &mut S,
+fn harvest_with<A>(
+    sim: &mut Simulation<A::Msg>,
     tree: &Arc<HierarchyTree>,
     ledger: impl Fn(&A) -> &LinearLedger,
 ) -> RunHarvest
 where
     A: HostedReplica + 'static,
-    A::Msg: 'static,
-    S: SimRuntime<A::Msg>,
+    A::Msg: MessageMeta + Clone + 'static,
 {
     let mut nodes = Vec::new();
     for domain_cfg in tree.domains().filter(|d| d.id.height > 0) {
@@ -239,16 +238,13 @@ where
 }
 
 /// Extracts post-run evidence from every replica of a Saguaro deployment.
-pub fn harvest_saguaro<S: SimRuntime<SaguaroMsg>>(
-    sim: &mut S,
-    tree: &Arc<HierarchyTree>,
-) -> RunHarvest {
+pub fn harvest_saguaro(sim: &mut Simulation<SaguaroMsg>, tree: &Arc<HierarchyTree>) -> RunHarvest {
     harvest_with(sim, tree, SaguaroNode::ledger)
 }
 
 /// Extracts post-run evidence from every replica of a baseline deployment.
-pub fn harvest_baseline<S: SimRuntime<BaselineMsg>>(
-    sim: &mut S,
+pub fn harvest_baseline(
+    sim: &mut Simulation<BaselineMsg>,
     tree: &Arc<HierarchyTree>,
 ) -> RunHarvest {
     harvest_with(sim, tree, BaselineNode::ledger)

@@ -55,14 +55,11 @@ use saguaro_loadgen::{
     nearest_rank_index, AggregateClientActor, ArrivalSource, Client, ClientActor, Collector,
     CompletedTx, Population, PopulationGenerator, Schedule, Tally,
 };
-use saguaro_net::{
-    Addr, CpuProfile, FaultEvent, FaultSchedule, ParallelSimulation, PdesRunStats, SimRuntime,
-    Simulation,
-};
+use saguaro_net::{Addr, CpuProfile, FaultEvent, FaultSchedule, Simulation};
 use saguaro_trace::{RunTrace, TraceActor, TraceEvent, TraceEventKind, Tracer};
 use saguaro_types::{
-    ClientId, ClientModel, ConsensusTuning, DomainId, Duration, EngineMode, FailureModel,
-    LivenessConfig, NodeId, PopulationConfig, Region, SimTime, StackConfig, TraceConfig, TxId,
+    ClientId, ClientModel, ConsensusTuning, DomainId, Duration, FailureModel, LivenessConfig,
+    NodeId, PopulationConfig, Region, SimTime, StackConfig, TraceConfig, TxId,
 };
 use saguaro_workload::{MicropaymentWorkload, RidesharingWorkload, Workload, WorkloadConfig};
 use std::sync::Arc;
@@ -189,14 +186,6 @@ pub struct ExperimentSpec {
     /// population sweeps use flat wide shapes like `(2, 128)` for hundreds
     /// of height-1 domains.
     pub topology: Option<(u8, usize)>,
-    /// How the event engine is partitioned.  The default, `Sequential`, is
-    /// one partition drained on the calling thread (the bit-identical golden
-    /// path); `Parallel(workers)` gives every height-1 domain its own
-    /// partition of the same engine and runs conservative lookahead windows
-    /// on worker threads — deterministic per seed and invariant to the
-    /// worker count, but its own deterministic mode (each partition draws
-    /// from its own RNG stream).
-    pub engine: EngineMode,
     /// Structured-tracing knobs.  Off by default — the pinned golden path:
     /// no buffers, no events, bit-identical to a build without the
     /// subsystem.  When enabled, protocol events and sampled transaction
@@ -224,7 +213,6 @@ impl ExperimentSpec {
             fault_plan: FaultSchedule::none(),
             client_model: ClientModel::PerActor,
             topology: None,
-            engine: EngineMode::Sequential,
             trace: TraceConfig::off(),
         }
     }
@@ -234,13 +222,6 @@ impl ExperimentSpec {
     /// bounds).
     pub fn trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Switches the run to the conservative-parallel engine with the given
-    /// worker-thread count (`0` sizes the pool to the host).
-    pub fn parallel(mut self, workers: usize) -> Self {
-        self.engine = EngineMode::Parallel(workers);
         self
     }
 
@@ -545,10 +526,9 @@ pub struct RunArtifacts {
     /// The streaming tally of an aggregate-population run (`None` for the
     /// per-actor client model, whose exact records are in `completions`).
     pub population: Option<PopulationTally>,
-    /// Parallel-engine instrumentation (`None` for sequential runs):
-    /// windows, per-partition event counts, cross-partition traffic and
-    /// barrier/merge wall time.
-    pub pdes: Option<PdesRunStats>,
+    /// Always `None`; deleted with `net.calendar_event_ns`.
+    #[doc(hidden)]
+    pub pdes: Option<std::convert::Infallible>,
     /// The merged structured trace (`None` with tracing off): every
     /// replica's and client's protocol events and sampled transaction
     /// lifecycle spans in deterministic `(time, actor, seq)` order, plus
@@ -614,7 +594,7 @@ fn start_offset(client: ClientId, rate_tps: f64) -> SimTime {
 
 /// Installs the spec's scripted fault plan plus the recovery kicks that
 /// re-arm a recovered replica's timer loops.  No-op for an empty plan.
-fn install_fault_plan<P: ProtocolStack, S: SimRuntime<P::Msg>>(sim: &mut S, spec: &ExperimentSpec) {
+fn install_fault_plan<P: ProtocolStack>(sim: &mut Simulation<P::Msg>, spec: &ExperimentSpec) {
     if spec.fault_plan.is_empty() {
         return;
     }
@@ -633,9 +613,10 @@ fn install_fault_plan<P: ProtocolStack, S: SimRuntime<P::Msg>>(sim: &mut S, spec
 
 /// Synthesizes the spec's fault plan as harness-actor trace events (one per
 /// scripted event at or before `horizon`).  The plan is rendered from the
-/// spec rather than hooked in the engine because every parallel-engine
-/// partition applies the full schedule locally — engine-side hooks would
-/// record each event once per partition and break worker-count invariance.
+/// spec rather than hooked in the engine: `saguaro-net` knows nothing of
+/// tracing, and the engine applies the schedule exactly as written (every
+/// event at or before the horizon has taken effect when `run_until`
+/// returns), so these records are the ones an engine hook would emit.
 fn fault_trace_events(spec: &ExperimentSpec, horizon: Duration) -> Vec<TraceEvent> {
     let end = SimTime::ZERO + horizon;
     spec.fault_plan
@@ -658,9 +639,9 @@ fn fault_trace_events(spec: &ExperimentSpec, horizon: Duration) -> Vec<TraceEven
 /// deterministic [`RunTrace`]: every replica's harvested buffer, every
 /// client's span buffer (drained via downcast, like the replica harvest;
 /// a population records none) and the synthesized fault-plan events.
-fn collect_trace<P: ProtocolStack, S: SimRuntime<P::Msg>, Src: 'static>(
+fn collect_trace<P: ProtocolStack, Src: 'static>(
     spec: &ExperimentSpec,
-    sim: &mut S,
+    sim: &mut Simulation<P::Msg>,
     harvest: &mut RunHarvest,
     clients: &[ClientId],
     horizon: Duration,
@@ -697,45 +678,18 @@ pub fn run_experiment_collecting<P: ProtocolStack>(spec: &ExperimentSpec) -> Run
         spec.protocol
     );
     let tree = build_spec_tree(spec);
-    match spec.engine {
-        EngineMode::Sequential => {
-            let mut sim: Simulation<P::Msg> =
-                Simulation::new(deploy::latency_for(spec.placement), spec.seed);
-            run_on::<P, _>(spec, &tree, &mut sim)
+    let mut sim = Simulation::new(deploy::latency_for(spec.placement), spec.seed);
+    let spread = replica_spread(spec, &tree);
+    match spec.client_model {
+        ClientModel::PerActor => {
+            let clients = schedule_clients::<P>(spec, &tree, spread);
+            run_clients::<P, _>(spec, &tree, &mut sim, clients)
         }
-        EngineMode::Parallel(_) => {
-            let mut sim = parallel_sim_for::<P>(spec, &tree);
-            run_on::<P, _>(spec, &tree, &mut sim)
+        ClientModel::Aggregate(population) => {
+            let clients = population_clients::<P>(spec, &population, &tree, spread);
+            run_clients::<P, _>(spec, &tree, &mut sim, clients)
         }
     }
-}
-
-/// Builds the parallel engine for a spec: one partition per height-1 edge
-/// domain (their replicas dominate the event volume and interact with the
-/// rest of the tree only through LCA/committee links), partition 0 for
-/// everything else — root/internal committees and all clients, so shared
-/// collector state is mutated in one deterministic shard.
-fn parallel_sim_for<P: ProtocolStack>(
-    spec: &ExperimentSpec,
-    tree: &Arc<HierarchyTree>,
-) -> ParallelSimulation<P::Msg> {
-    let part_of: saguaro_types::hash::FxHashMap<DomainId, u32> = tree
-        .edge_server_domains()
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (*d, i as u32 + 1))
-        .collect();
-    let partitions = part_of.len() + 1;
-    ParallelSimulation::new(
-        deploy::latency_for(spec.placement),
-        spec.seed,
-        partitions,
-        spec.engine.worker_threads(),
-        move |addr| match addr {
-            Addr::Node(n) => part_of.get(&n.domain).copied().unwrap_or(0),
-            _ => 0,
-        },
-    )
 }
 
 /// Where a run's clients report to.
@@ -755,24 +709,6 @@ struct Clients<M, Src> {
     /// stagger), in registration order.
     actors: Vec<(ClientId, Region, Client<M, Src>, f64)>,
     sink: Sink,
-}
-
-/// Engine-generic: builds the clients of the spec's model and runs them.
-fn run_on<P: ProtocolStack, S: SimRuntime<P::Msg>>(
-    spec: &ExperimentSpec,
-    tree: &Arc<HierarchyTree>,
-    sim: &mut S,
-) -> RunArtifacts {
-    let spread = replica_spread(spec, tree);
-    match spec.client_model {
-        ClientModel::PerActor => {
-            run_clients::<P, S, _>(spec, tree, sim, schedule_clients::<P>(spec, tree, spread))
-        }
-        ClientModel::Aggregate(population) => {
-            let clients = population_clients::<P>(spec, &population, tree, spread);
-            run_clients::<P, S, _>(spec, tree, sim, clients)
-        }
-    }
 }
 
 /// One [`ClientActor`] per workload client over its precomputed schedule,
@@ -895,19 +831,18 @@ fn population_clients<P: ProtocolStack>(
 /// The one run body: deploy, fault plan, register with a staggered
 /// kick-off, run past the window, harvest, collect the trace, summarise
 /// through the clients' sink.
-fn run_clients<P, S, Src>(
+fn run_clients<P, Src>(
     spec: &ExperimentSpec,
     tree: &Arc<HierarchyTree>,
-    sim: &mut S,
+    sim: &mut Simulation<P::Msg>,
     clients: Clients<P::Msg, Src>,
 ) -> RunArtifacts
 where
     P: ProtocolStack,
-    S: SimRuntime<P::Msg>,
-    Src: ArrivalSource<P::Msg> + Send + 'static,
+    Src: ArrivalSource<P::Msg> + 'static,
 {
     P::deploy(sim, tree, &clients.seeds, &spec.stack_config());
-    install_fault_plan::<P, S>(sim, spec);
+    install_fault_plan::<P>(sim, spec);
     let mut traced = Vec::new();
     for (client, region, actor, rate) in clients.actors {
         sim.register(client, region, CpuProfile::client(), Box::new(actor));
@@ -923,12 +858,11 @@ where
     let state_transfer_messages = sim.stats().state_messages_delivered;
     let state_transfer_bytes = sim.stats().state_bytes_delivered;
     let peak_pending_events = sim.stats().peak_pending_events;
-    let pdes = sim.stats().pdes.clone();
     let mut harvest = P::harvest(sim, tree);
     let trace = spec
         .trace
         .enabled
-        .then(|| collect_trace::<P, S, Src>(spec, sim, &mut harvest, &traced, horizon));
+        .then(|| collect_trace::<P, Src>(spec, sim, &mut harvest, &traced, horizon));
     let (metrics, completions, schedules, population) = match clients.sink {
         Sink::Collector(collector, schedules) => {
             let completions = std::mem::take(&mut *collector.lock());
@@ -968,7 +902,7 @@ where
         state_transfer_bytes,
         peak_pending_events,
         population,
-        pdes,
+        pdes: None,
         trace,
         timeline,
     }

@@ -93,10 +93,10 @@ pub use protocol::{
     RunHarvest, SharperStack,
 };
 pub use saguaro_loadgen::{ClientActor, Collector, CompletedTx};
-pub use saguaro_net::{FaultEvent, FaultSchedule, PdesRunStats, SimRuntime};
+pub use saguaro_net::{FaultEvent, FaultSchedule};
 pub use saguaro_trace::{RunTrace, TraceActor, TraceEvent, TraceEventKind, Tracer};
 pub use saguaro_types::{
-    BatchConfig, CheckpointConfig, ConsensusTuning, EngineMode, LivenessConfig, TraceConfig,
+    BatchConfig, CheckpointConfig, ConsensusTuning, LivenessConfig, TraceConfig,
 };
 pub use scenarios::{
     adaptive_comparison, safety_violations, scenario_matrix, AdaptiveComparison, Scenario,

@@ -16,7 +16,7 @@ use saguaro_baselines::BaselineMsg;
 use saguaro_core::{ProtocolConfig, SaguaroMsg};
 use saguaro_hierarchy::HierarchyTree;
 use saguaro_ledger::TxStatus;
-use saguaro_net::{MessageMeta, SimRuntime};
+use saguaro_net::{MessageMeta, Simulation};
 use saguaro_types::{DeliveryLog, DomainId, FailureModel, NodeId, StackConfig, Transaction, TxId};
 use std::sync::Arc;
 
@@ -194,11 +194,8 @@ impl RunHarvest {
 /// function, so the engine is monomorphised per stack and the message type
 /// never crosses a trait-object boundary (the simulator is generic over it).
 pub trait ProtocolStack {
-    /// The wire message type of the deployment.  `Send + Sync` so every
-    /// stack can run on the parallel engine's worker threads (payloads are
-    /// plain data behind `Arc`s throughout the workspace, so the bounds are
-    /// free).
-    type Msg: MessageMeta + Clone + Send + Sync + 'static;
+    /// The wire message type of the deployment.
+    type Msg: MessageMeta + Clone + 'static;
 
     /// The dynamic tag for this stack.
     fn kind() -> ProtocolKind;
@@ -234,8 +231,8 @@ pub trait ProtocolStack {
     /// internal consensus per `stack` (request batching and liveness
     /// timers), and schedules whatever kick-off events the stack needs
     /// (round timers etc.).
-    fn deploy<S: SimRuntime<Self::Msg>>(
-        sim: &mut S,
+    fn deploy(
+        sim: &mut Simulation<Self::Msg>,
         tree: &Arc<HierarchyTree>,
         seed_accounts: &SeedAccounts,
         stack: &StackConfig,
@@ -249,7 +246,7 @@ pub trait ProtocolStack {
     /// Extracts post-run evidence (ledgers, view-change counts) from every
     /// replica of the deployment.  Purely observational: called after the
     /// run, it does not influence the simulation.
-    fn harvest<S: SimRuntime<Self::Msg>>(sim: &mut S, tree: &Arc<HierarchyTree>) -> RunHarvest;
+    fn harvest(sim: &mut Simulation<Self::Msg>, tree: &Arc<HierarchyTree>) -> RunHarvest;
 }
 
 /// A Saguaro deployment; `OPTIMISTIC` picks the cross-domain protocol.  Named
@@ -288,8 +285,8 @@ impl<const OPTIMISTIC: bool> ProtocolStack for SaguaroStack<OPTIMISTIC> {
         }
     }
 
-    fn deploy<S: SimRuntime<SaguaroMsg>>(
-        sim: &mut S,
+    fn deploy(
+        sim: &mut Simulation<SaguaroMsg>,
         tree: &Arc<HierarchyTree>,
         seed_accounts: &SeedAccounts,
         stack: &StackConfig,
@@ -310,7 +307,7 @@ impl<const OPTIMISTIC: bool> ProtocolStack for SaguaroStack<OPTIMISTIC> {
         SaguaroMsg::RoundTimer
     }
 
-    fn harvest<S: SimRuntime<SaguaroMsg>>(sim: &mut S, tree: &Arc<HierarchyTree>) -> RunHarvest {
+    fn harvest(sim: &mut Simulation<SaguaroMsg>, tree: &Arc<HierarchyTree>) -> RunHarvest {
         deploy::harvest_saguaro(sim, tree)
     }
 }
@@ -352,8 +349,8 @@ impl<const SHARPER: bool> ProtocolStack for BaselineStack<SHARPER> {
         }
     }
 
-    fn deploy<S: SimRuntime<BaselineMsg>>(
-        sim: &mut S,
+    fn deploy(
+        sim: &mut Simulation<BaselineMsg>,
         tree: &Arc<HierarchyTree>,
         seed_accounts: &SeedAccounts,
         stack: &StackConfig,
@@ -365,7 +362,7 @@ impl<const SHARPER: bool> ProtocolStack for BaselineStack<SHARPER> {
         BaselineMsg::ProgressTimer
     }
 
-    fn harvest<S: SimRuntime<BaselineMsg>>(sim: &mut S, tree: &Arc<HierarchyTree>) -> RunHarvest {
+    fn harvest(sim: &mut Simulation<BaselineMsg>, tree: &Arc<HierarchyTree>) -> RunHarvest {
         deploy::harvest_baseline(sim, tree)
     }
 }
@@ -396,7 +393,7 @@ mod tests {
         // ancestor has heard of it.
         let placement = saguaro_hierarchy::Placement::NearbyRegions;
         let tree = deploy::build_tree(FailureModel::Crash, 1, placement).unwrap();
-        let mut sim = saguaro_net::Simulation::new(deploy::latency_for(placement), 1);
+        let mut sim = Simulation::new(deploy::latency_for(placement), 1);
         OptimisticStack::deploy(&mut sim, &tree, &[], &StackConfig::default());
         let (d0, d1) = (DomainId::new(1, 0), DomainId::new(1, 1));
         let tx = Transaction::cross_domain(TxId(1), ClientId(1), vec![d0, d1], Operation::Noop);

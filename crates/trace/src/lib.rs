@@ -3,7 +3,7 @@
 //! The simulator can replay any run bit-identically but — before this crate —
 //! could not *show* what happened inside one.  `saguaro-trace` adds the
 //! observability layer a real consensus stack ships with, built around the
-//! same determinism guarantee the engines already give for results:
+//! same determinism guarantee the engine already gives for results:
 //!
 //! * **Protocol event records** ([`TraceEventKind`]) — view changes,
 //!   suspicion firings, checkpoint stabilisation, snapshots, state transfer,
@@ -17,9 +17,9 @@
 //!   pressure, so memory is bounded regardless of run length.
 //! * **Deterministic merge** ([`RunTrace`]) — per-actor buffers are combined
 //!   by sorting on `(time, actor, per-actor sequence)`.  Because each actor's
-//!   history is identical for a given seed regardless of engine or worker
-//!   count, the merged trace — and its [`RunTrace::chrome_json`] export — is
-//!   byte-identical too, making "diff two traces" a debugging primitive.
+//!   history is identical for a given seed, the merged trace — and its
+//!   [`RunTrace::chrome_json`] export — is byte-identical too, making "diff
+//!   two traces" a debugging primitive.
 //!
 //! The Chrome export follows the trace-event JSON format understood by
 //! Perfetto (<https://ui.perfetto.dev>) and `chrome://tracing`: protocol
@@ -375,7 +375,7 @@ impl RunTrace {
     /// protocol events are thread-scoped instants and transaction lifecycle
     /// spans are async `b`/`n`/`e` event trees keyed by the transaction id.
     /// The rendering is a pure function of the merged event order, so it is
-    /// byte-identical for a given seed across engines and worker counts.
+    /// byte-identical for a given seed.
     pub fn chrome_json(&self) -> String {
         // Stable actor -> track id assignment: sorted actor order (nodes,
         // then clients, then the harness — the BTreeMap iteration order).
@@ -568,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_order_is_independent_of_partition_order() {
+    fn merge_order_is_independent_of_buffer_order() {
         let mut a = Tracer::new(TraceConfig::on(), TraceActor::Node(node(0)));
         let mut b = Tracer::new(TraceConfig::on(), TraceActor::Node(node(1)));
         a.record(at(10), TraceEventKind::SuspicionFired { view: 0 });

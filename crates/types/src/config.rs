@@ -401,7 +401,7 @@ impl Default for CheckpointConfig {
 /// subsystem.  When enabled, protocol events and sampled transaction
 /// lifecycle spans are recorded into bounded per-actor ring buffers and
 /// merged deterministically at harvest, so the same seed yields the same
-/// trace regardless of engine or worker count.
+/// trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct TraceConfig {
     /// Master switch; `false` makes every other knob inert.
@@ -785,46 +785,6 @@ impl ClientModel {
     /// True for the aggregate-population model.
     pub fn is_aggregate(&self) -> bool {
         matches!(self, ClientModel::Aggregate(_))
-    }
-}
-
-/// How many partitions of the event engine an experiment runs on.
-///
-/// There is one engine; the two modes differ in how it is partitioned.  Both
-/// are deterministic per seed, but a many-partition run is its *own*
-/// deterministic mode — each partition draws latency and loss from its own
-/// RNG stream and same-instant arrivals from other partitions are ordered by
-/// a merge key — so goldens are mode specific.  Sequential stays the default
-/// — and bit-identical to the historical goldens.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// One partition holding every actor, drained in order on the calling
-    /// thread (the historical, golden path).
-    #[default]
-    Sequential,
-    /// One partition per height-1 edge domain plus a root/client partition,
-    /// advanced in conservative lookahead windows by the given number of
-    /// worker threads.  `Parallel(0)` sizes the pool to the host's available
-    /// parallelism.  Results are invariant to the worker count.
-    Parallel(usize),
-}
-
-impl EngineMode {
-    /// True for the parallel engine.
-    pub fn is_parallel(&self) -> bool {
-        matches!(self, EngineMode::Parallel(_))
-    }
-
-    /// Worker threads to use, resolving `Parallel(0)` against the host's
-    /// available parallelism.  Returns 1 in sequential mode.
-    pub fn worker_threads(&self) -> usize {
-        match self {
-            EngineMode::Sequential => 1,
-            EngineMode::Parallel(0) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            EngineMode::Parallel(n) => *n,
-        }
     }
 }
 

@@ -19,9 +19,10 @@
 //!
 //! Iteration is in byte-wise key order (the order `String`'s `Ord` gives) and
 //! equality is by content, so the map is a drop-in for the
-//! `BTreeMap<String, u64>` it replaces.  The shared parts are `Arc`s, never
-//! `Rc`s: the parallel engine moves replicas — and the leaves they share —
-//! across worker threads.  The index is flat, rebuilt whenever a leaf appears
+//! `BTreeMap<String, u64>` it replaces.  The shared parts are `Arc`s, though
+//! `Rc` would now do: a map never leaves the simulation that built it, and
+//! the only threads left (`sim::par::parallel_map`) each run whole
+//! simulations and hand back results that hold no map.  The index is flat, rebuilt whenever a leaf appears
 //! or disappears: right for the 10⁴–10⁵ keys a domain holds, not for 10⁷.
 
 use serde::{Deserialize, Serialize};

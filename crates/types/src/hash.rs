@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// splitmix64's output function: every input bit reaches every output bit.
-/// The map finisher here, and the partition-seed mixer in `saguaro-net`.
+/// The map finisher here, and the way to derive independent seeds from one.
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

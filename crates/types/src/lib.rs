@@ -36,8 +36,8 @@ pub mod transaction;
 
 pub use config::{
     AdaptiveTimeout, BatchConfig, CheckpointConfig, ClientModel, ConsensusTuning, DomainConfig,
-    EngineMode, FailureModel, LivenessConfig, PopulationConfig, QuorumSpec, RateEnvelope,
-    StackConfig, TraceConfig,
+    FailureModel, LivenessConfig, PopulationConfig, QuorumSpec, RateEnvelope, StackConfig,
+    TraceConfig,
 };
 pub use cowmap::{CowMap, Key};
 pub use error::SaguaroError;

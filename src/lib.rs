@@ -43,7 +43,7 @@ pub use saguaro_types as types;
 pub use saguaro_workload as workload;
 
 pub use saguaro_sim::{
-    run_experiment, AhlStack, BatchConfig, CoordinatorStack, EngineMode, ExperimentSpec, LoadPoint,
+    run_experiment, AhlStack, BatchConfig, CoordinatorStack, ExperimentSpec, LoadPoint,
     OptimisticStack, ProtocolKind, ProtocolStack, RidesharingConfig, RunMetrics, SharperStack,
     WorkloadKind,
 };

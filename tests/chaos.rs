@@ -222,47 +222,4 @@ proptest! {
         check_safety(&artifacts, "partition-chaos");
         prop_assert!(artifacts.metrics.committed > 0);
     }
-
-    /// The same random crash/recover/spike plans under the conservative
-    /// parallel engine: the safety invariants are engine-independent, and a
-    /// parallel faulty run must be invariant to its worker count just like a
-    /// failure-free one.
-    #[test]
-    fn random_crash_plans_stay_safe_on_the_parallel_engine(
-        (stack, domain, victim, crash_ms, outage_ms, recovers, spike) in (
-            0u8..4, 0u8..4, 0u8..3, 120u64..260, 50u64..200,
-            any::<bool>(), any::<bool>(),
-        ),
-    ) {
-        let protocol = ProtocolKind::ALL[stack as usize];
-        let node = NodeId::new(DomainId::new(1, domain as u16), victim as u16);
-        let crash_at = SimTime::from_millis(crash_ms);
-        let mut plan = FaultSchedule::none().crash_at(crash_at, node);
-        if recovers {
-            plan = plan.recover_at(SimTime::from_millis(crash_ms + outage_ms), node);
-        }
-        if spike {
-            let spiked = SimTime::from_millis(crash_ms / 2);
-            plan = plan
-                .delay_spike_at(spiked, Duration::from_millis(2))
-                .delay_spike_at(SimTime::from_millis(crash_ms), Duration::ZERO);
-        }
-        let spec = ExperimentSpec::new(protocol)
-            .quick()
-            .cross_domain(0.2)
-            .load(700.0)
-            .fault_plan(plan)
-            .parallel(2);
-        let artifacts = spec.run_collecting();
-        check_safety(&artifacts, protocol.label());
-        prop_assert!(
-            artifacts.metrics.committed > 0,
-            "{protocol:?}: nothing committed on the parallel engine under \
-             {crash_ms}ms crash of {node:?}"
-        );
-        // Worker-count invariance holds under faults too.
-        let four = ExperimentSpec { engine: saguaro::types::EngineMode::Parallel(4), ..spec }.run_collecting();
-        prop_assert_eq!(&artifacts.metrics, &four.metrics);
-        prop_assert_eq!(artifacts.events_processed, four.events_processed);
-    }
 }

@@ -3,7 +3,7 @@
 //! correlated outages, scoped WAN spikes, view-change storms, flash crowds)
 //! with extra bounded faults layered on top — a crash in an uninvolved
 //! domain, a transient network-wide delay spike — under either timeout
-//! policy and either engine.  Every composition stays within the
+//! policy.  Every composition stays within the
 //! deployment's tolerance (at most `f` faulty replicas per surviving
 //! domain), so safety must hold and commits must keep flowing.
 //!
@@ -26,13 +26,12 @@ proptest! {
     /// fully stalled.
     #[test]
     fn random_scenario_compositions_stay_safe(
-        (scenario_idx, stack, adaptive, extra_crash, extra_spike, parallel) in (
+        (scenario_idx, stack, adaptive, extra_crash, extra_spike) in (
             0u8..5,         // composite scenario index
             0u8..4,         // protocol stack index
             any::<bool>(),  // adaptive vs fixed suspicion windows
             any::<bool>(),  // layer a crash in an uninvolved domain
             any::<bool>(),  // layer a transient network-wide delay spike
-            any::<bool>(),  // conservative parallel engine
         ),
     ) {
         let scenario = Scenario::all()[scenario_idx as usize];
@@ -45,7 +44,6 @@ proptest! {
             .cross_domain(0.3)
             .load(800.0)
             .tune(|t| t.liveness(policy.liveness()));
-        let spec = if parallel { spec.parallel(2) } else { spec };
         // Install the scenario (fault plan plus, for the flash crowd, its
         // shaped population), then layer the extra faults on a recompiled
         // plan — `Scenario::schedule` only reads the horizon fields, which
@@ -68,13 +66,7 @@ proptest! {
         let spec = spec.fault_plan(plan);
 
         let artifacts = spec.run_collecting();
-        let label = format!(
-            "{}+{}+{}{}",
-            scenario.label(),
-            protocol.label(),
-            policy.label(),
-            if parallel { "+par" } else { "" },
-        );
+        let label = format!("{}+{}+{}", scenario.label(), protocol.label(), policy.label());
         check_safety(&artifacts, &label);
         prop_assert!(
             artifacts.metrics.committed > 0,

@@ -8,7 +8,7 @@
 //! 2. a responder whose log has been pruned below a laggard's frontier
 //!    answers with a `SnapshotReply` (application snapshot + command
 //!    tail) instead of full replay, and the laggard reconverges — for
-//!    all four protocol stacks on both engines;
+//!    all four protocol stacks;
 //! 3. the infinite-retention default is bit-identical to the pre-snapshot
 //!    pipeline, and a finite-but-never-reached window changes nothing a
 //!    client can observe.
@@ -175,15 +175,6 @@ fn assert_snapshot_catch_up(artifacts: &RunArtifacts, label: &str) {
 fn pruned_responders_serve_snapshot_catch_up_on_every_stack() {
     for protocol in ProtocolKind::ALL {
         let artifacts = outage_spec(protocol).run_collecting();
-        assert!(artifacts.metrics.committed > 0);
-        assert_snapshot_catch_up(&artifacts, protocol.label());
-    }
-}
-
-#[test]
-fn pruned_responders_serve_snapshot_catch_up_on_the_parallel_engine() {
-    for protocol in ProtocolKind::ALL {
-        let artifacts = outage_spec(protocol).parallel(2).run_collecting();
         assert!(artifacts.metrics.committed > 0);
         assert_snapshot_catch_up(&artifacts, protocol.label());
     }

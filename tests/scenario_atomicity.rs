@@ -2,8 +2,7 @@
 //! blocked mid-`CommitQuery` while a participant domain is severed must
 //! either abort everywhere or commit everywhere once the domain heals —
 //! never commit in one domain and abort in the other.  Checked for all four
-//! stacks on both simulation engines via the per-replica delivery-stream
-//! hashes (`check_safety`) plus per-domain final-verdict agreement for every
+//! stacks via the per-replica delivery-stream hashes (`check_safety`) plus per-domain final-verdict agreement for every
 //! transaction a client saw commit.
 
 use saguaro::ledger::TxStatus;
@@ -15,12 +14,11 @@ use std::collections::{HashMap, HashSet};
 mod common;
 use common::check_safety;
 
-fn outage_spec(protocol: ProtocolKind, parallel: bool) -> ExperimentSpec {
+fn outage_spec(protocol: ProtocolKind) -> ExperimentSpec {
     let spec = ExperimentSpec::new(protocol)
         .quick()
         .cross_domain(0.5)
         .load(800.0);
-    let spec = if parallel { spec.parallel(2) } else { spec };
     Scenario::DomainOutage.apply(spec)
 }
 
@@ -77,14 +75,10 @@ fn check_cross_domain_atomicity(artifacts: &RunArtifacts, spec: &ExperimentSpec,
     }
 }
 
-fn assert_outage_run_atomic(protocol: ProtocolKind, parallel: bool) {
-    let spec = outage_spec(protocol, parallel);
+fn assert_outage_run_atomic(protocol: ProtocolKind) {
+    let spec = outage_spec(protocol);
     let artifacts = spec.run_collecting();
-    let label = format!(
-        "{:?}-{}",
-        protocol,
-        if parallel { "parallel" } else { "sequential" }
-    );
+    let label = format!("{protocol:?}");
     check_safety(&artifacts, &label);
     check_cross_domain_atomicity(&artifacts, &spec, &label);
     // Post-heal liveness: the severed domain serves its clients again (the
@@ -104,56 +98,32 @@ fn assert_outage_run_atomic(protocol: ProtocolKind, parallel: bool) {
 
 #[test]
 fn coordinator_outage_is_atomic_sequential() {
-    assert_outage_run_atomic(ProtocolKind::SaguaroCoordinator, false);
-}
-
-#[test]
-fn coordinator_outage_is_atomic_parallel() {
-    assert_outage_run_atomic(ProtocolKind::SaguaroCoordinator, true);
+    assert_outage_run_atomic(ProtocolKind::SaguaroCoordinator);
 }
 
 #[test]
 fn optimistic_outage_is_atomic_sequential() {
-    assert_outage_run_atomic(ProtocolKind::SaguaroOptimistic, false);
-}
-
-#[test]
-fn optimistic_outage_is_atomic_parallel() {
-    assert_outage_run_atomic(ProtocolKind::SaguaroOptimistic, true);
+    assert_outage_run_atomic(ProtocolKind::SaguaroOptimistic);
 }
 
 #[test]
 fn ahl_outage_is_atomic_sequential() {
-    assert_outage_run_atomic(ProtocolKind::Ahl, false);
-}
-
-#[test]
-fn ahl_outage_is_atomic_parallel() {
-    assert_outage_run_atomic(ProtocolKind::Ahl, true);
+    assert_outage_run_atomic(ProtocolKind::Ahl);
 }
 
 #[test]
 fn sharper_outage_is_atomic_sequential() {
-    assert_outage_run_atomic(ProtocolKind::Sharper, false);
+    assert_outage_run_atomic(ProtocolKind::Sharper);
 }
 
 #[test]
-fn sharper_outage_is_atomic_parallel() {
-    assert_outage_run_atomic(ProtocolKind::Sharper, true);
-}
-
-#[test]
-fn correlated_outage_stays_safe_on_both_engines() {
-    for parallel in [false, true] {
-        let spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
-            .quick()
-            .cross_domain(0.5)
-            .load(800.0);
-        let spec = if parallel { spec.parallel(2) } else { spec };
-        let spec = Scenario::CorrelatedOutage.apply(spec);
-        let artifacts = spec.run_collecting();
-        let label = format!("correlated-{}", if parallel { "par" } else { "seq" });
-        check_safety(&artifacts, &label);
-        check_cross_domain_atomicity(&artifacts, &spec, &label);
-    }
+fn correlated_outage_stays_safe() {
+    let spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
+        .quick()
+        .cross_domain(0.5)
+        .load(800.0);
+    let spec = Scenario::CorrelatedOutage.apply(spec);
+    let artifacts = spec.run_collecting();
+    check_safety(&artifacts, "correlated");
+    check_cross_domain_atomicity(&artifacts, &spec, "correlated");
 }

@@ -1,8 +1,7 @@
 //! Structured-tracing suite: the observability layer must be strictly
 //! pay-for-play (tracing off is bit-identical to the pre-tracing goldens),
 //! observation-only (tracing on does not change a run's metrics), and
-//! deterministic (the Chrome export is byte-identical across parallel
-//! worker counts).
+//! deterministic (two runs of one spec export the same Chrome bytes).
 
 use saguaro::sim::{
     ExperimentSpec, ProtocolKind, RunMetrics, Scenario, TraceActor, TraceEventKind,
@@ -50,24 +49,13 @@ fn golden_metrics(protocol: ProtocolKind) -> RunMetrics {
 #[test]
 fn tracing_off_is_bit_identical_to_the_pre_tracing_goldens() {
     for protocol in ProtocolKind::ALL {
-        // Sequential engine: an explicit `off` config must reproduce the
-        // goldens captured before the subsystem existed.
+        // An explicit `off` config must reproduce the goldens captured
+        // before the subsystem existed.
         let explicit_off = golden_spec(protocol).trace(TraceConfig::off()).run();
         assert_eq!(
             explicit_off,
             golden_metrics(protocol),
             "{protocol:?}: explicit TraceConfig::off() diverged from the goldens"
-        );
-        // Parallel engine: its RNG streams differ from the sequential
-        // engine's by design, so compare against its own untraced run.
-        let parallel_default = golden_spec(protocol).parallel(2).run();
-        let parallel_off = golden_spec(protocol)
-            .parallel(2)
-            .trace(TraceConfig::off())
-            .run();
-        assert_eq!(
-            parallel_off, parallel_default,
-            "{protocol:?}: TraceConfig::off() changed the parallel engine's run"
         );
     }
 }
@@ -75,58 +63,26 @@ fn tracing_off_is_bit_identical_to_the_pre_tracing_goldens() {
 #[test]
 fn tracing_on_is_observation_only() {
     // Recording events must not perturb the simulation: metrics with
-    // tracing on equal metrics with tracing off, on both engines.
+    // tracing on equal metrics with tracing off.
     for protocol in ProtocolKind::ALL {
         let untraced = golden_spec(protocol).run();
         let traced = golden_spec(protocol).trace(TraceConfig::on()).run();
         assert_eq!(
             traced, untraced,
-            "{protocol:?}: tracing changed the sequential run's metrics"
-        );
-        let par_untraced = golden_spec(protocol).parallel(2).run();
-        let par_traced = golden_spec(protocol)
-            .parallel(2)
-            .trace(TraceConfig::on())
-            .run();
-        assert_eq!(
-            par_traced, par_untraced,
-            "{protocol:?}: tracing changed the parallel run's metrics"
+            "{protocol:?}: tracing changed the run's metrics"
         );
     }
 }
 
 #[test]
-fn chrome_export_is_byte_identical_across_worker_counts() {
+fn chrome_export_is_byte_identical_across_runs() {
     let spec = golden_spec(ProtocolKind::SaguaroCoordinator).trace(TraceConfig::on());
-    let exports: Vec<String> = [1, 2, 4]
-        .into_iter()
-        .map(|workers| {
-            let artifacts = spec.clone().parallel(workers).run_collecting();
-            let trace = artifacts.trace.expect("tracing was enabled");
-            assert!(
-                !trace.is_empty(),
-                "{workers} workers: traced run recorded nothing"
-            );
-            trace.chrome_json()
-        })
-        .collect();
-    assert_eq!(
-        exports[0], exports[1],
-        "Chrome export differs between 1 and 2 workers"
-    );
-    assert_eq!(
-        exports[1], exports[2],
-        "Chrome export differs between 2 and 4 workers"
-    );
-    // And re-running the same config reproduces the same bytes.
-    let again = spec
-        .clone()
-        .parallel(2)
-        .run_collecting()
-        .trace
-        .expect("tracing was enabled")
-        .chrome_json();
-    assert_eq!(exports[1], again, "traced run is not reproducible");
+    let export = || {
+        let trace = spec.run_collecting().trace.expect("tracing was enabled");
+        assert!(!trace.is_empty(), "traced run recorded nothing");
+        trace.chrome_json()
+    };
+    assert_eq!(export(), export(), "traced run is not reproducible");
 }
 
 #[test]
