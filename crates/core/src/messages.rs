@@ -84,9 +84,12 @@ pub enum SaguaroMsg {
         /// Number of signatures in the attached certificate.
         cert_sigs: usize,
     },
-    /// Involved node → LCA primary: acknowledgement of the commit
-    /// (Algorithm 1, line 21).  Modeled traffic: it is charged to the network
-    /// and the receiving CPU, and nothing waits for it.
+    /// Involved domain's primary → LCA replica 0: acknowledgement of the
+    /// commit (Algorithm 1, line 21).  It goes to `NodeId::new(lca, 0)`
+    /// whatever the LCA's view, so after a view change it reaches a backup
+    /// rather than the primary.  Modeled traffic: it is charged to the network
+    /// and the receiving CPU, and nothing waits for it (the receiver's
+    /// handler is a no-op).
     AckCross {
         /// The transaction.
         tx_id: TxId,

@@ -279,7 +279,8 @@ impl SaguaroNode {
 
     /// The commit step, shared by every path that commits a transaction at a
     /// height-1 domain: execute what this domain owns, append to the ledger
-    /// as `how` says, count, and answer the client.  Does nothing for a
+    /// as `how` says, count, trace `TxExecuted` (whatever the kind) and
+    /// answer the client.  Does nothing for a
     /// transaction already in the ledger: a view change may re-propose an
     /// already-committed batch (the new primary cannot tell commitment from
     /// preparation for every slot), and executing it twice would
@@ -302,7 +303,6 @@ impl SaguaroNode {
         let counter = match how {
             Commit::Internal => {
                 self.ledger.append_internal(tx, TxStatus::Committed);
-                self.host.trace_executed(id, ctx.now());
                 &mut self.stats.internal_committed
             }
             Commit::Coordinated(seqs) => {
@@ -329,6 +329,7 @@ impl SaguaroNode {
             }
         };
         *counter += 1;
+        self.host.trace_executed(id, ctx.now());
         self.reply(id, true, ctx);
     }
 

@@ -841,10 +841,18 @@ where
     P: ProtocolStack,
     Src: ArrivalSource<P::Msg> + 'static,
 {
-    P::deploy(sim, tree, &clients.seeds, &spec.stack_config());
+    let Clients {
+        seeds,
+        actors,
+        sink,
+    } = clients;
+    P::deploy(sim, tree, &seeds, &spec.stack_config());
+    // The replicas hold the states built from the pairs; the pairs themselves
+    // (1.28 M strings on the widest tree) need not outlive the deployment.
+    drop(seeds);
     install_fault_plan::<P>(sim, spec);
     let mut traced = Vec::new();
-    for (client, region, actor, rate) in clients.actors {
+    for (client, region, actor, rate) in actors {
         sim.register(client, region, CpuProfile::client(), Box::new(actor));
         let at = start_offset(client, rate);
         sim.inject_at(at, deploy::harness_addr(), client, P::client_tick());
@@ -863,7 +871,7 @@ where
         .trace
         .enabled
         .then(|| collect_trace::<P, Src>(spec, sim, &mut harvest, &traced, horizon));
-    let (metrics, completions, schedules, population) = match clients.sink {
+    let (metrics, completions, schedules, population) = match sink {
         Sink::Collector(collector, schedules) => {
             let completions = std::mem::take(&mut *collector.lock());
             let metrics = summarise(

@@ -738,9 +738,10 @@ impl PopulationConfig {
         self.users / domains + u64::from(ordinal < self.users % domains)
     }
 
-    /// `(account key, initial balance)` pairs a domain must be seeded with.
+    /// `(account key, initial balance)` pairs a domain must be seeded with,
+    /// in ascending key order.
     pub fn seed_accounts_for(&self, domain: DomainId) -> Vec<(String, u64)> {
-        (0..self.accounts_per_domain)
+        crate::transaction::accounts_in_key_order(self.accounts_per_domain)
             .map(|n| {
                 (
                     crate::transaction::account_key(domain.index, n),
@@ -1053,5 +1054,15 @@ mod tests {
                 ("a2_2".to_string(), 1_000_000),
             ]
         );
+
+        // A universe past one digit arrives in key order, one pair a key.
+        let pop = PopulationConfig {
+            accounts_per_domain: 1_234,
+            ..PopulationConfig::default()
+        };
+        let seeds = pop.seed_accounts_for(DomainId::new(1, 5));
+        assert_eq!(seeds.len(), 1_234);
+        assert!(seeds.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        assert!(seeds.iter().all(|(key, _)| key.starts_with("a5_")));
     }
 }

@@ -285,12 +285,16 @@ impl CowMap {
 impl<K: AsRef<str>> FromIterator<(K, u64)> for CowMap {
     fn from_iter<I: IntoIterator<Item = (K, u64)>>(iter: I) -> Self {
         let mut pairs: Vec<(K, u64)> = iter.into_iter().collect();
-        // Stable, so pairs with equal keys stay in arrival order ...
-        pairs.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
-        // ... and the last of each run of equal keys is the one to keep.
-        pairs.reverse();
-        pairs.dedup_by(|later, kept| later.0.as_ref() == kept.0.as_ref());
-        pairs.reverse();
+        // Seed lists arrive strictly ascending already; the sort would only
+        // confirm that, after allocating a scratch buffer the size of the list.
+        if !pairs.is_sorted_by(|a, b| a.0.as_ref() < b.0.as_ref()) {
+            // Stable, so pairs with equal keys stay in arrival order ...
+            pairs.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
+            // ... and the last of each run of equal keys is the one to keep.
+            pairs.reverse();
+            pairs.dedup_by(|later, kept| later.0.as_ref() == kept.0.as_ref());
+            pairs.reverse();
+        }
         let mut map = CowMap {
             len: pairs.len(),
             ..CowMap::default()
@@ -478,6 +482,10 @@ mod tests {
             "... though their leaves are cut differently"
         );
         assert_eq!(collected.leaves.len(), 300usize.div_ceil(LEAF_MAX));
+        // Pairs that arrive strictly ascending skip the sort: the same map.
+        let ascending: CowMap = collected.iter().collect();
+        check_shape(&ascending);
+        assert_eq!(ascending, collected);
         assert_eq!(CowMap::from_iter([("k", 1), ("k", 2)]).get("k"), Some(2));
         assert!(CowMap::from_iter::<[(&str, u64); 0]>([]).leaves.is_empty());
     }

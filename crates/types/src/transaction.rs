@@ -174,8 +174,95 @@ impl TxKind {
 /// height-1 domain with the given index.  The Saguaro execution layer uses
 /// this convention to decide which domain debits/credits which side of a
 /// cross-domain transfer.
+///
+/// The key is `a{domain_index}_{n}`, written into a string of exactly its
+/// length: one allocator call, where `format!` grows its guess and makes two.
 pub fn account_key(domain_index: u16, n: u64) -> String {
-    format!("a{domain_index}_{n}")
+    let domain_index = u64::from(domain_index);
+    let mut key = String::with_capacity(2 + decimal_len(domain_index) + decimal_len(n));
+    key.push('a');
+    push_decimal(&mut key, domain_index);
+    key.push('_');
+    push_decimal(&mut key, n);
+    key
+}
+
+/// Digits in `n`'s decimal numeral.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+fn push_decimal(key: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    key.extend(digits[start..].iter().map(|&digit| char::from(digit)));
+}
+
+/// `0..count` in the byte order of the keys [`account_key`] builds for them
+/// (the order a domain's state holds them in): 0, 1, 10, 100, …, 101, …, 11,
+/// …, 2, ….  Keys of one domain differ only in `n`'s numeral, so this is a
+/// walk of the decimal trie: after `n` come its children `10n…10n+9`, then
+/// its next sibling, climbing while there is none below `count`.  Seeding in
+/// this order means the state is built from a run that is already sorted.
+pub fn accounts_in_key_order(count: u64) -> AccountsInKeyOrder {
+    AccountsInKeyOrder {
+        next: (count > 0).then_some(0),
+        count,
+        left: count,
+    }
+}
+
+/// The iterator [`accounts_in_key_order`] returns.  Its length is exact, so
+/// a list collected from it is allocated once at its final size.
+#[derive(Clone, Debug)]
+pub struct AccountsInKeyOrder {
+    next: Option<u64>,
+    count: u64,
+    left: u64,
+}
+
+impl Iterator for AccountsInKeyOrder {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let n = self.next?;
+        self.next = key_order_successor(n, self.count);
+        self.left -= 1;
+        Some(n)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::try_from(self.left).ok();
+        (left.unwrap_or(usize::MAX), left)
+    }
+}
+
+impl ExactSizeIterator for AccountsInKeyOrder {}
+
+/// The account after `n < count` in [`accounts_in_key_order`], if any.
+fn key_order_successor(mut n: u64, count: u64) -> Option<u64> {
+    // 0 has no children: no numeral starts with "0" but "0" itself.
+    let child = n.checked_mul(10).filter(|&child| n > 0 && child < count);
+    if child.is_some() {
+        return child;
+    }
+    loop {
+        if n % 10 != 9 && n + 1 < count {
+            return Some(n + 1);
+        }
+        n /= 10;
+        if n == 0 {
+            return None;
+        }
+    }
 }
 
 /// The owning height-1 domain index of an account key built by
@@ -409,6 +496,26 @@ mod tests {
         assert_eq!(account_owner_index("a12_400"), Some(12));
         assert_eq!(account_owner_index("hours/driver"), None);
         assert_eq!(account_owner_index("aX_1"), None);
+
+        // The hand-written numerals are `format!`'s, down to the extremes.
+        for d in [0, 9, 10, u16::MAX] {
+            for n in [0, 9, 10, 99, 100, u64::MAX] {
+                let key = account_key(d, n);
+                assert_eq!(key, format!("a{d}_{n}"));
+                assert_eq!(key.capacity(), key.len(), "{key} sized exactly");
+            }
+        }
+
+        // The key-order walk is the sorted list of the keys it numbers.
+        for count in [0, 1, 2, 9, 10, 11, 100, 101, 10_000, 12_345] {
+            let walked: Vec<String> = accounts_in_key_order(count)
+                .map(|n| account_key(7, n))
+                .collect();
+            let mut sorted: Vec<String> = (0..count).map(|n| format!("a7_{n}")).collect();
+            sorted.sort();
+            assert_eq!(walked, sorted, "count {count}");
+            assert_eq!(accounts_in_key_order(count).len() as u64, count);
+        }
     }
 
     /// The handle changes what a clone costs and nothing else: equality is

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saguaro_types::transaction::account_key;
+use saguaro_types::transaction::{account_key, accounts_in_key_order};
 use saguaro_types::{ClientId, DomainId, Operation, Transaction, TxId};
 
 /// Knobs of the micropayment workload.
@@ -48,9 +48,9 @@ impl Default for WorkloadConfig {
 
 impl WorkloadConfig {
     /// All `(account key, initial balance)` pairs a domain must be seeded
-    /// with before the run.
+    /// with before the run, in ascending key order.
     pub fn seed_accounts_for(&self, domain: DomainId) -> Vec<(String, u64)> {
-        (0..self.accounts_per_domain)
+        accounts_in_key_order(self.accounts_per_domain)
             .map(|n| (account_key(domain.index, n), self.initial_balance))
             .collect()
     }
@@ -331,6 +331,15 @@ mod tests {
         let seeds = config.seed_accounts_for(DomainId::new(1, 2));
         assert_eq!(seeds.len(), 5);
         assert!(seeds.iter().all(|(k, v)| k.starts_with("a2_") && *v == 77));
+
+        // Past one digit the pairs still arrive in key order, one per key.
+        let config = WorkloadConfig {
+            accounts_per_domain: 1_234,
+            ..config
+        };
+        let seeds = config.seed_accounts_for(DomainId::new(1, 2));
+        assert_eq!(seeds.len(), 1_234);
+        assert!(seeds.windows(2).all(|pair| pair[0].0 < pair[1].0));
     }
 
     #[test]

@@ -51,17 +51,20 @@ impl Workload for MicropaymentWorkload {
     }
 
     /// The domain's account universe plus one account per client homed there
-    /// (mobile transactions spend from the client's own account).
+    /// (mobile transactions spend from the client's own account), in
+    /// ascending key order.  A client whose id is inside the universe already
+    /// has its account there.
     fn seed_accounts(&self, domain: DomainId) -> Vec<(String, u64)> {
         let config = self.config();
         let mut accounts = config.seed_accounts_for(domain);
-        for client in 0..self.num_clients() {
-            if MicropaymentWorkload::home_of(self, client) == domain {
-                accounts.push((
-                    account_key(domain.index, client as u64),
-                    config.initial_balance,
-                ));
-            }
+        let beyond = (config.accounts_per_domain..self.num_clients() as u64)
+            .filter(|&client| MicropaymentWorkload::home_of(self, client as usize) == domain);
+        let before = accounts.len();
+        accounts.extend(
+            beyond.map(|client| (account_key(domain.index, client), config.initial_balance)),
+        );
+        if accounts.len() > before {
+            accounts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
         accounts
     }
@@ -90,6 +93,7 @@ impl Workload for RidesharingWorkload {
 mod tests {
     use super::*;
     use crate::micropayment::WorkloadConfig;
+    use saguaro_types::CowMap;
 
     fn domains(n: u16) -> Vec<DomainId> {
         (0..n).map(|i| DomainId::new(1, i)).collect()
@@ -103,11 +107,36 @@ mod tests {
             initial_balance: 500,
             ..WorkloadConfig::default()
         };
-        let w = MicropaymentWorkload::new(config, 8, 1);
+        let w = MicropaymentWorkload::new(config.clone(), 8, 1);
         let d0 = DomainId::new(1, 0);
         let seeds = Workload::seed_accounts(&w, d0);
-        // 10 universe accounts + 2 of the 8 round-robin clients live in d0.
-        assert_eq!(seeds.len(), 12);
+        // 2 of the 8 round-robin clients live in d0, and their accounts
+        // (a0_0, a0_4) are among the 10 of the universe.
+        assert_eq!(seeds.len(), 10);
+        assert!(seeds.iter().all(|(_, v)| *v == 500));
+        // The state they build is the one the universe plus a re-pushed pair
+        // per homed client built.
+        let repushed = config
+            .seed_accounts_for(d0)
+            .into_iter()
+            .chain([0, 4].map(|client| (account_key(0, client), 500)));
+        assert_eq!(
+            seeds.into_iter().collect::<CowMap>(),
+            repushed.collect::<CowMap>()
+        );
+
+        // Clients 12 and 16 of 20 are homed in d0 past its universe: each
+        // still gets its own account, in key order among the others.
+        let w = MicropaymentWorkload::new(config, 20, 1);
+        let seeds = Workload::seed_accounts(&w, d0);
+        let keys: Vec<&str> = seeds.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "a0_0", "a0_1", "a0_12", "a0_16", "a0_2", "a0_3", "a0_4", "a0_5", "a0_6", "a0_7",
+                "a0_8", "a0_9"
+            ]
+        );
         assert!(seeds.iter().all(|(_, v)| *v == 500));
     }
 

@@ -4,9 +4,11 @@
 //! deterministic (two runs of one spec export the same Chrome bytes).
 
 use saguaro::sim::{
-    ExperimentSpec, ProtocolKind, RunMetrics, Scenario, TraceActor, TraceEventKind,
+    ExperimentSpec, ProtocolKind, RunMetrics, Scenario, TraceActor, TraceEventKind, WorkloadKind,
 };
-use saguaro::types::TraceConfig;
+use saguaro::types::{DomainId, TraceConfig, TxId, TxKind};
+use saguaro::workload::{MicropaymentWorkload, WorkloadConfig};
+use std::collections::HashMap;
 
 /// The reference spec the golden metrics below were captured with (the same
 /// spec `tests/determinism.rs` pins).
@@ -197,5 +199,75 @@ fn ring_buffers_bound_memory_and_count_drops() {
         trace.len(),
         actors.len(),
         capacity
+    );
+}
+
+/// Every commit kind traces its execution: under full span sampling each
+/// height-1 replica records one `TxExecuted` per ledger append — internal,
+/// cross-domain and mobile commits alike.
+#[test]
+fn every_height_one_ledger_append_traces_its_execution() {
+    let spec = golden_spec(ProtocolKind::SaguaroCoordinator)
+        .mobile(0.3)
+        .trace(
+            TraceConfig::on()
+                .with_span_sampling(1)
+                .with_buffer_capacity(1 << 16),
+        );
+    let artifacts = spec.run_collecting();
+    let trace = artifacts.trace.as_ref().expect("tracing was enabled");
+    assert_eq!(trace.dropped, 0, "the buffers hold the whole run");
+
+    // The run's transactions by kind, regenerated from the spec's workload
+    // in the order the clients' schedules drew them.
+    let WorkloadKind::Micropayment(config) = &spec.workload else {
+        panic!("the golden spec runs micropayments");
+    };
+    let config = WorkloadConfig {
+        edge_domains: (0..4).map(|i| DomainId::new(1, i)).collect(),
+        ..config.clone()
+    };
+    let mut generator = MicropaymentWorkload::new(config, spec.num_clients, spec.seed);
+    let mut kind_of: HashMap<TxId, TxKind> = HashMap::new();
+    for (client, ids) in &artifacts.schedules {
+        for id in ids {
+            let (tx, _) = generator.next_for_client(client.0 as usize);
+            assert_eq!(tx.id, *id, "regenerated out of step with the run");
+            kind_of.insert(tx.id, tx.kind.clone());
+        }
+    }
+
+    let (mut cross, mut mobile) = (0, 0);
+    let height_one = artifacts
+        .harvest
+        .nodes
+        .iter()
+        .filter(|n| n.node.domain.height == 1);
+    for node in height_one {
+        let mut appended: Vec<TxId> = node.entries.iter().map(|(id, _)| *id).collect();
+        assert_eq!(node.total_entries, appended.len() as u64, "nothing pruned");
+        let mut executed: Vec<TxId> = trace
+            .events
+            .iter()
+            .filter(|e| e.actor == TraceActor::Node(node.node))
+            .filter_map(|e| match e.kind {
+                TraceEventKind::TxExecuted { tx } => Some(tx),
+                _ => None,
+            })
+            .collect();
+        appended.sort_unstable();
+        executed.sort_unstable();
+        assert_eq!(executed, appended, "{:?}", node.node);
+        for id in &appended {
+            match kind_of[id] {
+                TxKind::CrossDomain { .. } => cross += 1,
+                TxKind::Mobile { .. } => mobile += 1,
+                TxKind::Internal { .. } => {}
+            }
+        }
+    }
+    assert!(
+        cross > 0 && mobile > 0,
+        "the run commits both kinds: {cross} cross-domain, {mobile} mobile appends"
     );
 }
