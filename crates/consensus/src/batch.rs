@@ -4,8 +4,8 @@
 //! transactions through each domain's internal consensus rather than one
 //! consensus instance per command.  [`Batch`] is the block: an ordered list
 //! of member commands whose digest is the Merkle root over the member
-//! digests, so replicas vote on a fixed-size value and any member can later
-//! be proven part of the block.  [`Batcher`] is the leader-side accumulator
+//! digests, so replicas vote on a fixed-size value.  [`Batcher`] is the
+//! leader-side accumulator
 //! that cuts blocks by size ([`BatchConfig::max_batch`]) or age
 //! ([`BatchConfig::max_delay`], enforced by the adapter's flush timer).
 
@@ -131,12 +131,12 @@ pub struct Batcher<C> {
 }
 
 impl<C: Clone> Batcher<C> {
-    /// Creates a batcher with the given knobs (`max_batch` is clamped to 1).
+    /// Creates a batcher with the given knobs.  Panics if `max_batch` is 0.
     pub fn new(config: BatchConfig) -> Self {
-        let config = BatchConfig {
-            max_batch: config.max_batch.max(1),
-            ..config
-        };
+        assert!(
+            config.max_batch > 0,
+            "BatchConfig::max_batch is 0: a block holds at least one command"
+        );
         Self {
             config,
             pending: Vec::new(),
@@ -264,12 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_max_batch_is_clamped_to_one() {
-        let mut b: Batcher<Cmd> = Batcher::new(BatchConfig {
-            max_batch: 0,
-            max_delay: saguaro_types::Duration::from_millis(1),
-        });
-        assert_eq!(b.config().max_batch, 1);
-        assert!(b.push(vec![9]).is_some());
+    #[should_panic(expected = "BatchConfig::max_batch is 0")]
+    fn zero_max_batch_is_refused() {
+        let _: Batcher<Cmd> = Batcher::new(BatchConfig::with_max_batch(0));
     }
 }

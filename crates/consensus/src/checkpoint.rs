@@ -80,6 +80,10 @@ impl<C: Clone> CheckpointKeeper<C> {
     /// the engine historically ran with (`None` for Paxos, 128 for PBFT);
     /// it applies only under [`CheckpointConfig::legacy`].
     pub fn new(config: CheckpointConfig, legacy_interval: Option<SeqNo>) -> Self {
+        assert!(
+            config.retention > 0,
+            "CheckpointConfig::retention is 0: a snapshot responder keeps at least one delivery"
+        );
         let interval = if config.is_active() {
             Some(config.interval)
         } else {
@@ -87,7 +91,7 @@ impl<C: Clone> CheckpointKeeper<C> {
         };
         Self {
             interval,
-            state_transfer: config.state_transfer,
+            state_transfer: config.is_active(),
             stable: 0,
             votes: BTreeMap::new(),
             hint: 0,
@@ -459,9 +463,9 @@ mod tests {
 
     #[test]
     fn state_requests_get_the_tail_the_snapshot_or_nothing() {
-        // Retention 0: everything at or below the stable checkpoint (8) is
+        // Retention 1: everything at or below the stable checkpoint (8) is
         // pruned; 9 and 10 are the retained tail above the snapshot.
-        let k = chain(CheckpointConfig::every(4).with_retention(0), 10);
+        let k = chain(CheckpointConfig::every(4).with_retention(1), 10);
         assert_eq!((k.chain_start(0), k.chain_len()), (9, 2));
         let tail = vec![(9, vec![9]), (10, vec![10])];
         // Frontier inside the retained chain: the full tail, no snapshot.
@@ -475,6 +479,12 @@ mod tests {
         let mut bare = CheckpointKeeper::new(CheckpointConfig::every(4), None);
         bare.retain(5, vec![5]);
         assert_eq!(bare.answer_state_request(2, 5), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "CheckpointConfig::retention is 0")]
+    fn zero_retention_is_refused() {
+        let _ = CheckpointKeeper::new(CheckpointConfig::every(4).with_retention(0), None);
     }
 
     #[test]

@@ -78,13 +78,6 @@ pub enum Step<C, M> {
     },
 }
 
-impl<C, M> Step<C, M> {
-    /// Convenience: true if this step delivers a command.
-    pub fn is_delivery(&self) -> bool {
-        matches!(self, Step::Deliver { .. })
-    }
-}
-
 /// Round-robin primary for a view, given the (sorted) replica list of the
 /// domain.  Both protocols use the same rule so failure handling is uniform.
 pub fn primary_for_view(view: u64, replicas: &[NodeId]) -> NodeId {
@@ -111,19 +104,5 @@ mod tests {
         assert_eq!(primary_for_view(0, &nodes), nodes[0]);
         assert_eq!(primary_for_view(1, &nodes), nodes[1]);
         assert_eq!(primary_for_view(5, &nodes), nodes[1]);
-    }
-
-    #[test]
-    fn step_is_delivery() {
-        let s: Step<Vec<u8>, ()> = Step::Deliver {
-            seq: 1,
-            command: vec![],
-        };
-        assert!(s.is_delivery());
-        let s: Step<Vec<u8>, ()> = Step::ViewChanged {
-            view: 1,
-            primary: NodeId::new(DomainId::new(1, 0), 1),
-        };
-        assert!(!s.is_delivery());
     }
 }

@@ -260,7 +260,7 @@ mod tests {
     }
 
     fn delivers(steps: &Steps<Cmd>) -> bool {
-        steps.iter().any(Step::is_delivery)
+        steps.iter().any(|s| matches!(s, Step::Deliver { .. }))
     }
 
     /// The sequence numbers `steps` broadcast a Learn for.

@@ -30,9 +30,9 @@ pub(crate) const OPTIMISTIC_ABORT_ROUNDS: u64 = 8;
 ///
 /// Every pending transaction carries the union of the keys written / read by
 /// itself and its (transitive) dependents.  A new execution conflicts with a
-/// pending entry iff its read/write sets intersect those unions the way
-/// [`Transaction::conflicts_with`] would intersect some member's sets — the
-/// union distributes over the "any dependent conflicts" existential.  The
+/// pending entry iff one of them writes a key the other reads or writes,
+/// checked against those unions — the union distributes over the "any
+/// dependent conflicts" existential.  The
 /// unions are stored inverted, key → pending ids, so an execution looks up
 /// the (at most two) keys it touches instead of walking every pending entry.
 #[derive(Default, Debug)]
@@ -97,7 +97,8 @@ fn unlist(index: &mut FxHashMap<String, Vec<TxId>>, id: TxId, keys: &[String]) {
 
 impl OptTracker {
     /// Number of undecided speculative transactions.
-    pub fn pending_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_count(&self) -> usize {
         self.pending.len()
     }
 
@@ -112,8 +113,8 @@ impl OptTracker {
     pub(crate) fn record_execution(&mut self, tx: &Transaction) {
         self.exec_pos.insert(tx.id, self.executions);
         self.executions += 1;
-        // Mirrors `Transaction::conflicts_with(member, tx)` over the union
-        // sets: member-write ∩ tx-read/write, or member-read ∩ tx-write.
+        // Conflict over the union sets: member-write ∩ tx-read/write, or
+        // member-read ∩ tx-write.
         let mut hit: Vec<TxId> = Vec::new();
         for key in tx.op.write_set() {
             hit.extend(self.writers.get(key).into_iter().flatten());
@@ -213,7 +214,8 @@ pub enum OptDecision {
 
 impl OptimisticValidator {
     /// Number of cross-domain transactions currently tracked.
-    pub fn tracked(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tracked(&self) -> usize {
         self.observed.len()
     }
 

@@ -23,18 +23,9 @@ pub struct NodeStats {
 
 impl NodeStats {
     /// Total committed transactions of every class.
-    pub fn total_committed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_committed(&self) -> u64 {
         self.internal_committed + self.cross_committed + self.mobile_committed
-    }
-
-    /// Abort ratio among cross-domain transactions.
-    pub fn abort_ratio(&self) -> f64 {
-        let total = self.cross_committed + self.cross_aborted;
-        if total == 0 {
-            0.0
-        } else {
-            self.cross_aborted as f64 / total as f64
-        }
     }
 }
 
@@ -43,7 +34,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_and_ratios() {
+    fn total_counts_every_class() {
         let s = NodeStats {
             internal_committed: 10,
             cross_committed: 6,
@@ -52,8 +43,5 @@ mod tests {
             ..NodeStats::default()
         };
         assert_eq!(s.total_committed(), 20);
-        assert!((s.abort_ratio() - 0.25).abs() < 1e-9);
-        let empty = NodeStats::default();
-        assert_eq!(empty.abort_ratio(), 0.0);
     }
 }

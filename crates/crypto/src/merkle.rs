@@ -2,8 +2,9 @@
 //!
 //! `block` messages sent up the hierarchy include "the Merkle hash tree of
 //! those transactions used to verify the content of the block" (Section 5).
-//! Parents verify membership of individual transactions against the root
-//! carried in the (certified) block header.
+//! The reproduction uses the tree for its root only: a block header and a
+//! consensus batch each carry the root of their members, and a replica
+//! verifies a block by recomputing it.
 
 use crate::sha256::{sha256_parts, Digest};
 
@@ -17,17 +18,6 @@ pub struct MerkleTree {
     /// levels[0] is the leaf level, last level has exactly one node (the root)
     /// unless the tree is empty.
     levels: Vec<Vec<Digest>>,
-}
-
-/// A Merkle inclusion proof for one leaf.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MerkleProof {
-    /// Index of the proven leaf.
-    pub leaf_index: usize,
-    /// Sibling digests from leaf level to just below the root, with a flag
-    /// telling whether the sibling is on the right (`true`) of the running
-    /// hash.
-    pub path: Vec<(Digest, bool)>,
 }
 
 fn hash_leaf(data: &[u8]) -> Digest {
@@ -69,16 +59,6 @@ impl MerkleTree {
         Self { levels }
     }
 
-    /// Number of leaves.
-    pub fn len(&self) -> usize {
-        self.levels.first().map_or(0, Vec::len)
-    }
-
-    /// True if the tree has no leaves.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The Merkle root (sentinel value for an empty tree).
     pub fn root(&self) -> Digest {
         self.levels
@@ -87,43 +67,6 @@ impl MerkleTree {
             .copied()
             .unwrap_or_else(empty_root)
     }
-
-    /// Builds an inclusion proof for the leaf at `index`.
-    pub fn prove(&self, index: usize) -> Option<MerkleProof> {
-        if index >= self.len() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut idx = index;
-        for level in &self.levels[..self.levels.len().saturating_sub(1)] {
-            let sibling_idx = if idx.is_multiple_of(2) {
-                idx + 1
-            } else {
-                idx - 1
-            };
-            let sibling = *level.get(sibling_idx).unwrap_or(&level[idx]);
-            // `true` means the sibling sits to the right of the running hash.
-            path.push((sibling, idx.is_multiple_of(2)));
-            idx /= 2;
-        }
-        Some(MerkleProof {
-            leaf_index: index,
-            path,
-        })
-    }
-}
-
-/// Verifies that `leaf_data` is included under `root` according to `proof`.
-pub fn verify_proof(root: &Digest, leaf_data: &[u8], proof: &MerkleProof) -> bool {
-    let mut acc = hash_leaf(leaf_data);
-    for (sibling, sibling_is_right) in &proof.path {
-        acc = if *sibling_is_right {
-            hash_node(&acc, sibling)
-        } else {
-            hash_node(sibling, &acc)
-        };
-    }
-    acc == *root
 }
 
 #[cfg(test)]
@@ -137,41 +80,7 @@ mod tests {
     #[test]
     fn empty_tree_has_sentinel_root() {
         let t = MerkleTree::from_leaves::<Vec<u8>>(&[]);
-        assert!(t.is_empty());
         assert_eq!(t.root(), empty_root());
-        assert!(t.prove(0).is_none());
-    }
-
-    #[test]
-    fn single_leaf_tree() {
-        let t = MerkleTree::from_leaves(&leaves(1));
-        assert_eq!(t.len(), 1);
-        let proof = t.prove(0).expect("proof");
-        assert!(proof.path.is_empty());
-        assert!(verify_proof(&t.root(), b"tx-0", &proof));
-        assert!(!verify_proof(&t.root(), b"tx-1", &proof));
-    }
-
-    #[test]
-    fn proofs_verify_for_all_leaves_various_sizes() {
-        for n in [2usize, 3, 4, 5, 7, 8, 9, 16, 33] {
-            let data = leaves(n);
-            let t = MerkleTree::from_leaves(&data);
-            for (i, leaf) in data.iter().enumerate() {
-                let p = t.prove(i).expect("proof exists");
-                assert!(verify_proof(&t.root(), leaf, &p), "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn proof_fails_for_wrong_leaf_or_root() {
-        let data = leaves(8);
-        let t = MerkleTree::from_leaves(&data);
-        let p = t.prove(3).expect("proof");
-        assert!(!verify_proof(&t.root(), b"tx-4", &p));
-        let other = MerkleTree::from_leaves(&leaves(9));
-        assert!(!verify_proof(&other.root(), b"tx-3", &p));
     }
 
     #[test]

@@ -40,22 +40,6 @@ impl Digest {
         }
         s
     }
-
-    /// First eight bytes interpreted as a big-endian integer; handy for
-    /// deterministic tie-breaking (e.g. choosing which conflicting optimistic
-    /// transaction to abort).
-    pub fn prefix_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("digest has 32 bytes"))
-    }
-
-    /// Combines two digests into one (parent node of a Merkle tree or chained
-    /// hash of a block header).
-    pub fn combine(&self, other: &Digest) -> Digest {
-        let mut buf = [0u8; 64];
-        buf[..32].copy_from_slice(&self.0);
-        buf[32..].copy_from_slice(&other.0);
-        sha256(&buf)
-    }
 }
 
 const HEX: [char; 16] = [
@@ -484,18 +468,9 @@ mod tests {
     }
 
     #[test]
-    fn combine_is_order_sensitive() {
-        let a = sha256(b"a");
-        let b = sha256(b"b");
-        assert_ne!(a.combine(&b), b.combine(&a));
-    }
-
-    #[test]
     fn digest_helpers() {
         let d = sha256(b"abc");
         assert_eq!(d.to_hex().len(), 64);
-        assert_ne!(d.prefix_u64(), 0);
-        assert_eq!(Digest::ZERO.prefix_u64(), 0);
         assert!(format!("{d:?}").starts_with('#'));
         assert_eq!(d.as_ref().len(), 32);
     }

@@ -59,22 +59,12 @@ impl KeyPair {
         Self { node, secret }
     }
 
-    /// The node this key pair belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Signs a digest.
     pub fn sign(&self, digest: &Digest) -> Signature {
         Signature {
             signer: self.node,
             tag: sha256_parts(&[b"saguaro-sig", self.secret.as_ref(), digest.as_ref()]),
         }
-    }
-
-    /// Signs raw bytes (hashes them first).
-    pub fn sign_bytes(&self, bytes: &[u8]) -> Signature {
-        self.sign(&crate::sha256::sha256(bytes))
     }
 }
 
@@ -109,7 +99,6 @@ mod tests {
         let d = sha256(b"hello");
         let sig = kp.sign(&d);
         assert!(verify(&sig, &d));
-        assert_eq!(kp.node(), node(0, 1));
     }
 
     #[test]
@@ -143,11 +132,5 @@ mod tests {
         let sig = KeyPair::for_node_seeded(node(0, 1), 1).sign(&d);
         assert!(verify_seeded(&sig, &d, 1));
         assert!(!verify_seeded(&sig, &d, 2));
-    }
-
-    #[test]
-    fn sign_bytes_matches_sign_of_hash() {
-        let kp = KeyPair::for_node(node(2, 0));
-        assert_eq!(kp.sign_bytes(b"abc"), kp.sign(&sha256(b"abc")));
     }
 }

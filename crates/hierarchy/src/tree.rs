@@ -192,27 +192,6 @@ impl HierarchyTree {
         self.path_to_root(descendant).contains(&ancestor)
     }
 
-    /// Every height-1 domain in the subtree rooted at `id` (the domains whose
-    /// `block` messages eventually reach `id`).
-    pub fn edge_descendants(&self, id: DomainId) -> Vec<DomainId> {
-        if id.height == 1 {
-            return vec![id];
-        }
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(d) = stack.pop() {
-            for c in self.children(d) {
-                if c.height == 1 {
-                    out.push(*c);
-                } else if c.height > 1 {
-                    stack.push(*c);
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// The replica node ids of a domain.
     pub fn nodes_of(&self, id: DomainId) -> Result<Vec<NodeId>> {
         self.config(id)?;
@@ -229,16 +208,6 @@ impl HierarchyTree {
     /// The region a domain is placed in.
     pub fn region_of(&self, id: DomainId) -> Result<Region> {
         Ok(self.config(id)?.region)
-    }
-
-    /// Total number of replica nodes at height ≥ 1 (the VMs of the paper's
-    /// testbed).
-    pub fn total_replicas(&self) -> usize {
-        self.domains
-            .values()
-            .filter(|c| c.id.height >= 1)
-            .map(|c| c.size())
-            .sum()
     }
 }
 
@@ -335,22 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn edge_descendants_cover_subtrees() {
+    fn nodes_of_a_domain() {
         let t = figure1_like();
-        let d = |h, i| DomainId::new(h, i);
-        assert_eq!(
-            t.edge_descendants(d(3, 0)),
-            vec![d(1, 0), d(1, 1), d(1, 2), d(1, 3)]
-        );
-        assert_eq!(t.edge_descendants(d(2, 1)), vec![d(1, 2), d(1, 3)]);
-        assert_eq!(t.edge_descendants(d(1, 2)), vec![d(1, 2)]);
-    }
-
-    #[test]
-    fn nodes_and_replica_totals() {
-        let t = figure1_like();
-        // Crash f=1 -> 3 nodes per domain; 7 domains.
-        assert_eq!(t.total_replicas(), 21);
+        // Crash f=1 -> 3 nodes per domain.
         let nodes = t.nodes_of(DomainId::new(1, 0)).unwrap();
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[2], NodeId::new(DomainId::new(1, 0), 2));

@@ -33,11 +33,6 @@ impl StateDelta {
         Self { entries }
     }
 
-    /// Adds one entry.
-    pub fn push(&mut self, key: impl Into<Arc<str>>, value: u64) {
-        self.entries.push((key.into(), value));
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -63,10 +58,6 @@ pub enum AbstractionFn {
     /// Ship only keys with a given prefix — e.g. only the `hours/` attribute
     /// of ridesharing records, improving privacy and shrinking messages.
     KeyPrefix(&'static str),
-    /// Ship only the number of keys updated in the round (pure telemetry).
-    CountOnly,
-    /// Ship nothing (parents keep ledgers but no state view).
-    Nothing,
 }
 
 impl AbstractionFn {
@@ -82,12 +73,6 @@ impl AbstractionFn {
                     .cloned()
                     .collect(),
             ),
-            AbstractionFn::CountOnly => {
-                let mut d = StateDelta::new();
-                d.push("updated_keys", raw_updates.len() as u64);
-                d
-            }
-            AbstractionFn::Nothing => StateDelta::new(),
         }
     }
 }
@@ -101,7 +86,7 @@ impl AbstractionFn {
 #[derive(Clone, Debug, Default)]
 pub struct AggregateView {
     /// child domain -> key -> latest value.  The inner maps only answer
-    /// point look-ups and sums; [`AggregateView::to_delta`] sorts on demand.
+    /// point look-ups and sums.
     per_child: BTreeMap<DomainId, FxHashMap<Arc<str>, u64>>,
 }
 
@@ -152,32 +137,6 @@ impl AggregateView {
     pub fn children(&self) -> impl Iterator<Item = DomainId> + '_ {
         self.per_child.keys().copied()
     }
-
-    /// Merges another aggregate view (used when a parent domain forwards its
-    /// own summarized view further up the tree).
-    pub fn merge_from(&mut self, other: &AggregateView) {
-        for (child, map) in &other.per_child {
-            let entry = self.per_child.entry(*child).or_default();
-            for (k, v) in map {
-                entry.insert(k.clone(), *v);
-            }
-        }
-    }
-
-    /// Flattens the view into a delta suitable for forwarding to the parent
-    /// (the per-child detail is collapsed into `child/key` entries so the
-    /// grandparent can still distinguish sources).
-    pub fn to_delta(&self) -> StateDelta {
-        let mut d = StateDelta::new();
-        for (child, map) in &self.per_child {
-            let mut sorted: Vec<_> = map.iter().collect();
-            sorted.sort();
-            for (k, v) in sorted {
-                d.push(format!("{child:?}/{k}"), *v);
-            }
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -210,13 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn count_only_and_nothing() {
-        let delta = AbstractionFn::CountOnly.apply(&raw());
-        assert_eq!(delta.iter().next(), Some(("updated_keys", 3)));
-        assert!(AbstractionFn::Nothing.apply(&raw()).is_empty());
-    }
-
-    #[test]
     fn aggregate_view_sums_across_children() {
         let mut view = AggregateView::new();
         view.apply_delta(
@@ -244,19 +196,6 @@ mod tests {
         assert_eq!(view.sum("k"), 9);
     }
 
-    #[test]
-    fn merge_and_flatten() {
-        let mut a = AggregateView::new();
-        a.apply_delta(d(0), &StateDelta::from_entries(vec![("k".into(), 1)]));
-        let mut b = AggregateView::new();
-        b.apply_delta(d(1), &StateDelta::from_entries(vec![("k".into(), 2)]));
-        a.merge_from(&b);
-        assert_eq!(a.sum("k"), 3);
-        let flat = a.to_delta();
-        assert_eq!(flat.len(), 2);
-        assert!(flat.iter().any(|(k, v)| k.contains("D11") && v == 2));
-    }
-
     /// A key is allocated by whoever wrote it and shared from there on: the
     /// delta an abstraction produces and the view that applies it hold the
     /// same handle.
@@ -275,26 +214,8 @@ mod tests {
     }
 
     #[test]
-    fn to_delta_lists_children_in_order_and_their_keys_in_order() {
-        let mut view = AggregateView::new();
-        view.apply_delta(
-            d(1),
-            &StateDelta::from_entries(vec![("b".into(), 2), ("a".into(), 1)]),
-        );
-        view.apply_delta(d(0), &StateDelta::from_entries(vec![("z".into(), 9)]));
-        view.apply_delta(d(1), &StateDelta::from_entries(vec![("b".into(), 5)]));
-        let flat = view.to_delta();
-        assert_eq!(
-            flat.iter().collect::<Vec<_>>(),
-            vec![("D10/z", 9), ("D11/a", 1), ("D11/b", 5)]
-        );
-    }
-
-    #[test]
     fn state_delta_builders() {
-        let mut d = StateDelta::new();
-        assert!(d.is_empty());
-        d.push("a", 1);
-        assert_eq!(d.len(), 1);
+        assert!(StateDelta::new().is_empty());
+        assert_eq!(StateDelta::from_entries(vec![("a".into(), 1)]).len(), 1);
     }
 }

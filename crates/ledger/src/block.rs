@@ -2,7 +2,8 @@
 //!
 //! At the end of each round a height-1 domain packs the transactions it
 //! committed in that round into a [`Block`]: the transactions themselves, the
-//! Merkle root over them (so parents can verify membership), and the
+//! Merkle root over them (so a parent can check the content against the
+//! header), and the
 //! abstracted state delta λ(D_rn − D_rn-1).  Blocks are chained through the
 //! `prev` digest, which is what makes the per-domain ledger tamper-evident.
 

@@ -50,6 +50,7 @@ impl<T: Ord + Copy> SmallSet<T> {
     }
 
     /// The elements also in `other`, ascending.
+    #[cfg(test)]
     fn intersection(&self, other: &Self) -> Vec<T> {
         let mut both: Vec<T> = self.iter().filter(|item| other.contains(*item)).collect();
         both.sort();
@@ -108,7 +109,8 @@ impl DagLedger {
     }
 
     /// Blocks incorporated from `child` so far.
-    pub fn blocks_of(&self, child: DomainId) -> &[BlockId] {
+    #[cfg(test)]
+    pub(crate) fn blocks_of(&self, child: DomainId) -> &[BlockId] {
         self.blocks_applied
             .get(&child)
             .map(Vec::as_slice)
@@ -295,21 +297,6 @@ impl DagLedger {
         }
         visited == self.entries.len()
     }
-
-    /// Checks whether the per-child order of two cross-domain transactions is
-    /// consistent: if both `a` and `b` were reported by two or more common
-    /// children, every common child must have reported them in the same
-    /// relative order.  Returns the offending pair of domains on conflict.
-    ///
-    /// (Order within this DAG is tracked through the `parents` chains per
-    /// child; for the protocols we expose the simpler reported-order check
-    /// based on block application order, which the core crate drives.)
-    pub fn reported_by_both(&self, a: TxId, b: TxId) -> Vec<DomainId> {
-        match (self.entries.get(&a), self.entries.get(&b)) {
-            (Some(ea), Some(eb)) => ea.reported_by.intersection(&eb.reported_by),
-            _ => Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -397,7 +384,6 @@ mod tests {
         dag.apply_block(d(0), &l0.cut_block(StateDelta::new()))
             .unwrap();
         assert!(dag.fully_reported().is_empty());
-        assert_eq!(dag.reported_by_both(TxId(100), TxId(100)), vec![d(0)]);
     }
 
     #[test]

@@ -148,18 +148,14 @@ impl LinearLedger {
     }
 
     /// Entries appended since the last block cut.
-    pub fn pending_round_entries(&self) -> &[CommittedTx] {
+    #[cfg(test)]
+    pub(crate) fn pending_round_entries(&self) -> &[CommittedTx] {
         &self.entries[self.round_start..]
     }
 
     /// Number of blocks cut so far.
     pub fn rounds_cut(&self) -> u64 {
         self.rounds_cut
-    }
-
-    /// Digest of the last cut block header (chain tip).
-    pub fn chain_tip(&self) -> Digest {
-        self.last_block_digest
     }
 
     /// Identifiers of all cut blocks.
@@ -224,14 +220,6 @@ impl LinearLedger {
     /// Entries discarded so far by [`LinearLedger::prune_front`].
     pub fn pruned_entries(&self) -> u64 {
         self.pruned
-    }
-
-    /// Commit-order positions of two transactions, if both are present
-    /// (used to check ordering consistency in tests).
-    pub fn relative_order(&self, a: TxId, b: TxId) -> Option<std::cmp::Ordering> {
-        let ia = self.index.get(&a)?;
-        let ib = self.index.get(&b)?;
-        Some(ia.cmp(ib))
     }
 }
 
@@ -298,7 +286,6 @@ mod tests {
         assert_eq!(b2.txs.len(), 1);
         assert_eq!(b2.header.prev, b1.header.digest());
         assert_eq!(l.rounds_cut(), 2);
-        assert_eq!(l.chain_tip(), b2.header.digest());
         assert_eq!(l.block_ids().len(), 2);
         assert!(l.pending_round_entries().is_empty());
     }
@@ -325,22 +312,6 @@ mod tests {
         assert!(!l.mark_aborted(TxId(9)), "unknown");
         assert_eq!(l.get(TxId(1)).unwrap().status, TxStatus::Committed);
         assert_eq!(l.get(TxId(2)).unwrap().status, TxStatus::Aborted);
-    }
-
-    #[test]
-    fn relative_order_reflects_commit_order() {
-        let mut l = LinearLedger::new(domain());
-        l.append_internal(tx(5), TxStatus::Committed);
-        l.append_internal(tx(3), TxStatus::Committed);
-        assert_eq!(
-            l.relative_order(TxId(5), TxId(3)),
-            Some(std::cmp::Ordering::Less)
-        );
-        assert_eq!(
-            l.relative_order(TxId(3), TxId(5)),
-            Some(std::cmp::Ordering::Greater)
-        );
-        assert_eq!(l.relative_order(TxId(3), TxId(9)), None);
     }
 
     #[test]

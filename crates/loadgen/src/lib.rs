@@ -17,7 +17,7 @@
 //!   one open-loop arrival process: Poisson arrivals at `users ×
 //!   per_user_tps` (a superposition of `users` independent Poisson clients
 //!   is itself Poisson at the summed rate), Zipf-skewed account selection,
-//!   and optional diurnal / flash-crowd rate envelopes.  One generator costs
+//!   and an optional flash-crowd rate envelope.  One generator costs
 //!   O(1) memory however large `users` is.
 //! * [`LatencyHistogram`] is the streaming accounting that replaces stored
 //!   per-transaction latency vectors: HDR-style log-bucketed, mergeable,

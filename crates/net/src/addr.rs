@@ -24,14 +24,6 @@ impl Addr {
             Addr::Client(_) => None,
         }
     }
-
-    /// Returns the client id if this address is a client.
-    pub fn as_client(&self) -> Option<ClientId> {
-        match self {
-            Addr::Client(c) => Some(*c),
-            Addr::Node(_) => None,
-        }
-    }
 }
 
 impl From<NodeId> for Addr {
@@ -76,8 +68,6 @@ mod tests {
         let an: Addr = n.into();
         let ac: Addr = c.into();
         assert_eq!(an.as_node(), Some(n));
-        assert_eq!(an.as_client(), None);
-        assert_eq!(ac.as_client(), Some(c));
         assert_eq!(ac.as_node(), None);
     }
 

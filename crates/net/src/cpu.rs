@@ -78,17 +78,6 @@ impl CpuProfile {
         }
     }
 
-    /// A slower profile for constrained edge devices participating in leaf
-    /// consensus.
-    pub fn edge_device() -> Self {
-        Self {
-            base_us: 20.0,
-            per_signature_us: 60.0,
-            per_byte_us: 0.02,
-            send_us: 8.0,
-        }
-    }
-
     /// Clients merely match replies; modelled as free so that client-side
     /// processing never becomes the bottleneck (the paper measures server-side
     /// saturation).
@@ -159,14 +148,6 @@ mod tests {
         let p = CpuProfile::client();
         assert_eq!(p.service_time(10_000, 10), Duration::ZERO);
         assert_eq!(p.send_time(), Duration::ZERO);
-    }
-
-    #[test]
-    fn edge_profile_slower_than_server() {
-        assert!(
-            CpuProfile::edge_device().service_time(200, 1)
-                > CpuProfile::server().service_time(200, 1)
-        );
     }
 
     #[test]

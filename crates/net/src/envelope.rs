@@ -59,11 +59,6 @@ impl<M> Envelope<M> {
     pub fn payload(&self) -> &M {
         &self.payload
     }
-
-    /// Number of live references to the payload (diagnostics/tests).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.payload)
-    }
 }
 
 impl<M: Clone> Envelope<M> {

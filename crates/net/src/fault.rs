@@ -182,13 +182,20 @@ impl FaultSchedule {
     }
 
     /// Builder: sever the link between `a` and `b` at `at`.
-    pub fn partition_at(mut self, at: SimTime, a: impl Into<Addr>, b: impl Into<Addr>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn partition_at(
+        mut self,
+        at: SimTime,
+        a: impl Into<Addr>,
+        b: impl Into<Addr>,
+    ) -> Self {
         self.push(at, FaultEvent::PartitionLink(a.into(), b.into()));
         self
     }
 
     /// Builder: heal the link between `a` and `b` at `at`.
-    pub fn heal_at(mut self, at: SimTime, a: impl Into<Addr>, b: impl Into<Addr>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn heal_at(mut self, at: SimTime, a: impl Into<Addr>, b: impl Into<Addr>) -> Self {
         self.push(at, FaultEvent::HealLink(a.into(), b.into()));
         self
     }
@@ -349,11 +356,6 @@ impl FaultPlan {
         self.crashed.contains(&a)
     }
 
-    /// Number of currently crashed participants.
-    pub fn crashed_count(&self) -> usize {
-        self.crashed.len()
-    }
-
     /// Severs the link between two participants (both directions).
     pub fn partition(&mut self, a: impl Into<Addr>, b: impl Into<Addr>) {
         let (a, b) = Self::ordered(a.into(), b.into());
@@ -374,11 +376,6 @@ impl FaultPlan {
     /// Rejoins a previously severed domain.
     pub fn rejoin_domain(&mut self, d: DomainId) {
         self.severed.remove(&d);
-    }
-
-    /// True if the domain is currently severed.
-    pub fn is_severed(&self, d: DomainId) -> bool {
-        self.severed.contains(&d)
     }
 
     /// True if a message between `a` and `b` crosses the boundary of a
@@ -465,7 +462,6 @@ mod tests {
         assert!(!plan.should_drop(c(0), c(1), &mut rng));
         plan.crash(ClientId(1));
         assert!(plan.is_crashed(c(1)));
-        assert_eq!(plan.crashed_count(), 1);
         assert!(plan.should_drop(c(0), c(1), &mut rng));
         assert!(plan.should_drop(c(1), c(0), &mut rng));
         plan.restart(ClientId(1));
@@ -536,7 +532,6 @@ mod tests {
         let mut plan = FaultPlan::none();
         let mut rng = StdRng::seed_from_u64(0);
         plan.sever_domain(d0);
-        assert!(plan.is_severed(d0));
         // Intra-domain traffic keeps flowing.
         assert!(!plan.should_drop(n(d0, 0), n(d0, 1), &mut rng));
         // Boundary traffic is cut in both directions: peers and clients.

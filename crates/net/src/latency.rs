@@ -97,11 +97,6 @@ impl LatencyMatrix {
         self.names.len()
     }
 
-    /// Name of a region (for reporting).
-    pub fn region_name(&self, r: Region) -> &'static str {
-        self.names.get(r.0 as usize).copied().unwrap_or("?")
-    }
-
     /// Round-trip time between two regions.
     pub fn rtt(&self, a: Region, b: Region) -> Duration {
         if a == b {
@@ -114,18 +109,6 @@ impl LatencyMatrix {
             .copied()
             .unwrap_or(0);
         Duration::from_micros(us.max(2 * self.intra_region_us))
-    }
-
-    /// Overrides the intra-region one-way latency (microseconds).
-    pub fn with_intra_region_us(mut self, us: u64) -> Self {
-        self.intra_region_us = us;
-        self
-    }
-
-    /// Overrides the link bandwidth (bytes per microsecond).
-    pub fn with_bandwidth_bytes_per_us(mut self, b: f64) -> Self {
-        self.bytes_per_us = b;
-        self
     }
 
     /// Overrides the jitter fraction.
@@ -173,7 +156,6 @@ mod tests {
         assert_eq!(m.rtt(Region(0), Region(2)), Duration::from_millis(17));
         // Symmetry.
         assert_eq!(m.rtt(Region(2), Region(0)), Duration::from_millis(17));
-        assert_eq!(m.region_name(Region(3)), "PAR");
     }
 
     #[test]
@@ -235,12 +217,10 @@ mod tests {
 
     #[test]
     fn builder_overrides_apply() {
-        let m = LatencyMatrix::single_region()
-            .with_intra_region_us(100)
-            .with_bandwidth_bytes_per_us(1.0)
-            .with_jitter(0.0);
+        let m = LatencyMatrix::single_region().with_jitter(0.0);
         let mut rng = StdRng::seed_from_u64(1);
-        let d = m.one_way(Region(0), Region(0), 50, &mut rng);
-        assert_eq!(d, Duration::from_micros(150));
+        // 250 us intra-region plus 1 250 B at 125 B/us.
+        let d = m.one_way(Region(0), Region(0), 1_250, &mut rng);
+        assert_eq!(d, Duration::from_micros(260));
     }
 }

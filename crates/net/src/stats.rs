@@ -9,8 +9,7 @@ use saguaro_types::Duration;
 /// Per-node busy time is stored densely, indexed by the runtime's interned
 /// actor index, so the delivery hot path increments a `Vec` cell instead of
 /// probing a hash map.  The `Addr`-keyed lookup table is only consulted by
-/// the cold reporting accessors ([`NetStats::busy_time`],
-/// [`NetStats::utilisation`]).
+/// the cold reporting accessors.
 #[derive(Debug, Default, Clone)]
 pub struct NetStats {
     /// Total messages handed to the network (including later-dropped ones).
@@ -95,19 +94,12 @@ impl NetStats {
     }
 
     /// Accumulated CPU busy time of one participant.
-    pub fn busy_time(&self, a: Addr) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn busy_time(&self, a: Addr) -> Duration {
         self.index
             .get(&a)
             .map(|&i| self.busy[i as usize])
             .unwrap_or(Duration::ZERO)
-    }
-
-    /// Utilisation of a participant over a window of `elapsed` virtual time.
-    pub fn utilisation(&self, a: Addr, elapsed: Duration) -> f64 {
-        if elapsed.as_micros() == 0 {
-            return 0.0;
-        }
-        self.busy_time(a).as_micros() as f64 / elapsed.as_micros() as f64
     }
 
     /// The busiest participant and its accumulated busy time.  Ties are
@@ -170,12 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_and_busiest() {
+    fn busiest_is_the_most_loaded_actor() {
         let mut s = stats_with(2);
         s.on_deliver(0, 1, Duration::from_micros(500), false);
         s.on_deliver(1, 1, Duration::from_micros(100), false);
-        assert_eq!(s.utilisation(c(0), Duration::from_millis(1)), 0.5);
-        assert_eq!(s.utilisation(c(0), Duration::ZERO), 0.0);
         assert_eq!(s.busiest().map(|(a, _)| a), Some(c(0)));
     }
 

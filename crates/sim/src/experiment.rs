@@ -294,15 +294,8 @@ impl ExperimentSpec {
         self
     }
 
-    /// Replaces the grouped consensus-pipeline knobs wholesale.  For
-    /// incremental tweaks prefer [`ExperimentSpec::tune`].
-    pub fn consensus(mut self, consensus: ConsensusTuning) -> Self {
-        self.consensus = consensus;
-        self
-    }
-
     /// Tunes the grouped consensus-pipeline knobs in place — the single
-    /// entry point for batching, liveness and checkpoint/retention setters:
+    /// setter of batching, liveness and checkpoint/retention:
     ///
     /// ```ignore
     /// spec.tune(|t| t.batch_size(8).checkpoint_every(16).retained(64))
@@ -405,7 +398,7 @@ impl ExperimentSpec {
 }
 
 /// Metrics of one run.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunMetrics {
     /// Offered load (tx/s).
     pub offered_tps: f64,
@@ -426,7 +419,7 @@ pub struct RunMetrics {
 }
 
 /// One point of an offered-load sweep.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct LoadPoint {
     /// Offered load (tx/s).
     pub offered_tps: f64,

@@ -13,7 +13,7 @@ use saguaro_net::FaultSchedule;
 use saguaro_types::{DomainId, Duration, FailureModel, NodeId, PopulationConfig, SimTime};
 
 /// One curve of a figure: a label plus its load sweep.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct FigureSeries {
     /// Curve label as it appears in the paper's legend.
     pub label: String,
@@ -300,7 +300,7 @@ pub fn batch_throughput_delta(series: &[FigureSeries]) -> Vec<(String, f64, f64,
 /// One bucket of a fault-injection timeline: the committed throughput and
 /// mean latency of the transactions *submitted* during `[t_ms, t_ms +
 /// width)`.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct TimelineBin {
     /// Bucket start (virtual milliseconds since experiment start).
     pub t_ms: f64,
@@ -311,7 +311,7 @@ pub struct TimelineBin {
 }
 
 /// One protocol stack's behaviour across a crash-and-recover schedule.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct FaultSeries {
     /// Stack label (`-BFT` suffix marks the PBFT-domain variant).
     pub label: String,
@@ -448,7 +448,7 @@ pub fn render_fault_table(title: &str, series: &[FaultSeries]) -> String {
 // ---------------------------------------------------------------------------
 
 /// One outage length of the recovery figure.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct RecoveryPoint {
     /// How long the victim replica was down (virtual ms).
     pub outage_ms: f64,
@@ -490,7 +490,7 @@ impl RecoveryPoint {
 }
 
 /// One protocol configuration swept over outage lengths.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct RecoverySeries {
     /// Series label.
     pub label: String,
@@ -624,7 +624,7 @@ pub fn render_recovery_table(title: &str, series: &[RecoverySeries]) -> String {
 // ---------------------------------------------------------------------------
 
 /// One `(progress_timeout, placement)` cell of the timeout sweep.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct TimeoutPoint {
     /// The swept suspicion window (ms).
     pub timeout_ms: f64,
@@ -643,7 +643,7 @@ pub struct TimeoutPoint {
 }
 
 /// One placement's sweep over suspicion timeouts.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct TimeoutSeries {
     /// Placement label (single-region / nearby / wide-area).
     pub label: String,
@@ -770,7 +770,7 @@ pub fn render_timeout_table(title: &str, series: &[TimeoutSeries]) -> String {
 // ---------------------------------------------------------------------------
 
 /// One modeled-population size of the population-scale sweep.
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct PopulationPoint {
     /// Modeled users across the whole deployment.
     pub users: u64,

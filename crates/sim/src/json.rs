@@ -1,8 +1,7 @@
 //! Minimal JSON: a value tree with a renderer and a parser.
 //!
-//! The build environment vendors a marker-only `serde` stand-in (see
-//! `vendor/serde`), so the workspace cannot rely on `serde_json`.  This
-//! layer exists for `benchmark/`: its result lines, reports and span export
+//! The workspace builds offline with no serialization crate, so this
+//! layer is the one JSON writer and reader.  It exists for `benchmark/`: its result lines, reports and span export
 //! are [`JsonValue`] trees, it reads result lines and `BENCHMARK.json` back
 //! with [`JsonValue::parse`], and it renders a run's [`RunMetrics`] through
 //! [`ToJson`].  The `figures` driver uses the parser once, to check that the

@@ -31,8 +31,8 @@
 //!   `DESIGN.md` (including the request-batching ablation,
 //!   [`figures::ablation_batch`]).
 //! * [`json`] — a hand-rolled JSON value, renderer and parser for
-//!   `benchmark/`'s result lines and reports (the vendored `serde` is a
-//!   marker-only stand-in, so there is no `serde_json`).
+//!   `benchmark/`'s result lines and reports (the workspace's one JSON
+//!   writer; it builds offline with no serialization crate).
 //! * [`timeline`] — the bucketed time-series metrics of a traced run
 //!   (throughput, latency quantiles, queue depth, view changes per bucket),
 //!   built from [`RunArtifacts::trace`] when the spec enables

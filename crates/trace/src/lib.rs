@@ -269,8 +269,13 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer recording on behalf of `actor` under `config`.
+    /// A tracer recording on behalf of `actor` under `config`.  Panics if
+    /// the ring buffer would hold no event.
     pub fn new(config: TraceConfig, actor: TraceActor) -> Self {
+        assert!(
+            config.buffer_capacity > 0,
+            "TraceConfig::buffer_capacity is 0: a ring buffer holds at least one event"
+        );
         Self {
             config,
             actor,
@@ -307,7 +312,7 @@ impl Tracer {
         if !self.config.enabled {
             return;
         }
-        let capacity = self.config.buffer_capacity.max(1) as usize;
+        let capacity = self.config.buffer_capacity as usize;
         if self.buf.len() == capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -565,6 +570,15 @@ mod tests {
         // The survivors are the newest events, with their original seqs.
         assert_eq!(events[0].seq, 6);
         assert_eq!(events[3].seq, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "TraceConfig::buffer_capacity is 0")]
+    fn zero_buffer_capacity_is_refused() {
+        let _ = Tracer::new(
+            TraceConfig::on().with_buffer_capacity(0),
+            TraceActor::Harness,
+        );
     }
 
     #[test]

@@ -2,14 +2,13 @@
 
 use crate::ids::{DomainId, Region};
 use crate::time::Duration;
-use serde::{Deserialize, Serialize};
 
 /// The failure model followed by the nodes of a domain.
 ///
 /// Crash fault-tolerant (CFT) domains run Paxos and need `2f + 1` replicas to
 /// tolerate `f` simultaneous crashes; Byzantine fault-tolerant (BFT) domains
 /// run PBFT and need `3f + 1` replicas to tolerate `f` malicious replicas.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FailureModel {
     /// Nodes may only fail by stopping (and may restart).
     Crash,
@@ -42,7 +41,7 @@ impl FailureModel {
 ///   be verifiable by other domains also carry `2f + 1` signatures (the paper
 ///   requires messages from a Byzantine domain to be certified by at least
 ///   `2f + 1` nodes because the primary may be malicious).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct QuorumSpec {
     /// Total number of replicas in the domain.
     pub n: usize,
@@ -98,12 +97,6 @@ impl QuorumSpec {
             FailureModel::Byzantine => self.f + 1,
         }
     }
-
-    /// Number of identical suspicion reports after which a primary is
-    /// considered faulty (`n - f` per the paper's query handling).
-    pub const fn suspicion_quorum(&self) -> usize {
-        self.n - self.f
-    }
 }
 
 /// Request-batching knobs of a domain's ordering pipeline.
@@ -113,7 +106,7 @@ impl QuorumSpec {
 /// command, whichever comes first.  `max_batch = 1` disables batching: every
 /// command is proposed immediately and the pipeline behaves exactly like an
 /// unbatched deployment (no flush timers are ever scheduled).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BatchConfig {
     /// Maximum number of commands per consensus block (≥ 1).
     pub max_batch: usize,
@@ -133,9 +126,10 @@ impl BatchConfig {
     }
 
     /// Blocks of up to `max_batch` commands with the default 5 ms cut delay.
+    /// `max_batch` must be at least 1: a batcher refuses 0.
     pub fn with_max_batch(max_batch: usize) -> Self {
         Self {
-            max_batch: max_batch.max(1),
+            max_batch,
             ..Self::unbatched()
         }
     }
@@ -165,7 +159,7 @@ impl Default for BatchConfig {
 ///
 /// All arithmetic is integer (percent of microseconds), so runs stay
 /// deterministic across platforms.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AdaptiveTimeout {
     /// Lower clamp of the suspicion window.  Placement-dependent: it should
     /// sit comfortably above the placement's failure-free commit latency,
@@ -203,12 +197,6 @@ impl AdaptiveTimeout {
         }
     }
 
-    /// Replaces the initial window (builder style).
-    pub const fn starting_at(mut self, initial: Duration) -> Self {
-        self.initial = initial;
-        self
-    }
-
     /// One backoff step: `current × backoff_percent`, clamped to `max`.
     pub fn backoff(&self, current: Duration) -> Duration {
         let scaled = current.as_micros().saturating_mul(self.backoff_percent) / 100;
@@ -235,7 +223,7 @@ impl AdaptiveTimeout {
 /// `progress_timeout` but the [`AdaptiveTimeout`] state machine's current
 /// value; `None` (the default) keeps the fixed window and the historical
 /// event stream bit-identical.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LivenessConfig {
     /// Whether progress timers run at all.
     pub enabled: bool,
@@ -318,15 +306,14 @@ impl Default for LivenessConfig {
 ///   keeps no checkpoints, PBFT keeps its built-in interval of 128, and no
 ///   state transfer runs.
 /// * [`CheckpointConfig::every`] turns the full subsystem on in both engines
-///   with the given announcement interval.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+///   with the given announcement interval: checkpoints, and state transfer
+///   for gap-stalled replicas (`StateRequest` / `StateReply`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CheckpointConfig {
     /// Deliveries between checkpoint announcements.  `0` selects the legacy
-    /// behaviour (no Paxos checkpoints, PBFT's built-in 128).
+    /// behaviour (no Paxos checkpoints, PBFT's built-in 128, no state
+    /// transfer).
     pub interval: u64,
-    /// Whether gap-stalled replicas fetch missing committed entries from
-    /// up-to-date peers (`StateRequest` / `StateReply`).
-    pub state_transfer: bool,
     /// Retention window for durable per-entry state (delivered logs, chains,
     /// ledger entries) counted in deliveries below the stable checkpoint.
     /// `u64::MAX` (the default, and the value every constructor sets) keeps
@@ -334,7 +321,9 @@ pub struct CheckpointConfig {
     /// window turns on snapshot materialization at every stable checkpoint
     /// and prunes entry-grained state below
     /// `min(lowest peer frontier, stable − retention)`, so endurance runs
-    /// hold O(retention) memory instead of O(history).
+    /// hold O(retention) memory instead of O(history).  At least 1, so a
+    /// snapshot responder always retains a non-empty servable tail: the
+    /// checkpoint keeper refuses 0.
     pub retention: u64,
 }
 
@@ -349,41 +338,42 @@ impl CheckpointConfig {
     pub const fn legacy() -> Self {
         Self {
             interval: 0,
-            state_transfer: false,
             retention: u64::MAX,
         }
     }
 
     /// Full subsystem on: both engines announce every `interval` deliveries
     /// and serve state transfer.  Retention stays infinite (no pruning).
+    /// Panics on 0, the legacy regime's sentinel.
     pub const fn every(interval: u64) -> Self {
+        assert!(
+            interval > 0,
+            "CheckpointConfig::every(0): interval 0 is the legacy regime; use CheckpointConfig::legacy()"
+        );
         Self {
-            interval: if interval == 0 { 1 } else { interval },
-            state_transfer: true,
+            interval,
             retention: u64::MAX,
         }
     }
 
     /// Replaces the retention window (builder style).  `u64::MAX` keeps full
-    /// history; any finite value enables snapshotting + pruning (clamped to
-    /// at least one delivery so a snapshot responder always retains a
-    /// non-empty servable tail).
+    /// history; any finite value (at least 1) enables snapshotting +
+    /// pruning.
     pub const fn with_retention(mut self, retention: u64) -> Self {
-        self.retention = if retention == 0 { 1 } else { retention };
+        self.retention = retention;
         self
     }
 
-    /// True if this configuration runs the new subsystem (an explicit
-    /// interval, as opposed to the legacy regime).
+    /// True if this configuration runs the subsystem — checkpoints and state
+    /// transfer — at an explicit interval, as opposed to the legacy regime.
     pub const fn is_active(&self) -> bool {
         self.interval > 0
     }
 
     /// True if entry-grained state is pruned (and snapshots materialized):
-    /// a finite retention window on an active, transfer-serving
-    /// configuration.
+    /// a finite retention window on an active configuration.
     pub const fn prunes(&self) -> bool {
-        self.is_active() && self.state_transfer && self.retention < u64::MAX
+        self.is_active() && self.retention < u64::MAX
     }
 }
 
@@ -402,7 +392,7 @@ impl Default for CheckpointConfig {
 /// lifecycle spans are recorded into bounded per-actor ring buffers and
 /// merged deterministically at harvest, so the same seed yields the same
 /// trace.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TraceConfig {
     /// Master switch; `false` makes every other knob inert.
     pub enabled: bool,
@@ -444,9 +434,10 @@ impl TraceConfig {
         self
     }
 
-    /// Replaces the per-actor ring-buffer capacity (builder style).
+    /// Replaces the per-actor ring-buffer capacity (builder style).  At
+    /// least 1: a tracer refuses 0.
     pub const fn with_buffer_capacity(mut self, capacity: u32) -> Self {
-        self.buffer_capacity = if capacity == 0 { 1 } else { capacity };
+        self.buffer_capacity = capacity;
         self
     }
 
@@ -467,7 +458,7 @@ impl Default for TraceConfig {
 /// Per-domain pipeline knobs threaded from an experiment spec into every
 /// protocol stack's deployment: request batching, liveness timers and
 /// checkpointing / state transfer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StackConfig {
     /// Request batching of the internal consensus.
     pub batch: BatchConfig,
@@ -521,7 +512,7 @@ impl StackConfig {
 /// resolve it to [`LivenessConfig::standard`] for fault-injection runs and
 /// [`LivenessConfig::disabled`] for failure-free ones.  An explicit
 /// `Some(...)` always wins.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ConsensusTuning {
     /// Request batching of the internal consensus.
     pub batch: BatchConfig,
@@ -599,20 +590,12 @@ impl ConsensusTuning {
 ///
 /// The per-user arrival rate is multiplied by the envelope's level at the
 /// current virtual time, so one knob turns a steady open-loop population into
-/// a diurnal cycle or a flash crowd without changing the generator.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+/// a flash crowd without changing the generator.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum RateEnvelope {
     /// Constant offered rate (the default).
     #[default]
     Constant,
-    /// Sinusoidal day/night cycle: the rate starts at `trough × base`, peaks
-    /// at `base` half a period in, and returns to the trough.
-    Diurnal {
-        /// Length of one full cycle in virtual time.
-        period: Duration,
-        /// Rate multiplier at the bottom of the cycle, in `[0, 1]`.
-        trough: f64,
-    },
     /// A flash crowd: the rate jumps to `multiplier × base` during
     /// `[start, start + duration)` and is the base rate elsewhere.
     FlashCrowd {
@@ -630,16 +613,6 @@ impl RateEnvelope {
     pub fn level(&self, elapsed: Duration) -> f64 {
         match *self {
             RateEnvelope::Constant => 1.0,
-            RateEnvelope::Diurnal { period, trough } => {
-                let trough = trough.clamp(0.0, 1.0);
-                let phase = if period.as_micros() == 0 {
-                    0.0
-                } else {
-                    elapsed.as_micros() as f64 / period.as_micros() as f64
-                };
-                let swing = 0.5 * (1.0 - (phase * std::f64::consts::TAU).cos());
-                trough + (1.0 - trough) * swing
-            }
             RateEnvelope::FlashCrowd {
                 start,
                 duration,
@@ -666,7 +639,7 @@ impl RateEnvelope {
 /// memory per domain regardless of magnitude.  Latency accounting is a
 /// streaming log-bucketed histogram over every `sample_every`-th submission;
 /// commit/abort counts stay exact.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PopulationConfig {
     /// Modeled users across the whole deployment (spread evenly over the
     /// edge domains, remainder to the lowest ordinals).
@@ -769,7 +742,7 @@ impl Default for PopulationConfig {
 }
 
 /// How an experiment models its client side.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum ClientModel {
     /// One simulator actor per client with a precomputed schedule and exact
     /// per-transaction completion records — the historical (and
@@ -790,7 +763,7 @@ impl ClientModel {
 }
 
 /// Static configuration of one domain in a deployment.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DomainConfig {
     /// The domain's identifier (height + index).
     pub id: DomainId,
@@ -845,7 +818,6 @@ mod tests {
         assert_eq!(q.commit_quorum(), 3);
         assert_eq!(q.certificate_size(), 1);
         assert_eq!(q.reply_quorum(), 1);
-        assert_eq!(q.suspicion_quorum(), 3);
     }
 
     #[test]
@@ -855,7 +827,6 @@ mod tests {
         assert_eq!(q.commit_quorum(), 3);
         assert_eq!(q.certificate_size(), 3);
         assert_eq!(q.reply_quorum(), 2);
-        assert_eq!(q.suspicion_quorum(), 3);
     }
 
     #[test]
@@ -903,7 +874,10 @@ mod tests {
         }
         assert_eq!(w, knobs.floor);
         // The adaptive LivenessConfig arms the initial window.
-        let live = LivenessConfig::adaptive(knobs.starting_at(Duration::from_millis(30)));
+        let live = LivenessConfig::adaptive(AdaptiveTimeout {
+            initial: Duration::from_millis(30),
+            ..knobs
+        });
         assert!(live.enabled);
         assert_eq!(live.initial_timeout(), Duration::from_millis(30));
         // A fixed config's initial window is its fixed window.
@@ -932,13 +906,16 @@ mod tests {
         let legacy = CheckpointConfig::default();
         assert_eq!(legacy, CheckpointConfig::legacy());
         assert!(!legacy.is_active());
-        assert!(!legacy.state_transfer);
         let active = CheckpointConfig::every(32);
         assert!(active.is_active());
-        assert!(active.state_transfer);
-        assert_eq!(CheckpointConfig::every(0).interval, 1);
         let stack = StackConfig::default().with_checkpoint(active);
         assert_eq!(stack.checkpoint, active);
+    }
+
+    #[test]
+    #[should_panic(expected = "use CheckpointConfig::legacy()")]
+    fn every_zero_is_refused() {
+        let _ = CheckpointConfig::every(0);
     }
 
     #[test]
@@ -950,10 +927,8 @@ mod tests {
         }
         let pruned = CheckpointConfig::every(8).with_retention(64);
         assert!(pruned.prunes());
-        // A zero window is clamped so responders always retain a tail.
-        assert_eq!(CheckpointConfig::every(8).with_retention(0).retention, 1);
-        // Retention without checkpoints (or without transfer) cannot prune:
-        // there would be no snapshot to serve.
+        // Retention without checkpoints cannot prune: there would be no
+        // snapshot to serve.
         assert!(!CheckpointConfig::legacy().with_retention(64).prunes());
     }
 
@@ -992,15 +967,6 @@ mod tests {
     fn rate_envelopes_shape_the_offered_load() {
         let constant = RateEnvelope::Constant;
         assert_eq!(constant.level(Duration::from_millis(5)), 1.0);
-
-        let diurnal = RateEnvelope::Diurnal {
-            period: Duration::from_millis(1_000),
-            trough: 0.25,
-        };
-        // Trough at phase 0 and at a full period; peak half-way through.
-        assert!((diurnal.level(Duration::from_millis(0)) - 0.25).abs() < 1e-9);
-        assert!((diurnal.level(Duration::from_millis(1_000)) - 0.25).abs() < 1e-9);
-        assert!((diurnal.level(Duration::from_millis(500)) - 1.0).abs() < 1e-9);
 
         let crowd = RateEnvelope::FlashCrowd {
             start: Duration::from_millis(100),

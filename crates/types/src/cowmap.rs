@@ -25,7 +25,6 @@
 //! simulations and hand back results that hold no map.  The index is flat, rebuilt whenever a leaf appears
 //! or disappears: right for the 10⁴–10⁵ keys a domain holds, not for 10⁷.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::fmt;
@@ -37,7 +36,7 @@ const LEAF_MAX: usize = 64;
 
 /// A sorted run of distinct strings, packed: `text` is their concatenation
 /// and string `i` ends at byte `ends[i]`.
-#[derive(Default, Serialize, Deserialize)]
+#[derive(Default)]
 struct Keys {
     text: Box<str>,
     ends: Box<[u32]>,
@@ -117,7 +116,7 @@ impl fmt::Debug for Key {
 }
 
 /// One run of consecutive entries: `values[i]` belongs to key `i` of `keys`.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 struct Leaf {
     keys: Arc<Keys>,
     values: Arc<[u64]>,
@@ -140,7 +139,7 @@ impl Leaf {
 
 /// A sorted `key → u64` map whose clones share their leaves (see the module
 /// documentation).
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct CowMap {
     /// Non-empty leaves, keys strictly ascending within and across them.
     leaves: Vec<Leaf>,

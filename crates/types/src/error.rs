@@ -1,6 +1,6 @@
 //! The shared error type.
 
-use crate::ids::{DomainId, NodeId};
+use crate::ids::DomainId;
 use crate::transaction::TxId;
 use std::fmt;
 
@@ -13,8 +13,6 @@ use std::fmt;
 pub enum SaguaroError {
     /// A domain identifier does not exist in the deployed hierarchy.
     UnknownDomain(DomainId),
-    /// A node identifier does not exist in the deployed hierarchy.
-    UnknownNode(NodeId),
     /// A transaction references a key/account that does not exist.
     UnknownAccount(String),
     /// A transfer exceeds the sender's balance.
@@ -33,34 +31,16 @@ pub enum SaguaroError {
         /// The domain that received it.
         domain: DomainId,
     },
-    /// A message failed signature or certificate verification.
-    InvalidSignature(String),
-    /// A quorum certificate did not carry enough distinct signatures.
-    InsufficientQuorum {
-        /// Signatures present.
-        got: usize,
-        /// Signatures required.
-        needed: usize,
-    },
     /// A block failed Merkle-root or hash-chain verification.
     InvalidBlock(String),
     /// The hierarchy description passed to the topology builder is malformed.
     InvalidTopology(String),
-    /// A configuration value is out of range or inconsistent.
-    InvalidConfig(String),
-    /// The simulation was asked to do something it cannot (e.g. deliver to a
-    /// node that was never registered).
-    Simulation(String),
-    /// Generic protocol violation detected at runtime (Byzantine behaviour or
-    /// a bug); carries a human-readable explanation.
-    ProtocolViolation(String),
 }
 
 impl fmt::Display for SaguaroError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SaguaroError::UnknownDomain(d) => write!(f, "unknown domain {d}"),
-            SaguaroError::UnknownNode(n) => write!(f, "unknown node {n}"),
             SaguaroError::UnknownAccount(a) => write!(f, "unknown account {a}"),
             SaguaroError::InsufficientBalance {
                 account,
@@ -73,15 +53,8 @@ impl fmt::Display for SaguaroError {
             SaguaroError::WrongDomain { tx, domain } => {
                 write!(f, "transaction {tx:?} routed to uninvolved domain {domain}")
             }
-            SaguaroError::InvalidSignature(why) => write!(f, "invalid signature: {why}"),
-            SaguaroError::InsufficientQuorum { got, needed } => {
-                write!(f, "quorum certificate has {got} signatures, needs {needed}")
-            }
             SaguaroError::InvalidBlock(why) => write!(f, "invalid block: {why}"),
             SaguaroError::InvalidTopology(why) => write!(f, "invalid topology: {why}"),
-            SaguaroError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
-            SaguaroError::Simulation(why) => write!(f, "simulation error: {why}"),
-            SaguaroError::ProtocolViolation(why) => write!(f, "protocol violation: {why}"),
         }
     }
 }
@@ -110,18 +83,18 @@ mod tests {
     #[test]
     fn errors_are_comparable_for_tests() {
         assert_eq!(
-            SaguaroError::InvalidConfig("x".into()),
-            SaguaroError::InvalidConfig("x".into())
+            SaguaroError::InvalidTopology("x".into()),
+            SaguaroError::InvalidTopology("x".into())
         );
         assert_ne!(
-            SaguaroError::InvalidConfig("x".into()),
+            SaguaroError::InvalidTopology("x".into()),
             SaguaroError::InvalidBlock("x".into())
         );
     }
 
     #[test]
     fn error_trait_object_is_usable() {
-        let e: Box<dyn std::error::Error> = Box::new(SaguaroError::Simulation("boom".into()));
+        let e: Box<dyn std::error::Error> = Box::new(SaguaroError::InvalidBlock("boom".into()));
         assert!(e.to_string().contains("boom"));
     }
 }

@@ -6,7 +6,6 @@
 //! Every domain is placed in a geographic [`Region`] which the network
 //! simulator uses to look up wide-area round-trip times.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Height of a domain in the hierarchy.
@@ -20,7 +19,7 @@ pub type Height = u8;
 ///
 /// The paper names domains `D21`, `D14`, ... — first digit the height, second
 /// the index within that height.  We keep the two components explicit.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainId {
     /// Height of the domain in the tree (0 = edge devices).
     pub height: Height,
@@ -32,16 +31,6 @@ impl DomainId {
     /// Creates a new domain identifier.
     pub const fn new(height: Height, index: u16) -> Self {
         Self { height, index }
-    }
-
-    /// True if this is a leaf (edge-device) domain.
-    pub const fn is_leaf(&self) -> bool {
-        self.height == 0
-    }
-
-    /// True if this is an edge-server domain (the execution layer).
-    pub const fn is_edge_server(&self) -> bool {
-        self.height == 1
     }
 }
 
@@ -58,7 +47,7 @@ impl fmt::Display for DomainId {
 }
 
 /// Identifier of a replica node inside a domain.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId {
     /// The domain this node belongs to.
     pub domain: DomainId,
@@ -89,7 +78,7 @@ impl fmt::Display for NodeId {
 ///
 /// Each client is registered with ("authenticated by") a *local* height-1
 /// domain; mobile clients temporarily issue requests in a *remote* domain.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClientId(pub u64);
 
 impl fmt::Debug for ClientId {
@@ -109,7 +98,7 @@ impl fmt::Display for ClientId {
 /// The nearby-region experiment of the paper uses Frankfurt, Milan, London and
 /// Paris; the wide-area experiment uses seven regions around the world.  The
 /// numeric value indexes the RTT matrix of the network simulator.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Region(pub u8);
 
 impl Region {
@@ -142,14 +131,6 @@ mod tests {
         assert!(a < b);
         assert!(a < c);
         assert!(c < b);
-    }
-
-    #[test]
-    fn domain_id_level_predicates() {
-        assert!(DomainId::new(0, 5).is_leaf());
-        assert!(!DomainId::new(1, 5).is_leaf());
-        assert!(DomainId::new(1, 2).is_edge_server());
-        assert!(!DomainId::new(2, 2).is_edge_server());
     }
 
     #[test]

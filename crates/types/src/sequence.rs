@@ -7,7 +7,6 @@
 //! records the order of the transaction in the ledger of one involved domain.
 
 use crate::ids::DomainId;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -48,7 +47,7 @@ pub fn delivery_hash(prev: Option<u64>, seq: SeqNo, members: impl Iterator<Item 
 /// Installing an application snapshot *splices* the chain: the log restarts
 /// at the snapshot's length and hash, and subsequent deliveries chain from
 /// there exactly as the responder's did.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DeliveryLog {
     start: u64,
     window: VecDeque<u64>,
@@ -77,7 +76,8 @@ impl DeliveryLog {
     }
 
     /// Absolute index of the oldest retained snapshot.
-    pub fn first_retained(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn first_retained(&self) -> u64 {
         self.start
     }
 
@@ -138,7 +138,7 @@ impl DeliveryLog {
 /// Each entry maps an involved domain to the sequence number the transaction
 /// received in that domain's ledger.  Entries are kept sorted by domain so
 /// that equality and hashing are canonical.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct MultiSeq {
     parts: Parts,
 }
@@ -147,7 +147,7 @@ pub struct MultiSeq {
 /// every ledger, block and DAG record holds a copy of it — in the 24 bytes
 /// the `Vec` of a cross-domain number takes.  Each value has one
 /// representation, so the derived equality is canonical.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 enum Parts {
     #[default]
     Empty,
@@ -219,11 +219,6 @@ impl MultiSeq {
     /// The domains that have contributed a part.
     pub fn domains(&self) -> impl Iterator<Item = DomainId> + '_ {
         self.iter().map(|(d, _)| d)
-    }
-
-    /// True if every domain in `required` has contributed a part.
-    pub fn covers<'a>(&self, required: impl IntoIterator<Item = &'a DomainId>) -> bool {
-        required.into_iter().all(|d| self.get(*d).is_some())
     }
 }
 
@@ -298,14 +293,6 @@ mod tests {
     fn from_parts_deduplicates_domains() {
         let a = MultiSeq::from_parts(vec![(d(1), 5), (d(1), 9)]);
         assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn covers_checks_required_domains() {
-        let m = MultiSeq::from_parts(vec![(d(0), 1), (d(1), 2)]);
-        assert!(m.covers(&[d(0), d(1)]));
-        assert!(!m.covers(&[d(0), d(2)]));
-        assert!(m.covers(&[]));
     }
 
     #[test]

@@ -15,12 +15,11 @@
 use crate::cowmap::CowMap;
 use crate::ids::{ClientId, DomainId};
 use crate::sequence::SeqNo;
-use serde::{Deserialize, Serialize};
 
 /// One device's entry in the mobile ownership table: whether a hand-off has
 /// the device locked and, if its state has been shipped away, which domain
 /// currently hosts it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MobileOwnership {
     /// The mobile edge device.
     pub device: ClientId,
@@ -36,7 +35,7 @@ pub struct MobileOwnership {
 /// the executed balance map, the delivery-stream hash pinning the executed
 /// prefix, and the mobile ownership/hosting tables (empty for stacks
 /// without mobile hand-off).
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct StateSnapshot {
     /// The stable checkpoint this snapshot captures (deliveries executed).
     pub seq: SeqNo,

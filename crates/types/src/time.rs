@@ -6,12 +6,11 @@
 //! Durations are also expressed in microseconds.  Using integers keeps event
 //! ordering exact and the simulation deterministic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A duration in virtual microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Duration(pub u64);
 
 impl Duration {
@@ -26,11 +25,6 @@ impl Duration {
     /// Builds a duration from milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000)
-    }
-
-    /// Builds a duration from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        Duration(s * 1_000_000)
     }
 
     /// The number of whole microseconds.
@@ -51,11 +45,6 @@ impl Duration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: Duration) -> Duration {
         Duration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiplies the duration by an integer factor.
-    pub const fn mul(self, k: u64) -> Duration {
-        Duration(self.0 * k)
     }
 }
 
@@ -79,7 +68,7 @@ impl fmt::Debug for Duration {
 }
 
 /// A point in virtual time (microseconds since experiment start).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -145,7 +134,6 @@ mod tests {
     #[test]
     fn duration_constructors_agree() {
         assert_eq!(Duration::from_millis(3), Duration::from_micros(3_000));
-        assert_eq!(Duration::from_secs(2), Duration::from_millis(2_000));
     }
 
     #[test]
@@ -169,7 +157,7 @@ mod tests {
     fn debug_uses_readable_units() {
         assert_eq!(format!("{:?}", Duration::from_micros(12)), "12us");
         assert_eq!(format!("{:?}", Duration::from_millis(12)), "12.000ms");
-        assert_eq!(format!("{:?}", Duration::from_secs(2)), "2.000s");
+        assert_eq!(format!("{:?}", Duration::from_millis(2_000)), "2.000s");
     }
 
     #[test]

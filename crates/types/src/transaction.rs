@@ -7,13 +7,12 @@
 //! an edge device currently roaming in a domain other than its home domain.
 
 use crate::ids::{ClientId, DomainId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// Globally unique transaction identifier (assigned by the issuing client).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxId(pub u64);
 
 impl fmt::Debug for TxId {
@@ -34,7 +33,7 @@ impl fmt::Display for TxId {
 /// model the ridesharing/gig-economy records used as the motivating example
 /// (working-hour aggregation) and a generic key-value write for the resource
 /// provisioning scenario.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Operation {
     /// Transfer `amount` from `from` to `to` (micropayment).  Fails if the
     /// sender's balance is insufficient.
@@ -105,15 +104,10 @@ impl Operation {
         };
         keys.into_iter().flatten().map(String::as_str)
     }
-
-    /// True if the operation mutates the blockchain state.
-    pub fn is_write(&self) -> bool {
-        self.write_set().next().is_some()
-    }
 }
 
 /// Classification of a transaction with respect to the hierarchy.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TxKind {
     /// Touches records of a single height-1 domain.
     Internal {
@@ -276,7 +270,7 @@ pub fn account_owner_index(key: &str) -> Option<u16> {
 /// The contents of a [`Transaction`].  Reachable only through a shared
 /// reference (a `Transaction` derefs to it), so nothing can change once the
 /// transaction exists.
-#[derive(PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct TxBody {
     /// Unique transaction identifier.
     pub id: TxId,
@@ -362,19 +356,6 @@ impl Transaction {
         self.kind.involved_domains()
     }
 
-    /// True if two transactions have intersecting read/write sets (used by the
-    /// optimistic protocol's dependency tracking and the contention knob of
-    /// the workload generator).
-    pub fn conflicts_with(&self, other: &Transaction) -> bool {
-        fn touches<'a>(mut set: impl Iterator<Item = &'a str>, key: &str) -> bool {
-            set.any(|k| k == key)
-        }
-        let (mine, theirs) = (&self.op, &other.op);
-        mine.write_set()
-            .any(|k| touches(theirs.write_set(), k) || touches(theirs.read_set(), k))
-            || theirs.write_set().any(|k| touches(mine.read_set(), k))
-    }
-
     /// Approximate wire size of the transaction in bytes (the paper reports an
     /// average request message size of 0.2 KB; we model the payload size so
     /// the network simulator can charge serialization time).
@@ -453,39 +434,6 @@ mod tests {
         };
         assert_eq!(op.read_set().collect::<Vec<_>>(), ["alice"]);
         assert_eq!(op.write_set().collect::<Vec<_>>(), ["alice", "bob"]);
-        assert!(op.is_write());
-        assert!(!Operation::Get { key: "x".into() }.is_write());
-    }
-
-    #[test]
-    fn conflict_detection_is_symmetric_on_write_write() {
-        let t1 = transfer(1, "alice", "bob");
-        let t2 = transfer(2, "bob", "carol");
-        let t3 = transfer(3, "dave", "erin");
-        assert!(t1.conflicts_with(&t2));
-        assert!(t2.conflicts_with(&t1));
-        assert!(!t1.conflicts_with(&t3));
-    }
-
-    #[test]
-    fn read_write_conflicts_detected() {
-        let w = Transaction::internal(
-            TxId(1),
-            ClientId(1),
-            d(0),
-            Operation::Put {
-                key: "k".into(),
-                value: 1,
-            },
-        );
-        let r = Transaction::internal(
-            TxId(2),
-            ClientId(1),
-            d(0),
-            Operation::Get { key: "k".into() },
-        );
-        assert!(w.conflicts_with(&r));
-        assert!(r.conflicts_with(&w));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use saguaro::sim::{ExperimentSpec, ProtocolKind};
 use saguaro::types::{DomainId, Duration, NodeId, SimTime};
 
 mod common;
-use common::{check_safety, check_safety_pruned};
+use common::check_safety;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
@@ -162,7 +162,7 @@ proptest! {
             .tune(move |t| t.checkpoint_every(interval).retained(retention))
             .fault_plan(plan);
         let artifacts = spec.run_collecting();
-        check_safety_pruned(&artifacts, protocol.label());
+        check_safety(&artifacts, protocol.label());
         prop_assert!(
             artifacts.metrics.committed > 0,
             "{protocol:?}: nothing committed under pruned crash of {node:?}"

@@ -1,84 +1,11 @@
-//! Safety invariants shared by the fault-injection regression tests and the
+//! The safety check shared by the fault-injection regression tests and the
 //! chaos property suite.
 
-use saguaro::sim::RunArtifacts;
+use saguaro::sim::{safety_violations, RunArtifacts};
 
-/// Asserts the four safety invariants every faulty run must uphold:
-///
-/// 1. no transaction completes twice at a client;
-/// 2. no replica's ledger holds a transaction twice;
-/// 3. within each domain, every pair of replicas' internal consensus
-///    delivery streams are prefix compatible (the raw ledger append order
-///    is replica-local — it interleaves consensus deliveries with
-///    directly-applied cross-domain commits — so agreement is checked on
-///    the consensus delivery hash);
-/// 4. every transaction a client saw commit appears in some replica ledger.
+/// Asserts that the run upholds every invariant of
+/// [`saguaro::sim::safety_violations`].
 pub fn check_safety(artifacts: &RunArtifacts, label: &str) {
-    check_core_safety(artifacts, label);
-    for c in artifacts.completions.iter().filter(|c| c.committed) {
-        assert!(
-            artifacts.harvest.seen_somewhere(c.tx_id),
-            "{label}: client-committed tx {:?} missing from every ledger",
-            c.tx_id
-        );
-    }
-}
-
-/// Safety invariants 1–3 for runs with a finite checkpoint-retention
-/// window: log pruning legitimately drops old ledger entries below the
-/// prune floor, so invariant 4 ("every client-committed transaction appears
-/// in some harvested ledger") no longer holds verbatim — the retained-tail
-/// and agreement invariants still must.  Unpruned suites keep the full
-/// [`check_safety`].
-#[allow(dead_code)]
-pub fn check_safety_pruned(artifacts: &RunArtifacts, label: &str) {
-    check_core_safety(artifacts, label);
-    for node in &artifacts.harvest.nodes {
-        assert!(
-            node.total_entries >= node.entries.len() as u64,
-            "{label}: replica {:?} reports {} lifetime entries but retains {}",
-            node.node,
-            node.total_entries,
-            node.entries.len()
-        );
-    }
-}
-
-/// Invariants 1–3: unique client completions, unique ledger entries per
-/// replica, and per-domain prefix-compatible consensus delivery streams.
-fn check_core_safety(artifacts: &RunArtifacts, label: &str) {
-    let mut seen = std::collections::HashSet::new();
-    for c in &artifacts.completions {
-        assert!(
-            seen.insert(c.tx_id),
-            "{label}: tx {:?} completed twice at a client",
-            c.tx_id
-        );
-    }
-    for node in &artifacts.harvest.nodes {
-        let mut ids = std::collections::HashSet::new();
-        for (id, _) in &node.entries {
-            assert!(
-                ids.insert(*id),
-                "{label}: replica {:?} committed {id:?} twice",
-                node.node
-            );
-        }
-    }
-    for domain in artifacts.harvest.domains() {
-        let replicas = artifacts.harvest.replicas_of(domain);
-        for a in &replicas {
-            for b in &replicas {
-                assert!(
-                    a.agrees_with(b),
-                    "{label}: divergent consensus delivery streams in {domain:?} \
-                     between {:?} ({} blocks) and {:?} ({} blocks)",
-                    a.node,
-                    a.consensus_log.len(),
-                    b.node,
-                    b.consensus_log.len()
-                );
-            }
-        }
-    }
+    let violations = safety_violations(artifacts);
+    assert!(violations.is_empty(), "{label}: {violations:#?}");
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use saguaro::consensus::{Batch, Command};
 use saguaro::crypto::sha256::sha256_parts;
-use saguaro::crypto::{merkle, Digest, MerkleTree};
+use saguaro::crypto::{Digest, MerkleTree};
 use saguaro::hierarchy::TopologyBuilder;
 use saguaro::ledger::{Block, BlockchainState, CommittedTx, LinearLedger, StateDelta, TxStatus};
 use saguaro::types::transaction::{account_key, account_owner_index};
@@ -99,20 +99,6 @@ proptest! {
             state.revert(u);
         }
         prop_assert_eq!(state, snapshot);
-    }
-
-    /// Every Merkle proof of every leaf verifies against the root, and fails
-    /// against a different leaf payload.
-    #[test]
-    fn merkle_proofs_round_trip(leaves in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 1..40)) {
-        let tree = MerkleTree::from_leaves(&leaves);
-        for (i, leaf) in leaves.iter().enumerate() {
-            let proof = tree.prove(i).expect("proof exists");
-            prop_assert!(merkle::verify_proof(&tree.root(), leaf, &proof));
-            let mut tampered = leaf.clone();
-            tampered.push(0xFF);
-            prop_assert!(!merkle::verify_proof(&tree.root(), &tampered, &proof));
-        }
     }
 
     /// The LCA of any non-empty set of domains in a perfect k-ary tree is an

@@ -18,7 +18,7 @@ use saguaro::sim::{ExperimentSpec, ProtocolKind, RunArtifacts};
 use saguaro::types::{DomainId, NodeId, SimTime};
 
 mod common;
-use common::{check_safety, check_safety_pruned};
+use common::check_safety;
 
 const INTERVAL: u64 = 4;
 const RETENTION: u64 = 4;
@@ -60,7 +60,7 @@ fn outage_spec(protocol: ProtocolKind) -> ExperimentSpec {
 fn chains_never_retain_entries_below_the_prune_floor() {
     for protocol in ProtocolKind::ALL {
         let artifacts = pruned_spec(protocol).run_collecting();
-        check_safety_pruned(&artifacts, protocol.label());
+        check_safety(&artifacts, protocol.label());
         assert!(artifacts.metrics.committed > 0);
         for domain in artifacts.harvest.domains() {
             let replicas = artifacts.harvest.replicas_of(domain);
@@ -128,7 +128,7 @@ fn harvested_ledgers_stay_bounded_with_lifetime_totals() {
 }
 
 fn assert_snapshot_catch_up(artifacts: &RunArtifacts, label: &str) {
-    check_safety_pruned(artifacts, label);
+    check_safety(artifacts, label);
     let v = artifacts.harvest.node(victim()).expect("victim harvested");
     let healthy = artifacts
         .harvest
