@@ -1,38 +1,40 @@
-//! Adaptive suspicion-timeout state machine shared by both engines'
-//! adapters.
+//! Suspicion-timeout state machine shared by both engines' adapters.
 //!
-//! Modelled on sawtooth-pbft's idle/commit timers: the suspicion window that
-//! decides "the primary is dead" starts at a configured initial value,
-//! **backs off** exponentially every time a suspicion fires while the
-//! replica is still stuck (each firing is a *failed* view change — the
-//! candidate primary elected by the previous one did not restore progress
-//! within the window), and **decays** back toward a per-placement floor each
-//! time delivery progress is observed.  Under a fixed [`LivenessConfig`]
-//! (no [`AdaptiveTimeout`]) the window never moves, which keeps
-//! fixed-timeout runs bit-identical to the historical pipeline.
+//! Modelled on sawtooth-pbft's idle/commit timers: under an adaptive
+//! [`LivenessConfig`] the suspicion window that decides "the primary is
+//! dead" starts at the configured floor, **doubles** every time a suspicion
+//! fires while the replica is still stuck (each firing is a *failed* view
+//! change — the candidate primary elected by the previous one did not
+//! restore progress within the window) up to [`SuspicionTimer::MAX_FLOOR_MULTIPLE`]
+//! times the floor, and **halves** back toward the floor each time delivery
+//! progress is observed.  Under a fixed config the window never moves,
+//! which keeps fixed-timeout runs bit-identical to the historical pipeline.
+//! All arithmetic is integer microseconds, so runs stay deterministic
+//! across platforms.
 //!
 //! The state machine is deliberately tiny and engine-agnostic: the node
 //! adapters own the actual timers and feed `on_suspect` / `on_progress`
 //! observations in; the machine only answers "how long should the next
 //! window be".
 
-use saguaro_types::{AdaptiveTimeout, Duration, LivenessConfig};
+use saguaro_types::{Duration, LivenessConfig};
 
 /// The per-replica suspicion-window state machine.
 #[derive(Clone, Copy, Debug)]
 pub struct SuspicionTimer {
     liveness: LivenessConfig,
     current: Duration,
-    suspicions: u64,
 }
 
 impl SuspicionTimer {
-    /// A timer for the given liveness knobs, armed at the initial window.
+    /// The adaptive window's cap, as a multiple of its floor.
+    pub const MAX_FLOOR_MULTIPLE: u64 = 8;
+
+    /// A timer for the given liveness knobs, armed at `progress_timeout`.
     pub fn new(liveness: LivenessConfig) -> Self {
         Self {
             liveness,
-            current: liveness.initial_timeout(),
-            suspicions: 0,
+            current: liveness.progress_timeout,
         }
     }
 
@@ -41,31 +43,23 @@ impl SuspicionTimer {
         self.current
     }
 
-    /// The adaptive knobs, if adaptivity is on.
-    pub fn adaptive(&self) -> Option<AdaptiveTimeout> {
-        self.liveness.adaptive
-    }
-
-    /// Total suspicions fired since start (adaptive and fixed alike).
-    pub fn suspicions(&self) -> u64 {
-        self.suspicions
-    }
-
     /// A suspicion fired while work was pending and no progress had been
     /// made: the view change driven by the *previous* firing (if any)
-    /// failed, so the window backs off before the next one.
+    /// failed, so an adaptive window doubles, up to its cap.
     pub fn on_suspect(&mut self) {
-        self.suspicions += 1;
-        if let Some(knobs) = self.liveness.adaptive {
-            self.current = knobs.backoff(self.current);
+        if self.liveness.adaptive {
+            let floor = self.liveness.progress_timeout.as_micros();
+            let doubled = self.current.as_micros().saturating_mul(2);
+            self.current = Duration::from_micros(doubled.min(floor * Self::MAX_FLOOR_MULTIPLE));
         }
     }
 
     /// Delivery progress was observed at a progress check: the pipeline is
-    /// healthy, so the window decays back toward the floor.
+    /// healthy, so an adaptive window halves, down to its floor.
     pub fn on_progress(&mut self) {
-        if let Some(knobs) = self.liveness.adaptive {
-            self.current = knobs.decay(self.current);
+        if self.liveness.adaptive {
+            let floor = self.liveness.progress_timeout.as_micros();
+            self.current = Duration::from_micros((self.current.as_micros() / 2).max(floor));
         }
     }
 }
@@ -78,20 +72,19 @@ mod tests {
     fn fixed_config_never_moves_the_window() {
         let mut t = SuspicionTimer::new(LivenessConfig::standard());
         let w = t.window();
+        assert_eq!(w, LivenessConfig::DEFAULT_TIMEOUT);
         t.on_suspect();
         t.on_suspect();
         assert_eq!(t.window(), w);
         t.on_progress();
         assert_eq!(t.window(), w);
-        assert_eq!(t.suspicions(), 2);
-        assert!(t.adaptive().is_none());
     }
 
     #[test]
     fn adaptive_config_backs_off_and_decays() {
-        let knobs = AdaptiveTimeout::with_floor(Duration::from_millis(10));
-        let mut t = SuspicionTimer::new(LivenessConfig::adaptive(knobs));
-        assert_eq!(t.window(), Duration::from_millis(10));
+        let floor = Duration::from_millis(10);
+        let mut t = SuspicionTimer::new(LivenessConfig::adaptive(floor));
+        assert_eq!(t.window(), floor);
         t.on_suspect();
         assert_eq!(t.window(), Duration::from_millis(20));
         t.on_suspect();
@@ -100,12 +93,13 @@ mod tests {
         for _ in 0..8 {
             t.on_suspect();
         }
-        assert_eq!(t.window(), knobs.max);
+        assert_eq!(t.window(), Duration::from_millis(80));
         // Progress walks the window back down to the floor.
+        t.on_progress();
+        assert_eq!(t.window(), Duration::from_millis(40));
         for _ in 0..8 {
             t.on_progress();
         }
-        assert_eq!(t.window(), knobs.floor);
-        assert_eq!(t.suspicions(), 10);
+        assert_eq!(t.window(), floor);
     }
 }

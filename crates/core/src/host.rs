@@ -274,10 +274,11 @@ pub trait HostedReplica: Sized {
                 }
                 Step::Deliver { seq, command } => {
                     // The delivery-stream hash only serves the fault suites'
-                    // cross-replica agreement checks; failure-free
-                    // performance sweeps skip the bookkeeping entirely.
+                    // cross-replica agreement checks, so it is kept exactly
+                    // when liveness timers run; failure-free performance
+                    // sweeps skip the bookkeeping entirely.
                     let host = self.host_mut();
-                    if host.stack.record_deliveries {
+                    if host.stack.liveness.enabled {
                         let members = command.iter().map(Self::command_fingerprint);
                         let prev = host.stats.consensus_log.last();
                         let hash = saguaro_types::delivery_hash(prev, seq, members);
@@ -316,7 +317,7 @@ pub trait HostedReplica: Sized {
                     self.host_mut().tracer.record(ctx.now(), kind);
                     self.install_app_state(&snapshot);
                     let host = self.host_mut();
-                    if host.stack.record_deliveries {
+                    if host.stack.liveness.enabled {
                         let log = &mut host.stats.consensus_log;
                         log.splice(snapshot.seq, snapshot.delivery_hash);
                     }

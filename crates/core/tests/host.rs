@@ -222,7 +222,7 @@ fn unbatched_hosts_never_arm_a_flush_timer() {
 
 #[test]
 fn a_kick_never_doubles_a_live_progress_loop() {
-    let window = LivenessConfig::standard().initial_timeout();
+    let window = LivenessConfig::standard().progress_timeout;
     let stack = StackConfig::default().with_liveness(LivenessConfig::standard());
     let mut sim = group(FailureModel::Crash, stack);
     sim.inject_at(ms(0), CLIENT, node(1), ToyMsg::ProgressTimer);

@@ -124,13 +124,12 @@ pub const ROWS: &[Row] = &[
     },
     Row {
         name: "timeout_sweep",
-        about: "false suspicions vs crash recovery per suspicion window; gate: every cell recovers",
+        about: "fixed and adaptive suspicion windows; gates: cells recover, adaptive within 2x",
         run: sweeps::timeout_sweep,
     },
     Row {
         name: "scenarios",
-        about:
-            "adversarial scenario matrix; gates: no safety violation, adaptive within 2x of fixed",
+        about: "adversarial scenario matrix under both timeout policies; gate: no safety violation",
         run: sweeps::scenarios,
     },
     Row {

@@ -7,10 +7,9 @@ use saguaro_sim::figures::{
     self, ablation_contention, ablation_lca_vs_root, batch_throughput_delta, figure10, figure11,
     figure7, figure8, figure9, figure_ft, render_fault_table, render_recovery_table, render_table,
     render_timeout_table, workload_comparison, FigureOptions, FigureSeries, RecoverySeries,
+    TimeoutSeries,
 };
-use saguaro_sim::scenarios::{
-    adaptive_comparison, render_adaptive_table, render_scenario_table, scenario_matrix,
-};
+use saguaro_sim::scenarios::{render_scenario_table, scenario_matrix};
 use saguaro_types::FailureModel::{Byzantine, Crash};
 
 /// One sub-figure: its table title and the sweep that produces its curves.
@@ -230,71 +229,98 @@ fn recovery_gate(series: &[RecoverySeries]) -> Vec<String> {
     errors
 }
 
-/// False suspicions vs crash recovery per `(placement, suspicion window)`.
+/// False suspicions vs crash recovery per placement and suspicion policy.
 pub fn timeout_sweep(options: &Options) -> Outcome {
     let series = figures::timeout_sweep(&options.figure);
-    let mut failures = Vec::new();
-    for s in &series {
-        for p in s.points.iter().filter(|p| p.recovery_ms < 0.0) {
-            failures.push(format!(
-                "{} @ {} ms: the crashed domain never recovered",
-                s.label, p.timeout_ms
-            ));
-        }
-    }
     Outcome {
         tables: vec![render_timeout_table(
             "Liveness-timeout sweep: false suspicions vs recovery time",
             &series,
         )],
-        failures,
+        failures: timeout_gate(&series),
     }
 }
 
+/// The timeout gate: every cell's crashed domain recovers, and on the
+/// nearby-regions placement the adaptive policy recovers within 2× the
+/// best fixed window while firing no more false suspicions.  The best
+/// fixed window is the fastest to recover among the recovered windows with
+/// the fewest false suspicions: an aggressive window that "recovers"
+/// instantly by churning through needless view changes is not an operating
+/// point anyone deploys, so it does not set the bar.
+fn timeout_gate(series: &[TimeoutSeries]) -> Vec<String> {
+    let mut errors = Vec::new();
+    for s in series {
+        for p in s.points.iter().filter(|p| p.recovery_ms < 0.0) {
+            errors.push(format!(
+                "{} @ {}: the crashed domain never recovered",
+                s.label,
+                p.policy()
+            ));
+        }
+    }
+    let nearby = series
+        .iter()
+        .find(|s| s.label == "nearby-regions")
+        .expect("the sweep runs the nearby-regions placement");
+    let adaptive = nearby
+        .points
+        .iter()
+        .find(|p| p.liveness.adaptive)
+        .expect("the sweep runs the adaptive policy");
+    let best_fixed = nearby
+        .points
+        .iter()
+        .filter(|p| !p.liveness.adaptive && p.recovery_ms >= 0.0)
+        .min_by(|a, b| {
+            (a.false_suspicions, a.recovery_ms)
+                .partial_cmp(&(b.false_suspicions, b.recovery_ms))
+                .expect("finite recovery")
+        });
+    if let Some(best) = best_fixed {
+        if adaptive.recovery_ms < 0.0
+            || adaptive.recovery_ms > best.recovery_ms * 2.0
+            || adaptive.false_suspicions > best.false_suspicions
+        {
+            errors.push(format!(
+                "adaptive policy out of bounds: recovered in {:.1} ms with {} false suspicions \
+                 vs best fixed {} ({:.1} ms, {} false suspicions)",
+                adaptive.recovery_ms,
+                adaptive.false_suspicions,
+                best.policy(),
+                best.recovery_ms,
+                best.false_suspicions
+            ));
+        }
+    }
+    errors
+}
+
 /// Every composite scenario × stack × timeout policy with zero safety
-/// violations, then the adaptive policy against the best fixed window on
-/// the crashed-primary replay: recovery within 2× and no more false
-/// suspicions.
+/// violations.
 pub fn scenarios(options: &Options) -> Outcome {
     let cells = scenario_matrix(&options.figure);
-    let cmp = adaptive_comparison(&options.figure);
-    let mut failures: Vec<String> = cells
-        .iter()
-        .filter(|c| !c.safety_violations.is_empty())
-        .map(|c| {
-            format!(
-                "{} / {} / {}: safety violated: {:?}",
-                c.scenario, c.stack, c.policy, c.safety_violations
-            )
-        })
-        .collect();
-    if !cmp.adaptive_within(2.0) {
-        failures.push(format!(
-            "adaptive policy out of bounds: recovered in {:.1} ms with {} false suspicions \
-             vs best fixed {} ({:.1} ms, {} false suspicions)",
-            cmp.adaptive.recovery_ms,
-            cmp.adaptive.false_suspicions,
-            cmp.best_fixed.label,
-            cmp.best_fixed.recovery_ms,
-            cmp.best_fixed.false_suspicions
-        ));
-    }
     Outcome {
-        tables: vec![
-            render_scenario_table("Adversarial scenario matrix", &cells),
-            render_adaptive_table(
-                "Adaptive vs fixed suspicion windows (crashed primary)",
-                &cmp,
-            ),
-        ],
-        failures,
+        tables: vec![render_scenario_table("Adversarial scenario matrix", &cells)],
+        failures: cells
+            .iter()
+            .filter(|c| !c.safety_violations.is_empty())
+            .map(|c| {
+                format!(
+                    "{} / {} / {}: safety violated: {:?}",
+                    c.scenario, c.stack, c.policy, c.safety_violations
+                )
+            })
+            .collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saguaro_sim::figures::RecoveryPoint;
+    use saguaro_sim::figures::{RecoveryPoint, TimeoutPoint};
+    use saguaro_sim::{LivenessConfig, TimeoutPolicy};
+    use saguaro_types::Duration;
 
     fn point(outage_ms: f64, transferred_commands: u64) -> RecoveryPoint {
         RecoveryPoint {
@@ -341,6 +367,60 @@ mod tests {
                 (
                     |s| s[0].points[1].transferred_commands = 39,
                     "transfer volume did not grow with outage",
+                ),
+            ],
+        );
+    }
+
+    fn cell(liveness: LivenessConfig, recovery_ms: f64, false_suspicions: u64) -> TimeoutPoint {
+        TimeoutPoint {
+            liveness,
+            false_suspicions,
+            false_suspicion_rate: false_suspicions as f64 / 0.3,
+            recovery_ms,
+            crash_run_tps: 700.0,
+        }
+    }
+
+    fn policies(recovery_ms: [f64; 3], false_suspicions: [u64; 3]) -> Vec<TimeoutPoint> {
+        let fixed = |ms| LivenessConfig::with_timeout(Duration::from_millis(ms));
+        let timers = [fixed(10), fixed(60), TimeoutPolicy::Adaptive.liveness()];
+        (0..3)
+            .map(|i| cell(timers[i], recovery_ms[i], false_suspicions[i]))
+            .collect()
+    }
+
+    #[test]
+    fn each_timeout_condition_fails_with_its_message() {
+        // The seed-42 quick numbers: the best fixed window is fixed-60ms
+        // (fixed-10ms recovers faster only by suspecting falsely).
+        let good = vec![
+            TimeoutSeries {
+                label: "single-region".to_string(),
+                points: policies([49.9, 71.2, 60.2], [57, 0, 0]),
+            },
+            TimeoutSeries {
+                label: "nearby-regions".to_string(),
+                points: policies([17.2, 84.2, 49.2], [54, 0, 0]),
+            },
+        ];
+        crate::assert_each_violation_reported(
+            &good,
+            |series| timeout_gate(series),
+            &[
+                (
+                    |s| s[0].points[1].recovery_ms = -1.0,
+                    "single-region @ fixed-60ms: the crashed domain never recovered",
+                ),
+                (
+                    |s| s[1].points[2].recovery_ms = 168.5,
+                    "adaptive policy out of bounds: recovered in 168.5 ms with 0 false \
+                     suspicions vs best fixed fixed-60ms (84.2 ms, 0 false suspicions)",
+                ),
+                (
+                    |s| s[1].points[2].false_suspicions = 1,
+                    "adaptive policy out of bounds: recovered in 49.2 ms with 1 false \
+                     suspicions vs best fixed fixed-60ms",
                 ),
             ],
         );

@@ -153,20 +153,18 @@ pub struct ExperimentSpec {
     /// The consensus-pipeline knobs of every domain's internal consensus,
     /// grouped: request batching, liveness timers, and checkpointing /
     /// state transfer / log retention.  The default reproduces the
-    /// historical pipeline bit for bit (unbatched, timers decided by the
-    /// fault plan, legacy checkpointing, infinite retention).  Tune it with
+    /// historical pipeline bit for bit (unbatched, timers off, legacy
+    /// checkpointing, infinite retention).  Tune it with
     /// [`ExperimentSpec::tune`]:
     ///
     /// ```ignore
     /// spec.tune(|t| t.batch_size(8).checkpoint_every(16).retained(64))
     /// ```
     ///
-    /// `consensus.liveness = None` (the default) means "implied": a
-    /// non-empty `fault_plan` deploys [`LivenessConfig::standard`] — faults
-    /// without suspicion timers would just wedge — and an empty one deploys
-    /// with timers off.  An explicit `Some` always wins, including
-    /// `Some(LivenessConfig::disabled())` to script pure delay/partition
-    /// scenarios without arming timers.
+    /// A non-empty `fault_plan` upgrades disabled liveness timers to
+    /// [`LivenessConfig::standard`] — faults without suspicion timers would
+    /// just wedge; timers set with `tune(|t| t.liveness(...))` deploy as
+    /// set.
     pub consensus: ConsensusTuning,
     /// Scripted fault events (crashes, recoveries, partitions, delay
     /// spikes) applied as virtual time advances.  Empty by default: the run
@@ -306,17 +304,17 @@ impl ExperimentSpec {
     }
 
     /// Installs a scripted fault plan (crash/recover/partition/heal/delay
-    /// events keyed by virtual time).  A non-empty plan implies the standard
-    /// liveness configuration — pin `tune(|t| t.liveness(...))` to tune the
-    /// suspicion timeout.
+    /// events keyed by virtual time).  A non-empty plan turns disabled
+    /// liveness timers on at the standard window — set
+    /// `tune(|t| t.liveness(...))` to tune the suspicion timeout.
     pub fn fault_plan(mut self, plan: FaultSchedule) -> Self {
         self.fault_plan = plan;
         self
     }
 
-    /// The liveness configuration the run actually deploys with: an
-    /// explicitly set one wins; otherwise a non-empty fault plan implies
-    /// [`LivenessConfig::standard`].
+    /// The liveness configuration the run actually deploys with: the tuned
+    /// one, with disabled timers upgraded to [`LivenessConfig::standard`]
+    /// under a non-empty fault plan.
     pub fn effective_liveness(&self) -> LivenessConfig {
         self.consensus
             .effective_liveness(!self.fault_plan.is_empty())
@@ -381,17 +379,13 @@ impl ExperimentSpec {
     }
 
     /// The [`StackConfig`] this spec deploys every domain with: the grouped
-    /// consensus knobs with liveness resolved per context, recording
-    /// agreement evidence for every fault run — including plans scripted
-    /// with liveness timers explicitly off — and skipping it in
-    /// failure-free performance sweeps.
+    /// consensus knobs with liveness resolved per
+    /// [`ExperimentSpec::effective_liveness`].
     pub fn stack_config(&self) -> StackConfig {
-        let liveness = self.effective_liveness();
         StackConfig {
             batch: self.consensus.batch,
-            liveness,
+            liveness: self.effective_liveness(),
             checkpoint: self.consensus.checkpoint,
-            record_deliveries: liveness.enabled || !self.fault_plan.is_empty(),
             trace: self.trace,
         }
     }
@@ -888,7 +882,7 @@ where
             crate::timeline::RunTimeline::build(
                 spec.warmup,
                 spec.measure,
-                spec.trace.timeline_buckets,
+                crate::timeline::RunTimeline::BUCKETS,
                 &completions,
                 trace,
             )
@@ -1024,17 +1018,19 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_implies_standard_liveness_but_explicit_wins() {
+    fn fault_plan_upgrades_disabled_liveness_and_keeps_tuned_timers() {
         use saguaro_net::FaultSchedule;
         use saguaro_types::{LivenessConfig, SimTime};
         let plain = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator);
         assert!(!plain.is_chaos());
         assert!(!plain.effective_liveness().enabled);
+        assert!(!plain.stack_config().liveness.enabled);
 
         let plan = FaultSchedule::none().crash_at(SimTime::from_millis(10), ClientId(0));
         let faulty = plain.clone().fault_plan(plan.clone());
         assert!(faulty.is_chaos());
         assert_eq!(faulty.effective_liveness(), LivenessConfig::standard());
+        assert_eq!(faulty.stack_config().liveness, LivenessConfig::standard());
 
         let tuned = faulty
             .clone()
@@ -1043,12 +1039,6 @@ mod tests {
             tuned.effective_liveness().progress_timeout,
             Duration::from_millis(25)
         );
-
-        // An explicitly *disabled* config beats the fault-plan implication:
-        // pure delay/partition scripts can run without arming timers.
-        let timers_off = faulty.tune(|t| t.liveness(LivenessConfig::disabled()));
-        assert!(!timers_off.is_chaos());
-        assert!(!timers_off.effective_liveness().enabled);
 
         // Liveness alone (no plan) also counts as a chaos run: timers are
         // armed and client targets spread.

@@ -8,9 +8,12 @@
 use crate::experiment::{ExperimentSpec, LoadPoint, RidesharingConfig, RunMetrics};
 use crate::par::parallel_map;
 use crate::protocol::ProtocolKind;
+use crate::scenarios::TimeoutPolicy;
 use saguaro_hierarchy::Placement;
 use saguaro_net::FaultSchedule;
-use saguaro_types::{DomainId, Duration, FailureModel, NodeId, PopulationConfig, SimTime};
+use saguaro_types::{
+    DomainId, Duration, FailureModel, LivenessConfig, NodeId, PopulationConfig, SimTime,
+};
 
 /// One curve of a figure: a label plus its load sweep.
 #[derive(Clone, Debug)]
@@ -623,11 +626,11 @@ pub fn render_recovery_table(title: &str, series: &[RecoverySeries]) -> String {
 // Liveness-timeout sweep: false suspicions vs recovery time
 // ---------------------------------------------------------------------------
 
-/// One `(progress_timeout, placement)` cell of the timeout sweep.
+/// One `(suspicion timers, placement)` cell of the timeout sweep.
 #[derive(Clone, Debug)]
 pub struct TimeoutPoint {
-    /// The swept suspicion window (ms).
-    pub timeout_ms: f64,
+    /// The swept suspicion timers: a fixed window, or the adaptive policy.
+    pub liveness: LivenessConfig,
     /// View changes observed in a *failure-free* run with timers armed —
     /// every one of them is a false suspicion.
     pub false_suspicions: u64,
@@ -642,6 +645,17 @@ pub struct TimeoutPoint {
     pub crash_run_tps: f64,
 }
 
+impl TimeoutPoint {
+    /// The row label: `fixed-<ms>ms`, or `adaptive`.
+    pub fn policy(&self) -> String {
+        if self.liveness.adaptive {
+            return "adaptive".to_string();
+        }
+        let ms = self.liveness.progress_timeout.as_micros() / 1_000;
+        format!("fixed-{ms}ms")
+    }
+}
+
 /// One placement's sweep over suspicion timeouts.
 #[derive(Clone, Debug)]
 pub struct TimeoutSeries {
@@ -651,38 +665,39 @@ pub struct TimeoutSeries {
     pub points: Vec<TimeoutPoint>,
 }
 
-/// Sweeps [`saguaro_types::LivenessConfig::progress_timeout`] against the
-/// three placements' RTTs: too small a window fires false suspicions (view
-/// changes with no fault anywhere, paid as churn); too large a window slows
-/// crash recovery.  Each cell runs twice — failure-free with timers armed
-/// (false-suspicion count) and with a scripted leader crash (recovery time).
+/// Sweeps fixed suspicion windows ([`LivenessConfig::progress_timeout`]),
+/// then [`TimeoutPolicy::Adaptive`], against the three placements' RTTs:
+/// too small a window fires false suspicions (view changes with no fault
+/// anywhere, paid as churn); too large a window slows crash recovery.  Each
+/// cell runs twice — failure-free with timers armed (false-suspicion count)
+/// and with a scripted leader crash (recovery time).
 pub fn timeout_sweep(options: &FigureOptions) -> Vec<TimeoutSeries> {
-    use saguaro_types::LivenessConfig;
-    let timeouts_ms: Vec<u64> = if options.quick {
-        vec![10, 60]
+    let timeouts_ms: &[u64] = if options.quick {
+        &[10, 60]
     } else {
-        vec![5, 10, 20, 40, 60, 120]
+        &[5, 10, 20, 40, 60, 120]
     };
+    let policies: Vec<LivenessConfig> = timeouts_ms
+        .iter()
+        .map(|ms| LivenessConfig::with_timeout(Duration::from_millis(*ms)))
+        .chain([TimeoutPolicy::Adaptive.liveness()])
+        .collect();
     let placements = [
         ("single-region", Placement::SingleRegion),
         ("nearby-regions", Placement::NearbyRegions),
         ("wide-area", Placement::WideArea),
     ];
     let load = if options.quick { 800.0 } else { 2_000.0 };
-    // (placement label, timeout, crash?) grid, flattened for the parallel map.
-    let entries: Vec<(String, ExperimentSpec, u64, bool)> = placements
+    // (placement label, timers, crash?) grid, flattened for the parallel map.
+    let entries: Vec<(String, ExperimentSpec, LivenessConfig, bool)> = placements
         .iter()
         .flat_map(|(label, placement)| {
-            timeouts_ms.iter().flat_map(move |timeout| {
+            policies.iter().flat_map(move |liveness| {
                 [false, true].into_iter().map(move |crash| {
                     let mut s = spec(ProtocolKind::SaguaroCoordinator, options)
                         .placed(*placement)
                         .load(load)
-                        .tune(|t| {
-                            t.liveness(LivenessConfig::with_timeout(Duration::from_millis(
-                                *timeout,
-                            )))
-                        });
+                        .tune(|t| t.liveness(*liveness));
                     if crash {
                         let crash_at = s.warmup + Duration::from_micros(s.measure.as_micros() / 4);
                         s = s.fault_plan(
@@ -690,7 +705,7 @@ pub fn timeout_sweep(options: &FigureOptions) -> Vec<TimeoutSeries> {
                                 .crash_at(SimTime::ZERO + crash_at, fault_victim()),
                         );
                     }
-                    (label.to_string(), s, *timeout, crash)
+                    (label.to_string(), s, *liveness, crash)
                 })
             })
         })
@@ -703,9 +718,9 @@ pub fn timeout_sweep(options: &FigureOptions) -> Vec<TimeoutSeries> {
             points: Vec::new(),
         })
         .collect();
-    // Entries come in (placement, timeout, [free, crash]) order.
+    // Entries come in (placement, timers, [free, crash]) order.
     for chunk in entries.iter().zip(artifacts).collect::<Vec<_>>().chunks(2) {
-        let ((label, s, timeout, crash_a), free_art) = &chunk[0];
+        let ((label, s, liveness, crash_a), free_art) = &chunk[0];
         let ((_, _, _, crash_b), crash_art) = &chunk[1];
         debug_assert!(!*crash_a && *crash_b);
         let crash_at = s.warmup + Duration::from_micros(s.measure.as_micros() / 4);
@@ -725,7 +740,7 @@ pub fn timeout_sweep(options: &FigureOptions) -> Vec<TimeoutSeries> {
             .map(|d| d.as_millis_f64())
             .unwrap_or(-1.0);
         let point = TimeoutPoint {
-            timeout_ms: *timeout as f64,
+            liveness: *liveness,
             false_suspicions: free_art.harvest.view_changes(),
             false_suspicion_rate: free_art.harvest.view_changes() as f64 / s.measure.as_secs_f64(),
             recovery_ms,
@@ -748,13 +763,13 @@ pub fn render_timeout_table(title: &str, series: &[TimeoutSeries]) -> String {
     for s in series {
         out.push_str(&format!("{}\n", s.label));
         out.push_str(&format!(
-            "{:>11} {:>17} {:>20} {:>12} {:>14}\n",
-            "timeout_ms", "false_suspicions", "false_susp_per_sec", "recovery_ms", "crash_tps"
+            "{:<14} {:>17} {:>20} {:>12} {:>14}\n",
+            "policy", "false_suspicions", "false_susp_per_sec", "recovery_ms", "crash_tps"
         ));
         for p in &s.points {
             out.push_str(&format!(
-                "{:>11.0} {:>17} {:>20.2} {:>12.1} {:>14.0}\n",
-                p.timeout_ms,
+                "{:<14} {:>17} {:>20.2} {:>12.1} {:>14.0}\n",
+                p.policy(),
                 p.false_suspicions,
                 p.false_suspicion_rate,
                 p.recovery_ms,

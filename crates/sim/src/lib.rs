@@ -98,8 +98,5 @@ pub use saguaro_trace::{RunTrace, TraceActor, TraceEvent, TraceEventKind, Tracer
 pub use saguaro_types::{
     BatchConfig, CheckpointConfig, ConsensusTuning, LivenessConfig, TraceConfig,
 };
-pub use scenarios::{
-    adaptive_comparison, safety_violations, scenario_matrix, AdaptiveComparison, Scenario,
-    ScenarioCell, TimeoutPolicy,
-};
+pub use scenarios::{safety_violations, scenario_matrix, Scenario, ScenarioCell, TimeoutPolicy};
 pub use timeline::{RunTimeline, TimelinePoint};

@@ -14,28 +14,27 @@
 //! both timeout policies (fixed [`LivenessConfig::standard`] vs adaptive
 //! backoff/decay windows) and reports per-cell metrics plus any safety
 //! violations found by [`safety_violations`] — the invariants the
-//! fault-injection suites assert too.  [`adaptive_comparison`] replays
-//! the `timeout_sweep` crashed-primary experiment to check the adaptive
-//! policy against the best fixed window on both recovery time and
-//! false-suspicion count.
+//! fault-injection suites assert too.  The adaptive policy's recovery time
+//! and false suspicions against fixed windows are measured by
+//! [`crate::figures::timeout_sweep`].
 
 use crate::experiment::{ExperimentSpec, RunArtifacts, RunMetrics};
 use crate::figures::{fault_victim, FigureOptions};
 use crate::par::parallel_map;
 use crate::protocol::ProtocolKind;
-use saguaro_loadgen::CompletedTx;
 use saguaro_net::FaultSchedule;
 use saguaro_types::{
-    AdaptiveTimeout, DomainId, Duration, LivenessConfig, NodeId, PopulationConfig, RateEnvelope,
-    SimTime,
+    DomainId, Duration, LivenessConfig, NodeId, PopulationConfig, RateEnvelope, SimTime,
 };
 
 /// A composite adversarial scenario, compiled to primitive fault events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scenario {
     /// One height-1 domain is severed from the rest of the hierarchy for a
-    /// quarter of the measurement window, then healed: cross-domain
-    /// transactions through it must block and resolve consistently.
+    /// quarter of the measurement window, then healed.  Cross-domain
+    /// transactions through it must block and resolve consistently; the
+    /// matrix runs at the workload's default of no cross-domain traffic, so
+    /// `tests/scenario_atomicity.rs` checks that claim at 50 % cross-domain.
     DomainOutage,
     /// Two height-1 domains go dark *together* (a shared-uplink failure),
     /// then heal together.
@@ -147,21 +146,16 @@ impl Scenario {
     }
 }
 
-/// The adaptive suspicion-window knobs the scenario matrix (and the
-/// `figures scenarios` row) deploy: a 30 ms floor — half the conservative 60 ms
-/// default, low enough to roughly halve crash recovery but high enough to
-/// stay false-suspicion-free — backing off ×2 on failed view changes up to
-/// 240 ms and decaying ×½ on progress.
-pub fn default_adaptive() -> AdaptiveTimeout {
-    AdaptiveTimeout::with_floor(Duration::from_millis(30))
-}
-
-/// A timeout policy column of the matrix.
+/// A timeout policy column of the matrix; the adaptive one is also a row of
+/// [`crate::figures::timeout_sweep`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimeoutPolicy {
     /// The fixed [`LivenessConfig::standard`] window.
     Fixed,
-    /// Backoff/decay windows from [`default_adaptive`].
+    /// An adaptive window with a 30 ms floor — half the conservative 60 ms
+    /// default, low enough to roughly halve crash recovery but high enough
+    /// to stay false-suspicion-free — backing off ×2 on failed view changes
+    /// up to 240 ms and decaying ×½ on progress.
     Adaptive,
 }
 
@@ -183,7 +177,7 @@ impl TimeoutPolicy {
     pub fn liveness(&self) -> LivenessConfig {
         match self {
             TimeoutPolicy::Fixed => LivenessConfig::standard(),
-            TimeoutPolicy::Adaptive => LivenessConfig::adaptive(default_adaptive()),
+            TimeoutPolicy::Adaptive => LivenessConfig::adaptive(Duration::from_millis(30)),
         }
     }
 }
@@ -355,171 +349,6 @@ pub fn render_scenario_table(title: &str, cells: &[ScenarioCell]) -> String {
             }
         ));
     }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive vs best-fixed suspicion windows on the crashed-primary scenario
-// ---------------------------------------------------------------------------
-
-/// One timeout policy's showing on the crashed-primary scenario.
-#[derive(Clone, Debug)]
-pub struct PolicyOutcome {
-    /// Policy label (`"fixed-<ms>ms"` or `"adaptive"`).
-    pub label: String,
-    /// Crash-to-first-commit recovery of the victim domain's clients (ms;
-    /// `-1` when the domain never recovered within the run).
-    pub recovery_ms: f64,
-    /// View changes of the companion *failure-free* run with the same
-    /// timers armed — each one a false suspicion.
-    pub false_suspicions: u64,
-    /// Committed throughput of the crash run.
-    pub crash_run_tps: f64,
-}
-
-/// The adaptive policy measured against every fixed window of the
-/// `timeout_sweep` grid on the same crashed-primary scenario.
-#[derive(Clone, Debug)]
-pub struct AdaptiveComparison {
-    /// One outcome per fixed window, in sweep order.
-    pub fixed: Vec<PolicyOutcome>,
-    /// The adaptive policy's outcome.
-    pub adaptive: PolicyOutcome,
-    /// The best *usable* fixed window — fastest recovery among the windows
-    /// with the fewest false suspicions (the bar the adaptive policy is
-    /// judged against).  An aggressive window that "recovers" instantly by
-    /// churning through hundreds of needless view changes is not an
-    /// operating point anyone deploys, so it does not set the bar.
-    pub best_fixed: PolicyOutcome,
-}
-
-impl AdaptiveComparison {
-    /// True if the adaptive policy recovered within `factor ×` the best
-    /// fixed window's recovery while firing no more false suspicions than
-    /// that window did.
-    pub fn adaptive_within(&self, factor: f64) -> bool {
-        self.adaptive.recovery_ms >= 0.0
-            && self.best_fixed.recovery_ms >= 0.0
-            && self.adaptive.recovery_ms <= self.best_fixed.recovery_ms * factor
-            && self.adaptive.false_suspicions <= self.best_fixed.false_suspicions
-    }
-}
-
-/// Crash-to-recovery of the victim domain's clients, as `timeout_sweep`
-/// measures it: the earliest post-crash commit observed by a client of the
-/// crashed domain (clients are assigned round-robin over four edge domains;
-/// the scripted victim is the domain-0 primary).
-fn recovery_ms(completions: &[CompletedTx], crash_at: SimTime) -> f64 {
-    completions
-        .iter()
-        .filter(|c| c.committed && c.client.0.is_multiple_of(4) && c.submitted_at >= crash_at)
-        .map(|c| (c.submitted_at + c.latency).since(crash_at))
-        .min()
-        .map(|d| d.as_millis_f64())
-        .unwrap_or(-1.0)
-}
-
-/// Measures the adaptive policy against the fixed-window sweep: each policy
-/// runs the `timeout_sweep` leader-crash scenario (recovery time) and a
-/// failure-free run with the same timers armed (false suspicions).
-pub fn adaptive_comparison(options: &FigureOptions) -> AdaptiveComparison {
-    let fixed_ms: Vec<u64> = if options.quick {
-        vec![10, 60]
-    } else {
-        vec![5, 10, 20, 40, 60, 120]
-    };
-    let mut policies: Vec<(String, LivenessConfig)> = fixed_ms
-        .iter()
-        .map(|ms| {
-            (
-                format!("fixed-{ms}ms"),
-                LivenessConfig::with_timeout(Duration::from_millis(*ms)),
-            )
-        })
-        .collect();
-    policies.push(("adaptive".to_string(), TimeoutPolicy::Adaptive.liveness()));
-
-    let load = if options.quick { 800.0 } else { 2_000.0 };
-    let base = {
-        let mut s = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator);
-        s.seed = options.seed;
-        if options.quick {
-            s = s.quick();
-        }
-        s.load(load)
-    };
-    let crash_at =
-        SimTime::ZERO + base.warmup + Duration::from_micros(base.measure.as_micros() / 4);
-    // (policy, crash?) grid, flattened for the parallel map.
-    let entries: Vec<(usize, ExperimentSpec, bool)> = policies
-        .iter()
-        .enumerate()
-        .flat_map(|(i, (_, liveness))| {
-            let base = &base;
-            [false, true].into_iter().map(move |crash| {
-                let mut s = base.clone().tune(|t| t.liveness(*liveness));
-                if crash {
-                    s = s.fault_plan(FaultSchedule::none().crash_at(crash_at, fault_victim()));
-                }
-                (i, s, crash)
-            })
-        })
-        .collect();
-    let artifacts = parallel_map(&entries, |(_, s, _)| s.run_collecting());
-    let mut outcomes: Vec<PolicyOutcome> = Vec::new();
-    for chunk in entries.iter().zip(artifacts).collect::<Vec<_>>().chunks(2) {
-        let ((i, _, crash_a), free_art) = &chunk[0];
-        let ((_, _, crash_b), crash_art) = &chunk[1];
-        debug_assert!(!*crash_a && *crash_b);
-        outcomes.push(PolicyOutcome {
-            label: policies[*i].0.clone(),
-            recovery_ms: recovery_ms(&crash_art.completions, crash_at),
-            false_suspicions: free_art.harvest.view_changes(),
-            crash_run_tps: crash_art.metrics.throughput_tps,
-        });
-    }
-    let adaptive = outcomes.pop().expect("adaptive outcome present");
-    let recovered: Vec<&PolicyOutcome> = outcomes.iter().filter(|o| o.recovery_ms >= 0.0).collect();
-    let quietest = recovered
-        .iter()
-        .map(|o| o.false_suspicions)
-        .min()
-        .unwrap_or(0);
-    let best_fixed = recovered
-        .iter()
-        .filter(|o| o.false_suspicions == quietest)
-        .min_by(|a, b| {
-            a.recovery_ms
-                .partial_cmp(&b.recovery_ms)
-                .expect("finite recovery")
-        })
-        .map(|o| (*o).clone())
-        .unwrap_or_else(|| outcomes[0].clone());
-    AdaptiveComparison {
-        fixed: outcomes,
-        adaptive,
-        best_fixed,
-    }
-}
-
-/// Renders the comparison as a plain-text table.
-pub fn render_adaptive_table(title: &str, cmp: &AdaptiveComparison) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# {title}\n"));
-    out.push_str(&format!(
-        "{:<14} {:>12} {:>17} {:>14}\n",
-        "policy", "recovery_ms", "false_suspicions", "crash_tps"
-    ));
-    for o in cmp.fixed.iter().chain(std::iter::once(&cmp.adaptive)) {
-        out.push_str(&format!(
-            "{:<14} {:>12.1} {:>17} {:>14.0}\n",
-            o.label, o.recovery_ms, o.false_suspicions, o.crash_run_tps
-        ));
-    }
-    out.push_str(&format!(
-        "best fixed: {} ({:.1} ms, {} false suspicions)\n",
-        cmp.best_fixed.label, cmp.best_fixed.recovery_ms, cmp.best_fixed.false_suspicions
-    ));
     out
 }
 

@@ -55,6 +55,9 @@ pub struct RunTimeline {
 }
 
 impl RunTimeline {
+    /// Buckets a traced run's horizon is divided into.
+    pub const BUCKETS: u32 = 40;
+
     /// Builds the series from a run's completion records and merged trace.
     ///
     /// `buckets` is clamped to at least 1.  Only completions inside the

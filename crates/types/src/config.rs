@@ -147,91 +147,31 @@ impl Default for BatchConfig {
     }
 }
 
-/// Adaptive suspicion-timeout knobs (sawtooth-pbft-style idle/commit
-/// timers).
-///
-/// Instead of one fixed `progress_timeout`, the suspicion window starts at
-/// `initial`, **backs off** multiplicatively every time a suspicion fires
-/// while the replica is still stuck (a failed view change — the next
-/// candidate primary did not restore progress within the window), and
-/// **decays** back toward the per-placement `floor` each time delivery
-/// progress is observed.  The window is clamped to `[floor, max]` throughout.
-///
-/// All arithmetic is integer (percent of microseconds), so runs stay
-/// deterministic across platforms.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AdaptiveTimeout {
-    /// Lower clamp of the suspicion window.  Placement-dependent: it should
-    /// sit comfortably above the placement's failure-free commit latency,
-    /// or every slow commit is misread as a dead primary.
-    pub floor: Duration,
-    /// The window armed before any backoff/decay has happened.
-    pub initial: Duration,
-    /// Upper clamp of the suspicion window under repeated failed view
-    /// changes.
-    pub max: Duration,
-    /// Multiplier (percent, ≥ 100) applied on every suspicion that fires
-    /// while still stuck: 200 doubles the window.
-    pub backoff_percent: u64,
-    /// Multiplier (percent, ≤ 100) applied on every observed delivery
-    /// progress: 50 halves the window back toward the floor.
-    pub decay_percent: u64,
-}
-
-impl AdaptiveTimeout {
-    /// Default backoff: double on every failed view change.
-    pub const DEFAULT_BACKOFF_PERCENT: u64 = 200;
-    /// Default decay: halve back toward the floor on progress.
-    pub const DEFAULT_DECAY_PERCENT: u64 = 50;
-
-    /// Standard knobs for a placement whose safe suspicion floor is
-    /// `floor`: start at the floor (progress observations cannot lower it
-    /// further), double per failed view change, cap at `8 × floor`.
-    pub const fn with_floor(floor: Duration) -> Self {
-        Self {
-            floor,
-            initial: floor,
-            max: Duration::from_micros(floor.as_micros() * 8),
-            backoff_percent: Self::DEFAULT_BACKOFF_PERCENT,
-            decay_percent: Self::DEFAULT_DECAY_PERCENT,
-        }
-    }
-
-    /// One backoff step: `current × backoff_percent`, clamped to `max`.
-    pub fn backoff(&self, current: Duration) -> Duration {
-        let scaled = current.as_micros().saturating_mul(self.backoff_percent) / 100;
-        Duration::from_micros(scaled.min(self.max.as_micros()))
-    }
-
-    /// One decay step: `current × decay_percent`, clamped to `floor`.
-    pub fn decay(&self, current: Duration) -> Duration {
-        let scaled = current.as_micros().saturating_mul(self.decay_percent) / 100;
-        Duration::from_micros(scaled.max(self.floor.as_micros()))
-    }
-}
-
 /// Liveness-timer knobs of a domain's ordering pipeline.
 ///
 /// When enabled, every replica runs a progress timer: if no new sequence
-/// number was delivered over one `progress_timeout` window while work is
+/// number was delivered over one suspicion window while work is
 /// demonstrably pending, the replica suspects the primary and votes for a
 /// view change.  Disabled (the default), no progress timers are ever
 /// scheduled and the event stream is bit-identical to the historical
 /// failure-free pipeline.
 ///
-/// With `adaptive` set, the suspicion window is no longer the fixed
-/// `progress_timeout` but the [`AdaptiveTimeout`] state machine's current
-/// value; `None` (the default) keeps the fixed window and the historical
-/// event stream bit-identical.
+/// The window is `progress_timeout`, fixed unless `adaptive` is set.  An
+/// adaptive window (sawtooth-pbft-style idle/commit timers) starts at
+/// `progress_timeout` as its floor, doubles on every suspicion fired while
+/// the replica is still stuck (a failed view change) up to eight times the
+/// floor, and halves back toward the floor on every observed delivery
+/// progress; the arithmetic lives in `saguaro_consensus::SuspicionTimer`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LivenessConfig {
     /// Whether progress timers run at all.
     pub enabled: bool,
     /// Window with no delivery progress (while work is pending) after which
-    /// the primary is suspected.
+    /// the primary is suspected — the floor of an adaptive window.
     pub progress_timeout: Duration,
-    /// Adaptive suspicion-window knobs; `None` keeps the fixed window.
-    pub adaptive: Option<AdaptiveTimeout>,
+    /// Whether the window backs off on failed view changes and decays on
+    /// progress instead of staying fixed.
+    pub adaptive: bool,
 }
 
 impl LivenessConfig {
@@ -240,7 +180,7 @@ impl LivenessConfig {
         Self {
             enabled: false,
             progress_timeout: Self::DEFAULT_TIMEOUT,
-            adaptive: None,
+            adaptive: false,
         }
     }
 
@@ -255,30 +195,34 @@ impl LivenessConfig {
     }
 
     /// Progress timers on, suspecting after `progress_timeout` of stall.
+    /// Panics on a zero window: the progress timer would re-arm at the
+    /// same instant forever.
     pub const fn with_timeout(progress_timeout: Duration) -> Self {
+        assert!(
+            progress_timeout.as_micros() > 0,
+            "LivenessConfig::with_timeout(0): a zero suspicion window re-arms the progress timer at the same instant forever"
+        );
         Self {
             enabled: true,
             progress_timeout,
-            adaptive: None,
+            adaptive: false,
         }
     }
 
-    /// Progress timers on, with an adaptive suspicion window.  The fixed
-    /// `progress_timeout` is kept as the adaptive machine's initial value so
-    /// code that ignores adaptivity still arms a sensible first window.
-    pub const fn adaptive(knobs: AdaptiveTimeout) -> Self {
+    /// Progress timers on, with an adaptive suspicion window that never
+    /// falls below `floor`.  The floor is placement-dependent: it should sit
+    /// comfortably above the placement's failure-free commit latency, or
+    /// every slow commit is misread as a dead primary.  Panics on a zero
+    /// floor, as [`LivenessConfig::with_timeout`] does on a zero window.
+    pub const fn adaptive(floor: Duration) -> Self {
+        assert!(
+            floor.as_micros() > 0,
+            "LivenessConfig::adaptive(0): a zero suspicion floor re-arms the progress timer at the same instant forever"
+        );
         Self {
             enabled: true,
-            progress_timeout: knobs.initial,
-            adaptive: Some(knobs),
-        }
-    }
-
-    /// The window a freshly started replica arms first.
-    pub fn initial_timeout(&self) -> Duration {
-        match self.adaptive {
-            Some(knobs) => knobs.initial,
-            None => self.progress_timeout,
+            progress_timeout: floor,
+            adaptive: true,
         }
     }
 }
@@ -403,9 +347,6 @@ pub struct TraceConfig {
     /// Per-actor ring-buffer capacity in events; the oldest events are
     /// dropped (and counted) once an actor exceeds it.
     pub buffer_capacity: u32,
-    /// Number of buckets the run horizon is divided into for the time-series
-    /// metrics (`timeline`) export.
-    pub timeline_buckets: u32,
 }
 
 impl TraceConfig {
@@ -415,12 +356,11 @@ impl TraceConfig {
             enabled: false,
             span_sample_every: 8,
             buffer_capacity: 4096,
-            timeline_buckets: 40,
         }
     }
 
     /// Tracing enabled with the default knobs: every 8th transaction
-    /// spanned, 4096-event ring buffers, 40 timeline buckets.
+    /// spanned, 4096-event ring buffers.
     pub const fn on() -> Self {
         Self {
             enabled: true,
@@ -466,23 +406,17 @@ pub struct StackConfig {
     pub liveness: LivenessConfig,
     /// Checkpointing / state-transfer knobs of the internal consensus.
     pub checkpoint: CheckpointConfig,
-    /// Record each replica's consensus delivery stream (rolling hash) for
-    /// post-run agreement checks.  Enabled for every fault-injection run —
-    /// including ones that script faults with liveness timers explicitly
-    /// off — and skipped by failure-free performance sweeps.
-    pub record_deliveries: bool,
     /// Structured-tracing knobs (off by default).
     pub trace: TraceConfig,
 }
 
 impl StackConfig {
-    /// Batching per `batch`, liveness timers off, no delivery recording.
+    /// Batching per `batch`, liveness timers off.
     pub const fn batched(batch: BatchConfig) -> Self {
         Self {
             batch,
             liveness: LivenessConfig::disabled(),
             checkpoint: CheckpointConfig::legacy(),
-            record_deliveries: false,
             trace: TraceConfig::off(),
         }
     }
@@ -508,27 +442,27 @@ impl StackConfig {
 /// fields, and every knob has exactly one setter here rather than a
 /// value/struct setter pair per field on the spec itself.
 ///
-/// `liveness = None` (the default) means "decide from context": harnesses
-/// resolve it to [`LivenessConfig::standard`] for fault-injection runs and
-/// [`LivenessConfig::disabled`] for failure-free ones.  An explicit
-/// `Some(...)` always wins.
+/// Liveness timers are off by default; a fault-injection run deploys
+/// [`LivenessConfig::standard`] in their place (see
+/// [`ConsensusTuning::effective_liveness`]), since faults without suspicion
+/// timers would just wedge.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ConsensusTuning {
     /// Request batching of the internal consensus.
     pub batch: BatchConfig,
-    /// Progress-timer knobs; `None` lets the harness pick per context.
-    pub liveness: Option<LivenessConfig>,
+    /// Progress-timer knobs.
+    pub liveness: LivenessConfig,
     /// Checkpointing / state-transfer / retention knobs.
     pub checkpoint: CheckpointConfig,
 }
 
 impl ConsensusTuning {
-    /// The historical defaults: unbatched, context-resolved liveness, legacy
-    /// checkpointing, infinite retention.
+    /// The historical defaults: unbatched, timers off unless faults are
+    /// scripted, legacy checkpointing, infinite retention.
     pub const fn new() -> Self {
         Self {
             batch: BatchConfig::unbatched(),
-            liveness: None,
+            liveness: LivenessConfig::disabled(),
             checkpoint: CheckpointConfig::legacy(),
         }
     }
@@ -545,10 +479,9 @@ impl ConsensusTuning {
         self.batch(BatchConfig::with_max_batch(max_batch))
     }
 
-    /// Pins the liveness knobs (builder style); overrides the harness's
-    /// contextual default.
+    /// Replaces the liveness knobs (builder style).
     pub const fn liveness(mut self, liveness: LivenessConfig) -> Self {
-        self.liveness = Some(liveness);
+        self.liveness = liveness;
         self
     }
 
@@ -574,15 +507,15 @@ impl ConsensusTuning {
         self
     }
 
-    /// The liveness knobs actually deployed: the explicit override if one
-    /// was set, otherwise standard timers for fault-injection runs
-    /// (`chaos = true`) and disabled timers for failure-free ones.
+    /// The liveness knobs actually deployed: the configured ones, except
+    /// that a fault-injection run (`chaos = true`) upgrades disabled timers
+    /// to [`LivenessConfig::standard`].
     pub fn effective_liveness(&self, chaos: bool) -> LivenessConfig {
-        self.liveness.unwrap_or(if chaos {
+        if chaos && !self.liveness.enabled {
             LivenessConfig::standard()
         } else {
-            LivenessConfig::disabled()
-        })
+            self.liveness
+        }
     }
 }
 
@@ -665,30 +598,48 @@ pub struct PopulationConfig {
 }
 
 impl PopulationConfig {
-    /// A population of `users` at the default per-user rate with uniform
-    /// account selection.
+    /// A population of `users` at the default per-user rate with the
+    /// default Zipf skew.  Panics on 0 users.
     pub fn with_users(users: u64) -> Self {
+        assert!(
+            users > 0,
+            "PopulationConfig::with_users(0): a population needs at least one user"
+        );
         Self {
-            users: users.max(1),
+            users,
             ..Self::default()
         }
     }
 
-    /// Sets the Zipf skew (builder style).
+    /// Sets the Zipf skew (builder style).  Panics on a negative or NaN
+    /// skew.
     pub fn zipf(mut self, s: f64) -> Self {
-        self.zipf_s = s.max(0.0);
+        assert!(
+            s >= 0.0,
+            "PopulationConfig::zipf({s}): the Zipf skew must be at least 0"
+        );
+        self.zipf_s = s;
         self
     }
 
-    /// Sets the per-user rate (builder style).
+    /// Sets the per-user rate (builder style).  Panics on a negative or
+    /// non-finite rate; 0 is accepted here and refused when the run starts.
     pub fn per_user(mut self, tps: f64) -> Self {
-        self.per_user_tps = tps.max(0.0);
+        assert!(
+            tps.is_finite() && tps >= 0.0,
+            "PopulationConfig::per_user({tps}): the per-user rate must be finite and at least 0"
+        );
+        self.per_user_tps = tps;
         self
     }
 
-    /// Sets the latency-sample stride (builder style).
+    /// Sets the latency-sample stride (builder style).  Panics on 0.
     pub fn sampled_every(mut self, stride: u64) -> Self {
-        self.sample_every = stride.max(1);
+        assert!(
+            stride > 0,
+            "PopulationConfig::sampled_every(0): the sample stride must be at least 1"
+        );
+        self.sample_every = stride;
         self
     }
 
@@ -856,38 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_timeout_backs_off_and_decays_within_clamps() {
-        let knobs = AdaptiveTimeout::with_floor(Duration::from_millis(20));
-        assert_eq!(knobs.initial, Duration::from_millis(20));
-        assert_eq!(knobs.max, Duration::from_millis(160));
-        // Backoff doubles until the cap.
-        let mut w = knobs.initial;
-        w = knobs.backoff(w);
-        assert_eq!(w, Duration::from_millis(40));
-        for _ in 0..10 {
-            w = knobs.backoff(w);
-        }
-        assert_eq!(w, knobs.max);
-        // Decay halves back down to the floor.
-        for _ in 0..10 {
-            w = knobs.decay(w);
-        }
-        assert_eq!(w, knobs.floor);
-        // The adaptive LivenessConfig arms the initial window.
-        let live = LivenessConfig::adaptive(AdaptiveTimeout {
-            initial: Duration::from_millis(30),
-            ..knobs
-        });
-        assert!(live.enabled);
-        assert_eq!(live.initial_timeout(), Duration::from_millis(30));
-        // A fixed config's initial window is its fixed window.
-        assert_eq!(
-            LivenessConfig::standard().initial_timeout(),
-            LivenessConfig::DEFAULT_TIMEOUT
-        );
-    }
-
-    #[test]
     fn liveness_defaults_off_and_stack_config_composes() {
         assert!(!LivenessConfig::default().enabled);
         assert!(LivenessConfig::standard().enabled);
@@ -899,6 +818,22 @@ mod tests {
         let default = StackConfig::default();
         assert_eq!(default.batch, BatchConfig::unbatched());
         assert!(!default.liveness.enabled);
+        let adaptive = LivenessConfig::adaptive(Duration::from_millis(30));
+        assert!(adaptive.enabled && adaptive.adaptive);
+        assert_eq!(adaptive.progress_timeout, Duration::from_millis(30));
+        assert!(!LivenessConfig::standard().adaptive);
+    }
+
+    #[test]
+    #[should_panic(expected = "LivenessConfig::with_timeout(0)")]
+    fn zero_suspicion_window_is_refused() {
+        let _ = LivenessConfig::with_timeout(Duration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "LivenessConfig::adaptive(0)")]
+    fn zero_adaptive_floor_is_refused() {
+        let _ = LivenessConfig::adaptive(Duration::ZERO);
     }
 
     #[test]
@@ -937,13 +872,14 @@ mod tests {
         let t = ConsensusTuning::new();
         assert_eq!(t, ConsensusTuning::default());
         assert_eq!(t.batch, BatchConfig::unbatched());
-        assert_eq!(t.liveness, None);
+        assert_eq!(t.liveness, LivenessConfig::disabled());
         assert_eq!(t.checkpoint, CheckpointConfig::legacy());
-        // None resolves per context; an explicit override always wins.
+        // Faults upgrade disabled timers; configured ones deploy as set.
         assert!(!t.effective_liveness(false).enabled);
-        assert!(t.effective_liveness(true).enabled);
-        let pinned = t.liveness(LivenessConfig::disabled());
-        assert!(!pinned.effective_liveness(true).enabled);
+        assert_eq!(t.effective_liveness(true), LivenessConfig::standard());
+        let adaptive = t.liveness(LivenessConfig::adaptive(Duration::from_millis(30)));
+        assert_eq!(adaptive.effective_liveness(true), adaptive.liveness);
+        assert_eq!(adaptive.effective_liveness(false), adaptive.liveness);
 
         let tuned = ConsensusTuning::new()
             .batch_size(8)
@@ -991,18 +927,56 @@ mod tests {
     }
 
     #[test]
-    fn population_builders_clamp_and_compose() {
-        let pop = PopulationConfig::with_users(0)
-            .zipf(-1.0)
+    fn population_builders_compose() {
+        let pop = PopulationConfig::with_users(3)
+            .zipf(0.0)
             .per_user(2.0)
-            .sampled_every(0);
-        assert_eq!(pop.users, 1);
+            .sampled_every(4);
+        assert_eq!(pop.users, 3);
         assert_eq!(pop.zipf_s, 0.0);
-        assert_eq!(pop.sample_every, 1);
-        assert_eq!(pop.offered_tps(), 2.0);
+        assert_eq!(pop.sample_every, 4);
+        assert_eq!(pop.offered_tps(), 6.0);
+        // A zero rate is legal here: the run refuses it when it starts.
+        assert_eq!(pop.per_user(0.0).offered_tps(), 0.0);
         assert!(ClientModel::Aggregate(pop).is_aggregate());
         assert!(!ClientModel::PerActor.is_aggregate());
         assert_eq!(ClientModel::default(), ClientModel::PerActor);
+    }
+
+    #[test]
+    #[should_panic(expected = "PopulationConfig::with_users(0)")]
+    fn zero_users_are_refused() {
+        let _ = PopulationConfig::with_users(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "PopulationConfig::zipf(-1)")]
+    fn negative_zipf_is_refused() {
+        let _ = PopulationConfig::default().zipf(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "PopulationConfig::zipf(NaN)")]
+    fn nan_zipf_is_refused() {
+        let _ = PopulationConfig::default().zipf(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "PopulationConfig::per_user(-0.5)")]
+    fn negative_per_user_rate_is_refused() {
+        let _ = PopulationConfig::default().per_user(-0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "PopulationConfig::per_user(inf)")]
+    fn infinite_per_user_rate_is_refused() {
+        let _ = PopulationConfig::default().per_user(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "PopulationConfig::sampled_every(0)")]
+    fn zero_sample_stride_is_refused() {
+        let _ = PopulationConfig::default().sampled_every(0);
     }
 
     #[test]

@@ -35,9 +35,8 @@ pub mod time;
 pub mod transaction;
 
 pub use config::{
-    AdaptiveTimeout, BatchConfig, CheckpointConfig, ClientModel, ConsensusTuning, DomainConfig,
-    FailureModel, LivenessConfig, PopulationConfig, QuorumSpec, RateEnvelope, StackConfig,
-    TraceConfig,
+    BatchConfig, CheckpointConfig, ClientModel, ConsensusTuning, DomainConfig, FailureModel,
+    LivenessConfig, PopulationConfig, QuorumSpec, RateEnvelope, StackConfig, TraceConfig,
 };
 pub use cowmap::{CowMap, Key};
 pub use error::SaguaroError;
