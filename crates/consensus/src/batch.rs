@@ -6,8 +6,8 @@
 //! of member commands whose digest is the Merkle root over the member
 //! digests, so replicas vote on a fixed-size value.  [`Batcher`] is the
 //! leader-side accumulator
-//! that cuts blocks by size ([`BatchConfig::max_batch`]) or age
-//! ([`BatchConfig::max_delay`], enforced by the adapter's flush timer).
+//! that cuts blocks by size ([`BatchConfig::max_batch`]) or age (the
+//! adapter's flush timer).
 
 use crate::interface::Command;
 use saguaro_crypto::sha256::sha256_parts;
@@ -119,7 +119,7 @@ impl<C: Command> Command for Batch<C> {
 /// The owning adapter calls [`Batcher::push`] for every command routed to the
 /// leader; a full block (`max_batch` members) is cut and returned
 /// immediately.  When `push` leaves commands pending, the adapter is
-/// responsible for scheduling a flush timer of `max_delay` and calling
+/// responsible for scheduling a flush timer and calling
 /// [`Batcher::flush`] when it fires, so under-full blocks still commit within
 /// a bounded delay.  With `max_batch = 1` every push cuts a single-command
 /// block and the batcher is never left non-empty — the pipeline is then
@@ -169,7 +169,7 @@ impl<C: Clone> Batcher<C> {
         }
     }
 
-    /// Cuts whatever is pending (the `max_delay` path); `None` when empty.
+    /// Cuts whatever is pending (the flush-timer path); `None` when empty.
     pub fn flush(&mut self) -> Option<Batch<C>> {
         self.cut()
     }

@@ -362,8 +362,7 @@ impl<C: Command> ConsensusReplica<C> {
     ///
     /// When this returns no steps but [`ConsensusReplica::pending_commands`]
     /// is non-zero, the adapter must arrange for
-    /// [`ConsensusReplica::flush`] to run within
-    /// [`BatchConfig::max_delay`].
+    /// [`ConsensusReplica::flush`] to run within its flush delay.
     pub fn propose(&mut self, cmd: C) -> Steps<C> {
         if !self.is_primary() {
             return Vec::new();
@@ -374,7 +373,7 @@ impl<C: Command> ConsensusReplica<C> {
         }
     }
 
-    /// Cuts and proposes whatever the batcher holds (the `max_delay` path).
+    /// Cuts and proposes whatever the batcher holds (the flush-timer path).
     ///
     /// If the proposal is refused — the flush timer raced a view change that
     /// deposed (or is deposing) this leader — the commands are put back into
@@ -1034,7 +1033,7 @@ pub(crate) mod testkit {
 mod tests {
     use super::testkit::*;
     use super::*;
-    use saguaro_types::{DomainId, Duration};
+    use saguaro_types::DomainId;
     use FailureModel::{Byzantine, Crash};
 
     /// True if `steps` ask some peer for the state above `above`.
@@ -1534,7 +1533,7 @@ mod tests {
 
     #[test]
     fn flush_proposes_the_underfull_block() {
-        let batch = BatchConfig::with_max_batch(8).with_max_delay(Duration::from_millis(2));
+        let batch = BatchConfig::with_max_batch(8);
         let (nodes, mut reps) = domain_with(Crash, 3, batch, CheckpointConfig::legacy());
         assert!(reps[0].propose(b"only".to_vec()).is_empty());
         assert_eq!(reps[0].pending_commands(), 1);

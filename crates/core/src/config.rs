@@ -1,7 +1,6 @@
 //! What a deployment chooses about the protocol, and the timing constants of
 //! rounds and deadlock resolution.
 
-use saguaro_ledger::AbstractionFn;
 use saguaro_types::{Duration, StackConfig};
 
 /// How cross-domain transactions are processed.
@@ -35,16 +34,14 @@ const CROSS_DOMAIN_TIMEOUT: Duration = Duration::from_millis(400);
 /// to different domains to prevent consecutive deadlock situations").
 const DEADLOCK_STAGGER: Duration = Duration::from_millis(37);
 
-/// What a deployment chooses about the protocol: the cross-domain mode, the
-/// application's abstraction function and the replica pipeline.  Every round
-/// interval and timeout is a constant of the module that uses it.
+/// What a deployment chooses about the protocol: the cross-domain mode and
+/// the replica pipeline.  Every round interval and timeout is a constant of
+/// the module that uses it, and blocks propagate the full state delta
+/// ([`saguaro_ledger::AbstractionFn::Full`]).
 #[derive(Clone, Debug)]
 pub struct ProtocolConfig {
     /// Cross-domain processing mode.
     pub cross_mode: CrossDomainMode,
-    /// Abstraction function applied to state updates before propagation
-    /// (Section 5: chosen per application).
-    pub abstraction: AbstractionFn,
     /// The per-domain pipeline knobs every replica host is built from:
     /// request batching, liveness timers, checkpointing / state transfer,
     /// delivery recording and tracing.  The default is the historical
@@ -58,7 +55,6 @@ impl ProtocolConfig {
     pub fn coordinator() -> Self {
         Self {
             cross_mode: CrossDomainMode::Coordinator,
-            abstraction: AbstractionFn::Full,
             stack: StackConfig::default(),
         }
     }
@@ -127,7 +123,10 @@ mod tests {
     fn batching_defaults_off_and_is_overridable() {
         let c = ProtocolConfig::coordinator();
         assert_eq!(c.stack.batch.max_batch, 1);
-        let stack = StackConfig::batched(saguaro_types::BatchConfig::with_max_batch(8));
+        let stack = StackConfig {
+            batch: saguaro_types::BatchConfig::with_max_batch(8),
+            ..StackConfig::default()
+        };
         let b = ProtocolConfig { stack, ..c };
         assert_eq!(b.stack.batch.max_batch, 8);
     }

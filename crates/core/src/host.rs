@@ -28,10 +28,15 @@ use saguaro_net::{Addr, Context, MessageMeta, TimerId};
 use saguaro_trace::{TraceActor, TraceEvent, TraceEventKind, Tracer};
 use saguaro_types::hash::FxHashMap;
 use saguaro_types::{
-    ClientId, DeliveryLog, FailureModel, NodeId, QuorumSpec, SeqNo, SimTime, StackConfig,
+    ClientId, DeliveryLog, Duration, FailureModel, NodeId, QuorumSpec, SeqNo, SimTime, StackConfig,
     StateSnapshot, Transaction, TxId,
 };
 use std::sync::Arc;
+
+/// How long an under-full consensus batch may pool at the leader before the
+/// flush timer cuts it anyway, bounding the latency a lightly loaded domain
+/// pays for batching.
+pub const BATCH_FLUSH_DELAY: Duration = Duration::from_millis(5);
 
 /// The steps a [`ConsensusReplica`] over commands `C` hands its host.
 pub type ConsensusSteps<C> = Vec<Step<Batch<C>, ConsensusMsg<C>>>;
@@ -211,7 +216,7 @@ pub trait HostedReplica: Sized {
     /// Proposes a command through the internal consensus (primary only) and
     /// drives the resulting steps.  The command may be held back by the
     /// leader-side batcher until the block fills; the flush timer guarantees
-    /// an under-full block is still cut within `batch.max_delay`.
+    /// an under-full block is still cut within [`BATCH_FLUSH_DELAY`].
     fn propose(&mut self, cmd: Self::Cmd, ctx: &mut Context<'_, Self::Msg>) {
         let host = self.host_mut();
         let pooled = host.tracer.enabled().then(|| {
@@ -232,8 +237,7 @@ pub trait HostedReplica: Sized {
         let host = self.host_mut();
         if host.consensus.pending_commands() > 0 {
             if host.batch_timer.is_none() {
-                let delay = host.stack.batch.max_delay;
-                host.batch_timer = Some(ctx.set_timer(delay, Self::BATCH_TIMER));
+                host.batch_timer = Some(ctx.set_timer(BATCH_FLUSH_DELAY, Self::BATCH_TIMER));
             }
         } else if let Some(timer) = host.batch_timer.take() {
             ctx.cancel_timer(timer);

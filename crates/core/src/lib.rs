@@ -20,7 +20,7 @@
 //! * [`command::Cmd`] — the commands ordered by each domain's internal
 //!   consensus.
 //! * [`config::ProtocolConfig`] — what a deployment chooses: the
-//!   cross-domain mode, the abstraction function and the replica pipeline.
+//!   cross-domain mode and the replica pipeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,7 +13,7 @@ use crate::command::Cmd;
 use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
 use crate::node::SaguaroNode;
-use saguaro_ledger::Block;
+use saguaro_ledger::{AbstractionFn, Block};
 use saguaro_net::Context;
 use saguaro_types::DomainId;
 use std::fmt::Write;
@@ -26,7 +26,7 @@ impl SaguaroNode {
         self.round += 1;
         if self.is_primary() {
             if let Some(parent) = self.tree.parent(self.domain()) {
-                let delta = self.config.abstraction.apply(&self.round_updates);
+                let delta = AbstractionFn::Full.apply(&self.round_updates);
                 self.round_updates.clear();
                 let block = self.ledger.cut_block(delta);
                 self.stats.blocks_sent += 1;

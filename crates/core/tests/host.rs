@@ -2,6 +2,7 @@
 //! workload, one replica group on a bare simulator.
 
 use saguaro_consensus::{Batch, Command, ConsensusMsg, MsgBody};
+use saguaro_core::host::BATCH_FLUSH_DELAY;
 use saguaro_core::{HostedReplica, ReplicaHost};
 use saguaro_net::{
     Actor, Addr, Context, CpuProfile, LatencyMatrix, MessageMeta, Simulation, TimerId,
@@ -189,8 +190,11 @@ fn replies(sim: &mut Simulation<ToyMsg>) -> u64 {
 
 #[test]
 fn flush_timer_is_armed_once_while_commands_pool_and_cancelled_by_a_size_cut() {
-    let batch = BatchConfig::with_max_batch(3).with_max_delay(Duration::from_millis(50));
-    let mut sim = group(FailureModel::Crash, StackConfig::batched(batch));
+    let stack = StackConfig {
+        batch: BatchConfig::with_max_batch(3),
+        ..StackConfig::default()
+    };
+    let mut sim = group(FailureModel::Crash, stack);
     // Two commands pool at the leader: one flush timer, not two.
     request(&mut sim, node(0), 1, ms(0));
     request(&mut sim, node(0), 2, ms(1));
@@ -202,8 +206,10 @@ fn flush_timer_is_armed_once_while_commands_pool_and_cancelled_by_a_size_cut() {
     sim.run_until(ms(10));
     assert_eq!((sim.live_timers(), sim.stats().timers_fired), (0, 0));
     assert_eq!(toy(&mut sim, node(0), |t| t.applied), 3);
-    // A lone straggler is cut by the timer instead.
+    // A lone straggler is cut by the timer instead, one flush delay later.
     request(&mut sim, node(0), 4, ms(10));
+    sim.run_until(ms(10) + Duration::from_micros(BATCH_FLUSH_DELAY.as_micros() - 1));
+    assert_eq!(toy(&mut sim, node(0), |t| t.applied), 3);
     sim.run_until(ms(100));
     assert_eq!((sim.live_timers(), sim.stats().timers_fired), (0, 1));
     assert_eq!(toy(&mut sim, node(0), |t| t.applied), 4);
@@ -223,7 +229,10 @@ fn unbatched_hosts_never_arm_a_flush_timer() {
 #[test]
 fn a_kick_never_doubles_a_live_progress_loop() {
     let window = LivenessConfig::standard().progress_timeout;
-    let stack = StackConfig::default().with_liveness(LivenessConfig::standard());
+    let stack = StackConfig {
+        liveness: LivenessConfig::standard(),
+        ..StackConfig::default()
+    };
     let mut sim = group(FailureModel::Crash, stack);
     sim.inject_at(ms(0), CLIENT, node(1), ToyMsg::ProgressTimer);
     sim.inject_at(ms(1), CLIENT, node(1), ToyMsg::ProgressTimer);
@@ -257,7 +266,10 @@ fn byzantine_backups_reply_without_having_seen_the_request_crash_backups_do_not(
 
 #[test]
 fn a_state_reply_that_delivers_nothing_is_not_a_catch_up() {
-    let stack = StackConfig::default().with_checkpoint(CheckpointConfig::every(4));
+    let stack = StackConfig {
+        checkpoint: CheckpointConfig::every(4),
+        ..StackConfig::default()
+    };
     let mut sim = group(FailureModel::Crash, stack);
     let reply = |entries| {
         ToyMsg::Consensus(ConsensusMsg {

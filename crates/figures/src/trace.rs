@@ -8,15 +8,14 @@
 //! run that silently stops emitting suspicion or state-transfer events fails
 //! here, not in a downstream dashboard — and the Chrome trace-event export
 //! must parse.  `--trace <path>` writes that export (load it at
-//! <https://ui.perfetto.dev>).  The run's bucketed [`RunTimeline`] is printed
-//! as the second table.
+//! <https://ui.perfetto.dev>).  The run's bucketed
+//! [`RunTimeline`](saguaro_sim::RunTimeline) is printed as the second table.
 
 use crate::{Options, Outcome};
 use saguaro_sim::experiment::ExperimentSpec;
 use saguaro_sim::json::JsonValue;
 use saguaro_sim::protocol::ProtocolKind;
 use saguaro_sim::scenarios::Scenario;
-use saguaro_sim::timeline::RunTimeline;
 use saguaro_sim::RunTrace;
 use saguaro_types::{DomainId, Duration, NodeId, SimTime, TraceConfig};
 
@@ -83,38 +82,6 @@ fn category_table(trace: &RunTrace) -> String {
     table
 }
 
-fn timeline_table(timeline: &RunTimeline) -> String {
-    let mut table = format!(
-        "# Timeline of the traced run ({:.1} ms buckets)\n\
-         {:>9} {:>9} {:>8} {:>10} {:>8} {:>8} {:>9} {:>12} {:>9}\n",
-        timeline.bucket.as_millis_f64(),
-        "start_ms",
-        "committed",
-        "aborted",
-        "tput_tps",
-        "p50_ms",
-        "p95_ms",
-        "in_flight",
-        "view_changes",
-        "conflicts"
-    );
-    for p in &timeline.points {
-        table.push_str(&format!(
-            "{:>9.1} {:>9} {:>8} {:>10.0} {:>8.2} {:>8.2} {:>9} {:>12} {:>9}\n",
-            p.start_ms,
-            p.committed,
-            p.aborted,
-            p.throughput_tps,
-            p.p50_latency_ms,
-            p.p95_latency_ms,
-            p.in_flight,
-            p.view_changes,
-            p.certificate_conflicts
-        ));
-    }
-    table
-}
-
 /// Runs the traced chaos run, checks its gates and writes the export.
 pub fn run(options: &Options) -> Outcome {
     let chaos = chaos_spec(options.figure.quick, options.figure.seed).run_collecting();
@@ -142,7 +109,10 @@ pub fn run(options: &Options) -> Outcome {
         }
     }
     Outcome {
-        tables: vec![category_table(trace), timeline_table(timeline)],
+        tables: vec![
+            category_table(trace),
+            timeline.table("Timeline of the traced run"),
+        ],
         failures,
     }
 }

@@ -12,44 +12,42 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saguaro_types::transaction::account_key;
+use saguaro_types::transaction::{account_key, ACCOUNTS_PER_DOMAIN, TRANSFER_AMOUNT};
 use saguaro_types::{ClientId, DomainId, Duration, Operation, PopulationConfig, Transaction, TxId};
+use std::sync::LazyLock;
 
 /// Bits reserved for the per-domain transaction counter: transaction ids are
 /// `(domain ordinal << 40) | counter`, which keeps ids unique across domains
 /// without any cross-actor coordination.
 const TX_ORDINAL_SHIFT: u32 = 40;
 
-/// O(1) Zipf-distributed sampler over `0..n` (YCSB's approximation of
-/// Hörmann's rejection-inversion), with the harmonic normaliser precomputed
-/// at construction.  `s = 0` degenerates to uniform.
-#[derive(Clone, Debug)]
+/// Zipf skew of account selection within a domain: the classic "80/20"
+/// web-workload shape.
+const ZIPF_SKEW: f64 = 0.99;
+
+/// O(1) Zipf-distributed sampler over a domain's account universe (YCSB's
+/// approximation of Hörmann's rejection-inversion) at [`ZIPF_SKEW`].  Its
+/// harmonic normaliser takes one value, so the sampler is built once per
+/// process ([`ZIPF`]) and shared by every generator.
+#[derive(Debug)]
 struct ZipfSampler {
-    n: u64,
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
     threshold: f64,
 }
 
+/// The one sampler every [`PopulationGenerator`] draws accounts from.
+static ZIPF: LazyLock<ZipfSampler> = LazyLock::new(ZipfSampler::new);
+
 impl ZipfSampler {
-    fn new(n: u64, s: f64) -> Self {
-        let n = n.max(1);
-        // θ = 1 makes α = 1/(1 − θ) blow up; nudge it off the pole.  θ = 0
-        // is uniform and handled without the formula.
-        let theta = if (s - 1.0).abs() < 1e-9 {
-            0.999_999
-        } else {
-            s.max(0.0)
-        };
+    fn new() -> Self {
+        let (n, theta) = (ACCOUNTS_PER_DOMAIN, ZIPF_SKEW);
         let zetan: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
-        let zeta2: f64 = (1..=2.min(n)).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+        let zeta2: f64 = (1..=2).map(|i| 1.0 / (i as f64).powf(theta)).sum();
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Self {
-            n,
-            theta,
             alpha,
             zetan,
             eta,
@@ -58,9 +56,7 @@ impl ZipfSampler {
     }
 
     fn sample(&self, rng: &mut StdRng) -> u64 {
-        if self.theta == 0.0 || self.n == 1 {
-            return rng.gen_range(0..self.n);
-        }
+        let n = ACCOUNTS_PER_DOMAIN;
         let u: f64 = rng.gen_range(0.0..1.0f64);
         let uz = u * self.zetan;
         if uz < 1.0 {
@@ -69,8 +65,8 @@ impl ZipfSampler {
         if uz < self.threshold {
             return 1;
         }
-        let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        rank.min(self.n - 1)
+        let rank = (n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
+        rank.min(n - 1)
     }
 }
 
@@ -83,7 +79,6 @@ pub struct PopulationGenerator {
     ordinal: usize,
     edge_domains: Vec<DomainId>,
     users: u64,
-    zipf: ZipfSampler,
     rng: StdRng,
     next_counter: u64,
 }
@@ -101,14 +96,12 @@ impl PopulationGenerator {
     ) -> Self {
         let home = edge_domains[ordinal % edge_domains.len().max(1)];
         let users = config.users_in_domain(ordinal, edge_domains.len());
-        let zipf = ZipfSampler::new(config.accounts_per_domain, config.zipf_s);
         Self {
             config,
             home,
             ordinal,
             edge_domains,
             users,
-            zipf,
             rng: StdRng::seed_from_u64(seed),
             next_counter: 0,
         }
@@ -179,18 +172,14 @@ impl PopulationGenerator {
                 Operation::Transfer {
                     from,
                     to,
-                    amount: self.config.amount,
+                    amount: TRANSFER_AMOUNT,
                 },
             )
         } else {
             let mut to = self.pick_account(self.home);
             if to == from {
                 // Self-transfers are legal but pointless; redraw uniformly.
-                to = account_key(
-                    self.home.index,
-                    self.rng
-                        .gen_range(0..self.config.accounts_per_domain.max(1)),
-                );
+                to = account_key(self.home.index, self.rng.gen_range(0..ACCOUNTS_PER_DOMAIN));
             }
             Transaction::internal(
                 id,
@@ -199,7 +188,7 @@ impl PopulationGenerator {
                 Operation::Transfer {
                     from,
                     to,
-                    amount: self.config.amount,
+                    amount: TRANSFER_AMOUNT,
                 },
             )
         };
@@ -207,7 +196,7 @@ impl PopulationGenerator {
     }
 
     fn pick_account(&mut self, domain: DomainId) -> String {
-        account_key(domain.index, self.zipf.sample(&mut self.rng))
+        account_key(domain.index, ZIPF.sample(&mut self.rng))
     }
 
     fn other_domain(&mut self) -> DomainId {
@@ -226,12 +215,10 @@ mod tests {
         (0..n).map(|i| DomainId::new(1, i)).collect()
     }
 
-    fn generator(users: u64, s: f64, cross: f64) -> PopulationGenerator {
+    fn generator(users: u64, cross: f64) -> PopulationGenerator {
         let config = PopulationConfig {
             users,
-            zipf_s: s,
             cross_domain_ratio: cross,
-            accounts_per_domain: 1_000,
             ..PopulationConfig::default()
         };
         PopulationGenerator::new(config, 1, domains(4), 42)
@@ -253,7 +240,7 @@ mod tests {
 
     #[test]
     fn arrival_gaps_average_the_inverse_rate() {
-        let mut g = generator(10_000, 0.0, 0.0); // 2500 users here, 0.1 tps
+        let mut g = generator(10_000, 0.0); // 2500 users here, 0.1 tps
         let n = 20_000;
         let total: u64 = (0..n)
             .map(|_| g.next_arrival_gap(Duration::ZERO).unwrap().as_micros())
@@ -280,38 +267,36 @@ mod tests {
     }
 
     #[test]
-    fn zipf_skew_concentrates_on_low_ranks() {
-        let mut skewed = generator(100, 0.99, 0.0);
-        let mut uniform = generator(100, 0.0, 0.0);
-        let head_hits = |g: &mut PopulationGenerator| -> usize {
-            (0..2_000)
-                .filter(|_| {
-                    let (tx, _) = g.next_tx();
-                    match &tx.op {
-                        Operation::Transfer { from, .. } => {
-                            let n: u64 = from.split('_').nth(1).unwrap().parse().unwrap();
-                            n < 10 // top 1% of a 1000-account universe
-                        }
-                        _ => false,
+    fn zipf_picks_concentrate_on_low_ranks() {
+        // The head is the first 1 % of the universe: a uniform pick lands
+        // there 1 % of the time.
+        let head = ACCOUNTS_PER_DOMAIN / 100;
+        let uniform_share = head as f64 / ACCOUNTS_PER_DOMAIN as f64;
+        let mut g = generator(100, 0.0);
+        let draws = 2_000;
+        let head_hits = (0..draws)
+            .filter(|_| {
+                let (tx, _) = g.next_tx();
+                match &tx.op {
+                    Operation::Transfer { from, .. } => {
+                        let n: u64 = from.split('_').nth(1).unwrap().parse().unwrap();
+                        n < head
                     }
-                })
-                .count()
-        };
-        let skewed_hits = head_hits(&mut skewed);
-        let uniform_hits = head_hits(&mut uniform);
+                    _ => false,
+                }
+            })
+            .count();
+        let share = head_hits as f64 / draws as f64;
         assert!(
-            skewed_hits > 2_000 / 4,
-            "zipf(0.99) put only {skewed_hits}/2000 on the head"
-        );
-        assert!(
-            uniform_hits < 2_000 / 10,
-            "uniform put {uniform_hits}/2000 on the head"
+            share > 25.0 * uniform_share,
+            "zipf({ZIPF_SKEW}) put only {head_hits}/{draws} on the head, \
+             against a uniform share of {uniform_share}"
         );
     }
 
     #[test]
     fn tx_ids_are_unique_across_domain_ordinals() {
-        let mut a = generator(100, 0.5, 0.0);
+        let mut a = generator(100, 0.0);
         let config = a.config;
         let mut b = PopulationGenerator::new(config, 2, domains(4), 42);
         let mut seen = std::collections::HashSet::new();
@@ -323,7 +308,7 @@ mod tests {
 
     #[test]
     fn transactions_carry_the_aggregate_client_identity() {
-        let mut g = generator(100, 0.5, 0.5);
+        let mut g = generator(100, 0.5);
         for _ in 0..100 {
             let (tx, submit_to) = g.next_tx();
             assert_eq!(tx.client, g.client_id());
@@ -336,7 +321,7 @@ mod tests {
 
     #[test]
     fn cross_domain_ratio_is_respected_statistically() {
-        let mut g = generator(100, 0.5, 0.8);
+        let mut g = generator(100, 0.8);
         let cross = (0..2_000)
             .filter(|_| g.next_tx().0.kind.is_cross_domain())
             .count();
@@ -346,8 +331,8 @@ mod tests {
 
     #[test]
     fn deterministic_for_same_seed() {
-        let mut a = generator(100, 0.9, 0.3);
-        let mut b = generator(100, 0.9, 0.3);
+        let mut a = generator(100, 0.3);
+        let mut b = generator(100, 0.3);
         for _ in 0..200 {
             assert_eq!(a.next_tx().0, b.next_tx().0);
             assert_eq!(

@@ -249,29 +249,44 @@ impl ExperimentSpec {
         self
     }
 
-    /// Mutates the micropayment knobs; no-op for other workloads.
-    fn micropayment_mut(&mut self, f: impl FnOnce(&mut WorkloadConfig)) {
-        if let WorkloadKind::Micropayment(config) = &mut self.workload {
-            f(config);
+    /// Sets one ratio of the micropayment mix.  Panics, naming `setter`, on
+    /// a ratio outside `[0, 1]` (NaN included) and on a spec whose clients
+    /// do not run micropayments, where the knob would do nothing.
+    fn set_ratio(
+        mut self,
+        setter: &str,
+        ratio: f64,
+        field: impl FnOnce(&mut WorkloadConfig) -> &mut f64,
+    ) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&ratio),
+            "ExperimentSpec::{setter}({ratio}): a ratio must lie in [0, 1]"
+        );
+        match &mut self.workload {
+            WorkloadKind::Micropayment(config) => *field(config) = ratio,
+            WorkloadKind::Ridesharing(_) => panic!(
+                "ExperimentSpec::{setter}({ratio}): a ridesharing spec has no micropayment mix to set"
+            ),
         }
-    }
-
-    /// Sets the cross-domain transaction ratio (micropayments).
-    pub fn cross_domain(mut self, ratio: f64) -> Self {
-        self.micropayment_mut(|c| c.cross_domain_ratio = ratio);
         self
     }
 
-    /// Sets the contention (hot-account) ratio (micropayments).
-    pub fn contention(mut self, ratio: f64) -> Self {
-        self.micropayment_mut(|c| c.contention_ratio = ratio);
-        self
+    /// Sets the cross-domain transaction ratio.  Panics outside `[0, 1]`
+    /// and on a ridesharing spec.
+    pub fn cross_domain(self, ratio: f64) -> Self {
+        self.set_ratio("cross_domain", ratio, |c| &mut c.cross_domain_ratio)
     }
 
-    /// Sets the mobile-client ratio (micropayments).
-    pub fn mobile(mut self, ratio: f64) -> Self {
-        self.micropayment_mut(|c| c.mobile_ratio = ratio);
-        self
+    /// Sets the contention (hot-account) ratio.  Panics outside `[0, 1]`
+    /// and on a ridesharing spec.
+    pub fn contention(self, ratio: f64) -> Self {
+        self.set_ratio("contention", ratio, |c| &mut c.contention_ratio)
+    }
+
+    /// Sets the mobile-client ratio.  Panics outside `[0, 1]` and on a
+    /// ridesharing spec.
+    pub fn mobile(self, ratio: f64) -> Self {
+        self.set_ratio("mobile", ratio, |c| &mut c.mobile_ratio)
     }
 
     /// Sets the placement.
@@ -1047,13 +1062,24 @@ mod tests {
     }
 
     #[test]
-    fn workload_builders_are_noops_for_ridesharing() {
-        let spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
+    #[should_panic(
+        expected = "ExperimentSpec::mobile(0.2): a ridesharing spec has no micropayment mix"
+    )]
+    fn mobile_on_a_ridesharing_spec_fails_loudly() {
+        let _ = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
             .ridesharing(RidesharingConfig::default())
-            .cross_domain(0.5)
-            .contention(0.9)
             .mobile(0.2);
-        assert!(matches!(spec.workload, WorkloadKind::Ridesharing(_)));
-        assert_eq!(spec.workload.label(), "ridesharing");
+    }
+
+    #[test]
+    #[should_panic(expected = "ExperimentSpec::cross_domain(1.5): a ratio must lie in [0, 1]")]
+    fn a_ratio_above_one_fails_in_its_setter() {
+        let _ = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator).cross_domain(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "ExperimentSpec::contention(NaN): a ratio must lie in [0, 1]")]
+    fn a_nan_ratio_fails_in_its_setter() {
+        let _ = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator).contention(f64::NAN);
     }
 }

@@ -9,10 +9,12 @@ use crate::experiment::{ExperimentSpec, LoadPoint, RidesharingConfig, RunMetrics
 use crate::par::parallel_map;
 use crate::protocol::ProtocolKind;
 use crate::scenarios::TimeoutPolicy;
+use crate::timeline::RunTimeline;
 use saguaro_hierarchy::Placement;
 use saguaro_net::FaultSchedule;
 use saguaro_types::{
     DomainId, Duration, FailureModel, LivenessConfig, NodeId, PopulationConfig, SimTime,
+    TraceConfig,
 };
 
 /// One curve of a figure: a label plus its load sweep.
@@ -300,19 +302,6 @@ pub fn batch_throughput_delta(series: &[FigureSeries]) -> Vec<(String, f64, f64,
     out
 }
 
-/// One bucket of a fault-injection timeline: the committed throughput and
-/// mean latency of the transactions *submitted* during `[t_ms, t_ms +
-/// width)`.
-#[derive(Clone, Debug)]
-pub struct TimelineBin {
-    /// Bucket start (virtual milliseconds since experiment start).
-    pub t_ms: f64,
-    /// Committed throughput over the bucket (tx/s).
-    pub committed_tps: f64,
-    /// Mean end-to-end latency of the bucket's committed transactions (ms).
-    pub avg_latency_ms: f64,
-}
-
 /// One protocol stack's behaviour across a crash-and-recover schedule.
 #[derive(Clone, Debug)]
 pub struct FaultSeries {
@@ -322,8 +311,9 @@ pub struct FaultSeries {
     pub crash_ms: f64,
     /// When the crashed replica recovers (virtual ms).
     pub recover_ms: f64,
-    /// Throughput/latency timeline in submission-time buckets.
-    pub timeline: Vec<TimelineBin>,
+    /// The traced run's bucketed time series (throughput, latency
+    /// quantiles, in-flight depth and view changes per bucket).
+    pub timeline: RunTimeline,
     /// View changes observed across the deployment (leader crash ⇒ ≥ 1 in
     /// the victim domain).
     pub view_changes: u64,
@@ -345,7 +335,9 @@ pub fn fault_victim() -> NodeId {
 /// exercised by the four crash-model stacks; a fifth series reruns the
 /// coordinator stack over Byzantine domains so the PBFT view change is
 /// driven too, and a sixth runs an 80 %-mobile workload so the crash lands
-/// on a domain that is mid-`StateQuery`/`StateMsg` hand-offs.
+/// on a domain that is mid-`StateQuery`/`StateMsg` hand-offs.  Every run is
+/// traced, which observes and moves nothing, so each series carries its
+/// [`RunTimeline`].
 pub fn faults(options: &FigureOptions) -> Vec<FaultSeries> {
     let load = if options.quick { 1_200.0 } else { 4_000.0 };
     let entries: Vec<(String, ExperimentSpec, Duration, Duration)> = ProtocolKind::ALL
@@ -372,76 +364,35 @@ pub fn faults(options: &FigureOptions) -> Vec<FaultSeries> {
             let plan = FaultSchedule::none()
                 .crash_at(SimTime::ZERO + crash_at, fault_victim())
                 .recover_at(SimTime::ZERO + recover_at, fault_victim());
-            (label, s.fault_plan(plan), crash_at, recover_at)
+            let traced = s.fault_plan(plan).trace(TraceConfig::on());
+            (label, traced, crash_at, recover_at)
         })
         .collect();
     let artifacts = parallel_map(&entries, |(_, s, _, _)| s.run_collecting());
     entries
         .into_iter()
         .zip(artifacts)
-        .map(|((label, s, crash_at, recover_at), art)| FaultSeries {
+        .map(|((label, _, crash_at, recover_at), art)| FaultSeries {
             label,
             crash_ms: crash_at.as_millis_f64(),
             recover_ms: recover_at.as_millis_f64(),
-            timeline: timeline_bins(&art.completions, s.warmup + s.measure, s.measure),
             view_changes: art.harvest.view_changes(),
+            timeline: art.timeline.expect("the fault specs are traced"),
             metrics: art.metrics,
         })
         .collect()
 }
 
-/// Buckets completions by submission time over `[0, horizon)` into twelve
-/// bins per measurement window.
-fn timeline_bins(
-    completions: &[saguaro_loadgen::CompletedTx],
-    horizon: Duration,
-    measure: Duration,
-) -> Vec<TimelineBin> {
-    let width = (measure.as_micros() / 12).max(1);
-    let bins = horizon.as_micros().div_ceil(width) as usize;
-    let mut committed = vec![0u64; bins];
-    let mut lat_sum = vec![0.0f64; bins];
-    for c in completions {
-        let idx = (c.submitted_at.as_micros() / width) as usize;
-        if idx < bins && c.committed {
-            committed[idx] += 1;
-            lat_sum[idx] += c.latency.as_millis_f64();
-        }
-    }
-    let width_secs = width as f64 / 1_000_000.0;
-    (0..bins)
-        .map(|i| TimelineBin {
-            t_ms: (i as u64 * width) as f64 / 1_000.0,
-            committed_tps: committed[i] as f64 / width_secs,
-            avg_latency_ms: if committed[i] > 0 {
-                lat_sum[i] / committed[i] as f64
-            } else {
-                0.0
-            },
-        })
-        .collect()
-}
-
-/// Renders fault-timeline series as a plain-text table.
+/// Renders fault-timeline series as plain text: the title, then one
+/// [`RunTimeline::table`] per stack headed by its crash schedule.
 pub fn render_fault_table(title: &str, series: &[FaultSeries]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# {title}\n"));
+    let mut out = format!("# {title}\n");
     for s in series {
-        out.push_str(&format!(
+        out.push_str(&s.timeline.table(&format!(
             "{} — crash {:.0} ms, recover {:.0} ms, view changes {}, \
-             window throughput {:.0} tx/s\n",
+             window throughput {:.0} tx/s",
             s.label, s.crash_ms, s.recover_ms, s.view_changes, s.metrics.throughput_tps
-        ));
-        out.push_str(&format!(
-            "{:>10} {:>14} {:>12}\n",
-            "t_ms", "committed_tps", "avg_lat_ms"
-        ));
-        for b in &s.timeline {
-            out.push_str(&format!(
-                "{:>10.0} {:>14.0} {:>12.2}\n",
-                b.t_ms, b.committed_tps, b.avg_latency_ms
-            ));
-        }
+        )));
     }
     out
 }

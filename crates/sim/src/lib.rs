@@ -36,26 +36,25 @@
 //! * [`timeline`] — the bucketed time-series metrics of a traced run
 //!   (throughput, latency quantiles, queue depth, view changes per bucket),
 //!   built from [`RunArtifacts::trace`] when the spec enables
-//!   [`saguaro_types::TraceConfig`]; `figures trace` prints it.
+//!   [`saguaro_types::TraceConfig`]; `figures trace` and `figures faults`
+//!   print it.
 //!
 //! # Request batching
 //!
 //! Every [`ExperimentSpec`] carries a [`saguaro_types::BatchConfig`] that is
-//! threaded into each domain's internal consensus when the stack deploys:
+//! threaded into each domain's internal consensus when the stack deploys.
+//! Its one knob, `batch.max_batch`, is the number of commands per consensus
+//! block: the leader accumulates incoming commands and cuts a block as soon
+//! as `max_batch` are pending; one consensus instance then orders the whole
+//! block and every consumer unpacks it into per-transaction execution and
+//! per-client replies.  An under-full block waits at most
+//! [`saguaro_core::host::BATCH_FLUSH_DELAY`] (5 ms) before the leader's flush
+//! timer cuts it anyway, bounding the latency a lightly loaded domain pays
+//! for batching.  The default of `1` is the unbatched per-request pipeline
+//! and is guaranteed (by `tests/determinism.rs`) to reproduce the
+//! pre-batching event schedule bit-for-bit.
 //!
-//! * `batch.max_batch` — commands per consensus block.  The leader
-//!   accumulates incoming commands and cuts a block as soon as `max_batch`
-//!   are pending; one consensus instance then orders the whole block and
-//!   every consumer unpacks it into per-transaction execution and
-//!   per-client replies.  The default of `1` is the unbatched per-request
-//!   pipeline and is guaranteed (by `tests/determinism.rs`) to reproduce
-//!   the pre-batching event schedule bit-for-bit.
-//! * `batch.max_delay` — how long an under-full block may wait before the
-//!   leader's flush timer cuts it anyway, bounding the latency a lightly
-//!   loaded domain pays for batching (default 5 ms).
-//!
-//! Use `spec.tune(|t| t.batch_size(n))` for the common "blocks of N" case,
-//! or `spec.tune(|t| t.batch(config))` to set both knobs.  Throughput only
+//! Set it with `spec.tune(|t| t.batch_size(n))`.  Throughput only
 //! improves once the offered load saturates the per-message cost that
 //! batching amortises — see [`figures::ablation_batch`], which sweeps batch
 //! sizes at saturation on the figure-7 topology.
@@ -83,8 +82,8 @@ pub use experiment::{
     RunMetrics, WorkloadKind,
 };
 pub use figures::{
-    FaultSeries, FigureSeries, PopulationPoint, RecoveryPoint, RecoverySeries, TimelineBin,
-    TimeoutPoint, TimeoutSeries,
+    FaultSeries, FigureSeries, PopulationPoint, RecoveryPoint, RecoverySeries, TimeoutPoint,
+    TimeoutSeries,
 };
 pub use json::{JsonValue, ToJson};
 pub use par::parallel_map;

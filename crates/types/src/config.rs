@@ -99,45 +99,31 @@ impl QuorumSpec {
     }
 }
 
-/// Request-batching knobs of a domain's ordering pipeline.
+/// Request-batching knob of a domain's ordering pipeline.
 ///
 /// The leader accumulates incoming commands and cuts a block when `max_batch`
-/// commands are pending or `max_delay` has elapsed since the first pending
-/// command, whichever comes first.  `max_batch = 1` disables batching: every
-/// command is proposed immediately and the pipeline behaves exactly like an
-/// unbatched deployment (no flush timers are ever scheduled).
+/// commands are pending or the replica host's fixed flush delay (5 ms) has
+/// elapsed since the first pending command, whichever comes first.
+/// `max_batch = 1` disables batching: every command is proposed immediately
+/// and the pipeline behaves exactly like an unbatched deployment (no flush
+/// timers are ever scheduled).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BatchConfig {
     /// Maximum number of commands per consensus block (≥ 1).
     pub max_batch: usize,
-    /// Maximum time a pending command may wait before the leader cuts an
-    /// under-full block.
-    pub max_delay: Duration,
 }
 
 impl BatchConfig {
     /// Batching disabled: one command per consensus instance (the paper's
     /// per-request configuration, and the determinism baseline).
     pub const fn unbatched() -> Self {
-        Self {
-            max_batch: 1,
-            max_delay: Duration::from_millis(5),
-        }
+        Self::with_max_batch(1)
     }
 
-    /// Blocks of up to `max_batch` commands with the default 5 ms cut delay.
-    /// `max_batch` must be at least 1: a batcher refuses 0.
-    pub fn with_max_batch(max_batch: usize) -> Self {
-        Self {
-            max_batch,
-            ..Self::unbatched()
-        }
-    }
-
-    /// Overrides the cut delay.
-    pub fn with_max_delay(mut self, max_delay: Duration) -> Self {
-        self.max_delay = max_delay;
-        self
+    /// Blocks of up to `max_batch` commands.  `max_batch` must be at least
+    /// 1: a batcher refuses 0.
+    pub const fn with_max_batch(max_batch: usize) -> Self {
+        Self { max_batch }
     }
 }
 
@@ -397,7 +383,8 @@ impl Default for TraceConfig {
 
 /// Per-domain pipeline knobs threaded from an experiment spec into every
 /// protocol stack's deployment: request batching, liveness timers and
-/// checkpointing / state transfer.
+/// checkpointing / state transfer.  Built as a struct literal over
+/// `..StackConfig::default()`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StackConfig {
     /// Request batching of the internal consensus.
@@ -408,30 +395,6 @@ pub struct StackConfig {
     pub checkpoint: CheckpointConfig,
     /// Structured-tracing knobs (off by default).
     pub trace: TraceConfig,
-}
-
-impl StackConfig {
-    /// Batching per `batch`, liveness timers off.
-    pub const fn batched(batch: BatchConfig) -> Self {
-        Self {
-            batch,
-            liveness: LivenessConfig::disabled(),
-            checkpoint: CheckpointConfig::legacy(),
-            trace: TraceConfig::off(),
-        }
-    }
-
-    /// Replaces the liveness knobs (builder style).
-    pub const fn with_liveness(mut self, liveness: LivenessConfig) -> Self {
-        self.liveness = liveness;
-        self
-    }
-
-    /// Replaces the checkpoint knobs (builder style).
-    pub const fn with_checkpoint(mut self, checkpoint: CheckpointConfig) -> Self {
-        self.checkpoint = checkpoint;
-        self
-    }
 }
 
 /// The consensus-pipeline knobs of an experiment, grouped: request batching,
@@ -467,16 +430,10 @@ impl ConsensusTuning {
         }
     }
 
-    /// Replaces the batching knobs wholesale (builder style).
-    pub const fn batch(mut self, batch: BatchConfig) -> Self {
-        self.batch = batch;
+    /// Blocks of up to `max_batch` commands (builder style).
+    pub const fn batch_size(mut self, max_batch: usize) -> Self {
+        self.batch = BatchConfig::with_max_batch(max_batch);
         self
-    }
-
-    /// Blocks of up to `max_batch` commands with the default cut delay —
-    /// the common case of [`ConsensusTuning::batch`].
-    pub fn batch_size(self, max_batch: usize) -> Self {
-        self.batch(BatchConfig::with_max_batch(max_batch))
     }
 
     /// Replaces the liveness knobs (builder style).
@@ -485,15 +442,8 @@ impl ConsensusTuning {
         self
     }
 
-    /// Replaces the checkpoint knobs wholesale (builder style).
-    pub const fn checkpoint(mut self, checkpoint: CheckpointConfig) -> Self {
-        self.checkpoint = checkpoint;
-        self
-    }
-
-    /// Full checkpoint subsystem on at the given announcement interval —
-    /// the common case of [`ConsensusTuning::checkpoint`].  Preserves a
-    /// previously set retention window.
+    /// Full checkpoint subsystem on at the given announcement interval
+    /// (builder style).  Preserves a previously set retention window.
     pub const fn checkpoint_every(mut self, interval: u64) -> Self {
         let retention = self.checkpoint.retention;
         self.checkpoint = CheckpointConfig::every(interval).with_retention(retention);
@@ -567,9 +517,10 @@ impl RateEnvelope {
 /// per-client actors with one open-loop arrival process per height-1 domain.
 ///
 /// `users` is the *modeled* population size — it scales the aggregate
-/// Poisson arrival rate (`users × per_user_tps`, shaped by `envelope`) and
-/// the identity space Zipf account selection draws from, but costs O(1)
-/// memory per domain regardless of magnitude.  Latency accounting is a
+/// Poisson arrival rate (`users × per_user_tps`, shaped by `envelope`) but
+/// costs O(1) memory per domain regardless of magnitude.  Accounts are drawn
+/// Zipf-skewed from the domain's fixed universe
+/// ([`crate::transaction::ACCOUNTS_PER_DOMAIN`]).  Latency accounting is a
 /// streaming log-bucketed histogram over every `sample_every`-th submission;
 /// commit/abort counts stay exact.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -579,13 +530,6 @@ pub struct PopulationConfig {
     pub users: u64,
     /// Mean transactions per second each modeled user issues (open loop).
     pub per_user_tps: f64,
-    /// Zipf skew of account selection within a domain (0 = uniform; the
-    /// classic "80/20" web skew is ≈ 0.99).
-    pub zipf_s: f64,
-    /// Account universe per domain (the keys Zipf selection draws from).
-    pub accounts_per_domain: u64,
-    /// Initial balance of every seeded account.
-    pub initial_balance: u64,
     /// Fraction of transactions spanning two domains.
     pub cross_domain_ratio: f64,
     /// Latency-sample stride: every `sample_every`-th submission is traced
@@ -593,13 +537,11 @@ pub struct PopulationConfig {
     pub sample_every: u64,
     /// Time-varying load shape applied to the aggregate rate.
     pub envelope: RateEnvelope,
-    /// Transfer amount.
-    pub amount: u64,
 }
 
 impl PopulationConfig {
-    /// A population of `users` at the default per-user rate with the
-    /// default Zipf skew.  Panics on 0 users.
+    /// A population of `users` at the default per-user rate.  Panics on 0
+    /// users.
     pub fn with_users(users: u64) -> Self {
         assert!(
             users > 0,
@@ -609,17 +551,6 @@ impl PopulationConfig {
             users,
             ..Self::default()
         }
-    }
-
-    /// Sets the Zipf skew (builder style).  Panics on a negative or NaN
-    /// skew.
-    pub fn zipf(mut self, s: f64) -> Self {
-        assert!(
-            s >= 0.0,
-            "PopulationConfig::zipf({s}): the Zipf skew must be at least 0"
-        );
-        self.zipf_s = s;
-        self
     }
 
     /// Sets the per-user rate (builder style).  Panics on a negative or
@@ -663,16 +594,9 @@ impl PopulationConfig {
     }
 
     /// `(account key, initial balance)` pairs a domain must be seeded with,
-    /// in ascending key order.
+    /// in ascending key order: [`crate::transaction::seed_accounts`].
     pub fn seed_accounts_for(&self, domain: DomainId) -> Vec<(String, u64)> {
-        crate::transaction::accounts_in_key_order(self.accounts_per_domain)
-            .map(|n| {
-                (
-                    crate::transaction::account_key(domain.index, n),
-                    self.initial_balance,
-                )
-            })
-            .collect()
+        crate::transaction::seed_accounts(domain)
     }
 }
 
@@ -681,13 +605,9 @@ impl Default for PopulationConfig {
         Self {
             users: 1_000,
             per_user_tps: 0.1,
-            zipf_s: 0.99,
-            accounts_per_domain: 10_000,
-            initial_balance: 1_000_000,
             cross_domain_ratio: 0.0,
             sample_every: 1,
             envelope: RateEnvelope::Constant,
-            amount: 5,
         }
     }
 }
@@ -812,12 +732,18 @@ mod tests {
         assert!(LivenessConfig::standard().enabled);
         let custom = LivenessConfig::with_timeout(Duration::from_millis(25));
         assert_eq!(custom.progress_timeout, Duration::from_millis(25));
-        let stack = StackConfig::batched(BatchConfig::with_max_batch(4)).with_liveness(custom);
+        let stack = StackConfig {
+            batch: BatchConfig::with_max_batch(4),
+            liveness: custom,
+            ..StackConfig::default()
+        };
         assert_eq!(stack.batch.max_batch, 4);
         assert!(stack.liveness.enabled);
         let default = StackConfig::default();
         assert_eq!(default.batch, BatchConfig::unbatched());
         assert!(!default.liveness.enabled);
+        assert_eq!(default.checkpoint, CheckpointConfig::legacy());
+        assert_eq!(default.trace, TraceConfig::off());
         let adaptive = LivenessConfig::adaptive(Duration::from_millis(30));
         assert!(adaptive.enabled && adaptive.adaptive);
         assert_eq!(adaptive.progress_timeout, Duration::from_millis(30));
@@ -843,8 +769,7 @@ mod tests {
         assert!(!legacy.is_active());
         let active = CheckpointConfig::every(32);
         assert!(active.is_active());
-        let stack = StackConfig::default().with_checkpoint(active);
-        assert_eq!(stack.checkpoint, active);
+        assert_ne!(active, legacy);
     }
 
     #[test]
@@ -929,11 +854,9 @@ mod tests {
     #[test]
     fn population_builders_compose() {
         let pop = PopulationConfig::with_users(3)
-            .zipf(0.0)
             .per_user(2.0)
             .sampled_every(4);
         assert_eq!(pop.users, 3);
-        assert_eq!(pop.zipf_s, 0.0);
         assert_eq!(pop.sample_every, 4);
         assert_eq!(pop.offered_tps(), 6.0);
         // A zero rate is legal here: the run refuses it when it starts.
@@ -947,18 +870,6 @@ mod tests {
     #[should_panic(expected = "PopulationConfig::with_users(0)")]
     fn zero_users_are_refused() {
         let _ = PopulationConfig::with_users(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "PopulationConfig::zipf(-1)")]
-    fn negative_zipf_is_refused() {
-        let _ = PopulationConfig::default().zipf(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "PopulationConfig::zipf(NaN)")]
-    fn nan_zipf_is_refused() {
-        let _ = PopulationConfig::default().zipf(f64::NAN);
     }
 
     #[test]
@@ -977,32 +888,5 @@ mod tests {
     #[should_panic(expected = "PopulationConfig::sampled_every(0)")]
     fn zero_sample_stride_is_refused() {
         let _ = PopulationConfig::default().sampled_every(0);
-    }
-
-    #[test]
-    fn population_seeds_the_domain_account_universe() {
-        let pop = PopulationConfig {
-            accounts_per_domain: 3,
-            ..PopulationConfig::default()
-        };
-        let seeds = pop.seed_accounts_for(DomainId::new(1, 2));
-        assert_eq!(
-            seeds,
-            vec![
-                ("a2_0".to_string(), 1_000_000),
-                ("a2_1".to_string(), 1_000_000),
-                ("a2_2".to_string(), 1_000_000),
-            ]
-        );
-
-        // A universe past one digit arrives in key order, one pair a key.
-        let pop = PopulationConfig {
-            accounts_per_domain: 1_234,
-            ..PopulationConfig::default()
-        };
-        let seeds = pop.seed_accounts_for(DomainId::new(1, 5));
-        assert_eq!(seeds.len(), 1_234);
-        assert!(seeds.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        assert!(seeds.iter().all(|(key, _)| key.starts_with("a5_")));
     }
 }

@@ -259,6 +259,25 @@ fn key_order_successor(mut n: u64, count: u64) -> Option<u64> {
     }
 }
 
+/// Accounts every height-1 domain holds in the micropayment application,
+/// numbered `0..ACCOUNTS_PER_DOMAIN` under [`account_key`].
+pub const ACCOUNTS_PER_DOMAIN: u64 = 10_000;
+
+/// Opening balance of every seeded account.
+pub const INITIAL_BALANCE: u64 = 1_000_000;
+
+/// Amount every generated micropayment transfers.
+pub const TRANSFER_AMOUNT: u64 = 5;
+
+/// The `(account key, opening balance)` pairs of `domain`'s account
+/// universe, in ascending key order: the one seed list both client models
+/// start a domain from.
+pub fn seed_accounts(domain: DomainId) -> Vec<(String, u64)> {
+    accounts_in_key_order(ACCOUNTS_PER_DOMAIN)
+        .map(|n| (account_key(domain.index, n), INITIAL_BALANCE))
+        .collect()
+}
+
 /// The owning height-1 domain index of an account key built by
 /// [`account_key`], or `None` for keys that do not follow the convention.
 pub fn account_owner_index(key: &str) -> Option<u16> {
@@ -464,6 +483,19 @@ mod tests {
             assert_eq!(walked, sorted, "count {count}");
             assert_eq!(accounts_in_key_order(count).len() as u64, count);
         }
+    }
+
+    #[test]
+    fn seed_accounts_list_the_domain_universe_in_key_order() {
+        let seeds = seed_accounts(d(5));
+        assert_eq!(seeds.len() as u64, ACCOUNTS_PER_DOMAIN);
+        assert_eq!(seeds[0], ("a5_0".to_string(), INITIAL_BALANCE));
+        assert_eq!(seeds[1].0, "a5_1");
+        assert_eq!(seeds[2].0, "a5_10");
+        assert!(seeds.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        assert!(seeds.iter().all(
+            |(key, balance)| account_owner_index(key) == Some(5) && *balance == INITIAL_BALANCE
+        ));
     }
 
     /// The handle changes what a clone costs and nothing else: equality is

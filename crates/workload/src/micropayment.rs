@@ -2,57 +2,41 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saguaro_types::transaction::{account_key, accounts_in_key_order};
+use saguaro_types::transaction::{account_key, ACCOUNTS_PER_DOMAIN, TRANSFER_AMOUNT};
 use saguaro_types::{ClientId, DomainId, Operation, Transaction, TxId};
 
-/// Knobs of the micropayment workload.
+/// Size of the hot (contended) account set per domain: accounts
+/// `0..HOT_ACCOUNTS` of its universe.
+const HOT_ACCOUNTS: u64 = 16;
+
+/// Transactions a mobile client issues per remote excursion before
+/// returning home (the paper uses 10).
+const TXS_PER_EXCURSION: u32 = 10;
+
+/// Knobs of the micropayment workload.  The account universe, the opening
+/// balance and the transfer amount are the constants of
+/// [`saguaro_types::transaction`].
 #[derive(Clone, Debug)]
 pub struct WorkloadConfig {
     /// The height-1 domains of the deployment (request targets).
     pub edge_domains: Vec<DomainId>,
-    /// Accounts seeded per domain.
-    pub accounts_per_domain: u64,
-    /// Initial balance of every account.
-    pub initial_balance: u64,
     /// Fraction of transactions that involve two distinct domains.
     pub cross_domain_ratio: f64,
     /// Fraction of transactions drawn from the hot (contended) account set.
     pub contention_ratio: f64,
-    /// Size of the hot account set per domain.
-    pub hot_accounts: u64,
     /// Fraction of clients that are mobile (issue requests from a remote
     /// domain).
     pub mobile_ratio: f64,
-    /// Number of transactions a mobile client issues per remote excursion
-    /// before returning home (the paper uses 10).
-    pub txs_per_excursion: u32,
-    /// Transfer amount.
-    pub amount: u64,
 }
 
 impl Default for WorkloadConfig {
     fn default() -> Self {
         Self {
             edge_domains: (0..4).map(|i| DomainId::new(1, i)).collect(),
-            accounts_per_domain: 10_000,
-            initial_balance: 1_000_000,
             cross_domain_ratio: 0.0,
             contention_ratio: 0.10,
-            hot_accounts: 16,
             mobile_ratio: 0.0,
-            txs_per_excursion: 10,
-            amount: 5,
         }
-    }
-}
-
-impl WorkloadConfig {
-    /// All `(account key, initial balance)` pairs a domain must be seeded
-    /// with before the run, in ascending key order.
-    pub fn seed_accounts_for(&self, domain: DomainId) -> Vec<(String, u64)> {
-        accounts_in_key_order(self.accounts_per_domain)
-            .map(|n| (account_key(domain.index, n), self.initial_balance))
-            .collect()
     }
 }
 
@@ -115,17 +99,11 @@ impl MicropaymentWorkload {
         self.clients[client % self.clients.len()].home
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.config
-    }
-
     fn pick_account(&mut self, domain: DomainId, hot: bool) -> String {
         let n = if hot {
-            self.rng.gen_range(0..self.config.hot_accounts.max(1))
+            self.rng.gen_range(0..HOT_ACCOUNTS)
         } else {
-            self.rng
-                .gen_range(0..self.config.accounts_per_domain.max(1))
+            self.rng.gen_range(0..ACCOUNTS_PER_DOMAIN)
         };
         account_key(domain.index, n)
     }
@@ -156,12 +134,12 @@ impl MicropaymentWorkload {
         let home = self.clients[idx].home;
 
         // Mobility: mobile clients alternate excursions of
-        // `txs_per_excursion` remote transactions with a return home.
+        // `TXS_PER_EXCURSION` remote transactions with a return home.
         let (submit_to, is_remote) = if self.clients[idx].mobile {
             if self.clients[idx].remaining_in_excursion == 0 {
                 let remote = self.other_domain(home);
                 self.clients[idx].visiting = Some(remote);
-                self.clients[idx].remaining_in_excursion = self.config.txs_per_excursion;
+                self.clients[idx].remaining_in_excursion = TXS_PER_EXCURSION;
             }
             self.clients[idx].remaining_in_excursion -= 1;
             let visiting = self.clients[idx].visiting.unwrap_or(home);
@@ -176,7 +154,7 @@ impl MicropaymentWorkload {
         let tx = if is_remote {
             // Mobile transaction: the device spends from its own (home)
             // account while visiting `submit_to`.
-            let from = saguaro_types::transaction::account_key(home.index, client_id.0);
+            let from = account_key(home.index, client_id.0);
             let to = self.pick_account(submit_to, hot);
             Transaction::mobile(
                 id,
@@ -186,7 +164,7 @@ impl MicropaymentWorkload {
                 Operation::Transfer {
                     from,
                     to,
-                    amount: self.config.amount,
+                    amount: TRANSFER_AMOUNT,
                 },
             )
         } else if cross {
@@ -200,7 +178,7 @@ impl MicropaymentWorkload {
                 Operation::Transfer {
                     from,
                     to,
-                    amount: self.config.amount,
+                    amount: TRANSFER_AMOUNT,
                 },
             )
         } else {
@@ -216,7 +194,7 @@ impl MicropaymentWorkload {
                 Operation::Transfer {
                     from,
                     to,
-                    amount: self.config.amount,
+                    amount: TRANSFER_AMOUNT,
                 },
             )
         };
@@ -276,15 +254,12 @@ mod tests {
 
     #[test]
     fn mobile_clients_issue_excursions_of_ten() {
-        let config = WorkloadConfig {
-            edge_domains: domains(4),
-            mobile_ratio: 1.0,
-            txs_per_excursion: 10,
-            ..WorkloadConfig::default()
-        };
-        let mut w = MicropaymentWorkload::new(config, 10, 7);
+        assert_eq!(TXS_PER_EXCURSION, 10);
+        let mut w = workload(0.0, 1.0);
         // Client 3: the first ten transactions go to one remote domain.
-        let first: Vec<DomainId> = (0..10).map(|_| w.next_for_client(3).1).collect();
+        let first: Vec<DomainId> = (0..TXS_PER_EXCURSION)
+            .map(|_| w.next_for_client(3).1)
+            .collect();
         assert!(first.iter().all(|d| *d == first[0]));
         assert_ne!(first[0], w.home_of(3));
         // All of them are mobile transactions.
@@ -303,7 +278,6 @@ mod tests {
         let config = WorkloadConfig {
             edge_domains: domains(1),
             contention_ratio: 0.9,
-            hot_accounts: 4,
             ..WorkloadConfig::default()
         };
         let mut w = MicropaymentWorkload::new(config, 10, 3);
@@ -313,33 +287,12 @@ mod tests {
             let (tx, _) = w.next_for_client(i % 10);
             if let Operation::Transfer { from, .. } = &tx.op {
                 let n: u64 = from.split('_').nth(1).unwrap().parse().unwrap();
-                if n < 4 {
+                if n < HOT_ACCOUNTS {
                     hot_hits += 1;
                 }
             }
         }
         assert!(hot_hits > total / 2, "hot hits {hot_hits}");
-    }
-
-    #[test]
-    fn seed_accounts_cover_the_domain() {
-        let config = WorkloadConfig {
-            accounts_per_domain: 5,
-            initial_balance: 77,
-            ..WorkloadConfig::default()
-        };
-        let seeds = config.seed_accounts_for(DomainId::new(1, 2));
-        assert_eq!(seeds.len(), 5);
-        assert!(seeds.iter().all(|(k, v)| k.starts_with("a2_") && *v == 77));
-
-        // Past one digit the pairs still arrive in key order, one per key.
-        let config = WorkloadConfig {
-            accounts_per_domain: 1_234,
-            ..config
-        };
-        let seeds = config.seed_accounts_for(DomainId::new(1, 2));
-        assert_eq!(seeds.len(), 1_234);
-        assert!(seeds.windows(2).all(|pair| pair[0].0 < pair[1].0));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 
 use crate::micropayment::MicropaymentWorkload;
 use crate::ridesharing::RidesharingWorkload;
-use saguaro_types::transaction::account_key;
+use saguaro_types::transaction::{
+    account_key, seed_accounts, ACCOUNTS_PER_DOMAIN, INITIAL_BALANCE,
+};
 use saguaro_types::{DomainId, Transaction};
 
 /// An application driven by the experiment engine's open-loop clients.
@@ -55,14 +57,11 @@ impl Workload for MicropaymentWorkload {
     /// ascending key order.  A client whose id is inside the universe already
     /// has its account there.
     fn seed_accounts(&self, domain: DomainId) -> Vec<(String, u64)> {
-        let config = self.config();
-        let mut accounts = config.seed_accounts_for(domain);
-        let beyond = (config.accounts_per_domain..self.num_clients() as u64)
+        let mut accounts = seed_accounts(domain);
+        let beyond = (ACCOUNTS_PER_DOMAIN..self.num_clients() as u64)
             .filter(|&client| MicropaymentWorkload::home_of(self, client as usize) == domain);
         let before = accounts.len();
-        accounts.extend(
-            beyond.map(|client| (account_key(domain.index, client), config.initial_balance)),
-        );
+        accounts.extend(beyond.map(|client| (account_key(domain.index, client), INITIAL_BALANCE)));
         if accounts.len() > before {
             accounts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
@@ -93,51 +92,55 @@ impl Workload for RidesharingWorkload {
 mod tests {
     use super::*;
     use crate::micropayment::WorkloadConfig;
-    use saguaro_types::CowMap;
+    use saguaro_types::{CowMap, PopulationConfig};
 
     fn domains(n: u16) -> Vec<DomainId> {
         (0..n).map(|i| DomainId::new(1, i)).collect()
     }
 
     #[test]
+    fn both_client_models_seed_the_one_account_universe() {
+        let w = MicropaymentWorkload::new(WorkloadConfig::default(), 120, 1);
+        let population = PopulationConfig::with_users(120);
+        for d in domains(4) {
+            let universe = seed_accounts(d);
+            assert_eq!(population.seed_accounts_for(d), universe, "{d:?}");
+            assert_eq!(Workload::seed_accounts(&w, d), universe, "{d:?}");
+        }
+    }
+
+    #[test]
     fn micropayment_seeds_cover_universe_and_homed_clients() {
-        let config = WorkloadConfig {
-            edge_domains: domains(4),
-            accounts_per_domain: 10,
-            initial_balance: 500,
-            ..WorkloadConfig::default()
-        };
-        let w = MicropaymentWorkload::new(config.clone(), 8, 1);
         let d0 = DomainId::new(1, 0);
-        let seeds = Workload::seed_accounts(&w, d0);
-        // 2 of the 8 round-robin clients live in d0, and their accounts
-        // (a0_0, a0_4) are among the 10 of the universe.
-        assert_eq!(seeds.len(), 10);
-        assert!(seeds.iter().all(|(_, v)| *v == 500));
-        // The state they build is the one the universe plus a re-pushed pair
-        // per homed client built.
-        let repushed = config
-            .seed_accounts_for(d0)
-            .into_iter()
-            .chain([0, 4].map(|client| (account_key(0, client), 500)));
+        // 30 of the 120 round-robin clients live in d0, and their accounts
+        // (a0_0, a0_4, …) are among the universe's.  The state the seeds
+        // build is the one the universe plus a re-pushed pair per homed
+        // client built.
+        let w = MicropaymentWorkload::new(WorkloadConfig::default(), 120, 1);
+        let repushed = seed_accounts(d0).into_iter().chain(
+            (0..120)
+                .step_by(4)
+                .map(|c| (account_key(0, c), INITIAL_BALANCE)),
+        );
         assert_eq!(
-            seeds.into_iter().collect::<CowMap>(),
+            Workload::seed_accounts(&w, d0)
+                .into_iter()
+                .collect::<CowMap>(),
             repushed.collect::<CowMap>()
         );
 
-        // Clients 12 and 16 of 20 are homed in d0 past its universe: each
-        // still gets its own account, in key order among the others.
-        let w = MicropaymentWorkload::new(config, 20, 1);
+        // Clients homed in d0 past its universe each still get their own
+        // account, in key order among the others.
+        let clients = ACCOUNTS_PER_DOMAIN as usize + 8;
+        let w = MicropaymentWorkload::new(WorkloadConfig::default(), clients, 1);
         let seeds = Workload::seed_accounts(&w, d0);
-        let keys: Vec<&str> = seeds.iter().map(|(key, _)| key.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "a0_0", "a0_1", "a0_12", "a0_16", "a0_2", "a0_3", "a0_4", "a0_5", "a0_6", "a0_7",
-                "a0_8", "a0_9"
-            ]
-        );
-        assert!(seeds.iter().all(|(_, v)| *v == 500));
+        assert_eq!(seeds.len() as u64, ACCOUNTS_PER_DOMAIN + 2);
+        assert!(seeds.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        assert!(seeds.iter().all(|(_, v)| *v == INITIAL_BALANCE));
+        for client in [ACCOUNTS_PER_DOMAIN, ACCOUNTS_PER_DOMAIN + 4] {
+            let key = account_key(0, client);
+            assert!(seeds.iter().any(|(k, _)| *k == key), "{key}");
+        }
     }
 
     #[test]

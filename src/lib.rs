@@ -5,7 +5,7 @@
 //! `saguaro` crate:
 //!
 //! * [`types`] — identifiers, transactions, configuration.
-//! * [`crypto`] — digests, simulated signatures, Merkle trees, certificates.
+//! * [`crypto`] — digests, simulated signatures, Merkle trees.
 //! * [`net`] — the discrete-event network/CPU simulator substrate.
 //! * [`hierarchy`] — the domain tree, LCA queries, topologies and placements.
 //! * [`ledger`] — linear and DAG ledgers, blockchain state, aggregation.

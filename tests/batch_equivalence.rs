@@ -16,7 +16,7 @@
 //!   horizon tail.);
 //! * a client's transactions complete in submission order whenever they were
 //!   submitted far enough apart not to be concurrent — batching (bounded by
-//!   `max_delay`) must not reorder non-overlapping requests;
+//!   the flush delay) must not reorder non-overlapping requests;
 //! * `max_batch = 1` is not merely equivalent but *identical*: the exact
 //!   same completions in the exact same order as the default configuration.
 //!

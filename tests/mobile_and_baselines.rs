@@ -474,7 +474,10 @@ fn views<N: HostedReplica>(node: &mut N) -> (u64, u64) {
 #[test]
 fn an_idle_coordinator_does_not_suspect_its_healthy_primary() {
     let t = tree(FailureModel::Crash);
-    let stack = StackConfig::default().with_liveness(LivenessConfig::standard());
+    let stack = StackConfig {
+        liveness: LivenessConfig::standard(),
+        ..StackConfig::default()
+    };
     let (d0, d1) = (DomainId::new(1, 0), DomainId::new(1, 1));
     let client = ClientId(7);
     let cross = Transaction::cross_domain(
