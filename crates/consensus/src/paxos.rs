@@ -251,7 +251,7 @@ impl<C: Command> ConsensusReplica<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replica::testkit::{block, commit_bytes, domain, route, Cmd};
+    use crate::replica::testkit::{block, commit_bytes, domain, route, steps_of, Cmd};
     use saguaro_types::FailureModel::Crash;
 
     fn accept(view: u64, seq: SeqNo, cmd: &[u8]) -> ConsensusMsg<Cmd> {
@@ -280,9 +280,11 @@ mod tests {
         let (nodes, mut reps) = domain(Crash, 3);
         // Replica 1 sees the leader's Learn before the Accept it refers to
         // (reordered network).  The commit must be buffered, not dropped.
-        let steps = reps[1].on_message(nodes[0], msg(MsgBody::Learn { view: 0, seq: 1 }));
+        let steps = steps_of(|o| {
+            reps[1].on_message_into(nodes[0], msg(MsgBody::Learn { view: 0, seq: 1 }), o)
+        });
         assert!(steps.is_empty(), "nothing deliverable yet");
-        let steps = reps[1].on_message(nodes[0], accept(0, 1, b"ooo"));
+        let steps = steps_of(|o| reps[1].on_message_into(nodes[0], accept(0, 1, b"ooo"), o));
         assert!(
             steps
                 .iter()
@@ -300,8 +302,10 @@ mod tests {
         // 1 chose — committing it would fork the log.  The commit must be
         // buffered until the view-1 Accept supplies the certified value.
         let (nodes, mut reps) = domain(Crash, 3);
-        let _ = reps[1].on_message(nodes[0], accept(0, 1, b"deposed"));
-        let steps = reps[1].on_message(nodes[1], msg(MsgBody::Learn { view: 1, seq: 1 }));
+        reps[1].on_message_into(nodes[0], accept(0, 1, b"deposed"), &mut Vec::new());
+        let steps = steps_of(|o| {
+            reps[1].on_message_into(nodes[1], msg(MsgBody::Learn { view: 1, seq: 1 }), o)
+        });
         assert!(
             !delivers(&steps),
             "stale slot must not commit under a newer view's Learn: {steps:?}"
@@ -309,7 +313,7 @@ mod tests {
         assert_eq!(reps[1].last_delivered(), 0);
         // The view-1 Accept carries what view 1 actually chose; only then
         // does the buffered commit apply — to the certified value.
-        let steps = reps[1].on_message(nodes[1], accept(1, 1, b"chosen"));
+        let steps = steps_of(|o| reps[1].on_message_into(nodes[1], accept(1, 1, b"chosen"), o));
         let delivered: Vec<&Batch<Cmd>> = steps
             .iter()
             .filter_map(|s| match s {
@@ -324,11 +328,13 @@ mod tests {
     fn buffered_learn_from_newer_view_does_not_commit_an_old_view_accept() {
         let (nodes, mut reps) = domain(Crash, 3);
         // A Learn issued in view 1 overtakes everything else.
-        let steps = reps[1].on_message(nodes[0], msg(MsgBody::Learn { view: 1, seq: 1 }));
+        let steps = steps_of(|o| {
+            reps[1].on_message_into(nodes[0], msg(MsgBody::Learn { view: 1, seq: 1 }), o)
+        });
         assert!(steps.is_empty());
         // A stale view-0 Accept for the same seq must not be committed under
         // the newer view's Learn: view 1 may have chosen a different command.
-        let steps = reps[1].on_message(nodes[0], accept(0, 1, b"stale"));
+        let steps = steps_of(|o| reps[1].on_message_into(nodes[0], accept(0, 1, b"stale"), o));
         assert!(
             !delivers(&steps),
             "stale accept must not deliver: {steps:?}"
@@ -340,12 +346,12 @@ mod tests {
     fn view_change_elects_next_leader_and_preserves_committed_entries() {
         let (nodes, mut reps) = domain(Crash, 3);
         // Commit one command normally.
-        let steps = reps[0].propose(b"committed".to_vec());
+        let steps = steps_of(|o| reps[0].propose_into(b"committed".to_vec(), o));
         route(&nodes, &mut reps, vec![(0, steps)], &[]);
 
         // Primary (index 0) goes silent.  Backups time out.
-        let vc1 = reps[1].on_progress_timeout();
-        let vc2 = reps[2].on_progress_timeout();
+        let vc1 = steps_of(|o| reps[1].on_progress_timeout(o));
+        let vc2 = steps_of(|o| reps[2].on_progress_timeout(o));
         let _ = route(&nodes, &mut reps, vec![(1, vc1), (2, vc2)], &[0]);
 
         // Node 1 is the new primary of view 1.
@@ -355,7 +361,7 @@ mod tests {
         assert_eq!(reps[1].last_delivered(), 1);
 
         // New proposals still commit among the live replicas.
-        let steps = reps[1].propose(b"after-vc".to_vec());
+        let steps = steps_of(|o| reps[1].propose_into(b"after-vc".to_vec(), o));
         let delivered = route(&nodes, &mut reps, vec![(1, steps)], &[0]);
         assert!(delivered[1].iter().any(|(_, c)| c == b"after-vc"));
         assert!(delivered[2].iter().any(|(_, c)| c == b"after-vc"));
@@ -366,7 +372,7 @@ mod tests {
         let (nodes, mut reps) = domain(Crash, 3);
         // The primary proposes but only replica 1 receives the Accept (we
         // simulate by delivering manually), then the primary crashes.
-        let steps = reps[0].propose(b"maybe".to_vec());
+        let steps = steps_of(|o| reps[0].propose_into(b"maybe".to_vec(), o));
         // Extract the broadcast Accept and deliver it to replica 1 only.
         let accept = steps
             .iter()
@@ -375,11 +381,11 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let _ = reps[1].on_message(nodes[0], accept);
+        reps[1].on_message_into(nodes[0], accept, &mut Vec::new());
 
         // View change without the old primary.
-        let vc1 = reps[1].on_progress_timeout();
-        let vc2 = reps[2].on_progress_timeout();
+        let vc1 = steps_of(|o| reps[1].on_progress_timeout(o));
+        let vc2 = steps_of(|o| reps[2].on_progress_timeout(o));
         let delivered = route(&nodes, &mut reps, vec![(1, vc1), (2, vc2)], &[0]);
         // The possibly-committed entry is re-proposed and commits in view 1.
         assert!(delivered[1].iter().any(|(_, c)| c == b"maybe"));
@@ -391,18 +397,18 @@ mod tests {
     fn stale_messages_are_ignored() {
         let (nodes, mut reps) = domain(Crash, 3);
         // Move everyone to view 1.
-        let vc1 = reps[1].on_progress_timeout();
-        let vc2 = reps[2].on_progress_timeout();
+        let vc1 = steps_of(|o| reps[1].on_progress_timeout(o));
+        let vc2 = steps_of(|o| reps[2].on_progress_timeout(o));
         route(&nodes, &mut reps, vec![(1, vc1), (2, vc2)], &[0]);
         // A stale Accept from the deposed primary in view 0 is ignored.
-        let steps = reps[1].on_message(nodes[0], accept(0, 9, b"stale"));
+        let steps = steps_of(|o| reps[1].on_message_into(nodes[0], accept(0, 9, b"stale"), o));
         assert!(steps.is_empty());
     }
 
     #[test]
     fn a_proposal_waits_uncommitted_for_its_majority() {
         let (_nodes, mut reps) = domain(Crash, 3);
-        let _ = reps[0].propose(b"a".to_vec());
+        reps[0].propose_into(b"a".to_vec(), &mut Vec::new());
         let Rule::Paxos(log) = &reps[0].rule else {
             panic!("a crash-only domain runs Paxos");
         };
@@ -425,7 +431,7 @@ mod tests {
         // voter — so the reinstall must not count r1's stale ack for X
         // towards committing Y: two fresh acceptances are still required.
         let (nodes, mut reps) = domain(Crash, 5);
-        let _ = reps[0].propose(b"X".to_vec());
+        reps[0].propose_into(b"X".to_vec(), &mut Vec::new());
         let accepted = |view, cmd: &[u8]| {
             let digest = block(cmd).digest();
             msg(MsgBody::Accepted {
@@ -434,7 +440,7 @@ mod tests {
                 digest,
             })
         };
-        let _ = reps[0].on_message(nodes[1], accepted(0, b"X"));
+        reps[0].on_message_into(nodes[1], accepted(0, b"X"), &mut Vec::new());
         // Two peers escalate to view 5 carrying Y accepted in view 3; with
         // r0's own echoed vote that is the 3-vote quorum making r0 leader.
         let vote = |entries: Vec<(SeqNo, u64, Batch<Cmd>)>| {
@@ -445,8 +451,8 @@ mod tests {
                 checkpoint: 0,
             })
         };
-        let _ = reps[0].on_message(nodes[1], vote(vec![(1, 3, block(b"Y"))]));
-        let steps = reps[0].on_message(nodes[2], vote(vec![]));
+        reps[0].on_message_into(nodes[1], vote(vec![(1, 3, block(b"Y"))]), &mut Vec::new());
+        let steps = steps_of(|o| reps[0].on_message_into(nodes[2], vote(vec![]), o));
         assert!(steps
             .iter()
             .any(|s| matches!(s, Step::ViewChanged { view: 5, .. })));
@@ -454,13 +460,13 @@ mod tests {
 
         // One fresh acceptance of Y: with r1's stale X-ack wrongly retained
         // this would be the "third" ack and commit Y — it must not.
-        let steps = reps[0].on_message(nodes[3], accepted(5, b"Y"));
+        let steps = steps_of(|o| reps[0].on_message_into(nodes[3], accepted(5, b"Y"), o));
         assert!(
             learned(&steps).is_empty(),
             "Y must not commit on one fresh ack plus a stale ack for X"
         );
         // The second fresh acceptance completes a genuine majority.
-        let steps = reps[0].on_message(nodes[4], accepted(5, b"Y"));
+        let steps = steps_of(|o| reps[0].on_message_into(nodes[4], accepted(5, b"Y"), o));
         assert_eq!(learned(&steps), [1]);
     }
 }

@@ -296,7 +296,7 @@ impl<C: Command> ConsensusReplica<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replica::testkit::{block, commit_bytes, domain, route, Cmd};
+    use crate::replica::testkit::{block, commit_bytes, domain, route, steps_of, Cmd};
     use saguaro_types::FailureModel::Byzantine;
 
     fn pre_prepare(seq: SeqNo, cmd: &[u8]) -> ConsensusMsg<Cmd> {
@@ -313,9 +313,9 @@ mod tests {
     fn equivocating_pre_prepare_is_ignored() {
         let (nodes, mut reps) = domain(Byzantine, 4);
         // Deliver a legitimate pre-prepare to replica 1 ...
-        let _ = reps[1].on_message(nodes[0], pre_prepare(1, b"first"));
+        reps[1].on_message_into(nodes[0], pre_prepare(1, b"first"), &mut Vec::new());
         // ... then an equivocating one for the same (view, seq).
-        let steps = reps[1].on_message(nodes[0], pre_prepare(1, b"second"));
+        let steps = steps_of(|o| reps[1].on_message_into(nodes[0], pre_prepare(1, b"second"), o));
         assert!(steps.is_empty());
     }
 
@@ -324,9 +324,9 @@ mod tests {
         let (nodes, mut reps) = domain(Byzantine, 4);
         // Prepare (view 0, seq 1, "good") at replica 2: the pre-prepare from
         // the primary plus prepares from two peers form the certificate.
-        let _ = reps[2].on_message(nodes[0], pre_prepare(1, b"good"));
+        reps[2].on_message_into(nodes[0], pre_prepare(1, b"good"), &mut Vec::new());
         for j in [1usize, 3] {
-            let _ = reps[2].on_message(nodes[j], prepare(1, b"good"));
+            reps[2].on_message_into(nodes[j], prepare(1, b"good"), &mut Vec::new());
         }
         // The view-1 primary equivocates: its NewView re-proposes a
         // different command for the prepared slot.  The twin is rejected.
@@ -337,22 +337,22 @@ mod tests {
                 frontier: 0,
             })
         };
-        let steps = reps[2].on_message(nodes[1], new_view(b"evil"));
+        let steps = steps_of(|o| reps[2].on_message_into(nodes[1], new_view(b"evil"), o));
         assert!(steps.is_empty());
         assert_eq!(reps[2].certificate_conflicts(), 1);
         assert_eq!(reps[2].view(), 0);
         // A NewView consistent with the prepared state is still accepted:
         // rejecting the twin does not burn the view.
-        let _ = reps[2].on_message(nodes[1], new_view(b"good"));
+        reps[2].on_message_into(nodes[1], new_view(b"good"), &mut Vec::new());
         assert_eq!(reps[2].view(), 1);
         // Only one NewView is ever applied per view.
-        assert!(reps[2].on_message(nodes[1], new_view(b"good")).is_empty());
+        assert!(steps_of(|o| reps[2].on_message_into(nodes[1], new_view(b"good"), o)).is_empty());
     }
 
     #[test]
     fn pre_prepare_from_non_primary_is_rejected() {
         let (nodes, mut reps) = domain(Byzantine, 4);
-        let steps = reps[2].on_message(nodes[1], pre_prepare(1, b"evil"));
+        let steps = steps_of(|o| reps[2].on_message_into(nodes[1], pre_prepare(1, b"evil"), o));
         assert!(steps.is_empty());
     }
 
@@ -363,25 +363,31 @@ mod tests {
         let (nodes, mut reps) = domain(Byzantine, 4);
         // Commit one request, then let the primary go silent with another
         // request only partially processed.
-        let s0 = reps[0].propose(b"committed".to_vec());
+        let s0 = steps_of(|o| reps[0].propose_into(b"committed".to_vec(), o));
         route(&nodes, &mut reps, vec![(0, s0)], &[]);
 
         // Prepare (but do not commit) a second request at replicas 1..3 by
         // delivering the pre-prepare and the prepares by hand, discarding the
         // resulting commit broadcasts so the request stays uncommitted.
         for i in 1..4 {
-            let _ = reps[i].on_message(nodes[0], pre_prepare(2, b"prepared-only"));
+            reps[i].on_message_into(nodes[0], pre_prepare(2, b"prepared-only"), &mut Vec::new());
         }
         for i in 1..4usize {
             for j in 1..4usize {
                 if i != j {
-                    let _ = reps[i].on_message(nodes[j], prepare(2, b"prepared-only"));
+                    reps[i].on_message_into(
+                        nodes[j],
+                        prepare(2, b"prepared-only"),
+                        &mut Vec::new(),
+                    );
                 }
             }
         }
 
         // Now the primary is suspected; replicas 1-3 time out.
-        let vc: Vec<_> = (1..4).map(|i| (i, reps[i].on_progress_timeout())).collect();
+        let vc: Vec<_> = (1..4)
+            .map(|i| (i, steps_of(|o| reps[i].on_progress_timeout(o))))
+            .collect();
         let delivered = route(&nodes, &mut reps, vc, &[0]);
 
         // View 1 with primary node 1.
@@ -396,7 +402,7 @@ mod tests {
         }
 
         // The new primary keeps making progress.
-        let s1 = reps[1].propose(b"after-vc".to_vec());
+        let s1 = steps_of(|o| reps[1].propose_into(b"after-vc".to_vec(), o));
         let delivered = route(&nodes, &mut reps, vec![(1, s1)], &[0]);
         for i in 1..4 {
             assert!(delivered[i].iter().any(|(_, c)| c == b"after-vc"));

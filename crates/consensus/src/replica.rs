@@ -15,7 +15,7 @@
 //! The replica is also where request batching lives: it orders [`Batch`]es
 //! of commands (digest = Merkle root over the member digests), and the
 //! leader-side [`Batcher`] accumulates commands handed to
-//! [`ConsensusReplica::propose`] until a block is cut by size or — via the
+//! [`ConsensusReplica::propose_into`] until a block is cut by size or — via the
 //! adapter's flush timer calling [`ConsensusReplica::flush`] — by age.
 //! Every [`Step::Deliver`] therefore hands back a whole batch; consumers
 //! unpack it into per-command execution.
@@ -30,7 +30,9 @@ use saguaro_types::{CheckpointConfig, FailureModel, NodeId, QuorumSpec, SeqNo, S
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// What a replica asks of its adapter in response to one input.
+/// What a replica asks of its adapter in response to one input.  Every entry
+/// point appends to a buffer the adapter owns and drains, so a step list is
+/// never allocated per input.
 pub type Steps<C> = Vec<Step<Batch<C>, ConsensusMsg<C>>>;
 
 /// The members of a domain that voted for one slot in one phase: bit `i` is
@@ -358,71 +360,69 @@ impl<C: Command> ConsensusReplica<C> {
     }
 
     /// Hands a command to the leader-side batcher (no-op on non-primaries)
-    /// and drives consensus on the cut block, if the push completed one.
+    /// and drives consensus on the cut block, if the push completed one,
+    /// appending the resulting steps to `out`.
     ///
-    /// When this returns no steps but [`ConsensusReplica::pending_commands`]
+    /// When this appends no steps but [`ConsensusReplica::pending_commands`]
     /// is non-zero, the adapter must arrange for
     /// [`ConsensusReplica::flush`] to run within its flush delay.
-    pub fn propose(&mut self, cmd: C) -> Steps<C> {
+    pub fn propose_into(&mut self, cmd: C, out: &mut Steps<C>) {
         if !self.is_primary() {
-            return Vec::new();
+            return;
         }
-        match self.batcher.push(cmd) {
-            Some(batch) => self.propose_batch(batch),
-            None => Vec::new(),
+        if let Some(batch) = self.batcher.push(cmd) {
+            self.propose_batch(batch, out);
         }
     }
 
-    /// Cuts and proposes whatever the batcher holds (the flush-timer path).
+    /// Cuts and proposes whatever the batcher holds (the flush-timer path),
+    /// appending the resulting steps to `out`.
     ///
     /// If the proposal is refused — the flush timer raced a view change that
     /// deposed (or is deposing) this leader — the commands are put back into
     /// the batcher rather than destroyed: they are retried by the next cut,
-    /// and commit if this replica leads again.  (The `propose` path
+    /// and commit if this replica leads again.  (The `propose_into` path
     /// deliberately keeps the legacy semantics instead — a command handed to
     /// a mid-view-change leader is dropped, exactly as the unbatched
     /// pipeline dropped it.)
-    pub fn flush(&mut self) -> Steps<C> {
+    pub fn flush(&mut self, out: &mut Steps<C>) {
         let Some(batch) = self.batcher.flush() else {
-            return Vec::new();
+            return;
         };
         let retry = batch.clone();
-        let steps = self.propose_batch(batch);
-        if steps.is_empty() {
+        let before = out.len();
+        self.propose_batch(batch, out);
+        if out.len() == before {
             // Any accepted proposal is at least broadcast; no steps means
             // it was refused.
             self.batcher.restore(retry);
         }
-        steps
     }
 
     /// Assigns the next sequence number to `batch` and starts the rule's
     /// normal case on it.  Only the primary drives consensus (the adapter
     /// forwards client requests to it), and not while a view change runs.
-    fn propose_batch(&mut self, batch: Batch<C>) -> Steps<C> {
-        let mut out = Vec::new();
+    fn propose_batch(&mut self, batch: Batch<C>, out: &mut Steps<C>) {
         if !self.is_primary() || self.in_view_change {
-            return out;
+            return;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
         match self.rule {
-            Rule::Paxos(_) => self.propose_accept(seq, batch, &mut out),
-            Rule::Pbft(_) => self.propose_pre_prepare(seq, batch, &mut out),
+            Rule::Paxos(_) => self.propose_accept(seq, batch, out),
+            Rule::Pbft(_) => self.propose_pre_prepare(seq, batch, out),
         }
-        out
     }
 
-    /// Handles a wire message from a peer replica.  Messages of the wrong
-    /// protocol (which a Byzantine peer could fabricate) are ignored.
-    pub fn on_message(&mut self, from: NodeId, msg: ConsensusMsg<C>) -> Steps<C> {
-        let mut steps = Vec::new();
+    /// Handles a wire message from a peer replica, appending the resulting
+    /// steps to `out`.  Messages of the wrong protocol (which a Byzantine
+    /// peer could fabricate) are ignored.
+    pub fn on_message_into(&mut self, from: NodeId, msg: ConsensusMsg<C>, out: &mut Steps<C>) {
         // A node outside the domain has no say in it: no vote, no view
         // change, no checkpoint, no state transfer.
         if msg.model != self.quorum.model || self.replicas.binary_search(&from).is_err() {
-            return steps;
+            return;
         }
-        let out = &mut steps;
         match msg.body {
             MsgBody::Accept { view, seq, batch } => self.on_accept(from, view, seq, batch, out),
             MsgBody::Accepted { view, seq, digest } => {
@@ -464,7 +464,6 @@ impl<C: Command> ConsensusReplica<C> {
                 committed_to,
             } => self.on_state_transfer(from, Some(snapshot), tail, committed_to, out),
         }
-        steps
     }
 
     /// Emits `Deliver` steps for every committed block that directly follows
@@ -625,18 +624,17 @@ impl<C: Command> ConsensusReplica<C> {
     }
 
     /// Called by the adapter when the progress timer fires while requests are
-    /// outstanding: suspect the primary and start a view change.
-    pub fn on_progress_timeout(&mut self) -> Steps<C> {
-        let mut out = Vec::new();
+    /// outstanding: suspect the primary and start a view change, appending
+    /// the resulting steps to `out`.
+    pub fn on_progress_timeout(&mut self, out: &mut Steps<C>) {
         // The primary itself does not suspect itself.
         if !self.is_primary() || self.in_view_change {
             // Escalate past any view change already attempted: if the
             // candidate primary of the last attempt is itself dead, the next
             // timeout must move on to the following replica rather than
             // retry forever.
-            self.start_view_change(self.view.max(self.highest_vc) + 1, &mut out);
+            self.start_view_change(self.view.max(self.highest_vc) + 1, out);
         }
-        out
     }
 
     /// The delivery frontier a view-change vote states.  A Paxos vote carries
@@ -890,6 +888,26 @@ impl<C: Command> ConsensusReplica<C> {
     }
 }
 
+/// The returning forms of [`ConsensusReplica::propose_into`] and
+/// [`ConsensusReplica::on_message_into`].  Nothing in the workspace calls
+/// them: they exist because `benchmark/src/layers.rs`, which is frozen,
+/// drives a loop-back replica group through them.
+impl<C: Command> ConsensusReplica<C> {
+    #[doc(hidden)]
+    pub fn propose(&mut self, cmd: C) -> Steps<C> {
+        let mut out = Vec::new();
+        self.propose_into(cmd, &mut out);
+        out
+    }
+
+    #[doc(hidden)]
+    pub fn on_message(&mut self, from: NodeId, msg: ConsensusMsg<C>) -> Steps<C> {
+        let mut out = Vec::new();
+        self.on_message_into(from, msg, &mut out);
+        out
+    }
+}
+
 /// Total member commands delivered by a slice of consensus output steps.
 /// Node layers use it to account how many commands a state-transfer reply
 /// actually applied (zero means the reply was stale).
@@ -915,6 +933,13 @@ pub(crate) mod testkit {
     pub(crate) type InitialSteps = Vec<(usize, Steps<Cmd>)>;
     /// The `(seq, command)` pairs one replica delivered.
     pub(crate) type Delivered = Vec<(SeqNo, Cmd)>;
+
+    /// The steps one entry point appends to a fresh buffer.
+    pub(crate) fn steps_of(input: impl FnOnce(&mut Steps<Cmd>)) -> Steps<Cmd> {
+        let mut out = Vec::new();
+        input(&mut out);
+        out
+    }
 
     pub(crate) fn msg(model: FailureModel, body: MsgBody<Cmd>) -> ConsensusMsg<Cmd> {
         ConsensusMsg { model, body }
@@ -1009,7 +1034,7 @@ pub(crate) mod testkit {
             if down.contains(&to) {
                 continue;
             }
-            let steps = reps[to].on_message(from, msg);
+            let steps = steps_of(|o| reps[to].on_message_into(from, msg, o));
             absorb(to, &mut reps[to], steps, &mut queue);
         }
         delivered
@@ -1023,7 +1048,7 @@ pub(crate) mod testkit {
         commands: u8,
         down: &[usize],
     ) -> Vec<Delivered> {
-        let initial = (0..commands).map(|i| (0, reps[0].propose(vec![i])));
+        let initial = (0..commands).map(|i| (0, steps_of(|o| reps[0].propose_into(vec![i], o))));
         let initial: InitialSteps = initial.collect();
         route(nodes, reps, initial, down)
     }
@@ -1061,7 +1086,7 @@ mod tests {
             let (nodes, mut reps) = domain(model, n);
             assert!(reps[0].is_primary());
             assert_eq!(reps[0].primary(), nodes[0]);
-            let steps = reps[0].propose(b"tx1".to_vec());
+            let steps = steps_of(|o| reps[0].propose_into(b"tx1".to_vec(), o));
             let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
             for d in &delivered {
                 assert_eq!(d, &vec![(1, b"tx1".to_vec())], "{model:?}");
@@ -1076,7 +1101,10 @@ mod tests {
         for (model, n) in [(Crash, 3), (Byzantine, 4)] {
             let batch = BatchConfig::with_max_batch(4);
             let (_nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::legacy());
-            assert!(reps[1].propose(b"x".to_vec()).is_empty(), "{model:?}");
+            assert!(
+                steps_of(|o| reps[1].propose_into(b"x".to_vec(), o)).is_empty(),
+                "{model:?}"
+            );
             assert_eq!(reps[1].pending_commands(), 0);
             assert!(!reps[1].is_primary());
             assert!(reps[0].is_primary());
@@ -1118,8 +1146,14 @@ mod tests {
     fn only_backups_suspect_the_primary() {
         for (model, n) in [(Crash, 3), (Byzantine, 4)] {
             let (_nodes, mut reps) = domain(model, n);
-            assert!(reps[0].on_progress_timeout().is_empty(), "{model:?}");
-            assert!(!reps[1].on_progress_timeout().is_empty(), "{model:?}");
+            assert!(
+                steps_of(|o| reps[0].on_progress_timeout(o)).is_empty(),
+                "{model:?}"
+            );
+            assert!(
+                !steps_of(|o| reps[1].on_progress_timeout(o)).is_empty(),
+                "{model:?}"
+            );
         }
     }
 
@@ -1134,7 +1168,7 @@ mod tests {
             let (nodes, mut reps) = domain(model, n);
             commit_bytes(&nodes, &mut reps, 1, &[]);
             let live_time_out = |reps: &mut [ConsensusReplica<Cmd>]| {
-                let vc = (2..n).map(|i| (i, reps[i].on_progress_timeout()));
+                let vc = (2..n).map(|i| (i, steps_of(|o| reps[i].on_progress_timeout(o))));
                 let vc: InitialSteps = vc.collect();
                 route(&nodes, reps, vc, &[0, 1]);
             };
@@ -1146,7 +1180,7 @@ mod tests {
             assert_eq!(reps[3].view(), 2);
 
             // Progress resumes under the view-2 primary.
-            let steps = reps[2].propose(b"after".to_vec());
+            let steps = steps_of(|o| reps[2].propose_into(b"after".to_vec(), o));
             let delivered = route(&nodes, &mut reps, vec![(2, steps)], &[0, 1]);
             for (i, d) in delivered.iter().enumerate().skip(3) {
                 assert!(
@@ -1172,7 +1206,7 @@ mod tests {
                 assert_eq!(slots(r), 0, "{model:?} log not garbage collected");
             }
             // Two more stay above it.
-            let initial = (8..10u8).map(|i| (0, reps[0].propose(vec![i])));
+            let initial = (8..10u8).map(|i| (0, steps_of(|o| reps[0].propose_into(vec![i], o))));
             let initial: InitialSteps = initial.collect();
             route(&nodes, &mut reps, initial, &[]);
             for r in &reps {
@@ -1183,7 +1217,7 @@ mod tests {
             }
             // The actual view-change vote payload is bounded by the stable
             // checkpoint: `history − checkpoint` entries, not O(history).
-            let steps = reps[1].on_progress_timeout();
+            let steps = steps_of(|o| reps[1].on_progress_timeout(o));
             let vote = steps.iter().find_map(|s| match s {
                 Step::Broadcast { msg } => match &msg.body {
                     MsgBody::ViewChange {
@@ -1221,7 +1255,8 @@ mod tests {
             // On recovery the replica hears a checkpoint announcement
             // (frontier evidence), requests state, and replays the whole
             // missed prefix in order.
-            let steps = reps[victim].on_message(nodes[0], announcement(model, 6));
+            let steps =
+                steps_of(|o| reps[victim].on_message_into(nodes[0], announcement(model, 6), o));
             assert!(
                 requests_state_above(&steps, 0),
                 "{model:?} gap-stalled replica must fetch state: {steps:?}"
@@ -1232,7 +1267,7 @@ mod tests {
             assert_eq!(reps[victim].last_delivered(), 6);
 
             // Execution resumes: the next proposal commits on all replicas.
-            let steps = reps[0].propose(b"after".to_vec());
+            let steps = steps_of(|o| reps[0].propose_into(b"after".to_vec(), o));
             let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
             assert!(delivered[victim].contains(&(7, b"after".to_vec())));
         }
@@ -1281,7 +1316,8 @@ mod tests {
             // On recovery the laggard hears a checkpoint announcement,
             // requests state, and is answered with a snapshot plus the
             // retained tail.
-            let steps = reps[victim].on_message(nodes[0], announcement(model, 12));
+            let steps =
+                steps_of(|o| reps[victim].on_message_into(nodes[0], announcement(model, 12), o));
             assert!(
                 requests_state_above(&steps, 0),
                 "{model:?} gap-stalled replica must fetch state: {steps:?}"
@@ -1295,7 +1331,7 @@ mod tests {
             );
 
             // Execution resumes: the next proposal commits on all replicas.
-            let steps = reps[0].propose(b"after".to_vec());
+            let steps = steps_of(|o| reps[0].propose_into(b"after".to_vec(), o));
             let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
             assert!(delivered[victim].contains(&(13, b"after".to_vec())));
         }
@@ -1317,7 +1353,7 @@ mod tests {
                 tail: Vec::new(),
                 committed_to: 2,
             };
-            let steps = reps[1].on_message(nodes[0], msg(model, reply));
+            let steps = steps_of(|o| reps[1].on_message_into(nodes[0], msg(model, reply), o));
             assert!(
                 !steps
                     .iter()
@@ -1353,15 +1389,28 @@ mod tests {
             };
             // The first vote joins the leader into the view change (its own
             // vote is recorded too).
-            let _ = reps[leader].on_message(nodes[twin], vote(vec![(1, 0, block(b"X"))]));
-            let _ = reps[leader].on_message(nodes[twin], vote(vec![(1, 0, block(b"Y"))]));
+            reps[leader].on_message_into(
+                nodes[twin],
+                vote(vec![(1, 0, block(b"X"))]),
+                &mut Vec::new(),
+            );
+            reps[leader].on_message_into(
+                nodes[twin],
+                vote(vec![(1, 0, block(b"Y"))]),
+                &mut Vec::new(),
+            );
             assert_eq!(reps[leader].certificate_conflicts(), 1, "{model:?}");
             // Re-deliveries from the tainted voter no longer count.
-            let _ = reps[leader].on_message(nodes[twin], vote(vec![(1, 0, block(b"X"))]));
+            reps[leader].on_message_into(
+                nodes[twin],
+                vote(vec![(1, 0, block(b"X"))]),
+                &mut Vec::new(),
+            );
             assert_eq!(reps[leader].view(), 0, "own + tainted vote must not elect");
             // Two honest votes plus the leader's own echoed vote are a quorum.
-            let _ = reps[leader].on_message(nodes[honest[0]], vote(Vec::new()));
-            let steps = reps[leader].on_message(nodes[honest[1]], vote(Vec::new()));
+            reps[leader].on_message_into(nodes[honest[0]], vote(Vec::new()), &mut Vec::new());
+            let steps =
+                steps_of(|o| reps[leader].on_message_into(nodes[honest[1]], vote(Vec::new()), o));
             assert!(steps
                 .iter()
                 .any(|s| matches!(s, Step::ViewChanged { view: v, .. } if *v == view)));
@@ -1377,7 +1426,7 @@ mod tests {
             commit_bytes(&nodes, &mut reps, 3, &[]);
             let request = msg(model, MsgBody::StateRequest { above: 0 });
             assert!(
-                reps[0].on_message(nodes[2], request).is_empty(),
+                steps_of(|o| reps[0].on_message_into(nodes[2], request, o)).is_empty(),
                 "{model:?}"
             );
         }
@@ -1389,18 +1438,18 @@ mod tests {
             let batch = BatchConfig::with_max_batch(8);
             let (nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::legacy());
             // The view-0 leader buffers two commands without cutting a block.
-            assert!(reps[0].propose(b"a".to_vec()).is_empty());
-            assert!(reps[0].propose(b"b".to_vec()).is_empty());
+            assert!(steps_of(|o| reps[0].propose_into(b"a".to_vec(), o)).is_empty());
+            assert!(steps_of(|o| reps[0].propose_into(b"b".to_vec(), o)).is_empty());
             assert_eq!(reps[0].pending_commands(), 2);
             // The backups suspect it and elect replica 1; the deposed leader
             // learns of the new view before its flush timer fires.
-            let vc = (1..n).map(|i| (i, reps[i].on_progress_timeout()));
+            let vc = (1..n).map(|i| (i, steps_of(|o| reps[i].on_progress_timeout(o))));
             let vc: InitialSteps = vc.collect();
             route(&nodes, &mut reps, vc, &[]);
             assert!(!reps[0].is_primary(), "{model:?}");
             // The late flush must not destroy the buffered commands: the
             // proposal is refused and the batcher keeps them for a retry.
-            assert!(reps[0].flush().is_empty());
+            assert!(steps_of(|o| reps[0].flush(o)).is_empty());
             assert_eq!(reps[0].pending_commands(), 2);
         }
     }
@@ -1459,13 +1508,13 @@ mod tests {
             // the Paxos leader, or a PBFT backup that was sent the block.
             let (voter, votes) = match model {
                 Crash => {
-                    let _ = reps[0].propose(b"tx".to_vec());
+                    reps[0].propose_into(b"tx".to_vec(), &mut Vec::new());
                     (0, vec![MsgBody::Accepted { view, seq, digest }])
                 }
                 Byzantine => {
                     let batch = block(b"tx");
                     let proposal = msg(model, MsgBody::PrePrepare { view, seq, batch });
-                    let _ = reps[1].on_message(nodes[0], proposal);
+                    reps[1].on_message_into(nodes[0], proposal, &mut Vec::new());
                     let prepare = MsgBody::Prepare { view, seq, digest };
                     (1, vec![prepare, MsgBody::Commit { view, seq, digest }])
                 }
@@ -1479,7 +1528,9 @@ mod tests {
             let checkpoint = MsgBody::Checkpoint { seq: 5, digest };
             for vote in votes.into_iter().chain([view_change, checkpoint]) {
                 for stranger in &strangers {
-                    let steps = reps[voter].on_message(*stranger, msg(model, vote.clone()));
+                    let steps = steps_of(|o| {
+                        reps[voter].on_message_into(*stranger, msg(model, vote.clone()), o)
+                    });
                     assert!(steps.is_empty(), "{model:?}: {stranger:?} moved {steps:?}");
                 }
             }
@@ -1516,10 +1567,10 @@ mod tests {
         for (model, n) in [(Crash, 3), (Byzantine, 4)] {
             let batch = BatchConfig::with_max_batch(3);
             let (nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::legacy());
-            assert!(reps[0].propose(b"a".to_vec()).is_empty());
-            assert!(reps[0].propose(b"b".to_vec()).is_empty());
+            assert!(steps_of(|o| reps[0].propose_into(b"a".to_vec(), o)).is_empty());
+            assert!(steps_of(|o| reps[0].propose_into(b"b".to_vec(), o)).is_empty());
             assert_eq!(reps[0].pending_commands(), 2);
-            let steps = reps[0].propose(b"c".to_vec());
+            let steps = steps_of(|o| reps[0].propose_into(b"c".to_vec(), o));
             assert_eq!(reps[0].pending_commands(), 0);
             let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
             // Three commands, one consensus instance.
@@ -1535,15 +1586,18 @@ mod tests {
     fn flush_proposes_the_underfull_block() {
         let batch = BatchConfig::with_max_batch(8);
         let (nodes, mut reps) = domain_with(Crash, 3, batch, CheckpointConfig::legacy());
-        assert!(reps[0].propose(b"only".to_vec()).is_empty());
+        assert!(steps_of(|o| reps[0].propose_into(b"only".to_vec(), o)).is_empty());
         assert_eq!(reps[0].pending_commands(), 1);
-        let steps = reps[0].flush();
+        let steps = steps_of(|o| reps[0].flush(o));
         assert!(!steps.is_empty());
         let delivered = route(&nodes, &mut reps, vec![(0, steps)], &[]);
         for d in &delivered {
             assert_eq!(d, &vec![(1, b"only".to_vec())]);
         }
-        assert!(reps[0].flush().is_empty(), "nothing left to flush");
+        assert!(
+            steps_of(|o| reps[0].flush(o)).is_empty(),
+            "nothing left to flush"
+        );
     }
 
     #[test]
@@ -1554,10 +1608,13 @@ mod tests {
             seq: 1,
             digest: saguaro_crypto::sha256(b"x"),
         };
-        assert!(reps[1]
-            .on_message(nodes[0], msg(Byzantine, prepare.clone()))
-            .is_empty());
+        assert!(steps_of(|o| reps[1].on_message_into(
+            nodes[0],
+            msg(Byzantine, prepare.clone()),
+            o
+        ))
+        .is_empty());
         // Neither does a body of the other protocol under this one's name.
-        assert!(reps[1].on_message(nodes[0], msg(Crash, prepare)).is_empty());
+        assert!(steps_of(|o| reps[1].on_message_into(nodes[0], msg(Crash, prepare), o)).is_empty());
     }
 }

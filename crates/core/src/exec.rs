@@ -47,10 +47,10 @@ pub fn execute_in_domain(
             }
             let mut undo = UndoRecord::empty();
             if owns_from {
-                undo = undo.merge(state.debit(from, *amount)?);
+                undo.merge(state.debit(from, *amount)?);
             }
             if owns_to {
-                undo = undo.merge(state.credit(to, *amount));
+                undo.merge(state.credit(to, *amount));
             }
             Ok(undo)
         }

@@ -21,8 +21,9 @@
 //! [`HostedReplica::drive`] calls back into the node per step instead of
 //! returning a list to apply afterwards.
 
+use saguaro_consensus::replica::Steps;
 use saguaro_consensus::{
-    delivered_commands, Batch, Command, ConsensusMsg, ConsensusReplica, Step, SuspicionTimer,
+    delivered_commands, Command, ConsensusMsg, ConsensusReplica, Step, SuspicionTimer,
 };
 use saguaro_net::{Addr, Context, MessageMeta, TimerId};
 use saguaro_trace::{TraceActor, TraceEvent, TraceEventKind, Tracer};
@@ -37,9 +38,6 @@ use std::sync::Arc;
 /// flush timer cuts it anyway, bounding the latency a lightly loaded domain
 /// pays for batching.
 pub const BATCH_FLUSH_DELAY: Duration = Duration::from_millis(5);
-
-/// The steps a [`ConsensusReplica`] over commands `C` hands its host.
-pub type ConsensusSteps<C> = Vec<Step<Batch<C>, ConsensusMsg<C>>>;
 
 /// Counters the host keeps about its replica's internal consensus.
 #[derive(Clone, Debug, Default)]
@@ -89,6 +87,10 @@ pub struct ReplicaHost<C> {
     suspicion: SuspicionTimer,
     /// Clients whose request this domain received directly (reply targets).
     reply_to: FxHashMap<TxId, ClientId>,
+    /// The buffer the consensus engine appends its steps to.  Each engine
+    /// call takes it, [`HostedReplica::drive`] drains it and hands it back,
+    /// so its capacity outlives the input that filled it.
+    steps: Steps<C>,
     tracer: Tracer,
     stats: HostStats,
 }
@@ -110,6 +112,7 @@ impl<C: Command> ReplicaHost<C> {
             last_progress_check: 0,
             suspicion: SuspicionTimer::new(stack.liveness),
             reply_to: FxHashMap::default(),
+            steps: Vec::new(),
             tracer: Tracer::new(stack.trace, TraceActor::Node(id)),
             stats: HostStats::default(),
         }
@@ -153,6 +156,14 @@ impl<C: Command> ReplicaHost<C> {
         if self.tracer.samples(tx.0) {
             self.tracer.record(now, TraceEventKind::TxExecuted { tx });
         }
+    }
+
+    /// The step buffer, to be filled by one engine call and passed to
+    /// [`HostedReplica::drive`].  A nested call — a command applied inside
+    /// `drive` that proposes again — finds the buffer already taken and
+    /// gets a fresh one.
+    fn take_steps(&mut self) -> Steps<C> {
+        std::mem::take(&mut self.steps)
     }
 
     /// Traces a batch cut: `before` commands were pooled going in; whatever
@@ -226,7 +237,8 @@ pub trait HostedReplica: Sized {
             }
             host.consensus.pending_commands()
         });
-        let steps = host.consensus.propose(cmd);
+        let mut steps = host.take_steps();
+        host.consensus.propose_into(cmd, &mut steps);
         if let Some(before) = pooled {
             host.note_batch_cut(before + 1, ctx.now());
         }
@@ -252,7 +264,8 @@ pub trait HostedReplica: Sized {
             .tracer
             .enabled()
             .then(|| host.consensus.pending_commands());
-        let steps = host.consensus.flush();
+        let mut steps = host.take_steps();
+        host.consensus.flush(&mut steps);
         if let Some(before) = pooled {
             host.note_batch_cut(before, ctx.now());
         }
@@ -261,9 +274,10 @@ pub trait HostedReplica: Sized {
 
     /// Applies consensus output steps in order: routes messages, executes
     /// delivered batches command by command, and serves the engine's
-    /// snapshot requests.
-    fn drive(&mut self, steps: ConsensusSteps<Self::Cmd>, ctx: &mut Context<'_, Self::Msg>) {
-        for step in steps {
+    /// snapshot requests.  `steps` is drained and becomes the host's step
+    /// buffer again.
+    fn drive(&mut self, mut steps: Steps<Self::Cmd>, ctx: &mut Context<'_, Self::Msg>) {
+        for step in steps.drain(..) {
             match step {
                 Step::Send { to, msg } => ctx.send(to, Self::consensus_msg(msg)),
                 Step::Broadcast { msg } => {
@@ -329,6 +343,7 @@ pub trait HostedReplica: Sized {
                 }
             }
         }
+        self.host_mut().steps = steps;
     }
 
     /// Handles intra-domain consensus traffic from `from`.  Delta probes
@@ -360,7 +375,8 @@ pub trait HostedReplica: Sized {
                 host.consensus.certificate_conflicts(),
             )
         });
-        let steps = host.consensus.on_message(from, msg);
+        let mut steps = host.take_steps();
+        host.consensus.on_message_into(from, msg, &mut steps);
         if let Some((checkpoint, conflicts)) = probe {
             let seq = host.consensus.stable_checkpoint();
             if seq > checkpoint {
@@ -411,7 +427,8 @@ pub trait HostedReplica: Sized {
             let view = host.consensus.view();
             host.tracer
                 .record(ctx.now(), TraceEventKind::SuspicionFired { view });
-            let steps = host.consensus.on_progress_timeout();
+            let mut steps = host.take_steps();
+            host.consensus.on_progress_timeout(&mut steps);
             self.drive(steps, ctx);
         } else if progressed {
             host.suspicion.on_progress();

@@ -30,7 +30,7 @@ use saguaro_ledger::{
 use saguaro_net::{Actor, Addr, Context, TimerId};
 use saguaro_types::hash::{FxHashMap, FxHashSet};
 use saguaro_types::{
-    ClientId, DeliveryLog, DomainId, MobileOwnership, MultiSeq, NodeId, Operation, SeqNo,
+    ClientId, DeliveryLog, DomainId, Key, MobileOwnership, MultiSeq, NodeId, Operation, SeqNo,
     StateSnapshot, Transaction, TxId, TxKind,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -74,8 +74,14 @@ pub struct SaguaroNode {
     // ---------------- execution layer (height-1 domains) ----------------
     pub(crate) ledger: LinearLedger,
     pub(crate) state: BlockchainState,
-    /// Raw state updates of the current round (input to the abstraction fn).
-    /// The root domain, which has no parent to report to, collects none.
+    /// This domain's own writes of the current round, as the state map's
+    /// key handles and the values stored: the round's raw state updates
+    /// (input to the abstraction fn) at a height-1 domain.  The `Arc<str>`
+    /// keys a delta carries are made from them only when a block is cut.
+    pub(crate) round_writes: Vec<(Key, u64)>,
+    /// The children's updates a domain above height 1 folds into its next
+    /// block, keyed `"{child:?}/{key}"`.  The root domain, which has no
+    /// parent to report to, folds none.
     pub(crate) round_updates: Vec<(Arc<str>, u64)>,
     /// Undo records of executed transactions, kept in optimistic mode only:
     /// nothing but an optimistic abort ever reverts an execution.
@@ -140,6 +146,7 @@ impl SaguaroNode {
             host,
             ledger: LinearLedger::new(id.domain),
             state: BlockchainState::new(),
+            round_writes: Vec::new(),
             round_updates: Vec::new(),
             undo_log: FxHashMap::default(),
             dag: DagLedger::new(),
@@ -334,21 +341,18 @@ impl SaguaroNode {
     }
 
     /// Executes the parts of an operation owned by (or hosted in) this domain
-    /// and records the updates for the next block's state delta.
+    /// and records the updates for the next block's state delta: for each key
+    /// of the write set, the last value the execution stored under it, taken
+    /// from the undo record (a key this domain does not own is not written).
     fn execute_owned(&mut self, op: &Operation) -> Option<UndoRecord> {
         let domain = self.id.domain;
-        let undo = crate::exec::execute_in_domain(&mut self.state, op, domain);
-        match undo {
-            Ok(u) => {
-                for key in op.write_set() {
-                    if let Some(v) = self.state.get(key) {
-                        self.round_updates.push((key.into(), v));
-                    }
-                }
-                Some(u)
+        let undo = crate::exec::execute_in_domain(&mut self.state, op, domain).ok()?;
+        for key in op.write_set() {
+            if let Some((key, value)) = undo.stored(key) {
+                self.round_writes.push((key.clone(), value));
             }
-            Err(_) => None,
         }
+        Some(undo)
     }
 
     /// A round-timer *message* (deployment kick-off, or re-kick after a
@@ -539,6 +543,7 @@ impl HostedReplica for SaguaroNode {
         // End their round here so the prune below actually bounds memory.
         let cuts_blocks = self.is_primary() && self.tree.parent(self.domain()).is_some();
         if !cuts_blocks {
+            self.round_writes.clear();
             self.round_updates.clear();
             self.ledger.note_round_boundary();
         }

@@ -17,6 +17,7 @@ use saguaro_ledger::{AbstractionFn, Block};
 use saguaro_net::Context;
 use saguaro_types::DomainId;
 use std::fmt::Write;
+use std::sync::Arc;
 
 impl SaguaroNode {
     /// End-of-round handler: cut and send this domain's block, then schedule
@@ -26,6 +27,13 @@ impl SaguaroNode {
         self.round += 1;
         if self.is_primary() {
             if let Some(parent) = self.tree.parent(self.domain()) {
+                // A height-1 domain only writes and a domain above only
+                // folds, so one of the two lists is empty.  A written key
+                // becomes the `Arc<str>` the delta shares up the hierarchy
+                // here, once, rather than on every replica at every write.
+                let writes = self.round_writes.drain(..);
+                let writes = writes.map(|(key, value)| (Arc::<str>::from(&*key), value));
+                self.round_updates.extend(writes);
                 let delta = AbstractionFn::Full.apply(&self.round_updates);
                 self.round_updates.clear();
                 let block = self.ledger.cut_block(delta);

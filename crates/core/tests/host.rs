@@ -42,10 +42,31 @@ impl MessageMeta for ToyMsg {
     }
 }
 
-/// Applies a command by counting it and answering its client.
+/// What a toy replica did, in order.
+#[derive(Debug, PartialEq)]
+enum Event {
+    Applied(u64),
+    Snapshot(SeqNo),
+}
+
+/// Applies a command by counting it and answering its client; applying
+/// transaction `n` below `follow_ups` proposes `n + 1`.
 struct Toy {
     host: ReplicaHost<ToyCmd>,
     applied: u64,
+    follow_ups: u64,
+    events: Vec<Event>,
+}
+
+impl Toy {
+    fn new(host: ReplicaHost<ToyCmd>) -> Self {
+        Self {
+            host,
+            applied: 0,
+            follow_ups: 0,
+            events: Vec::new(),
+        }
+    }
 }
 
 impl HostedReplica for Toy {
@@ -80,11 +101,18 @@ impl HostedReplica for Toy {
 
     fn apply_command(&mut self, cmd: &ToyCmd, ctx: &mut Context<'_, ToyMsg>) {
         self.applied += 1;
+        self.events.push(Event::Applied(cmd.0.id.0));
         self.note_reply_target(&cmd.0);
         self.reply(cmd.0.id, true, ctx);
+        let next = cmd.0.id.0 + 1;
+        if next <= self.follow_ups {
+            let tx = Transaction::internal(TxId(next), CLIENT, node(0).domain, Operation::Noop);
+            self.propose(ToyCmd(tx), ctx);
+        }
     }
 
     fn snapshot_app_state(&mut self, seq: SeqNo, delivery_hash: Option<u64>) -> StateSnapshot {
+        self.events.push(Event::Snapshot(seq));
         StateSnapshot {
             seq,
             delivery_hash,
@@ -159,7 +187,7 @@ fn group(model: FailureModel, stack: StackConfig) -> Simulation<ToyMsg> {
     let mut sim = Simulation::new(LatencyMatrix::single_region(), 7);
     for id in &peers {
         let host = ReplicaHost::new(*id, peers.clone(), quorum, stack);
-        let toy = Toy { host, applied: 0 };
+        let toy = Toy::new(host);
         sim.register(*id, Region::LOCAL, CpuProfile::server(), Box::new(toy));
     }
     sim.register(
@@ -296,4 +324,43 @@ fn a_state_reply_that_delivers_nothing_is_not_a_catch_up() {
         (1, 100)
     );
     assert_eq!(toy(&mut sim, node(2), |t| t.applied), 1);
+}
+
+/// A command applied inside `drive` that proposes again runs a nested step
+/// list at the point of its delivery; the outer list resumes after it.  A
+/// one-replica domain (f = 0) orders its own proposal at once, so applying
+/// transaction 1 proposes, orders and applies 2 inside the step that
+/// delivered 1, and so on; a checkpoint at every delivery puts a snapshot
+/// step after each delivery step.
+#[test]
+fn a_command_applied_inside_drive_that_proposes_again_runs_both_step_lists_in_order() {
+    let stack = StackConfig {
+        checkpoint: CheckpointConfig::every(1).with_retention(1),
+        ..StackConfig::default()
+    };
+    let quorum = QuorumSpec::for_faults(FailureModel::Crash, 0);
+    let mut sim = Simulation::new(LatencyMatrix::single_region(), 7);
+    let mut chain = Toy::new(ReplicaHost::new(node(0), vec![node(0)], quorum, stack));
+    chain.follow_ups = 3;
+    sim.register(
+        node(0),
+        Region::LOCAL,
+        CpuProfile::server(),
+        Box::new(chain),
+    );
+    let sink = Box::new(Sink(0));
+    sim.register(CLIENT, Region::LOCAL, CpuProfile::client(), sink);
+    request(&mut sim, node(0), 1, ms(0));
+    sim.run_until(ms(50));
+    use Event::{Applied, Snapshot};
+    let events = toy(&mut sim, node(0), |t| std::mem::take(&mut t.events));
+    let expected = [
+        Applied(1),
+        Applied(2),
+        Applied(3),
+        Snapshot(3),
+        Snapshot(2),
+        Snapshot(1),
+    ];
+    assert_eq!(events, expected);
 }

@@ -1,7 +1,8 @@
 //! The domain tree and Lowest-Common-Ancestor queries.
 
 use saguaro_types::{DomainConfig, DomainId, NodeId, Region, Result, SaguaroError};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
 /// The tree of domains making up one Saguaro deployment.
 ///
@@ -74,7 +75,7 @@ impl HierarchyTree {
 
         // Every non-root domain must reach the root.
         for id in tree.domains.keys() {
-            if *id != root_id && !tree.path_to_root(*id).contains(&root_id) {
+            if !tree.is_ancestor(root_id, *id) {
                 return Err(SaguaroError::InvalidTopology(format!(
                     "domain {id:?} is not connected to the root"
                 )));
@@ -137,23 +138,14 @@ impl HierarchyTree {
         self.children.get(&id).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Path from `id` (inclusive) up to the root (inclusive).
-    pub fn path_to_root(&self, id: DomainId) -> Vec<DomainId> {
-        let mut path = vec![id];
-        let mut cur = id;
-        while let Some(p) = self.parent(cur) {
-            path.push(p);
-            cur = p;
-            if path.len() > self.domains.len() {
-                break; // defensive: malformed tree cannot loop forever
-            }
-        }
-        path
+    /// `id` and its ancestors, up to the root, without allocating.
+    fn ancestry(&self, id: DomainId) -> impl Iterator<Item = DomainId> + '_ {
+        std::iter::successors(Some(id), |d| self.parent(*d))
     }
 
     /// Depth of a domain (root has depth 0).
     pub fn depth(&self, id: DomainId) -> usize {
-        self.path_to_root(id).len().saturating_sub(1)
+        self.ancestry(id).count() - 1
     }
 
     /// The Lowest Common Ancestor of a set of domains.
@@ -163,33 +155,40 @@ impl HierarchyTree {
     /// cross-domain transactions.  Returns an error if the set is empty or
     /// contains an unknown domain.
     pub fn lca(&self, involved: &[DomainId]) -> Result<DomainId> {
-        let mut iter = involved.iter();
-        let first = iter
-            .next()
+        let (first, rest) = involved
+            .split_first()
             .ok_or_else(|| SaguaroError::InvalidTopology("LCA of empty set".into()))?;
         if !self.contains(*first) {
             return Err(SaguaroError::UnknownDomain(*first));
         }
-        // Ancestor chain of the first domain, kept in order.
-        let mut chain = self.path_to_root(*first);
-        for d in iter {
+        rest.iter().try_fold(*first, |lca, d| {
             if !self.contains(*d) {
                 return Err(SaguaroError::UnknownDomain(*d));
             }
-            let ancestors: BTreeSet<DomainId> = self.path_to_root(*d).into_iter().collect();
-            chain.retain(|a| ancestors.contains(a));
-            if chain.is_empty() {
-                return Err(SaguaroError::InvalidTopology(
-                    "domains share no common ancestor".into(),
-                ));
+            self.lca_of_two(lca, *d).ok_or_else(|| {
+                SaguaroError::InvalidTopology("domains share no common ancestor".into())
+            })
+        })
+    }
+
+    /// The LCA of two domains, walking parent links.  A parent is strictly
+    /// higher than its child, so the lower of two distinct domains is not an
+    /// ancestor of the other and can step up without passing their LCA; at
+    /// equal heights neither is the other's ancestor and both step up.
+    fn lca_of_two(&self, mut a: DomainId, mut b: DomainId) -> Option<DomainId> {
+        while a != b {
+            match a.height.cmp(&b.height) {
+                Ordering::Less => a = self.parent(a)?,
+                Ordering::Greater => b = self.parent(b)?,
+                Ordering::Equal => (a, b) = (self.parent(a)?, self.parent(b)?),
             }
         }
-        Ok(chain[0])
+        Some(a)
     }
 
     /// True if `ancestor` is an ancestor of (or equal to) `descendant`.
     pub fn is_ancestor(&self, ancestor: DomainId, descendant: DomainId) -> bool {
-        self.path_to_root(descendant).contains(&ancestor)
+        self.ancestry(descendant).any(|d| d == ancestor)
     }
 
     /// The replica node ids of a domain.
@@ -215,6 +214,7 @@ impl HierarchyTree {
 mod tests {
     use super::*;
     use saguaro_types::FailureModel;
+    use std::collections::BTreeSet;
 
     /// Builds the 11-domain, 4-level tree of Figure 1 (leaf domains omitted;
     /// they hold no ledger):
@@ -293,14 +293,112 @@ mod tests {
     }
 
     #[test]
-    fn paths_and_ancestry() {
+    fn depth_and_ancestry() {
         let t = figure1_like();
         let d = |h, i| DomainId::new(h, i);
-        assert_eq!(t.path_to_root(d(1, 3)), vec![d(1, 3), d(2, 1), d(3, 0)]);
+        assert_eq!(
+            t.ancestry(d(1, 3)).collect::<Vec<_>>(),
+            [d(1, 3), d(2, 1), d(3, 0)]
+        );
         assert!(t.is_ancestor(d(2, 1), d(1, 3)));
         assert!(t.is_ancestor(d(3, 0), d(1, 0)));
         assert!(!t.is_ancestor(d(2, 0), d(1, 3)));
         assert!(t.is_ancestor(d(1, 1), d(1, 1)));
+    }
+
+    /// The reference the parent-link walks are checked against: each
+    /// domain's path to the root, collected.
+    fn path_to_root(t: &HierarchyTree, id: DomainId) -> Vec<DomainId> {
+        let mut path = vec![id];
+        while let Some(parent) = t.parent(path[path.len() - 1]) {
+            path.push(parent);
+        }
+        path
+    }
+
+    /// The first domain's path to the root, kept where every other domain's
+    /// path reaches too: its first survivor is the LCA.
+    fn reference_lca(t: &HierarchyTree, involved: &[DomainId]) -> Result<DomainId> {
+        let (first, rest) = involved
+            .split_first()
+            .ok_or_else(|| SaguaroError::InvalidTopology("LCA of empty set".into()))?;
+        if !t.contains(*first) {
+            return Err(SaguaroError::UnknownDomain(*first));
+        }
+        let mut chain = path_to_root(t, *first);
+        for d in rest {
+            if !t.contains(*d) {
+                return Err(SaguaroError::UnknownDomain(*d));
+            }
+            let ancestors: BTreeSet<DomainId> = path_to_root(t, *d).into_iter().collect();
+            chain.retain(|a| ancestors.contains(a));
+        }
+        Ok(chain[0])
+    }
+
+    /// A tree whose branches skip heights: an edge domain hangs directly off
+    /// the root, beside a fog domain with edge children of its own.
+    fn skewed() -> HierarchyTree {
+        let mk = |h: u8, i: u16| {
+            DomainConfig::new(DomainId::new(h, i), FailureModel::Crash, 1, Region(0))
+        };
+        let edges = [
+            (mk(2, 0), DomainId::new(4, 0)),
+            (mk(1, 0), DomainId::new(4, 0)),
+            (mk(3, 0), DomainId::new(4, 0)),
+            (mk(1, 1), DomainId::new(2, 0)),
+            (mk(1, 2), DomainId::new(2, 0)),
+            (mk(1, 3), DomainId::new(3, 0)),
+        ];
+        HierarchyTree::build(mk(4, 0), edges).expect("valid tree")
+    }
+
+    #[test]
+    fn lca_depth_and_ancestry_agree_with_the_paths_to_the_root_on_every_pair_and_triple() {
+        let trees = [
+            crate::TopologyBuilder::paper_binary_tree().build().unwrap(),
+            crate::TopologyBuilder::new(2, 128).build().unwrap(),
+            skewed(),
+        ];
+        for t in &trees {
+            let all: Vec<DomainId> = t.domains().map(|c| c.id).collect();
+            for &a in &all {
+                assert_eq!(t.depth(a), path_to_root(t, a).len() - 1, "{a:?}");
+                for &b in &all {
+                    assert_eq!(t.lca(&[a, b]), reference_lca(t, &[a, b]), "{a:?} {b:?}");
+                    let on_path = path_to_root(t, b).contains(&a);
+                    assert_eq!(t.is_ancestor(a, b), on_path, "{a:?} {b:?}");
+                }
+            }
+            for (i, &a) in all.iter().enumerate() {
+                for (j, &b) in all.iter().enumerate().skip(i) {
+                    for &c in &all[j..] {
+                        let set = [a, b, c];
+                        assert_eq!(t.lca(&set), reference_lca(t, &set), "{set:?}");
+                    }
+                }
+            }
+            // The errors: an empty set, and the first unknown domain in
+            // order wherever it stands.
+            assert_eq!(t.lca(&[]), reference_lca(t, &[]));
+            assert!(matches!(t.lca(&[]), Err(SaguaroError::InvalidTopology(_))));
+            let (unknown, later) = (DomainId::new(1, 999), DomainId::new(9, 9));
+            let (a, b) = (all[0], all[all.len() - 1]);
+            for set in [
+                vec![unknown],
+                vec![unknown, a, b],
+                vec![a, unknown, b],
+                vec![a, b, unknown],
+                vec![a, unknown, later],
+            ] {
+                assert_eq!(
+                    t.lca(&set),
+                    Err(SaguaroError::UnknownDomain(unknown)),
+                    "{set:?}"
+                );
+                assert_eq!(t.lca(&set), reference_lca(t, &set), "{set:?}");
+            }
+        }
     }
 
     #[test]

@@ -10,46 +10,84 @@
 
 use saguaro_types::{CowMap, Key, Operation, Result, SaguaroError};
 
-/// One reversible state mutation.
+/// One write as the state map made it: the map's own handle of the key (not
+/// a copy of the string), the value it replaced (`None`: the key did not
+/// exist) and the value stored.
 #[derive(Clone, Debug, PartialEq, Eq)]
+struct Write {
+    key: Key,
+    prior: Option<u64>,
+    value: u64,
+}
+
+/// One reversible state mutation: its writes, in the order they were made.
+///
+/// The first two writes — a transfer's debit and credit, the usual record —
+/// are held inline; only a record merged past two spills onto the heap.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UndoRecord {
-    /// `(key, previous value)` pairs; `None` means the key did not exist.
-    /// The key is the state map's own handle, not a copy of the string.
-    prior: Vec<(Key, Option<u64>)>,
+    /// Filled front to back: `inline[1]` only after `inline[0]`.
+    inline: [Option<Write>; 2],
+    /// The writes past the second, once both inline places are taken.
+    spilled: Vec<Write>,
 }
 
 impl UndoRecord {
     /// An undo record that changes nothing (read-only operations).
     pub fn empty() -> Self {
-        Self { prior: Vec::new() }
+        Self::default()
     }
 
-    /// The record of one write.  Sized for two: the usual record is a
-    /// transfer's debit merged with its credit.
-    fn of((key, previous): (Key, Option<u64>)) -> Self {
-        let mut prior = Vec::with_capacity(2);
-        prior.push((key, previous));
-        Self { prior }
+    /// The record of one write.
+    fn of((key, prior, value): (Key, Option<u64>, u64)) -> Self {
+        Self {
+            inline: [Some(Write { key, prior, value }), None],
+            spilled: Vec::new(),
+        }
     }
 
     /// True if applying this undo record would change nothing.
     pub fn is_empty(&self) -> bool {
-        self.prior.is_empty()
+        self.inline[0].is_none()
+    }
+
+    /// The writes, oldest first.
+    fn writes(&self) -> impl DoubleEndedIterator<Item = &Write> {
+        self.inline.iter().flatten().chain(&self.spilled)
     }
 
     /// Keys touched by the recorded mutation.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.prior.iter().map(|(k, _)| &**k)
+        self.writes().map(|w| &*w.key)
     }
 
-    /// Chains another undo record after this one.  Reverting the merged
-    /// record undoes both mutations (later one first).
-    pub fn merge(mut self, later: UndoRecord) -> UndoRecord {
-        if self.prior.is_empty() {
-            return later;
+    /// The last value the recorded mutation stored under `key`, with the
+    /// map's handle of the key — what a round's state delta reports for it
+    /// without probing the map again.
+    pub fn stored(&self, key: &str) -> Option<(&Key, u64)> {
+        let write = self.writes().rev().find(|w| *w.key == *key)?;
+        Some((&write.key, write.value))
+    }
+
+    fn push(&mut self, write: Write) {
+        match &mut self.inline {
+            [first @ None, _] => *first = Some(write),
+            [_, second @ None] => *second = Some(write),
+            _ => self.spilled.push(write),
         }
-        self.prior.extend(later.prior);
-        self
+    }
+
+    /// Chains another undo record after this one, in place.  Reverting the
+    /// merged record undoes both mutations (later one first).
+    pub fn merge(&mut self, later: UndoRecord) {
+        if self.is_empty() {
+            *self = later;
+            return;
+        }
+        let [first, second] = later.inline;
+        for write in first.into_iter().chain(second).chain(later.spilled) {
+            self.push(write);
+        }
     }
 }
 
@@ -125,8 +163,9 @@ impl BlockchainState {
     pub fn execute(&mut self, op: &Operation) -> Result<UndoRecord> {
         match op {
             Operation::Transfer { from, to, amount } => {
-                let debit = self.debit(from, *amount)?;
-                Ok(debit.merge(self.credit(to, *amount)))
+                let mut undo = self.debit(from, *amount)?;
+                undo.merge(self.credit(to, *amount));
+                Ok(undo)
             }
             Operation::Mint { account, amount } => Ok(self.credit(account, *amount)),
             Operation::RideTask {
@@ -170,10 +209,10 @@ impl BlockchainState {
     /// optimistic transaction).  Undo records must be reverted in reverse
     /// order of application for correctness.
     pub fn revert(&mut self, undo: &UndoRecord) {
-        for (key, prior) in undo.prior.iter().rev() {
-            match prior {
-                Some(v) => self.values.insert(key, *v),
-                None => self.values.remove(key),
+        for write in undo.writes().rev() {
+            match write.prior {
+                Some(v) => self.values.insert(&write.key, v),
+                None => self.values.remove(&write.key),
             };
         }
     }
@@ -356,19 +395,50 @@ mod tests {
         assert_eq!(remote.len(), 4);
     }
 
+    /// Five writes merged into one record, two of them inline and three
+    /// spilled, with keys written twice: only a newest-first revert restores
+    /// the exact prior state, including the keys the record created.
     #[test]
-    fn debit_credit_and_merge_round_trip() {
+    fn a_record_merged_past_its_inline_writes_reverts_newest_first() {
         let mut s = BlockchainState::new();
         s.put("a", 50);
-        let u1 = s.debit("a", 20).unwrap();
-        let u2 = s.credit("b", 20);
-        assert_eq!(s.balance("a"), 30);
-        assert_eq!(s.balance("b"), 20);
-        assert!(s.debit("a", 1000).is_err());
-        let merged = u1.merge(u2);
-        s.revert(&merged);
-        assert_eq!(s.balance("a"), 50);
-        assert_eq!(s.get("b"), None);
+        s.put("z", 7);
+        let before = s.clone();
+        let mut undo = s.debit("a", 20).unwrap();
+        undo.merge(s.credit("b", 20));
+        assert!(s.debit("a", 1_000).is_err());
+        assert_eq!((s.balance("a"), s.balance("b")), (30, 20));
+        // A record that has spilled itself, merged after the inline pair.
+        let mut later = s.debit("a", 10).unwrap();
+        later.merge(s.credit("b", 5));
+        later.merge(s.credit("c", 5));
+        undo.merge(later);
+        let keys: Vec<_> = undo.keys().collect();
+        assert_eq!(keys, ["a", "b", "a", "b", "c"]);
+        assert_eq!(undo.stored("a").map(|(k, v)| (&**k, v)), Some(("a", 20)));
+        assert_eq!(undo.stored("b").map(|(_, v)| v), Some(25));
+        assert_eq!(undo.stored("z"), None, "never written");
+        s.revert(&undo);
+        assert_eq!(s, before);
+        assert_eq!((s.get("b"), s.get("c")), (None, None));
+    }
+
+    #[test]
+    fn merging_an_empty_record_on_either_side_changes_nothing() {
+        let mut s = BlockchainState::new();
+        s.put("a", 50);
+        let transfer = s.execute(&transfer("a", "b", 20)).unwrap();
+        let mut left = UndoRecord::empty();
+        left.merge(transfer.clone());
+        assert_eq!(left, transfer);
+        let mut right = transfer.clone();
+        right.merge(UndoRecord::empty());
+        assert_eq!(right, transfer);
+        let mut none = UndoRecord::empty();
+        none.merge(UndoRecord::empty());
+        assert!(none.is_empty() && none.keys().next().is_none());
+        s.revert(&right);
+        assert_eq!((s.balance("a"), s.get("b")), (50, None));
     }
 
     /// Pinned corner cases of the read-modify-write paths: a zero debit of an
@@ -391,6 +461,8 @@ mod tests {
         let undo = s.execute(&transfer("a", "a", 4)).unwrap();
         assert_eq!(s.balance("a"), 10);
         assert_eq!(undo.keys().collect::<Vec<_>>(), vec!["a", "a"]);
+        // The value stored last is what a fresh read of the state returns.
+        assert_eq!(undo.stored("a").map(|(_, v)| v), Some(10));
         s.revert(&undo);
         assert_eq!(s.balance("a"), 10);
     }

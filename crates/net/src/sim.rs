@@ -25,7 +25,10 @@
 //! reference-counted [`Envelope`]s with memoized wire metadata (see
 //! [`crate::envelope`]), and timer lifecycle is tracked by a
 //! generation-checked slab (see [`crate::timer`]) so cancels are O(1) and
-//! nothing accumulates over long runs.
+//! nothing accumulates over long runs.  The engine itself allocates nothing
+//! per callback: every [`Context`] borrows the simulation's one action
+//! buffer, which is drained in place after the callback returns, so its
+//! capacity is paid for once per run rather than once per event.
 
 use crate::addr::Addr;
 use crate::cpu::{CpuProfile, MessageMeta};
@@ -86,7 +89,8 @@ pub struct Context<'a, M> {
     self_addr: Addr,
     rng: &'a mut StdRng,
     timers: &'a mut TimerSlab,
-    actions: Vec<Action<M>>,
+    /// The engine's action buffer, lent for the callback.
+    actions: &'a mut Vec<Action<M>>,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -192,6 +196,9 @@ pub struct Simulation<M> {
     now: SimTime,
     routing: FxHashMap<Addr, RouteEntry>,
     latency: LatencyMatrix,
+    /// What the running callback asked for: lent to each [`Context`] and
+    /// drained by `apply_actions`, so its capacity outlives the callback.
+    actions: Vec<Action<M>>,
 }
 
 impl<M> Simulation<M> {
@@ -210,6 +217,7 @@ impl<M> Simulation<M> {
             now: SimTime::ZERO,
             routing: FxHashMap::default(),
             latency,
+            actions: Vec::new(),
         }
     }
 }
@@ -476,12 +484,11 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
             self_addr: to,
             rng: &mut self.rng,
             timers: &mut self.timers,
-            actions: Vec::new(),
+            actions: &mut self.actions,
         };
         actor.on_message(from, env.into_payload(), &mut ctx);
-        let actions = ctx.actions;
         self.slots[idx as usize].actor = Some(actor);
-        self.apply_actions(to, idx, done, actions);
+        self.apply_actions(to, idx, done);
     }
 
     fn fire_timer(&mut self, owner: Addr, owner_idx: u32, id: TimerId, msg: M) {
@@ -501,25 +508,21 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
             self_addr: owner,
             rng: &mut self.rng,
             timers: &mut self.timers,
-            actions: Vec::new(),
+            actions: &mut self.actions,
         };
         actor.on_timer(id, msg, &mut ctx);
-        let actions = ctx.actions;
         self.slots[owner_idx as usize].actor = Some(actor);
-        self.apply_actions(owner, owner_idx, self.now, actions);
+        self.apply_actions(owner, owner_idx, self.now);
     }
 
     /// Carries out what `origin` asked for in a callback that completed at
-    /// `at`.
-    fn apply_actions(
-        &mut self,
-        origin: Addr,
-        origin_idx: u32,
-        at: SimTime,
-        actions: Vec<Action<M>>,
-    ) {
+    /// `at`, draining the action buffer.  The buffer is moved out while it
+    /// drains (scheduling needs `&mut self`) and put back empty, keeping its
+    /// capacity for the next callback.
+    fn apply_actions(&mut self, origin: Addr, origin_idx: u32, at: SimTime) {
         let origin_region = self.slots[origin_idx as usize].region;
-        for action in actions {
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, env } => {
                     // Sending also costs the origin a little CPU, folded into
@@ -543,6 +546,7 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
                 }
             }
         }
+        self.actions = actions;
     }
 
     fn schedule_send(
@@ -734,6 +738,81 @@ mod tests {
         s.run_until(END);
         assert_eq!(s.stats().timers_fired, 1);
         assert_eq!(s.live_timers(), 0, "fired + cancelled timers both retire");
+    }
+
+    /// The action buffer is shared by every callback: a multicast to eight
+    /// peers, then a callback of another actor that emits nothing, then the
+    /// first actor's timer.  Each action is applied once, from the actor that
+    /// asked for it, at the time its own callback completed.
+    #[test]
+    fn the_recycled_action_buffer_applies_each_action_once_from_its_origin() {
+        /// Multicasts `Ping(1)` and arms a 50 ms timer; the timer sends
+        /// `Ping(2)` to the first peer.
+        struct Hub(Vec<Addr>);
+        impl Actor<TestMsg> for Hub {
+            fn on_message(&mut self, _f: Addr, _m: TestMsg, ctx: &mut Context<'_, TestMsg>) {
+                ctx.multicast(self.0.iter().copied(), TestMsg::Ping(1));
+                ctx.set_timer(Duration::from_millis(50), TestMsg::Tick);
+            }
+            fn on_timer(&mut self, _i: TimerId, _m: TestMsg, ctx: &mut Context<'_, TestMsg>) {
+                ctx.send(self.0[0], TestMsg::Ping(2));
+            }
+        }
+        /// Emits nothing; records `(from, ping number, arrival)`.
+        #[derive(Default)]
+        struct Sink(Vec<(Addr, u32, SimTime)>);
+        impl Actor<TestMsg> for Sink {
+            fn on_message(&mut self, from: Addr, msg: TestMsg, ctx: &mut Context<'_, TestMsg>) {
+                let n = match msg {
+                    TestMsg::Ping(n) => n,
+                    _ => 0,
+                };
+                self.0.push((from, n, ctx.now()));
+            }
+            fn on_timer(&mut self, _i: TimerId, _m: TestMsg, _c: &mut Context<'_, TestMsg>) {}
+            fn as_any(&mut self) -> Option<&mut dyn std::any::Any> {
+                Some(self)
+            }
+        }
+        let (hub, quiet) = (addr(100), addr(101));
+        let peers: Vec<Addr> = (0..8).map(addr).collect();
+        let mut s = local();
+        for p in &peers {
+            s.register(*p, Region(0), CpuProfile::client(), Box::<Sink>::default());
+        }
+        s.register(hub, Region(0), slow(), Box::new(Hub(peers.clone())));
+        s.register(quiet, Region(0), slow(), Box::<Sink>::default());
+        s.inject_at(ms(1), addr(200), hub, TestMsg::Tick);
+        s.inject_at(ms(3), addr(200), quiet, TestMsg::Tick);
+        s.run_until(END);
+
+        let mut received = |a: Addr| {
+            s.with_actor(a, |actor| {
+                let any = actor.as_any().expect("inspectable");
+                any.downcast_mut::<Sink>().expect("a Sink").0.clone()
+            })
+            .expect("registered")
+        };
+        let quiet_got = received(quiet);
+        assert_eq!(quiet_got.len(), 1, "{quiet_got:?}");
+        let first = received(peers[0]);
+        assert_eq!(
+            first.len(),
+            2,
+            "one multicast copy, one timer send: {first:?}"
+        );
+        let multicast_at = first[0].2;
+        assert_eq!((first[0].0, first[0].1), (hub, 1));
+        // The timer was armed when the hub's callback completed, so its send
+        // arrives exactly 50 ms after the multicast copy.
+        assert_eq!((first[1].0, first[1].1), (hub, 2));
+        assert_eq!(first[1].2, multicast_at + Duration::from_millis(50));
+        for p in &peers[1..] {
+            assert_eq!(received(*p), vec![(hub, 1, multicast_at)], "{p:?}");
+        }
+        assert_eq!(s.stats().messages_delivered, 2 + 8 + 1);
+        assert_eq!(s.stats().timers_fired, 1);
+        assert_eq!(s.live_timers(), 0);
     }
 
     #[test]

@@ -193,19 +193,20 @@ impl CowMap {
     /// One read-modify-write probe: `f` sees the key's current value (`None`
     /// if absent) and the `Ok` it returns is stored under the key, creating
     /// it if necessary; on `Err` the map is untouched and nothing is copied.
-    /// Returns the map's own handle of the key and the previous value.
+    /// Returns the map's own handle of the key, the previous value and the
+    /// value stored.
     pub fn try_update<E>(
         &mut self,
         key: &str,
         f: impl FnOnce(Option<u64>) -> Result<u64, E>,
-    ) -> Result<(Key, Option<u64>), E> {
+    ) -> Result<(Key, Option<u64>, u64), E> {
         let (at, place) = self.locate(key);
-        let (at, i, previous) = match place {
+        let (at, i, previous, value) = match place {
             Ok(i) => {
                 let previous = self.leaves[at].values[i];
                 let value = f(Some(previous))?;
                 Arc::make_mut(&mut self.leaves[at].values)[i] = value;
-                (at, i, Some(previous))
+                (at, i, Some(previous), value)
             }
             Err(i) => {
                 let value = f(None)?;
@@ -224,18 +225,22 @@ impl CowMap {
                     self.reindex();
                 }
                 if i < mid {
-                    (at, i, None)
+                    (at, i, None, value)
                 } else {
-                    (at + 1, i - mid, None)
+                    (at + 1, i - mid, None, value)
                 }
             }
         };
         let keys = self.leaves[at].keys.clone();
-        Ok((Key { keys, at: i }, previous))
+        Ok((Key { keys, at: i }, previous, value))
     }
 
     /// [`CowMap::try_update`] for an update that cannot fail.
-    pub fn update(&mut self, key: &str, f: impl FnOnce(Option<u64>) -> u64) -> (Key, Option<u64>) {
+    pub fn update(
+        &mut self,
+        key: &str,
+        f: impl FnOnce(Option<u64>) -> u64,
+    ) -> (Key, Option<u64>, u64) {
         match self.try_update(key, |current| Ok::<_, Infallible>(f(current))) {
             Ok(updated) => updated,
             Err(never) => match never {},
@@ -394,9 +399,10 @@ mod tests {
                     }
                     3..=4 => {
                         let previous = model.get(&key).copied();
-                        let (handle, seen) = map.update(&key, |v| v.unwrap_or(0) + value);
+                        let (handle, seen, stored) = map.update(&key, |v| v.unwrap_or(0) + value);
                         model.insert(key.clone(), previous.unwrap_or(0) + value);
                         assert_eq!((&*handle, seen), (key.as_str(), previous));
+                        assert_eq!(Some(stored), model.get(&key).copied());
                         assert_eq!(map.get(&handle), model.get(&key).copied());
                     }
                     5 => {
@@ -451,8 +457,8 @@ mod tests {
             let mut map = CowMap::new();
             let mut model = BTreeMap::new();
             for (n, key) in keys.iter().enumerate() {
-                let (handle, previous) = map.update(key, |_| n as u64);
-                assert_eq!((&*handle, previous), (key.as_str(), None));
+                let (handle, previous, stored) = map.update(key, |_| n as u64);
+                assert_eq!((&*handle, previous, stored), (key.as_str(), None, n as u64));
                 model.insert(key.clone(), n as u64);
                 assert_eq!(map.get(key), Some(n as u64));
             }
