@@ -28,12 +28,13 @@
 //! same invocation may already have raised: run the row on its own when the
 //! memory gates are the point.
 
+use crate::grid::quarter_in;
+use crate::population::resident_kb;
+use crate::recovery::recovery_victim;
+use crate::table::{left, num, right, table, Column};
 use crate::{Options, Outcome};
-use saguaro_sim::experiment::ExperimentSpec;
-use saguaro_sim::figures::{recovery_victim, resident_kb};
-use saguaro_sim::protocol::ProtocolKind;
-use saguaro_sim::FaultSchedule;
-use saguaro_types::{Duration, PopulationConfig, SimTime};
+use saguaro_sim::{ExperimentSpec, FaultSchedule, ProtocolKind};
+use saguaro_types::{Duration, PopulationConfig};
 
 /// Consensus block size: amortises per-message cost so the full-mode run
 /// reaches 10⁶ commits in reasonable wall time.
@@ -142,15 +143,15 @@ fn run_point(
 ) -> RunOutcome {
     let mut recover_at = None;
     if let Some(outage) = outage {
-        let crash_at = spec.warmup + Duration::from_micros(spec.measure.as_micros() / 4);
+        let crash_at = quarter_in(&spec);
         let back_at = crash_at + outage;
         recover_at = Some(back_at);
         // The victim is a backup, never the view-0 primary: the domain keeps
         // committing while it is down and no view change is needed.
         spec = spec.fault_plan(
             FaultSchedule::none()
-                .crash_at(SimTime::ZERO + crash_at, recovery_victim())
-                .recover_at(SimTime::ZERO + back_at, recovery_victim()),
+                .crash_at(crash_at, recovery_victim())
+                .recover_at(back_at, recovery_victim()),
         );
     }
     let started = std::time::Instant::now();
@@ -159,7 +160,7 @@ fn run_point(
 
     let catch_up_ms = recover_at.and_then(|back_at| {
         let caught = art.harvest.node(recovery_victim())?.caught_up_at?;
-        Some((caught - (SimTime::ZERO + back_at)).as_millis_f64())
+        Some((caught - back_at).as_millis_f64())
     });
     RunOutcome {
         label,
@@ -259,54 +260,37 @@ fn gates(
     errors
 }
 
-fn render_table(runs: &[&RunOutcome]) -> String {
-    let mut out = String::new();
-    out.push_str("# Endurance: snapshot catch-up + log pruning (Saguaro coordinator)\n");
-    out.push_str(&format!(
-        "{:<14} {:>9} {:>10} {:>10} {:>9} {:>10} {:>9} {:>8} {:>9} {:>8} {:>11}\n",
-        "run",
-        "outage_ms",
-        "committed",
-        "tput_tps",
-        "wall_ms",
-        "rss_mb",
-        "catchup",
-        "chain",
-        "snaps",
-        "installs",
-        "peak_events"
-    ));
-    for r in runs {
-        out.push_str(&format!(
-            "{:<14} {:>9.0} {:>10} {:>10.0} {:>9.0} {:>10.1} {:>9} {:>8} {:>9} {:>8} {:>11}\n",
-            r.label,
-            r.outage_ms,
-            r.committed,
-            r.throughput_tps,
-            r.wall_ms,
-            r.rss_kb as f64 / 1024.0,
-            r.catch_up_ms.map_or("-".to_string(), |c| format!("{c:.1}")),
-            r.max_chain_len,
-            r.snapshots_taken,
-            r.victim_installs,
-            r.peak_events
-        ));
-    }
-    out
-}
+const COLUMNS: &[Column<RunOutcome>] = &[
+    left("run", 14, |r| r.label.into()),
+    right("outage_ms", 9, |r| num(r.outage_ms, 0)),
+    right("committed", 10, |r| r.committed.into()),
+    right("tput_tps", 10, |r| num(r.throughput_tps, 0)),
+    right("wall_ms", 9, |r| num(r.wall_ms, 0)),
+    right("rss_mb", 10, |r| num(r.rss_kb as f64 / 1024.0, 1)),
+    right("catchup", 9, |r| {
+        r.catch_up_ms.map_or("-".into(), |c| num(c, 1))
+    }),
+    right("chain", 8, |r| r.max_chain_len.into()),
+    right("snaps", 9, |r| r.snapshots_taken.into()),
+    right("installs", 8, |r| r.victim_installs.into()),
+    right("peak_events", 11, |r| r.peak_events.into()),
+];
 
 /// Runs the three endurance points and checks the gates.
 pub fn run(options: &Options) -> Outcome {
-    let scenario = Scenario::for_mode(options.figure.quick);
-    let spec = endurance_spec(&scenario, options.figure.seed);
+    let scenario = Scenario::for_mode(options.quick);
+    let spec = endurance_spec(&scenario, options.seed);
     let mut half_spec = spec.clone();
     half_spec.measure = Duration::from_micros(scenario.measure.as_micros() / 2);
-    let half = run_point("half", half_spec, None);
-    let short = run_point("short-outage", spec.clone(), Some(scenario.outage_short));
-    let long = run_point("long-outage", spec, Some(scenario.outage_long));
+    let runs = [
+        run_point("half", half_spec, None),
+        run_point("short-outage", spec.clone(), Some(scenario.outage_short)),
+        run_point("long-outage", spec, Some(scenario.outage_long)),
+    ];
+    let title = "Endurance: snapshot catch-up + log pruning (Saguaro coordinator)";
     Outcome {
-        tables: vec![render_table(&[&half, &short, &long])],
-        failures: gates(&scenario, &half, &short, &long),
+        tables: vec![table(title, COLUMNS, &runs)],
+        failures: gates(&scenario, &runs[0], &runs[1], &runs[2]),
     }
 }
 

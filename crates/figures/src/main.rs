@@ -22,23 +22,52 @@
 #![forbid(unsafe_code)]
 
 mod endurance;
+mod faults;
+mod grid;
 mod population;
+mod recovery;
+mod scenarios;
 mod sweeps;
+mod table;
+mod timeouts;
 mod trace;
 
-use saguaro_sim::figures::FigureOptions;
+use saguaro_hierarchy::Placement;
+use saguaro_sim::{ExperimentSpec, ProtocolKind};
+use saguaro_types::FailureModel::{Byzantine, Crash};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
-use sweeps::sweeps;
 
-/// What a row runs with: the sweep options plus where the `trace` row
-/// writes its Chrome export.
+/// What every row runs with.
 pub struct Options {
-    /// Load grid, window length and seed shared by every row.
-    pub figure: FigureOptions,
-    /// `--trace <path>`.
+    /// `--quick`: the abbreviated measurement windows and load grid.
+    pub quick: bool,
+    /// `--seed <n>` (42 when absent).
+    pub seed: u64,
+    /// `--trace <path>`: where the `trace` row writes its Chrome export.
     pub trace: Option<PathBuf>,
+}
+
+impl Options {
+    /// The offered loads (tx/s) every figure sweep runs.
+    pub fn loads(&self) -> &'static [f64] {
+        if self.quick {
+            &[600.0, 1_200.0]
+        } else {
+            &[1_000.0, 2_000.0, 4_000.0, 8_000.0, 12_000.0]
+        }
+    }
+
+    /// A spec of `protocol` with this run's seed, shrunk under `--quick`.
+    pub fn spec(&self, protocol: ProtocolKind) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::new(protocol);
+        spec.seed = self.seed;
+        if self.quick {
+            spec = spec.quick();
+        }
+        spec
+    }
 }
 
 /// What a row produced: its tables, and one message per violated gate
@@ -65,42 +94,42 @@ pub const ROWS: &[Row] = &[
     Row {
         name: "7",
         about: "Figure 7: cross-domain transactions, crash-only domains, nearby regions",
-        run: |o| sweeps(o, sweeps::FIGURE_7),
+        run: |o| sweeps::cross_domain(o, 7, Crash),
     },
     Row {
         name: "8",
         about: "Figure 8: cross-domain transactions, Byzantine domains, nearby regions",
-        run: |o| sweeps(o, sweeps::FIGURE_8),
+        run: |o| sweeps::cross_domain(o, 8, Byzantine),
     },
     Row {
         name: "9",
         about: "Figure 9: mobile devices (0/20/80/100 % mobile clients), nearby regions",
-        run: |o| sweeps(o, sweeps::FIGURE_9),
+        run: |o| sweeps::mobile(o, 9, Placement::NearbyRegions),
     },
     Row {
         name: "10",
         about: "Figure 10: scalability over seven far-apart regions, 10 % cross-domain",
-        run: |o| sweeps(o, sweeps::FIGURE_10),
+        run: sweeps::wide_area,
     },
     Row {
         name: "11",
         about: "Figure 11: mobile devices over the wide-area placement",
-        run: |o| sweeps(o, sweeps::FIGURE_11),
+        run: |o| sweeps::mobile(o, 11, Placement::WideArea),
     },
     Row {
         name: "12",
         about: "Figure 12: fault-tolerance scalability, crash-only domains of 5 and 9 replicas",
-        run: |o| sweeps(o, sweeps::FIGURE_12),
+        run: |o| sweeps::fault_tolerance(o, 12, Crash),
     },
     Row {
         name: "13",
         about: "Figure 13: fault-tolerance scalability, Byzantine domains of 7 and 13 replicas",
-        run: |o| sweeps(o, sweeps::FIGURE_13),
+        run: |o| sweeps::fault_tolerance(o, 13, Byzantine),
     },
     Row {
         name: "ablation",
         about: "LCA vs fixed-root coordinator; contention sensitivity of the optimistic protocol",
-        run: |o| sweeps(o, sweeps::ABLATION),
+        run: sweeps::ablation,
     },
     Row {
         name: "ablation_batch",
@@ -110,27 +139,27 @@ pub const ROWS: &[Row] = &[
     Row {
         name: "workloads",
         about: "micropayment vs ridesharing under one stack and engine (not a paper figure)",
-        run: |o| sweeps(o, sweeps::WORKLOADS),
+        run: sweeps::workloads,
     },
     Row {
         name: "faults",
         about: "leader crash + recovery timeline per stack; gate: the crash drives a view change",
-        run: sweeps::faults,
+        run: faults::run,
     },
     Row {
         name: "recovery",
         about: "state-transfer catch-up vs outage length; gates: caught up, votes bounded",
-        run: sweeps::recovery,
+        run: recovery::run,
     },
     Row {
         name: "timeout_sweep",
         about: "fixed and adaptive suspicion windows; gates: cells recover, adaptive within 2x",
-        run: sweeps::timeout_sweep,
+        run: timeouts::run,
     },
     Row {
         name: "scenarios",
         about: "adversarial scenario matrix under both timeout policies; gate: no safety violation",
-        run: sweeps::scenarios,
+        run: scenarios::run,
     },
     Row {
         name: "population",
@@ -205,13 +234,8 @@ fn parse(args: &[String]) -> Result<(Vec<&'static Row>, Options), String> {
     if trace.is_some() && !rows.iter().any(|r| r.name == "trace") {
         return Err("--trace: needs the \"trace\" row (or all) among the rows".to_string());
     }
-    let mut figure = if quick {
-        FigureOptions::smoke()
-    } else {
-        FigureOptions::default()
-    };
-    figure.seed = seed.unwrap_or(figure.seed);
-    Ok((rows, Options { figure, trace }))
+    let seed = seed.unwrap_or(42);
+    Ok((rows, Options { quick, seed, trace }))
 }
 
 fn main() -> ExitCode {
@@ -239,12 +263,22 @@ fn main() -> ExitCode {
         failures.extend(outcome.failures.into_iter().map(|m| (row.name, m)));
     }
     for (row, message) in &failures {
-        eprintln!("FAILED {row} seed {}: {message}", options.figure.seed);
+        eprintln!("FAILED {row} seed {}: {message}", options.seed);
     }
     if failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
+    }
+}
+
+/// The options `--quick` parses to, for the row unit tests.
+#[cfg(test)]
+fn quick() -> Options {
+    Options {
+        quick: true,
+        seed: 42,
+        trace: None,
     }
 }
 
@@ -288,12 +322,12 @@ mod tests {
             ["7", "faults", "trace"],
             "table order, not argument order"
         );
-        assert!(opts.figure.quick);
-        assert_eq!(opts.figure.seed, 7);
+        assert!(opts.quick);
+        assert_eq!(opts.seed, 7);
         let (rows, opts) = parsed(&["all"]).unwrap();
         assert_eq!(rows.len(), ROWS.len());
-        assert!(!opts.figure.quick);
-        assert_eq!(opts.figure.seed, 42);
+        assert!(!opts.quick);
+        assert_eq!(opts.seed, 42);
         // Hostile input fails loudly instead of silently becoming 42.
         assert_eq!(
             parsed(&["7", "--seed", "banana"]).err().unwrap(),

@@ -9,8 +9,10 @@
 //! The [`scale_gate`] makes the row self-checking so CI fails loudly
 //! instead of silently shipping a regression.
 
+use crate::table::{num, right, table, Column};
 use crate::{Options, Outcome};
-use saguaro_sim::figures::{population, render_population_table, PopulationPoint};
+use saguaro_sim::{ExperimentSpec, ProtocolKind, RunArtifacts};
+use saguaro_types::PopulationConfig;
 
 /// Wall-clock ceiling for the 10⁵-user quick point (generous: CI runners
 /// are slow and shared, and the point takes well under a second locally).
@@ -20,6 +22,103 @@ const QUICK_WALL_CEILING_MS: f64 = 60_000.0;
 /// The aggregate model keeps no per-transaction state, so blowing through
 /// this means a completions buffer crept back in somewhere.
 const QUICK_RSS_CEILING_KB: u64 = 2 * 1024 * 1024;
+
+/// One modeled-population size of the sweep.
+#[derive(Clone, Debug)]
+struct PopulationPoint {
+    /// Modeled users across the whole deployment.
+    users: u64,
+    /// Height-1 domains of the (2, fanout) topology the point ran on.
+    domains: u64,
+    /// Throughput and streaming-histogram latency quantiles.
+    metrics: saguaro_sim::RunMetrics,
+    /// High-water mark of the client-side in-flight map — the only
+    /// per-transaction state the aggregate model keeps, O(1) in the
+    /// transaction count by construction; the gate enforces it.
+    peak_inflight: u64,
+    /// Events per committed transaction (engine cost per unit of work).
+    events_per_tx: f64,
+    /// Wall-clock time of the run (host milliseconds, not virtual time).
+    wall_ms: f64,
+    /// Resident set size after the run (`VmRSS`, KiB; 0 where unavailable).
+    resident_kb: u64,
+}
+
+/// The `(users, fanout)` grid: modeled users grow 10³ → 10⁵ (10⁶ in full
+/// mode) while the topology widens to 128 height-1 domains, so the largest
+/// points stress both the aggregate arrival processes and wide fan-out
+/// deployment.
+fn population_grid(quick: bool) -> Vec<(u64, usize)> {
+    let mut grid = vec![(1_000, 16), (10_000, 64), (100_000, 128)];
+    if !quick {
+        grid.push((1_000_000, 128));
+    }
+    grid
+}
+
+impl PopulationPoint {
+    /// The point of a finished run that took `wall` of host time.
+    fn new(users: u64, fanout: usize, art: &RunArtifacts, wall: std::time::Duration) -> Self {
+        let tally = art
+            .population
+            .as_ref()
+            .expect("aggregate runs always carry a population tally");
+        let events_per_tx = if art.metrics.committed > 0 {
+            art.events_processed as f64 / art.metrics.committed as f64
+        } else {
+            0.0
+        };
+        Self {
+            users,
+            domains: fanout as u64,
+            metrics: art.metrics.clone(),
+            peak_inflight: tally.peak_inflight as u64,
+            events_per_tx,
+            wall_ms: wall.as_secs_f64() * 1e3,
+            resident_kb: resident_kb(),
+        }
+    }
+}
+
+/// Aggregate clients of `users` modeled users on a (2, `fanout`) topology.
+fn population_spec(users: u64, fanout: usize, options: &Options) -> ExperimentSpec {
+    options
+        .spec(ProtocolKind::SaguaroCoordinator)
+        .shaped(2, fanout)
+        .aggregate(PopulationConfig::with_users(users))
+}
+
+/// Current resident set size in KiB (`VmRSS` from `/proc/self/status`);
+/// 0 on platforms without procfs.
+pub fn resident_kb() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status.lines().find_map(|line| {
+                line.strip_prefix("VmRSS:")?
+                    .trim()
+                    .strip_suffix("kB")?
+                    .trim()
+                    .parse()
+                    .ok()
+            })
+        })
+        .unwrap_or(0)
+}
+
+const COLUMNS: &[Column<PopulationPoint>] = &[
+    right("users", 9, |p| p.users.into()),
+    right("domains", 8, |p| p.domains.into()),
+    right("offered_tps", 12, |p| num(p.metrics.offered_tps, 0)),
+    right("throughput_tps", 14, |p| num(p.metrics.throughput_tps, 0)),
+    right("p50_ms", 10, |p| num(p.metrics.p50_latency_ms, 3)),
+    right("p95_ms", 10, |p| num(p.metrics.p95_latency_ms, 3)),
+    right("p99_ms", 10, |p| num(p.metrics.p99_latency_ms, 3)),
+    right("events_per_tx", 13, |p| num(p.events_per_tx, 1)),
+    right("peak_inflight", 12, |p| p.peak_inflight.into()),
+    right("wall_ms", 10, |p| num(p.wall_ms, 0)),
+    right("rss_mb", 9, |p| num(p.resident_kb as f64 / 1024.0, 0)),
+];
 
 /// The scale gate: the 10⁵-user point exists, committed work, kept
 /// client-side memory O(1) in the transaction count, and stayed under the
@@ -67,15 +166,25 @@ fn scale_gate(points: &[PopulationPoint], quick: bool) -> Vec<String> {
     errors
 }
 
-/// Runs the sweep and prints its table.
+/// Runs the sweep and prints its table.  Points run one after another —
+/// unlike the grid rows — because each point's wall-clock and resident-set
+/// readings must not include its neighbours.
 pub fn run(options: &Options) -> Outcome {
-    let points = population(&options.figure);
+    let points: Vec<PopulationPoint> = population_grid(options.quick)
+        .into_iter()
+        .map(|(users, fanout)| {
+            let started = std::time::Instant::now();
+            let art = population_spec(users, fanout, options).run_collecting();
+            PopulationPoint::new(users, fanout, &art, started.elapsed())
+        })
+        .collect();
     Outcome {
-        tables: vec![render_population_table(
+        tables: vec![table(
             "Population-scale load generation sweep",
+            COLUMNS,
             &points,
         )],
-        failures: scale_gate(&points, options.figure.quick),
+        failures: scale_gate(&points, options.quick),
     }
 }
 
@@ -92,11 +201,7 @@ mod tests {
                 committed: 10_000,
                 ..Default::default()
             },
-            submitted: 10_000,
-            sampled: 10_000,
             peak_inflight: 3,
-            peak_pending_events: 200,
-            events_processed: 250_000,
             events_per_tx: 25.0,
             wall_ms: 500.0,
             resident_kb: 160 * 1024,
@@ -127,5 +232,34 @@ mod tests {
         let mut slow = passing();
         slow.wall_ms = 600_000.0;
         assert_eq!(scale_gate(&[slow], false), [""; 0]);
+    }
+
+    #[test]
+    fn population_grid_reaches_a_hundred_plus_domains() {
+        let quick = population_grid(true);
+        assert!(
+            quick
+                .iter()
+                .any(|(users, domains)| *users == 100_000 && *domains >= 100),
+            "quick mode must still cover the 10^5-user, 100+-domain point"
+        );
+        let full = population_grid(false);
+        assert!(full.iter().any(|(users, _)| *users == 1_000_000));
+        assert!(full.len() > quick.len());
+    }
+
+    #[test]
+    fn population_smoke_point_reports_engine_cost() {
+        let art = population_spec(2_000, 8, &crate::quick()).run_collecting();
+        let point = PopulationPoint::new(2_000, 8, &art, std::time::Duration::ZERO);
+        assert_eq!(point.users, 2_000);
+        assert_eq!(point.domains, 8);
+        assert!(point.metrics.committed > 0);
+        assert!(point.events_per_tx > 0.0);
+        assert!(art.peak_pending_events > 0);
+        let submitted = art.population.as_ref().map_or(0, |tally| tally.submitted);
+        assert!(submitted >= point.metrics.committed);
+        let table = table("population", COLUMNS, &[point]);
+        assert!(table.contains("events_per_tx"));
     }
 }

@@ -9,15 +9,16 @@
 //! here, not in a downstream dashboard — and the Chrome trace-event export
 //! must parse.  `--trace <path>` writes that export (load it at
 //! <https://ui.perfetto.dev>).  The run's bucketed
-//! [`RunTimeline`](saguaro_sim::RunTimeline) is printed as the second table.
+//! [`RunTimeline`](saguaro_sim::RunTimeline) is printed as the second table
+//! through [`timeline_table`].
 
+use crate::faults::timeline_table;
+use crate::grid::quarter_in;
+use crate::scenarios::matrix_spec;
+use crate::table::{left, right, Column, Table};
 use crate::{Options, Outcome};
-use saguaro_sim::experiment::ExperimentSpec;
-use saguaro_sim::json::JsonValue;
-use saguaro_sim::protocol::ProtocolKind;
-use saguaro_sim::scenarios::Scenario;
-use saguaro_sim::RunTrace;
-use saguaro_types::{DomainId, Duration, NodeId, SimTime, TraceConfig};
+use saguaro_sim::{ExperimentSpec, JsonValue, ProtocolKind, RunTrace, Scenario};
+use saguaro_types::{DomainId, Duration, NodeId, TraceConfig};
 
 /// Categories the chaos run must produce at least one event in.
 const REQUIRED_CATEGORIES: [&str; 9] = [
@@ -32,18 +33,12 @@ const REQUIRED_CATEGORIES: [&str; 9] = [
     "view_change",
 ];
 
-/// The chaos spec: byzantine coordinator deployment under the
+/// The chaos spec: the scenario matrix's coordinator deployment under the
 /// view-change-storm scenario, with batching, checkpoints and pruning on so
 /// every trace category has a producer.
-fn chaos_spec(quick: bool, seed: u64) -> ExperimentSpec {
-    let mut spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
-        .byzantine()
+fn chaos_spec(options: &Options) -> ExperimentSpec {
+    let spec = matrix_spec(ProtocolKind::SaguaroCoordinator, options)
         .tune(|t| t.batch_size(8).checkpoint_every(16).retained(64));
-    spec.seed = seed;
-    spec.offered_load_tps = if quick { 800.0 } else { 2_000.0 };
-    if quick {
-        spec = spec.quick();
-    }
     // The storm alone leaves it to the schedule whether any replica falls
     // behind its domain's retained log.  A backup of another edge domain,
     // down from a quarter to three quarters of the window, always does: it
@@ -51,7 +46,7 @@ fn chaos_spec(quick: bool, seed: u64) -> ExperimentSpec {
     // state transfer.
     let laggard = NodeId::new(DomainId::new(1, 1), 1);
     let quarter = Duration::from_micros(spec.measure.as_micros() / 4);
-    let down_at = SimTime::ZERO + spec.warmup + quarter;
+    let down_at = quarter_in(&spec);
     let plan = Scenario::ViewChangeStorm
         .schedule(&spec)
         .crash_at(down_at, laggard)
@@ -68,23 +63,25 @@ fn missing_categories(counts: &[(&'static str, u64)]) -> Vec<&'static str> {
         .collect()
 }
 
+const COLUMNS: &[Column<(&str, u64)>] = &[
+    left("category", 16, |(category, _)| (*category).into()),
+    right("events", 8, |(_, count)| (*count).into()),
+];
+
+/// Events per category, then their total, which also carries the count of
+/// events the ring buffers dropped.
 fn category_table(trace: &RunTrace) -> String {
-    let mut table = String::from("# Trace smoke: view-change-storm chaos run\n");
-    for (category, count) in trace.category_counts() {
-        table.push_str(&format!("{category:<16} {count:>8}\n"));
-    }
-    table.push_str(&format!(
-        "{:<16} {:>8}  (dropped {})\n",
-        "total",
-        trace.len(),
-        trace.dropped
-    ));
-    table
+    let mut table = Table::new("Trace smoke: view-change-storm chaos run", COLUMNS);
+    table.rows(&trace.category_counts());
+    table.rows(&[("total", trace.len() as u64)]);
+    let mut text = table.finish();
+    text.pop();
+    text + &format!("  (dropped {})\n", trace.dropped)
 }
 
 /// Runs the traced chaos run, checks its gates and writes the export.
 pub fn run(options: &Options) -> Outcome {
-    let chaos = chaos_spec(options.figure.quick, options.figure.seed).run_collecting();
+    let chaos = chaos_spec(options).run_collecting();
     let trace = chaos.trace.as_ref().expect("tracing was enabled");
     let timeline = chaos.timeline.as_ref().expect("tracing was enabled");
     let mut failures = Vec::new();
@@ -111,7 +108,7 @@ pub fn run(options: &Options) -> Outcome {
     Outcome {
         tables: vec![
             category_table(trace),
-            timeline.table("Timeline of the traced run"),
+            timeline_table(timeline, "Timeline of the traced run"),
         ],
         failures,
     }

@@ -410,9 +410,14 @@ impl FaultPlan {
         self.equivocating.contains(&a)
     }
 
-    /// Sets the uniform message-drop probability.
+    /// Sets the uniform message-drop probability.  Panics on a probability
+    /// outside `[0, 1]`, NaN included.
     pub fn set_drop_probability(&mut self, p: f64) {
-        self.drop_probability = p.clamp(0.0, 1.0);
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "FaultPlan::set_drop_probability({p}): a probability must lie in [0, 1]"
+        );
+        self.drop_probability = p;
     }
 
     /// The current uniform message-drop probability.
@@ -481,10 +486,16 @@ mod tests {
     }
 
     #[test]
-    fn drop_probability_is_clamped_and_statistical() {
+    #[should_panic(
+        expected = "FaultPlan::set_drop_probability(2): a probability must lie in [0, 1]"
+    )]
+    fn drop_probability_above_one_panics() {
+        FaultPlan::none().set_drop_probability(2.0);
+    }
+
+    #[test]
+    fn drop_probability_is_statistical() {
         let mut plan = FaultPlan::none();
-        plan.set_drop_probability(2.0);
-        assert_eq!(plan.drop_probability(), 1.0);
         plan.set_drop_probability(0.5);
         let mut rng = StdRng::seed_from_u64(7);
         let drops = (0..1000)

@@ -243,8 +243,19 @@ impl ExperimentSpec {
         self
     }
 
-    /// Switches the clients to the ridesharing application.
+    /// Switches the clients to the ridesharing application.  Panics on no
+    /// drivers per domain and on a roaming ratio outside `[0, 1]` (NaN
+    /// included).
     pub fn ridesharing(mut self, config: RidesharingConfig) -> Self {
+        assert!(
+            config.drivers_per_domain > 0,
+            "ExperimentSpec::ridesharing: drivers_per_domain must be at least 1"
+        );
+        assert!(
+            (0.0..=1.0).contains(&config.roaming_ratio),
+            "ExperimentSpec::ridesharing: roaming_ratio {} must lie in [0, 1]",
+            config.roaming_ratio
+        );
         self.workload = WorkloadKind::Ridesharing(config);
         self
     }
@@ -1081,5 +1092,24 @@ mod tests {
     #[should_panic(expected = "ExperimentSpec::contention(NaN): a ratio must lie in [0, 1]")]
     fn a_nan_ratio_fails_in_its_setter() {
         let _ = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator).contention(f64::NAN);
+    }
+
+    fn rides(drivers_per_domain: u64, roaming_ratio: f64) -> ExperimentSpec {
+        ExperimentSpec::new(ProtocolKind::SaguaroCoordinator).ridesharing(RidesharingConfig {
+            drivers_per_domain,
+            roaming_ratio,
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "ExperimentSpec::ridesharing: drivers_per_domain must be at least 1")]
+    fn a_ridesharing_spec_without_drivers_fails_in_its_setter() {
+        rides(0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ExperimentSpec::ridesharing: roaming_ratio NaN must lie in [0, 1]")]
+    fn a_nan_roaming_ratio_fails_in_its_setter() {
+        rides(64, f64::NAN);
     }
 }

@@ -1,6 +1,6 @@
-//! Experiment harness for the Saguaro reproduction.
+//! Experiment engine for the Saguaro reproduction.
 //!
-//! The harness deploys a protocol stack onto the discrete-event simulator,
+//! The engine deploys a protocol stack onto the discrete-event simulator,
 //! drives it with open-loop clients generated by a `saguaro-workload`
 //! generator, and measures end-to-end throughput and latency exactly as the
 //! paper does: "the latency in Saguaro is measured from the initiation of a
@@ -26,18 +26,22 @@
 //!   [`Collector`] of [`CompletedTx`] records.
 //! * [`deploy`] — topology building and the node-registration helpers the
 //!   stacks' `deploy` impls use.
-//! * [`figures`] — ready-made experiment grids for every figure of the
-//!   paper's evaluation (7 through 13) plus the ablations listed in
-//!   `DESIGN.md` (including the request-batching ablation,
-//!   [`figures::ablation_batch`]).
+//! * [`scenarios`] — composite adversarial [`Scenario`]s compiled to fault
+//!   schedules, the two [`TimeoutPolicy`]s and [`safety_violations`], the
+//!   invariants every run must uphold.
+//! * [`par`] — [`parallel_map`], the deterministic fork-join behind
+//!   [`ExperimentSpec::sweep`] and the `figures` driver's grid runner.
 //! * [`json`] — a hand-rolled JSON value, renderer and parser for
 //!   `benchmark/`'s result lines and reports (the workspace's one JSON
 //!   writer; it builds offline with no serialization crate).
 //! * [`timeline`] — the bucketed time-series metrics of a traced run
 //!   (throughput, latency quantiles, queue depth, view changes per bucket),
 //!   built from [`RunArtifacts::trace`] when the spec enables
-//!   [`saguaro_types::TraceConfig`]; `figures trace` and `figures faults`
-//!   print it.
+//!   [`saguaro_types::TraceConfig`].
+//!
+//! The paper's figures, the ablations and every behaviour gate built on
+//! them are rows of the `figures` driver (`crates/figures`), which owns
+//! their grids, their tables and their gates.
 //!
 //! # Request batching
 //!
@@ -56,8 +60,8 @@
 //!
 //! Set it with `spec.tune(|t| t.batch_size(n))`.  Throughput only
 //! improves once the offered load saturates the per-message cost that
-//! batching amortises — see [`figures::ablation_batch`], which sweeps batch
-//! sizes at saturation on the figure-7 topology.
+//! batching amortises — see the `figures` driver's `ablation_batch` row,
+//! which sweeps batch sizes at saturation on the figure-7 topology.
 //!
 //! # Extending
 //!
@@ -70,7 +74,6 @@
 
 pub mod deploy;
 pub mod experiment;
-pub mod figures;
 pub mod json;
 pub mod par;
 pub mod protocol;
@@ -80,10 +83,6 @@ pub mod timeline;
 pub use experiment::{
     run_experiment, ExperimentSpec, LoadPoint, PopulationTally, RidesharingConfig, RunArtifacts,
     RunMetrics, WorkloadKind,
-};
-pub use figures::{
-    FaultSeries, FigureSeries, PopulationPoint, RecoveryPoint, RecoverySeries, TimeoutPoint,
-    TimeoutSeries,
 };
 pub use json::{JsonValue, ToJson};
 pub use par::parallel_map;
@@ -97,5 +96,5 @@ pub use saguaro_trace::{RunTrace, TraceActor, TraceEvent, TraceEventKind, Tracer
 pub use saguaro_types::{
     BatchConfig, CheckpointConfig, ConsensusTuning, LivenessConfig, TraceConfig,
 };
-pub use scenarios::{safety_violations, scenario_matrix, Scenario, ScenarioCell, TimeoutPolicy};
+pub use scenarios::{safety_violations, Scenario, TimeoutPolicy};
 pub use timeline::{RunTimeline, TimelinePoint};

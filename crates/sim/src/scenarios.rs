@@ -1,5 +1,5 @@
-//! Production-shaped adversarial scenarios and the scenario × stack ×
-//! timeout-policy matrix.
+//! Production-shaped adversarial scenarios, the two timeout policies and
+//! the safety invariants every run must uphold.
 //!
 //! A [`Scenario`] is a first-class *composite* fault story compiled down to
 //! the primitive [`FaultSchedule`] events the network interpreters
@@ -10,18 +10,13 @@
 //! derived from the spec's own `warmup`/`measure` horizon so the same
 //! scenario scales from quick CI runs to full experiments.
 //!
-//! [`scenario_matrix`] runs every scenario against all four stacks under
-//! both timeout policies (fixed [`LivenessConfig::standard`] vs adaptive
-//! backoff/decay windows) and reports per-cell metrics plus any safety
-//! violations found by [`safety_violations`] — the invariants the
-//! fault-injection suites assert too.  The adaptive policy's recovery time
-//! and false suspicions against fixed windows are measured by
-//! [`crate::figures::timeout_sweep`].
+//! The `figures` driver's `scenarios` row runs every scenario against all
+//! four stacks under both [`TimeoutPolicy`]s and gates on
+//! [`safety_violations`] — the invariants the fault-injection suites assert
+//! too; its `timeout_sweep` row measures the adaptive policy's recovery
+//! time and false suspicions against fixed windows.
 
-use crate::experiment::{ExperimentSpec, RunArtifacts, RunMetrics};
-use crate::figures::{fault_victim, FigureOptions};
-use crate::par::parallel_map;
-use crate::protocol::ProtocolKind;
+use crate::experiment::{ExperimentSpec, RunArtifacts};
 use saguaro_net::FaultSchedule;
 use saguaro_types::{
     DomainId, Duration, LivenessConfig, NodeId, PopulationConfig, RateEnvelope, SimTime,
@@ -55,6 +50,12 @@ pub enum Scenario {
 /// The domain severed by the single-outage scenarios.
 pub fn outage_domain() -> DomainId {
     DomainId::new(1, 1)
+}
+
+/// The replica [`Scenario::ViewChangeStorm`] and the `figures` driver's
+/// crash rows script down: the view-0 primary of the first height-1 domain.
+pub fn fault_victim() -> NodeId {
+    NodeId::new(DomainId::new(1, 0), 0)
 }
 
 impl Scenario {
@@ -146,8 +147,8 @@ impl Scenario {
     }
 }
 
-/// A timeout policy column of the matrix; the adaptive one is also a row of
-/// [`crate::figures::timeout_sweep`].
+/// How a deployment sets its suspicion timers: a column of the `figures`
+/// driver's scenario matrix, and (adaptive) a row of its timeout sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimeoutPolicy {
     /// The fixed [`LivenessConfig::standard`] window.
@@ -250,111 +251,10 @@ pub fn safety_violations(artifacts: &RunArtifacts) -> Vec<String> {
     violations
 }
 
-/// One `(scenario, stack, policy)` cell of the adversarial matrix.
-#[derive(Clone, Debug)]
-pub struct ScenarioCell {
-    /// Scenario label.
-    pub scenario: String,
-    /// Protocol stack label.
-    pub stack: String,
-    /// Timeout policy label.
-    pub policy: String,
-    /// Summary metrics of the run.
-    pub metrics: RunMetrics,
-    /// View changes observed across every replica.
-    pub view_changes: u64,
-    /// Twin certificates detected and discarded across every replica.
-    pub certificate_conflicts: u64,
-    /// Safety violations found post-run (must be empty).
-    pub safety_violations: Vec<String>,
-}
-
-/// The four paper stacks, labelled as in the figures.
-fn stacks() -> [(ProtocolKind, &'static str); 4] {
-    [
-        (ProtocolKind::SaguaroCoordinator, "Coordinator"),
-        (ProtocolKind::SaguaroOptimistic, "Optimistic"),
-        (ProtocolKind::Ahl, "AHL"),
-        (ProtocolKind::Sharper, "SharPer"),
-    ]
-}
-
-fn matrix_spec(protocol: ProtocolKind, options: &FigureOptions) -> ExperimentSpec {
-    let mut s = ExperimentSpec::new(protocol).byzantine();
-    s.seed = options.seed;
-    s.offered_load_tps = if options.quick { 800.0 } else { 2_000.0 };
-    if options.quick {
-        s = s.quick();
-    }
-    s
-}
-
-/// Runs the full scenario × stack × timeout-policy matrix.  Byzantine
-/// domains throughout, so the equivocation scenarios exercise PBFT's twin
-/// defences on every stack.
-pub fn scenario_matrix(options: &FigureOptions) -> Vec<ScenarioCell> {
-    let cells: Vec<(Scenario, ProtocolKind, &'static str, TimeoutPolicy)> = Scenario::all()
-        .into_iter()
-        .flat_map(|scenario| {
-            stacks().into_iter().flat_map(move |(kind, stack)| {
-                TimeoutPolicy::both()
-                    .into_iter()
-                    .map(move |policy| (scenario, kind, stack, policy))
-            })
-        })
-        .collect();
-    let artifacts = parallel_map(&cells, |(scenario, kind, _, policy)| {
-        let spec = scenario
-            .apply(matrix_spec(*kind, options))
-            .tune(|t| t.liveness(policy.liveness()));
-        spec.run_collecting()
-    });
-    cells
-        .into_iter()
-        .zip(artifacts)
-        .map(|((scenario, _, stack, policy), art)| ScenarioCell {
-            scenario: scenario.label().to_string(),
-            stack: stack.to_string(),
-            policy: policy.label().to_string(),
-            view_changes: art.harvest.view_changes(),
-            certificate_conflicts: art.harvest.certificate_conflicts(),
-            safety_violations: safety_violations(&art),
-            metrics: art.metrics,
-        })
-        .collect()
-}
-
-/// Renders the matrix as a plain-text table.
-pub fn render_scenario_table(title: &str, cells: &[ScenarioCell]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# {title}\n"));
-    out.push_str(&format!(
-        "{:<20} {:<12} {:<9} {:>10} {:>10} {:>12} {:>10} {:>8}\n",
-        "scenario", "stack", "policy", "tps", "p95_ms", "view_changes", "conflicts", "safety"
-    ));
-    for c in cells {
-        out.push_str(&format!(
-            "{:<20} {:<12} {:<9} {:>10.0} {:>10.1} {:>12} {:>10} {:>8}\n",
-            c.scenario,
-            c.stack,
-            c.policy,
-            c.metrics.throughput_tps,
-            c.metrics.p95_latency_ms,
-            c.view_changes,
-            c.certificate_conflicts,
-            if c.safety_violations.is_empty() {
-                "ok"
-            } else {
-                "VIOLATED"
-            }
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ProtocolKind;
 
     #[test]
     fn every_scenario_compiles_to_a_nonempty_schedule() {

@@ -7,8 +7,8 @@
 //! engine uses), the number of submitted-but-not-yet-completed transactions
 //! at each bucket boundary, and per-bucket view-change / equivocation
 //! counts.  It is built only when tracing is on (see
-//! [`crate::experiment::RunArtifacts::timeline`]); the `figures trace` and
-//! `faults` rows print it through [`RunTimeline::table`].
+//! [`crate::experiment::RunArtifacts::timeline`]); the `figures` driver's
+//! `trace` and `faults` rows print it.
 //!
 //! The bucket grid covers exactly `warmup + measure`; completions landing in
 //! the post-measure drain tail are not binned.
@@ -146,40 +146,6 @@ impl RunTimeline {
     /// Total view changes across all buckets.
     pub fn view_changes(&self) -> u64 {
         self.points.iter().map(|p| p.view_changes).sum()
-    }
-
-    /// Renders the series as a plain-text table under `# {title}`, one row
-    /// per bucket.
-    pub fn table(&self, title: &str) -> String {
-        let mut table = format!(
-            "# {title} ({:.1} ms buckets)\n\
-             {:>9} {:>9} {:>8} {:>10} {:>8} {:>8} {:>9} {:>12} {:>9}\n",
-            self.bucket.as_millis_f64(),
-            "start_ms",
-            "committed",
-            "aborted",
-            "tput_tps",
-            "p50_ms",
-            "p95_ms",
-            "in_flight",
-            "view_changes",
-            "conflicts"
-        );
-        for p in &self.points {
-            table.push_str(&format!(
-                "{:>9.1} {:>9} {:>8} {:>10.0} {:>8.2} {:>8.2} {:>9} {:>12} {:>9}\n",
-                p.start_ms,
-                p.committed,
-                p.aborted,
-                p.throughput_tps,
-                p.p50_latency_ms,
-                p.p95_latency_ms,
-                p.in_flight,
-                p.view_changes,
-                p.certificate_conflicts
-            ));
-        }
-        table
     }
 }
 

@@ -104,7 +104,7 @@ impl RidesharingWorkload {
     /// neighbouring domain and is recorded as a mobile transaction.
     pub fn next_for_driver(&mut self, client: usize) -> (Transaction, DomainId) {
         let home = self.home_of(client);
-        let driver_no = (client / self.edge_domains.len()) as u64 % self.drivers_per_domain.max(1);
+        let driver_no = (client / self.edge_domains.len()) as u64 % self.drivers_per_domain;
         self.make_ride(home, driver_no, ClientId(client as u64))
     }
 }

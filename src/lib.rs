@@ -16,7 +16,8 @@
 //! * [`workload`] — micropayment / ridesharing workload generators.
 //! * [`loadgen`] — population-scale load generation: aggregate client
 //!   populations and streaming latency histograms.
-//! * [`sim`] — the experiment harness regenerating the paper's figures.
+//! * [`sim`] — the experiment engine the `figures` driver regenerates the
+//!   paper's figures with.
 //!
 //! The experiment engine's entry points are additionally re-exported at the
 //! crate root: describe a run with an [`ExperimentSpec`] (protocol ×

@@ -8,7 +8,7 @@
 use saguaro::net::FaultSchedule;
 use saguaro::sim::{ExperimentSpec, ProtocolKind};
 use saguaro::types::{LivenessConfig, SimTime};
-use saguaro_sim::figures::fault_victim;
+use saguaro_sim::scenarios::fault_victim;
 
 mod common;
 use common::check_safety;
