@@ -15,18 +15,6 @@ use saguaro_types::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Protocol counters the experiment harness reads after a baseline run (the
-/// internal-consensus ones live in [`saguaro_core::host::HostStats`]).
-#[derive(Clone, Debug, Default)]
-pub struct BaselineStats {
-    /// Internal transactions committed by this node.
-    pub internal_committed: u64,
-    /// Cross-shard transactions committed by this node.
-    pub cross_committed: u64,
-    /// Cross-shard transactions aborted.
-    pub cross_aborted: u64,
-}
-
 #[derive(Debug)]
 struct AhlCoordEntry {
     tx: Transaction,
@@ -62,8 +50,6 @@ pub struct BaselineNode {
     /// Cross-shard transactions seen in a prepare/accept, kept so later
     /// phases can re-propose them locally.
     prepared_cache: FxHashMap<TxId, Transaction>,
-    /// Statistics for the harness.
-    pub stats: BaselineStats,
 }
 
 impl BaselineNode {
@@ -96,7 +82,6 @@ impl BaselineNode {
             flattened: FxHashMap::default(),
             flat_seq: 0,
             prepared_cache: FxHashMap::default(),
-            stats: BaselineStats::default(),
         }
     }
 
@@ -109,16 +94,6 @@ impl BaselineNode {
     /// balances, built once and handed to each of its replicas.
     pub fn seed_state(&mut self, state: &BlockchainState) {
         self.state = state.clone();
-    }
-
-    /// The node's role in the deployment.
-    pub fn role(&self) -> BaselineRole {
-        self.role
-    }
-
-    /// Counters for the harness.
-    pub fn stats(&self) -> &BaselineStats {
-        &self.stats
     }
 
     /// Read-only ledger access (tests).
@@ -173,10 +148,8 @@ impl BaselineNode {
             seq.set(domain, self.ledger.reserve_seq());
             self.ledger
                 .append_cross_domain(tx.clone(), seq, TxStatus::Committed);
-            self.stats.cross_committed += 1;
         } else {
             self.ledger.append_internal(tx.clone(), TxStatus::Committed);
-            self.stats.internal_committed += 1;
         }
         self.host.trace_executed(tx.id, ctx.now());
         self.reply(tx.id, true, ctx);
@@ -298,7 +271,6 @@ impl BaselineNode {
             if let Some(tx) = self.prepared_cache.get(&tx_id).cloned() {
                 self.note_reply_target(&tx);
             }
-            self.stats.cross_aborted += 1;
             self.reply(tx_id, false, ctx);
             return;
         }

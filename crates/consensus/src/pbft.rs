@@ -37,7 +37,6 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug)]
 pub(crate) struct Slot<C> {
     pub(crate) batch: Option<Batch<C>>,
-    digest: Option<Digest>,
     pub(crate) pre_prepared_view: u64,
     pub(crate) prepares: VoteMask,
     pub(crate) commits: VoteMask,
@@ -49,13 +48,19 @@ impl<C> Default for Slot<C> {
     fn default() -> Self {
         Self {
             batch: None,
-            digest: None,
             pre_prepared_view: 0,
             prepares: VoteMask::default(),
             commits: VoteMask::default(),
             prepared: false,
             committed: false,
         }
+    }
+}
+
+impl<C: Command> Slot<C> {
+    /// Digest of the block the slot holds, once its pre-prepare arrived.
+    fn digest(&self) -> Option<Digest> {
+        self.batch.as_ref().map(Batch::digest)
     }
 }
 
@@ -83,7 +88,6 @@ impl<C: Command> PbftLog<C> {
     /// vote sets and flags.
     pub(crate) fn pre_prepare(&mut self, seq: SeqNo, batch: Batch<C>, view: u64) -> &mut Slot<C> {
         let slot = self.slots.entry(seq).or_default();
-        slot.digest = Some(batch.digest());
         slot.batch = Some(batch);
         slot.pre_prepared_view = view;
         slot
@@ -136,7 +140,7 @@ impl<C: Command> ConsensusReplica<C> {
         // different digest at this (view, seq), ignore the second one.
         let held = log.slots.get(&seq);
         if held
-            .is_some_and(|s| s.pre_prepared_view == view && s.digest.is_some_and(|d| d != digest))
+            .is_some_and(|s| s.pre_prepared_view == view && s.digest().is_some_and(|d| d != digest))
         {
             return;
         }
@@ -164,7 +168,7 @@ impl<C: Command> ConsensusReplica<C> {
             return None;
         }
         let slot = log.slots.entry(seq).or_default();
-        let names_it = slot.digest.is_none_or(|d| d == digest);
+        let names_it = slot.digest().is_none_or(|d| d == digest);
         names_it.then_some((slot, &self.replicas[..]))
     }
 
@@ -199,7 +203,7 @@ impl<C: Command> ConsensusReplica<C> {
         }
         slot.prepared = true;
         slot.commits.insert(&self.replicas, self.me);
-        let digest = slot.digest.expect("digest set with the block");
+        let digest = slot.digest().expect("the slot holds its block");
         let view = self.view;
         out.push(Step::Broadcast {
             msg: msg(MsgBody::Commit { view, seq, digest }),
@@ -258,7 +262,7 @@ impl<C: Command> ConsensusReplica<C> {
         // cannot overwrite prepared state.
         let conflicts = log.iter().any(|(seq, batch)| {
             let slot = held.slots.get(seq).filter(|slot| slot.prepared);
-            slot.is_some_and(|slot| slot.digest.is_some_and(|d| d != batch.digest()))
+            slot.is_some_and(|slot| slot.digest().is_some_and(|d| d != batch.digest()))
         });
         if conflicts {
             self.certificate_conflicts += 1;

@@ -287,6 +287,11 @@ impl<C: Command> ConsensusReplica<C> {
         self.rule.vote_entries(self.checkpoint.stable()).count()
     }
 
+    /// The quorum rules of this replica's domain.
+    pub fn quorum(&self) -> QuorumSpec {
+        self.quorum
+    }
+
     /// True if the domain runs PBFT (Byzantine failure model).
     pub fn is_byzantine(&self) -> bool {
         matches!(self.rule, Rule::Pbft(_))
@@ -344,11 +349,6 @@ impl<C: Command> ConsensusReplica<C> {
     /// (`last_delivered + 1` when nothing is retained).
     pub fn chain_start(&self) -> SeqNo {
         self.checkpoint.chain_start(self.last_delivered)
-    }
-
-    /// The snapshot point currently held, if any.
-    pub fn snapshot_seq(&self) -> Option<SeqNo> {
-        self.checkpoint.snapshot_seq()
     }
 
     /// A message of this domain's protocol.
@@ -1293,7 +1293,10 @@ mod tests {
                     r.chain_len()
                 );
                 assert!(r.chain_start() > 1, "the chain prefix must be pruned");
-                assert!(r.snapshot_seq().is_some(), "a snapshot must be held");
+                assert!(
+                    r.checkpoint.snapshot_seq().is_some(),
+                    "a snapshot must be held"
+                );
             }
         }
     }
@@ -1310,7 +1313,7 @@ mod tests {
             commit_bytes(&nodes, &mut reps, 12, &[victim]);
             assert_eq!(reps[0].last_delivered(), 12);
             assert!(reps[0].chain_start() > 1, "responder's log must be pruned");
-            assert!(reps[0].snapshot_seq().is_some());
+            assert!(reps[0].checkpoint.snapshot_seq().is_some());
             assert_eq!(reps[victim].last_delivered(), 0);
 
             // On recovery the laggard hears a checkpoint announcement,
@@ -1325,7 +1328,8 @@ mod tests {
             let delivered = route(&nodes, &mut reps, vec![(victim, steps)], &[]);
             assert_eq!(reps[victim].last_delivered(), 12);
             assert_eq!(
-                reps[victim].snapshot_seq().unwrap_or(0) + delivered[victim].len() as u64,
+                reps[victim].checkpoint.snapshot_seq().unwrap_or(0)
+                    + delivered[victim].len() as u64,
                 12,
                 "{model:?} snapshot + replayed tail must cover the whole gap"
             );

@@ -386,10 +386,8 @@ impl SaguaroNode {
                 ctx.send(NodeId::new(lca, 0), SaguaroMsg::AckCross { tx_id, domain });
             }
             self.commit(entry.tx, Commit::Coordinated(seqs), ctx);
-        } else {
-            // Abort: discard the attempt (a retry prepare may follow).
-            self.stats.cross_aborted += 1;
         }
+        // An abort just discards the attempt (a retry prepare may follow).
         // Whatever this transaction was blocking may be ordered now.
         if self.is_primary() {
             let queued: Vec<(Transaction, SeqNo)> = self.participant_queue.drain(..).collect();

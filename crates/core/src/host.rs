@@ -68,7 +68,6 @@ pub struct HostStats {
 /// One replica's consensus engine plus the timers, reply targets, tracer
 /// and counters around it.  See the module docs.
 pub struct ReplicaHost<C> {
-    quorum: QuorumSpec,
     /// The other replicas of this node's domain (sorted): the recipients of
     /// every consensus broadcast.
     other_peers: Vec<NodeId>,
@@ -103,7 +102,6 @@ impl<C: Command> ReplicaHost<C> {
         let consensus = ConsensusReplica::with_batching(id, peers, quorum, stack.batch)
             .with_checkpointing(stack.checkpoint);
         Self {
-            quorum,
             other_peers,
             consensus,
             stack,
@@ -130,7 +128,7 @@ impl<C: Command> ReplicaHost<C> {
 
     /// The quorum rules of this replica's domain.
     pub fn quorum(&self) -> QuorumSpec {
-        self.quorum
+        self.consensus.quorum()
     }
 
     /// The current primary of this replica's domain (where backups relay
@@ -463,7 +461,7 @@ pub trait HostedReplica: Sized {
     /// bookkeeping: the primary alone replies.
     fn note_reply_target(&mut self, tx: &Transaction) {
         let host = self.host_mut();
-        if host.quorum.model == FailureModel::Byzantine {
+        if host.consensus.quorum().model == FailureModel::Byzantine {
             host.reply_to.entry(tx.id).or_insert(tx.client);
         }
     }
@@ -476,7 +474,7 @@ pub trait HostedReplica: Sized {
         let Some(client) = host.reply_to.remove(&tx_id) else {
             return;
         };
-        let should_send = match host.quorum.model {
+        let should_send = match host.consensus.quorum().model {
             FailureModel::Crash => host.consensus.is_primary(),
             FailureModel::Byzantine => true,
         };

@@ -35,7 +35,6 @@ pub mod mobile;
 pub mod node;
 pub mod optimistic;
 pub mod propagation;
-pub mod stats;
 
 pub use command::Cmd;
 pub use config::{CrossDomainMode, ProtocolConfig};
@@ -43,4 +42,3 @@ pub use host::{HostStats, HostedReplica, ReplicaHost};
 pub use messages::SaguaroMsg;
 pub use node::SaguaroNode;
 pub use optimistic::{OptDecision, OptTracker, OptimisticValidator};
-pub use stats::NodeStats;

@@ -18,9 +18,9 @@ use crate::coordinator::COMMIT_QUERY_TIMEOUT;
 use crate::exec::device_account;
 use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
-use crate::node::{Commit, MobileRecord, SaguaroNode};
+use crate::node::{Commit, SaguaroNode};
 use saguaro_net::Context;
-use saguaro_types::{ClientId, DomainId, Transaction, TxKind};
+use saguaro_types::{ClientId, Custody, DomainId, Transaction, TxKind};
 
 impl SaguaroNode {
     /// True if no request is queued waiting for this device's state.  A key
@@ -36,11 +36,9 @@ impl SaguaroNode {
     /// The remote domain this (home) domain's records say holds `device`'s
     /// freshest state, if it was handed away.
     pub(crate) fn roamed_to(&self, device: ClientId) -> Option<DomainId> {
-        let record = self.mobile.get(&device)?;
-        if record.lock {
-            None
-        } else {
-            record.remote
+        match self.mobile.get(&device)? {
+            Custody::Held => None,
+            Custody::HandedTo(remote) => Some(*remote),
         }
     }
 
@@ -187,12 +185,8 @@ impl SaguaroNode {
             self.hand_over(device, home, requester, tx, ctx);
             return;
         }
-        let &mut MobileRecord { lock, remote } =
-            self.mobile.entry(device).or_insert(MobileRecord {
-                lock: true,
-                remote: None,
-            });
-        if lock {
+        let custody = *self.mobile.entry(device).or_insert(Custody::Held);
+        if custody == Custody::Held {
             // Algorithm 2, lines 8-9: the home copy is current; extract it.
             let trigger = tx.id;
             self.pending_mobile.entry(device).or_default().push(tx);
@@ -204,7 +198,7 @@ impl SaguaroNode {
                 },
                 ctx,
             );
-        } else if remote == Some(requester) {
+        } else if custody == Custody::HandedTo(requester) {
             // The records point at the requester itself: the previous
             // `StateMsg` to it was lost (its primary crashed mid hand-off
             // before installing).  This domain's copy is still the freshest
@@ -212,7 +206,7 @@ impl SaguaroNode {
             // answer directly instead of bouncing the query back to the
             // requester forever.
             self.hand_over(device, home, requester, tx, ctx);
-        } else if let Some(current_remote) = remote {
+        } else if let Custody::HandedTo(current_remote) = custody {
             // Lines 10-12: some other remote domain has the freshest records;
             // pull them back here first, then forward to the requester.
             self.queue_and_query(current_remote, tx, true, ctx);
@@ -229,13 +223,7 @@ impl SaguaroNode {
     ) {
         // Every replica of the home domain flips the lock and records the new
         // owner of the freshest copy.
-        self.mobile.insert(
-            device,
-            MobileRecord {
-                lock: false,
-                remote: Some(remote),
-            },
-        );
+        self.mobile.insert(device, Custody::HandedTo(remote));
         if self.is_primary() {
             let trigger_tx = self.pending_mobile.get_mut(&device).and_then(|q| q.pop());
             if self.no_pending_mobile(device) {
@@ -299,7 +287,7 @@ impl SaguaroNode {
             // balance" failure.  Keep the live copy; only the queued
             // transactions are (idempotently) executed.
             let already_authoritative = if home == my_domain {
-                self.mobile.get(&device).is_some_and(|r| r.lock)
+                self.mobile.get(&device) == Some(&Custody::Held)
             } else {
                 self.hosted_devices.contains(&device)
             };
@@ -307,19 +295,13 @@ impl SaguaroNode {
                 self.state.install_account_state(entries);
             }
             if home == my_domain {
-                self.mobile.insert(
-                    device,
-                    MobileRecord {
-                        lock: true,
-                        remote: None,
-                    },
-                );
+                self.mobile.insert(device, Custody::Held);
             } else {
                 self.hosted_devices.insert(device);
             }
             let queued = self.pending_mobile.remove(&device).unwrap_or_default();
             for tx in std::iter::once(tx).chain(queued) {
-                self.commit(tx, Commit::Mobile { home }, ctx);
+                self.commit(tx, Commit::Internal, ctx);
             }
         } else if home == my_domain {
             // Intermediary: the home domain pulled the state back from a
@@ -328,13 +310,7 @@ impl SaguaroNode {
             // supersedes the home's stale one — and records the pointer, so a
             // view change keeps both the state and the routing information.
             self.state.install_account_state(entries);
-            self.mobile.insert(
-                device,
-                MobileRecord {
-                    lock: false,
-                    remote: Some(destination),
-                },
-            );
+            self.mobile.insert(device, Custody::HandedTo(destination));
             if self.is_primary() {
                 self.hand_over(device, home, destination, tx, ctx);
             }

@@ -21,7 +21,6 @@ use crate::coordinator::{CoordEntry, ParticipantEntry};
 use crate::host::{HostedReplica, ReplicaHost};
 use crate::messages::SaguaroMsg;
 use crate::optimistic::{OptTracker, OptimisticValidator};
-use crate::stats::NodeStats;
 use saguaro_consensus::ConsensusMsg;
 use saguaro_hierarchy::HierarchyTree;
 use saguaro_ledger::{
@@ -30,37 +29,23 @@ use saguaro_ledger::{
 use saguaro_net::{Actor, Addr, Context, TimerId};
 use saguaro_types::hash::{FxHashMap, FxHashSet};
 use saguaro_types::{
-    ClientId, DeliveryLog, DomainId, Key, MobileOwnership, MultiSeq, NodeId, Operation, SeqNo,
+    ClientId, Custody, DeliveryLog, DomainId, Key, MultiSeq, NodeId, Operation, SeqNo,
     StateSnapshot, Transaction, TxId, TxKind,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// State kept for a mobile device registered in (or hosted by) this domain.
-#[derive(Clone, Debug)]
-pub(crate) struct MobileRecord {
-    /// `true` when this domain's copy of the device state is current.
-    pub lock: bool,
-    /// The remote domain holding the most recent records when `lock == false`.
-    pub remote: Option<DomainId>,
-}
-
-/// How the commit step ([`SaguaroNode::commit`]) records a transaction: where
-/// it goes in the ledger and which counter it bumps — one variant per caller.
+/// How the commit step ([`SaguaroNode::commit`]) records a transaction in the
+/// ledger.
 pub(crate) enum Commit {
-    /// Ordered by this domain's consensus as `Cmd::Internal`.
+    /// Ordered by this domain's consensus as `Cmd::Internal`, or executed
+    /// when a mobile device's state arrived (Algorithm 2).
     Internal,
     /// Decided by the LCA (Algorithm 1) under the agreed sequence numbers.
     Coordinated(MultiSeq),
     /// Ordered here alone and executed speculatively (Section 6); an
     /// ancestor's verdict finalises or reverts it.
     Speculative,
-    /// Executed when the device's state arrived (Algorithm 2); `home` tells
-    /// a returning device from a visiting one.
-    Mobile {
-        /// The device's home domain.
-        home: DomainId,
-    },
 }
 
 /// A Saguaro replica node (one per VM of the paper's testbed).
@@ -111,8 +96,9 @@ pub struct SaguaroNode {
     pub(crate) validator: OptimisticValidator,
 
     // ---------------- mobile consensus state ----------------
-    /// Lock bit / remote pointer for devices whose home is this domain.
-    pub(crate) mobile: FxHashMap<ClientId, MobileRecord>,
+    /// Where the freshest state of each device whose home is this domain
+    /// lives; a device with no entry has never been asked for.
+    pub(crate) mobile: FxHashMap<ClientId, Custody>,
     /// Devices whose state this (remote) domain currently hosts.
     pub(crate) hosted_devices: FxHashSet<ClientId>,
     /// Requests waiting for a device state to arrive, keyed by device.
@@ -127,8 +113,6 @@ pub struct SaguaroNode {
     /// The pending round timer (tracked so a post-recovery kick can restart
     /// the loop without doubling it).
     pub(crate) round_timer: Option<TimerId>,
-    /// Measurement counters read by the experiment harness.
-    pub stats: NodeStats,
 }
 
 impl SaguaroNode {
@@ -165,7 +149,6 @@ impl SaguaroNode {
             mobile_retry_armed: FxHashSet::default(),
             round: 0,
             round_timer: None,
-            stats: NodeStats::default(),
         }
     }
 
@@ -203,11 +186,6 @@ impl SaguaroNode {
     /// Read-only access to the aggregate view (height-2+ domains).
     pub fn aggregate_view(&self) -> &AggregateView {
         &self.agg
-    }
-
-    /// Measurement counters.
-    pub fn stats(&self) -> &NodeStats {
-        &self.stats
     }
 
     /// True if this node is currently the primary of its domain.
@@ -286,12 +264,11 @@ impl SaguaroNode {
 
     /// The commit step, shared by every path that commits a transaction at a
     /// height-1 domain: execute what this domain owns, append to the ledger
-    /// as `how` says, count, trace `TxExecuted` (whatever the kind) and
-    /// answer the client.  Does nothing for a
-    /// transaction already in the ledger: a view change may re-propose an
-    /// already-committed batch (the new primary cannot tell commitment from
-    /// preparation for every slot), and executing it twice would
-    /// double-spend.
+    /// as `how` says, trace `TxExecuted` (whatever the kind) and answer the
+    /// client.  Does nothing for a transaction already in the ledger: a view
+    /// change may re-propose an already-committed batch (the new primary
+    /// cannot tell commitment from preparation for every slot), and executing
+    /// it twice would double-spend.
     pub(crate) fn commit(
         &mut self,
         tx: Transaction,
@@ -307,15 +284,13 @@ impl SaguaroNode {
         if let (Some(undo), CrossDomainMode::Optimistic) = (undo, self.config.cross_mode) {
             self.undo_log.insert(id, undo);
         }
-        let counter = match how {
+        match how {
             Commit::Internal => {
                 self.ledger.append_internal(tx, TxStatus::Committed);
-                &mut self.stats.internal_committed
             }
             Commit::Coordinated(seqs) => {
                 self.ledger
                     .append_cross_domain(tx, seqs, TxStatus::Committed);
-                &mut self.stats.cross_committed
             }
             Commit::Speculative => {
                 let mut seqs = MultiSeq::new();
@@ -324,18 +299,8 @@ impl SaguaroNode {
                 self.opt.record_execution(&tx);
                 self.ledger
                     .append_cross_domain(tx, seqs, TxStatus::SpeculativelyCommitted);
-                &mut self.stats.cross_committed
             }
-            Commit::Mobile { home } => {
-                self.ledger.append_internal(tx, TxStatus::Committed);
-                if home == self.id.domain {
-                    &mut self.stats.internal_committed
-                } else {
-                    &mut self.stats.mobile_committed
-                }
-            }
-        };
-        *counter += 1;
+        }
         self.host.trace_executed(id, ctx.now());
         self.reply(id, true, ctx);
     }
@@ -516,16 +481,12 @@ impl HostedReplica for SaguaroNode {
     }
 
     fn snapshot_app_state(&mut self, seq: SeqNo, delivery_hash: Option<u64>) -> StateSnapshot {
-        let mut mobile: Vec<MobileOwnership> = self
+        let mut mobile: Vec<(ClientId, Custody)> = self
             .mobile
             .iter()
-            .map(|(device, rec)| MobileOwnership {
-                device: *device,
-                locked: rec.lock,
-                remote: rec.remote,
-            })
+            .map(|(device, c)| (*device, *c))
             .collect();
-        mobile.sort_by_key(|m| m.device.0);
+        mobile.sort_by_key(|(device, _)| device.0);
         let mut hosted: Vec<ClientId> = self.hosted_devices.iter().copied().collect();
         hosted.sort_by_key(|c| c.0);
         let snapshot = StateSnapshot {
@@ -561,19 +522,7 @@ impl HostedReplica for SaguaroNode {
     /// checkpoint and can no longer abort.
     fn install_app_state(&mut self, snapshot: &StateSnapshot) {
         self.state = BlockchainState::adopt(snapshot.accounts.clone());
-        self.mobile = snapshot
-            .mobile
-            .iter()
-            .map(|m| {
-                (
-                    m.device,
-                    MobileRecord {
-                        lock: m.locked,
-                        remote: m.remote,
-                    },
-                )
-            })
-            .collect();
+        self.mobile = snapshot.mobile.iter().copied().collect();
         self.hosted_devices = snapshot.hosted.iter().copied().collect();
         self.undo_log.clear();
     }
@@ -660,6 +609,38 @@ mod tests {
         assert_eq!(committed, [ClientId(4), ClientId(8)]);
     }
 
+    /// A checkpoint snapshot carries the mobile tables whole: a fresh replica
+    /// of the domain that installs it answers every custody question as the
+    /// replica that took it, and a device never asked for stays distinct
+    /// from one whose state is held at home.
+    #[test]
+    fn a_snapshot_carries_the_custody_and_hosting_tables() {
+        let topology = TopologyBuilder::paper_binary_tree().failure_model(FailureModel::Crash);
+        let tree = Arc::new(topology.build().expect("valid topology"));
+        let (domain, remote) = (DomainId::new(1, 0), DomainId::new(1, 2));
+        let config = ProtocolConfig::coordinator();
+        let replica = |i| SaguaroNode::new(NodeId::new(domain, i), tree.clone(), config.clone());
+        let (held, handed, visiting) = (ClientId(1), ClientId(2), ClientId(3));
+        let mut original = replica(0);
+        original.mobile.insert(held, Custody::Held);
+        original.mobile.insert(handed, Custody::HandedTo(remote));
+        original.hosted_devices.insert(visiting);
+        let snapshot = original.snapshot_app_state(8, None);
+        let mut fresh = replica(1);
+        fresh.install_app_state(&snapshot);
+        let roamed = |n: &SaguaroNode| [held, handed, visiting].map(|d| n.roamed_to(d));
+        assert_eq!(roamed(&fresh), [None, Some(remote), None]);
+        assert_eq!(roamed(&fresh), roamed(&original));
+        assert_eq!(fresh.mobile, original.mobile);
+        assert_eq!(fresh.mobile.get(&visiting), None);
+        assert_eq!(fresh.hosted_devices, original.hosted_devices);
+        let retaken = fresh.snapshot_app_state(8, None);
+        assert_eq!(retaken.wire_bytes(), snapshot.wire_bytes());
+        // Two records and one hosted device; no account was seeded.
+        assert_eq!(snapshot.wire_bytes(), 96 + 16 * 2 + 8);
+        assert_eq!(retaken, snapshot);
+    }
+
     fn put(id: u64, domains: [DomainId; 2], key: &str, value: u64) -> Transaction {
         let key = key.to_string();
         Transaction::cross_domain(
@@ -703,7 +684,10 @@ mod tests {
             );
         }
         sim.run_until(SimTime::from_millis(600));
-        let committed = |n: &SaguaroNode| n.stats.total_committed();
+        let committed = |n: &SaguaroNode| {
+            let entries = n.ledger.entries().iter();
+            entries.filter(|e| e.status == TxStatus::Committed).count()
+        };
         assert_eq!(read(&mut sim, NodeId::new(d(0), 0), committed), 2);
         assert_eq!(read(&mut sim, NodeId::new(d(2), 0), committed), 1);
         for domain in tree.domains().filter(|d| d.id.height > 0) {
@@ -769,7 +753,6 @@ mod tests {
                     let status = n.ledger.get(id).map(|e| e.status);
                     assert_eq!(status, Some(TxStatus::Aborted), "{node:?} {id:?}");
                 }
-                assert_eq!((n.stats.cross_aborted, n.stats.cross_committed), (2, 0));
             });
         }
     }

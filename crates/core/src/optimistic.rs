@@ -397,10 +397,7 @@ impl SaguaroNode {
             if let Some(undo) = self.undo_log.remove(&victim) {
                 self.state.revert(&undo);
             }
-            if self.ledger.mark_aborted(victim) {
-                self.stats.cross_aborted += 1;
-                self.stats.cross_committed = self.stats.cross_committed.saturating_sub(1);
-            }
+            self.ledger.mark_aborted(victim);
             self.reply(victim, false, ctx);
         }
     }
@@ -446,7 +443,6 @@ impl SaguaroNode {
         for decision in decisions {
             let (verdict, involved) = match decision {
                 OptDecision::Abort(tx_id, involved) => {
-                    self.stats.inconsistencies_detected += 1;
                     self.dag.mark_aborted(tx_id);
                     (SaguaroMsg::OptAbort { tx_id }, involved)
                 }

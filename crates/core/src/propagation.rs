@@ -37,7 +37,6 @@ impl SaguaroNode {
                 let delta = AbstractionFn::Full.apply(&self.round_updates);
                 self.round_updates.clear();
                 let block = self.ledger.cut_block(delta);
-                self.stats.blocks_sent += 1;
                 let cert_sigs = self.cert_sigs();
                 self.send_to_domain(
                     parent,
@@ -117,7 +116,6 @@ impl SaguaroNode {
         let Ok(appended) = self.dag.apply_block(child, &block) else {
             return;
         };
-        self.stats.child_blocks_applied += 1;
         self.agg.apply_delta(child, &block.state_delta);
         // Fold the child's abstracted updates into this domain's own next
         // block so summaries keep flowing towards the root — which has no

@@ -8,7 +8,7 @@
 //! domain only once"; the edges of the DAG capture the per-child order
 //! dependencies so the parent's ledger is consistent with every child ledger.
 
-use crate::block::{Block, BlockId, CommittedTx, TxStatus};
+use crate::block::{Block, CommittedTx, TxStatus};
 use saguaro_types::hash::FxHashMap;
 use saguaro_types::{DomainId, Result, SaguaroError, TxId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,12 +79,8 @@ pub struct DagLedger {
     /// Last transaction seen per child domain (tail of that child's chain as
     /// known here), used to create dependency edges.
     child_tails: BTreeMap<DomainId, TxId>,
-    /// Blocks incorporated so far, per child.
-    blocks_applied: BTreeMap<DomainId, Vec<BlockId>>,
     /// Highest round incorporated per child domain.
     last_round: BTreeMap<DomainId, u64>,
-    /// Entries discarded by [`DagLedger::prune_front`].
-    pruned: u64,
 }
 
 impl DagLedger {
@@ -106,15 +102,6 @@ impl DagLedger {
     /// Highest round incorporated from `child`.
     pub fn last_round_of(&self, child: DomainId) -> u64 {
         self.last_round.get(&child).copied().unwrap_or(0)
-    }
-
-    /// Blocks incorporated from `child` so far.
-    #[cfg(test)]
-    pub(crate) fn blocks_of(&self, child: DomainId) -> &[BlockId] {
-        self.blocks_applied
-            .get(&child)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
     /// Looks up a transaction.
@@ -193,30 +180,19 @@ impl DagLedger {
         }
 
         self.last_round.insert(child, block.header.id.round);
-        self.blocks_applied
-            .entry(child)
-            .or_default()
-            .push(block.header.id);
         Ok(appended)
     }
 
-    /// Discards the oldest entries beyond `keep_last` and bounds the
-    /// per-child block audit lists to the same window.  Round bookkeeping
+    /// Discards the oldest entries beyond `keep_last`.  Round bookkeeping
     /// (`last_round`, `child_tails`) survives, so in-order incorporation
     /// continues unaffected; edges into pruned vertices are dropped.  Only
     /// runs with a finite checkpoint retention window call this — they
     /// accept window-local cross-domain dedup in exchange for a resident
     /// set bounded by the window rather than the run length.
-    pub fn prune_front(&mut self, keep_last: usize) -> usize {
-        for ids in self.blocks_applied.values_mut() {
-            if ids.len() > keep_last {
-                let excess = ids.len() - keep_last;
-                ids.drain(..excess);
-            }
-        }
+    pub fn prune_front(&mut self, keep_last: usize) {
         let excess = self.order.len().saturating_sub(keep_last);
         if excess == 0 {
-            return 0;
+            return;
         }
         let removed: BTreeSet<TxId> = self.order.drain(..excess).collect();
         for id in &removed {
@@ -226,13 +202,6 @@ impl DagLedger {
             e.parents.retain(|p| !removed.contains(p));
         }
         self.child_tails.retain(|_, id| !removed.contains(id));
-        self.pruned += excess as u64;
-        excess
-    }
-
-    /// Entries discarded so far by [`DagLedger::prune_front`].
-    pub fn pruned_entries(&self) -> u64 {
-        self.pruned
     }
 
     /// Marks a transaction aborted (e.g. after the LCA detected an ordering
@@ -339,7 +308,6 @@ mod tests {
         assert_eq!(dag.len(), 3);
         assert!(dag.is_acyclic());
         assert_eq!(dag.last_round_of(d(0)), 1);
-        assert_eq!(dag.blocks_of(d(0)).len(), 1);
     }
 
     #[test]

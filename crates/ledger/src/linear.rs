@@ -7,7 +7,7 @@
 //! chained by hash for propagation up the tree.
 
 use crate::abstraction::StateDelta;
-use crate::block::{Block, BlockId, CommittedTx, TxStatus};
+use crate::block::{Block, CommittedTx, TxStatus};
 use saguaro_crypto::Digest;
 use saguaro_types::hash::FxHashMap;
 use saguaro_types::{DomainId, MultiSeq, SeqNo, Transaction, TxId};
@@ -28,8 +28,6 @@ pub struct LinearLedger {
     rounds_cut: u64,
     /// Digest of the header of the last cut block.
     last_block_digest: Digest,
-    /// Headers of all cut blocks, for audit.
-    block_ids: Vec<BlockId>,
     /// Entries discarded from the front by [`LinearLedger::prune_front`].
     pruned: u64,
 }
@@ -45,7 +43,6 @@ impl LinearLedger {
             round_start: 0,
             rounds_cut: 0,
             last_block_digest: Digest::ZERO,
-            block_ids: Vec::new(),
             pruned: 0,
         }
     }
@@ -158,11 +155,6 @@ impl LinearLedger {
         self.rounds_cut
     }
 
-    /// Identifiers of all cut blocks.
-    pub fn block_ids(&self) -> &[BlockId] {
-        &self.block_ids
-    }
-
     /// Ends the current round: packs every entry appended since the previous
     /// cut into a [`Block`] chained to the previous block and returns it.  An
     /// empty round produces an empty block ("if a domain has not received any
@@ -174,7 +166,6 @@ impl LinearLedger {
         self.rounds_cut = round;
         self.round_start = self.entries.len();
         self.last_block_digest = block.header.digest();
-        self.block_ids.push(block.header.id);
         block
     }
 
@@ -193,15 +184,11 @@ impl LinearLedger {
     /// records).  Pruned ids no longer resolve through `get` / `contains`;
     /// only runs with a finite checkpoint retention window call this, and
     /// those accept window-local duplicate detection in exchange for flat
-    /// memory.  Cut-block audit headers are bounded to the same window.
+    /// memory.
     pub fn prune_front(&mut self, keep_last: usize) -> Vec<TxId> {
         let removable = self
             .round_start
             .min(self.entries.len().saturating_sub(keep_last));
-        if self.block_ids.len() > keep_last {
-            let excess = self.block_ids.len() - keep_last;
-            self.block_ids.drain(..excess);
-        }
         if removable == 0 {
             return Vec::new();
         }
@@ -286,7 +273,6 @@ mod tests {
         assert_eq!(b2.txs.len(), 1);
         assert_eq!(b2.header.prev, b1.header.digest());
         assert_eq!(l.rounds_cut(), 2);
-        assert_eq!(l.block_ids().len(), 2);
         assert!(l.pending_round_entries().is_empty());
     }
 

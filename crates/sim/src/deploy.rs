@@ -226,7 +226,6 @@ where
                     caught_up_at: stats.caught_up_at,
                     chain_len: consensus.chain_len(),
                     chain_start: consensus.chain_start(),
-                    snapshot_seq: consensus.snapshot_seq(),
                     snapshots_taken: stats.snapshots_taken,
                     snapshots_installed: stats.snapshots_installed,
                 })

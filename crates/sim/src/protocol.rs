@@ -90,8 +90,6 @@ pub struct NodeHarvest {
     pub chain_len: u64,
     /// First sequence number still retained in the engine's chain.
     pub chain_start: u64,
-    /// Sequence number of the application snapshot the engine holds, if any.
-    pub snapshot_seq: Option<u64>,
     /// Application snapshots this replica materialized at checkpoints.
     pub snapshots_taken: u64,
     /// Application snapshots this replica installed via snapshot catch-up.

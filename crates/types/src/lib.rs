@@ -42,7 +42,7 @@ pub use cowmap::{CowMap, Key};
 pub use error::SaguaroError;
 pub use ids::{ClientId, DomainId, Height, NodeId, Region};
 pub use sequence::{delivery_hash, DeliveryLog, MultiSeq, SeqNo};
-pub use snapshot::{MobileOwnership, StateSnapshot};
+pub use snapshot::{Custody, StateSnapshot};
 pub use time::{Duration, SimTime};
 pub use transaction::{Operation, Transaction, TxBody, TxId, TxKind};
 

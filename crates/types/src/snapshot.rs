@@ -2,7 +2,7 @@
 //!
 //! At every quorum-stable checkpoint a replica whose retention window is
 //! finite takes a [`StateSnapshot`] of its executed application state
-//! — balance map, delivery-stream hash and mobile ownership table — keyed by
+//! — balance map, delivery-stream hash and mobile custody table — keyed by
 //! the checkpoint sequence number.  The balance map is a share of the
 //! replica's own [`CowMap`], not a copy: the snapshot costs one pointer per
 //! leaf, and the replica's later writes unshare the leaves they touch.  A
@@ -16,24 +16,21 @@ use crate::cowmap::CowMap;
 use crate::ids::{ClientId, DomainId};
 use crate::sequence::SeqNo;
 
-/// One device's entry in the mobile ownership table: whether a hand-off has
-/// the device locked and, if its state has been shipped away, which domain
-/// currently hosts it.
+/// Where the freshest state of a mobile device lives, as its home domain
+/// records it: Algorithm 2's lock bit and remote pointer are this one fact.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct MobileOwnership {
-    /// The mobile edge device.
-    pub device: ClientId,
-    /// True while a hand-off holds the device locked.
-    pub locked: bool,
-    /// Domain the device's state was shipped to, if any.
-    pub remote: Option<DomainId>,
+pub enum Custody {
+    /// The home domain's copy is current (the lock bit is set).
+    Held,
+    /// The state was handed to this remote domain (the lock bit is clear).
+    HandedTo(DomainId),
 }
 
 /// An application snapshot at a stable checkpoint.
 ///
 /// Everything a fresh replica needs to resume execution at `seq + 1`:
 /// the executed balance map, the delivery-stream hash pinning the executed
-/// prefix, and the mobile ownership/hosting tables (empty for stacks
+/// prefix, and the mobile custody/hosting tables (empty for stacks
 /// without mobile hand-off).
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct StateSnapshot {
@@ -44,8 +41,8 @@ pub struct StateSnapshot {
     pub delivery_hash: Option<u64>,
     /// Executed account balances, in key order.
     pub accounts: CowMap,
-    /// Mobile ownership table (lock + remote-host per known device).
-    pub mobile: Vec<MobileOwnership>,
+    /// Mobile custody table: where each known device's state lives.
+    pub mobile: Vec<(ClientId, Custody)>,
     /// Devices whose state this domain currently hosts for a remote owner.
     pub hosted: Vec<ClientId>,
 }
@@ -73,11 +70,7 @@ mod tests {
             seq: 7,
             delivery_hash: Some(1),
             accounts: [("a", 1), ("b", 2)].into_iter().collect(),
-            mobile: vec![MobileOwnership {
-                device: ClientId(3),
-                locked: true,
-                remote: Some(DomainId::new(1, 0)),
-            }],
+            mobile: vec![(ClientId(3), Custody::HandedTo(DomainId::new(1, 0)))],
             hosted: vec![ClientId(9)],
         };
         assert_eq!(full.wire_bytes(), 96 + 48 + 16 + 8);
