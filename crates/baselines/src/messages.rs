@@ -167,10 +167,6 @@ impl MessageMeta for BaselineMsg {
         }
     }
 
-    fn is_payload(&self) -> bool {
-        matches!(self, BaselineMsg::ClientRequest(_))
-    }
-
     fn is_state_transfer(&self) -> bool {
         matches!(self, BaselineMsg::Consensus(m) if m.is_state_transfer())
     }
@@ -232,7 +228,6 @@ mod tests {
                 .wire_bytes()
         );
         assert_eq!(BaselineMsg::ProgressTimer.wire_bytes(), 0);
-        assert!(BaselineMsg::ClientRequest(tx(1)).is_payload());
     }
 
     #[test]

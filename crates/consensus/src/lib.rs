@@ -33,8 +33,9 @@
 //!   slot maps, and gap-stalled replicas fetch missing committed entries (or
 //!   a snapshot plus the retained tail) from up-to-date peers
 //!   (`StateRequest` / `StateReply` / `SnapshotReply`).
-//! * [`suspicion`] — [`suspicion::SuspicionTimer`], the (optionally
-//!   adaptive) progress-timeout window the adapter arms.
+//! * [`suspicion`] — [`suspicion::SuspicionTimer`], the progress-timeout
+//!   window the adapter arms: doubling on a failed view change, halving on
+//!   progress.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

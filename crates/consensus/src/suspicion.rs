@@ -1,16 +1,15 @@
 //! Suspicion-timeout state machine shared by both engines' adapters.
 //!
-//! Modelled on sawtooth-pbft's idle/commit timers: under an adaptive
-//! [`LivenessConfig`] the suspicion window that decides "the primary is
-//! dead" starts at the configured floor, **doubles** every time a suspicion
-//! fires while the replica is still stuck (each firing is a *failed* view
-//! change — the candidate primary elected by the previous one did not
-//! restore progress within the window) up to [`SuspicionTimer::MAX_FLOOR_MULTIPLE`]
-//! times the floor, and **halves** back toward the floor each time delivery
-//! progress is observed.  Under a fixed config the window never moves,
-//! which keeps fixed-timeout runs bit-identical to the historical pipeline.
-//! All arithmetic is integer microseconds, so runs stay deterministic
-//! across platforms.
+//! PBFT's view-change timer (Castro & Liskov, OSDI'99, §4.5.2), as in
+//! sawtooth-pbft's idle/commit timers: the suspicion window that decides
+//! "the primary is dead" starts at the [`LivenessConfig`]'s floor,
+//! **doubles** every time a suspicion fires while the replica is still
+//! stuck (each firing is a *failed* view change — the candidate primary
+//! elected by the previous one did not restore progress within the window)
+//! up to [`SuspicionTimer::MAX_FLOOR_MULTIPLE`] times the floor, and
+//! **halves** back toward the floor each time delivery progress is
+//! observed.  All arithmetic is integer microseconds, so runs stay
+//! deterministic across platforms.
 //!
 //! The state machine is deliberately tiny and engine-agnostic: the node
 //! adapters own the actual timers and feed `on_suspect` / `on_progress`
@@ -22,18 +21,18 @@ use saguaro_types::{Duration, LivenessConfig};
 /// The per-replica suspicion-window state machine.
 #[derive(Clone, Copy, Debug)]
 pub struct SuspicionTimer {
-    liveness: LivenessConfig,
+    floor: Duration,
     current: Duration,
 }
 
 impl SuspicionTimer {
-    /// The adaptive window's cap, as a multiple of its floor.
+    /// The window's cap, as a multiple of its floor.
     pub const MAX_FLOOR_MULTIPLE: u64 = 8;
 
-    /// A timer for the given liveness knobs, armed at `progress_timeout`.
+    /// A timer armed at the floor, `liveness.progress_timeout`.
     pub fn new(liveness: LivenessConfig) -> Self {
         Self {
-            liveness,
+            floor: liveness.progress_timeout,
             current: liveness.progress_timeout,
         }
     }
@@ -45,22 +44,18 @@ impl SuspicionTimer {
 
     /// A suspicion fired while work was pending and no progress had been
     /// made: the view change driven by the *previous* firing (if any)
-    /// failed, so an adaptive window doubles, up to its cap.
+    /// failed, so the window doubles, up to its cap.
     pub fn on_suspect(&mut self) {
-        if self.liveness.adaptive {
-            let floor = self.liveness.progress_timeout.as_micros();
-            let doubled = self.current.as_micros().saturating_mul(2);
-            self.current = Duration::from_micros(doubled.min(floor * Self::MAX_FLOOR_MULTIPLE));
-        }
+        let cap = self.floor.as_micros() * Self::MAX_FLOOR_MULTIPLE;
+        let doubled = self.current.as_micros().saturating_mul(2);
+        self.current = Duration::from_micros(doubled.min(cap));
     }
 
     /// Delivery progress was observed at a progress check: the pipeline is
-    /// healthy, so an adaptive window halves, down to its floor.
+    /// healthy, so the window halves, down to its floor.
     pub fn on_progress(&mut self) {
-        if self.liveness.adaptive {
-            let floor = self.liveness.progress_timeout.as_micros();
-            self.current = Duration::from_micros((self.current.as_micros() / 2).max(floor));
-        }
+        let halved = self.current.as_micros() / 2;
+        self.current = Duration::from_micros(halved.max(self.floor.as_micros()));
     }
 }
 
@@ -69,21 +64,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fixed_config_never_moves_the_window() {
-        let mut t = SuspicionTimer::new(LivenessConfig::standard());
-        let w = t.window();
-        assert_eq!(w, LivenessConfig::DEFAULT_TIMEOUT);
-        t.on_suspect();
-        t.on_suspect();
-        assert_eq!(t.window(), w);
-        t.on_progress();
-        assert_eq!(t.window(), w);
-    }
-
-    #[test]
-    fn adaptive_config_backs_off_and_decays() {
+    fn the_window_backs_off_and_decays() {
         let floor = Duration::from_millis(10);
-        let mut t = SuspicionTimer::new(LivenessConfig::adaptive(floor));
+        let mut t = SuspicionTimer::new(LivenessConfig::with_timeout(floor));
         assert_eq!(t.window(), floor);
         t.on_suspect();
         assert_eq!(t.window(), Duration::from_millis(20));

@@ -36,7 +36,9 @@ pub(crate) struct CoordEntry {
     pub involved: Vec<DomainId>,
     /// Local sequence numbers reported by involved domains so far.
     pub prepared: BTreeMap<DomainId, SeqNo>,
-    pub decided: bool,
+    /// The agreed outcome (`Some(true)` commit, `Some(false)` abort), once
+    /// the coordinator domain has ordered it.
+    pub decision: Option<bool>,
     pub retries: u32,
     pub timer: Option<TimerId>,
 }
@@ -110,7 +112,7 @@ impl SaguaroNode {
         let blocked = self
             .coordinated
             .values()
-            .any(|e| !e.decided && intersect_two(&e.involved, &involved));
+            .any(|e| e.decision.is_none() && intersect_two(&e.involved, &involved));
         if blocked {
             self.coord_queue.push_back(tx);
         } else {
@@ -174,13 +176,13 @@ impl SaguaroNode {
             coord_seq,
             involved,
             prepared: BTreeMap::new(),
-            decided: false,
+            decision: None,
             retries: 0,
             timer: None,
         });
         entry.coord_seq = coord_seq;
         entry.prepared.clear();
-        entry.decided = false;
+        entry.decision = None;
         if timer.is_some() {
             entry.timer = timer;
         }
@@ -198,7 +200,7 @@ impl SaguaroNode {
         let Some(entry) = self.coordinated.get_mut(&tx_id) else {
             return;
         };
-        if entry.decided || entry.coord_seq != coord_seq {
+        if entry.decision.is_some() || entry.coord_seq != coord_seq {
             return;
         }
         entry.prepared.insert(domain, local_seq);
@@ -226,7 +228,7 @@ impl SaguaroNode {
         let Some(entry) = self.coordinated.get_mut(&tx_id) else {
             return;
         };
-        entry.decided = true;
+        entry.decision = Some(commit);
         if let Some(t) = entry.timer.take() {
             ctx.cancel_timer(t);
         }
@@ -251,7 +253,7 @@ impl SaguaroNode {
         let Some(entry) = self.coordinated.get_mut(&tx_id) else {
             return;
         };
-        if entry.decided {
+        if entry.decision.is_some() {
             return;
         }
         entry.retries += 1;
@@ -274,13 +276,20 @@ impl SaguaroNode {
         }
     }
 
-    /// A participant asks what happened to a prepared transaction.
+    /// A participant asks what happened to a prepared transaction: the
+    /// primary repeats the recorded decision, with the sequence numbers the
+    /// original carried (none for an abort).
     pub(crate) fn on_commit_query(&mut self, tx_id: TxId, ctx: &mut Context<'_, SaguaroMsg>) {
         let Some(entry) = self.coordinated.get(&tx_id) else {
             return;
         };
-        if entry.decided && self.is_primary() {
-            self.send_decision(tx_id, entry.seqs(), true, ctx);
+        if let (Some(commit), true) = (entry.decision, self.is_primary()) {
+            let seqs = if commit {
+                entry.seqs()
+            } else {
+                MultiSeq::new()
+            };
+            self.send_decision(tx_id, seqs, commit, ctx);
         }
     }
 
@@ -397,7 +406,9 @@ impl SaguaroNode {
         }
     }
 
-    /// Participant-side timer: the commit never arrived; query the LCA.
+    /// Participant-side timer: the decision never arrived; query the LCA,
+    /// and query again one timeout later while the entry stays open (a lost
+    /// query or answer must not leave it blocking forever).
     pub(crate) fn on_commit_query_timer(&mut self, tx_id: TxId, ctx: &mut Context<'_, SaguaroMsg>) {
         let Some(entry) = self.participating.get(&tx_id) else {
             return;
@@ -406,6 +417,11 @@ impl SaguaroNode {
             let domain = self.domain();
             self.send_to_domain(lca, SaguaroMsg::CommitQuery { tx_id, domain }, ctx);
         }
+        let timer = ctx.set_timer(COMMIT_QUERY_TIMEOUT, SaguaroMsg::CommitQueryTimer { tx_id });
+        self.participating
+            .get_mut(&tx_id)
+            .expect("checked above")
+            .timer = Some(timer);
     }
 }
 

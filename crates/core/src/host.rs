@@ -81,8 +81,7 @@ pub struct ReplicaHost<C> {
     progress_timer: Option<TimerId>,
     /// Last delivered sequence number seen by the progress check.
     last_progress_check: SeqNo,
-    /// How long the next progress window should be (fixed under a
-    /// non-adaptive [`saguaro_types::LivenessConfig`]).
+    /// How long the next progress window should be.
     suspicion: SuspicionTimer,
     /// Clients whose request this domain received directly (reply targets).
     reply_to: FxHashMap<TxId, ClientId>,

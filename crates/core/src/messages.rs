@@ -261,10 +261,6 @@ impl MessageMeta for SaguaroMsg {
         }
     }
 
-    fn is_payload(&self) -> bool {
-        matches!(self, SaguaroMsg::ClientRequest(_))
-    }
-
     fn is_state_transfer(&self) -> bool {
         matches!(self, SaguaroMsg::Consensus(m) if m.is_state_transfer())
     }
@@ -341,7 +337,6 @@ mod tests {
         let m = SaguaroMsg::ClientRequest(tx());
         let b = m.wire_bytes();
         assert!((150..300).contains(&b), "request size {b}");
-        assert!(m.is_payload());
         assert_eq!(m.signatures(), 1);
     }
 

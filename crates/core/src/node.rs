@@ -531,7 +531,7 @@ impl HostedReplica for SaguaroNode {
     /// in.  Decided `coordinated` entries are never retired, so they must not
     /// count: an idle LCA replica would suspect a healthy primary forever.
     fn work_pending(&self) -> bool {
-        !self.participating.is_empty() || self.coordinated.values().any(|e| !e.decided)
+        !self.participating.is_empty() || self.coordinated.values().any(|e| e.decision.is_none())
     }
 }
 
@@ -572,10 +572,10 @@ mod tests {
         (sim, tree)
     }
 
-    fn read<R>(
+    fn with_node<R>(
         sim: &mut Simulation<SaguaroMsg>,
         node: NodeId,
-        f: impl FnOnce(&SaguaroNode) -> R,
+        f: impl FnOnce(&mut SaguaroNode) -> R,
     ) -> R {
         let read = sim.with_actor(node, |a| {
             f(a.as_any()
@@ -604,8 +604,9 @@ mod tests {
         });
         sim.inject(HARNESS, visited, SaguaroMsg::RoundTimer);
         sim.run_until(SimTime::from_millis(1_200));
-        let clients = |n: &SaguaroNode| n.ledger.entries().iter().map(|e| e.tx.client).collect();
-        let committed: Vec<ClientId> = read(&mut sim, visited, clients);
+        let clients =
+            |n: &mut SaguaroNode| n.ledger.entries().iter().map(|e| e.tx.client).collect();
+        let committed: Vec<ClientId> = with_node(&mut sim, visited, clients);
         assert_eq!(committed, [ClientId(4), ClientId(8)]);
     }
 
@@ -684,15 +685,15 @@ mod tests {
             );
         }
         sim.run_until(SimTime::from_millis(600));
-        let committed = |n: &SaguaroNode| {
+        let committed = |n: &mut SaguaroNode| {
             let entries = n.ledger.entries().iter();
             entries.filter(|e| e.status == TxStatus::Committed).count()
         };
-        assert_eq!(read(&mut sim, NodeId::new(d(0), 0), committed), 2);
-        assert_eq!(read(&mut sim, NodeId::new(d(2), 0), committed), 1);
+        assert_eq!(with_node(&mut sim, NodeId::new(d(0), 0), committed), 2);
+        assert_eq!(with_node(&mut sim, NodeId::new(d(2), 0), committed), 1);
         for domain in tree.domains().filter(|d| d.id.height > 0) {
             for node in tree.nodes_of(domain.id).expect("nodes") {
-                let records = read(&mut sim, node, |n| n.undo_log.len());
+                let records = with_node(&mut sim, node, |n| n.undo_log.len());
                 assert_eq!(records, 0, "{node:?} kept undo records");
             }
         }
@@ -717,7 +718,7 @@ mod tests {
         let fog = tree.parent(d0).expect("a fog parent");
         let folded = format!("{d0:?}/{}", account_key(0, 1));
         for node in tree.nodes_of(tree.root()).expect("nodes") {
-            read(&mut sim, node, |n| {
+            with_node(&mut sim, node, |n| {
                 assert_eq!(n.agg.child_value(fog, &folded), Some(990), "{node:?}");
                 assert!(n.round_updates.is_empty(), "{node:?} folds for nobody");
             });
@@ -740,13 +741,14 @@ mod tests {
         sim.run_until(SimTime::from_millis(10));
         let replicas = tree.nodes_of(d0).expect("nodes");
         for node in &replicas {
-            let (value, records) = read(&mut sim, *node, |n| (n.state.get(&key), n.undo_log.len()));
+            let (value, records) =
+                with_node(&mut sim, *node, |n| (n.state.get(&key), n.undo_log.len()));
             assert_eq!((value, records), (Some(7), 2), "{node:?} before the abort");
             sim.inject(HARNESS, *node, SaguaroMsg::OptAbort { tx_id: TxId(1) });
         }
         sim.run_until(SimTime::from_millis(15));
         for node in replicas {
-            read(&mut sim, node, |n| {
+            with_node(&mut sim, node, |n| {
                 assert_eq!(n.state.get(&key), Some(1_000), "{node:?}: wrong undo order");
                 assert!(n.undo_log.is_empty(), "{node:?} kept undo records");
                 for id in [TxId(1), TxId(2)] {
@@ -755,5 +757,41 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// The LCA answers a participant's query with the decision it recorded:
+    /// a query about a transaction decided *abort* clears the participant's
+    /// entry without committing it.
+    #[test]
+    fn a_query_about_a_decided_abort_is_answered_with_abort() {
+        let (mut sim, _) = deployment(ProtocolConfig::coordinator());
+        let (d0, d1) = (DomainId::new(1, 0), DomainId::new(1, 1));
+        let (participant, lca) = (NodeId::new(d1, 0), NodeId::new(DomainId::new(2, 0), 0));
+        let tx = put(7, [d0, d1], "k", 1);
+        let tx_id = tx.id;
+        let decided = CoordEntry {
+            tx: tx.clone(),
+            coord_seq: 1,
+            involved: vec![d0, d1],
+            prepared: BTreeMap::new(),
+            decision: Some(false),
+            retries: 0,
+            timer: None,
+        };
+        with_node(&mut sim, lca, |n| n.coordinated.insert(tx_id, decided));
+        let waiting = ParticipantEntry {
+            tx,
+            local_seq: 1,
+            timer: None,
+        };
+        with_node(&mut sim, participant, |n| {
+            n.participating.insert(tx_id, waiting)
+        });
+        let query = SaguaroMsg::CommitQuery { tx_id, domain: d1 };
+        sim.inject(participant, lca, query);
+        sim.run_until(SimTime::from_millis(50));
+        let state = |n: &mut SaguaroNode| (n.participating.len(), n.ledger.contains(tx_id));
+        let (open, committed) = with_node(&mut sim, participant, state);
+        assert_eq!((open, committed), (0, false), "cleared, not committed");
     }
 }

@@ -7,10 +7,11 @@ use saguaro_core::{HostedReplica, ReplicaHost};
 use saguaro_net::{
     Actor, Addr, Context, CpuProfile, LatencyMatrix, MessageMeta, Simulation, TimerId,
 };
+use saguaro_trace::TraceEventKind;
 use saguaro_types::{
     BatchConfig, CheckpointConfig, ClientId, DomainId, Duration, FailureModel, LivenessConfig,
-    NodeId, Operation, QuorumSpec, Region, SeqNo, SimTime, StackConfig, StateSnapshot, Transaction,
-    TxId,
+    NodeId, Operation, QuorumSpec, Region, SeqNo, SimTime, StackConfig, StateSnapshot, TraceConfig,
+    Transaction, TxId,
 };
 
 /// The toy command: a transaction, ordered as is.
@@ -199,6 +200,19 @@ fn group(model: FailureModel, stack: StackConfig) -> Simulation<ToyMsg> {
     sim
 }
 
+/// A peer's state reply committing through sequence number 1, carrying
+/// request `id` at sequence number `id` for each of `ids`.
+fn state_reply(ids: &[u64]) -> ToyMsg {
+    let noop = |id| Transaction::internal(TxId(id), CLIENT, node(0).domain, Operation::Noop);
+    let entries = ids.iter().map(|&id| (id, Batch::single(ToyCmd(noop(id)))));
+    let body = MsgBody::StateReply {
+        entries: entries.collect(),
+        committed_to: 1,
+    };
+    let model = FailureModel::Crash;
+    ToyMsg::Consensus(ConsensusMsg { model, body })
+}
+
 fn request(sim: &mut Simulation<ToyMsg>, to: NodeId, id: u64, at: SimTime) {
     let tx = Transaction::internal(TxId(id), CLIENT, to.domain, Operation::Noop);
     sim.inject_at(at, CLIENT, to, ToyMsg::Request(tx));
@@ -299,23 +313,12 @@ fn a_state_reply_that_delivers_nothing_is_not_a_catch_up() {
         ..StackConfig::default()
     };
     let mut sim = group(FailureModel::Crash, stack);
-    let reply = |entries| {
-        ToyMsg::Consensus(ConsensusMsg {
-            model: FailureModel::Crash,
-            body: MsgBody::StateReply {
-                entries,
-                committed_to: 1,
-            },
-        })
-    };
-    sim.inject_at(ms(0), node(0), node(2), reply(Vec::new()));
+    sim.inject_at(ms(0), node(0), node(2), state_reply(&[]));
     sim.run_until(ms(1));
     let stats = toy(&mut sim, node(2), |t| t.host.stats().clone());
     assert_eq!((stats.caught_up_at, stats.state_transfer_bytes), (None, 0));
     // The same reply carrying the missing entry is one.
-    let tx = Transaction::internal(TxId(1), CLIENT, node(0).domain, Operation::Noop);
-    let entry = (1, Batch::single(ToyCmd(tx)));
-    sim.inject_at(ms(1), node(0), node(2), reply(vec![entry]));
+    sim.inject_at(ms(1), node(0), node(2), state_reply(&[1]));
     sim.run_until(ms(2));
     let stats = toy(&mut sim, node(2), |t| t.host.stats().clone());
     assert!(stats.caught_up_at.is_some());
@@ -363,4 +366,38 @@ fn a_command_applied_inside_drive_that_proposes_again_runs_both_step_lists_in_or
         Snapshot(1),
     ];
     assert_eq!(events, expected);
+}
+
+/// PBFT's suspicion rule through the host: a backup whose domain cannot
+/// order its client's request suspects at windows doubling from the floor
+/// to eight times it, and one check that sees a delivery halves the window.
+#[test]
+fn a_stuck_backup_doubles_its_suspicion_window_and_progress_halves_it() {
+    let stack = StackConfig {
+        liveness: LivenessConfig::standard(),
+        checkpoint: CheckpointConfig::every(4),
+        trace: TraceConfig::on(),
+        ..StackConfig::default()
+    };
+    let mut sim = group(FailureModel::Crash, stack);
+    // The primary and the other backup are down: no view change completes.
+    sim.faults_mut().crash(node(0));
+    sim.faults_mut().crash(node(2));
+    request(&mut sim, node(1), 1, ms(0));
+    sim.inject_at(ms(0), CLIENT, node(1), ToyMsg::ProgressTimer);
+    // Deliveries resume at 1 500 ms (a peer's state reply carries request
+    // 1); a second request arrives after the check that sees it.
+    sim.inject_at(ms(1_500), node(0), node(1), state_reply(&[1]));
+    request(&mut sim, node(1), 2, ms(1_900));
+    sim.run_until(ms(2_200));
+    assert_eq!(toy(&mut sim, node(1), |t| t.applied), 1);
+    let (events, _) = toy(&mut sim, node(1), |t| t.host.take_trace());
+    let fired: Vec<u64> = events
+        .iter()
+        .filter(|e| matches!(e.kind, TraceEventKind::SuspicionFired { .. }))
+        .map(|e| e.time.as_micros() / 1_000)
+        .collect();
+    // Gaps of 60, 120, 240, 480 and 480 ms; the check at 1 860 ms saw the
+    // delivery, so the next window is 240 ms, not 480.
+    assert_eq!(fired, [60, 180, 420, 900, 1_380, 2_100]);
 }

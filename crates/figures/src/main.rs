@@ -153,12 +153,12 @@ pub const ROWS: &[Row] = &[
     },
     Row {
         name: "timeout_sweep",
-        about: "fixed and adaptive suspicion windows; gates: cells recover, adaptive within 2x",
+        about: "suspicion floors 10-60 ms (5-120 full); gates: cells recover, 30 ms within 2x",
         run: timeouts::run,
     },
     Row {
         name: "scenarios",
-        about: "adversarial scenario matrix under both timeout policies; gate: no safety violation",
+        about: "adversarial scenario matrix under 60 and 30 ms floors; gate: no safety violation",
         run: scenarios::run,
     },
     Row {

@@ -1,20 +1,27 @@
 //! The `scenarios` row: every composite [`Scenario`] against every stack
-//! under both timeout policies.  Byzantine domains throughout, so the
-//! equivocation scenarios exercise PBFT's twin defences on every stack.
+//! under two suspicion floors, the default and [`LOW_SUSPICION_FLOOR`].
+//! Byzantine domains throughout, so the equivocation scenarios exercise
+//! PBFT's twin defences on every stack.
 //! Gate: no run violates [`safety_violations`].
 
 use crate::grid::run_grid;
 use crate::table::{left, num, right, table, Column};
 use crate::{Options, Outcome};
-use saguaro_sim::{
-    safety_violations, ExperimentSpec, ProtocolKind, RunMetrics, Scenario, TimeoutPolicy,
-};
+use saguaro_sim::scenarios::LOW_SUSPICION_FLOOR;
+use saguaro_sim::{safety_violations, ExperimentSpec, ProtocolKind, RunMetrics, Scenario};
+use saguaro_types::{Duration, LivenessConfig};
 
-/// One `(scenario, stack, policy)` cell of the matrix.
+/// The matrix's suspicion floors (ms), in column order.
+const FLOORS_MS: [u64; 2] = [
+    LivenessConfig::DEFAULT_TIMEOUT.as_micros() / 1_000,
+    LOW_SUSPICION_FLOOR.as_micros() / 1_000,
+];
+
+/// One `(scenario, stack, floor)` cell of the matrix.
 struct ScenarioCell {
     scenario: Scenario,
     stack: ProtocolKind,
-    policy: TimeoutPolicy,
+    floor_ms: u64,
 }
 
 /// The matrix's base spec: Byzantine domains at a load every stack carries.
@@ -23,19 +30,20 @@ pub fn matrix_spec(stack: ProtocolKind, options: &Options) -> ExperimentSpec {
     options.spec(stack).byzantine().load(load)
 }
 
-/// Every cell, scenario-major, then stack, then policy.
+/// Every cell, scenario-major, then stack, then floor.
 fn scenario_matrix(options: &Options) -> Vec<(ScenarioCell, ExperimentSpec)> {
     let mut cells = Vec::new();
     for scenario in Scenario::all() {
         for stack in ProtocolKind::ALL {
-            for policy in TimeoutPolicy::both() {
+            for floor_ms in FLOORS_MS {
+                let liveness = LivenessConfig::with_timeout(Duration::from_millis(floor_ms));
                 let spec = scenario
                     .apply(matrix_spec(stack, options))
-                    .tune(|t| t.liveness(policy.liveness()));
+                    .tune(|t| t.liveness(liveness));
                 let cell = ScenarioCell {
                     scenario,
                     stack,
-                    policy,
+                    floor_ms,
                 };
                 cells.push((cell, spec));
             }
@@ -51,7 +59,9 @@ type Reading = (RunMetrics, u64, u64, Vec<String>);
 const COLUMNS: &[Column<(ScenarioCell, Reading)>] = &[
     left("scenario", 20, |(cell, _)| cell.scenario.label().into()),
     left("stack", 12, |(cell, _)| cell.stack.label().into()),
-    left("policy", 9, |(cell, _)| cell.policy.label().into()),
+    left("floor", 9, |(cell, _)| {
+        format!("{}ms", cell.floor_ms).as_str().into()
+    }),
     right("tps", 10, |(_, (metrics, ..))| {
         num(metrics.throughput_tps, 0)
     }),
@@ -87,8 +97,8 @@ pub fn run(options: &Options) -> Outcome {
         .filter(|(_, (.., violations))| !violations.is_empty())
         .map(|(cell, (.., violations))| {
             let (scenario, stack) = (cell.scenario.label(), cell.stack.label());
-            let policy = cell.policy.label();
-            format!("{scenario} / {stack} / {policy}: safety violated: {violations:?}")
+            let floor_ms = cell.floor_ms;
+            format!("{scenario} / {stack} / {floor_ms}ms: safety violated: {violations:?}")
         })
         .collect();
     Outcome {

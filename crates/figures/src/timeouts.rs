@@ -1,19 +1,18 @@
-//! The `timeout_sweep` row: fixed suspicion windows
-//! ([`LivenessConfig::progress_timeout`]), then
-//! [`TimeoutPolicy::Adaptive`], against the three placements' RTTs.  Too
-//! small a window fires false suspicions (view changes with no fault
-//! anywhere, paid as churn); too large a window slows crash recovery.  Each
-//! `(placement, window)` runs twice: failure-free with timers armed (the
+//! The `timeout_sweep` row: suspicion floors
+//! ([`LivenessConfig::progress_timeout`]) against the three placements'
+//! RTTs.  Too low a floor fires false suspicions (view changes with no
+//! fault anywhere, paid as churn); too high a floor slows crash recovery.
+//! Each `(placement, floor)` runs twice: failure-free with timers armed (the
 //! false-suspicion count) and with a scripted leader crash (the recovery
-//! time).  Gates: every crashed domain recovers, and the adaptive policy
-//! stays within 2x of the best fixed window.
+//! time).  Gates: every crashed domain recovers, and
+//! [`LOW_SUSPICION_FLOOR`] stays within 2x of the best other floor.
 
 use crate::grid::{group_by, quarter_in, run_grid};
 use crate::table::{left, num, right, Column, Table};
 use crate::{Options, Outcome};
 use saguaro_hierarchy::Placement;
-use saguaro_sim::scenarios::fault_victim;
-use saguaro_sim::{ExperimentSpec, FaultSchedule, ProtocolKind, RunArtifacts, TimeoutPolicy};
+use saguaro_sim::scenarios::{fault_victim, LOW_SUSPICION_FLOOR};
+use saguaro_sim::{ExperimentSpec, FaultSchedule, ProtocolKind, RunArtifacts};
 use saguaro_types::{Duration, LivenessConfig, SimTime};
 
 const PLACEMENTS: [(&str, Placement); 3] = [
@@ -35,7 +34,7 @@ struct Cell {
 /// One `(placement, suspicion timers)` point of the sweep.
 #[derive(Clone, Debug)]
 struct TimeoutPoint {
-    /// The swept timers: a fixed window, or the adaptive policy.
+    /// The swept timers: one floor of the suspicion window.
     liveness: LivenessConfig,
     /// View changes in the failure-free run — every one a false suspicion.
     false_suspicions: u64,
@@ -51,31 +50,24 @@ struct TimeoutPoint {
 }
 
 impl TimeoutPoint {
-    /// The row label: `fixed-<ms>ms`, or `adaptive`.
-    fn policy(&self) -> String {
-        if self.liveness.adaptive {
-            return "adaptive".to_string();
-        }
+    /// The row label: `floor-<ms>ms`.
+    fn floor(&self) -> String {
         let ms = self.liveness.progress_timeout.as_micros() / 1_000;
-        format!("fixed-{ms}ms")
+        format!("floor-{ms}ms")
     }
 }
 
 fn cells(options: &Options) -> Vec<(Cell, ExperimentSpec)> {
-    let timeouts_ms: &[u64] = if options.quick {
-        &[10, 60]
+    let floors_ms: &[u64] = if options.quick {
+        &[10, 30, 60]
     } else {
-        &[5, 10, 20, 40, 60, 120]
+        &[5, 10, 20, 30, 40, 60, 120]
     };
-    let policies: Vec<LivenessConfig> = timeouts_ms
-        .iter()
-        .map(|ms| LivenessConfig::with_timeout(Duration::from_millis(*ms)))
-        .chain([TimeoutPolicy::Adaptive.liveness()])
-        .collect();
     let load = if options.quick { 800.0 } else { 2_000.0 };
     let mut cells = Vec::new();
     for (placement, at) in PLACEMENTS {
-        for &liveness in &policies {
+        for &ms in floors_ms {
+            let liveness = LivenessConfig::with_timeout(Duration::from_millis(ms));
             for crash in [false, true] {
                 let mut spec = options
                     .spec(ProtocolKind::SaguaroCoordinator)
@@ -150,7 +142,7 @@ fn series(options: &Options) -> Vec<(&'static str, Vec<TimeoutPoint>)> {
 }
 
 const COLUMNS: &[Column<TimeoutPoint>] = &[
-    left("policy", 14, |p| p.policy().as_str().into()),
+    left("floor", 14, |p| p.floor().as_str().into()),
     right("false_suspicions", 17, |p| p.false_suspicions.into()),
     right("false_susp_per_sec", 20, |p| num(p.false_suspicion_rate, 2)),
     right("recovery_ms", 12, |p| num(p.recovery_ms, 1)),
@@ -169,19 +161,19 @@ fn table(series: &[(&str, Vec<TimeoutPoint>)]) -> String {
 }
 
 /// The timeout gate: every cell's crashed domain recovers, and on the
-/// nearby-regions placement the adaptive policy recovers within 2x the
-/// best fixed window while firing no more false suspicions.  The best
-/// fixed window is the fastest to recover among the recovered windows with
-/// the fewest false suspicions: an aggressive window that "recovers"
-/// instantly by churning through needless view changes is not an operating
-/// point anyone deploys, so it does not set the bar.
+/// nearby-regions placement [`LOW_SUSPICION_FLOOR`] recovers within 2x the
+/// best other floor while firing no more false suspicions.  The best other
+/// floor is the fastest to recover among the recovered floors with the
+/// fewest false suspicions: an aggressive floor that "recovers" instantly
+/// by churning through needless view changes is not an operating point
+/// anyone deploys, so it does not set the bar.
 fn gate(series: &[(&str, Vec<TimeoutPoint>)]) -> Vec<String> {
     let mut errors = Vec::new();
     for (placement, points) in series {
         for p in points.iter().filter(|p| p.recovery_ms < 0.0) {
             errors.push(format!(
                 "{placement} @ {}: the crashed domain never recovered",
-                p.policy()
+                p.floor()
             ));
         }
     }
@@ -189,29 +181,31 @@ fn gate(series: &[(&str, Vec<TimeoutPoint>)]) -> Vec<String> {
         .iter()
         .find(|(placement, _)| *placement == "nearby-regions")
         .expect("the sweep runs the nearby-regions placement");
-    let adaptive = nearby
+    let is_low = |p: &&TimeoutPoint| p.liveness.progress_timeout == LOW_SUSPICION_FLOOR;
+    let low = nearby
         .iter()
-        .find(|p| p.liveness.adaptive)
-        .expect("the sweep runs the adaptive policy");
-    let best_fixed = nearby
+        .find(is_low)
+        .expect("the sweep runs the low floor");
+    let best_other = nearby
         .iter()
-        .filter(|p| !p.liveness.adaptive && p.recovery_ms >= 0.0)
+        .filter(|p| !is_low(p) && p.recovery_ms >= 0.0)
         .min_by(|a, b| {
             (a.false_suspicions, a.recovery_ms)
                 .partial_cmp(&(b.false_suspicions, b.recovery_ms))
                 .expect("finite recovery")
         });
-    if let Some(best) = best_fixed {
-        if adaptive.recovery_ms < 0.0
-            || adaptive.recovery_ms > best.recovery_ms * 2.0
-            || adaptive.false_suspicions > best.false_suspicions
+    if let Some(best) = best_other {
+        if low.recovery_ms < 0.0
+            || low.recovery_ms > best.recovery_ms * 2.0
+            || low.false_suspicions > best.false_suspicions
         {
             errors.push(format!(
-                "adaptive policy out of bounds: recovered in {:.1} ms with {} false suspicions \
-                 vs best fixed {} ({:.1} ms, {} false suspicions)",
-                adaptive.recovery_ms,
-                adaptive.false_suspicions,
-                best.policy(),
+                "{} out of bounds: recovered in {:.1} ms with {} false suspicions \
+                 vs best other floor {} ({:.1} ms, {} false suspicions)",
+                low.floor(),
+                low.recovery_ms,
+                low.false_suspicions,
+                best.floor(),
                 best.recovery_ms,
                 best.false_suspicions
             ));
@@ -243,9 +237,9 @@ mod tests {
         }
     }
 
-    fn policies(recovery_ms: [f64; 3], false_suspicions: [u64; 3]) -> Vec<TimeoutPoint> {
-        let fixed = |ms| LivenessConfig::with_timeout(Duration::from_millis(ms));
-        let timers = [fixed(10), fixed(60), TimeoutPolicy::Adaptive.liveness()];
+    fn floors(recovery_ms: [f64; 3], false_suspicions: [u64; 3]) -> Vec<TimeoutPoint> {
+        let floor = |ms| LivenessConfig::with_timeout(Duration::from_millis(ms));
+        let timers = [floor(10), floor(30), floor(60)];
         (0..3)
             .map(|i| cell(timers[i], recovery_ms[i], false_suspicions[i]))
             .collect()
@@ -253,29 +247,29 @@ mod tests {
 
     #[test]
     fn each_timeout_condition_fails_with_its_message() {
-        // The seed-42 quick numbers: the best fixed window is fixed-60ms
-        // (fixed-10ms recovers faster only by suspecting falsely).
+        // The seed-42 quick numbers: the best other floor is floor-60ms
+        // (floor-10ms recovers faster only by suspecting falsely).
         let good = vec![
-            ("single-region", policies([49.9, 71.2, 60.2], [57, 0, 0])),
-            ("nearby-regions", policies([17.2, 84.2, 49.2], [54, 0, 0])),
+            ("single-region", floors([49.9, 60.2, 71.2], [48, 0, 0])),
+            ("nearby-regions", floors([17.2, 49.2, 84.2], [33, 0, 0])),
         ];
         crate::assert_each_violation_reported(
             &good,
             |series| gate(series),
             &[
                 (
-                    |s| s[0].1[1].recovery_ms = -1.0,
-                    "single-region @ fixed-60ms: the crashed domain never recovered",
+                    |s| s[0].1[2].recovery_ms = -1.0,
+                    "single-region @ floor-60ms: the crashed domain never recovered",
                 ),
                 (
-                    |s| s[1].1[2].recovery_ms = 168.5,
-                    "adaptive policy out of bounds: recovered in 168.5 ms with 0 false \
-                     suspicions vs best fixed fixed-60ms (84.2 ms, 0 false suspicions)",
+                    |s| s[1].1[1].recovery_ms = 168.5,
+                    "floor-30ms out of bounds: recovered in 168.5 ms with 0 false \
+                     suspicions vs best other floor floor-60ms (84.2 ms, 0 false suspicions)",
                 ),
                 (
-                    |s| s[1].1[2].false_suspicions = 1,
-                    "adaptive policy out of bounds: recovered in 49.2 ms with 1 false \
-                     suspicions vs best fixed fixed-60ms",
+                    |s| s[1].1[1].false_suspicions = 1,
+                    "floor-30ms out of bounds: recovered in 49.2 ms with 1 false \
+                     suspicions vs best other floor floor-60ms",
                 ),
             ],
         );

@@ -25,12 +25,6 @@ pub trait MessageMeta {
         1
     }
 
-    /// True if the message represents client-visible work (a transaction
-    /// proposal) rather than protocol bookkeeping.  Only used for statistics.
-    fn is_payload(&self) -> bool {
-        false
-    }
-
     /// True if the message carries state-transfer traffic (recovery
     /// catch-up).  The network statistics account these bytes separately so
     /// recovery experiments can report transfer volume.
@@ -155,6 +149,5 @@ mod tests {
         let m = Fake(100, 1);
         assert_eq!(m.wire_bytes(), 100);
         assert_eq!(m.signatures(), 1);
-        assert!(!m.is_payload());
     }
 }

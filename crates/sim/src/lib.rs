@@ -27,8 +27,8 @@
 //! * [`deploy`] — topology building and the node-registration helpers the
 //!   stacks' `deploy` impls use.
 //! * [`scenarios`] — composite adversarial [`Scenario`]s compiled to fault
-//!   schedules, the two [`TimeoutPolicy`]s and [`safety_violations`], the
-//!   invariants every run must uphold.
+//!   schedules, [`scenarios::LOW_SUSPICION_FLOOR`] and
+//!   [`safety_violations`], the invariants every run must uphold.
 //! * [`par`] — [`parallel_map`], the deterministic fork-join behind
 //!   [`ExperimentSpec::sweep`] and the `figures` driver's grid runner.
 //! * [`json`] — a hand-rolled JSON value, renderer and parser for
@@ -96,5 +96,5 @@ pub use saguaro_trace::{RunTrace, TraceActor, TraceEvent, TraceEventKind, Tracer
 pub use saguaro_types::{
     BatchConfig, CheckpointConfig, ConsensusTuning, LivenessConfig, TraceConfig,
 };
-pub use scenarios::{safety_violations, Scenario, TimeoutPolicy};
+pub use scenarios::{safety_violations, Scenario};
 pub use timeline::{RunTimeline, TimelinePoint};

@@ -1,5 +1,5 @@
-//! Production-shaped adversarial scenarios, the two timeout policies and
-//! the safety invariants every run must uphold.
+//! Production-shaped adversarial scenarios, the low suspicion floor they
+//! are also run under, and the safety invariants every run must uphold.
 //!
 //! A [`Scenario`] is a first-class *composite* fault story compiled down to
 //! the primitive [`FaultSchedule`] events the network interpreters
@@ -11,16 +11,14 @@
 //! scenario scales from quick CI runs to full experiments.
 //!
 //! The `figures` driver's `scenarios` row runs every scenario against all
-//! four stacks under both [`TimeoutPolicy`]s and gates on
-//! [`safety_violations`] — the invariants the fault-injection suites assert
-//! too; its `timeout_sweep` row measures the adaptive policy's recovery
-//! time and false suspicions against fixed windows.
+//! four stacks under the default suspicion floor and [`LOW_SUSPICION_FLOOR`]
+//! and gates on [`safety_violations`] — the invariants the fault-injection
+//! suites assert too; its `timeout_sweep` row measures recovery time and
+//! false suspicions across floors.
 
 use crate::experiment::{ExperimentSpec, RunArtifacts};
 use saguaro_net::FaultSchedule;
-use saguaro_types::{
-    DomainId, Duration, LivenessConfig, NodeId, PopulationConfig, RateEnvelope, SimTime,
-};
+use saguaro_types::{DomainId, Duration, NodeId, PopulationConfig, RateEnvelope, SimTime};
 
 /// A composite adversarial scenario, compiled to primitive fault events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,41 +145,13 @@ impl Scenario {
     }
 }
 
-/// How a deployment sets its suspicion timers: a column of the `figures`
-/// driver's scenario matrix, and (adaptive) a row of its timeout sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TimeoutPolicy {
-    /// The fixed [`LivenessConfig::standard`] window.
-    Fixed,
-    /// An adaptive window with a 30 ms floor — half the conservative 60 ms
-    /// default, low enough to roughly halve crash recovery but high enough
-    /// to stay false-suspicion-free — backing off ×2 on failed view changes
-    /// up to 240 ms and decaying ×½ on progress.
-    Adaptive,
-}
-
-impl TimeoutPolicy {
-    /// Both policies, in column order.
-    pub fn both() -> [TimeoutPolicy; 2] {
-        [TimeoutPolicy::Fixed, TimeoutPolicy::Adaptive]
-    }
-
-    /// Column label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TimeoutPolicy::Fixed => "fixed",
-            TimeoutPolicy::Adaptive => "adaptive",
-        }
-    }
-
-    /// The liveness knobs this policy deploys.
-    pub fn liveness(&self) -> LivenessConfig {
-        match self {
-            TimeoutPolicy::Fixed => LivenessConfig::standard(),
-            TimeoutPolicy::Adaptive => LivenessConfig::adaptive(Duration::from_millis(30)),
-        }
-    }
-}
+/// A suspicion floor half the conservative
+/// [`saguaro_types::LivenessConfig::DEFAULT_TIMEOUT`]: low enough to
+/// roughly halve crash recovery but high enough to stay
+/// false-suspicion-free, with the window backing off ×2 on failed view
+/// changes up to 240 ms and decaying ×½ on progress.  A column of the `figures` driver's scenario matrix, a point
+/// of its timeout sweep, and one side of the chaos lane's coin.
+pub const LOW_SUSPICION_FLOOR: Duration = Duration::from_millis(30);
 
 /// Checks the safety invariants every run must uphold, returning one
 /// description per violation:

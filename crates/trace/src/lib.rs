@@ -10,8 +10,8 @@
 //!   batch cuts, equivocation detection and scripted fault-plan events, each
 //!   stamped with the virtual time and the actor that observed it.
 //! * **Transaction lifecycle spans** — submitted → batched → ordered →
-//!   executed → replied → completed, sampled at a configurable stride
-//!   ([`TraceConfig::span_sample_every`]) so endurance runs stay `O(1)`.
+//!   executed → replied → completed, sampled at a fixed stride
+//!   ([`TraceConfig::SPAN_SAMPLE_EVERY`]) so endurance runs stay `O(1)`.
 //! * **Bounded ring buffers** ([`Tracer`]) — each actor records into its own
 //!   fixed-capacity buffer; the oldest events are dropped (and counted) under
 //!   pressure, so memory is bounded regardless of run length.
@@ -548,12 +548,14 @@ mod tests {
 
     #[test]
     fn sampling_respects_stride_and_master_switch() {
-        let on = TraceConfig::on().with_span_sampling(4);
+        let on = TraceConfig::on();
         assert!(on.samples(0));
         assert!(on.samples(8));
+        assert!(on.samples(16));
         assert!(!on.samples(3));
-        assert!(!TraceConfig::off().with_span_sampling(1).samples(0));
-        assert!(!TraceConfig::on().with_span_sampling(0).samples(0));
+        assert!(!on.samples(4));
+        assert!(!TraceConfig::off().samples(0));
+        assert!(!TraceConfig::off().samples(8));
     }
 
     #[test]

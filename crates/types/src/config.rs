@@ -142,9 +142,8 @@ impl Default for BatchConfig {
 /// scheduled and the event stream is bit-identical to the historical
 /// failure-free pipeline.
 ///
-/// The window is `progress_timeout`, fixed unless `adaptive` is set.  An
-/// adaptive window (sawtooth-pbft-style idle/commit timers) starts at
-/// `progress_timeout` as its floor, doubles on every suspicion fired while
+/// The window starts at `progress_timeout`, its floor.  As in PBFT (Castro
+/// & Liskov, OSDI'99, §4.5.2), it doubles on every suspicion fired while
 /// the replica is still stuck (a failed view change) up to eight times the
 /// floor, and halves back toward the floor on every observed delivery
 /// progress; the arithmetic lives in `saguaro_consensus::SuspicionTimer`.
@@ -152,12 +151,9 @@ impl Default for BatchConfig {
 pub struct LivenessConfig {
     /// Whether progress timers run at all.
     pub enabled: bool,
-    /// Window with no delivery progress (while work is pending) after which
-    /// the primary is suspected — the floor of an adaptive window.
+    /// The suspicion window's floor: its first length, and the length
+    /// observed progress halves it back down to.
     pub progress_timeout: Duration,
-    /// Whether the window backs off on failed view changes and decays on
-    /// progress instead of staying fixed.
-    pub adaptive: bool,
 }
 
 impl LivenessConfig {
@@ -166,23 +162,24 @@ impl LivenessConfig {
         Self {
             enabled: false,
             progress_timeout: Self::DEFAULT_TIMEOUT,
-            adaptive: false,
         }
     }
 
-    /// The default suspicion window: comfortably above the per-request
+    /// The default suspicion floor: comfortably above the per-request
     /// commit latency of every placement (tens of milliseconds at the
     /// simulated scale), well below an experiment's measurement window.
     pub const DEFAULT_TIMEOUT: Duration = Duration::from_millis(60);
 
-    /// Progress timers on, with the default suspicion window.
+    /// Progress timers on, with the default suspicion floor.
     pub const fn standard() -> Self {
         Self::with_timeout(Self::DEFAULT_TIMEOUT)
     }
 
-    /// Progress timers on, suspecting after `progress_timeout` of stall.
-    /// Panics on a zero window: the progress timer would re-arm at the
-    /// same instant forever.
+    /// Progress timers on, with a suspicion window that never falls below
+    /// `progress_timeout`: a floor comfortably above the placement's
+    /// failure-free commit latency, or every slow commit is misread as a
+    /// dead primary.  Panics on a zero floor: the progress timer would
+    /// re-arm at the same instant forever.
     pub const fn with_timeout(progress_timeout: Duration) -> Self {
         assert!(
             progress_timeout.as_micros() > 0,
@@ -191,24 +188,6 @@ impl LivenessConfig {
         Self {
             enabled: true,
             progress_timeout,
-            adaptive: false,
-        }
-    }
-
-    /// Progress timers on, with an adaptive suspicion window that never
-    /// falls below `floor`.  The floor is placement-dependent: it should sit
-    /// comfortably above the placement's failure-free commit latency, or
-    /// every slow commit is misread as a dead primary.  Panics on a zero
-    /// floor, as [`LivenessConfig::with_timeout`] does on a zero window.
-    pub const fn adaptive(floor: Duration) -> Self {
-        assert!(
-            floor.as_micros() > 0,
-            "LivenessConfig::adaptive(0): a zero suspicion floor re-arms the progress timer at the same instant forever"
-        );
-        Self {
-            enabled: true,
-            progress_timeout: floor,
-            adaptive: true,
         }
     }
 }
@@ -326,38 +305,33 @@ impl Default for CheckpointConfig {
 pub struct TraceConfig {
     /// Master switch; `false` makes every other knob inert.
     pub enabled: bool,
-    /// Transaction-span sampling stride: spans are recorded for transactions
-    /// whose id is divisible by this value (1 = every transaction, 0 = no
-    /// spans).  Protocol events are never sampled.
-    pub span_sample_every: u32,
     /// Per-actor ring-buffer capacity in events; the oldest events are
     /// dropped (and counted) once an actor exceeds it.
     pub buffer_capacity: u32,
 }
 
 impl TraceConfig {
+    /// Transaction-span sampling stride: spans are recorded for transactions
+    /// whose id is divisible by this value.  Protocol events are never
+    /// sampled.
+    pub const SPAN_SAMPLE_EVERY: u64 = 8;
+
     /// Tracing disabled — the pinned default, bit-identical to goldens.
     pub const fn off() -> Self {
         Self {
             enabled: false,
-            span_sample_every: 8,
             buffer_capacity: 4096,
         }
     }
 
-    /// Tracing enabled with the default knobs: every 8th transaction
-    /// spanned, 4096-event ring buffers.
+    /// Tracing enabled with the default knobs: every
+    /// [`TraceConfig::SPAN_SAMPLE_EVERY`]-th transaction spanned,
+    /// 4096-event ring buffers.
     pub const fn on() -> Self {
         Self {
             enabled: true,
             ..Self::off()
         }
-    }
-
-    /// Replaces the transaction-span sampling stride (builder style).
-    pub const fn with_span_sampling(mut self, every: u32) -> Self {
-        self.span_sample_every = every;
-        self
     }
 
     /// Replaces the per-actor ring-buffer capacity (builder style).  At
@@ -369,9 +343,7 @@ impl TraceConfig {
 
     /// True if a lifecycle span should be recorded for transaction `id`.
     pub const fn samples(&self, id: u64) -> bool {
-        self.enabled
-            && self.span_sample_every > 0
-            && id.is_multiple_of(self.span_sample_every as u64)
+        self.enabled && id.is_multiple_of(Self::SPAN_SAMPLE_EVERY)
     }
 }
 
@@ -744,22 +716,12 @@ mod tests {
         assert!(!default.liveness.enabled);
         assert_eq!(default.checkpoint, CheckpointConfig::legacy());
         assert_eq!(default.trace, TraceConfig::off());
-        let adaptive = LivenessConfig::adaptive(Duration::from_millis(30));
-        assert!(adaptive.enabled && adaptive.adaptive);
-        assert_eq!(adaptive.progress_timeout, Duration::from_millis(30));
-        assert!(!LivenessConfig::standard().adaptive);
     }
 
     #[test]
     #[should_panic(expected = "LivenessConfig::with_timeout(0)")]
     fn zero_suspicion_window_is_refused() {
         let _ = LivenessConfig::with_timeout(Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "LivenessConfig::adaptive(0)")]
-    fn zero_adaptive_floor_is_refused() {
-        let _ = LivenessConfig::adaptive(Duration::ZERO);
     }
 
     #[test]
@@ -802,9 +764,9 @@ mod tests {
         // Faults upgrade disabled timers; configured ones deploy as set.
         assert!(!t.effective_liveness(false).enabled);
         assert_eq!(t.effective_liveness(true), LivenessConfig::standard());
-        let adaptive = t.liveness(LivenessConfig::adaptive(Duration::from_millis(30)));
-        assert_eq!(adaptive.effective_liveness(true), adaptive.liveness);
-        assert_eq!(adaptive.effective_liveness(false), adaptive.liveness);
+        let low = t.liveness(LivenessConfig::with_timeout(Duration::from_millis(30)));
+        assert_eq!(low.effective_liveness(true), low.liveness);
+        assert_eq!(low.effective_liveness(false), low.liveness);
 
         let tuned = ConsensusTuning::new()
             .batch_size(8)

@@ -243,7 +243,7 @@ fn aggregate_population_runs_reproduce_bit_identically_per_seed() {
                     "{protocol:?}: the aggregate run diverged from its seed-7 golden"
                 );
                 assert_eq!(
-                    (tally.submitted, tally.completed, tally.sampled),
+                    (tally.submitted, tally.completed, tally.sampled()),
                     (335, 335, 163),
                     "{protocol:?}: tally counters"
                 );

@@ -32,7 +32,6 @@ fn aggregate_runs_commit_without_storing_completions() {
     assert!(artifacts.completions.is_empty());
     assert!(artifacts.schedules.is_empty());
     assert_eq!(tally.committed, artifacts.metrics.committed);
-    assert_eq!(tally.hist.count(), tally.sampled);
     assert!(artifacts.metrics.p50_latency_ms > 0.0);
     assert!(artifacts.metrics.p99_latency_ms >= artifacts.metrics.p50_latency_ms);
 }

@@ -5,7 +5,9 @@
 use saguaro::core::{ProtocolConfig, SaguaroMsg, SaguaroNode};
 use saguaro::hierarchy::{HierarchyTree, Placement, TopologyBuilder};
 use saguaro::ledger::TxStatus;
-use saguaro::net::{Actor, Addr, Context, CpuProfile, LatencyMatrix, Simulation, TimerId};
+use saguaro::net::{
+    Actor, Addr, Context, CpuProfile, FaultSchedule, LatencyMatrix, Simulation, TimerId,
+};
 use saguaro::types::transaction::account_key;
 use saguaro::types::{
     ClientId, DomainId, FailureModel, NodeId, Operation, SimTime, Transaction, TxId,
@@ -153,6 +155,58 @@ fn coordinator_cross_domain_transaction_commits_in_both_domains() {
         let entry = n.ledger().get(TxId(500)).expect("entry");
         assert!(entry.seq.get(d0).is_some() && entry.seq.get(d3).is_some());
     });
+}
+
+/// A participant primary that misses the decision and then its own first
+/// query keeps querying until the LCA answers, and the entry it held stops
+/// blocking later transactions.
+#[test]
+fn a_participant_that_missed_the_decision_queries_until_it_is_answered() {
+    let (mut sim, tree) = build(FailureModel::Crash, ProtocolConfig::coordinator());
+    let (d0, d1, lca) = (
+        DomainId::new(1, 0),
+        DomainId::new(1, 1),
+        DomainId::new(2, 0),
+    );
+    let client = ClientId(9);
+    let pay = |id| {
+        let op = Operation::Transfer {
+            from: account_key(0, 1),
+            to: account_key(1, 2),
+            amount: 10,
+        };
+        Transaction::cross_domain(TxId(id), client, vec![d0, d1], op)
+    };
+    // D1-1's primary sends its prepared message at ~7 ms and the LCA sends
+    // its decision at ~13 ms: a cut from 10 ms drops the decision to that
+    // primary, and its first query (at ~607 ms) too.  Healed at 650 ms,
+    // only a second query can clear the entry.
+    let lca_nodes = tree.nodes_of(lca).unwrap();
+    let cut = FaultSchedule::none()
+        .split_at(SimTime::from_millis(10), [primary(d1)], lca_nodes.clone())
+        .heal_split_at(SimTime::from_millis(650), [primary(d1)], lca_nodes);
+    sim.set_fault_schedule(cut);
+    sim.inject(client, primary(d0), SaguaroMsg::ClientRequest(pay(500)));
+    sim.run_until(SimTime::from_millis(640));
+    for node in tree.nodes_of(d1).unwrap() {
+        let held = with_node(&mut sim, node, |n| n.ledger().contains(TxId(500)));
+        assert_eq!(held, node != primary(d1), "{node:?} before the heal");
+    }
+    sim.run_until(SimTime::from_millis(1_300));
+    let held = with_node(&mut sim, primary(d1), |n| n.ledger().contains(TxId(500)));
+    assert!(held, "the primary never learned the decision");
+    // A later transaction intersecting it in both domains is not blocked.
+    sim.inject(client, primary(d0), SaguaroMsg::ClientRequest(pay(501)));
+    sim.run_until(SimTime::from_millis(2_000));
+    for node in tree
+        .nodes_of(d0)
+        .unwrap()
+        .into_iter()
+        .chain(tree.nodes_of(d1).unwrap())
+    {
+        let held = with_node(&mut sim, node, |n| n.ledger().contains(TxId(501)));
+        assert!(held, "{node:?} never committed the later transaction");
+    }
 }
 
 #[test]

@@ -144,7 +144,7 @@ fn view_change_storm_trace_contains_the_suspicion_chain_in_order() {
 #[test]
 fn tx_spans_are_complete_chains() {
     let artifacts = golden_spec(ProtocolKind::SaguaroCoordinator)
-        .trace(TraceConfig::on().with_span_sampling(1))
+        .trace(TraceConfig::on())
         .run_collecting();
     let trace = artifacts.trace.expect("tracing was enabled");
     let completed: Vec<_> = trace
@@ -174,21 +174,17 @@ fn tx_spans_are_complete_chains() {
 
 #[test]
 fn ring_buffers_bound_memory_and_count_drops() {
-    // A deliberately tiny per-actor capacity under full span sampling: the
-    // run must stay bounded (each actor retains at most `capacity` events)
-    // and account for everything it threw away.
+    // A deliberately tiny per-actor capacity: the run must stay bounded
+    // (each actor retains at most `capacity` events) and account for
+    // everything it threw away.
     let capacity = 4u32;
     let artifacts = golden_spec(ProtocolKind::SaguaroCoordinator)
-        .trace(
-            TraceConfig::on()
-                .with_span_sampling(1)
-                .with_buffer_capacity(capacity),
-        )
+        .trace(TraceConfig::on().with_buffer_capacity(capacity))
         .run_collecting();
     let trace = artifacts.trace.expect("tracing was enabled");
     assert!(
         trace.dropped > 0,
-        "a 4-event ring buffer should have overflowed under full sampling"
+        "a 4-event ring buffer should have overflowed"
     );
     let actors: std::collections::BTreeSet<TraceActor> =
         trace.events.iter().map(|e| e.actor).collect();
@@ -202,18 +198,15 @@ fn ring_buffers_bound_memory_and_count_drops() {
     );
 }
 
-/// Every commit kind traces its execution: under full span sampling each
-/// height-1 replica records one `TxExecuted` per ledger append — internal,
+/// Every commit kind traces its execution: each height-1 replica records
+/// one `TxExecuted` per ledger append of a sampled transaction — internal,
 /// cross-domain and mobile commits alike.
 #[test]
 fn every_height_one_ledger_append_traces_its_execution() {
+    let tracing = TraceConfig::on().with_buffer_capacity(1 << 16);
     let spec = golden_spec(ProtocolKind::SaguaroCoordinator)
         .mobile(0.3)
-        .trace(
-            TraceConfig::on()
-                .with_span_sampling(1)
-                .with_buffer_capacity(1 << 16),
-        );
+        .trace(tracing);
     let artifacts = spec.run_collecting();
     let trace = artifacts.trace.as_ref().expect("tracing was enabled");
     assert_eq!(trace.dropped, 0, "the buffers hold the whole run");
@@ -244,8 +237,17 @@ fn every_height_one_ledger_append_traces_its_execution() {
         .iter()
         .filter(|n| n.node.domain.height == 1);
     for node in height_one {
-        let mut appended: Vec<TxId> = node.entries.iter().map(|(id, _)| *id).collect();
-        assert_eq!(node.total_entries, appended.len() as u64, "nothing pruned");
+        assert_eq!(
+            node.total_entries,
+            node.entries.len() as u64,
+            "nothing pruned"
+        );
+        let mut appended: Vec<TxId> = node
+            .entries
+            .iter()
+            .map(|(id, _)| *id)
+            .filter(|id| tracing.samples(id.0))
+            .collect();
         let mut executed: Vec<TxId> = trace
             .events
             .iter()
