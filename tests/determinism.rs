@@ -3,62 +3,29 @@
 //! spec's seed, so the same `ExperimentSpec` must produce bit-identical
 //! `RunMetrics` on every run, for every protocol stack and workload.
 
+mod common {
+    pub mod golden;
+}
+
+use common::golden::{golden_spec, Case};
 use saguaro::net::FaultSchedule;
 use saguaro::sim::{ExperimentSpec, ProtocolKind, RidesharingConfig, RunMetrics};
 use saguaro::types::{ClientModel, PopulationConfig, SimTime};
 
-/// The reference spec the golden metrics below were captured with.
-fn golden_spec(protocol: ProtocolKind) -> ExperimentSpec {
-    ExperimentSpec::new(protocol)
-        .quick()
-        .cross_domain(0.3)
-        .load(600.0)
-}
-
-/// `RunMetrics` of [`golden_spec`] captured on the *pre-batching* pipeline
-/// (one consensus instance per command).  The batched pipeline with
-/// `max_batch = 1` must reproduce these bit-for-bit: a single-command block
-/// costs exactly the same wire bytes, signatures and CPU as the unbatched
-/// message did, and no flush timers are ever scheduled.
-fn golden_metrics(protocol: ProtocolKind) -> RunMetrics {
-    let (throughput_tps, avg, p50, p95, p99, committed) = match protocol {
-        ProtocolKind::SaguaroCoordinator => (590.0, 8.03422598870057, 1.052, 37.18, 46.219, 177),
-        ProtocolKind::SaguaroOptimistic => (620.0, 1.0484623655913978, 1.048, 1.058, 1.061, 186),
-        ProtocolKind::Ahl => (
-            553.3333333333334,
-            5.943861445783132,
-            1.05,
-            29.047,
-            36.833,
-            166,
-        ),
-        ProtocolKind::Sharper => (570.0, 5.116730994152048, 1.05, 26.595, 27.129, 171),
-    };
-    RunMetrics {
-        offered_tps: 600.0,
-        throughput_tps,
-        avg_latency_ms: avg,
-        p50_latency_ms: p50,
-        p95_latency_ms: p95,
-        p99_latency_ms: p99,
-        committed,
-        aborted: 0,
-    }
-}
-
 #[test]
 fn unbatched_pipeline_reproduces_the_pre_batching_goldens_exactly() {
     for protocol in ProtocolKind::ALL {
-        let default_run = golden_spec(protocol).run();
+        let case = Case::Plain(protocol, 42);
+        let default_run = case.spec().run();
         assert_eq!(
             default_run,
-            golden_metrics(protocol),
+            case.golden(),
             "{protocol:?} with the default (unbatched) config diverged from \
-             the pre-batching pipeline"
+             its golden"
         );
         // An explicit max_batch = 1 must be the same configuration, not just
         // a similar one.
-        let explicit = golden_spec(protocol).tune(|t| t.batch_size(1)).run();
+        let explicit = case.spec().tune(|t| t.batch_size(1)).run();
         assert_eq!(
             explicit, default_run,
             "{protocol:?}: explicit batched(1) differs from the default"
@@ -69,7 +36,7 @@ fn unbatched_pipeline_reproduces_the_pre_batching_goldens_exactly() {
 #[test]
 fn batched_runs_are_deterministic_and_differ_from_unbatched() {
     for protocol in ProtocolKind::ALL {
-        let spec = golden_spec(protocol).tune(|t| t.batch_size(8));
+        let spec = golden_spec(protocol, 42).tune(|t| t.batch_size(8));
         let first = spec.run();
         assert!(first.committed > 0, "{protocol:?} committed nothing");
         assert_eq!(
@@ -79,7 +46,7 @@ fn batched_runs_are_deterministic_and_differ_from_unbatched() {
         );
         assert_ne!(
             first,
-            golden_metrics(protocol),
+            Case::Plain(protocol, 42).golden(),
             "{protocol:?}: max_batch = 8 should change the event schedule"
         );
     }
@@ -88,10 +55,7 @@ fn batched_runs_are_deterministic_and_differ_from_unbatched() {
 #[test]
 fn same_spec_and_seed_reproduce_identical_metrics_for_all_stacks() {
     for protocol in ProtocolKind::ALL {
-        let spec = ExperimentSpec::new(protocol)
-            .quick()
-            .cross_domain(0.3)
-            .load(600.0);
+        let spec = golden_spec(protocol, 42);
         let first = spec.run();
         let second = spec.run();
         assert!(first.committed > 0, "{protocol:?} committed nothing");
@@ -116,16 +80,14 @@ fn empty_fault_plan_is_bit_identical_to_the_failure_free_pipeline() {
     // Installing an explicitly empty schedule must not change a single bit
     // of any stack's metrics: no liveness timers are armed, no client-target
     // spreading happens, and the simulator's hot path takes the same
-    // branches.  The golden metrics were captured before fault injection
-    // existed, so equality here proves the whole subsystem is pay-for-play.
-    for protocol in ProtocolKind::ALL {
-        let scripted = golden_spec(protocol)
-            .fault_plan(FaultSchedule::none())
-            .run();
+    // branches.  Equality with every golden proves the whole subsystem is
+    // pay-for-play.
+    for case in Case::all() {
+        let scripted = case.spec().fault_plan(FaultSchedule::none()).run();
         assert_eq!(
             scripted,
-            golden_metrics(protocol),
-            "{protocol:?}: an empty FaultSchedule changed the run"
+            case.golden(),
+            "{case:?}: an empty FaultSchedule changed the run"
         );
     }
 }
@@ -146,17 +108,17 @@ fn same_seed_and_fault_plan_reproduce_identical_metrics() {
                     saguaro::types::NodeId::new(saguaro::types::DomainId::new(1, 0), 0),
                 )
         };
-        let spec = golden_spec(protocol).fault_plan(plan());
+        let spec = golden_spec(protocol, 42).fault_plan(plan());
         let first = spec.run();
         assert!(first.committed > 0, "{protocol:?} committed nothing");
         assert_eq!(
             first,
-            golden_spec(protocol).fault_plan(plan()).run(),
+            golden_spec(protocol, 42).fault_plan(plan()).run(),
             "{protocol:?}: faulty run not reproducible"
         );
         assert_ne!(
             first,
-            golden_metrics(protocol),
+            Case::Plain(protocol, 42).golden(),
             "{protocol:?}: the crash schedule should change the run"
         );
     }
@@ -165,7 +127,7 @@ fn same_seed_and_fault_plan_reproduce_identical_metrics() {
 #[test]
 fn checkpointed_runs_are_deterministic_and_differ_from_legacy() {
     for protocol in ProtocolKind::ALL {
-        let spec = golden_spec(protocol).tune(|t| t.checkpoint_every(8));
+        let spec = golden_spec(protocol, 42).tune(|t| t.checkpoint_every(8));
         let first = spec.run();
         assert!(first.committed > 0, "{protocol:?} committed nothing");
         assert_eq!(
@@ -180,14 +142,15 @@ fn checkpointed_runs_are_deterministic_and_differ_from_legacy() {
 fn explicit_per_actor_client_model_stays_pinned_to_the_goldens() {
     // The aggregate-population client model must be strictly pay-for-play:
     // the default spec and an explicitly `PerActor` one are the same
-    // configuration, and both still reproduce the historical goldens.
+    // configuration, and both still reproduce the goldens.
     for protocol in ProtocolKind::ALL {
-        let mut spec = golden_spec(protocol);
+        let case = Case::Plain(protocol, 42);
+        let mut spec = case.spec();
         assert_eq!(spec.client_model, ClientModel::PerActor);
         spec.client_model = ClientModel::PerActor;
         assert_eq!(
             spec.run(),
-            golden_metrics(protocol),
+            case.golden(),
             "{protocol:?}: explicit PerActor diverged from the goldens"
         );
     }

@@ -1,182 +1,20 @@
-//! Runtime-equivalence suite: the hot-path refactor of the simulation
-//! runtime (dense actor tables, zero-copy multicast envelopes, the timer
-//! slab, parallel sweeps) and the optimistic-validator indexing must not
-//! change a single bit of any run's results.
-//!
-//! The goldens below were captured on the *pre-refactor* runtime (commit
-//! `eb26b96`, hash-map actor tables, per-recipient message clones, the
-//! tombstone cancel set, sequential sweeps, quadratic validator scans) for
-//! three seeds per protocol stack plus a batched and a ridesharing
-//! configuration.  The refactored runtime must reproduce every metric
-//! exactly: identical event schedules, identical RNG draws, identical
-//! floating-point accumulation order.
+//! Runtime-equivalence suite: the simulation runtime (dense actor tables,
+//! zero-copy multicast envelopes, the timer slab, parallel sweeps) and the
+//! optimistic-validator indexing must reproduce every pinned run of the
+//! golden table exactly: identical event schedules, identical RNG draws,
+//! identical floating-point accumulation order.
 
-use saguaro::sim::{ExperimentSpec, ProtocolKind, RidesharingConfig, RunMetrics};
-
-fn golden_spec(protocol: ProtocolKind, seed: u64) -> ExperimentSpec {
-    let mut spec = ExperimentSpec::new(protocol)
-        .quick()
-        .cross_domain(0.3)
-        .load(600.0);
-    spec.seed = seed;
-    spec
+mod common {
+    pub mod golden;
 }
 
-#[allow(clippy::too_many_arguments)]
-fn metrics(
-    offered_tps: f64,
-    throughput_tps: f64,
-    avg: f64,
-    p50: f64,
-    p95: f64,
-    p99: f64,
-    committed: u64,
-    aborted: u64,
-) -> RunMetrics {
-    RunMetrics {
-        offered_tps,
-        throughput_tps,
-        avg_latency_ms: avg,
-        p50_latency_ms: p50,
-        p95_latency_ms: p95,
-        p99_latency_ms: p99,
-        committed,
-        aborted,
-    }
-}
-
-/// Pre-refactor golden metrics for [`golden_spec`], per `(stack, seed)`.
-fn golden(protocol: ProtocolKind, seed: u64) -> RunMetrics {
-    use ProtocolKind::*;
-    match (protocol, seed) {
-        (SaguaroCoordinator, 7) => metrics(
-            600.0,
-            546.6666666666667,
-            10.854152439024391,
-            1.054,
-            37.191,
-            46.578,
-            164,
-            0,
-        ),
-        (SaguaroCoordinator, 101) => metrics(
-            600.0,
-            600.0,
-            7.412377777777777,
-            1.051,
-            37.209,
-            41.228,
-            180,
-            0,
-        ),
-        (SaguaroCoordinator, 9001) => metrics(
-            600.0,
-            623.3333333333334,
-            9.301133689839574,
-            1.053,
-            37.312,
-            47.327,
-            187,
-            0,
-        ),
-        (SaguaroOptimistic, 7) => metrics(
-            600.0,
-            580.0,
-            1.0482873563218398,
-            1.049,
-            1.058,
-            1.064,
-            174,
-            0,
-        ),
-        (SaguaroOptimistic, 101) => {
-            metrics(600.0, 580.0, 1.0490402298850583, 1.049, 1.06, 1.065, 174, 0)
-        }
-        (SaguaroOptimistic, 9001) => metrics(
-            600.0,
-            616.6666666666667,
-            1.047881081081081,
-            1.049,
-            1.058,
-            1.062,
-            185,
-            0,
-        ),
-        (Ahl, 7) => metrics(
-            600.0,
-            603.3333333333334,
-            9.895779005524863,
-            1.053,
-            36.902,
-            37.243,
-            181,
-            0,
-        ),
-        (Ahl, 101) => metrics(
-            600.0,
-            543.3333333333334,
-            7.3862085889570555,
-            1.049,
-            36.755,
-            37.267,
-            163,
-            0,
-        ),
-        (Ahl, 9001) => metrics(
-            600.0,
-            610.0,
-            7.115398907103826,
-            1.05,
-            31.054,
-            36.991,
-            183,
-            0,
-        ),
-        (Sharper, 7) => metrics(
-            600.0,
-            676.6666666666667,
-            6.730935960591133,
-            1.052,
-            20.934,
-            27.073,
-            203,
-            0,
-        ),
-        (Sharper, 101) => metrics(
-            600.0,
-            666.6666666666667,
-            5.542105000000001,
-            1.051,
-            20.884,
-            27.195,
-            200,
-            0,
-        ),
-        (Sharper, 9001) => metrics(
-            600.0,
-            606.6666666666667,
-            5.167,
-            1.05,
-            20.836,
-            26.979,
-            182,
-            0,
-        ),
-        _ => panic!("no golden captured for {protocol:?} seed {seed}"),
-    }
-}
+use common::golden::{golden_spec, Case};
+use saguaro::sim::ProtocolKind;
 
 #[test]
 fn all_stacks_reproduce_pre_refactor_goldens_across_seeds() {
-    for protocol in ProtocolKind::ALL {
-        for seed in [7, 101, 9001] {
-            let measured = golden_spec(protocol, seed).run();
-            assert_eq!(
-                measured,
-                golden(protocol, seed),
-                "{protocol:?} seed {seed} diverged from the pre-refactor runtime"
-            );
-        }
+    for case in Case::all().filter(|case| matches!(case, Case::Plain(..))) {
+        assert_eq!(case.spec().run(), case.golden(), "{case:?} diverged");
     }
 }
 
@@ -184,31 +22,14 @@ fn all_stacks_reproduce_pre_refactor_goldens_across_seeds() {
 fn batched_pipeline_reproduces_pre_refactor_golden() {
     // Batching exercises the envelope path hardest: whole blocks multicast
     // to every replica of a domain.
-    let measured = golden_spec(ProtocolKind::SaguaroCoordinator, 7)
-        .tune(|t| t.batch_size(8))
-        .run();
-    let expected = metrics(
-        600.0,
-        590.0,
-        17.42545762711865,
-        6.049,
-        58.094,
-        68.635,
-        177,
-        0,
-    );
-    assert_eq!(measured, expected, "batched(8) diverged");
+    let case = Case::Batched;
+    assert_eq!(case.spec().run(), case.golden(), "batched(8) diverged");
 }
 
 #[test]
 fn ridesharing_workload_reproduces_pre_refactor_golden() {
-    let mut spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
-        .ridesharing(RidesharingConfig::default())
-        .quick()
-        .load(500.0);
-    spec.seed = 101;
-    let expected = metrics(500.0, 500.0, 1.048573333333334, 1.049, 1.059, 1.06, 150, 0);
-    assert_eq!(spec.run(), expected, "ridesharing diverged");
+    let case = Case::Ridesharing;
+    assert_eq!(case.spec().run(), case.golden(), "ridesharing diverged");
 }
 
 #[test]

@@ -1,63 +1,29 @@
 //! Structured-tracing suite: the observability layer must be strictly
-//! pay-for-play (tracing off is bit-identical to the pre-tracing goldens),
+//! pay-for-play (tracing off reproduces every golden),
 //! observation-only (tracing on does not change a run's metrics), and
 //! deterministic (two runs of one spec export the same Chrome bytes).
 
+mod common {
+    pub mod golden;
+}
+
+use common::golden::{golden_spec, Case};
 use saguaro::sim::{
-    ExperimentSpec, ProtocolKind, RunMetrics, Scenario, TraceActor, TraceEventKind, WorkloadKind,
+    ExperimentSpec, ProtocolKind, Scenario, TraceActor, TraceEventKind, WorkloadKind,
 };
 use saguaro::types::{DomainId, TraceConfig, TxId, TxKind};
 use saguaro::workload::{MicropaymentWorkload, WorkloadConfig};
 use std::collections::HashMap;
 
-/// The reference spec the golden metrics below were captured with (the same
-/// spec `tests/determinism.rs` pins).
-fn golden_spec(protocol: ProtocolKind) -> ExperimentSpec {
-    ExperimentSpec::new(protocol)
-        .quick()
-        .cross_domain(0.3)
-        .load(600.0)
-}
-
-/// `RunMetrics` of [`golden_spec`] captured before the tracing subsystem
-/// existed (identical to the pre-batching goldens in
-/// `tests/determinism.rs`).
-fn golden_metrics(protocol: ProtocolKind) -> RunMetrics {
-    let (throughput_tps, avg, p50, p95, p99, committed) = match protocol {
-        ProtocolKind::SaguaroCoordinator => (590.0, 8.03422598870057, 1.052, 37.18, 46.219, 177),
-        ProtocolKind::SaguaroOptimistic => (620.0, 1.0484623655913978, 1.048, 1.058, 1.061, 186),
-        ProtocolKind::Ahl => (
-            553.3333333333334,
-            5.943861445783132,
-            1.05,
-            29.047,
-            36.833,
-            166,
-        ),
-        ProtocolKind::Sharper => (570.0, 5.116730994152048, 1.05, 26.595, 27.129, 171),
-    };
-    RunMetrics {
-        offered_tps: 600.0,
-        throughput_tps,
-        avg_latency_ms: avg,
-        p50_latency_ms: p50,
-        p95_latency_ms: p95,
-        p99_latency_ms: p99,
-        committed,
-        aborted: 0,
-    }
-}
-
 #[test]
 fn tracing_off_is_bit_identical_to_the_pre_tracing_goldens() {
-    for protocol in ProtocolKind::ALL {
-        // An explicit `off` config must reproduce the goldens captured
-        // before the subsystem existed.
-        let explicit_off = golden_spec(protocol).trace(TraceConfig::off()).run();
+    for case in Case::all() {
+        // An explicit `off` config must reproduce every golden.
+        let explicit_off = case.spec().trace(TraceConfig::off()).run();
         assert_eq!(
             explicit_off,
-            golden_metrics(protocol),
-            "{protocol:?}: explicit TraceConfig::off() diverged from the goldens"
+            case.golden(),
+            "{case:?}: explicit TraceConfig::off() diverged from the goldens"
         );
     }
 }
@@ -67,8 +33,8 @@ fn tracing_on_is_observation_only() {
     // Recording events must not perturb the simulation: metrics with
     // tracing on equal metrics with tracing off.
     for protocol in ProtocolKind::ALL {
-        let untraced = golden_spec(protocol).run();
-        let traced = golden_spec(protocol).trace(TraceConfig::on()).run();
+        let untraced = golden_spec(protocol, 42).run();
+        let traced = golden_spec(protocol, 42).trace(TraceConfig::on()).run();
         assert_eq!(
             traced, untraced,
             "{protocol:?}: tracing changed the run's metrics"
@@ -78,7 +44,7 @@ fn tracing_on_is_observation_only() {
 
 #[test]
 fn chrome_export_is_byte_identical_across_runs() {
-    let spec = golden_spec(ProtocolKind::SaguaroCoordinator).trace(TraceConfig::on());
+    let spec = golden_spec(ProtocolKind::SaguaroCoordinator, 42).trace(TraceConfig::on());
     let export = || {
         let trace = spec.run_collecting().trace.expect("tracing was enabled");
         assert!(!trace.is_empty(), "traced run recorded nothing");
@@ -143,7 +109,7 @@ fn view_change_storm_trace_contains_the_suspicion_chain_in_order() {
 
 #[test]
 fn tx_spans_are_complete_chains() {
-    let artifacts = golden_spec(ProtocolKind::SaguaroCoordinator)
+    let artifacts = golden_spec(ProtocolKind::SaguaroCoordinator, 42)
         .trace(TraceConfig::on())
         .run_collecting();
     let trace = artifacts.trace.expect("tracing was enabled");
@@ -178,7 +144,7 @@ fn ring_buffers_bound_memory_and_count_drops() {
     // (each actor retains at most `capacity` events) and account for
     // everything it threw away.
     let capacity = 4u32;
-    let artifacts = golden_spec(ProtocolKind::SaguaroCoordinator)
+    let artifacts = golden_spec(ProtocolKind::SaguaroCoordinator, 42)
         .trace(TraceConfig::on().with_buffer_capacity(capacity))
         .run_collecting();
     let trace = artifacts.trace.expect("tracing was enabled");
@@ -204,7 +170,7 @@ fn ring_buffers_bound_memory_and_count_drops() {
 #[test]
 fn every_height_one_ledger_append_traces_its_execution() {
     let tracing = TraceConfig::on().with_buffer_capacity(1 << 16);
-    let spec = golden_spec(ProtocolKind::SaguaroCoordinator)
+    let spec = golden_spec(ProtocolKind::SaguaroCoordinator, 42)
         .mobile(0.3)
         .trace(tracing);
     let artifacts = spec.run_collecting();
