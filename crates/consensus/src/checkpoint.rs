@@ -27,10 +27,10 @@
 //!    a request below the retained tail is answered with the snapshot plus
 //!    the tail instead of a full replay.
 //!
-//! The keeper is configuration-driven: under [`CheckpointConfig::legacy`]
-//! (the default) a Paxos engine keeps no checkpoints at all and a PBFT
-//! engine keeps its historical built-in interval, so every pre-subsystem
-//! golden run is reproduced bit for bit.
+//! Both engines run the same regime: announcements every
+//! [`CheckpointConfig::interval`] deliveries (128 by default), state
+//! transfer always served, and a retention window that is infinite unless
+//! the configuration sets one.
 
 use saguaro_types::{CheckpointConfig, NodeId, SeqNo, StateSnapshot};
 use std::collections::BTreeMap;
@@ -44,10 +44,8 @@ pub(crate) type StateTransfer<C> = (Option<Arc<StateSnapshot>>, Vec<(SeqNo, C)>)
 /// Per-replica checkpoint, state-transfer and durable-chain bookkeeping.
 #[derive(Clone, Debug)]
 pub struct CheckpointKeeper<C> {
-    /// Deliveries between announcements; `None` disables announcements.
-    interval: Option<SeqNo>,
-    /// Whether gap-stalled replicas fetch missing entries from peers.
-    state_transfer: bool,
+    /// Deliveries between announcements.
+    interval: SeqNo,
     /// The last stable (quorum-certified, locally executed) checkpoint.
     stable: SeqNo,
     /// The distinct announcers of each floor, our own vote included.
@@ -61,14 +59,13 @@ pub struct CheckpointKeeper<C> {
     /// moved (previous transfer applied) or the hint grew (new evidence).
     requested: Option<(SeqNo, SeqNo)>,
     /// Retention window below the stable checkpoint; `None` keeps full
-    /// history (no snapshots, no pruning — the historical pipeline).
+    /// history (no snapshots, no pruning).
     retention: Option<u64>,
     /// Highest executed floor each member (including this replica) has ever
     /// announced — the evidence base for the prune floor.
     peer_floors: BTreeMap<NodeId, SeqNo>,
-    /// Every delivered entry, retained for serving state transfer (only
-    /// populated when state transfer is enabled, and pruned below the prune
-    /// floor under a finite retention window).
+    /// Every delivered entry, retained for serving state transfer (pruned
+    /// below the prune floor under a finite retention window).
     delivered_log: BTreeMap<SeqNo, C>,
     /// The latest materialized (or catch-up-installed) application
     /// snapshot, used to answer requests below the retained tail.
@@ -76,22 +73,14 @@ pub struct CheckpointKeeper<C> {
 }
 
 impl<C: Clone> CheckpointKeeper<C> {
-    /// Builds the keeper for one engine.  `legacy_interval` is the interval
-    /// the engine historically ran with (`None` for Paxos, 128 for PBFT);
-    /// it applies only under [`CheckpointConfig::legacy`].
-    pub fn new(config: CheckpointConfig, legacy_interval: Option<SeqNo>) -> Self {
+    /// Builds the keeper for one replica.
+    pub fn new(config: CheckpointConfig) -> Self {
         assert!(
             config.retention > 0,
             "CheckpointConfig::retention is 0: a snapshot responder keeps at least one delivery"
         );
-        let interval = if config.is_active() {
-            Some(config.interval)
-        } else {
-            legacy_interval
-        };
         Self {
-            interval,
-            state_transfer: config.is_active(),
+            interval: config.interval,
             stable: 0,
             votes: BTreeMap::new(),
             hint: 0,
@@ -109,14 +98,8 @@ impl<C: Clone> CheckpointKeeper<C> {
         self.stable
     }
 
-    /// Whether state transfer is enabled.
-    pub fn state_transfer_enabled(&self) -> bool {
-        self.state_transfer
-    }
-
     /// True if this configuration materializes snapshots and prunes
-    /// entry-grained state (finite retention on an active, transfer-serving
-    /// configuration).
+    /// entry-grained state (a finite retention window).
     pub fn prunes(&self) -> bool {
         self.retention.is_some()
     }
@@ -156,10 +139,7 @@ impl<C: Clone> CheckpointKeeper<C> {
 
     /// True if a checkpoint announcement is due after delivering `seq`.
     pub fn announces_at(&self, seq: SeqNo) -> bool {
-        match self.interval {
-            Some(interval) => seq.is_multiple_of(interval),
-            None => false,
-        }
+        seq.is_multiple_of(self.interval)
     }
 
     /// Records one replica's announcement of executed floor `seq`.  Returns
@@ -222,7 +202,7 @@ impl<C: Clone> CheckpointKeeper<C> {
         frontier: SeqNo,
         next_commits_locally: bool,
     ) -> Option<NodeId> {
-        if !self.state_transfer || next_commits_locally || self.hint <= frontier {
+        if next_commits_locally || self.hint <= frontier {
             return None;
         }
         if let Some((at_frontier, at_hint)) = self.requested {
@@ -241,12 +221,9 @@ impl<C: Clone> CheckpointKeeper<C> {
         self.requested = None;
     }
 
-    /// Retains a delivered entry in the durable chain (nothing is kept when
-    /// state transfer is off: nobody would ever be served from it).
+    /// Retains a delivered entry in the durable chain.
     pub(crate) fn retain(&mut self, seq: SeqNo, command: C) {
-        if self.state_transfer {
-            self.delivered_log.insert(seq, command);
-        }
+        self.delivered_log.insert(seq, command);
     }
 
     /// Number of delivered entries retained in the durable chain.
@@ -301,15 +278,14 @@ impl<C: Clone> CheckpointKeeper<C> {
     }
 
     /// What a replica at frontier `last_delivered` sends a peer that asked
-    /// for everything above `above`: `None` when state transfer is off, the
-    /// peer misses nothing, or neither the chain nor the snapshot covers its
-    /// frontier.
+    /// for everything above `above`: `None` when the peer misses nothing, or
+    /// neither the chain nor the snapshot covers its frontier.
     pub(crate) fn answer_state_request(
         &self,
         above: SeqNo,
         last_delivered: SeqNo,
     ) -> Option<StateTransfer<C>> {
-        if !self.state_transfer || above >= last_delivered {
+        if above >= last_delivered {
             return None;
         }
         let tail = |from: SeqNo| {
@@ -318,7 +294,7 @@ impl<C: Clone> CheckpointKeeper<C> {
         };
         if self.delivered_log.contains_key(&(above + 1)) {
             // The full tail above the requester's frontier is retained:
-            // the historical full-replay reply.
+            // a full-replay reply.
             return Some((None, tail(above + 1)));
         }
         // The requested frontier was pruned away: serve the snapshot plus
@@ -340,26 +316,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_config_keeps_the_engine_defaults() {
-        let paxos = CheckpointKeeper::new(CheckpointConfig::legacy(), None);
-        assert!(!paxos.announces_at(128));
-        assert!(!paxos.state_transfer_enabled());
-        let pbft = CheckpointKeeper::new(CheckpointConfig::legacy(), Some(128));
-        assert!(pbft.announces_at(128));
-        assert!(!pbft.announces_at(127));
-    }
-
-    #[test]
-    fn active_config_announces_on_the_configured_interval() {
-        let k = CheckpointKeeper::new(CheckpointConfig::every(8), None);
+    fn keeper_announces_on_the_configured_interval() {
+        let k = CheckpointKeeper::new(CheckpointConfig::every(8));
         assert!(k.announces_at(8) && k.announces_at(16));
         assert!(!k.announces_at(9));
-        assert!(k.state_transfer_enabled());
+        let default = CheckpointKeeper::new(CheckpointConfig::default());
+        assert!(default.announces_at(128) && !default.announces_at(127));
     }
 
     #[test]
     fn votes_stabilise_only_with_quorum_and_local_execution() {
-        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4), None);
+        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4));
         assert!(!k.record_vote(node(0), 4, 2, 4));
         // Quorum reached but this replica only delivered 3: stays pending.
         assert!(!k.record_vote(node(1), 4, 2, 3));
@@ -373,7 +340,7 @@ mod tests {
 
     #[test]
     fn request_pacing_fires_once_per_new_evidence() {
-        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4), None);
+        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4));
         k.note_hint(10, node(2));
         assert_eq!(k.should_request(4, false), Some(node(2)));
         // Same stall, same evidence: no storm.
@@ -392,7 +359,7 @@ mod tests {
 
     #[test]
     fn prune_floor_tracks_lowest_announced_peer() {
-        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4).with_retention(100), None);
+        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4).with_retention(100));
         assert!(k.prunes());
         // Nothing prunable before every member has announced once.
         k.record_vote(node(0), 4, 2, 4);
@@ -413,7 +380,7 @@ mod tests {
 
     #[test]
     fn prune_floor_is_bounded_by_retention_when_a_peer_freezes() {
-        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4).with_retention(8), None);
+        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4).with_retention(8));
         for seq in [4u64, 8, 12] {
             for n in 0..3 {
                 k.record_vote(node(n), seq, 2, seq);
@@ -433,7 +400,7 @@ mod tests {
 
     #[test]
     fn infinite_retention_never_prunes() {
-        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4), None);
+        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4));
         for n in 0..3 {
             k.record_vote(node(n), 4, 2, 4);
         }
@@ -444,7 +411,7 @@ mod tests {
     /// A keeper over three members that delivered `1..=through`, storing a
     /// snapshot at every announced (and at once stable) floor.
     fn chain(config: CheckpointConfig, through: SeqNo) -> CheckpointKeeper {
-        let mut k = CheckpointKeeper::new(config, None);
+        let mut k = CheckpointKeeper::new(config);
         for seq in 1..=through {
             k.retain(seq, vec![seq as u8]);
             if k.announces_at(seq) {
@@ -476,7 +443,7 @@ mod tests {
         // The requester misses nothing, or nothing held covers its
         // frontier: no answer.
         assert_eq!(k.answer_state_request(10, 10), None);
-        let mut bare = CheckpointKeeper::new(CheckpointConfig::every(4), None);
+        let mut bare = CheckpointKeeper::new(CheckpointConfig::every(4));
         bare.retain(5, vec![5]);
         assert_eq!(bare.answer_state_request(2, 5), None);
     }
@@ -484,19 +451,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "CheckpointConfig::retention is 0")]
     fn zero_retention_is_refused() {
-        let _ = CheckpointKeeper::new(CheckpointConfig::every(4).with_retention(0), None);
-    }
-
-    #[test]
-    fn disabled_state_transfer_keeps_no_chain_and_never_answers() {
-        let k = chain(CheckpointConfig::legacy(), 10);
-        assert_eq!((k.chain_start(10), k.chain_len()), (11, 0));
-        assert_eq!(k.answer_state_request(0, 10), None);
+        let _ = CheckpointKeeper::new(CheckpointConfig::every(4).with_retention(0));
     }
 
     #[test]
     fn adopt_stable_jumps_forward_only() {
-        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4), None);
+        let mut k = CheckpointKeeper::new(CheckpointConfig::every(4));
         k.adopt_stable(8);
         assert_eq!(k.stable(), 8);
         k.adopt_stable(4);

@@ -263,6 +263,16 @@ mod tests {
         steps.iter().any(|s| matches!(s, Step::Deliver { .. }))
     }
 
+    /// True if `steps` ask `peer` for everything above `above`.
+    fn requests_state(steps: &Steps<Cmd>, peer: NodeId, above: SeqNo) -> bool {
+        steps.iter().any(|s| match s {
+            Step::Send { to, msg } => {
+                *to == peer && matches!(msg.body, MsgBody::StateRequest { above: a } if a == above)
+            }
+            _ => false,
+        })
+    }
+
     /// The sequence numbers `steps` broadcast a Learn for.
     fn learned(steps: &Steps<Cmd>) -> Vec<SeqNo> {
         let learn = |s: &Step<Batch<Cmd>, ConsensusMsg<Cmd>>| match s {
@@ -283,7 +293,10 @@ mod tests {
         let steps = steps_of(|o| {
             reps[1].on_message_into(nodes[0], msg(MsgBody::Learn { view: 0, seq: 1 }), o)
         });
-        assert!(steps.is_empty(), "nothing deliverable yet");
+        assert!(!delivers(&steps), "nothing deliverable yet: {steps:?}");
+        // The Learn proves seq 1 committed at the leader: the gap asks it
+        // for the entry.
+        assert!(requests_state(&steps, nodes[0], 0), "{steps:?}");
         let steps = steps_of(|o| reps[1].on_message_into(nodes[0], accept(0, 1, b"ooo"), o));
         assert!(
             steps
@@ -331,7 +344,8 @@ mod tests {
         let steps = steps_of(|o| {
             reps[1].on_message_into(nodes[0], msg(MsgBody::Learn { view: 1, seq: 1 }), o)
         });
-        assert!(steps.is_empty());
+        assert!(!delivers(&steps), "{steps:?}");
+        assert!(requests_state(&steps, nodes[0], 0), "{steps:?}");
         // A stale view-0 Accept for the same seq must not be committed under
         // the newer view's Learn: view 1 may have chosen a different command.
         let steps = steps_of(|o| reps[1].on_message_into(nodes[0], accept(0, 1, b"stale"), o));
@@ -416,11 +430,11 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_checkpointing_retains_full_history_in_votes() {
+    fn votes_carry_the_full_history_before_the_first_checkpoint() {
         let (nodes, mut reps) = domain(Crash, 3);
         commit_bytes(&nodes, &mut reps, 10, &[]);
         assert_eq!(reps[1].stable_checkpoint(), 0);
-        assert_eq!(reps[1].vote_entries(), 10, "legacy votes carry everything");
+        assert_eq!(reps[1].vote_entries(), 10, "no checkpoint below 128");
     }
 
     #[test]

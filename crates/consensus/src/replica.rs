@@ -197,10 +197,9 @@ pub struct ConsensusReplica<C> {
     /// is itself crashed cannot wedge the domain.
     highest_vc: u64,
     /// Checkpoint agreement (the classic PBFT low-water mark), state-transfer
-    /// pacing and the durable chain.  Under the legacy configuration (the
-    /// default) Paxos keeps no checkpoints and its votes carry the full slot
-    /// history, PBFT keeps its built-in interval of 128, and neither runs
-    /// state transfer.
+    /// pacing and the durable chain.  Both rules announce every
+    /// [`CheckpointConfig::DEFAULT_INTERVAL`] deliveries unless
+    /// [`ConsensusReplica::with_checkpointing`] sets another interval.
     pub(crate) checkpoint: CheckpointKeeper<Batch<C>>,
     batcher: Batcher<C>,
 }
@@ -254,29 +253,20 @@ impl<C: Command> ConsensusReplica<C> {
             certificate_conflicts: 0,
             in_view_change: false,
             highest_vc: 0,
-            checkpoint: Self::keeper(quorum.model, CheckpointConfig::legacy()),
+            checkpoint: CheckpointKeeper::new(CheckpointConfig::default()),
             batcher: Batcher::new(batch),
         }
     }
 
     /// Replaces the checkpoint / state-transfer configuration (builder
-    /// style).  Under `legacy` Paxos keeps checkpointing off and PBFT keeps
-    /// its built-in interval of 128.
+    /// style): the announcement interval and the retention window.
     pub fn with_checkpointing(mut self, checkpoint: CheckpointConfig) -> Self {
-        self.checkpoint = Self::keeper(self.quorum.model, checkpoint);
+        self.checkpoint = CheckpointKeeper::new(checkpoint);
         self
     }
 
-    fn keeper(model: FailureModel, config: CheckpointConfig) -> CheckpointKeeper<Batch<C>> {
-        let legacy_interval = match model {
-            FailureModel::Crash => None,
-            FailureModel::Byzantine => Some(CheckpointConfig::LEGACY_PBFT_INTERVAL),
-        };
-        CheckpointKeeper::new(config, legacy_interval)
-    }
-
-    /// The last stable (quorum-certified executed) checkpoint; 0 when
-    /// checkpointing is off.
+    /// The last stable (quorum-certified executed) checkpoint; 0 before the
+    /// first one.
     pub fn stable_checkpoint(&self) -> SeqNo {
         self.checkpoint.stable()
     }
@@ -592,9 +582,6 @@ impl<C: Command> ConsensusReplica<C> {
         committed_to: SeqNo,
         out: &mut Steps<C>,
     ) {
-        if !self.checkpoint.state_transfer_enabled() {
-            return;
-        }
         self.checkpoint.note_hint(committed_to, from);
         let mut applied = false;
         if let Some(snapshot) = snapshot.filter(|s| s.seq > self.last_delivered) {
@@ -976,13 +963,13 @@ pub(crate) mod testkit {
         (nodes, reps)
     }
 
-    /// An unbatched domain of `n` replicas under the legacy checkpoint
-    /// regime.
+    /// An unbatched domain of `n` replicas under the default checkpoint
+    /// configuration.
     pub(crate) fn domain(
         model: FailureModel,
         n: usize,
     ) -> (Vec<NodeId>, Vec<ConsensusReplica<Cmd>>) {
-        let (batch, checkpoint) = (BatchConfig::unbatched(), CheckpointConfig::legacy());
+        let (batch, checkpoint) = (BatchConfig::unbatched(), CheckpointConfig::default());
         domain_with(model, n, batch, checkpoint)
     }
 
@@ -1100,7 +1087,7 @@ mod tests {
     fn non_primary_propose_is_dropped_without_batching() {
         for (model, n) in [(Crash, 3), (Byzantine, 4)] {
             let batch = BatchConfig::with_max_batch(4);
-            let (_nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::legacy());
+            let (_nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::default());
             assert!(
                 steps_of(|o| reps[1].propose_into(b"x".to_vec(), o)).is_empty(),
                 "{model:?}"
@@ -1424,23 +1411,10 @@ mod tests {
     }
 
     #[test]
-    fn state_requests_are_ignored_when_transfer_is_disabled() {
-        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
-            let (nodes, mut reps) = domain(model, n);
-            commit_bytes(&nodes, &mut reps, 3, &[]);
-            let request = msg(model, MsgBody::StateRequest { above: 0 });
-            assert!(
-                steps_of(|o| reps[0].on_message_into(nodes[2], request, o)).is_empty(),
-                "{model:?}"
-            );
-        }
-    }
-
-    #[test]
     fn flush_racing_a_view_change_retains_buffered_commands() {
         for (model, n) in [(Crash, 3), (Byzantine, 4)] {
             let batch = BatchConfig::with_max_batch(8);
-            let (nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::legacy());
+            let (nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::default());
             // The view-0 leader buffers two commands without cutting a block.
             assert!(steps_of(|o| reps[0].propose_into(b"a".to_vec(), o)).is_empty());
             assert!(steps_of(|o| reps[0].propose_into(b"b".to_vec(), o)).is_empty());
@@ -1570,7 +1544,7 @@ mod tests {
     fn full_batch_commits_as_one_block() {
         for (model, n) in [(Crash, 3), (Byzantine, 4)] {
             let batch = BatchConfig::with_max_batch(3);
-            let (nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::legacy());
+            let (nodes, mut reps) = domain_with(model, n, batch, CheckpointConfig::default());
             assert!(steps_of(|o| reps[0].propose_into(b"a".to_vec(), o)).is_empty());
             assert!(steps_of(|o| reps[0].propose_into(b"b".to_vec(), o)).is_empty());
             assert_eq!(reps[0].pending_commands(), 2);
@@ -1589,7 +1563,7 @@ mod tests {
     #[test]
     fn flush_proposes_the_underfull_block() {
         let batch = BatchConfig::with_max_batch(8);
-        let (nodes, mut reps) = domain_with(Crash, 3, batch, CheckpointConfig::legacy());
+        let (nodes, mut reps) = domain_with(Crash, 3, batch, CheckpointConfig::default());
         assert!(steps_of(|o| reps[0].propose_into(b"only".to_vec(), o)).is_empty());
         assert_eq!(reps[0].pending_commands(), 1);
         let steps = steps_of(|o| reps[0].flush(o));

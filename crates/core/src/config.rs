@@ -44,9 +44,9 @@ pub struct ProtocolConfig {
     pub cross_mode: CrossDomainMode,
     /// The per-domain pipeline knobs every replica host is built from:
     /// request batching, liveness timers, checkpointing / state transfer,
-    /// delivery recording and tracing.  The default is the historical
-    /// failure-free pipeline (unbatched, no progress timers, legacy
-    /// checkpointing, nothing recorded or traced).
+    /// delivery recording and tracing.  The default is unbatched, no
+    /// progress timers, checkpoints every 128 deliveries with state
+    /// transfer served, nothing recorded or traced.
     pub stack: StackConfig,
 }
 

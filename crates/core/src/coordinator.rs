@@ -12,7 +12,7 @@
 
 use crate::command::Cmd;
 use crate::host::HostedReplica;
-use crate::messages::SaguaroMsg;
+use crate::messages::{SaguaroMsg, Verdict};
 use crate::node::{Commit, SaguaroNode};
 use saguaro_net::{Context, TimerId};
 use saguaro_types::{DomainId, Duration, MultiSeq, NodeId, SeqNo, Transaction, TxId, TxKind};
@@ -128,12 +128,12 @@ impl SaguaroNode {
     }
 
     /// LCA primary → every node of every domain `tx_id` involves: the
-    /// decision.
+    /// verdict on the current attempt.
     fn send_decision(
         &self,
         tx_id: TxId,
         seqs: MultiSeq,
-        commit: bool,
+        verdict: Verdict,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
         let Some(entry) = self.coordinated.get(&tx_id) else {
@@ -143,7 +143,7 @@ impl SaguaroNode {
         let decision = SaguaroMsg::CommitCross {
             tx_id,
             seqs,
-            commit,
+            verdict,
             cert_sigs,
         };
         self.send_to_domains(entry.involved.iter().copied(), decision, ctx);
@@ -233,7 +233,7 @@ impl SaguaroNode {
             ctx.cancel_timer(t);
         }
         if self.is_primary() {
-            self.send_decision(tx_id, seqs, commit, ctx);
+            self.send_decision(tx_id, seqs, Verdict::ordered(commit), ctx);
             // Coordination for this transaction is finished; unblock any
             // queued cross-domain transactions that were waiting on it.
             let queued: Vec<Transaction> = self.coord_queue.drain(..).collect();
@@ -260,7 +260,7 @@ impl SaguaroNode {
         let retry = (entry.retries <= MAX_CROSS_RETRIES).then(|| entry.tx.clone());
         // Tell participants to discard the blocked attempt so the deadlock is
         // broken.
-        self.send_decision(tx_id, MultiSeq::new(), false, ctx);
+        self.send_decision(tx_id, MultiSeq::new(), Verdict::Discard, ctx);
         match retry {
             Some(tx) => self.start_attempt(tx, ctx),
             // Give up: decide abort through internal consensus so every
@@ -289,7 +289,7 @@ impl SaguaroNode {
             } else {
                 MultiSeq::new()
             };
-            self.send_decision(tx_id, seqs, commit, ctx);
+            self.send_decision(tx_id, seqs, Verdict::ordered(commit), ctx);
         }
     }
 
@@ -365,18 +365,24 @@ impl SaguaroNode {
         self.participating.insert(tx_id, entry);
     }
 
-    /// The commit (or abort) decision arrived from the LCA (lines 19-21).
+    /// The LCA's verdict arrived (lines 19-21).
     pub(crate) fn on_commit_cross(
         &mut self,
         tx_id: TxId,
         mut seqs: MultiSeq,
-        commit: bool,
+        verdict: Verdict,
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
+        if verdict == Verdict::Abort {
+            // No retry follows: a queued copy must never be ordered, and the
+            // client learns the outcome (once: the reply clears its entry).
+            self.participant_queue.retain(|(t, _)| t.id != tx_id);
+            self.reply(tx_id, false, ctx);
+        }
         let Some(entry) = self.participating.remove(&tx_id) else {
-            // An abort for a transaction we never prepared (it was queued
+            // A discard for a transaction we never prepared (it was queued
             // or unknown): drop it from the queue if present.
-            if !commit {
+            if verdict == Verdict::Discard {
                 self.participant_queue.retain(|(t, _)| t.id != tx_id);
             }
             return;
@@ -384,7 +390,7 @@ impl SaguaroNode {
         if let Some(t) = entry.timer {
             ctx.cancel_timer(t);
         }
-        if commit {
+        if verdict == Verdict::Commit {
             if seqs.get(self.domain()).is_none() {
                 seqs.set(self.domain(), entry.local_seq);
             }
@@ -396,8 +402,8 @@ impl SaguaroNode {
             }
             self.commit(entry.tx, Commit::Coordinated(seqs), ctx);
         }
-        // An abort just discards the attempt (a retry prepare may follow).
-        // Whatever this transaction was blocking may be ordered now.
+        // A discard or an abort drops the attempt.  Whatever this
+        // transaction was blocking may be ordered now.
         if self.is_primary() {
             let queued: Vec<(Transaction, SeqNo)> = self.participant_queue.drain(..).collect();
             for (tx, coord_seq) in queued {

@@ -39,6 +39,6 @@ pub mod propagation;
 pub use command::Cmd;
 pub use config::{CrossDomainMode, ProtocolConfig};
 pub use host::{HostStats, HostedReplica, ReplicaHost};
-pub use messages::SaguaroMsg;
+pub use messages::{SaguaroMsg, Verdict};
 pub use node::SaguaroNode;
 pub use optimistic::{OptDecision, OptTracker, OptimisticValidator};

@@ -73,14 +73,15 @@ pub enum SaguaroMsg {
         /// Number of signatures in the attached certificate.
         cert_sigs: usize,
     },
-    /// LCA primary → every node of each involved domain: final decision.
+    /// LCA primary → every node of each involved domain: the verdict on
+    /// the current attempt.
     CommitCross {
         /// The transaction.
         tx_id: TxId,
         /// Concatenated per-domain sequence numbers.
         seqs: MultiSeq,
-        /// True to commit, false to abort.
-        commit: bool,
+        /// Commit, discard the attempt, or abort for good.
+        verdict: Verdict,
         /// Number of signatures in the attached certificate.
         cert_sigs: usize,
     },
@@ -197,6 +198,31 @@ pub enum SaguaroMsg {
         /// The device whose state is still in flight.
         device: ClientId,
     },
+}
+
+/// The LCA's word on one attempt at a coordinated cross-domain transaction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Verdict {
+    /// Commit at the carried sequence numbers.
+    Commit,
+    /// Discard this attempt: a deadlock timeout broke it and a retry prepare
+    /// follows.
+    Discard,
+    /// The coordinator gave up after its retries: the transaction is
+    /// aborted for good and its client is told so.
+    Abort,
+}
+
+impl Verdict {
+    /// The verdict an ordered decision announces: commit, or abort for good
+    /// (a discard is never ordered).
+    pub(crate) fn ordered(commit: bool) -> Self {
+        if commit {
+            Verdict::Commit
+        } else {
+            Verdict::Abort
+        }
+    }
 }
 
 impl MessageMeta for SaguaroMsg {

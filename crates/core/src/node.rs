@@ -364,9 +364,9 @@ impl Actor<SaguaroMsg> for SaguaroNode {
             SaguaroMsg::CommitCross {
                 tx_id,
                 seqs,
-                commit,
+                verdict,
                 ..
-            } => self.on_commit_cross(tx_id, seqs, commit, ctx),
+            } => self.on_commit_cross(tx_id, seqs, verdict, ctx),
             SaguaroMsg::CommitQuery { tx_id, .. } => self.on_commit_query(tx_id, ctx),
             // Propagation.
             SaguaroMsg::BlockMsg { child, block, .. } => self.on_block_msg(child, block, ctx),

@@ -152,9 +152,9 @@ pub struct ExperimentSpec {
     pub seed: u64,
     /// The consensus-pipeline knobs of every domain's internal consensus,
     /// grouped: request batching, liveness timers, and checkpointing /
-    /// state transfer / log retention.  The default reproduces the
-    /// historical pipeline bit for bit (unbatched, timers off, legacy
-    /// checkpointing, infinite retention).  Tune it with
+    /// state transfer / log retention.  The default is unbatched, timers
+    /// off, checkpoints every 128 deliveries with state transfer served,
+    /// infinite retention.  Tune it with
     /// [`ExperimentSpec::tune`]:
     ///
     /// ```ignore

@@ -209,19 +209,7 @@ impl JsonValue {
             }
             JsonValue::Str(s) => {
                 out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
-                        }
-                        c => out.push(c),
-                    }
-                }
+                saguaro_trace::escape_json(s, out);
                 out.push('"');
             }
             JsonValue::Array(items) => {

@@ -400,9 +400,10 @@ impl RunTrace {
             let _ = write!(
                 out,
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(&actor.label())
+                 \"args\":{{\"name\":\""
             );
+            escape_json(&actor.label(), &mut out);
+            out.push_str("\"}}");
         }
         for event in &self.events {
             sep(&mut out, &mut first);
@@ -480,10 +481,10 @@ fn instant_args(kind: &TraceEventKind) -> String {
             format!(",\"args\":{{\"view\":{view}}}")
         }
         TraceEventKind::ViewChangeComplete { view, primary } => {
-            format!(
-                ",\"args\":{{\"view\":{view},\"primary\":\"{}\"}}",
-                escape(&primary.to_string())
-            )
+            let mut args = format!(",\"args\":{{\"view\":{view},\"primary\":\"");
+            escape_json(&primary.to_string(), &mut args);
+            args.push_str("\"}");
+            args
         }
         TraceEventKind::CheckpointStable { seq }
         | TraceEventKind::SnapshotTaken { seq }
@@ -498,15 +499,19 @@ fn instant_args(kind: &TraceEventKind) -> String {
             format!(",\"args\":{{\"conflicts\":{conflicts}}}")
         }
         TraceEventKind::Fault { label } => {
-            format!(",\"args\":{{\"label\":\"{}\"}}", escape(label))
+            let mut args = String::from(",\"args\":{\"label\":\"");
+            escape_json(label, &mut args);
+            args.push_str("\"}");
+            args
         }
         _ => String::new(),
     }
 }
 
-/// Minimal JSON string escaping for the labels we generate.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out` escaped as the contents of a JSON string (the
+/// surrounding quotes are the caller's): quotes, backslashes and control
+/// characters are escaped, everything else is copied.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -520,7 +525,6 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -673,8 +677,13 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny"), "x\\ny");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let escape = |s: &str| {
+            let mut out = String::from("<");
+            escape_json(s, &mut out);
+            out
+        };
+        assert_eq!(escape("a\"b\\c"), "<a\\\"b\\\\c");
+        assert_eq!(escape("x\ny\rz\t"), "<x\\ny\\rz\\t");
+        assert_eq!(escape("\u{1}\u{1f}é"), "<\\u0001\\u001fé");
     }
 }

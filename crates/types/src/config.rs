@@ -200,35 +200,24 @@ impl Default for LivenessConfig {
 
 /// Checkpoint / state-transfer knobs of a domain's internal consensus.
 ///
-/// Replicas periodically agree on a *stable checkpoint* (an executed-floor
-/// certified by a commit quorum): both consensus engines then garbage-collect
-/// their per-slot voting state below the floor, so view-change votes and slot
-/// maps are bounded by `history − checkpoint` instead of `O(history)`, and a
-/// recovered (or otherwise gap-stalled) replica fetches the committed entries
-/// it missed from any up-to-date peer (VR-style state transfer) instead of
-/// stalling at its log gap forever.
-///
-/// Two regimes:
-///
-/// * [`CheckpointConfig::legacy`] (the default) reproduces the historical
-///   pipeline bit-for-bit — the one the goldens are pinned against: Paxos
-///   keeps no checkpoints, PBFT keeps its built-in interval of 128, and no
-///   state transfer runs.
-/// * [`CheckpointConfig::every`] turns the full subsystem on in both engines
-///   with the given announcement interval: checkpoints, and state transfer
-///   for gap-stalled replicas (`StateRequest` / `StateReply`).
+/// Every domain, Paxos or PBFT, announces its executed floor every
+/// `interval` deliveries; once a commit quorum announced the same floor it is
+/// a *stable checkpoint* (Castro & Liskov, OSDI'99, §4.3): both consensus
+/// engines then garbage-collect their per-slot voting state below it, so
+/// view-change votes and slot maps are bounded by `history − checkpoint`
+/// instead of `O(history)`.  A recovered (or otherwise gap-stalled) replica
+/// fetches the committed entries it missed from an up-to-date peer
+/// (`StateRequest` / `StateReply`, the viewstamped-replication catch-up)
+/// instead of stalling at its log gap forever.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CheckpointConfig {
-    /// Deliveries between checkpoint announcements.  `0` selects the legacy
-    /// behaviour (no Paxos checkpoints, PBFT's built-in 128, no state
-    /// transfer).
+    /// Deliveries between checkpoint announcements (at least 1).
     pub interval: u64,
     /// Retention window for durable per-entry state (delivered logs, chains,
     /// ledger entries) counted in deliveries below the stable checkpoint.
     /// `u64::MAX` (the default, and the value every constructor sets) keeps
-    /// full history — bit-identical to the pre-pruning pipeline.  A finite
-    /// window turns on snapshot materialization at every stable checkpoint
-    /// and prunes entry-grained state below
+    /// full history.  A finite window turns on snapshot materialization at
+    /// every stable checkpoint and prunes entry-grained state below
     /// `min(lowest peer frontier, stable − retention)`, so endurance runs
     /// hold O(retention) memory instead of O(history).  At least 1, so a
     /// snapshot responder always retains a non-empty servable tail: the
@@ -237,27 +226,15 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// PBFT's historical built-in checkpoint interval, used by
-    /// [`CheckpointConfig::legacy`].
-    pub const LEGACY_PBFT_INTERVAL: u64 = 128;
+    /// The default announcement interval: PBFT's classic 128.
+    pub const DEFAULT_INTERVAL: u64 = 128;
 
-    /// The historical pipeline: Paxos unbounded, PBFT at its built-in
-    /// interval, no state transfer.  Bit-identical to every pre-subsystem
-    /// golden run.
-    pub const fn legacy() -> Self {
-        Self {
-            interval: 0,
-            retention: u64::MAX,
-        }
-    }
-
-    /// Full subsystem on: both engines announce every `interval` deliveries
-    /// and serve state transfer.  Retention stays infinite (no pruning).
-    /// Panics on 0, the legacy regime's sentinel.
+    /// Announcements every `interval` deliveries; retention stays infinite
+    /// (no pruning).  Panics on 0.
     pub const fn every(interval: u64) -> Self {
         assert!(
             interval > 0,
-            "CheckpointConfig::every(0): interval 0 is the legacy regime; use CheckpointConfig::legacy()"
+            "CheckpointConfig::every(0): the checkpoint interval must be at least 1"
         );
         Self {
             interval,
@@ -273,22 +250,16 @@ impl CheckpointConfig {
         self
     }
 
-    /// True if this configuration runs the subsystem — checkpoints and state
-    /// transfer — at an explicit interval, as opposed to the legacy regime.
-    pub const fn is_active(&self) -> bool {
-        self.interval > 0
-    }
-
     /// True if entry-grained state is pruned (and snapshots materialized):
-    /// a finite retention window on an active configuration.
+    /// a finite retention window.
     pub const fn prunes(&self) -> bool {
-        self.is_active() && self.retention < u64::MAX
+        self.retention < u64::MAX
     }
 }
 
 impl Default for CheckpointConfig {
     fn default() -> Self {
-        Self::legacy()
+        Self::every(Self::DEFAULT_INTERVAL)
     }
 }
 
@@ -392,13 +363,14 @@ pub struct ConsensusTuning {
 }
 
 impl ConsensusTuning {
-    /// The historical defaults: unbatched, timers off unless faults are
-    /// scripted, legacy checkpointing, infinite retention.
+    /// The defaults: unbatched, timers off unless faults are scripted,
+    /// checkpoints every [`CheckpointConfig::DEFAULT_INTERVAL`] deliveries,
+    /// infinite retention.
     pub const fn new() -> Self {
         Self {
             batch: BatchConfig::unbatched(),
             liveness: LivenessConfig::disabled(),
-            checkpoint: CheckpointConfig::legacy(),
+            checkpoint: CheckpointConfig::every(CheckpointConfig::DEFAULT_INTERVAL),
         }
     }
 
@@ -414,8 +386,8 @@ impl ConsensusTuning {
         self
     }
 
-    /// Full checkpoint subsystem on at the given announcement interval
-    /// (builder style).  Preserves a previously set retention window.
+    /// Sets the checkpoint announcement interval (builder style).
+    /// Preserves a previously set retention window.
     pub const fn checkpoint_every(mut self, interval: u64) -> Self {
         let retention = self.checkpoint.retention;
         self.checkpoint = CheckpointConfig::every(interval).with_retention(retention);
@@ -714,7 +686,10 @@ mod tests {
         let default = StackConfig::default();
         assert_eq!(default.batch, BatchConfig::unbatched());
         assert!(!default.liveness.enabled);
-        assert_eq!(default.checkpoint, CheckpointConfig::legacy());
+        assert_eq!(
+            default.checkpoint,
+            CheckpointConfig::every(CheckpointConfig::DEFAULT_INTERVAL)
+        );
         assert_eq!(default.trace, TraceConfig::off());
     }
 
@@ -725,33 +700,21 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_regimes_are_distinct() {
-        let legacy = CheckpointConfig::default();
-        assert_eq!(legacy, CheckpointConfig::legacy());
-        assert!(!legacy.is_active());
-        let active = CheckpointConfig::every(32);
-        assert!(active.is_active());
-        assert_ne!(active, legacy);
-    }
-
-    #[test]
-    #[should_panic(expected = "use CheckpointConfig::legacy()")]
+    #[should_panic(expected = "CheckpointConfig::every(0)")]
     fn every_zero_is_refused() {
         let _ = CheckpointConfig::every(0);
     }
 
     #[test]
     fn retention_gates_pruning() {
-        // Every historical constructor keeps full history and never prunes.
-        for c in [CheckpointConfig::legacy(), CheckpointConfig::every(8)] {
+        // Every constructor keeps full history and never prunes.
+        for c in [CheckpointConfig::default(), CheckpointConfig::every(8)] {
             assert_eq!(c.retention, u64::MAX);
             assert!(!c.prunes());
         }
-        let pruned = CheckpointConfig::every(8).with_retention(64);
-        assert!(pruned.prunes());
-        // Retention without checkpoints cannot prune: there would be no
-        // snapshot to serve.
-        assert!(!CheckpointConfig::legacy().with_retention(64).prunes());
+        assert!(CheckpointConfig::every(8).with_retention(64).prunes());
+        // A window on the default interval prunes too.
+        assert!(CheckpointConfig::default().with_retention(64).prunes());
     }
 
     #[test]
@@ -760,7 +723,7 @@ mod tests {
         assert_eq!(t, ConsensusTuning::default());
         assert_eq!(t.batch, BatchConfig::unbatched());
         assert_eq!(t.liveness, LivenessConfig::disabled());
-        assert_eq!(t.checkpoint, CheckpointConfig::legacy());
+        assert_eq!(t.checkpoint, CheckpointConfig::default());
         // Faults upgrade disabled timers; configured ones deploy as set.
         assert!(!t.effective_liveness(false).enabled);
         assert_eq!(t.effective_liveness(true), LivenessConfig::standard());

@@ -54,27 +54,37 @@ impl Case {
     pub fn golden(self) -> RunMetrics {
         use ProtocolKind::*;
         let (tps, avg, p50, p95, p99, committed) = match self {
-            Case::Plain(SaguaroCoordinator, 42) => {
-                (590.0, 8.03422598870057, 1.052, 37.18, 46.219, 177)
-            }
+            Case::Plain(SaguaroCoordinator, 42) => (
+                576.6666666666667,
+                7.454052023121388,
+                1.049,
+                34.066,
+                37.382,
+                173,
+            ),
             Case::Plain(SaguaroCoordinator, 7) => (
                 546.6666666666667,
-                10.854152439024391,
-                1.054,
-                37.191,
-                46.578,
+                11.205006097560975,
+                1.053,
+                42.679,
+                54.532,
                 164,
             ),
-            Case::Plain(SaguaroCoordinator, 101) => {
-                (600.0, 7.412377777777777, 1.051, 37.209, 41.228, 180)
-            }
+            Case::Plain(SaguaroCoordinator, 101) => (
+                663.3333333333334,
+                8.476120603015076,
+                1.052,
+                38.15,
+                49.414,
+                199,
+            ),
             Case::Plain(SaguaroCoordinator, 9001) => (
-                623.3333333333334,
-                9.301133689839574,
+                616.6666666666667,
+                8.488275675675679,
                 1.053,
-                37.312,
-                47.327,
-                187,
+                37.228,
+                44.933,
+                185,
             ),
             Case::Plain(SaguaroOptimistic, 42) => {
                 (620.0, 1.0484623655913978, 1.048, 1.058, 1.061, 186)
@@ -95,19 +105,19 @@ impl Case {
             ),
             Case::Plain(Ahl, 42) => (
                 553.3333333333334,
-                5.943861445783132,
+                5.943632530120482,
                 1.05,
                 29.047,
                 36.833,
                 166,
             ),
             Case::Plain(Ahl, 7) => (
-                603.3333333333334,
-                9.895779005524863,
+                593.3333333333334,
+                9.622320224719102,
                 1.053,
-                36.902,
+                36.823,
                 37.243,
-                181,
+                178,
             ),
             Case::Plain(Ahl, 101) => (
                 543.3333333333334,
@@ -117,7 +127,14 @@ impl Case {
                 37.267,
                 163,
             ),
-            Case::Plain(Ahl, 9001) => (610.0, 7.115398907103826, 1.05, 31.054, 36.991, 183),
+            Case::Plain(Ahl, 9001) => (
+                586.6666666666667,
+                7.075267045454547,
+                1.05,
+                30.929,
+                36.98,
+                176,
+            ),
             Case::Plain(Sharper, 42) => (570.0, 5.116730994152048, 1.05, 26.595, 27.129, 171),
             Case::Plain(Sharper, 7) => (
                 676.6666666666667,

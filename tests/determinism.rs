@@ -125,7 +125,7 @@ fn same_seed_and_fault_plan_reproduce_identical_metrics() {
 }
 
 #[test]
-fn checkpointed_runs_are_deterministic_and_differ_from_legacy() {
+fn checkpointed_runs_are_deterministic_and_differ_from_the_default_interval() {
     for protocol in ProtocolKind::ALL {
         let spec = golden_spec(protocol, 42).tune(|t| t.checkpoint_every(8));
         let first = spec.run();
@@ -134,6 +134,11 @@ fn checkpointed_runs_are_deterministic_and_differ_from_legacy() {
             first,
             spec.run(),
             "{protocol:?}: checkpointed run not deterministic"
+        );
+        assert_ne!(
+            first,
+            golden_spec(protocol, 42).run(),
+            "{protocol:?}: announcing every 8 deliveries should change the event schedule"
         );
     }
 }

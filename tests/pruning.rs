@@ -1,6 +1,6 @@
 //! Snapshot-based state transfer and log pruning regressions.
 //!
-//! Three properties pin the retention machinery:
+//! Four properties pin the retention machinery:
 //!
 //! 1. under a finite retention window the consensus chains and ledgers
 //!    never retain entries below the domain's prune floor — memory is
@@ -9,8 +9,10 @@
 //!    answers with a `SnapshotReply` (application snapshot + command
 //!    tail) instead of full replay, and the laggard reconverges — for
 //!    all four protocol stacks;
-//! 3. the infinite-retention default is bit-identical to the pre-snapshot
-//!    pipeline, and a finite-but-never-reached window changes nothing a
+//! 3. a retention window set on its own prunes at the default checkpoint
+//!    interval;
+//! 4. under the infinite-retention default the snapshot/pruning machinery
+//!    is inert, and a finite-but-never-reached window changes nothing a
 //!    client can observe.
 
 use saguaro::net::FaultSchedule;
@@ -107,6 +109,37 @@ fn chains_never_retain_entries_below_the_prune_floor() {
     }
 }
 
+/// A retention window on its own prunes too: the domain checkpoints at the
+/// default interval, snapshots at every stable checkpoint and bounds its
+/// chains by the window plus the unstable tail.
+#[test]
+fn a_retention_window_alone_snapshots_and_bounds_chains_at_the_default_interval() {
+    let interval = saguaro::types::CheckpointConfig::DEFAULT_INTERVAL;
+    for protocol in ProtocolKind::ALL {
+        let mut spec = ExperimentSpec::new(protocol)
+            .quick()
+            .load(4_000.0)
+            .tune(|t| t.retained(RETENTION));
+        spec.measure = saguaro::types::Duration::from_millis(600);
+        let artifacts = spec.run_collecting();
+        check_safety(&artifacts, protocol.label());
+        let nodes = &artifacts.harvest.nodes;
+        assert!(
+            nodes.iter().any(|n| n.snapshots_taken > 0),
+            "{protocol:?}: no replica took a snapshot under retained({RETENTION})"
+        );
+        for n in nodes {
+            assert!(
+                n.chain_len <= RETENTION + interval + CHAIN_SLACK,
+                "{protocol:?}: {:?} retains {} chain entries under a \
+                 retention window of {RETENTION}",
+                n.node,
+                n.chain_len
+            );
+        }
+    }
+}
+
 /// The bounded-harvest invariant: a replica's harvested ledger never holds
 /// more than the `DeliveryLog` capacity, while `total_entries` keeps the
 /// lifetime count.
@@ -196,8 +229,8 @@ fn observable(artifacts: &RunArtifacts) -> Vec<(saguaro::types::TxId, u64, u64, 
         .collect()
 }
 
-/// Infinite retention (the default) is the pre-snapshot pipeline: the
-/// snapshot/pruning machinery must be completely inert, so a checkpointed
+/// Under infinite retention (the default) the snapshot/pruning machinery
+/// must be completely inert, so a checkpointed
 /// run with the default window is bit-identical to one that spells
 /// `u64::MAX` out, and neither ever takes a snapshot or prunes a chain.
 #[test]

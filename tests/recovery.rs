@@ -155,11 +155,11 @@ fn baseline_shards_recover_via_state_transfer_too() {
     }
 }
 
-/// Without checkpointing the gap is still repairable the legacy way (slots
-/// are never collected), so enabling the subsystem must not be *required*
-/// for plain crash tolerance — only for bounded logs.
+/// The default configuration (checkpoints every 128 deliveries, infinite
+/// retention) repairs the same outage: the recovered backup fetches the
+/// entries it missed by state transfer too.
 #[test]
-fn legacy_configuration_still_survives_the_same_outage() {
+fn the_default_configuration_repairs_the_same_outage_by_state_transfer() {
     let plan = FaultSchedule::none()
         .crash_at(SimTime::from_millis(CRASH_MS), victim())
         .recover_at(SimTime::from_millis(RECOVER_MS), victim());
@@ -168,8 +168,17 @@ fn legacy_configuration_still_survives_the_same_outage() {
         .load(1_200.0)
         .fault_plan(plan);
     let artifacts = spec.run_collecting();
-    check_safety(&artifacts, "legacy-crash-recover");
+    check_safety(&artifacts, "default-crash-recover");
     assert!(artifacts.metrics.committed > 50);
-    // No checkpoints means no transfer traffic at all.
-    assert_eq!(artifacts.state_transfer_messages, 0);
+    assert!(artifacts.state_transfer_messages > 0);
+    let v = artifacts.harvest.node(victim()).expect("victim harvested");
+    let healthy = artifacts
+        .harvest
+        .node(healthy_peer())
+        .expect("peer harvested");
+    assert!(
+        v.state_transfer_commands > 0,
+        "the victim never transferred state"
+    );
+    assert_eq!(v.last_delivered, healthy.last_delivered);
 }

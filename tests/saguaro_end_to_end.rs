@@ -209,6 +209,47 @@ fn a_participant_that_missed_the_decision_queries_until_it_is_answered() {
     }
 }
 
+/// A coordinator that gives up after its deadlock retries aborts the
+/// transaction for good, and the client hears so exactly once.
+#[test]
+fn a_transaction_the_coordinator_gives_up_on_is_answered_with_an_abort() {
+    let (mut sim, tree) = build(FailureModel::Crash, ProtocolConfig::coordinator());
+    let (d0, d1, lca) = (
+        DomainId::new(1, 0),
+        DomainId::new(1, 1),
+        DomainId::new(2, 0),
+    );
+    let client = ClientId(9);
+    let region = tree.region_of(d0).expect("region");
+    let sink = Box::new(ReplySink::default());
+    sim.register(client, region, CpuProfile::client(), sink);
+    // D1-1 never hears from the LCA, so every attempt stalls until the
+    // LCA's 400 ms deadlock timer discards it; the fourth timeout gives up.
+    let cut = FaultSchedule::none().split_at(
+        SimTime::ZERO,
+        tree.nodes_of(d1).unwrap(),
+        tree.nodes_of(lca).unwrap(),
+    );
+    sim.set_fault_schedule(cut);
+    let op = Operation::Transfer {
+        from: account_key(0, 1),
+        to: account_key(1, 2),
+        amount: 10,
+    };
+    let tx = Transaction::cross_domain(TxId(500), client, vec![d0, d1], op);
+    sim.inject(client, primary(d0), SaguaroMsg::ClientRequest(tx));
+    sim.run_until(SimTime::from_millis(2_500));
+    let replies = sim.with_actor(client, |a| {
+        let sink = a.as_any().and_then(|any| any.downcast_mut::<ReplySink>());
+        sink.expect("the reply sink").0.clone()
+    });
+    assert_eq!(replies, Some(vec![(TxId(500), false)]), "replies");
+    for node in tree.nodes_of(d0).unwrap() {
+        let held = with_node(&mut sim, node, |n| n.ledger().contains(TxId(500)));
+        assert!(!held, "{node:?} holds the aborted transaction");
+    }
+}
+
 #[test]
 fn blocks_propagate_to_fog_and_cloud_with_aggregation() {
     let (mut sim, tree) = build(FailureModel::Crash, ProtocolConfig::coordinator());
