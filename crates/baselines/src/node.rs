@@ -201,7 +201,11 @@ impl BaselineNode {
         if self.is_primary() {
             let cert_sigs = self.cert_sigs();
             let involved = tx.involved_domains();
-            self.send_to_domains(involved, BaselineMsg::TwoPcPrepare { tx, cert_sigs }, ctx);
+            let prepare = BaselineMsg::TwoPcPrepare {
+                tx: tx.clone(),
+                cert_sigs,
+            };
+            self.send_to_domains(involved.iter().copied(), prepare, ctx);
         }
     }
 
@@ -246,7 +250,8 @@ impl BaselineNode {
             return;
         }
         entry.votes.insert(domain);
-        let involved = entry.tx.involved_domains();
+        let tx = entry.tx.clone();
+        let involved = tx.involved_domains();
         entry.decided = involved.iter().all(|d| entry.votes.contains(d));
         if entry.decided && self.is_primary() {
             let decision = BaselineMsg::TwoPcDecision {
@@ -254,7 +259,7 @@ impl BaselineNode {
                 commit: true,
                 cert_sigs: self.cert_sigs(),
             };
-            self.send_to_domains(involved, decision, ctx);
+            self.send_to_domains(involved.iter().copied(), decision, ctx);
         }
     }
 
@@ -298,11 +303,11 @@ impl BaselineNode {
         self.flattened.entry(tx.id).or_default();
         let involved = tx.involved_domains();
         let accept = BaselineMsg::FlatAccept {
-            tx,
+            tx: tx.clone(),
             seq,
             leader_domain: self.domain(),
         };
-        self.send_to_domains(involved, accept, ctx);
+        self.send_to_domains(involved.iter().copied(), accept, ctx);
     }
 
     fn on_flat_accept(
@@ -321,7 +326,7 @@ impl BaselineNode {
             // BFT: all-to-all echo across every involved shard first.
             FailureModel::Byzantine => {
                 let echo = BaselineMsg::FlatEcho { tx_id, domain };
-                self.send_to_domains(tx.involved_domains(), echo, ctx)
+                self.send_to_domains(tx.involved_domains().iter().copied(), echo, ctx)
             }
         }
         self.prepared_cache.insert(tx_id, tx);
@@ -387,7 +392,8 @@ impl BaselineNode {
             .all(|d| entry.votes.get(d).map(BTreeSet::len).unwrap_or(0) >= needed_per_shard);
         if entry.committed {
             let cert_sigs = self.cert_sigs();
-            self.send_to_domains(involved, BaselineMsg::FlatCommit { tx_id, cert_sigs }, ctx);
+            let commit = BaselineMsg::FlatCommit { tx_id, cert_sigs };
+            self.send_to_domains(involved.iter().copied(), commit, ctx);
         }
     }
 

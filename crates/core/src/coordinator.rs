@@ -15,7 +15,7 @@ use crate::host::HostedReplica;
 use crate::messages::{SaguaroMsg, Verdict};
 use crate::node::{Commit, SaguaroNode};
 use saguaro_net::{Context, TimerId};
-use saguaro_types::{DomainId, Duration, MultiSeq, NodeId, SeqNo, Transaction, TxId, TxKind};
+use saguaro_types::{DomainId, Duration, MultiSeq, NodeId, SeqNo, Transaction, TxId};
 use std::collections::BTreeMap;
 
 /// Maximum number of deadlock-timeout retries before a coordinator gives up
@@ -33,7 +33,6 @@ pub(crate) const COMMIT_QUERY_TIMEOUT: Duration = Duration::from_millis(600);
 pub(crate) struct CoordEntry {
     pub tx: Transaction,
     pub coord_seq: SeqNo,
-    pub involved: Vec<DomainId>,
     /// Local sequence numbers reported by involved domains so far.
     pub prepared: BTreeMap<DomainId, SeqNo>,
     /// The agreed outcome (`Some(true)` commit, `Some(false)` abort), once
@@ -112,7 +111,7 @@ impl SaguaroNode {
         let blocked = self
             .coordinated
             .values()
-            .any(|e| e.decision.is_none() && intersect_two(&e.involved, &involved));
+            .any(|e| e.decision.is_none() && intersect_two(&e.tx.involved_domains(), &involved));
         if blocked {
             self.coord_queue.push_back(tx);
         } else {
@@ -146,7 +145,7 @@ impl SaguaroNode {
             verdict,
             cert_sigs,
         };
-        self.send_to_domains(entry.involved.iter().copied(), decision, ctx);
+        self.send_to_domains(entry.tx.involved_domains().iter().copied(), decision, ctx);
     }
 
     /// The coordinator domain agreed to coordinate `tx` (delivered by its
@@ -159,9 +158,9 @@ impl SaguaroNode {
         ctx: &mut Context<'_, SaguaroMsg>,
     ) {
         let tx_id = tx.id;
-        let involved = tx.involved_domains();
         let timer = self.is_primary().then(|| {
             let cert_sigs = self.cert_sigs();
+            let involved = tx.involved_domains();
             let prepare = SaguaroMsg::Prepare {
                 tx: tx.clone(),
                 coord_seq,
@@ -174,7 +173,6 @@ impl SaguaroNode {
         let entry = self.coordinated.entry(tx_id).or_insert_with(|| CoordEntry {
             tx,
             coord_seq,
-            involved,
             prepared: BTreeMap::new(),
             decision: None,
             retries: 0,
@@ -204,7 +202,7 @@ impl SaguaroNode {
             return;
         }
         entry.prepared.insert(domain, local_seq);
-        if entry.prepared.len() == entry.involved.len() && self.is_primary() {
+        if entry.prepared.len() == entry.tx.involved_domains().len() && self.is_primary() {
             let seqs = self.coordinated[&tx_id].seqs();
             self.propose(
                 Cmd::CoordCommit {
@@ -231,6 +229,15 @@ impl SaguaroNode {
         entry.decision = Some(commit);
         if let Some(t) = entry.timer.take() {
             ctx.cancel_timer(t);
+        }
+        if !commit {
+            // Given up: perhaps no participant prepared it, and then only the
+            // replica that took the request knows the client.  Every replica
+            // here ordered the abort and holds the transaction, so on a BFT
+            // domain each answers (a CFT client already has its one reply).
+            let tx = entry.tx.clone();
+            self.note_reply_target(&tx);
+            self.reply(tx_id, false, ctx);
         }
         if self.is_primary() {
             self.send_decision(tx_id, seqs, Verdict::ordered(commit), ctx);
@@ -313,12 +320,10 @@ impl SaguaroNode {
             return; // duplicate prepare (e.g. retry after deadlock)
         }
         let involved = tx.involved_domains();
-        // A cross-domain entry lends its domain list; only another kind
-        // builds one.
-        let blocked = self.participating.values().any(|e| match &e.tx.kind {
-            TxKind::CrossDomain { domains } => intersect_two(domains, &involved),
-            kind => intersect_two(&kind.involved_domains(), &involved),
-        });
+        let blocked = self
+            .participating
+            .values()
+            .any(|e| intersect_two(&e.tx.involved_domains(), &involved));
         if blocked {
             self.participant_queue.push_back((tx, coord_seq));
             return;

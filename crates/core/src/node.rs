@@ -24,7 +24,7 @@ use crate::optimistic::{OptTracker, OptimisticValidator};
 use saguaro_consensus::ConsensusMsg;
 use saguaro_hierarchy::HierarchyTree;
 use saguaro_ledger::{
-    AggregateView, Block, BlockchainState, DagLedger, LinearLedger, TxStatus, UndoRecord,
+    AggregateView, Block, BlockchainState, DagLedger, DeltaKey, LinearLedger, TxStatus, UndoRecord,
 };
 use saguaro_net::{Actor, Addr, Context, TimerId};
 use saguaro_types::hash::{FxHashMap, FxHashSet};
@@ -61,13 +61,14 @@ pub struct SaguaroNode {
     pub(crate) state: BlockchainState,
     /// This domain's own writes of the current round, as the state map's
     /// key handles and the values stored: the round's raw state updates
-    /// (input to the abstraction fn) at a height-1 domain.  The `Arc<str>`
-    /// keys a delta carries are made from them only when a block is cut.
+    /// (input to the abstraction fn) at a height-1 domain.  The primary
+    /// tags them with this domain when it cuts a block.
     pub(crate) round_writes: Vec<(Key, u64)>,
     /// The children's updates a domain above height 1 folds into its next
-    /// block, keyed `"{child:?}/{key}"`.  The root domain, which has no
-    /// parent to report to, folds none.
-    pub(crate) round_updates: Vec<(Arc<str>, u64)>,
+    /// block, copied as the child reported them: each names the height-1
+    /// domain that wrote it and holds the writer's key handle.  The root
+    /// domain, which has no parent to report to, folds none.
+    pub(crate) round_updates: Vec<(DeltaKey, u64)>,
     /// Undo records of executed transactions, kept in optimistic mode only:
     /// nothing but an optimistic abort ever reverts an execution.
     pub(crate) undo_log: FxHashMap<TxId, UndoRecord>,
@@ -700,14 +701,17 @@ mod tests {
     }
 
     /// A child's abstracted updates are folded into the next block only where
-    /// a next block exists: a fog domain's block carries them, prefixed, and
-    /// the root — which cuts no block — keeps no list of them.
+    /// a next block exists: a fog domain's block carries them as the child
+    /// reported them, and the root — which cuts no block — keeps no list of
+    /// them.  Nobody re-keys them on the way: every replica of the fog and of
+    /// the root holds the key the writer's block carried, one allocation.
     #[test]
     fn only_a_domain_with_a_parent_folds_its_childrens_keys() {
         let (mut sim, tree) = deployment(ProtocolConfig::coordinator());
         let d0 = DomainId::new(1, 0);
+        let key = account_key(0, 1);
         let pay = Operation::Transfer {
-            from: account_key(0, 1),
+            from: key.clone(),
             to: account_key(0, 2),
             amount: 10,
         };
@@ -716,13 +720,22 @@ mod tests {
         sim.inject(ClientId(1), NodeId::new(d0, 0), request);
         sim.run_until(SimTime::from_millis(1_500));
         let fog = tree.parent(d0).expect("a fog parent");
-        let folded = format!("{d0:?}/{}", account_key(0, 1));
-        for node in tree.nodes_of(tree.root()).expect("nodes") {
-            with_node(&mut sim, node, |n| {
-                assert_eq!(n.agg.child_value(fog, &folded), Some(990), "{node:?}");
-                assert!(n.round_updates.is_empty(), "{node:?} folds for nobody");
-            });
+        let mut held: Vec<Key> = Vec::new();
+        for (domain, child) in [(fog, d0), (tree.root(), fog)] {
+            for node in tree.nodes_of(domain).expect("nodes") {
+                with_node(&mut sim, node, |n| {
+                    let (handle, value) = n.agg.get(child, d0, &key).expect("reported");
+                    assert_eq!(value, 990, "{node:?}");
+                    held.push(handle.clone());
+                    if domain == tree.root() {
+                        assert!(n.round_updates.is_empty(), "{node:?} folds for nobody");
+                    }
+                });
+            }
         }
+        assert!(held.len() > 2);
+        let text = held[0].as_ptr();
+        assert!(held.iter().all(|k| k.as_ptr() == text), "one key block");
     }
 
     /// An abort reverts the victim and the later executions that depend on
@@ -772,7 +785,6 @@ mod tests {
         let decided = CoordEntry {
             tx: tx.clone(),
             coord_seq: 1,
-            involved: vec![d0, d1],
             prepared: BTreeMap::new(),
             decision: Some(false),
             retries: 0,

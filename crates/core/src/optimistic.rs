@@ -225,7 +225,7 @@ impl OptimisticValidator {
             return;
         }
         let entry = self.observed.entry(tx.id).or_insert_with(|| ObservedTx {
-            involved: tx.involved_domains(),
+            involved: tx.involved_domains().to_vec(),
             seqs: BTreeMap::new(),
             first_round: round,
             decided: false,
@@ -367,7 +367,8 @@ impl SaguaroNode {
     /// order it locally.
     pub(crate) fn start_optimistic(&mut self, tx: Transaction, ctx: &mut Context<'_, SaguaroMsg>) {
         let me = self.domain();
-        let others = tx.involved_domains().into_iter().filter(|d| *d != me);
+        let involved = tx.involved_domains();
+        let others = involved.iter().copied().filter(|d| *d != me);
         self.send_to_domains(others, SaguaroMsg::OptForward { tx: tx.clone() }, ctx);
         self.propose(Cmd::OptimisticCross(tx), ctx);
     }

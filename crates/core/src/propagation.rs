@@ -13,11 +13,9 @@ use crate::command::Cmd;
 use crate::host::HostedReplica;
 use crate::messages::SaguaroMsg;
 use crate::node::SaguaroNode;
-use saguaro_ledger::{AbstractionFn, Block};
+use saguaro_ledger::{AbstractionFn, Block, DeltaKey};
 use saguaro_net::Context;
 use saguaro_types::DomainId;
-use std::fmt::Write;
-use std::sync::Arc;
 
 impl SaguaroNode {
     /// End-of-round handler: cut and send this domain's block, then schedule
@@ -29,10 +27,11 @@ impl SaguaroNode {
             if let Some(parent) = self.tree.parent(self.domain()) {
                 // A height-1 domain only writes and a domain above only
                 // folds, so one of the two lists is empty.  A written key
-                // becomes the `Arc<str>` the delta shares up the hierarchy
-                // here, once, rather than on every replica at every write.
+                // goes up as the state map's own handle, tagged with the
+                // domain that wrote it.
+                let origin = self.domain();
                 let writes = self.round_writes.drain(..);
-                let writes = writes.map(|(key, value)| (Arc::<str>::from(&*key), value));
+                let writes = writes.map(|(key, value)| (DeltaKey { origin, key }, value));
                 self.round_updates.extend(writes);
                 let delta = AbstractionFn::Full.apply(&self.round_updates);
                 self.round_updates.clear();
@@ -119,14 +118,11 @@ impl SaguaroNode {
         self.agg.apply_delta(child, &block.state_delta);
         // Fold the child's abstracted updates into this domain's own next
         // block so summaries keep flowing towards the root — which has no
-        // next block, so there nothing is folded.
+        // next block, so there nothing is folded.  Each entry already names
+        // the domain that wrote it.
         if self.tree.parent(self.domain()).is_some() {
-            let mut key = String::new();
-            for (k, v) in block.state_delta.iter() {
-                key.clear();
-                write!(key, "{child:?}/{k}").expect("writing to a String cannot fail");
-                self.round_updates.push((key.as_str().into(), v));
-            }
+            let entries = block.state_delta.entries();
+            self.round_updates.extend_from_slice(entries);
         }
         // Record newly seen transactions in this domain's own (summary)
         // ledger so they are included in the next block sent to the parent.

@@ -8,18 +8,39 @@
 //! only the working-hour attribute in the ridesharing application.
 
 use saguaro_types::hash::FxHashMap;
-use saguaro_types::DomainId;
+use saguaro_types::{DomainId, Key};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+
+/// The key of one state-delta entry: the height-1 domain that wrote it and
+/// the writer's own handle of its text.  A domain above height 1 reports its
+/// children's entries as they are, so the path a key took up the tree is
+/// implied by `origin` and the tree and is never spelled out.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DeltaKey {
+    /// The height-1 domain whose execution wrote the key.
+    pub origin: DomainId,
+    /// The key, sharing the writer's allocation of its text.
+    pub key: Key,
+}
+
+impl DeltaKey {
+    /// A key made from text rather than taken from a state map.
+    pub fn new(origin: DomainId, key: &str) -> Self {
+        Self {
+            origin,
+            key: Key::from(key),
+        }
+    }
+}
 
 /// The abstracted state updates of one round: `(key, new value)` pairs after
 /// applying the abstraction function.  Keys are shared handles: the replica
-/// that executed a write allocates its key once, and every delta, block and
-/// aggregate view the key travels through on the way up holds that
+/// that executed a write holds its key in its state map, and every delta,
+/// block and aggregate view the key travels through on the way up holds that
 /// allocation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StateDelta {
-    entries: Vec<(Arc<str>, u64)>,
+    entries: Vec<(DeltaKey, u64)>,
 }
 
 impl StateDelta {
@@ -29,7 +50,7 @@ impl StateDelta {
     }
 
     /// Builds a delta from `(key, value)` pairs.
-    pub fn from_entries(entries: Vec<(Arc<str>, u64)>) -> Self {
+    pub fn from_entries(entries: Vec<(DeltaKey, u64)>) -> Self {
         Self { entries }
     }
 
@@ -43,9 +64,9 @@ impl StateDelta {
         self.entries.is_empty()
     }
 
-    /// Iterates over the entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries.iter().map(|(k, v)| (&**k, *v))
+    /// The entries, in the order the round produced them.
+    pub fn entries(&self) -> &[(DeltaKey, u64)] {
+        &self.entries
     }
 }
 
@@ -63,13 +84,13 @@ pub enum AbstractionFn {
 impl AbstractionFn {
     /// Applies the abstraction to the raw `(key, new value)` updates of one
     /// round.  The delta shares the keys it keeps.
-    pub fn apply(&self, raw_updates: &[(Arc<str>, u64)]) -> StateDelta {
+    pub fn apply(&self, raw_updates: &[(DeltaKey, u64)]) -> StateDelta {
         match self {
             AbstractionFn::Full => StateDelta::from_entries(raw_updates.to_vec()),
             AbstractionFn::KeyPrefix(prefix) => StateDelta::from_entries(
                 raw_updates
                     .iter()
-                    .filter(|(k, _)| k.starts_with(prefix))
+                    .filter(|(k, _)| k.key.starts_with(prefix))
                     .cloned()
                     .collect(),
             ),
@@ -85,9 +106,10 @@ impl AbstractionFn {
 /// hours of a driver").
 #[derive(Clone, Debug, Default)]
 pub struct AggregateView {
-    /// child domain -> key -> latest value.  The inner maps only answer
-    /// point look-ups and sums.
-    per_child: BTreeMap<DomainId, FxHashMap<Arc<str>, u64>>,
+    /// child domain -> origin -> key -> latest value: a delta key's two
+    /// parts, one map level each, so a look-up by text needs no probe key.
+    /// The inner maps only answer point look-ups and sums.
+    per_child: BTreeMap<DomainId, FxHashMap<DomainId, FxHashMap<Key, u64>>>,
 }
 
 impl AggregateView {
@@ -98,39 +120,57 @@ impl AggregateView {
 
     /// Applies the abstracted delta received from `child` in one round.
     pub fn apply_delta(&mut self, child: DomainId, delta: &StateDelta) {
-        let entry = self.per_child.entry(child).or_default();
+        let origins = self.per_child.entry(child).or_default();
         for (k, v) in &delta.entries {
-            entry.insert(k.clone(), *v);
+            origins
+                .entry(k.origin)
+                .or_default()
+                .insert(k.key.clone(), *v);
         }
     }
 
-    /// Latest value of `key` reported by `child`.
-    pub fn child_value(&self, child: DomainId, key: &str) -> Option<u64> {
-        self.per_child.get(&child)?.get(key).copied()
+    /// The view's entry for `key`, written at `origin` and reported by
+    /// `child`: the key handle it holds and the latest value.
+    pub fn get(&self, child: DomainId, origin: DomainId, key: &str) -> Option<(&Key, u64)> {
+        let keys = self.per_child.get(&child)?.get(&origin)?;
+        keys.get_key_value(key).map(|(held, value)| (held, *value))
     }
 
-    /// Sum of `key` across every child domain (e.g. total working hours of a
-    /// driver who worked in several spatial domains).
+    /// Latest value of `key`, written at `origin`, reported by `child`.
+    pub fn child_value(&self, child: DomainId, origin: DomainId, key: &str) -> Option<u64> {
+        self.get(child, origin, key).map(|(_, value)| value)
+    }
+
+    /// Every `(child, origin's keys)` the view holds.
+    fn key_maps(&self) -> impl Iterator<Item = (DomainId, &FxHashMap<Key, u64>)> {
+        self.per_child
+            .iter()
+            .flat_map(|(child, origins)| origins.values().map(move |keys| (*child, keys)))
+    }
+
+    /// Sum of `key` across every child domain and every domain that wrote
+    /// it (e.g. total working hours of a driver who worked in several
+    /// spatial domains).
     pub fn sum(&self, key: &str) -> u64 {
-        self.per_child.values().filter_map(|m| m.get(key)).sum()
+        self.key_maps().filter_map(|(_, keys)| keys.get(key)).sum()
     }
 
     /// Sum of every key with `prefix` across every child domain.
     pub fn sum_by_prefix(&self, prefix: &str) -> u64 {
-        self.per_child
-            .values()
-            .flat_map(|m| m.iter())
+        self.key_maps()
+            .flat_map(|(_, keys)| keys.iter())
             .filter(|(k, _)| k.starts_with(prefix))
             .map(|(_, v)| *v)
             .sum()
     }
 
-    /// Maximum of `key` across child domains (e.g. the busiest domain).
+    /// The child domain that reported the largest value of `key`, wherever
+    /// it was written, and that value (e.g. the busiest domain).
     pub fn max(&self, key: &str) -> Option<(DomainId, u64)> {
-        self.per_child
-            .iter()
-            .filter_map(|(d, m)| m.get(key).map(|v| (*d, *v)))
-            .max_by_key(|(_, v)| *v)
+        let values = self
+            .key_maps()
+            .filter_map(|(child, keys)| Some((child, *keys.get(key)?)));
+        values.max_by_key(|(_, v)| *v)
     }
 
     /// Child domains that have reported at least one delta.
@@ -142,17 +182,20 @@ impl AggregateView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saguaro_types::CowMap;
 
     fn d(i: u16) -> DomainId {
         DomainId::new(1, i)
     }
 
-    fn raw() -> Vec<(Arc<str>, u64)> {
-        vec![
-            ("alice".into(), 70),
-            ("bob".into(), 30),
-            ("hours/driver-1".into(), 100),
-        ]
+    fn delta(origin: DomainId, entries: &[(&str, u64)]) -> StateDelta {
+        let entries = entries.iter().map(|&(k, v)| (DeltaKey::new(origin, k), v));
+        StateDelta::from_entries(entries.collect())
+    }
+
+    fn raw() -> Vec<(DeltaKey, u64)> {
+        let entries = [("alice", 70), ("bob", 30), ("hours/driver-1", 100)];
+        delta(d(0), &entries).entries().to_vec()
     }
 
     #[test]
@@ -165,57 +208,76 @@ mod tests {
     fn prefix_abstraction_filters_keys() {
         let delta = AbstractionFn::KeyPrefix("hours/").apply(&raw());
         assert_eq!(delta.len(), 1);
-        assert_eq!(delta.iter().next(), Some(("hours/driver-1", 100)));
+        let (key, value) = &delta.entries()[0];
+        assert_eq!(
+            (key.origin, &*key.key, *value),
+            (d(0), "hours/driver-1", 100)
+        );
     }
 
     #[test]
     fn aggregate_view_sums_across_children() {
         let mut view = AggregateView::new();
-        view.apply_delta(
-            d(0),
-            &StateDelta::from_entries(vec![("hours/x".into(), 10)]),
-        );
-        view.apply_delta(
-            d(1),
-            &StateDelta::from_entries(vec![("hours/x".into(), 25)]),
-        );
-        view.apply_delta(d(1), &StateDelta::from_entries(vec![("hours/y".into(), 5)]));
+        view.apply_delta(d(0), &delta(d(0), &[("hours/x", 10)]));
+        view.apply_delta(d(1), &delta(d(1), &[("hours/x", 25)]));
+        view.apply_delta(d(1), &delta(d(1), &[("hours/y", 5)]));
         assert_eq!(view.sum("hours/x"), 35);
         assert_eq!(view.sum_by_prefix("hours/"), 40);
-        assert_eq!(view.child_value(d(1), "hours/x"), Some(25));
-        assert_eq!(view.child_value(d(0), "hours/y"), None);
+        assert_eq!(view.child_value(d(1), d(1), "hours/x"), Some(25));
+        assert_eq!(view.child_value(d(0), d(0), "hours/y"), None);
         assert_eq!(view.max("hours/x"), Some((d(1), 25)));
         assert_eq!(view.children().count(), 2);
+    }
+
+    /// One child (a fog domain) reports the same key text written at two
+    /// height-1 domains: the view keeps both, told apart by their origin.
+    #[test]
+    fn a_child_reports_one_key_per_origin() {
+        let fog = DomainId::new(2, 0);
+        let mut view = AggregateView::new();
+        let mut entries = delta(d(0), &[("usage/x", 4)]).entries().to_vec();
+        entries.extend_from_slice(delta(d(1), &[("usage/x", 6)]).entries());
+        view.apply_delta(fog, &StateDelta::from_entries(entries));
+        assert_eq!(view.child_value(fog, d(0), "usage/x"), Some(4));
+        assert_eq!(view.child_value(fog, d(1), "usage/x"), Some(6));
+        assert_eq!(view.child_value(fog, d(2), "usage/x"), None);
+        assert_eq!(view.sum("usage/x"), 10);
+        assert_eq!(view.max("usage/x"), Some((fog, 6)));
     }
 
     #[test]
     fn later_deltas_overwrite_earlier_values() {
         let mut view = AggregateView::new();
-        view.apply_delta(d(0), &StateDelta::from_entries(vec![("k".into(), 1)]));
-        view.apply_delta(d(0), &StateDelta::from_entries(vec![("k".into(), 9)]));
+        view.apply_delta(d(0), &delta(d(0), &[("k", 1)]));
+        view.apply_delta(d(0), &delta(d(0), &[("k", 9)]));
         assert_eq!(view.sum("k"), 9);
     }
 
-    /// A key is allocated by whoever wrote it and shared from there on: the
-    /// delta an abstraction produces and the view that applies it hold the
-    /// same handle.
+    /// A key is allocated by the state map that stored it and shared from
+    /// there on: the delta an abstraction produces and the view that applies
+    /// it hold the map's own handle.
     #[test]
-    fn a_key_travels_from_the_raw_updates_to_the_view_without_a_copy() {
-        let raw = raw();
-        let (key, _) = &raw[2];
+    fn a_key_travels_from_the_state_map_to_the_view_without_a_copy() {
+        let mut state: CowMap = [("alice", 1), ("hours/driver-1", 2)].into_iter().collect();
+        let (key, _, value) = state.update("hours/driver-1", |v| v.unwrap_or(0) + 98);
+        let written = DeltaKey { origin: d(0), key };
+        let raw = vec![(written.clone(), value)];
         for abstraction in [AbstractionFn::Full, AbstractionFn::KeyPrefix("hours/")] {
             let delta = abstraction.apply(&raw);
-            assert!(Arc::ptr_eq(&delta.entries.last().unwrap().0, key));
+            assert_eq!(delta.entries()[0].0.key.as_ptr(), written.key.as_ptr());
             let mut view = AggregateView::new();
             view.apply_delta(d(0), &delta);
-            let (held, _) = view.per_child[&d(0)].get_key_value(&**key).unwrap();
-            assert!(Arc::ptr_eq(held, key), "{abstraction:?}");
+            let (held, value) = view.get(d(0), d(0), "hours/driver-1").unwrap();
+            assert_eq!(held.as_ptr(), written.key.as_ptr(), "{abstraction:?}");
+            assert_eq!(value, 100);
         }
     }
 
     #[test]
     fn state_delta_builders() {
         assert!(StateDelta::new().is_empty());
-        assert_eq!(StateDelta::from_entries(vec![("a".into(), 1)]).len(), 1);
+        assert_eq!(delta(d(0), &[("a", 1)]).len(), 1);
+        assert_eq!(DeltaKey::new(d(0), "a"), DeltaKey::new(d(0), "a"));
+        assert_ne!(DeltaKey::new(d(0), "a"), DeltaKey::new(d(1), "a"));
     }
 }

@@ -30,7 +30,7 @@ pub mod dag;
 pub mod linear;
 pub mod state;
 
-pub use abstraction::{AbstractionFn, AggregateView, StateDelta};
+pub use abstraction::{AbstractionFn, AggregateView, DeltaKey, StateDelta};
 pub use block::{Block, BlockHeader, BlockId, CommittedTx, TxStatus};
 pub use dag::DagLedger;
 pub use linear::LinearLedger;

@@ -1,24 +1,22 @@
-//! Zero-copy message envelopes.
+//! Message envelopes.
 //!
 //! Every payload travelling through the simulator is wrapped in an
-//! [`Envelope`]: the payload itself sits behind an [`Arc`] so a multicast to
-//! `n` recipients shares one allocation instead of deep-cloning the message
-//! (and, for block messages, its whole command vector) per recipient, and
-//! the [`MessageMeta`] quantities — wire size and signature count — are
-//! computed once at wrap time instead of being re-derived by the latency
-//! model, the CPU model and the statistics on every delivery.
+//! [`Envelope`] that holds the payload by value beside its [`MessageMeta`]
+//! quantities — wire size, signature count, state-transfer class — computed
+//! once at wrap time instead of being re-derived by the latency model, the
+//! CPU model and the statistics on every delivery.
 //!
-//! Delivery consumes the envelope with [`Envelope::into_payload`]: the last
-//! live reference hands the payload back without copying, so a unicast send
-//! never clones and an `n`-way multicast clones at most `n - 1` times.
+//! Delivery consumes the envelope with [`Envelope::into_payload`], a move.  A
+//! multicast to `n` recipients clones the envelope `n − 1` times and hands
+//! the last recipient the original (see `Context::multicast`), so a unicast
+//! send never clones.
 
 use crate::cpu::MessageMeta;
-use std::sync::Arc;
 
-/// A reference-counted message with memoized wire-level metadata.
-#[derive(Debug)]
+/// A message with memoized wire-level metadata.
+#[derive(Clone, Debug)]
 pub struct Envelope<M> {
-    payload: Arc<M>,
+    payload: M,
     wire_bytes: usize,
     signatures: usize,
     state_transfer: bool,
@@ -31,7 +29,7 @@ impl<M: MessageMeta> Envelope<M> {
         let signatures = payload.signatures();
         let state_transfer = payload.is_state_transfer();
         Self {
-            payload: Arc::new(payload),
+            payload,
             wire_bytes,
             signatures,
             state_transfer,
@@ -59,47 +57,22 @@ impl<M> Envelope<M> {
     pub fn payload(&self) -> &M {
         &self.payload
     }
-}
 
-impl<M: Clone> Envelope<M> {
-    /// Consumes the envelope, yielding an owned payload.  The final
-    /// reference moves the payload out without cloning it.  Inlined into
-    /// the event loop, as `EventQueue::pop` is (see `net::event`).
+    /// Consumes the envelope, yielding the payload.
     #[inline]
     pub fn into_payload(self) -> M {
-        Arc::try_unwrap(self.payload).unwrap_or_else(|shared| (*shared).clone())
-    }
-}
-
-impl<M> Clone for Envelope<M> {
-    fn clone(&self) -> Self {
-        Self {
-            payload: Arc::clone(&self.payload),
-            wire_bytes: self.wire_bytes,
-            signatures: self.signatures,
-            state_transfer: self.state_transfer,
-        }
+        self.payload
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    static CLONES: AtomicUsize = AtomicUsize::new(0);
+    #[derive(Clone, Debug)]
+    struct Blob(Vec<u8>);
 
-    #[derive(Debug)]
-    struct Counted(Vec<u8>);
-
-    impl Clone for Counted {
-        fn clone(&self) -> Self {
-            CLONES.fetch_add(1, Ordering::SeqCst);
-            Self(self.0.clone())
-        }
-    }
-
-    impl MessageMeta for Counted {
+    impl MessageMeta for Blob {
         fn wire_bytes(&self) -> usize {
             self.0.len()
         }
@@ -110,25 +83,10 @@ mod tests {
 
     #[test]
     fn metadata_is_memoized_at_wrap_time() {
-        let env = Envelope::new(Counted(vec![0; 42]));
+        let env = Envelope::new(Blob(vec![0; 42]));
         assert_eq!(env.wire_bytes(), 42);
         assert_eq!(env.signatures(), 3);
         assert_eq!(env.payload().0.len(), 42);
-    }
-
-    #[test]
-    fn last_reference_moves_without_cloning() {
-        let before = CLONES.load(Ordering::SeqCst);
-        let env = Envelope::new(Counted(vec![1, 2, 3]));
-        let a = env.clone();
-        let b = env.clone();
-        drop(env);
-        // Two live references: the first consumer must clone...
-        let first = a.into_payload();
-        assert_eq!(first.0, vec![1, 2, 3]);
-        // ...the last one moves the payload out untouched.
-        let last = b.into_payload();
-        assert_eq!(last.0, vec![1, 2, 3]);
-        assert_eq!(CLONES.load(Ordering::SeqCst) - before, 1);
+        assert_eq!(env.into_payload().0.len(), 42);
     }
 }

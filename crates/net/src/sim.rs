@@ -21,14 +21,14 @@
 //! live in a flat `Vec` indexed by it.  Events carry the resolved index, so
 //! delivering a message or firing a timer costs an array access instead of a
 //! hash-map probe; the only `Addr` hash left on the hot path is the single
-//! recipient lookup when a send is scheduled.  Payloads travel in
-//! reference-counted [`Envelope`]s with memoized wire metadata (see
-//! [`crate::envelope`]), and timer lifecycle is tracked by a
-//! generation-checked slab (see [`crate::timer`]) so cancels are O(1) and
-//! nothing accumulates over long runs.  The engine itself allocates nothing
-//! per callback: every [`Context`] borrows the simulation's one action
-//! buffer, which is drained in place after the callback returns, so its
-//! capacity is paid for once per run rather than once per event.
+//! recipient lookup when a send is scheduled.  Payloads travel by value in
+//! [`Envelope`]s with memoized wire metadata (see [`crate::envelope`]), and
+//! timer lifecycle is tracked by a generation-checked slab (see
+//! [`crate::timer`]) so cancels are O(1) and nothing accumulates over long
+//! runs.  The engine itself allocates nothing per callback: every
+//! [`Context`] borrows the simulation's one action buffer, which is drained
+//! in place after the callback returns, so its capacity is paid for once per
+//! run rather than once per event.
 
 use crate::addr::Addr;
 use crate::cpu::{CpuProfile, MessageMeta};
@@ -126,23 +126,30 @@ impl<'a, M> Context<'a, M> {
 
     /// Sends `msg` to every address in `to`.
     ///
-    /// The payload is wrapped in one shared [`Envelope`], so no copy is made
-    /// here however many recipients there are; deliveries share the
-    /// allocation and only clone when a recipient needs an owned payload
-    /// before the last reference is consumed.
+    /// The payload is wrapped once, so its metadata is computed once; every
+    /// recipient but the last gets a clone and the last gets the original.
     pub fn multicast<I>(&mut self, to: I, msg: M)
     where
         M: MessageMeta + Clone,
         I: IntoIterator,
         I::Item: Into<Addr>,
     {
+        let mut to = to.into_iter();
+        let Some(mut next) = to.next() else {
+            return;
+        };
         let env = Envelope::new(msg);
-        for t in to {
+        for after in to {
             self.actions.push(Action::Send {
-                to: t.into(),
+                to: next.into(),
                 env: env.clone(),
             });
+            next = after;
         }
+        self.actions.push(Action::Send {
+            to: next.into(),
+            env,
+        });
     }
 
     /// Schedules `msg` to be delivered back to this actor after `delay`.
@@ -1199,29 +1206,107 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    #[test]
-    fn multicast_shares_one_payload_allocation() {
-        // A fan-out actor multicasts one message to three sinks; the runtime
-        // must deliver all three while the sender-side cost (send_time) is
-        // charged per recipient exactly as before.
-        struct FanOut;
-        impl Actor<TestMsg> for FanOut {
-            fn on_message(&mut self, _f: Addr, msg: TestMsg, ctx: &mut Context<'_, TestMsg>) {
-                if matches!(msg, TestMsg::Tick) {
-                    ctx.multicast([addr(1), addr(2), addr(3)], TestMsg::Ping(9));
-                }
+    /// A payload that counts its clones and knows whether it is one.
+    #[derive(Debug)]
+    struct Counted {
+        original: bool,
+        clones: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.set(self.clones.get() + 1);
+            Self {
+                original: false,
+                clones: self.clones.clone(),
             }
-            fn on_timer(&mut self, _i: TimerId, _m: TestMsg, _c: &mut Context<'_, TestMsg>) {}
         }
-        let mut s = sim();
-        s.register(addr(0), Region(0), CpuProfile::server(), Box::new(FanOut));
-        for i in 1..=3 {
-            ping_pong(&mut s, i, 0);
+    }
+
+    impl MessageMeta for Counted {
+        fn wire_bytes(&self) -> usize {
+            100
         }
-        s.inject(addr(9), addr(0), TestMsg::Tick);
-        s.run_until(END);
-        // Kick-off + 3 pings + 3 pongs back to the fan-out actor.
-        assert_eq!(s.stats().messages_delivered, 7);
+        fn signatures(&self) -> usize {
+            1
+        }
+    }
+
+    /// On its first message, passes that message on to `to`: one address is
+    /// a unicast, several a multicast in the order given.
+    struct Relay {
+        to: Vec<Addr>,
+    }
+
+    impl Actor<Counted> for Relay {
+        fn on_message(&mut self, _f: Addr, msg: Counted, ctx: &mut Context<'_, Counted>) {
+            match std::mem::take(&mut self.to)[..] {
+                [] => {}
+                [one] => ctx.send(one, msg),
+                ref many => ctx.multicast(many.iter().copied(), msg),
+            }
+        }
+        fn on_timer(&mut self, _i: TimerId, _m: Counted, _c: &mut Context<'_, Counted>) {}
+    }
+
+    /// Records, per delivery, whether the payload was the original.
+    #[derive(Default)]
+    struct Keeper {
+        got: Vec<bool>,
+    }
+
+    impl Actor<Counted> for Keeper {
+        fn on_message(&mut self, _f: Addr, msg: Counted, _c: &mut Context<'_, Counted>) {
+            self.got.push(msg.original);
+        }
+        fn on_timer(&mut self, _i: TimerId, _m: Counted, _c: &mut Context<'_, Counted>) {}
+        fn as_any(&mut self) -> Option<&mut dyn std::any::Any> {
+            Some(self)
+        }
+    }
+
+    /// A multicast to `n` recipients clones the payload `n − 1` times and the
+    /// last recipient receives the original; a unicast never clones.
+    #[test]
+    fn a_multicast_clones_for_all_but_the_last_recipient_and_a_unicast_never() {
+        for n in [1u64, 2, 3] {
+            let clones = std::rc::Rc::default();
+            let mut s = Simulation::new(LatencyMatrix::nearby_regions().with_jitter(0.0), 1);
+            let to: Vec<Addr> = (1..=n).map(addr).collect();
+            s.register(
+                addr(0),
+                Region(0),
+                CpuProfile::server(),
+                Box::new(Relay { to }),
+            );
+            for i in 1..=n {
+                s.register(
+                    addr(i),
+                    Region(0),
+                    CpuProfile::server(),
+                    Box::<Keeper>::default(),
+                );
+            }
+            let msg = Counted {
+                original: true,
+                clones: std::rc::Rc::clone(&clones),
+            };
+            s.inject(addr(9), addr(0), msg);
+            s.run_until(END);
+            assert_eq!(s.stats().messages_delivered, 1 + n);
+            assert_eq!(clones.get() as u64, n - 1, "{n} recipients");
+            let got: Vec<Vec<bool>> = (1..=n)
+                .map(|i| {
+                    s.with_actor(addr(i), |a| {
+                        let any = a.as_any().expect("inspectable");
+                        any.downcast_mut::<Keeper>().expect("a Keeper").got.clone()
+                    })
+                    .expect("registered")
+                })
+                .collect();
+            let last_only = (1..=n).map(|i| vec![i == n]).collect::<Vec<_>>();
+            assert_eq!(got, last_only, "{n} recipients");
+        }
     }
 
     /// A jittery, lossy, fault-scripted run whose every counter and every

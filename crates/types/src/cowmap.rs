@@ -25,9 +25,11 @@
 //! simulations and hand back results that hold no map.  The index is flat, rebuilt whenever a leaf appears
 //! or disappears: right for the 10⁴–10⁵ keys a domain holds, not for 10⁷.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -43,10 +45,12 @@ struct Keys {
 }
 
 impl Keys {
-    /// Packs strings that arrive in ascending order.
-    fn pack<'a>(keys: impl IntoIterator<Item = &'a str>) -> Self {
-        let mut text = String::new();
-        let mut ends = Vec::new();
+    /// Packs strings that arrive in ascending order.  A first pass over the
+    /// (cloned) iterator sizes both parts exactly, so each is allocated once.
+    fn pack<'a>(keys: impl Iterator<Item = &'a str> + Clone) -> Self {
+        let (count, bytes) = keys.clone().fold((0, 0), |(n, b), k| (n + 1, b + k.len()));
+        let mut text = String::with_capacity(bytes);
+        let mut ends = Vec::with_capacity(count);
         for key in keys {
             text.push_str(key);
             ends.push(u32::try_from(text.len()).expect("a leaf's keys fit in 4 GiB"));
@@ -86,11 +90,23 @@ impl Keys {
 }
 
 /// A key as the map holds it: a cheap handle that keeps the key's text alive
-/// without copying it (an undo record names the keys it restores this way).
+/// without copying it (an undo record names the keys it restores this way,
+/// and a state delta carries the keys it reports up the hierarchy so).
+/// Equality and hashing are by text.
 #[derive(Clone)]
 pub struct Key {
     keys: Arc<Keys>,
     at: usize,
+}
+
+/// A key that no map holds: its text packed on its own.
+impl From<&str> for Key {
+    fn from(text: &str) -> Self {
+        Self {
+            keys: Arc::new(Keys::pack(std::iter::once(text))),
+            at: 0,
+        }
+    }
 }
 
 impl Deref for Key {
@@ -109,6 +125,20 @@ impl PartialEq for Key {
 
 impl Eq for Key {}
 
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+/// Hashed and compared as its text, so a map keyed by handles answers
+/// look-ups by `&str`.
+impl Borrow<str> for Key {
+    fn borrow(&self) -> &str {
+        self
+    }
+}
+
 impl fmt::Debug for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
@@ -124,11 +154,10 @@ struct Leaf {
 
 impl Leaf {
     /// A leaf of pairs that arrive in ascending key order.
-    fn pack<'a>(entries: impl IntoIterator<Item = (&'a str, u64)>) -> Self {
-        let (keys, values): (Vec<&str>, Vec<u64>) = entries.into_iter().unzip();
+    fn pack<'a>(entries: impl Iterator<Item = (&'a str, u64)> + Clone) -> Self {
         Self {
-            keys: Arc::new(Keys::pack(keys)),
-            values: values.into(),
+            keys: Arc::new(Keys::pack(entries.clone().map(|(key, _)| key))),
+            values: entries.map(|(_, value)| value).collect(),
         }
     }
 
@@ -261,7 +290,7 @@ impl CowMap {
         if entries.is_empty() {
             self.leaves.remove(at);
         } else {
-            self.leaves[at] = Leaf::pack(entries);
+            self.leaves[at] = Leaf::pack(entries.iter().copied());
         }
         self.len -= 1;
         if i == 0 {

@@ -44,7 +44,7 @@ pub use ids::{ClientId, DomainId, Height, NodeId, Region};
 pub use sequence::{delivery_hash, DeliveryLog, MultiSeq, SeqNo};
 pub use snapshot::{Custody, StateSnapshot};
 pub use time::{Duration, SimTime};
-pub use transaction::{Operation, Transaction, TxBody, TxId, TxKind};
+pub use transaction::{Involved, Operation, Transaction, TxBody, TxId, TxKind};
 
 /// Convenient result alias used across the workspace.
 pub type Result<T> = std::result::Result<T, SaguaroError>;

@@ -9,6 +9,7 @@
 use crate::ids::DomainId;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single-domain sequence number (position in one domain's ledger).
 pub type SeqNo = u64;
@@ -144,16 +145,17 @@ pub struct MultiSeq {
 }
 
 /// One part sits inline — an internal transaction's number has only one, and
-/// every ledger, block and DAG record holds a copy of it — in the 24 bytes
-/// the `Vec` of a cross-domain number takes.  Each value has one
-/// representation, so the derived equality is canonical.
+/// every ledger, block and DAG record holds a copy of it.  A cross-domain
+/// number's parts are shared, so the copies its records hold cost a count,
+/// not an allocation.  Each value has one representation, so the derived
+/// equality is canonical, and a shared slice hashes as the slice does.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 enum Parts {
     #[default]
     Empty,
     One((DomainId, SeqNo)),
     /// Two or more, ascending by domain.
-    Many(Vec<(DomainId, SeqNo)>),
+    Many(Arc<[(DomainId, SeqNo)]>),
 }
 
 impl MultiSeq {
@@ -169,7 +171,7 @@ impl MultiSeq {
         let parts = match parts[..] {
             [] => Parts::Empty,
             [only] => Parts::One(only),
-            _ => Parts::Many(parts),
+            _ => Parts::Many(parts.into()),
         };
         Self { parts }
     }

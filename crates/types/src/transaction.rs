@@ -139,28 +139,55 @@ impl TxKind {
         TxKind::CrossDomain { domains }
     }
 
-    /// Every height-1 domain whose ledger will contain this transaction.
-    pub fn involved_domains(&self) -> Vec<DomainId> {
+    /// Every height-1 domain whose ledger will contain this transaction,
+    /// sorted and deduplicated.
+    pub fn involved_domains(&self) -> Involved<'_> {
         match self {
-            TxKind::Internal { domain } => vec![*domain],
-            TxKind::CrossDomain { domains } => domains.clone(),
+            TxKind::Internal { domain } => Involved::Stored(std::slice::from_ref(domain)),
+            TxKind::CrossDomain { domains } => Involved::Stored(domains),
+            TxKind::Mobile { local, remote } if local == remote => {
+                Involved::Stored(std::slice::from_ref(local))
+            }
             TxKind::Mobile { local, remote } => {
-                let mut v = vec![*local, *remote];
-                v.sort();
-                v.dedup();
-                v
+                Involved::Pair([*local.min(remote), *local.max(remote)])
             }
         }
     }
 
     /// True if more than one height-1 domain is involved.
     pub fn is_cross_domain(&self) -> bool {
-        self.involved_domains().len() > 1
+        match self {
+            TxKind::Internal { .. } => false,
+            TxKind::CrossDomain { domains } => domains.len() > 1,
+            TxKind::Mobile { local, remote } => local != remote,
+        }
     }
 
     /// True if this is a mobile transaction.
     pub fn is_mobile(&self) -> bool {
         matches!(self, TxKind::Mobile { .. })
+    }
+}
+
+/// The domains a [`TxKind`] involves, as a slice that needs no heap of its
+/// own: the kind's stored list or domain, or a mobile kind's two domains in
+/// order, inline.
+#[derive(Clone, Copy)]
+pub enum Involved<'a> {
+    /// Borrowed from the kind.
+    Stored(&'a [DomainId]),
+    /// Two distinct domains, ascending.
+    Pair([DomainId; 2]),
+}
+
+impl Deref for Involved<'_> {
+    type Target = [DomainId];
+
+    fn deref(&self) -> &[DomainId] {
+        match self {
+            Involved::Stored(domains) => domains,
+            Involved::Pair(pair) => pair,
+        }
     }
 }
 
@@ -371,7 +398,7 @@ impl Transaction {
     }
 
     /// Every height-1 domain whose ledger will contain this transaction.
-    pub fn involved_domains(&self) -> Vec<DomainId> {
+    pub fn involved_domains(&self) -> Involved<'_> {
         self.kind.involved_domains()
     }
 
@@ -417,7 +444,7 @@ mod tests {
     #[test]
     fn internal_tx_involves_one_domain() {
         let tx = transfer(1, "a", "b");
-        assert_eq!(tx.involved_domains(), vec![d(0)]);
+        assert_eq!(*tx.involved_domains(), [d(0)]);
         assert!(!tx.kind.is_cross_domain());
         assert!(!tx.kind.is_mobile());
     }
@@ -425,22 +452,24 @@ mod tests {
     #[test]
     fn cross_domain_kind_sorts_and_dedups() {
         let k = TxKind::cross_domain(vec![d(2), d(0), d(2)]);
-        assert_eq!(k.involved_domains(), vec![d(0), d(2)]);
+        assert_eq!(*k.involved_domains(), [d(0), d(2)]);
         assert!(k.is_cross_domain());
     }
 
     #[test]
     fn mobile_tx_involves_local_and_remote() {
-        let tx = Transaction::mobile(TxId(9), ClientId(3), d(1), d(4), Operation::Noop);
-        assert_eq!(tx.involved_domains(), vec![d(1), d(4)]);
-        assert!(tx.kind.is_mobile());
-        assert!(tx.kind.is_cross_domain());
+        for (local, remote) in [(d(1), d(4)), (d(4), d(1))] {
+            let tx = Transaction::mobile(TxId(9), ClientId(3), local, remote, Operation::Noop);
+            assert_eq!(*tx.involved_domains(), [d(1), d(4)], "sorted");
+            assert!(tx.kind.is_mobile());
+            assert!(tx.kind.is_cross_domain());
+        }
     }
 
     #[test]
     fn mobile_tx_back_home_is_not_cross_domain() {
         let tx = Transaction::mobile(TxId(9), ClientId(3), d(1), d(1), Operation::Noop);
-        assert_eq!(tx.involved_domains(), vec![d(1)]);
+        assert_eq!(*tx.involved_domains(), [d(1)]);
         assert!(!tx.kind.is_cross_domain());
     }
 

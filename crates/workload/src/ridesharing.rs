@@ -125,7 +125,7 @@ mod tests {
                 Operation::RideTask { minutes, .. } => assert!(*minutes > 0),
                 other => panic!("unexpected op {other:?}"),
             }
-            assert_eq!(tx.involved_domains(), vec![submit_to]);
+            assert_eq!(*tx.involved_domains(), [submit_to]);
         }
     }
 

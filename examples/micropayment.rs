@@ -139,14 +139,14 @@ fn main() {
         println!("{domain:?}: the cross-domain payment is in the DAG");
     }
     // 6. The cloud's aggregate view holds alice's balance as the West's fog
-    //    parent folded it, keyed by the domain that reported it.
-    let (root, key) = (tree.root(), format!("{west:?}/{alice}"));
+    //    parent folded it, keyed by the domain that wrote it.
+    let root = tree.root();
     let view = with_primary(&mut sim, root, |n| {
-        n.aggregate_view().child_value(fogs[0], &key)
+        n.aggregate_view().child_value(fogs[0], west, &alice)
     });
-    assert_eq!(view, Some(750), "{root:?}'s aggregate view of {key}");
+    assert_eq!(view, Some(750), "{root:?}'s aggregate view of {alice}");
     println!(
-        "{root:?}'s aggregate view: {key} = 750, reported by {:?}",
+        "{root:?}'s aggregate view: {alice} = 750, written in {west:?}, reported by {:?}",
         fogs[0]
     );
 

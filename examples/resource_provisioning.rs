@@ -8,7 +8,9 @@
 //! ```
 
 use saguaro::crypto::MerkleTree;
-use saguaro::ledger::{AbstractionFn, AggregateView, BlockchainState, LinearLedger, TxStatus};
+use saguaro::ledger::{
+    AbstractionFn, AggregateView, BlockchainState, DeltaKey, LinearLedger, TxStatus,
+};
 use saguaro::types::{ClientId, DomainId, Operation, Transaction, TxId};
 
 fn main() {
@@ -37,7 +39,7 @@ fn main() {
                     },
                 );
                 state.execute(&tx.op).expect("puts always execute");
-                raw.push((key.as_str().into(), usage));
+                raw.push((DeltaKey::new(*domain, &key), usage));
                 ledger.append_internal(tx, TxStatus::Committed);
             }
         }

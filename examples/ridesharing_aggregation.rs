@@ -10,7 +10,7 @@
 //! cargo run --release --example ridesharing_aggregation
 //! ```
 
-use saguaro::ledger::{AbstractionFn, AggregateView, LinearLedger, StateDelta, TxStatus};
+use saguaro::ledger::{AbstractionFn, AggregateView, DeltaKey, LinearLedger, StateDelta, TxStatus};
 use saguaro::types::{DomainId, Operation};
 use saguaro::workload::RidesharingWorkload;
 use saguaro::{ExperimentSpec, ProtocolKind, RidesharingConfig};
@@ -29,15 +29,14 @@ fn main() {
         let mut state = saguaro::ledger::BlockchainState::new();
         let mut raw_updates = Vec::new();
         for (tx, _submit_to) in workload.batch(200) {
-            if tx.involved_domains() != vec![*domain] {
+            if *tx.involved_domains() != [*domain] {
                 continue;
             }
             if let Operation::RideTask { driver, .. } = &tx.op {
                 state.execute(&tx.op).expect("ride executes");
-                raw_updates.push((
-                    format!("hours/{driver}").into(),
-                    state.get(&format!("hours/{driver}")).unwrap_or(0),
-                ));
+                let key = format!("hours/{driver}");
+                let hours = state.get(&key).unwrap_or(0);
+                raw_updates.push((DeltaKey::new(*domain, &key), hours));
             }
             ledger.append_internal(tx, TxStatus::Committed);
         }

@@ -209,11 +209,12 @@ fn a_participant_that_missed_the_decision_queries_until_it_is_answered() {
     }
 }
 
-/// A coordinator that gives up after its deadlock retries aborts the
-/// transaction for good, and the client hears so exactly once.
-#[test]
-fn a_transaction_the_coordinator_gives_up_on_is_answered_with_an_abort() {
-    let (mut sim, tree) = build(FailureModel::Crash, ProtocolConfig::coordinator());
+/// Runs one cross-domain transaction whose coordinator gives up on it — D1-1
+/// never hears from the LCA, so every attempt stalls until the LCA's 400 ms
+/// deadlock timer discards it and the fourth timeout gives up — and returns
+/// the replies its client received.  No involved replica holds it after.
+fn replies_to_a_given_up_transaction(model: FailureModel) -> Vec<(TxId, bool)> {
+    let (mut sim, tree) = build(model, ProtocolConfig::coordinator());
     let (d0, d1, lca) = (
         DomainId::new(1, 0),
         DomainId::new(1, 1),
@@ -223,8 +224,6 @@ fn a_transaction_the_coordinator_gives_up_on_is_answered_with_an_abort() {
     let region = tree.region_of(d0).expect("region");
     let sink = Box::new(ReplySink::default());
     sim.register(client, region, CpuProfile::client(), sink);
-    // D1-1 never hears from the LCA, so every attempt stalls until the
-    // LCA's 400 ms deadlock timer discards it; the fourth timeout gives up.
     let cut = FaultSchedule::none().split_at(
         SimTime::ZERO,
         tree.nodes_of(d1).unwrap(),
@@ -239,15 +238,40 @@ fn a_transaction_the_coordinator_gives_up_on_is_answered_with_an_abort() {
     let tx = Transaction::cross_domain(TxId(500), client, vec![d0, d1], op);
     sim.inject(client, primary(d0), SaguaroMsg::ClientRequest(tx));
     sim.run_until(SimTime::from_millis(2_500));
-    let replies = sim.with_actor(client, |a| {
-        let sink = a.as_any().and_then(|any| any.downcast_mut::<ReplySink>());
-        sink.expect("the reply sink").0.clone()
-    });
-    assert_eq!(replies, Some(vec![(TxId(500), false)]), "replies");
     for node in tree.nodes_of(d0).unwrap() {
         let held = with_node(&mut sim, node, |n| n.ledger().contains(TxId(500)));
         assert!(!held, "{node:?} holds the aborted transaction");
     }
+    let replies = sim.with_actor(client, |a| {
+        let sink = a.as_any().and_then(|any| any.downcast_mut::<ReplySink>());
+        sink.expect("the reply sink").0.clone()
+    });
+    replies.expect("the client is registered")
+}
+
+/// A coordinator that gives up after its deadlock retries aborts the
+/// transaction for good, and the client hears so exactly once.
+#[test]
+fn a_transaction_the_coordinator_gives_up_on_is_answered_with_an_abort() {
+    let replies = replies_to_a_given_up_transaction(FailureModel::Crash);
+    assert_eq!(replies, vec![(TxId(500), false)], "replies");
+}
+
+/// On PBFT domains a client needs f + 1 matching verdicts, and the replica
+/// that took the request is the only participant that knows the client.
+/// The LCA's replicas, which all ordered the abort, answer it too.
+#[test]
+fn a_transaction_the_coordinator_gives_up_on_is_answered_with_an_abort_on_pbft() {
+    let replies = replies_to_a_given_up_transaction(FailureModel::Byzantine);
+    let aborts = replies.iter().filter(|r| **r == (TxId(500), false)).count();
+    assert!(
+        aborts >= 2,
+        "f + 1 = 2 abort replies needed, got {replies:?}"
+    );
+    assert!(
+        replies.iter().all(|(_, committed)| !committed),
+        "{replies:?}"
+    );
 }
 
 #[test]
