@@ -45,7 +45,7 @@ pub(crate) struct CoordEntry {
 impl CoordEntry {
     /// The sequence numbers reported so far, concatenated.
     fn seqs(&self) -> MultiSeq {
-        MultiSeq::from_parts(self.prepared.iter().map(|(d, s)| (*d, *s)).collect())
+        MultiSeq::from_sorted(self.prepared.iter().map(|(d, s)| (*d, *s)))
     }
 }
 

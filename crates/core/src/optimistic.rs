@@ -2,13 +2,13 @@
 //!
 //! Each involved height-1 domain orders and speculatively executes a
 //! cross-domain transaction independently, without any cross-domain
-//! communication on the critical path.  The transaction (and the list of
-//! later transactions that depend on it) travels up the hierarchy inside the
-//! per-round `block` messages; ancestor domains — and ultimately the LCA of
-//! the involved domains — check that overlapping domains ordered concurrent
-//! cross-domain transactions consistently.  Inconsistent (or never fully
-//! reported) transactions are aborted deterministically, which rolls back the
-//! transaction and everything that read or wrote the data it touched.
+//! communication on the critical path.  The transaction travels up the
+//! hierarchy inside the per-round `block` messages; ancestor domains — and
+//! ultimately the LCA of the involved domains — check that overlapping
+//! domains ordered concurrent cross-domain transactions consistently.
+//! Inconsistent (or never fully reported) transactions are aborted
+//! deterministically, which rolls back the transaction and everything that
+//! read or wrote the data it touched.
 
 use crate::command::Cmd;
 use crate::config::CrossDomainMode;
@@ -19,7 +19,8 @@ use saguaro_ledger::TxStatus;
 use saguaro_net::Context;
 use saguaro_types::hash::{FxHashMap, FxHashSet};
 use saguaro_types::{DomainId, SeqNo, Transaction, TxId};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Rounds after which the LCA aborts an optimistic cross-domain transaction
 /// that some involved domain still has not reported (Section 6: a transaction
@@ -28,71 +29,34 @@ pub(crate) const OPTIMISTIC_ABORT_ROUNDS: u64 = 8;
 
 /// Height-1 bookkeeping for speculatively committed cross-domain transactions.
 ///
-/// Every pending transaction carries the union of the keys written / read by
-/// itself and its (transitive) dependents.  A new execution conflicts with a
-/// pending entry iff one of them writes a key the other reads or writes,
-/// checked against those unions — the union distributes over the "any
-/// dependent conflicts" existential.  The
-/// unions are stored inverted, key → pending ids, so an execution looks up
-/// the (at most two) keys it touches instead of walking every pending entry.
+/// An abort rolls back the transaction and every later execution with a
+/// (transitive) data dependency on it, but nearly every decision is a
+/// commit, which rolls back nothing.  So the dependents are found when an
+/// abort asks for them, not as executions happen: the tracker keeps the
+/// pending transactions and a log of the speculative executions recorded
+/// since the oldest pending one was tracked, and an abort walks that log
+/// forward from its own execution.
+///
+/// The walk grows a union of the keys written / read by the transaction and
+/// the dependents found so far.  A logged execution conflicts iff one side
+/// writes a key the other reads or writes, checked against those unions —
+/// the union distributes over the "any dependent conflicts" existential.
+///
+/// The log holds one handle per execution.  Deciding the oldest pending
+/// transaction trims its front, so it is empty whenever nothing is pending
+/// and an execution made then is never logged; a transaction that is never
+/// decided keeps every later execution in it.
 #[derive(Default, Debug)]
 pub struct OptTracker {
-    /// Undecided speculatively committed cross-domain transactions.
-    pending: FxHashMap<TxId, PendingOpt>,
-    /// Key → pending transactions whose write union holds it.
-    writers: FxHashMap<String, Vec<TxId>>,
-    /// Key → pending transactions whose read union holds it.
-    readers: FxHashMap<String, Vec<TxId>>,
-    /// Position of each transaction's latest speculative execution (rollback
-    /// runs in reverse execution order).
-    exec_pos: FxHashMap<TxId, usize>,
-    /// Speculative executions recorded so far: the next position.
-    executions: usize,
-}
-
-#[derive(Debug, Default)]
-struct PendingOpt {
-    /// Ids of later transactions with a (transitive) data dependency on the
-    /// tracked transaction, in execution order.
-    dependent_ids: Vec<TxId>,
-    /// The keys this entry is listed under in `writers` / `readers`.
-    writes: Vec<String>,
-    reads: Vec<String>,
-}
-
-/// Lists `id` under each of `keys` in `index` (once), remembering the keys
-/// in `listed` so the entry can be unlisted when it is decided.
-fn list_under<'a>(
-    index: &mut FxHashMap<String, Vec<TxId>>,
-    listed: &mut Vec<String>,
-    id: TxId,
-    keys: impl Iterator<Item = &'a str>,
-) {
-    for key in keys {
-        match index.get_mut(key) {
-            Some(ids) if ids.contains(&id) => {}
-            Some(ids) => {
-                ids.push(id);
-                listed.push(key.to_string());
-            }
-            None => {
-                index.insert(key.to_string(), vec![id]);
-                listed.push(key.to_string());
-            }
-        }
-    }
-}
-
-/// Removes `id` from the buckets of `keys`, dropping buckets it empties.
-fn unlist(index: &mut FxHashMap<String, Vec<TxId>>, id: TxId, keys: &[String]) {
-    for key in keys {
-        if let Some(ids) = index.get_mut(key) {
-            ids.retain(|listed| *listed != id);
-            if ids.is_empty() {
-                index.remove(key);
-            }
-        }
-    }
+    /// Undecided speculatively committed cross-domain transactions, with
+    /// the log position each was tracked at.
+    pending: FxHashMap<TxId, (u64, Transaction)>,
+    /// The pending transactions by tracking position, oldest first.
+    by_pos: BTreeSet<(u64, TxId)>,
+    /// Executions recorded since the oldest pending transaction was tracked.
+    log: VecDeque<Transaction>,
+    /// Executions ever logged: the position of the next one.
+    logged: u64,
 }
 
 impl OptTracker {
@@ -107,70 +71,76 @@ impl OptTracker {
         self.pending.contains_key(&id)
     }
 
-    /// Registers a newly executed transaction: records its execution
-    /// position and adds it to the dependent list of every pending
-    /// speculative transaction it conflicts with.
+    /// Registers a newly executed transaction.  Only an abort of a pending
+    /// transaction looks at executions, so with nothing pending there is
+    /// nothing to record.
     pub(crate) fn record_execution(&mut self, tx: &Transaction) {
-        self.exec_pos.insert(tx.id, self.executions);
-        self.executions += 1;
-        // Conflict over the union sets: member-write ∩ tx-read/write, or
-        // member-read ∩ tx-write.
-        let mut hit: Vec<TxId> = Vec::new();
-        for key in tx.op.write_set() {
-            hit.extend(self.writers.get(key).into_iter().flatten());
-            hit.extend(self.readers.get(key).into_iter().flatten());
-        }
-        for key in tx.op.read_set() {
-            hit.extend(self.writers.get(key).into_iter().flatten());
-        }
-        hit.sort_unstable();
-        hit.dedup();
-        for id in hit {
-            if id == tx.id {
-                continue;
-            }
-            let p = self.pending.get_mut(&id).expect("listed ids are pending");
-            p.dependent_ids.push(tx.id);
-            list_under(&mut self.writers, &mut p.writes, id, tx.op.write_set());
-            list_under(&mut self.readers, &mut p.reads, id, tx.op.read_set());
+        if !self.pending.is_empty() {
+            self.log.push_back(tx.clone());
+            self.logged += 1;
         }
     }
 
-    /// Starts tracking a speculative cross-domain transaction.
+    /// Starts tracking a speculative cross-domain transaction; its
+    /// execution is recorded next.
     pub(crate) fn track(&mut self, tx: &Transaction) {
-        if self.pending.contains_key(&tx.id) {
-            return;
+        if let Entry::Vacant(slot) = self.pending.entry(tx.id) {
+            slot.insert((self.logged, tx.clone()));
+            self.by_pos.insert((self.logged, tx.id));
         }
-        let mut entry = PendingOpt::default();
-        list_under(
-            &mut self.writers,
-            &mut entry.writes,
-            tx.id,
-            tx.op.write_set(),
-        );
-        list_under(&mut self.readers, &mut entry.reads, tx.id, tx.op.read_set());
-        self.pending.insert(tx.id, entry);
+    }
+
+    /// The transactions an abort of pending `id` rolls back: `id` and every
+    /// later execution that conflicts with it or with an earlier such one,
+    /// latest execution first.
+    fn victims_of(&self, id: TxId) -> Vec<TxId> {
+        let Some((from, tx)) = self.pending.get(&id) else {
+            return Vec::new();
+        };
+        let front = self.logged - self.log.len() as u64;
+        let mut writes: FxHashSet<&str> = tx.op.write_set().collect();
+        let mut reads: FxHashSet<&str> = tx.op.read_set().collect();
+        // Latest execution of each victim; a tracked transaction that has
+        // not executed yet rolls back first.
+        let mut latest: FxHashMap<TxId, u64> = FxHashMap::default();
+        latest.insert(id, u64::MAX);
+        let walk = self.log.range((from - front) as usize..);
+        for (at, e) in (*from..).zip(walk) {
+            // The transaction's own re-executions move it but add no keys.
+            let conflicts = e.id != id
+                && (e
+                    .op
+                    .write_set()
+                    .any(|k| writes.contains(k) || reads.contains(k))
+                    || e.op.read_set().any(|k| writes.contains(k)));
+            if conflicts {
+                writes.extend(e.op.write_set());
+                reads.extend(e.op.read_set());
+            }
+            if conflicts || latest.contains_key(&e.id) {
+                latest.insert(e.id, at);
+            }
+        }
+        let mut victims: Vec<(u64, TxId)> = latest.into_iter().map(|(t, at)| (at, t)).collect();
+        victims.sort_unstable_by(|a, b| b.cmp(a));
+        victims.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Finalises a decision, returning the set of transactions to roll back
     /// (the transaction itself plus its dependents, in reverse execution
     /// order) when the decision is an abort.
     fn decide(&mut self, id: TxId, abort: bool) -> Vec<TxId> {
-        let Some(entry) = self.pending.remove(&id) else {
-            return Vec::new();
+        let victims = if abort {
+            self.victims_of(id)
+        } else {
+            Vec::new()
         };
-        unlist(&mut self.writers, id, &entry.writes);
-        unlist(&mut self.readers, id, &entry.reads);
-        if !abort {
-            return Vec::new();
+        if let Some((from, _)) = self.pending.remove(&id) {
+            self.by_pos.remove(&(from, id));
+            let keep_from = self.by_pos.first().map_or(self.logged, |(at, _)| *at);
+            let front = self.logged - self.log.len() as u64;
+            self.log.drain(..(keep_from - front) as usize);
         }
-        let mut victims = entry.dependent_ids;
-        victims.push(id);
-        // Roll back in reverse execution order.
-        victims.sort_by_key(|t| {
-            std::cmp::Reverse(self.exec_pos.get(t).copied().unwrap_or(usize::MAX))
-        });
-        victims.dedup();
         victims
     }
 }
@@ -192,7 +162,7 @@ pub struct OptimisticValidator {
 
 #[derive(Debug)]
 struct ObservedTx {
-    involved: Vec<DomainId>,
+    tx: Transaction,
     /// Local sequence number reported by each child that has reported so far.
     seqs: BTreeMap<DomainId, SeqNo>,
     first_round: u64,
@@ -207,9 +177,9 @@ struct ObservedTx {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OptDecision {
     /// All involved domains reported the transaction consistently; commit it.
-    Commit(TxId, Vec<DomainId>),
+    Commit(Transaction),
     /// An ordering inconsistency (or report timeout) was found; abort it.
-    Abort(TxId, Vec<DomainId>),
+    Abort(Transaction),
 }
 
 impl OptimisticValidator {
@@ -225,7 +195,7 @@ impl OptimisticValidator {
             return;
         }
         let entry = self.observed.entry(tx.id).or_insert_with(|| ObservedTx {
-            involved: tx.involved_domains().to_vec(),
+            tx: tx.clone(),
             seqs: BTreeMap::new(),
             first_round: round,
             decided: false,
@@ -250,31 +220,28 @@ impl OptimisticValidator {
         //    transactions.
         self.ordering_abort_scan(&mut decisions);
         // 2. Commit fully reported transactions / abort stale ones (LCA only).
-        for (id, o) in self.observed.iter_mut() {
+        for o in self.observed.values_mut() {
             if o.decided {
                 continue;
             }
-            let at_lca = *o.lca_cached.get_or_insert_with(|| is_lca(&o.involved));
-            if !at_lca {
+            let involved = o.tx.involved_domains();
+            if !*o.lca_cached.get_or_insert_with(|| is_lca(&involved)) {
                 continue;
             }
-            let fully_reported = o.involved.iter().all(|d| o.seqs.contains_key(d));
-            if fully_reported {
+            if involved.iter().all(|d| o.seqs.contains_key(d)) {
                 o.decided = true;
-                decisions.push(OptDecision::Commit(*id, o.involved.clone()));
+                decisions.push(OptDecision::Commit(o.tx.clone()));
             } else if current_round.saturating_sub(o.first_round) > abort_after_rounds {
                 o.decided = true;
-                decisions.push(OptDecision::Abort(*id, o.involved.clone()));
+                decisions.push(OptDecision::Abort(o.tx.clone()));
             }
         }
         // 3. Retire decided transactions from the pending table so later
         //    checks and straggling reports never walk them again.
         for decision in &decisions {
-            let id = match decision {
-                OptDecision::Commit(id, _) | OptDecision::Abort(id, _) => *id,
-            };
-            self.observed.remove(&id);
-            self.decided_ids.insert(id);
+            let (OptDecision::Commit(tx) | OptDecision::Abort(tx)) = decision;
+            self.observed.remove(&tx.id);
+            self.decided_ids.insert(tx.id);
         }
         decisions
     }
@@ -301,16 +268,13 @@ impl OptimisticValidator {
         type SeqPairBuckets = FxHashMap<(DomainId, DomainId), Vec<(SeqNo, SeqNo, TxId)>>;
         let mut buckets: SeqPairBuckets = FxHashMap::default();
         for (id, o) in self.observed.iter() {
-            if o.decided || o.seqs.len() < 2 {
+            if o.decided {
                 continue;
             }
-            let reported: Vec<(DomainId, SeqNo)> = o.seqs.iter().map(|(d, s)| (*d, *s)).collect();
-            for i in 0..reported.len() {
-                for j in (i + 1)..reported.len() {
-                    buckets
-                        .entry((reported[i].0, reported[j].0))
-                        .or_default()
-                        .push((reported[i].1, reported[j].1, *id));
+            let mut reported = o.seqs.iter();
+            while let Some((da, sa)) = reported.next() {
+                for (db, sb) in reported.clone() {
+                    buckets.entry((*da, *db)).or_default().push((*sa, *sb, *id));
                 }
             }
         }
@@ -350,7 +314,7 @@ impl OptimisticValidator {
             if let Some(o) = self.observed.get_mut(&victim) {
                 if !o.decided {
                     o.decided = true;
-                    decisions.push(OptDecision::Abort(victim, o.involved.clone()));
+                    decisions.push(OptDecision::Abort(o.tx.clone()));
                 }
             }
         }
@@ -442,15 +406,15 @@ impl SaguaroNode {
             OPTIMISTIC_ABORT_ROUNDS,
         );
         for decision in decisions {
-            let (verdict, involved) = match decision {
-                OptDecision::Abort(tx_id, involved) => {
-                    self.dag.mark_aborted(tx_id);
-                    (SaguaroMsg::OptAbort { tx_id }, involved)
+            let (verdict, tx) = match decision {
+                OptDecision::Abort(tx) => {
+                    self.dag.mark_aborted(tx.id);
+                    (SaguaroMsg::OptAbort { tx_id: tx.id }, tx)
                 }
-                OptDecision::Commit(tx_id, involved) => (SaguaroMsg::OptCommit { tx_id }, involved),
+                OptDecision::Commit(tx) => (SaguaroMsg::OptCommit { tx_id: tx.id }, tx),
             };
             if self.is_primary() {
-                self.send_to_domains(involved, verdict, ctx);
+                self.send_to_domains(tx.involved_domains().iter().copied(), verdict, ctx);
             }
         }
     }
@@ -497,9 +461,9 @@ mod tests {
         assert_eq!(t.pending_count(), 0);
     }
 
-    /// The tracker as it was before the key index: every execution walks
-    /// every pending entry's union sets.  Kept as the reference the indexed
-    /// tracker is checked against.
+    /// The eager tracker: every execution walks every pending entry's union
+    /// sets and lists itself as a dependent of each it conflicts with.  Kept
+    /// as the reference the abort-time walk is checked against.
     #[derive(Default)]
     struct ScanTracker {
         pending: FxHashMap<TxId, ScanEntry>,
@@ -540,14 +504,11 @@ mod tests {
             });
         }
 
-        fn decide(&mut self, id: TxId, abort: bool) -> Vec<TxId> {
-            let Some(entry) = self.pending.remove(&id) else {
+        fn victims_of(&self, id: TxId) -> Vec<TxId> {
+            let Some(entry) = self.pending.get(&id) else {
                 return Vec::new();
             };
-            if !abort {
-                return Vec::new();
-            }
-            let mut victims = entry.dependent_ids;
+            let mut victims = entry.dependent_ids.clone();
             victims.push(id);
             let order: FxHashMap<TxId, usize> = self
                 .exec_order
@@ -559,20 +520,29 @@ mod tests {
             victims.dedup();
             victims
         }
+
+        fn decide(&mut self, id: TxId, abort: bool) -> Vec<TxId> {
+            let victims = if abort {
+                self.victims_of(id)
+            } else {
+                Vec::new()
+            };
+            self.pending.remove(&id);
+            victims
+        }
     }
 
     proptest::proptest! {
         /// On random conflict graphs over a small key space — tracked and
         /// untracked executions, re-executions, commits and aborts
-        /// interleaved — the indexed tracker keeps the same dependents per
-        /// pending transaction and returns the same victims in the same
-        /// order as the linear scan.
+        /// interleaved — the abort-time walk finds the same victims, in the
+        /// same order, for every pending transaction as the eager scan.
         #[test]
-        fn indexed_tracker_equals_the_linear_scan(
+        fn lazy_dependents_equal_the_linear_scan(
             steps in proptest::collection::vec((0u8..10, 0u64..24, 0u8..5, 0u8..5), 1..120),
         ) {
             let key = |k: u8| format!("k{k}");
-            let mut indexed = OptTracker::default();
+            let mut lazy = OptTracker::default();
             let mut scan = ScanTracker::default();
             for (action, id, a, b) in steps {
                 let op = match action % 4 {
@@ -585,41 +555,69 @@ mod tests {
                 match action {
                     // Speculative execution of a tracked transaction.
                     0..=4 => {
-                        indexed.track(&tx);
+                        lazy.track(&tx);
                         scan.track(&tx);
-                        indexed.record_execution(&tx);
+                        lazy.record_execution(&tx);
                         scan.record_execution(&tx);
                     }
                     // An execution nobody tracks.
                     5 | 6 => {
-                        indexed.record_execution(&tx);
+                        lazy.record_execution(&tx);
                         scan.record_execution(&tx);
                     }
                     _ => {
                         let abort = action != 7;
                         proptest::prop_assert_eq!(
-                            indexed.decide(TxId(id), abort),
+                            lazy.decide(TxId(id), abort),
                             scan.decide(TxId(id), abort)
                         );
                     }
                 }
-                proptest::prop_assert_eq!(indexed.pending.len(), scan.pending.len());
-                for (id, entry) in &scan.pending {
-                    proptest::prop_assert_eq!(
-                        &indexed.pending[id].dependent_ids,
-                        &entry.dependent_ids
-                    );
+                proptest::prop_assert_eq!(lazy.pending.len(), scan.pending.len());
+                for id in scan.pending.keys() {
+                    proptest::prop_assert_eq!(lazy.victims_of(*id), scan.victims_of(*id));
                 }
             }
-            // Deciding everything empties the index.
+            // Deciding everything empties the log and the position index.
             for id in 0..24 {
                 proptest::prop_assert_eq!(
-                    indexed.decide(TxId(id), true),
+                    lazy.decide(TxId(id), true),
                     scan.decide(TxId(id), true)
                 );
             }
-            proptest::prop_assert!(indexed.writers.is_empty() && indexed.readers.is_empty());
+            proptest::prop_assert!(lazy.log.is_empty() && lazy.by_pos.is_empty());
         }
+    }
+
+    #[test]
+    fn commits_leave_nothing_to_walk() {
+        let mut t = OptTracker::default();
+        let mut open = std::collections::VecDeque::new();
+        for i in 0..300u64 {
+            // Every transaction touches "a", so each depends on the last.
+            let tracked = cross(i, "a", "b", &[d(0), d(1)]);
+            t.track(&tracked);
+            t.record_execution(&tracked);
+            open.push_back(i);
+            t.record_execution(&cross(1_000 + i, "b", "c", &[d(0), d(1)]));
+            if open.len() > 4 {
+                t.decide(TxId(open.pop_front().unwrap()), false);
+            }
+            // The log starts at the oldest pending transaction.
+            let (oldest, _) = *t.by_pos.first().unwrap();
+            assert_eq!(t.log.len() as u64, t.logged - oldest);
+            if i % 10 == 9 {
+                for id in open.drain(..) {
+                    t.decide(TxId(id), false);
+                }
+                assert!(t.log.is_empty() && t.by_pos.is_empty());
+                let logged = t.logged;
+                t.record_execution(&cross(2_000 + i, "a", "c", &[d(0), d(1)]));
+                assert!(t.log.is_empty(), "nothing pending: nothing logged");
+                assert_eq!(t.logged, logged);
+            }
+        }
+        assert_eq!(t.pending_count(), 0);
     }
 
     #[test]
@@ -641,10 +639,7 @@ mod tests {
         v.observe(&tx, d(0), 5, 1);
         v.observe(&tx, d(1), 9, 1);
         let decisions = v.check(|_| true, 1, 8);
-        assert_eq!(
-            decisions,
-            vec![OptDecision::Commit(TxId(1), vec![d(0), d(1)])]
-        );
+        assert_eq!(decisions, vec![OptDecision::Commit(tx)]);
         // Already decided: no duplicate decision.
         assert!(v.check(|_| true, 2, 8).is_empty());
     }
@@ -671,8 +666,7 @@ mod tests {
         v.observe(&t2, d(1), 1, 1);
         v.observe(&t1, d(1), 2, 1);
         let decisions = v.check(|_| false, 1, 8);
-        assert_eq!(decisions.len(), 1);
-        assert!(matches!(decisions[0], OptDecision::Abort(TxId(2), _)));
+        assert_eq!(decisions, vec![OptDecision::Abort(t2)]);
     }
 
     #[test]
@@ -702,8 +696,7 @@ mod tests {
         v.observe(&tx, d(0), 1, 1);
         assert!(v.check(|_| true, 5, 8).is_empty(), "not timed out yet");
         let decisions = v.check(|_| true, 12, 8);
-        assert_eq!(decisions.len(), 1);
-        assert!(matches!(decisions[0], OptDecision::Abort(TxId(1), _)));
+        assert_eq!(decisions, vec![OptDecision::Abort(tx)]);
     }
 
     #[test]

@@ -164,14 +164,39 @@ impl MultiSeq {
         Self::default()
     }
 
-    /// Creates a multi-part sequence number from `(domain, seq)` pairs.
+    /// Creates a multi-part sequence number from `(domain, seq)` pairs in
+    /// any order; of two parts for one domain, the first is kept.
     pub fn from_parts(mut parts: Vec<(DomainId, SeqNo)>) -> Self {
         parts.sort_by_key(|(d, _)| *d);
         parts.dedup_by_key(|(d, _)| *d);
-        let parts = match parts[..] {
-            [] => Parts::Empty,
-            [only] => Parts::One(only),
-            _ => Parts::Many(parts.into()),
+        Self::from_sorted(parts)
+    }
+
+    /// Creates a multi-part sequence number from parts already ascending by
+    /// domain, one per domain, in at most one allocation.
+    pub fn from_sorted<I>(parts: I) -> Self
+    where
+        I: IntoIterator<Item = (DomainId, SeqNo)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let parts = parts.into_iter();
+        let seq = Self::pack(parts.len(), parts);
+        assert!(
+            seq.as_slice().windows(2).all(|w| w[0].0 < w[1].0),
+            "parts must ascend by domain, one per domain"
+        );
+        seq
+    }
+
+    /// Packs the first `len` of `parts`, ascending by domain.  A counted
+    /// iterator lets `Arc` size its one allocation up front, where
+    /// collecting `parts` itself would stage them in a `Vec` first.
+    fn pack(len: usize, mut parts: impl Iterator<Item = (DomainId, SeqNo)>) -> Self {
+        let mut next = || parts.next().expect("`len` parts");
+        let parts = match len {
+            0 => Parts::Empty,
+            1 => Parts::One(next()),
+            _ => Parts::Many((0..len).map(|_| next()).collect()),
         };
         Self { parts }
     }
@@ -187,15 +212,22 @@ impl MultiSeq {
 
     /// Records (or overwrites) the sequence number assigned by `domain`.
     pub fn set(&mut self, domain: DomainId, seq: SeqNo) {
+        // Every internal commit numbers an empty sequence: keep that direct.
         if self.is_empty() {
             self.parts = Parts::One((domain, seq));
             return;
         }
-        // Only a cross-domain number gets here: rebuilt, not edited in place.
-        let mut parts = self.as_slice().to_vec();
-        parts.retain(|(d, _)| *d != domain);
-        parts.push((domain, seq));
-        *self = Self::from_parts(parts);
+        // Rebuilt in domain order, not edited in place: `Many` is shared.
+        let old = self.as_slice();
+        let at = old.partition_point(|(d, _)| *d < domain);
+        let after = match old.get(at) {
+            Some((d, _)) if *d == domain => at + 1,
+            _ => at,
+        };
+        let len = at + 1 + old.len() - after;
+        let new = [(domain, seq)];
+        let parts = old[..at].iter().chain(&new).chain(&old[after..]);
+        *self = Self::pack(len, parts.copied());
     }
 
     /// The sequence number assigned by `domain`, if any.
@@ -271,6 +303,31 @@ mod tests {
         m.set(d(0), 7);
         assert_eq!(m.get(d(0)), Some(7));
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn set_keeps_domain_order_wherever_the_part_lands() {
+        // Inserted before, between and after; overwritten first, middle, last.
+        let mut m = MultiSeq::from_sorted([(d(2), 2), (d(4), 4)]);
+        for (domain, seq) in [
+            (d(3), 3),
+            (d(0), 0),
+            (d(5), 5),
+            (d(0), 10),
+            (d(3), 13),
+            (d(5), 15),
+        ] {
+            m.set(domain, seq);
+        }
+        let want = [(d(0), 10), (d(2), 2), (d(3), 13), (d(4), 4), (d(5), 15)];
+        assert_eq!(m, MultiSeq::from_sorted(want));
+        assert_eq!(m, MultiSeq::from_parts(want.into_iter().rev().collect()));
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend by domain")]
+    fn from_sorted_rejects_unsorted_parts() {
+        MultiSeq::from_sorted([(d(2), 2), (d(0), 0)]);
     }
 
     #[test]
