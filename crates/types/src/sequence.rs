@@ -179,26 +179,22 @@ impl MultiSeq {
         I: IntoIterator<Item = (DomainId, SeqNo)>,
         I::IntoIter: ExactSizeIterator,
     {
-        let parts = parts.into_iter();
-        let seq = Self::pack(parts.len(), parts);
-        assert!(
-            seq.as_slice().windows(2).all(|w| w[0].0 < w[1].0),
-            "parts must ascend by domain, one per domain"
-        );
-        seq
-    }
-
-    /// Packs the first `len` of `parts`, ascending by domain.  A counted
-    /// iterator lets `Arc` size its one allocation up front, where
-    /// collecting `parts` itself would stage them in a `Vec` first.
-    fn pack(len: usize, mut parts: impl Iterator<Item = (DomainId, SeqNo)>) -> Self {
+        // A counted range lets `Arc` size its one allocation up front, where
+        // collecting `parts` itself would stage them in a `Vec` first.
+        let mut parts = parts.into_iter();
+        let len = parts.len();
         let mut next = || parts.next().expect("`len` parts");
         let parts = match len {
             0 => Parts::Empty,
             1 => Parts::One(next()),
             _ => Parts::Many((0..len).map(|_| next()).collect()),
         };
-        Self { parts }
+        let seq = Self { parts };
+        assert!(
+            seq.as_slice().windows(2).all(|w| w[0].0 < w[1].0),
+            "parts must ascend by domain, one per domain"
+        );
+        seq
     }
 
     /// The parts in domain order.
@@ -212,22 +208,15 @@ impl MultiSeq {
 
     /// Records (or overwrites) the sequence number assigned by `domain`.
     pub fn set(&mut self, domain: DomainId, seq: SeqNo) {
-        // Every internal commit numbers an empty sequence: keep that direct.
         if self.is_empty() {
             self.parts = Parts::One((domain, seq));
             return;
         }
-        // Rebuilt in domain order, not edited in place: `Many` is shared.
-        let old = self.as_slice();
-        let at = old.partition_point(|(d, _)| *d < domain);
-        let after = match old.get(at) {
-            Some((d, _)) if *d == domain => at + 1,
-            _ => at,
-        };
-        let len = at + 1 + old.len() - after;
-        let new = [(domain, seq)];
-        let parts = old[..at].iter().chain(&new).chain(&old[after..]);
-        *self = Self::pack(len, parts.copied());
+        // Only a cross-domain number gets here: rebuilt, not edited in place.
+        let mut parts = self.as_slice().to_vec();
+        parts.retain(|(d, _)| *d != domain);
+        parts.push((domain, seq));
+        *self = Self::from_parts(parts);
     }
 
     /// The sequence number assigned by `domain`, if any.
@@ -303,25 +292,6 @@ mod tests {
         m.set(d(0), 7);
         assert_eq!(m.get(d(0)), Some(7));
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn set_keeps_domain_order_wherever_the_part_lands() {
-        // Inserted before, between and after; overwritten first, middle, last.
-        let mut m = MultiSeq::from_sorted([(d(2), 2), (d(4), 4)]);
-        for (domain, seq) in [
-            (d(3), 3),
-            (d(0), 0),
-            (d(5), 5),
-            (d(0), 10),
-            (d(3), 13),
-            (d(5), 15),
-        ] {
-            m.set(domain, seq);
-        }
-        let want = [(d(0), 10), (d(2), 2), (d(3), 13), (d(4), 4), (d(5), 15)];
-        assert_eq!(m, MultiSeq::from_sorted(want));
-        assert_eq!(m, MultiSeq::from_parts(want.into_iter().rev().collect()));
     }
 
     #[test]
