@@ -57,6 +57,8 @@ pub struct SaguaroNode {
     pub(crate) host: ReplicaHost<Cmd>,
 
     // ---------------- execution layer (height-1 domains) ----------------
+    /// The domain's linear ledger; empty above height 1, where the DAG
+    /// holds the chain a domain forwards.
     pub(crate) ledger: LinearLedger,
     pub(crate) state: BlockchainState,
     /// This domain's own writes of the current round, as the state map's
@@ -134,7 +136,7 @@ impl SaguaroNode {
             round_writes: Vec::new(),
             round_updates: Vec::new(),
             undo_log: FxHashMap::default(),
-            dag: DagLedger::new(),
+            dag: DagLedger::for_domain(id.domain),
             agg: AggregateView::new(),
             pending_child_blocks: BTreeMap::new(),
             coordinated: FxHashMap::default(),
@@ -174,9 +176,13 @@ impl SaguaroNode {
         &self.state
     }
 
-    /// Read-only access to the node's linear ledger (height-1 domains).
+    /// Read-only access to the node's linear ledger: at height 1 the
+    /// executed transactions, above it the DAG's chain of first reports.
     pub fn ledger(&self) -> &LinearLedger {
-        &self.ledger
+        match self.domain().height {
+            1 => &self.ledger,
+            _ => self.dag.chain(),
+        }
     }
 
     /// Read-only access to the node's DAG ledger (height-2+ domains).
@@ -508,12 +514,13 @@ impl HostedReplica for SaguaroNode {
             self.round_writes.clear();
             self.round_updates.clear();
             self.ledger.note_round_boundary();
+            self.dag.note_round_boundary();
         }
         for id in self.ledger.prune_front(DeliveryLog::CAPACITY) {
             self.undo_log.remove(&id);
         }
-        // Parent domains also bound the DAG of incorporated child blocks:
-        // its history below the window is superseded by the snapshot.
+        // Parent domains bound their DAG, whose chain prunes by the same
+        // rule: its history below the window is superseded by the snapshot.
         self.dag.prune_front(DeliveryLog::CAPACITY);
         snapshot
     }
@@ -727,6 +734,8 @@ mod tests {
                     let (handle, value) = n.agg.get(child, d0, &key).expect("reported");
                     assert_eq!(value, 990, "{node:?}");
                     held.push(handle.clone());
+                    // The DAG's chain is the one record of the transaction.
+                    assert!(n.dag.contains(TxId(1)) && n.ledger.is_empty(), "{node:?}");
                     if domain == tree.root() {
                         assert!(n.round_updates.is_empty(), "{node:?} folds for nobody");
                     }

@@ -35,7 +35,10 @@ impl SaguaroNode {
                 self.round_updates.extend(writes);
                 let delta = AbstractionFn::Full.apply(&self.round_updates);
                 self.round_updates.clear();
-                let block = self.ledger.cut_block(delta);
+                let block = match self.domain().height {
+                    1 => self.ledger.cut_block(delta),
+                    _ => self.dag.cut_block(delta),
+                };
                 let cert_sigs = self.cert_sigs();
                 self.send_to_domain(
                     parent,
@@ -112,9 +115,10 @@ impl SaguaroNode {
         // numbers carried inside the block.
         self.validate_optimistic_block(child, &block, ctx);
 
-        let Ok(appended) = self.dag.apply_block(child, &block) else {
+        // A transaction seen first here joins the chain the next block is cut from.
+        if self.dag.apply_block(child, &block).is_err() {
             return;
-        };
+        }
         self.agg.apply_delta(child, &block.state_delta);
         // Fold the child's abstracted updates into this domain's own next
         // block so summaries keep flowing towards the root — which has no
@@ -123,12 +127,6 @@ impl SaguaroNode {
         if self.tree.parent(self.domain()).is_some() {
             let entries = block.state_delta.entries();
             self.round_updates.extend_from_slice(entries);
-        }
-        // Record newly seen transactions in this domain's own (summary)
-        // ledger so they are included in the next block sent to the parent.
-        for record in appended {
-            self.ledger
-                .append_cross_domain(record.tx, record.seq, record.status);
         }
     }
 }

@@ -122,10 +122,13 @@ impl AggregateView {
     pub fn apply_delta(&mut self, child: DomainId, delta: &StateDelta) {
         let origins = self.per_child.entry(child).or_default();
         for (k, v) in &delta.entries {
-            origins
-                .entry(k.origin)
-                .or_default()
-                .insert(k.key.clone(), *v);
+            // In place by text: only a key not seen yet clones its handle.
+            let keys = origins.entry(k.origin).or_default();
+            if let Some(value) = keys.get_mut(&*k.key) {
+                *value = *v;
+            } else {
+                keys.insert(k.key.clone(), *v);
+            }
         }
     }
 

@@ -12,10 +12,9 @@
 //!
 //! Height-2 and above domains maintain only a **summarized view**:
 //!
-//! * a **DAG ledger** ([`dag::DagLedger`]) that captures the order
-//!   dependencies created by cross-domain transactions (each cross-domain
-//!   transaction is appended exactly once even though it appears in several
-//!   child ledgers), and
+//! * a **DAG ledger** ([`dag::DagLedger`]): a linear chain holding each
+//!   transaction once, as first reported — the summary it forwards — with
+//!   the order dependencies cross-domain transactions create beside it, and
 //! * an **aggregate view** ([`abstraction`]) computed through the
 //!   application-defined abstraction function λ applied to child state
 //!   deltas — e.g. the total working hours per driver in the ridesharing

@@ -4,7 +4,8 @@
 //! summarized ledgers at higher-level domains are structured as directed
 //! acyclic graphs."  The linear ledger is an append-only, totally ordered
 //! list of committed transactions; blocks are cut at round boundaries and
-//! chained by hash for propagation up the tree.
+//! chained by hash for propagation up the tree.  Above height 1, the
+//! [`crate::DagLedger`] keeps one of the records its children reported.
 
 use crate::abstraction::StateDelta;
 use crate::block::{Block, CommittedTx, TxStatus};
@@ -18,7 +19,8 @@ pub struct LinearLedger {
     domain: DomainId,
     /// All entries in commit order.
     entries: Vec<CommittedTx>,
-    /// Index from transaction id to position in `entries`.
+    /// Index from transaction id to position, counted from the first entry
+    /// ever appended: `entries[position - pruned]`.
     index: FxHashMap<TxId, usize>,
     /// Sequence number that will be assigned to the next appended transaction.
     next_seq: SeqNo,
@@ -29,7 +31,7 @@ pub struct LinearLedger {
     /// Digest of the header of the last cut block.
     last_block_digest: Digest,
     /// Entries discarded from the front by [`LinearLedger::prune_front`].
-    pruned: u64,
+    pruned: usize,
 }
 
 impl LinearLedger {
@@ -62,11 +64,6 @@ impl LinearLedger {
         self.entries.is_empty()
     }
 
-    /// The sequence number the next appended transaction will receive.
-    pub fn next_seq(&self) -> SeqNo {
-        self.next_seq
-    }
-
     /// Appends an internal transaction with the next sequence number and the
     /// given status.  Returns the assigned sequence number.
     pub fn append_internal(&mut self, tx: Transaction, status: TxStatus) -> SeqNo {
@@ -92,9 +89,12 @@ impl LinearLedger {
         self.push(CommittedTx { tx, seq, status });
     }
 
-    fn push(&mut self, entry: CommittedTx) {
-        self.index.insert(entry.tx.id, self.entries.len());
+    /// Appends a record as it is, at the position it returns.
+    pub(crate) fn push(&mut self, entry: CommittedTx) -> usize {
+        let position = self.pruned + self.entries.len();
+        self.index.insert(entry.tx.id, position);
         self.entries.push(entry);
+        position
     }
 
     /// Reserves and returns the next local sequence number without appending
@@ -108,7 +108,13 @@ impl LinearLedger {
 
     /// Looks up an entry by transaction id.
     pub fn get(&self, id: TxId) -> Option<&CommittedTx> {
-        self.index.get(&id).map(|i| &self.entries[*i])
+        self.index.get(&id).map(|p| &self.entries[p - self.pruned])
+    }
+
+    /// Where the transaction sits, counted from the first entry ever
+    /// appended: pruning moves no position.
+    pub(crate) fn position(&self, id: TxId) -> Option<usize> {
+        self.index.get(&id).copied()
     }
 
     /// True if the ledger contains the transaction.
@@ -119,40 +125,25 @@ impl LinearLedger {
     /// Marks an entry as aborted (optimistic protocol rollback).  Returns
     /// `true` if the entry existed and was not already aborted.
     pub fn mark_aborted(&mut self, id: TxId) -> bool {
-        if let Some(&i) = self.index.get(&id) {
-            if self.entries[i].status != TxStatus::Aborted {
-                self.entries[i].status = TxStatus::Aborted;
-                return true;
-            }
-        }
-        false
+        let entry = self.entry_mut(id).filter(|e| e.status != TxStatus::Aborted);
+        entry.map(|e| e.status = TxStatus::Aborted).is_some()
     }
 
     /// Marks a speculatively committed entry as (finally) committed.
     pub fn mark_committed(&mut self, id: TxId) -> bool {
-        if let Some(&i) = self.index.get(&id) {
-            if self.entries[i].status == TxStatus::SpeculativelyCommitted {
-                self.entries[i].status = TxStatus::Committed;
-                return true;
-            }
-        }
-        false
+        let entry = self.entry_mut(id);
+        let entry = entry.filter(|e| e.status == TxStatus::SpeculativelyCommitted);
+        entry.map(|e| e.status = TxStatus::Committed).is_some()
+    }
+
+    fn entry_mut(&mut self, id: TxId) -> Option<&mut CommittedTx> {
+        let position = self.position(id)?;
+        self.entries.get_mut(position - self.pruned)
     }
 
     /// All entries in ledger order.
     pub fn entries(&self) -> &[CommittedTx] {
         &self.entries
-    }
-
-    /// Entries appended since the last block cut.
-    #[cfg(test)]
-    pub(crate) fn pending_round_entries(&self) -> &[CommittedTx] {
-        &self.entries[self.round_start..]
-    }
-
-    /// Number of blocks cut so far.
-    pub fn rounds_cut(&self) -> u64 {
-        self.rounds_cut
     }
 
     /// Ends the current round: packs every entry appended since the previous
@@ -184,7 +175,8 @@ impl LinearLedger {
     /// records).  Pruned ids no longer resolve through `get` / `contains`;
     /// only runs with a finite checkpoint retention window call this, and
     /// those accept window-local duplicate detection in exchange for flat
-    /// memory.
+    /// memory.  Positions are counted from the first entry ever appended, so
+    /// only the dropped entries' index slots are touched.
     pub fn prune_front(&mut self, keep_last: usize) -> Vec<TxId> {
         let removable = self
             .round_start
@@ -196,17 +188,14 @@ impl LinearLedger {
         for id in &ids {
             self.index.remove(id);
         }
-        for pos in self.index.values_mut() {
-            *pos -= removable;
-        }
         self.round_start -= removable;
-        self.pruned += removable as u64;
+        self.pruned += removable;
         ids
     }
 
     /// Entries discarded so far by [`LinearLedger::prune_front`].
     pub fn pruned_entries(&self) -> u64 {
-        self.pruned
+        self.pruned as u64
     }
 }
 
@@ -228,7 +217,7 @@ mod tests {
         let mut l = LinearLedger::new(domain());
         assert_eq!(l.append_internal(tx(1), TxStatus::Committed), 1);
         assert_eq!(l.append_internal(tx(2), TxStatus::Committed), 2);
-        assert_eq!(l.next_seq(), 3);
+        assert_eq!(l.next_seq, 3);
         assert_eq!(l.len(), 2);
         assert!(l.contains(TxId(1)));
         assert!(!l.contains(TxId(9)));
@@ -245,7 +234,7 @@ mod tests {
         let ctx =
             Transaction::cross_domain(TxId(2), ClientId(0), vec![domain(), other], Operation::Noop);
         l.append_cross_domain(ctx, seq, TxStatus::Committed);
-        assert_eq!(l.next_seq(), 3);
+        assert_eq!(l.next_seq, 3);
         assert_eq!(l.get(TxId(2)).unwrap().seq.get(other), Some(7));
     }
 
@@ -272,8 +261,8 @@ mod tests {
         assert_eq!(b2.header.id.round, 2);
         assert_eq!(b2.txs.len(), 1);
         assert_eq!(b2.header.prev, b1.header.digest());
-        assert_eq!(l.rounds_cut(), 2);
-        assert!(l.pending_round_entries().is_empty());
+        assert_eq!(l.rounds_cut, 2);
+        assert!(l.entries[l.round_start..].is_empty());
     }
 
     #[test]
@@ -332,7 +321,7 @@ mod tests {
         // Entry 2 belongs to the uncut round: only entry 1 is removable.
         let pruned = l.prune_front(0);
         assert_eq!(pruned, vec![TxId(1)]);
-        assert_eq!(l.pending_round_entries().len(), 1);
+        assert_eq!(l.entries[l.round_start..].len(), 1);
         let b = l.cut_block(StateDelta::new());
         assert_eq!(b.txs.len(), 1, "pruning must not eat the pending round");
     }

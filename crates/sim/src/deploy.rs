@@ -236,7 +236,8 @@ where
     RunHarvest { nodes }
 }
 
-/// Extracts post-run evidence from every replica of a Saguaro deployment.
+/// Extracts post-run evidence from every replica of a Saguaro deployment;
+/// above height 1 the ledger read is the DAG's chain of first reports.
 pub fn harvest_saguaro(sim: &mut Simulation<SaguaroMsg>, tree: &Arc<HierarchyTree>) -> RunHarvest {
     harvest_with(sim, tree, SaguaroNode::ledger)
 }

@@ -317,8 +317,9 @@ fn blocks_propagate_to_fog_and_cloud_with_aggregation() {
 }
 
 /// A committed transaction is one allocation wherever it is recorded: its
-/// domain's four ledgers, the DAG and the summary ledger of every ancestor
-/// replica all hold the body the client's request carried.
+/// domain's four ledgers and the DAG of every ancestor replica all hold the
+/// body the client's request carried, and an ancestor records it once — the
+/// ledger it shows is the DAG's chain.
 #[test]
 fn one_transaction_is_one_allocation_from_the_request_to_the_roots_dag() {
     let (mut sim, tree) = build(FailureModel::Byzantine, ProtocolConfig::coordinator());
@@ -356,8 +357,9 @@ fn one_transaction_is_one_allocation_from_the_request_to_the_roots_dag() {
             with_node(&mut sim, node, |n| {
                 let vertex = n.dag_ledger().get(sent.id).expect("propagated");
                 assert!(Transaction::ptr_eq(&vertex.record.tx, sent), "{node:?} DAG");
+                assert!(std::ptr::eq(n.ledger(), n.dag_ledger().chain()));
                 let summary = n.ledger().get(sent.id).expect("summarised");
-                assert!(Transaction::ptr_eq(&summary.tx, sent), "{node:?} ledger");
+                assert!(std::ptr::eq(summary, vertex.record), "{node:?} two records");
                 assert_eq!(summary.tx, twin);
                 assert_eq!(summary.tx.payload_bytes(), twin.payload_bytes());
             });
