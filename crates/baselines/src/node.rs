@@ -472,11 +472,11 @@ impl HostedReplica for BaselineNode {
         // Baseline deployments never cut propagation blocks, so the
         // pending-round cursor would pin the whole ledger as unprunable.
         self.ledger.note_round_boundary();
-        for id in self.ledger.prune_front(DeliveryLog::CAPACITY) {
+        self.ledger.prune_front(DeliveryLog::CAPACITY, |id| {
             self.prepared_cache.remove(&id);
             self.flattened.remove(&id);
             self.coordinating.remove(&id);
-        }
+        });
         snapshot
     }
 

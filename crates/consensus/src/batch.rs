@@ -159,8 +159,13 @@ impl<C: Clone> Batcher<C> {
     }
 
     /// Adds a command; returns a full block once `max_batch` members are
-    /// pending, `None` while the block is still filling.
+    /// pending, `None` while the block is still filling.  A block's first
+    /// command reserves room for exactly `max_batch`: the cut block keeps
+    /// this buffer for as long as the consensus log keeps the batch.
     pub fn push(&mut self, cmd: C) -> Option<Batch<C>> {
+        if self.pending.capacity() == 0 {
+            self.pending.reserve_exact(self.config.max_batch);
+        }
         self.pending.push(cmd);
         if self.pending.len() >= self.config.max_batch {
             self.cut()
@@ -248,6 +253,19 @@ mod tests {
         let partial = b.flush().expect("flush cuts the under-full block");
         assert_eq!(partial.commands(), &[vec![3]]);
         assert!(b.flush().is_none());
+    }
+
+    #[test]
+    fn every_block_reserves_exactly_max_batch_slots() {
+        for max_batch in [1, 3, 32] {
+            let mut b: Batcher<Cmd> = Batcher::new(BatchConfig::with_max_batch(max_batch));
+            let full = (0..max_batch as u8).find_map(|i| b.push(vec![i]));
+            let full = full.expect("max_batch pushes fill a block");
+            assert_eq!(full.body.commands.capacity(), max_batch);
+            // An under-full block, cut by the flush timer, has the same room.
+            let next = b.push(vec![0]).or_else(|| b.flush()).expect("one pending");
+            assert_eq!(next.body.commands.capacity(), max_batch);
+        }
     }
 
     #[test]

@@ -516,9 +516,9 @@ impl HostedReplica for SaguaroNode {
             self.ledger.note_round_boundary();
             self.dag.note_round_boundary();
         }
-        for id in self.ledger.prune_front(DeliveryLog::CAPACITY) {
+        self.ledger.prune_front(DeliveryLog::CAPACITY, |id| {
             self.undo_log.remove(&id);
-        }
+        });
         // Parent domains bound their DAG, whose chain prunes by the same
         // rule: its history below the window is superseded by the snapshot.
         self.dag.prune_front(DeliveryLog::CAPACITY);

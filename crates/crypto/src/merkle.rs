@@ -8,17 +8,13 @@
 
 use crate::sha256::{sha256_parts, Digest};
 
-/// A Merkle tree over an ordered list of leaf digests.
+/// The root of a Merkle tree over an ordered list of leaf digests.
 ///
 /// The tree duplicates the last node of an odd level (Bitcoin-style) so every
 /// level has an even number of nodes; an empty tree has a well-defined
-/// sentinel root.
+/// sentinel root.  Only the root is kept: nothing reads the inner levels.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MerkleTree {
-    /// levels[0] is the leaf level, last level has exactly one node (the root)
-    /// unless the tree is empty.
-    levels: Vec<Vec<Digest>>,
-}
+pub struct MerkleTree(Digest);
 
 fn hash_leaf(data: &[u8]) -> Digest {
     sha256_parts(&[b"leaf", data])
@@ -40,32 +36,29 @@ impl MerkleTree {
         Self::from_leaf_digests(leaf_digests)
     }
 
-    /// Builds a tree from pre-hashed leaf digests.
-    pub fn from_leaf_digests(leaf_digests: Vec<Digest>) -> Self {
-        if leaf_digests.is_empty() {
-            return Self { levels: vec![] };
+    /// Builds a tree from pre-hashed leaf digests.  Each level overwrites
+    /// the front of the one below it in `leaf_digests`: node `i` reads only
+    /// nodes `2i` and `2i + 1`, which no earlier write has touched.
+    pub fn from_leaf_digests(mut leaf_digests: Vec<Digest>) -> Self {
+        let mut width = leaf_digests.len();
+        if width == 0 {
+            return Self(empty_root());
         }
-        let mut levels = vec![leaf_digests];
-        while levels.last().expect("non-empty").len() > 1 {
-            let prev = levels.last().expect("non-empty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                let left = &pair[0];
-                let right = pair.get(1).unwrap_or(left);
-                next.push(hash_node(left, right));
+        while width > 1 {
+            let parents = width.div_ceil(2);
+            for i in 0..parents {
+                // The last node of an odd level pairs with itself.
+                let right = leaf_digests[(2 * i + 1).min(width - 1)];
+                leaf_digests[i] = hash_node(&leaf_digests[2 * i], &right);
             }
-            levels.push(next);
+            width = parents;
         }
-        Self { levels }
+        Self(leaf_digests[0])
     }
 
     /// The Merkle root (sentinel value for an empty tree).
     pub fn root(&self) -> Digest {
-        self.levels
-            .last()
-            .and_then(|l| l.first())
-            .copied()
-            .unwrap_or_else(empty_root)
+        self.0
     }
 }
 
@@ -75,6 +68,39 @@ mod tests {
 
     fn leaves(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("tx-{i}").into_bytes()).collect()
+    }
+
+    /// The reference construction: one `Vec` per level.
+    fn root_level_by_level(leaf_digests: Vec<Digest>) -> Digest {
+        if leaf_digests.is_empty() {
+            return empty_root();
+        }
+        let mut level = leaf_digests;
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|pair| hash_node(&pair[0], pair.get(1).unwrap_or(&pair[0])))
+                .collect();
+        }
+        level[0]
+    }
+
+    #[test]
+    fn in_place_root_equals_the_level_by_level_construction() {
+        for n in 0..=17 {
+            let digests: Vec<Digest> = leaves(n).iter().map(|l| hash_leaf(l)).collect();
+            let want = root_level_by_level(digests.clone());
+            assert_eq!(
+                MerkleTree::from_leaf_digests(digests).root(),
+                want,
+                "{n} leaves"
+            );
+            assert_eq!(
+                MerkleTree::from_leaves(&leaves(n)).root(),
+                want,
+                "{n} leaves"
+            );
+        }
     }
 
     #[test]

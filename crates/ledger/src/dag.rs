@@ -226,7 +226,7 @@ impl DagLedger {
     /// into pruned records stop resolving, and dedup becomes window-local —
     /// the price of a resident set bounded by the window, not the run.
     pub fn prune_front(&mut self, keep_last: usize) {
-        let dropped = self.chain.prune_front(keep_last).len();
+        let dropped = self.chain.prune_front(keep_last, |_| {});
         self.edges.drain(..dropped);
     }
 
@@ -587,7 +587,7 @@ mod tests {
                             oracle.note_round_boundary();
                         }
                         dag.prune_front(usize::from(arg) * 3);
-                        oracle.prune_front(usize::from(arg) * 3);
+                        oracle.prune_front(usize::from(arg) * 3, |_| {});
                     }
                 }
                 proptest::prop_assert!(dag.is_acyclic());

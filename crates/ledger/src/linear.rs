@@ -170,27 +170,25 @@ impl LinearLedger {
     }
 
     /// Discards the oldest entries beyond `keep_last`, never cutting into
-    /// the current (uncut) round, and returns the ids of the discarded
-    /// entries so the caller can drop any per-transaction side state (undo
-    /// records).  Pruned ids no longer resolve through `get` / `contains`;
-    /// only runs with a finite checkpoint retention window call this, and
-    /// those accept window-local duplicate detection in exchange for flat
-    /// memory.  Positions are counted from the first entry ever appended, so
-    /// only the dropped entries' index slots are touched.
-    pub fn prune_front(&mut self, keep_last: usize) -> Vec<TxId> {
+    /// the current (uncut) round, passes each discarded entry's id to
+    /// `dropped` so the caller can drop any per-transaction side state (undo
+    /// records), and returns how many were discarded.  Pruned ids no longer
+    /// resolve through `get` / `contains`; only runs with a finite checkpoint
+    /// retention window call this, and those accept window-local duplicate
+    /// detection in exchange for flat memory.  Positions are counted from the
+    /// first entry ever appended, so only the dropped entries' index slots
+    /// are touched.
+    pub fn prune_front(&mut self, keep_last: usize, mut dropped: impl FnMut(TxId)) -> usize {
         let removable = self
             .round_start
             .min(self.entries.len().saturating_sub(keep_last));
-        if removable == 0 {
-            return Vec::new();
-        }
-        let ids: Vec<TxId> = self.entries.drain(..removable).map(|e| e.tx.id).collect();
-        for id in &ids {
-            self.index.remove(id);
+        for entry in self.entries.drain(..removable) {
+            self.index.remove(&entry.tx.id);
+            dropped(entry.tx.id);
         }
         self.round_start -= removable;
         self.pruned += removable;
-        ids
+        removable
     }
 
     /// Entries discarded so far by [`LinearLedger::prune_front`].
@@ -296,7 +294,8 @@ mod tests {
             l.append_internal(tx(i), TxStatus::Committed);
         }
         l.cut_block(StateDelta::new()); // round boundary: all 20 prunable
-        let pruned = l.prune_front(5);
+        let mut pruned = Vec::new();
+        assert_eq!(l.prune_front(5, |id| pruned.push(id)), 15);
         assert_eq!(pruned.len(), 15);
         assert_eq!(l.len(), 5);
         assert_eq!(l.pruned_entries(), 15);
@@ -319,7 +318,8 @@ mod tests {
         l.cut_block(StateDelta::new());
         l.append_internal(tx(2), TxStatus::Committed);
         // Entry 2 belongs to the uncut round: only entry 1 is removable.
-        let pruned = l.prune_front(0);
+        let mut pruned = Vec::new();
+        assert_eq!(l.prune_front(0, |id| pruned.push(id)), 1);
         assert_eq!(pruned, vec![TxId(1)]);
         assert_eq!(l.entries[l.round_start..].len(), 1);
         let b = l.cut_block(StateDelta::new());

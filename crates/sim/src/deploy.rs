@@ -4,14 +4,15 @@
 //! implementations call from their `deploy` methods; a new stack can reuse
 //! [`build_tree`] / [`latency_for`] and register its own actors.
 
-use crate::protocol::{NodeHarvest, RunHarvest};
+use crate::protocol::{NodeHarvest, RunHarvest, SeedList};
 use saguaro_baselines::{BaselineMsg, BaselineNode, BaselineRole};
 use saguaro_core::{HostedReplica, ProtocolConfig, SaguaroMsg, SaguaroNode};
 use saguaro_hierarchy::{HierarchyTree, Placement, TopologyBuilder};
 use saguaro_ledger::{BlockchainState, LinearLedger, TxStatus};
 use saguaro_net::{Addr, CpuProfile, LatencyMatrix, MessageMeta, Simulation};
 use saguaro_types::{ClientId, DomainId, FailureModel, Result, SimTime, StackConfig};
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 /// Builds the paper's 4-level perfect binary tree with the given failure
@@ -65,8 +66,10 @@ pub fn harness_addr() -> Addr {
 }
 
 /// The initial state of every seeded height-1 domain, built once per domain;
-/// the deployments hand each replica a share of it.  Several entries for one
-/// domain apply in order, a repeated key keeping its last balance.
+/// the deployments hand each replica a share of it.  The lists are taken one
+/// at a time: each becomes its domain's state, and is dropped, before the
+/// next is pulled, so the pairs of all domains never coexist.  A domain named
+/// twice takes its lists in order, a repeated key keeping its last balance.
 ///
 /// # Panics
 ///
@@ -75,36 +78,42 @@ pub fn harness_addr() -> Addr {
 /// would fail for want of funds.
 fn seeded_states(
     tree: &HierarchyTree,
-    seed_accounts: &[(DomainId, Vec<(String, u64)>)],
+    seed_accounts: impl IntoIterator<Item = impl Borrow<SeedList>>,
 ) -> BTreeMap<DomainId, BlockchainState> {
     let edge_domains = tree.edge_server_domains();
-    let mut lists: BTreeMap<DomainId, Vec<&[(String, u64)]>> = BTreeMap::new();
-    for (domain, accounts) in seed_accounts {
+    let mut states = BTreeMap::new();
+    for entry in seed_accounts {
+        let (domain, accounts) = entry.borrow();
         assert!(
             edge_domains.contains(domain),
             "seed accounts given for {domain:?}, which is not an edge-server (height-1) domain \
              of this tree; its edge-server domains are {edge_domains:?}"
         );
-        lists.entry(*domain).or_default().push(accounts);
+        let pairs = accounts
+            .iter()
+            .map(|(key, balance)| (key.as_str(), *balance));
+        match states.entry(*domain) {
+            Entry::Vacant(slot) => {
+                slot.insert(BlockchainState::adopt(pairs.collect()));
+            }
+            Entry::Occupied(mut slot) => {
+                let state = slot.get_mut();
+                pairs.for_each(|(key, balance)| state.put(key, balance));
+            }
+        }
     }
-    lists
-        .into_iter()
-        .map(|(domain, lists)| {
-            let pairs = lists.into_iter().flatten();
-            let values = pairs.map(|(key, balance)| (key.as_str(), *balance));
-            (domain, BlockchainState::adopt(values.collect()))
-        })
-        .collect()
+    states
 }
 
 /// Registers a full Saguaro deployment (every replica of every height ≥ 1
 /// domain) and starts its round timers.  `seed_accounts` gives the initial
-/// balances installed on every replica of each height-1 domain.
+/// balances installed on every replica of each height-1 domain: one domain's
+/// list per entry, built into that domain's state as it arrives.
 pub fn deploy_saguaro(
     sim: &mut Simulation<SaguaroMsg>,
     tree: &Arc<HierarchyTree>,
     config: &ProtocolConfig,
-    seed_accounts: &[(DomainId, Vec<(String, u64)>)],
+    seed_accounts: impl IntoIterator<Item = impl Borrow<SeedList>>,
 ) {
     let seeded = seeded_states(tree, seed_accounts);
     for domain_cfg in tree.domains() {
@@ -140,7 +149,7 @@ pub fn deploy_baseline(
     sim: &mut Simulation<BaselineMsg>,
     tree: &Arc<HierarchyTree>,
     sharper: bool,
-    seed_accounts: &[(DomainId, Vec<(String, u64)>)],
+    seed_accounts: impl IntoIterator<Item = impl Borrow<SeedList>>,
     stack: &StackConfig,
 ) -> DomainId {
     let committee = tree.root();
@@ -269,6 +278,8 @@ fn ledger_entries(ledger: &LinearLedger) -> Vec<(saguaro_types::TxId, TxStatus)>
 mod tests {
     use super::*;
     use saguaro_net::Simulation;
+    use saguaro_types::transaction::{seed_accounts, ACCOUNTS_PER_DOMAIN};
+    use std::cell::Cell;
 
     #[test]
     fn tree_and_latency_builders_cover_all_placements() {
@@ -343,18 +354,89 @@ mod tests {
         let domains = tree.edge_server_domains();
 
         let mut sim: Simulation<SaguaroMsg> = Simulation::new(latency(), 1);
-        deploy_saguaro(&mut sim, &tree, &ProtocolConfig::coordinator(), &seeds());
+        deploy_saguaro(&mut sim, &tree, &ProtocolConfig::coordinator(), seeds());
         for (domain, want) in domains.iter().zip(&expected) {
             let got = state_of(&mut sim, &tree, *domain, SaguaroNode::blockchain_state);
             assert_eq!(&got, want, "{domain:?}");
         }
 
         let mut sim: Simulation<BaselineMsg> = Simulation::new(latency(), 1);
-        deploy_baseline(&mut sim, &tree, true, &seeds(), &StackConfig::default());
+        deploy_baseline(&mut sim, &tree, true, seeds(), &StackConfig::default());
         for (domain, want) in domains.iter().zip(&expected) {
             let got = state_of(&mut sim, &tree, *domain, BaselineNode::blockchain_state);
             assert_eq!(&got, want, "{domain:?}");
         }
+    }
+
+    /// A one-shot iterator that makes each list as deploy pulls it seeds
+    /// every replica of both deployments as the same lists in a slice do.
+    #[test]
+    fn a_stream_of_lists_seeds_every_replica_as_the_slice_does() {
+        let tree = build_tree(FailureModel::Crash, 1, Placement::NearbyRegions).unwrap();
+        let latency = || latency_for(Placement::NearbyRegions);
+        let domains = tree.edge_server_domains();
+        let stream = || domains.iter().map(|d| (*d, seed_accounts(*d)));
+        let lists: Vec<SeedList> = stream().collect();
+        let config = ProtocolConfig::coordinator();
+
+        let (mut sliced, mut streamed): (Simulation<SaguaroMsg>, Simulation<SaguaroMsg>) =
+            (Simulation::new(latency(), 1), Simulation::new(latency(), 1));
+        deploy_saguaro(&mut sliced, &tree, &config, &lists);
+        deploy_saguaro(&mut streamed, &tree, &config, stream());
+        for domain in &domains {
+            let want = state_of(&mut sliced, &tree, *domain, SaguaroNode::blockchain_state);
+            assert_eq!(want.len(), ACCOUNTS_PER_DOMAIN as usize, "{domain:?}");
+            let got = state_of(&mut streamed, &tree, *domain, SaguaroNode::blockchain_state);
+            assert_eq!(got, want, "{domain:?}");
+        }
+
+        let (mut sliced, mut streamed): (Simulation<BaselineMsg>, Simulation<BaselineMsg>) =
+            (Simulation::new(latency(), 1), Simulation::new(latency(), 1));
+        let stack = StackConfig::default();
+        deploy_baseline(&mut sliced, &tree, false, &lists, &stack);
+        deploy_baseline(&mut streamed, &tree, false, stream(), &stack);
+        for domain in &domains {
+            let want = state_of(&mut sliced, &tree, *domain, BaselineNode::blockchain_state);
+            let got = state_of(
+                &mut streamed,
+                &tree,
+                *domain,
+                BaselineNode::blockchain_state,
+            );
+            assert_eq!(got, want, "{domain:?}");
+        }
+    }
+
+    /// A seed list that keeps `alive` at 1 while it exists.
+    struct Counted<'a>(SeedList, &'a Cell<usize>);
+
+    impl Borrow<SeedList> for Counted<'_> {
+        fn borrow(&self) -> &SeedList {
+            &self.0
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.1.set(self.1.get() - 1);
+        }
+    }
+
+    /// Deploy holds at most one list: each is dropped before the next is
+    /// pulled, and the last before deploy returns.
+    #[test]
+    fn deploy_drops_each_list_before_pulling_the_next() {
+        let tree = build_tree(FailureModel::Crash, 1, Placement::NearbyRegions).unwrap();
+        let mut sim: Simulation<SaguaroMsg> =
+            Simulation::new(latency_for(Placement::NearbyRegions), 1);
+        let alive = Cell::new(0);
+        let stream = tree.edge_server_domains().into_iter().map(|d| {
+            assert_eq!(alive.get(), 0, "{d:?} pulled while a list was still held");
+            alive.set(1);
+            Counted((d, seed_accounts(d)), &alive)
+        });
+        deploy_saguaro(&mut sim, &tree, &ProtocolConfig::coordinator(), stream);
+        assert_eq!(alive.get(), 0);
     }
 
     /// A seed list for a domain no replica will ever serve used to be dropped

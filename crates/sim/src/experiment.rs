@@ -713,11 +713,15 @@ enum Sink {
     Tally(Tally, f64),
 }
 
+/// What makes one edge domain's `(account key, balance)` seed list.
+type SeedSource = Box<dyn Fn(DomainId) -> Vec<(String, u64)>>;
+
 /// One run's clients, built for either client model before anything is
 /// deployed.
 struct Clients<M, Src> {
-    /// Account seeds per edge domain.
-    seeds: Vec<(DomainId, Vec<(String, u64)>)>,
+    /// Makes an edge domain's account seeds (the workload generator's, or
+    /// the population's) when deploy pulls them, one domain at a time.
+    seed_list: SeedSource,
     /// Each client with its region and arrival rate (tx/s, for the start
     /// stagger), in registration order.
     actors: Vec<(ClientId, Region, Client<M, Src>, f64)>,
@@ -775,12 +779,8 @@ fn schedule_clients<P: ProtocolStack>(
         let region = tree.region_of(home).expect("home region");
         actors.push((client, region, actor, rate));
     }
-    let seeds = edge_domains
-        .iter()
-        .map(|d| (*d, generator.seed_accounts(*d)))
-        .collect();
     Clients {
-        seeds,
+        seed_list: Box::new(move |domain| generator.seed_accounts(domain)),
         actors,
         sink: Sink::Collector(collector, schedules),
     }
@@ -801,10 +801,6 @@ fn population_clients<P: ProtocolStack>(
         population.per_user_tps
     );
     let edge_domains = tree.edge_server_domains();
-    let seeds = edge_domains
-        .iter()
-        .map(|d| (*d, population.seed_accounts_for(*d)))
-        .collect();
     let tally: Tally = Arc::new(Mutex::new(PopulationTally::new()));
     let reply_quorum = P::reply_quorum(spec.failure_model, spec.faults);
     let mut actors = Vec::new();
@@ -834,8 +830,9 @@ fn population_clients<P: ProtocolStack>(
         let region = tree.region_of(*domain).expect("edge domain region");
         actors.push((client, region, actor, rate));
     }
+    let population_seeds = *population;
     Clients {
-        seeds,
+        seed_list: Box::new(move |domain| population_seeds.seed_accounts_for(domain)),
         actors,
         sink: Sink::Tally(tally, population.offered_tps()),
     }
@@ -855,14 +852,18 @@ where
     Src: ArrivalSource<P::Msg> + 'static,
 {
     let Clients {
-        seeds,
+        seed_list,
         actors,
         sink,
     } = clients;
-    P::deploy(sim, tree, &seeds, &spec.stack_config());
-    // The replicas hold the states built from the pairs; the pairs themselves
-    // (1.28 M strings on the widest tree) need not outlive the deployment.
-    drop(seeds);
+    // Each domain's list is made as deploy pulls it and dropped once its
+    // state is built: the pairs of all domains (1.28 M strings on the widest
+    // tree) never coexist.
+    let seeds = tree
+        .edge_server_domains()
+        .into_iter()
+        .map(move |domain| (domain, seed_list(domain)));
+    P::deploy(sim, tree, seeds, &spec.stack_config());
     install_fault_plan::<P>(sim, spec);
     let mut traced = Vec::new();
     for (client, region, actor, rate) in actors {

@@ -18,6 +18,7 @@ use saguaro_hierarchy::HierarchyTree;
 use saguaro_ledger::TxStatus;
 use saguaro_net::{MessageMeta, Simulation};
 use saguaro_types::{DeliveryLog, DomainId, FailureModel, NodeId, StackConfig, Transaction, TxId};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Which protocol stack an experiment runs (the dynamic counterpart of the
@@ -55,8 +56,8 @@ impl ProtocolKind {
     ];
 }
 
-/// Seeded `(account key, balance)` pairs per height-1 domain.
-pub type SeedAccounts = [(DomainId, Vec<(String, u64)>)];
+/// One height-1 domain's seeded `(account key, balance)` pairs.
+pub type SeedList = (DomainId, Vec<(String, u64)>);
 
 /// Post-run evidence extracted from one replica: its ledger contents in
 /// append (= consensus) order and the view changes it observed.  The fault
@@ -229,10 +230,18 @@ pub trait ProtocolStack {
     /// internal consensus per `stack` (request batching and liveness
     /// timers), and schedules whatever kick-off events the stack needs
     /// (round timers etc.).
+    ///
+    /// `seed_accounts` is a stream of per-domain lists, owned or borrowed: a
+    /// slice serves, and so does a lazy iterator that makes each list on
+    /// demand.  Each list becomes its domain's state, and is dropped, before
+    /// the next is pulled, so a lazy stream never holds more than one list.
+    /// A domain named twice takes its lists in order (a repeated key keeps
+    /// its last balance); a domain that is not a height-1 domain of `tree`
+    /// panics.
     fn deploy(
         sim: &mut Simulation<Self::Msg>,
         tree: &Arc<HierarchyTree>,
-        seed_accounts: &SeedAccounts,
+        seed_accounts: impl IntoIterator<Item = impl Borrow<SeedList>>,
         stack: &StackConfig,
     );
 
@@ -286,7 +295,7 @@ impl<const OPTIMISTIC: bool> ProtocolStack for SaguaroStack<OPTIMISTIC> {
     fn deploy(
         sim: &mut Simulation<SaguaroMsg>,
         tree: &Arc<HierarchyTree>,
-        seed_accounts: &SeedAccounts,
+        seed_accounts: impl IntoIterator<Item = impl Borrow<SeedList>>,
         stack: &StackConfig,
     ) {
         let preset = if OPTIMISTIC {
@@ -350,7 +359,7 @@ impl<const SHARPER: bool> ProtocolStack for BaselineStack<SHARPER> {
     fn deploy(
         sim: &mut Simulation<BaselineMsg>,
         tree: &Arc<HierarchyTree>,
-        seed_accounts: &SeedAccounts,
+        seed_accounts: impl IntoIterator<Item = impl Borrow<SeedList>>,
         stack: &StackConfig,
     ) {
         deploy::deploy_baseline(sim, tree, SHARPER, seed_accounts, stack);
