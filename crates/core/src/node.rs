@@ -177,7 +177,8 @@ impl SaguaroNode {
     }
 
     /// Read-only access to the node's linear ledger: at height 1 the
-    /// executed transactions, above it the DAG's chain of first reports.
+    /// executed transactions, above it the DAG's chain of first reports,
+    /// each turned `Aborted` once a child or this domain aborted it.
     pub fn ledger(&self) -> &LinearLedger {
         match self.domain().height {
             1 => &self.ledger,

@@ -408,6 +408,8 @@ impl SaguaroNode {
         for decision in decisions {
             let (verdict, tx) = match decision {
                 OptDecision::Abort(tx) => {
+                    // The chain record carries the abort: this domain's
+                    // ledger and the harvest show it.
                     self.dag.mark_aborted(tx.id);
                     (SaguaroMsg::OptAbort { tx_id: tx.id }, tx)
                 }

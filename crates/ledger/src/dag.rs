@@ -5,91 +5,21 @@
 //! Internal transactions of different children are independent and may be
 //! ordered arbitrarily, but a cross-domain transaction appears in the blocks
 //! of *several* children and "must be appended to the ledger of the parent
-//! domain only once"; the edges of the DAG capture the per-child order
-//! dependencies so the parent's ledger is consistent with every child ledger.
+//! domain only once".  Whether the children ordered such transactions
+//! consistently is checked as each block arrives, from the records'
+//! multi-part sequence numbers, by the optimistic validator in
+//! `saguaro-core`; it aborts a transaction that closes a cycle.
 //!
-//! That ledger is the DAG's own chain, the one its domain forwards: a
-//! [`LinearLedger`] of each record as first reported, with the edges beside
-//! it in 32 bytes a record.  A parent is a chain position, so pruning the
-//! chain rewrites no edge.
+//! What the domain keeps and forwards is a [`LinearLedger`] of each record
+//! as first reported.  The record's status is the verdict: it turns
+//! `Aborted` once any child reports an abort or the domain marks it aborted,
+//! and never turns back.
 
 use crate::abstraction::StateDelta;
-use crate::block::{Block, CommittedTx, TxStatus};
+use crate::block::{Block, TxStatus};
 use crate::linear::LinearLedger;
 use saguaro_types::{DomainId, Result, SaguaroError, TxId};
 use std::collections::BTreeMap;
-
-/// What a DAG vertex holds beside its record in the chain.  An internal
-/// transaction has one reporter and at most one parent, so it allocates
-/// nothing; a cross-domain transaction reported by a second child spills.
-#[derive(Clone, Debug)]
-struct Edges {
-    /// The first parent's chain position.
-    parent: Option<usize>,
-    /// Reporters and parents beyond the first of each.
-    spill: Option<Box<Spill>>,
-    /// The child whose block held the transaction first.
-    reporter: DomainId,
-    /// Sticky: some child reported an abort, or [`DagLedger::mark_aborted`].
-    aborted: bool,
-}
-
-#[derive(Clone, Debug, Default)]
-struct Spill {
-    reporters: Vec<DomainId>,
-    parents: Vec<usize>,
-}
-
-impl Edges {
-    fn reporters(&self) -> impl Iterator<Item = DomainId> + '_ {
-        let spilled = self.spill.iter().flat_map(|s| &s.reporters);
-        std::iter::once(self.reporter).chain(spilled.copied())
-    }
-
-    /// The parents not pruned, as indexes from the chain position `first`
-    /// of the first retained record.
-    fn parents(&self, first: usize) -> impl Iterator<Item = usize> + '_ {
-        let spilled = self.spill.iter().flat_map(|s| &s.parents);
-        let parents = self.parent.into_iter().chain(spilled.copied());
-        parents.filter_map(move |p| p.checked_sub(first))
-    }
-
-    fn spill(&mut self) -> &mut Spill {
-        self.spill.get_or_insert_with(Box::default)
-    }
-
-    /// Records a further report by `child`, whose previous record is the
-    /// one at `parent`.
-    fn report(&mut self, child: DomainId, parent: Option<usize>) {
-        if !self.reporters().any(|r| r == child) {
-            self.spill().reporters.push(child);
-        }
-        match parent.filter(|p| !self.parents(0).any(|q| q == *p)) {
-            None => {}
-            Some(p) if self.parent.is_none() => self.parent = Some(p),
-            Some(p) => self.spill().parents.push(p),
-        }
-    }
-}
-
-/// One vertex of the DAG ledger: the chain's record and the edges beside it.
-#[derive(Clone, Copy, Debug)]
-pub struct DagEntry<'a> {
-    /// The transaction as first reported, as the chain holds it.
-    pub record: &'a CommittedTx,
-    edges: &'a Edges,
-}
-
-impl DagEntry<'_> {
-    /// The DAG's verdict: the first report's status, or `Aborted` once any
-    /// child reported an abort or the transaction was marked aborted.
-    pub fn status(&self) -> TxStatus {
-        match self.edges.aborted {
-            true => TxStatus::Aborted,
-            false => self.record.status,
-        }
-    }
-}
 
 /// The DAG-structured, summarized ledger of a height-2+ domain.
 #[derive(Clone, Debug)]
@@ -97,11 +27,6 @@ pub struct DagLedger {
     /// Every transaction once, as first reported: the chain this domain
     /// cuts its blocks from, and whose index dedups.
     chain: LinearLedger,
-    /// `edges[i]` belongs to the chain's `i`-th retained record.
-    edges: Vec<Edges>,
-    /// Chain position of the last transaction seen per child domain (tail
-    /// of that child's chain as known here), used to create edges.
-    child_tails: BTreeMap<DomainId, usize>,
     /// Highest round incorporated per child domain.
     last_round: BTreeMap<DomainId, u64>,
 }
@@ -123,14 +48,13 @@ impl DagLedger {
     pub fn for_domain(domain: DomainId) -> Self {
         Self {
             chain: LinearLedger::new(domain),
-            edges: Vec::new(),
-            child_tails: BTreeMap::new(),
             last_round: BTreeMap::new(),
         }
     }
 
-    /// Every transaction once, each record as its first reporter sent it,
-    /// in the order first seen: the chain the next block is cut from.
+    /// Every transaction once, each record as its first reporter sent it
+    /// (turned `Aborted` if the transaction was aborted since), in the order
+    /// first seen: the chain the next block is cut from.
     pub fn chain(&self) -> &LinearLedger {
         &self.chain
     }
@@ -140,13 +64,6 @@ impl DagLedger {
         self.last_round.get(&child).copied().unwrap_or(0)
     }
 
-    /// Looks up a transaction.
-    pub fn get(&self, id: TxId) -> Option<DagEntry<'_>> {
-        let i = self.index(id)?;
-        let (record, edges) = (&self.chain.entries()[i], &self.edges[i]);
-        Some(DagEntry { record, edges })
-    }
-
     /// True if the DAG contains a transaction.
     pub fn contains(&self, id: TxId) -> bool {
         self.chain.contains(id)
@@ -154,10 +71,9 @@ impl DagLedger {
 
     /// Incorporates a verified block received from `child`.
     ///
-    /// Cross-domain transactions already present (reported by another child)
-    /// are not duplicated; instead the reporting child is recorded and new
-    /// dependency edges are added.  Returns the number of records appended
-    /// to the chain.
+    /// A cross-domain transaction already present (reported by another
+    /// child) is not duplicated; a report of its abort turns the record
+    /// `Aborted`.  Returns the number of records appended to the chain.
     ///
     /// Fails if the block round is not the next expected round from that
     /// child (parents process child rounds in order; the caller buffers
@@ -177,31 +93,13 @@ impl DagLedger {
             )));
         }
 
-        let (before, first) = (self.chain.len(), self.first());
+        let before = self.chain.len();
         for record in &block.txs {
-            let tail = self.child_tails.get(&child).copied();
-            let position = match self.chain.position(record.tx.id) {
-                // Already appended via another child: record the extra
-                // reporter and the edge from this child's previous
-                // transaction.  An abort reported by any child wins over a
-                // speculative commit (deterministic: aborts are sticky).
-                Some(position) => {
-                    let edges = &mut self.edges[position - first];
-                    edges.report(child, tail.filter(|p| *p != position));
-                    edges.aborted |= record.status == TxStatus::Aborted;
-                    position
-                }
-                None => {
-                    self.edges.push(Edges {
-                        parent: tail,
-                        spill: None,
-                        reporter: child,
-                        aborted: false,
-                    });
-                    self.chain.push(record.clone())
-                }
-            };
-            self.child_tails.insert(child, position);
+            if !self.chain.contains(record.tx.id) {
+                self.chain.push(record.clone());
+            } else if record.status == TxStatus::Aborted {
+                self.chain.mark_aborted(record.tx.id);
+            }
         }
 
         self.last_round.insert(child, block.header.id.round);
@@ -220,70 +118,29 @@ impl DagLedger {
         self.chain.note_round_boundary();
     }
 
-    /// Discards the oldest records beyond `keep_last` and their edges by the
-    /// chain's rule ([`LinearLedger::prune_front`]), never the uncut round.
-    /// Round bookkeeping survives, so in-order incorporation continues; edges
-    /// into pruned records stop resolving, and dedup becomes window-local —
-    /// the price of a resident set bounded by the window, not the run.
+    /// Discards the oldest records beyond `keep_last` by the chain's rule
+    /// ([`LinearLedger::prune_front`]), never the uncut round.  Round
+    /// bookkeeping survives, so in-order incorporation continues; dedup
+    /// becomes window-local — the price of a resident set bounded by the
+    /// window, not the run.
     pub fn prune_front(&mut self, keep_last: usize) {
-        let dropped = self.chain.prune_front(keep_last, |_| {});
-        self.edges.drain(..dropped);
+        self.chain.prune_front(keep_last, |_| {});
     }
 
-    /// Marks a transaction aborted (e.g. after the LCA detected an ordering
-    /// inconsistency).  Returns true if the DAG's verdict changed.
+    /// Marks a transaction's record aborted (e.g. after the LCA detected an
+    /// ordering inconsistency): the chain, and any block cut from it later,
+    /// carry the verdict.  Returns true if the record was not aborted yet.
     pub fn mark_aborted(&mut self, id: TxId) -> bool {
-        let changed = self
-            .get(id)
-            .is_some_and(|v| v.status() != TxStatus::Aborted);
-        if let Some(i) = self.index(id) {
-            self.edges[i].aborted = true;
-        }
-        changed
-    }
-
-    /// Verifies the DAG is acyclic.  Children whose ledgers order two
-    /// cross-domain transactions differently would close a cycle; the
-    /// optimistic validator aborts such transactions, and tests check this.
-    pub fn is_acyclic(&self) -> bool {
-        // Kahn's algorithm over the edges between retained records.
-        let parents = self.edges.iter().map(|e| e.parents(self.first()));
-        let mut indegree: Vec<usize> = parents.clone().map(Iterator::count).collect();
-        let mut children = vec![Vec::new(); self.edges.len()];
-        for (child, parents) in parents.enumerate() {
-            parents.for_each(|p| children[p].push(child));
-        }
-        let mut ready: Vec<usize> = (0..indegree.len()).filter(|v| indegree[*v] == 0).collect();
-        let mut visited = 0;
-        while let Some(v) = ready.pop() {
-            visited += 1;
-            for &c in &children[v] {
-                indegree[c] -= 1;
-                if indegree[c] == 0 {
-                    ready.push(c);
-                }
-            }
-        }
-        visited == self.edges.len()
-    }
-
-    /// The chain position of the first retained record.
-    fn first(&self) -> usize {
-        self.chain.pruned_entries() as usize
-    }
-
-    /// The index of `id`'s record among the retained ones.
-    fn index(&self, id: TxId) -> Option<usize> {
-        Some(self.chain.position(id)? - self.first())
+        self.chain.mark_aborted(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::CommittedTx;
     use saguaro_types::hash::FxHashMap;
     use saguaro_types::{ClientId, MultiSeq, Operation, Transaction};
-    use std::collections::BTreeSet;
 
     fn d(i: u16) -> DomainId {
         DomainId::new(1, i)
@@ -306,18 +163,8 @@ mod tests {
         ledger.append_cross_domain(tx, seq, status);
     }
 
-    fn reporters(dag: &DagLedger, id: u64) -> Vec<DomainId> {
-        dag.get(TxId(id)).unwrap().edges.reporters().collect()
-    }
-
-    fn parents(dag: &DagLedger, id: u64) -> Vec<TxId> {
-        let retained = dag.chain().entries();
-        let parents = dag.get(TxId(id)).unwrap().edges.parents(dag.first());
-        parents.map(|i| retained[i].tx.id).collect()
-    }
-
-    fn has_parent(dag: &DagLedger, id: u64, parent: u64) -> bool {
-        parents(dag, id).contains(&TxId(parent))
+    fn record(dag: &DagLedger, id: u64) -> &CommittedTx {
+        dag.chain().get(TxId(id)).expect("in the chain")
     }
 
     #[test]
@@ -334,7 +181,6 @@ mod tests {
         dag.apply_block(d(0), &b0).unwrap();
         dag.apply_block(d(1), &b1).unwrap();
         assert_eq!(dag.chain().len(), 3);
-        assert!(dag.is_acyclic());
         assert_eq!(dag.last_round_of(d(0)), 1);
     }
 
@@ -359,27 +205,9 @@ mod tests {
         assert_eq!(new1, 1);
         assert_eq!(dag.chain().entries()[2].tx.id, TxId(2));
         assert_eq!(dag.chain().len(), 3);
-        // Every domain the transaction involves has reported it.
-        assert_eq!(reporters(&dag, 100), vec![d(0), d(1)]);
-        assert!(dag.is_acyclic());
-        // Dependency edges: tx100 depends on tx1 (order in d0's ledger).
-        assert!(has_parent(&dag, 100, 1));
-        assert!(has_parent(&dag, 2, 100));
-    }
-
-    #[test]
-    fn partially_reported_cross_domain_is_not_fully_reported() {
-        let mut l0 = LinearLedger::new(d(0));
-        cross(
-            &mut l0,
-            100,
-            &[d(0), d(1)],
-            TxStatus::SpeculativelyCommitted,
-        );
-        let mut dag = DagLedger::new();
-        dag.apply_block(d(0), &l0.cut_block(StateDelta::new()))
-            .unwrap();
-        assert_eq!(reporters(&dag, 100), vec![d(0)], "d(1) has not reported");
+        // The record is d(0)'s, the first report.
+        assert_eq!(record(&dag, 100).seq.get(d(0)), Some(2));
+        assert_eq!(record(&dag, 100).seq.get(d(1)), None);
     }
 
     #[test]
@@ -401,7 +229,7 @@ mod tests {
         internal(&mut l0, 1);
         let b = l0.cut_block(StateDelta::new());
         // A twin whose first record's status was flipped in transit: same
-        // header, different body — it has no verdict to inherit.
+        // header, different body.
         let mut txs = b.txs.clone();
         txs[0].status = TxStatus::Aborted;
         let twin = Block::from_parts(b.header.clone(), txs, StateDelta::new());
@@ -414,51 +242,46 @@ mod tests {
         dag.apply_block(d(0), &b).unwrap();
     }
 
+    /// A first-reported speculative commit turns `Aborted` in the chain on
+    /// a second child's aborted report or on `mark_aborted`, once, and no
+    /// later report turns it back; the next block cut carries the verdict.
     #[test]
     fn abort_reported_by_any_child_is_sticky() {
-        let mut l0 = LinearLedger::new(d(0));
-        let mut l1 = LinearLedger::new(d(1));
-        cross(
-            &mut l0,
-            100,
-            &[d(0), d(1)],
-            TxStatus::SpeculativelyCommitted,
-        );
-        cross(&mut l1, 100, &[d(0), d(1)], TxStatus::Aborted);
+        let involved = [d(0), d(1), d(2)];
+        let spec = TxStatus::SpeculativelyCommitted;
+        let mut children: Vec<LinearLedger> = (0..3).map(|i| LinearLedger::new(d(i))).collect();
+        cross(&mut children[0], 100, &involved, spec);
+        cross(&mut children[0], 101, &involved, spec);
+        cross(&mut children[1], 100, &involved, TxStatus::Aborted);
+        cross(&mut children[2], 100, &involved, TxStatus::Committed);
+        cross(&mut children[2], 101, &involved, spec);
         let mut dag = DagLedger::new();
-        dag.apply_block(d(0), &l0.cut_block(StateDelta::new()))
-            .unwrap();
-        dag.apply_block(d(1), &l1.cut_block(StateDelta::new()))
-            .unwrap();
-        let vertex = dag.get(TxId(100)).unwrap();
-        assert_eq!(vertex.status(), TxStatus::Aborted);
-        // The chain keeps the record as first reported.
-        assert_eq!(vertex.record.status, TxStatus::SpeculativelyCommitted);
-        // And explicit aborts work too.
+        let mut apply = |dag: &mut DagLedger, i: usize| {
+            let block = children[i].cut_block(StateDelta::new());
+            dag.apply_block(d(i as u16), &block).unwrap()
+        };
+
+        assert_eq!(apply(&mut dag, 0), 2);
+        assert_eq!(record(&dag, 100).status, spec);
+        assert_eq!(apply(&mut dag, 1), 0);
+        assert_eq!(record(&dag, 100).status, TxStatus::Aborted);
         assert!(!dag.mark_aborted(TxId(100)), "already aborted");
+        assert_eq!(apply(&mut dag, 2), 0);
+        assert_eq!(record(&dag, 100).status, TxStatus::Aborted, "turned back");
+
+        assert_eq!(record(&dag, 101).status, spec);
+        assert!(dag.mark_aborted(TxId(101)));
+        assert!(!dag.mark_aborted(TxId(101)), "turns once");
+        assert!(!dag.mark_aborted(TxId(7)), "unknown");
+        let block = dag.cut_block(StateDelta::new());
+        assert!(block.txs.iter().all(|r| r.status == TxStatus::Aborted));
+        // The record stays the first report's in everything but its status.
+        assert_eq!(record(&dag, 101).seq.get(d(0)), Some(2));
     }
 
+    /// The chain keeps the uncut round whatever `keep_last` asks.
     #[test]
-    fn multi_round_chains_build_parent_edges_per_child() {
-        let mut l0 = LinearLedger::new(d(0));
-        internal(&mut l0, 1);
-        let b1 = l0.cut_block(StateDelta::new());
-        internal(&mut l0, 2);
-        let b2 = l0.cut_block(StateDelta::new());
-
-        let mut dag = DagLedger::new();
-        dag.apply_block(d(0), &b1).unwrap();
-        dag.apply_block(d(0), &b2).unwrap();
-        assert_eq!(dag.last_round_of(d(0)), 2);
-        // tx2 depends on tx1 even though they were in different blocks.
-        assert!(has_parent(&dag, 2, 1));
-        assert!(dag.is_acyclic());
-    }
-
-    /// Edges pointing below the prune floor stop resolving, and the chain
-    /// keeps the uncut round whatever `keep_last` asks.
-    #[test]
-    fn pruning_drops_edges_into_pruned_records_and_keeps_the_uncut_round() {
+    fn pruning_keeps_the_uncut_round() {
         let mut l0 = LinearLedger::new(d(0));
         let mut dag = DagLedger::for_domain(DomainId::new(2, 0));
         for id in 1..=3 {
@@ -466,6 +289,7 @@ mod tests {
             dag.apply_block(d(0), &l0.cut_block(StateDelta::new()))
                 .unwrap();
         }
+        assert_eq!(dag.last_round_of(d(0)), 3);
         dag.prune_front(0);
         assert_eq!(
             dag.chain().len(),
@@ -476,34 +300,21 @@ mod tests {
         dag.prune_front(1);
         assert_eq!(dag.chain().len(), 1);
         assert!(!dag.contains(TxId(2)));
-        assert!(parents(&dag, 3).is_empty());
-        assert!(dag.is_acyclic());
     }
 
-    /// A vertex's side record is at most 32 bytes beside the chain's record.
+    /// The chain's record is the block's, not a copy.
     #[test]
-    fn the_edges_beside_a_record_fit_in_32_bytes() {
-        assert!(std::mem::size_of::<Edges>() <= 32);
-    }
-
-    /// The vertex of an internal transaction allocates nothing beside the
-    /// chain, and its record is the block's, not a copy.
-    #[test]
-    fn an_internal_vertex_is_inline_and_shares_the_blocks_record() {
+    fn the_chain_shares_the_blocks_records() {
         let mut l0 = LinearLedger::new(d(0));
         internal(&mut l0, 1);
         internal(&mut l0, 2);
         let block = l0.cut_block(StateDelta::new());
         let mut dag = DagLedger::new();
         assert_eq!(dag.apply_block(d(0), &block).unwrap(), 2);
-        let firsts = [None, Some(TxId(1))];
-        for (record, parent) in block.txs.iter().zip(firsts) {
-            let vertex = dag.get(record.tx.id).unwrap();
-            assert!(Transaction::ptr_eq(&record.tx, &vertex.record.tx));
-            assert_eq!(*record, *vertex.record);
-            assert_eq!(reporters(&dag, record.tx.id.0), vec![d(0)]);
-            assert_eq!(parents(&dag, record.tx.id.0).first().copied(), parent);
-            assert!(vertex.edges.spill.is_none());
+        for sent in &block.txs {
+            let kept = record(&dag, sent.tx.id.0);
+            assert!(Transaction::ptr_eq(&sent.tx, &kept.tx));
+            assert_eq!(sent, kept);
         }
     }
 
@@ -511,16 +322,16 @@ mod tests {
     fn empty_dag_properties() {
         let dag = DagLedger::new();
         assert!(dag.chain().is_empty());
-        assert!(dag.is_acyclic());
         assert!(!dag.contains(TxId(1)));
     }
 
     proptest::proptest! {
         /// The DAG's chain is a linear ledger fed each record the first time
-        /// a child reports it: random child blocks — internal transactions,
-        /// cross-domain ones reported by one to three children, sticky
-        /// aborts, explicit aborts and prunes — cut the same blocks from
-        /// both, and the verdicts and reporters follow a plain model.
+        /// a child reports it and turned `Aborted` by any aborted report or
+        /// `mark_aborted`: random child blocks — internal transactions,
+        /// cross-domain ones reported by one to three children, aborted
+        /// reports, explicit aborts and prunes — cut the same blocks from
+        /// both, and every record's status follows a plain model.
         #[test]
         fn the_dags_chain_is_a_ledger_of_first_reports(
             steps in proptest::collection::vec((0u8..10, 0u16..3, 0u16..8, 0u64..1000), 0..120),
@@ -528,8 +339,8 @@ mod tests {
             let me = DomainId::new(2, 0);
             let (mut dag, mut oracle) = (DagLedger::for_domain(me), LinearLedger::new(me));
             let mut children: Vec<LinearLedger> = (0..3).map(|i| LinearLedger::new(d(i))).collect();
-            // id -> (reporters since first report, DAG verdict is an abort)
-            let mut model: FxHashMap<TxId, (BTreeSet<DomainId>, bool)> = FxHashMap::default();
+            // id -> the status its chain record must show
+            let mut model: FxHashMap<TxId, TxStatus> = FxHashMap::default();
             let mut next_id = 0u64;
             for (kind, child, arg, pick) in steps {
                 let at = usize::from(child);
@@ -558,15 +369,14 @@ mod tests {
                         let block = children[at].cut_block(StateDelta::new());
                         dag.apply_block(d(child), &block).unwrap();
                         for record in block.txs.iter() {
-                            let aborted = record.status == TxStatus::Aborted;
                             let id = record.tx.id;
                             if !oracle.contains(id) {
                                 oracle.append_cross_domain(record.tx.clone(), record.seq.clone(), record.status);
-                                model.insert(id, (BTreeSet::new(), false));
+                                model.insert(id, record.status);
+                            } else if record.status == TxStatus::Aborted {
+                                oracle.mark_aborted(id);
+                                model.insert(id, TxStatus::Aborted);
                             }
-                            let (reporters, verdict) = model.get_mut(&id).unwrap();
-                            reporters.insert(d(child));
-                            *verdict |= aborted;
                         }
                     }
                     7 => {
@@ -576,9 +386,11 @@ mod tests {
                     }
                     8 => {
                         let id = TxId(pick % (next_id + 1));
-                        dag.mark_aborted(id);
-                        if let (true, Some(entry)) = (oracle.contains(id), model.get_mut(&id)) {
-                            entry.1 = true;
+                        let turned = model.get(&id) != Some(&TxStatus::Aborted) && oracle.contains(id);
+                        proptest::prop_assert_eq!(dag.mark_aborted(id), turned);
+                        oracle.mark_aborted(id);
+                        if oracle.contains(id) {
+                            model.insert(id, TxStatus::Aborted);
                         }
                     }
                     _ => {
@@ -590,16 +402,11 @@ mod tests {
                         oracle.prune_front(usize::from(arg) * 3, |_| {});
                     }
                 }
-                proptest::prop_assert!(dag.is_acyclic());
                 proptest::prop_assert_eq!(dag.chain().entries(), oracle.entries());
                 proptest::prop_assert_eq!(dag.chain().pruned_entries(), oracle.pruned_entries());
-            }
-            for record in oracle.entries() {
-                let vertex = dag.get(record.tx.id).unwrap();
-                let (reporters, aborted) = &model[&record.tx.id];
-                proptest::prop_assert_eq!(&vertex.edges.reporters().collect::<BTreeSet<_>>(), reporters);
-                let verdict = if *aborted { TxStatus::Aborted } else { record.status };
-                proptest::prop_assert_eq!(vertex.status(), verdict);
+                for record in dag.chain().entries() {
+                    proptest::prop_assert_eq!(record.status, model[&record.tx.id]);
+                }
             }
         }
     }

@@ -13,8 +13,9 @@
 //! Height-2 and above domains maintain only a **summarized view**:
 //!
 //! * a **DAG ledger** ([`dag::DagLedger`]): a linear chain holding each
-//!   transaction once, as first reported — the summary it forwards — with
-//!   the order dependencies cross-domain transactions create beside it, and
+//!   transaction once, as first reported — the summary it forwards — whose
+//!   record turns `Aborted` once any child reports, or the domain decides,
+//!   an abort, and
 //! * an **aggregate view** ([`abstraction`]) computed through the
 //!   application-defined abstraction function λ applied to child state
 //!   deltas — e.g. the total working hours per driver in the ridesharing

@@ -89,12 +89,11 @@ impl LinearLedger {
         self.push(CommittedTx { tx, seq, status });
     }
 
-    /// Appends a record as it is, at the position it returns.
-    pub(crate) fn push(&mut self, entry: CommittedTx) -> usize {
+    /// Appends a record as it is.
+    pub(crate) fn push(&mut self, entry: CommittedTx) {
         let position = self.pruned + self.entries.len();
         self.index.insert(entry.tx.id, position);
         self.entries.push(entry);
-        position
     }
 
     /// Reserves and returns the next local sequence number without appending
@@ -109,12 +108,6 @@ impl LinearLedger {
     /// Looks up an entry by transaction id.
     pub fn get(&self, id: TxId) -> Option<&CommittedTx> {
         self.index.get(&id).map(|p| &self.entries[p - self.pruned])
-    }
-
-    /// Where the transaction sits, counted from the first entry ever
-    /// appended: pruning moves no position.
-    pub(crate) fn position(&self, id: TxId) -> Option<usize> {
-        self.index.get(&id).copied()
     }
 
     /// True if the ledger contains the transaction.
@@ -137,7 +130,7 @@ impl LinearLedger {
     }
 
     fn entry_mut(&mut self, id: TxId) -> Option<&mut CommittedTx> {
-        let position = self.position(id)?;
+        let position = self.index.get(&id)?;
         self.entries.get_mut(position - self.pruned)
     }
 

@@ -86,7 +86,6 @@ enum Action<M> {
 /// Execution context handed to actor callbacks.
 pub struct Context<'a, M> {
     now: SimTime,
-    self_addr: Addr,
     rng: &'a mut StdRng,
     timers: &'a mut TimerSlab,
     /// The engine's action buffer, lent for the callback.
@@ -97,11 +96,6 @@ impl<'a, M> Context<'a, M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The address of the actor being called.
-    pub fn self_addr(&self) -> Addr {
-        self.self_addr
     }
 
     /// Deterministic random number generator: the simulation's one stream,
@@ -488,7 +482,6 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
         let mut actor = slot.actor.take().expect("actor present outside callback");
         let mut ctx = Context {
             now: done,
-            self_addr: to,
             rng: &mut self.rng,
             timers: &mut self.timers,
             actions: &mut self.actions,
@@ -512,7 +505,6 @@ impl<M: MessageMeta + Clone + 'static> Simulation<M> {
         self.stats.on_timer();
         let mut ctx = Context {
             now: self.now,
-            self_addr: owner,
             rng: &mut self.rng,
             timers: &mut self.timers,
             actions: &mut self.actions,
@@ -1343,6 +1335,7 @@ mod tests {
         /// Every third message also sets two timers and cancels one of them;
         /// a timer that fires passes the baton on with one hop left.
         struct Bouncer {
+            me: Addr,
             peer: Addr,
             history: Vec<(Addr, SimTime)>,
         }
@@ -1362,7 +1355,7 @@ mod tests {
                 }
             }
             fn on_timer(&mut self, _id: TimerId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-                self.history.push((ctx.self_addr(), ctx.now()));
+                self.history.push((self.me, ctx.now()));
                 ctx.send(self.peer, msg);
             }
             fn as_any(&mut self) -> Option<&mut dyn std::any::Any> {
@@ -1413,6 +1406,7 @@ mod tests {
             sim.faults_mut().set_drop_probability(0.05);
             for i in 0..16 {
                 let bouncer = Bouncer {
+                    me: addr(i),
                     peer: addr((i + 1) % 16),
                     history: Vec::new(),
                 };
@@ -1421,6 +1415,7 @@ mod tests {
             }
             let replica = NodeId::new(DomainId::new(1, 0), 0);
             let bouncer = Bouncer {
+                me: replica.into(),
                 peer: addr(0),
                 history: Vec::new(),
             };

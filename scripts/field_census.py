@@ -23,8 +23,8 @@ test code and never count.  A use of field `f` is
 
 Struct-literal initialisers are not uses.  A receiver is resolved to a
 struct where the script can: `self` by the enclosing `impl`, `self.g` by
-g's declared type, and an identifier by a `name: Type` binding in the
-enclosing function; an unresolved receiver counts for every struct with a
+g's declared type, `Type::f(..)` by f's return type (or `Type`), and an
+identifier by a `name: Type` binding in the enclosing function; an unresolved receiver counts for every struct with a
 field (or accessor) of that name, so the census errs towards "read".  A
 field whose type is a struct with every field listed is listed too.
 """
@@ -94,13 +94,13 @@ def strip(src):
     return "".join(out)
 
 
-def match_brace(s, i):
-    """Index just past the brace block opening at s[i] == '{'."""
+def match_brace(s, i, pair="{}"):
+    """Index just past the block opening at s[i] == pair[0]."""
     depth = 0
     for j in range(i, len(s)):
-        if s[j] == "{":
+        if s[j] == pair[0]:
             depth += 1
-        elif s[j] == "}":
+        elif s[j] == pair[1]:
             depth -= 1
             if depth == 0:
                 return j + 1
@@ -121,12 +121,12 @@ def test_spans(s):
 
 
 def split_top(body):
-    """Split on commas outside brackets."""
+    """Split on commas outside brackets (the `>` of `->` closes none)."""
     parts, depth, cur = [], 0, []
-    for c in body:
+    for i, c in enumerate(body):
         if c in "<([{":
             depth += 1
-        elif c in ">)]}":
+        elif c in ">)]}" and body[i - 1:i + 1] != "->":
             depth -= 1
         if c == "," and depth == 0:
             parts.append("".join(cur))
@@ -268,6 +268,13 @@ def main():
             hit = set(type_names(fields[(owner, m.group(1))], known)) & candidates
             if hit:
                 return hit
+        # `Type::f(..)`: what `f` returns, or `Type` itself (`Self`).
+        m = re.match(r"(?:" + IDENT + r"::)*(" + IDENT + r")::(" + IDENT + r")\(", recv)
+        if m and recv.endswith(")"):
+            ty = owner if m.group(1) == "Self" else m.group(1)
+            hit = (returns.get(m.group(2), set()) | {ty}) & candidates
+            if hit:
+                return hit
         m = re.search(r"\.(" + IDENT + r")\(\)$", recv)
         if m and returns.get(m.group(1)):
             hit = returns[m.group(1)] & candidates
@@ -292,37 +299,48 @@ def main():
     uses = defaultdict(list)  # (struct, field) -> [(kind, where, fn)]
     index = r"(?:\s*\[[^\[\]]*\])*"
     chain = re.compile(r"(?<![\w.])(" + IDENT + r")((?:" + index + r"\s*\.\s*" + IDENT + r"(?:\s*\(\))?)+)")
+    # A chain may also start at a type's function: `Type::f(..).g()`.
+    path_call = re.compile(r"(?<![\w.:])((?:" + IDENT + r"\s*::\s*)+" + IDENT + r")\s*(::\s*<[^>]*>\s*)?\(")
     link = re.compile(index + r"\s*\.\s*(" + IDENT + r")(\s*\(\))?")
+
+    def walk(src, start, j):
+        """Counts the uses along the links after `t[start:j]`, the receiver."""
+        t = src.text
+        line = t.count("\n", 0, start) + 1
+        where = f"{src.rel}:{line}"
+        fn = src.fn_at(start)
+        fn_key = (src.rel, fn[1]) if fn else None
+        if fn_key in accessor_bodies:
+            return  # an accessor's callers are its uses
+        recv = t[start:j]
+        while True:
+            lm = link.match(t, j)
+            if not lm:
+                break
+            name, j = lm.group(1), lm.end()
+            called = lm.group(2) or re.match(r"\s*(::\s*<[^>]*>\s*)?\(", t[j:j + 80])
+            if called and name in accessors:
+                owners = resolve(src, start, recv, methods[name])
+                for key in accessors[name]:
+                    if key[0] in owners:
+                        uses[key].append(("read", where + f" ({name}())", fn_key))
+            elif not called and name in by_field:
+                kind = classify(t, start, lm.end())
+                for s in resolve(src, start, recv, by_field[name]):
+                    uses[(s, name)].append((kind, where, fn_key))
+            if called and not lm.group(2):
+                break  # arguments follow: the chain ends here
+            recv = t[start:j]
+
     for src in sources:
         t = src.text
         for m in chain.finditer(t):
-            if src.is_test(m.start()) or m.group(1)[0].isupper():
-                continue
-            line = t.count("\n", 0, m.start()) + 1
-            where = f"{src.rel}:{line}"
-            fn = src.fn_at(m.start())
-            fn_key = (src.rel, fn[1]) if fn else None
-            if fn_key in accessor_bodies:
-                continue  # an accessor's callers are its uses
-            recv, j = m.group(1), m.end(1)
-            while True:
-                lm = link.match(t, j)
-                if not lm:
-                    break
-                name, j = lm.group(1), lm.end()
-                called = lm.group(2) or re.match(r"\s*(::\s*<[^>]*>\s*)?\(", t[j:j + 80])
-                if called and name in accessors:
-                    owners = resolve(src, m.start(), recv, methods[name])
-                    for key in accessors[name]:
-                        if key[0] in owners:
-                            uses[key].append(("read", where + f" ({name}())", fn_key))
-                elif not called and name in by_field:
-                    kind = classify(t, m.start(), lm.end())
-                    for s in resolve(src, m.start(), recv, by_field[name]):
-                        uses[(s, name)].append((kind, where, fn_key))
-                if called and not lm.group(2):
-                    break  # arguments follow: the chain ends here
-                recv = t[m.start():j]
+            if not (src.is_test(m.start()) or m.group(1)[0].isupper()):
+                walk(src, m.start(), m.end(1))
+        for m in path_call.finditer(t):
+            types = [p.strip()[0].isupper() for p in m.group(1).split("::")[:-1]]
+            if not src.is_test(m.start()) and any(types):
+                walk(src, m.start(), match_brace(t, m.end() - 1, "()"))
         # Destructuring patterns: `Name { field, other: x, .. } = / =>`.
         for m in re.finditer(r"(?<![\w:])(" + IDENT + r")\s*\{", t):
             if m.group(1) not in known or src.is_test(m.start()):

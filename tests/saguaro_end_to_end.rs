@@ -304,7 +304,6 @@ fn blocks_propagate_to_fog_and_cloud_with_aggregation() {
             "fog received no blocks"
         );
         assert!(n.dag_ledger().contains(TxId(700)), "fog DAG missing tx");
-        assert!(n.dag_ledger().is_acyclic());
         assert!(n.aggregate_view().children().count() >= 1);
     });
     with_node(&mut sim, primary(root), |n| {
@@ -355,11 +354,11 @@ fn one_transaction_is_one_allocation_from_the_request_to_the_roots_dag() {
     for ancestor in [fog, tree.root()] {
         for node in tree.nodes_of(ancestor).unwrap() {
             with_node(&mut sim, node, |n| {
-                let vertex = n.dag_ledger().get(sent.id).expect("propagated");
-                assert!(Transaction::ptr_eq(&vertex.record.tx, sent), "{node:?} DAG");
+                let vertex = n.dag_ledger().chain().get(sent.id).expect("propagated");
+                assert!(Transaction::ptr_eq(&vertex.tx, sent), "{node:?} DAG");
                 assert!(std::ptr::eq(n.ledger(), n.dag_ledger().chain()));
                 let summary = n.ledger().get(sent.id).expect("summarised");
-                assert!(std::ptr::eq(summary, vertex.record), "{node:?} two records");
+                assert!(std::ptr::eq(summary, vertex), "{node:?} two records");
                 assert_eq!(summary.tx, twin);
                 assert_eq!(summary.tx.payload_bytes(), twin.payload_bytes());
             });
@@ -402,6 +401,44 @@ fn optimistic_cross_domain_commits_without_coordinator_round_trips() {
     with_node(&mut sim, primary(tree.root()), |n| {
         assert!(n.dag_ledger().contains(TxId(900)));
     });
+}
+
+/// Two sibling domains order two cross-domain transactions oppositely —
+/// each its own request first — so their fog LCA aborts the higher id, and
+/// the record every LCA replica shows for it carries that verdict.
+#[test]
+fn the_lcas_abort_lands_in_its_chain_record() {
+    let (mut sim, tree) = build(FailureModel::Crash, ProtocolConfig::optimistic());
+    let (d0, d1) = (DomainId::new(1, 0), DomainId::new(1, 1));
+    let lca = tree.parent(d0).expect("fog parent");
+    assert_eq!(tree.parent(d1), Some(lca));
+    for (id, at) in [(910, d0), (911, d1)] {
+        let client = ClientId(id);
+        let transfer = Operation::Transfer {
+            from: account_key(at.index, 0),
+            to: account_key(1 - at.index, 1),
+            amount: 1,
+        };
+        let tx = Transaction::cross_domain(TxId(id), client, vec![d0, d1], transfer);
+        sim.inject(client, primary(at), SaguaroMsg::ClientRequest(tx));
+    }
+    sim.run_until(SimTime::from_millis(1_500));
+
+    let order = |n: &SaguaroNode| {
+        let ids = n.ledger().entries().iter().map(|e| e.tx.id);
+        ids.filter(|id| id.0 >= 910).collect::<Vec<_>>()
+    };
+    let d0_order = with_node(&mut sim, primary(d0), order);
+    let d1_order = with_node(&mut sim, primary(d1), order);
+    assert_eq!(d0_order, vec![TxId(910), TxId(911)]);
+    assert_eq!(d1_order, vec![TxId(911), TxId(910)]);
+    for node in tree.nodes_of(lca).unwrap() {
+        with_node(&mut sim, node, |n| {
+            let status = |id| n.ledger().get(TxId(id)).expect("reported").status;
+            assert_eq!(status(911), TxStatus::Aborted, "{node:?}");
+            assert_ne!(status(910), TxStatus::Aborted, "{node:?}");
+        });
+    }
 }
 
 #[test]
