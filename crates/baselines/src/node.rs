@@ -86,7 +86,7 @@ impl BaselineNode {
     }
 
     /// Seeds an account balance before the run.
-    pub fn seed_account(&mut self, key: impl Into<String>, balance: u64) {
+    pub fn seed_account(&mut self, key: &str, balance: u64) {
         self.state.put(key, balance);
     }
 

@@ -71,7 +71,7 @@ mod tests {
     #[test]
     fn local_transfer_executes_both_sides() {
         let mut s = BlockchainState::new();
-        s.put(account_key(0, 1), 100);
+        s.put(&account_key(0, 1), 100);
         let op = Operation::Transfer {
             from: account_key(0, 1),
             to: account_key(0, 2),
@@ -92,7 +92,7 @@ mod tests {
         };
 
         let mut s0 = BlockchainState::new();
-        s0.put(account_key(0, 1), 100);
+        s0.put(&account_key(0, 1), 100);
         execute_in_domain(&mut s0, &op, d(0)).unwrap();
         assert_eq!(s0.balance(&account_key(0, 1)), 75);
         assert_eq!(s0.get(&account_key(1, 9)), None, "domain 0 must not credit");
@@ -111,7 +111,7 @@ mod tests {
             amount: 25,
         };
         let mut s0 = BlockchainState::new();
-        s0.put(account_key(0, 1), 10);
+        s0.put(&account_key(0, 1), 10);
         assert!(execute_in_domain(&mut s0, &op, d(0)).is_err());
         // The recipient domain does not check the sender's funds.
         let mut s1 = BlockchainState::new();
@@ -123,8 +123,8 @@ mod tests {
         // Device from domain 0 roams into domain 2; its account was installed
         // into domain 2's state by the mobile consensus protocol.
         let mut s2 = BlockchainState::new();
-        s2.put(account_key(0, 7), 50);
-        s2.put(account_key(2, 1), 5);
+        s2.put(&account_key(0, 7), 50);
+        s2.put(&account_key(2, 1), 5);
         let op = Operation::Transfer {
             from: account_key(0, 7),
             to: account_key(2, 1),
@@ -157,7 +157,7 @@ mod tests {
             amount: 25,
         };
         let mut s0 = BlockchainState::new();
-        s0.put(account_key(0, 1), 100);
+        s0.put(&account_key(0, 1), 100);
         let undo = execute_in_domain(&mut s0, &op, d(0)).unwrap();
         s0.revert(&undo);
         assert_eq!(s0.balance(&account_key(0, 1)), 100);

@@ -156,7 +156,7 @@ impl SaguaroNode {
     }
 
     /// Seeds an account balance directly (experiment setup, before the run).
-    pub fn seed_account(&mut self, key: impl Into<String>, balance: u64) {
+    pub fn seed_account(&mut self, key: &str, balance: u64) {
         self.state.put(key, balance);
     }
 
@@ -572,7 +572,7 @@ mod tests {
             for id in tree.nodes_of(domain.id).expect("nodes") {
                 let mut node = SaguaroNode::new(id, tree.clone(), config.clone());
                 for n in 0..4 {
-                    node.seed_account(account_key(domain.id.index, n), 1_000);
+                    node.seed_account(&account_key(domain.id.index, n), 1_000);
                 }
                 sim.register(id, domain.region, CpuProfile::server(), Box::new(node));
                 sim.inject(HARNESS, id, SaguaroMsg::RoundTimer);

@@ -139,8 +139,8 @@ impl BlockchainState {
 
     /// Directly sets a key (used to seed initial balances and to install
     /// state snapshots received through the mobile consensus protocol).
-    pub fn put(&mut self, key: impl Into<String>, value: u64) {
-        self.values.insert(&key.into(), value);
+    pub fn put(&mut self, key: &str, value: u64) {
+        self.values.insert(key, value);
     }
 
     /// Iterates over all `(key, value)` pairs in key order.
@@ -375,7 +375,7 @@ mod tests {
         let mut home = BlockchainState::new();
         for (account, balance, minutes) in [("a1_1", 40, 30), ("a1_10", 70, 55)] {
             home.put(account, balance);
-            home.put(format!("hours/{account}"), minutes);
+            home.put(&format!("hours/{account}"), minutes);
         }
         let extracted = home.extract_account_state("a1_1");
         assert_eq!(
@@ -471,7 +471,7 @@ mod tests {
     fn a_shared_copy_never_sees_later_writes_of_either_side() {
         let mut donor = BlockchainState::new();
         for i in 0..200u64 {
-            donor.put(format!("a0_{i}"), 100);
+            donor.put(&format!("a0_{i}"), 100);
         }
         let taken = donor.share();
         let at_share = donor.clone();

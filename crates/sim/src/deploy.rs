@@ -10,9 +10,10 @@ use saguaro_core::{HostedReplica, ProtocolConfig, SaguaroMsg, SaguaroNode};
 use saguaro_hierarchy::{HierarchyTree, Placement, TopologyBuilder};
 use saguaro_ledger::{BlockchainState, LinearLedger, TxStatus};
 use saguaro_net::{Addr, CpuProfile, LatencyMatrix, MessageMeta, Simulation};
+use saguaro_types::transaction::account_universe;
 use saguaro_types::{ClientId, DomainId, FailureModel, Result, SimTime, StackConfig};
 use std::borrow::Borrow;
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Builds the paper's 4-level perfect binary tree with the given failure
@@ -65,11 +66,11 @@ pub fn harness_addr() -> Addr {
     Addr::Client(ClientId(u64::MAX))
 }
 
-/// The initial state of every seeded height-1 domain, built once per domain;
-/// the deployments hand each replica a share of it.  The lists are taken one
-/// at a time: each becomes its domain's state, and is dropped, before the
-/// next is pulled, so the pairs of all domains never coexist.  A domain named
-/// twice takes its lists in order, a repeated key keeping its last balance.
+/// The initial state of every height-1 domain the stream names, built once
+/// per domain; the deployments hand each replica a share of it.  A named
+/// domain opens with its account universe, then takes its listed pairs in
+/// order, so a repeated key keeps its last balance.  The lists are taken one
+/// at a time and each is dropped before the next is pulled.
 ///
 /// # Panics
 ///
@@ -89,26 +90,20 @@ fn seeded_states(
             "seed accounts given for {domain:?}, which is not an edge-server (height-1) domain \
              of this tree; its edge-server domains are {edge_domains:?}"
         );
-        let pairs = accounts
-            .iter()
-            .map(|(key, balance)| (key.as_str(), *balance));
-        match states.entry(*domain) {
-            Entry::Vacant(slot) => {
-                slot.insert(BlockchainState::adopt(pairs.collect()));
-            }
-            Entry::Occupied(mut slot) => {
-                let state = slot.get_mut();
-                pairs.for_each(|(key, balance)| state.put(key, balance));
-            }
+        let state = states
+            .entry(*domain)
+            .or_insert_with(|| BlockchainState::adopt(account_universe(*domain)));
+        for (key, balance) in accounts {
+            state.put(key, *balance);
         }
     }
     states
 }
 
 /// Registers a full Saguaro deployment (every replica of every height ≥ 1
-/// domain) and starts its round timers.  `seed_accounts` gives the initial
-/// balances installed on every replica of each height-1 domain: one domain's
-/// list per entry, built into that domain's state as it arrives.
+/// domain) and starts its round timers.  `seed_accounts` names the height-1
+/// domains that open with their account universe, each with the pairs its
+/// replicas hold on top of it; a domain it does not name opens empty.
 pub fn deploy_saguaro(
     sim: &mut Simulation<SaguaroMsg>,
     tree: &Arc<HierarchyTree>,
@@ -278,7 +273,7 @@ fn ledger_entries(ledger: &LinearLedger) -> Vec<(saguaro_types::TxId, TxStatus)>
 mod tests {
     use super::*;
     use saguaro_net::Simulation;
-    use saguaro_types::transaction::{seed_accounts, ACCOUNTS_PER_DOMAIN};
+    use saguaro_types::transaction::{account_key, ACCOUNTS_PER_DOMAIN};
     use std::cell::Cell;
 
     #[test]
@@ -308,7 +303,7 @@ mod tests {
     }
 
     /// Seed lists for two edge domains, the first given in two entries that
-    /// both name `a0_1`.
+    /// both name `a0_1`, and one key past the universe.
     fn seeds() -> Vec<(DomainId, Vec<(String, u64)>)> {
         let account = |key: &str, balance| (key.to_string(), balance);
         vec![
@@ -316,7 +311,7 @@ mod tests {
                 DomainId::new(1, 0),
                 vec![account("a0_2", 20), account("a0_1", 10)],
             ),
-            (DomainId::new(1, 3), vec![account("a3_1", 30)]),
+            (DomainId::new(1, 3), vec![account("a3_10000", 30)]),
             (DomainId::new(1, 0), vec![account("a0_1", 11)]),
         ]
     }
@@ -344,14 +339,25 @@ mod tests {
     fn both_deployments_seed_every_replica_and_a_repeated_key_keeps_its_last_balance() {
         let tree = build_tree(FailureModel::Crash, 1, Placement::NearbyRegions).unwrap();
         let latency = || latency_for(Placement::NearbyRegions);
-        let expected = [
-            vec![("a0_1", 11), ("a0_2", 20)],
-            vec![],
-            vec![],
-            vec![("a3_1", 30)],
-        ]
-        .map(|pairs| BlockchainState::adopt(pairs.into_iter().collect()));
         let domains = tree.edge_server_domains();
+        // A named domain opens with its universe, then takes its pairs in
+        // order; an unnamed one opens empty.
+        let opened = |domain: DomainId, pairs: &[(&str, u64)]| {
+            let mut state = BlockchainState::adopt(account_universe(domain));
+            pairs
+                .iter()
+                .for_each(|(key, balance)| state.put(key, *balance));
+            state
+        };
+        let expected = [
+            opened(domains[0], &[("a0_1", 11), ("a0_2", 20)]),
+            BlockchainState::new(),
+            BlockchainState::new(),
+            opened(domains[3], &[("a3_10000", 30)]),
+        ];
+        assert_eq!(expected[0].len(), ACCOUNTS_PER_DOMAIN as usize);
+        assert_eq!(expected[3].len(), ACCOUNTS_PER_DOMAIN as usize + 1);
+        assert_eq!(expected[0].get("a0_1"), Some(11), "the last balance wins");
 
         let mut sim: Simulation<SaguaroMsg> = Simulation::new(latency(), 1);
         deploy_saguaro(&mut sim, &tree, &ProtocolConfig::coordinator(), seeds());
@@ -375,7 +381,8 @@ mod tests {
         let tree = build_tree(FailureModel::Crash, 1, Placement::NearbyRegions).unwrap();
         let latency = || latency_for(Placement::NearbyRegions);
         let domains = tree.edge_server_domains();
-        let stream = || domains.iter().map(|d| (*d, seed_accounts(*d)));
+        let past_universe = |d: DomainId| vec![(account_key(d.index, ACCOUNTS_PER_DOMAIN), 7)];
+        let stream = || domains.iter().map(|d| (*d, past_universe(*d)));
         let lists: Vec<SeedList> = stream().collect();
         let config = ProtocolConfig::coordinator();
 
@@ -385,7 +392,7 @@ mod tests {
         deploy_saguaro(&mut streamed, &tree, &config, stream());
         for domain in &domains {
             let want = state_of(&mut sliced, &tree, *domain, SaguaroNode::blockchain_state);
-            assert_eq!(want.len(), ACCOUNTS_PER_DOMAIN as usize, "{domain:?}");
+            assert_eq!(want.len(), ACCOUNTS_PER_DOMAIN as usize + 1, "{domain:?}");
             let got = state_of(&mut streamed, &tree, *domain, SaguaroNode::blockchain_state);
             assert_eq!(got, want, "{domain:?}");
         }
@@ -433,7 +440,7 @@ mod tests {
         let stream = tree.edge_server_domains().into_iter().map(|d| {
             assert_eq!(alive.get(), 0, "{d:?} pulled while a list was still held");
             alive.set(1);
-            Counted((d, seed_accounts(d)), &alive)
+            Counted((d, vec![(account_key(d.index, 1), 1)]), &alive)
         });
         deploy_saguaro(&mut sim, &tree, &ProtocolConfig::coordinator(), stream);
         assert_eq!(alive.get(), 0);

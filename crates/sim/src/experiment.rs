@@ -47,7 +47,8 @@
 use crate::deploy;
 use crate::protocol::RunHarvest;
 use crate::protocol::{
-    AhlStack, CoordinatorStack, OptimisticStack, ProtocolKind, ProtocolStack, SharperStack,
+    AhlStack, CoordinatorStack, OptimisticStack, ProtocolKind, ProtocolStack, SeedList,
+    SharperStack,
 };
 use parking_lot::Mutex;
 use saguaro_hierarchy::{HierarchyTree, Placement};
@@ -713,15 +714,12 @@ enum Sink {
     Tally(Tally, f64),
 }
 
-/// What makes one edge domain's `(account key, balance)` seed list.
-type SeedSource = Box<dyn Fn(DomainId) -> Vec<(String, u64)>>;
-
 /// One run's clients, built for either client model before anything is
 /// deployed.
 struct Clients<M, Src> {
-    /// Makes an edge domain's account seeds (the workload generator's, or
-    /// the population's) when deploy pulls them, one domain at a time.
-    seed_list: SeedSource,
+    /// The edge domains that open with their account universe, each with
+    /// the pairs it holds beyond it, made as deploy pulls them.
+    seeds: Box<dyn Iterator<Item = SeedList>>,
     /// Each client with its region and arrival rate (tx/s, for the start
     /// stagger), in registration order.
     actors: Vec<(ClientId, Region, Client<M, Src>, f64)>,
@@ -779,8 +777,16 @@ fn schedule_clients<P: ProtocolStack>(
         let region = tree.region_of(home).expect("home region");
         actors.push((client, region, actor, rate));
     }
+    let domains = match spec.workload {
+        WorkloadKind::Micropayment(_) => edge_domains,
+        // Ride tasks accumulate working minutes from zero: no accounts to open.
+        WorkloadKind::Ridesharing(_) => Vec::new(),
+    };
+    let seeds = domains
+        .into_iter()
+        .map(move |d| (d, generator.seed_accounts(d)));
     Clients {
-        seed_list: Box::new(move |domain| generator.seed_accounts(domain)),
+        seeds: Box::new(seeds),
         actors,
         sink: Sink::Collector(collector, schedules),
     }
@@ -830,9 +836,12 @@ fn population_clients<P: ProtocolStack>(
         let region = tree.region_of(*domain).expect("edge domain region");
         actors.push((client, region, actor, rate));
     }
-    let population_seeds = *population;
+    let population = *population;
+    let seeds = edge_domains
+        .into_iter()
+        .map(move |d| (d, population.seed_accounts_for(d)));
     Clients {
-        seed_list: Box::new(move |domain| population_seeds.seed_accounts_for(domain)),
+        seeds: Box::new(seeds),
         actors,
         sink: Sink::Tally(tally, population.offered_tps()),
     }
@@ -852,17 +861,10 @@ where
     Src: ArrivalSource<P::Msg> + 'static,
 {
     let Clients {
-        seed_list,
+        seeds,
         actors,
         sink,
     } = clients;
-    // Each domain's list is made as deploy pulls it and dropped once its
-    // state is built: the pairs of all domains (1.28 M strings on the widest
-    // tree) never coexist.
-    let seeds = tree
-        .edge_server_domains()
-        .into_iter()
-        .map(move |domain| (domain, seed_list(domain)));
     P::deploy(sim, tree, seeds, &spec.stack_config());
     install_fault_plan::<P>(sim, spec);
     let mut traced = Vec::new();
@@ -933,6 +935,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saguaro_core::SaguaroNode;
 
     #[test]
     fn both_sinks_summarise_one_completion_stream_alike() {
@@ -1100,6 +1103,44 @@ mod tests {
             drivers_per_domain,
             roaming_ratio,
         })
+    }
+
+    /// What every replica of every height-1 domain holds once `spec`'s
+    /// clients are deployed, as each domain's key count.
+    fn opening_sizes(spec: &ExperimentSpec) -> Vec<usize> {
+        let tree = build_spec_tree(spec);
+        let clients = schedule_clients::<CoordinatorStack>(spec, &tree, 1);
+        let mut sim = Simulation::new(deploy::latency_for(spec.placement), spec.seed);
+        CoordinatorStack::deploy(&mut sim, &tree, clients.seeds, &spec.stack_config());
+        let mut sizes = Vec::new();
+        for domain in tree.edge_server_domains() {
+            for node in tree.nodes_of(domain).expect("domain nodes") {
+                let held = sim.with_actor(node, |actor| {
+                    let node = actor.as_any()?.downcast_mut::<SaguaroNode>()?;
+                    Some(node.blockchain_state().len())
+                });
+                sizes.push(held.flatten().expect("a Saguaro replica"));
+            }
+        }
+        sizes
+    }
+
+    /// Ridesharing opens its height-1 domains empty; micropayment opens each
+    /// with its account universe.
+    #[test]
+    fn only_micropayment_domains_open_with_the_account_universe() {
+        let sizes = opening_sizes(&rides(4, 0.0));
+        assert!(
+            !sizes.is_empty() && sizes.iter().all(|&n| n == 0),
+            "{sizes:?}"
+        );
+        let spec = ExperimentSpec::new(ProtocolKind::SaguaroCoordinator).quick();
+        let universe = saguaro_types::transaction::ACCOUNTS_PER_DOMAIN as usize;
+        let sizes = opening_sizes(&spec);
+        assert!(
+            !sizes.is_empty() && sizes.iter().all(|&n| n == universe),
+            "{sizes:?}"
+        );
     }
 
     #[test]

@@ -56,7 +56,8 @@ impl ProtocolKind {
     ];
 }
 
-/// One height-1 domain's seeded `(account key, balance)` pairs.
+/// A height-1 domain and the `(account key, balance)` pairs it holds beyond
+/// its account universe.
 pub type SeedList = (DomainId, Vec<(String, u64)>);
 
 /// Post-run evidence extracted from one replica: its ledger contents in
@@ -231,13 +232,12 @@ pub trait ProtocolStack {
     /// timers), and schedules whatever kick-off events the stack needs
     /// (round timers etc.).
     ///
-    /// `seed_accounts` is a stream of per-domain lists, owned or borrowed: a
-    /// slice serves, and so does a lazy iterator that makes each list on
-    /// demand.  Each list becomes its domain's state, and is dropped, before
-    /// the next is pulled, so a lazy stream never holds more than one list.
-    /// A domain named twice takes its lists in order (a repeated key keeps
-    /// its last balance); a domain that is not a height-1 domain of `tree`
-    /// panics.
+    /// `seed_accounts` is a stream of per-domain lists, owned or borrowed (a
+    /// slice, or a lazy iterator: each list is applied and dropped before
+    /// the next is pulled).  A domain it names opens with its account
+    /// universe plus its pairs, in order (a repeated key keeps its last
+    /// balance); one it does not name opens empty; one that is not a
+    /// height-1 domain of `tree` panics.
     fn deploy(
         sim: &mut Simulation<Self::Msg>,
         tree: &Arc<HierarchyTree>,

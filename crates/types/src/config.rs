@@ -537,10 +537,10 @@ impl PopulationConfig {
         self.users / domains + u64::from(ordinal < self.users % domains)
     }
 
-    /// `(account key, initial balance)` pairs a domain must be seeded with,
-    /// in ascending key order: [`crate::transaction::seed_accounts`].
-    pub fn seed_accounts_for(&self, domain: DomainId) -> Vec<(String, u64)> {
-        crate::transaction::seed_accounts(domain)
+    /// Pairs a domain holds beyond its account universe: none.  Kept only
+    /// for `benchmark/src/replay.rs`, which still calls it.
+    pub fn seed_accounts_for(&self, _domain: DomainId) -> Vec<(String, u64)> {
+        Vec::new()
     }
 }
 

@@ -30,6 +30,7 @@ use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::iter;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -184,6 +185,41 @@ impl CowMap {
         Self::default()
     }
 
+    /// `value` under each of `keys`, cut into leaves as a collect cuts them.
+    /// `push` appends a key's text, which must ascend strictly, straight to
+    /// its leaf's packed text; every full leaf shares one slice of values (a
+    /// short last leaf has its own) until a write unshares its leaf's.
+    pub(crate) fn uniform<K>(
+        keys: impl IntoIterator<Item = K>,
+        push: impl Fn(&mut String, K),
+        value: u64,
+    ) -> Self {
+        let mut keys = keys.into_iter().peekable();
+        let mut map = CowMap::default();
+        let full: Arc<[u64]> = iter::repeat_n(value, LEAF_MAX).collect();
+        let (mut text, mut ends) = (String::new(), Vec::with_capacity(LEAF_MAX));
+        while keys.peek().is_some() {
+            text.clear();
+            ends.clear();
+            for key in keys.by_ref().take(LEAF_MAX) {
+                push(&mut text, key);
+                ends.push(u32::try_from(text.len()).expect("a leaf's keys fit in 4 GiB"));
+            }
+            let values = match ends.len() {
+                LEAF_MAX => full.clone(),
+                tail => iter::repeat_n(value, tail).collect(),
+            };
+            let (text, ends) = (text.as_str().into(), ends.as_slice().into());
+            map.len += values.len();
+            map.leaves.push(Leaf {
+                keys: Arc::new(Keys { text, ends }),
+                values,
+            });
+        }
+        map.reindex();
+        map
+    }
+
     /// Number of keys in the map.
     pub fn len(&self) -> usize {
         self.len
@@ -318,16 +354,12 @@ impl CowMap {
 impl<K: AsRef<str>> FromIterator<(K, u64)> for CowMap {
     fn from_iter<I: IntoIterator<Item = (K, u64)>>(iter: I) -> Self {
         let mut pairs: Vec<(K, u64)> = iter.into_iter().collect();
-        // Seed lists arrive strictly ascending already; the sort would only
-        // confirm that, after allocating a scratch buffer the size of the list.
-        if !pairs.is_sorted_by(|a, b| a.0.as_ref() < b.0.as_ref()) {
-            // Stable, so pairs with equal keys stay in arrival order ...
-            pairs.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
-            // ... and the last of each run of equal keys is the one to keep.
-            pairs.reverse();
-            pairs.dedup_by(|later, kept| later.0.as_ref() == kept.0.as_ref());
-            pairs.reverse();
-        }
+        // Stable, so pairs with equal keys stay in arrival order ...
+        pairs.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
+        // ... and the last of each run of equal keys is the one to keep.
+        pairs.reverse();
+        pairs.dedup_by(|later, kept| later.0.as_ref() == kept.0.as_ref());
+        pairs.reverse();
         let mut map = CowMap {
             len: pairs.len(),
             ..CowMap::default()
@@ -360,6 +392,10 @@ impl fmt::Debug for CowMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::DomainId;
+    use crate::transaction::{
+        account_key, account_universe, accounts_in_key_order, ACCOUNTS_PER_DOMAIN, INITIAL_BALANCE,
+    };
     use std::collections::BTreeMap;
 
     /// Every structural condition the map relies on.
@@ -516,12 +552,76 @@ mod tests {
             "... though their leaves are cut differently"
         );
         assert_eq!(collected.leaves.len(), 300usize.div_ceil(LEAF_MAX));
-        // Pairs that arrive strictly ascending skip the sort: the same map.
+        // Pairs that arrive strictly ascending make the same map.
         let ascending: CowMap = collected.iter().collect();
         check_shape(&ascending);
         assert_eq!(ascending, collected);
         assert_eq!(CowMap::from_iter([("k", 1), ("k", 2)]).get("k"), Some(2));
         assert!(CowMap::from_iter::<[(&str, u64); 0]>([]).leaves.is_empty());
+    }
+
+    /// The seed list a domain's universe was once collected from: one
+    /// `String` per account, in key order.
+    fn seed_accounts(domain: DomainId) -> Vec<(String, u64)> {
+        accounts_in_key_order(ACCOUNTS_PER_DOMAIN)
+            .map(|n| (account_key(domain.index, n), INITIAL_BALANCE))
+            .collect()
+    }
+
+    /// A domain's universe is the map its seed list collects to, cut into
+    /// the same leaves; its full leaves share one slice of values, and a
+    /// write to one domain's map unshares the values of the leaf it lands
+    /// in and no others, so no other domain or leaf sees it.
+    #[test]
+    fn an_account_universe_equals_its_collected_seed_list() {
+        let cut = |map: &CowMap| -> Vec<(String, usize)> {
+            let firsts = map.leaves.iter().map(|l| l.keys.get(0).to_string());
+            firsts
+                .zip(map.leaves.iter().map(|l| l.values.len()))
+                .collect()
+        };
+        let domains = [0, 7, 127].map(|index| DomainId::new(1, index));
+        let mut opened = domains.map(account_universe);
+        for (map, domain) in opened.iter().zip(domains) {
+            let collected: CowMap = seed_accounts(domain).into_iter().collect();
+            check_shape(map);
+            check_shape(&collected);
+            assert_eq!(*map, collected, "{domain:?}");
+            assert_eq!(cut(map), cut(&collected), "{domain:?}: the same leaves");
+            let (full, tail) = map.leaves.split_at(map.leaves.len() - 1);
+            assert!(full.iter().all(|l| Arc::ptr_eq(&l.values, &full[0].values)));
+            assert_eq!(
+                tail[0].values.len(),
+                ACCOUNTS_PER_DOMAIN as usize % LEAF_MAX
+            );
+        }
+
+        let replica = opened[1].clone();
+        opened[1].insert("a7_4242", 1);
+        opened[1].update("a7_9999", |v| v.unwrap() + 5);
+        let pairs = opened[1].leaves.iter().zip(&replica.leaves);
+        assert_eq!(
+            pairs.filter(|(a, b)| !same(a, b)).count(),
+            2,
+            "two leaves unshared"
+        );
+        assert_eq!(opened[1].get("a7_4242"), Some(1));
+        assert_eq!(opened[1].get("a7_9999"), Some(INITIAL_BALANCE + 5));
+        let written = ["a7_4242", "a7_9999"];
+        let others: Vec<_> = opened[1]
+            .iter()
+            .filter(|(k, _)| !written.contains(k))
+            .collect();
+        assert_eq!(others.len() + 2, ACCOUNTS_PER_DOMAIN as usize);
+        assert!(others.iter().all(|&(_, v)| v == INITIAL_BALANCE));
+        for untouched in [&opened[0], &replica, &opened[2]] {
+            assert_eq!(untouched.len(), ACCOUNTS_PER_DOMAIN as usize);
+            assert!(untouched.iter().all(|(_, v)| v == INITIAL_BALANCE));
+        }
+
+        assert!(CowMap::uniform(iter::empty(), String::push_str, 1)
+            .leaves
+            .is_empty());
     }
 
     /// Cloning costs one pointer per leaf, whatever the number of keys, and a

@@ -13,9 +13,7 @@
 
 use crate::micropayment::MicropaymentWorkload;
 use crate::ridesharing::RidesharingWorkload;
-use saguaro_types::transaction::{
-    account_key, seed_accounts, ACCOUNTS_PER_DOMAIN, INITIAL_BALANCE,
-};
+use saguaro_types::transaction::{account_key, ACCOUNTS_PER_DOMAIN, INITIAL_BALANCE};
 use saguaro_types::{DomainId, Transaction};
 
 /// An application driven by the experiment engine's open-loop clients.
@@ -35,7 +33,9 @@ pub trait Workload {
     fn next_for_client(&mut self, client: usize) -> (Transaction, DomainId);
 
     /// `(account key, initial balance)` pairs every replica of `domain` must
-    /// be seeded with before the run starts.
+    /// be seeded with before the run starts, on top of the account universe
+    /// ([`saguaro_types::transaction::account_universe`]) that deployment
+    /// opens for every domain it is given.
     fn seed_accounts(&self, domain: DomainId) -> Vec<(String, u64)>;
 }
 
@@ -52,20 +52,14 @@ impl Workload for MicropaymentWorkload {
         MicropaymentWorkload::next_for_client(self, client)
     }
 
-    /// The domain's account universe plus one account per client homed there
-    /// (mobile transactions spend from the client's own account), in
-    /// ascending key order.  A client whose id is inside the universe already
-    /// has its account there.
+    /// One account per client homed in the domain whose id lies past the
+    /// universe (mobile transactions spend from the client's own account); a
+    /// client whose id is inside the universe already has its account there.
     fn seed_accounts(&self, domain: DomainId) -> Vec<(String, u64)> {
-        let mut accounts = seed_accounts(domain);
-        let beyond = (ACCOUNTS_PER_DOMAIN..self.num_clients() as u64)
-            .filter(|&client| MicropaymentWorkload::home_of(self, client as usize) == domain);
-        let before = accounts.len();
-        accounts.extend(beyond.map(|client| (account_key(domain.index, client), INITIAL_BALANCE)));
-        if accounts.len() > before {
-            accounts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        }
-        accounts
+        (ACCOUNTS_PER_DOMAIN..self.num_clients() as u64)
+            .filter(|&client| MicropaymentWorkload::home_of(self, client as usize) == domain)
+            .map(|client| (account_key(domain.index, client), INITIAL_BALANCE))
+            .collect()
     }
 }
 
@@ -92,54 +86,44 @@ impl Workload for RidesharingWorkload {
 mod tests {
     use super::*;
     use crate::micropayment::WorkloadConfig;
-    use saguaro_types::{CowMap, PopulationConfig};
+    use saguaro_types::transaction::account_universe;
+    use saguaro_types::PopulationConfig;
 
     fn domains(n: u16) -> Vec<DomainId> {
         (0..n).map(|i| DomainId::new(1, i)).collect()
     }
 
     #[test]
-    fn both_client_models_seed_the_one_account_universe() {
+    fn both_client_models_take_nothing_beyond_the_universe_with_few_clients() {
         let w = MicropaymentWorkload::new(WorkloadConfig::default(), 120, 1);
         let population = PopulationConfig::with_users(120);
         for d in domains(4) {
-            let universe = seed_accounts(d);
-            assert_eq!(population.seed_accounts_for(d), universe, "{d:?}");
-            assert_eq!(Workload::seed_accounts(&w, d), universe, "{d:?}");
+            assert!(population.seed_accounts_for(d).is_empty(), "{d:?}");
+            assert!(Workload::seed_accounts(&w, d).is_empty(), "{d:?}");
         }
     }
 
     #[test]
     fn micropayment_seeds_cover_universe_and_homed_clients() {
+        // Clients homed in d0 past its universe each get their own account
+        // on top of the universe; the ones inside it already have theirs.
         let d0 = DomainId::new(1, 0);
-        // 30 of the 120 round-robin clients live in d0, and their accounts
-        // (a0_0, a0_4, …) are among the universe's.  The state the seeds
-        // build is the one the universe plus a re-pushed pair per homed
-        // client built.
-        let w = MicropaymentWorkload::new(WorkloadConfig::default(), 120, 1);
-        let repushed = seed_accounts(d0).into_iter().chain(
-            (0..120)
-                .step_by(4)
-                .map(|c| (account_key(0, c), INITIAL_BALANCE)),
-        );
-        assert_eq!(
-            Workload::seed_accounts(&w, d0)
-                .into_iter()
-                .collect::<CowMap>(),
-            repushed.collect::<CowMap>()
-        );
-
-        // Clients homed in d0 past its universe each still get their own
-        // account, in key order among the others.
         let clients = ACCOUNTS_PER_DOMAIN as usize + 8;
         let w = MicropaymentWorkload::new(WorkloadConfig::default(), clients, 1);
         let seeds = Workload::seed_accounts(&w, d0);
-        assert_eq!(seeds.len() as u64, ACCOUNTS_PER_DOMAIN + 2);
-        assert!(seeds.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        assert!(seeds.iter().all(|(_, v)| *v == INITIAL_BALANCE));
-        for client in [ACCOUNTS_PER_DOMAIN, ACCOUNTS_PER_DOMAIN + 4] {
+        let want = [ACCOUNTS_PER_DOMAIN, ACCOUNTS_PER_DOMAIN + 4]
+            .map(|client| (account_key(0, client), INITIAL_BALANCE));
+        assert_eq!(seeds, want);
+
+        let mut opened = account_universe(d0);
+        for (key, balance) in &seeds {
+            opened.insert(key, *balance);
+        }
+        assert_eq!(opened.len() as u64, ACCOUNTS_PER_DOMAIN + 2);
+        assert!(opened.iter().all(|(_, v)| v == INITIAL_BALANCE));
+        for client in (0..clients as u64).filter(|&c| w.home_of(c as usize) == d0) {
             let key = account_key(0, client);
-            assert!(seeds.iter().any(|(k, _)| *k == key), "{key}");
+            assert_eq!(opened.get(&key), Some(INITIAL_BALANCE), "{key}");
         }
     }
 

@@ -63,8 +63,8 @@ fn main() {
             // Seed a couple of accounts per domain: alice lives in D1-0 ("the
             // West"), bob in D1-3 ("the East").
             if domain.id.height == 1 {
-                actor.seed_account(account_key(domain.id.index, 1), 1_000);
-                actor.seed_account(account_key(domain.id.index, 2), 1_000);
+                actor.seed_account(&account_key(domain.id.index, 1), 1_000);
+                actor.seed_account(&account_key(domain.id.index, 2), 1_000);
             }
             sim.register(node, domain.region, CpuProfile::server(), Box::new(actor));
         }

@@ -51,7 +51,7 @@ fn saguaro_sim_with(tree: &Arc<HierarchyTree>, stack: StackConfig) -> Simulation
             let mut actor = SaguaroNode::new(node, tree.clone(), config.clone());
             if domain.id.height == 1 {
                 for n in 0..8u64 {
-                    actor.seed_account(account_key(domain.id.index, n), 1_000);
+                    actor.seed_account(&account_key(domain.id.index, n), 1_000);
                 }
             }
             sim.register(node, domain.region, CpuProfile::server(), Box::new(actor));
@@ -324,7 +324,7 @@ fn baseline_sim_with(
             let mut actor = BaselineNode::new(node, role, tree.clone(), committee, stack);
             if domain.id.height == 1 {
                 for n in 0..8u64 {
-                    actor.seed_account(account_key(domain.id.index, n), 1_000);
+                    actor.seed_account(&account_key(domain.id.index, n), 1_000);
                 }
             }
             sim.register(node, domain.region, CpuProfile::server(), Box::new(actor));

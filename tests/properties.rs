@@ -64,7 +64,7 @@ proptest! {
     fn transfers_conserve_supply(ops in proptest::collection::vec((0u8..6, 0u8..6, 1u64..50), 1..200)) {
         let mut state = BlockchainState::new();
         for i in 0..6u64 {
-            state.put(account_key(0, i), 100);
+            state.put(&account_key(0, i), 100);
         }
         let initial = state.total_supply();
         for (from, to, amount) in ops {
@@ -82,7 +82,7 @@ proptest! {
     fn undo_records_restore_state(ops in proptest::collection::vec((0u8..5, 0u8..5, 1u64..30), 1..60)) {
         let mut state = BlockchainState::new();
         for i in 0..5u64 {
-            state.put(account_key(1, i), 500);
+            state.put(&account_key(1, i), 500);
         }
         let snapshot = state.clone();
         let mut undos = Vec::new();

@@ -36,7 +36,7 @@ fn build(
             let mut actor = SaguaroNode::new(node, tree.clone(), config.clone());
             if domain.id.height == 1 {
                 for n in 0..8u64 {
-                    actor.seed_account(account_key(domain.id.index, n), 1_000);
+                    actor.seed_account(&account_key(domain.id.index, n), 1_000);
                 }
             }
             sim.register(node, domain.region, CpuProfile::server(), Box::new(actor));

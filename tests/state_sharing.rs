@@ -25,7 +25,7 @@ trait Replica: HostedReplica + Actor<Self::Msg> + Send + 'static {
     fn request(tx: Transaction) -> Self::Msg;
     fn balances(&self) -> &BlockchainState;
     fn seed_shared(&mut self, state: &BlockchainState);
-    fn seed_one(&mut self, key: String, balance: u64);
+    fn seed_one(&mut self, key: &str, balance: u64);
 }
 
 impl Replica for SaguaroNode {
@@ -45,7 +45,7 @@ impl Replica for SaguaroNode {
     fn seed_shared(&mut self, state: &BlockchainState) {
         self.seed_state(state);
     }
-    fn seed_one(&mut self, key: String, balance: u64) {
+    fn seed_one(&mut self, key: &str, balance: u64) {
         self.seed_account(key, balance);
     }
 }
@@ -65,7 +65,7 @@ impl Replica for BaselineNode {
     fn seed_shared(&mut self, state: &BlockchainState) {
         self.seed_state(state);
     }
-    fn seed_one(&mut self, key: String, balance: u64) {
+    fn seed_one(&mut self, key: &str, balance: u64) {
         self.seed_account(key, balance);
     }
 }
@@ -85,7 +85,7 @@ fn tree() -> Arc<HierarchyTree> {
 fn seeded(index: u16) -> BlockchainState {
     let mut state = BlockchainState::new();
     for n in 0..ACCOUNTS {
-        state.put(account_key(index, n), 1_000);
+        state.put(&account_key(index, n), 1_000);
     }
     state
 }
@@ -239,9 +239,9 @@ fn seeding_a_state_equals_seeding_its_accounts<R: Replica>() {
     by_state.seed_shared(&seeded(2));
     let mut by_account = R::build(node, &tree).expect("an edge replica");
     // Key by key in another order, one key twice: the last balance stays.
-    by_account.seed_one(account_key(2, 5), 1);
+    by_account.seed_one(&account_key(2, 5), 1);
     for n in (0..ACCOUNTS).rev() {
-        by_account.seed_one(account_key(2, n), 1_000);
+        by_account.seed_one(&account_key(2, n), 1_000);
     }
     assert_eq!(by_state.balances(), by_account.balances());
     assert_eq!(by_state.balances().len(), ACCOUNTS as usize);
