@@ -229,3 +229,115 @@ fn ridesharing_runs_are_deterministic_too() {
         .load(500.0);
     assert_eq!(spec.run(), spec.run());
 }
+
+/// One `u64` over everything intra-domain consensus decides in a run: the
+/// summary metrics and, per replica, its frontier, checkpoint, view changes,
+/// conflicts, vote size, retained chain, snapshot and state-transfer
+/// counters, delivery-hash chain and ledger entries.
+fn harvest_digest(spec: &ExperimentSpec) -> u64 {
+    use saguaro::types::hash::FxHasher;
+    use std::hash::{Hash, Hasher};
+
+    let run = spec.run_collecting();
+    let mut h = FxHasher::default();
+    let m = &run.metrics;
+    for f in [
+        m.offered_tps,
+        m.throughput_tps,
+        m.avg_latency_ms,
+        m.p50_latency_ms,
+        m.p95_latency_ms,
+        m.p99_latency_ms,
+    ] {
+        f.to_bits().hash(&mut h);
+    }
+    (m.committed, m.aborted).hash(&mut h);
+    for n in &run.harvest.nodes {
+        n.node.hash(&mut h);
+        (n.last_delivered, n.stable_checkpoint, n.view_changes).hash(&mut h);
+        (n.certificate_conflicts, n.vote_entries).hash(&mut h);
+        (n.chain_len, n.chain_start).hash(&mut h);
+        (n.snapshots_taken, n.snapshots_installed).hash(&mut h);
+        (n.state_transfer_commands, n.state_transfer_bytes).hash(&mut h);
+        n.caught_up_at.hash(&mut h);
+        let log = &n.consensus_log;
+        log.len().hash(&mut h);
+        (0..log.len())
+            .filter_map(|i| log.get(i))
+            .for_each(|s| s.hash(&mut h));
+        n.total_entries.hash(&mut h);
+        for (tx, status) in &n.entries {
+            (tx, *status as u8).hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
+/// Replica-level consensus behaviour, pinned as one digest per faulty run:
+/// the goldens cover only fault-free runs' `RunMetrics`, so this is what
+/// pins a Paxos and a PBFT view change, recovery, equivocation, snapshot
+/// catch-up and a baseline's shard-leader crash.  The specs are
+/// `fault_injection.rs`'s `crash_spec` and equivocation run and
+/// `pruning.rs`'s `outage_spec`.
+#[test]
+fn faulty_runs_reproduce_their_harvest_digests() {
+    use saguaro::types::{DomainId, NodeId};
+    use saguaro_sim::scenarios::fault_victim;
+
+    let crash_spec = |protocol, byzantine: bool| {
+        let plan = FaultSchedule::none()
+            .crash_at(SimTime::from_millis(150), fault_victim())
+            .recover_at(SimTime::from_millis(320), fault_victim());
+        let spec = ExperimentSpec::new(protocol).quick().load(800.0);
+        let spec = if byzantine { spec.byzantine() } else { spec };
+        spec.fault_plan(plan)
+    };
+    let equivocation =
+        FaultSchedule::none().equivocate_at(SimTime::from_millis(120), fault_victim());
+    let backup = NodeId::new(DomainId::new(1, 0), 1);
+    let outage = FaultSchedule::none()
+        .crash_at(SimTime::from_millis(120), backup)
+        .recover_at(SimTime::from_millis(320), backup);
+    let cases = [
+        (
+            "paxos crash + recovery",
+            crash_spec(ProtocolKind::SaguaroCoordinator, false),
+        ),
+        (
+            "pbft crash + recovery",
+            crash_spec(ProtocolKind::SaguaroCoordinator, true),
+        ),
+        (
+            "pbft equivocating primary",
+            ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
+                .byzantine()
+                .quick()
+                .load(800.0)
+                .fault_plan(equivocation),
+        ),
+        (
+            "snapshot catch-up",
+            ExperimentSpec::new(ProtocolKind::SaguaroCoordinator)
+                .quick()
+                .load(1_200.0)
+                .tune(|t| t.checkpoint_every(4).retained(4))
+                .fault_plan(outage),
+        ),
+        (
+            "ahl shard-leader crash",
+            crash_spec(ProtocolKind::Ahl, false),
+        ),
+    ];
+    let digests: Vec<(&str, u64)> = cases
+        .iter()
+        .map(|(name, spec)| (*name, harvest_digest(spec)))
+        .collect();
+    let expected = [
+        ("paxos crash + recovery", 0x3f3bb88427a79677),
+        ("pbft crash + recovery", 0x56d352fde503493e),
+        ("pbft equivocating primary", 0x772d01597747ae14),
+        ("snapshot catch-up", 0x5179721b8de7abb0),
+        ("ahl shard-leader crash", 0x522b559c3ff2de83),
+    ];
+    assert_eq!(digests, expected, "a harvest digest moved");
+}
