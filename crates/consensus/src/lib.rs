@@ -12,15 +12,17 @@
 //! machine onto the discrete-event simulator; the unit tests here drive it
 //! directly through an in-process router.
 //!
-//! * [`replica`] — [`replica::ConsensusReplica`], the one replica: views,
-//!   the delivery frontier, checkpoint agreement and slot GC, state
-//!   transfer, timeout escalation and the view change, written once over
-//!   whichever rule the domain's failure model selects.
-//! * [`paxos`] — the rule of crash-only domains: leader-based Multi-Paxos
-//!   (viewstamped-replication style), 2f+1 replicas, majority quorums.
-//! * [`pbft`] — the rule of Byzantine domains: 3f+1 replicas, pre-prepare /
-//!   prepare / commit phases with 2f+1 quorums, and the guards a `NewView`
-//!   must pass.
+//! * [`replica`] — [`replica::ConsensusReplica`], the one replica: one slot
+//!   table for both rules, views, the delivery frontier, checkpoint
+//!   agreement and slot GC, state transfer, timeout escalation and the view
+//!   change, written once; beyond the normal-case handlers below, the rules
+//!   differ only in named branches on the domain's failure model.
+//! * [`paxos`] — the normal case of crash-only domains: leader-based
+//!   Multi-Paxos (viewstamped-replication style), 2f+1 replicas, majority
+//!   quorums.
+//! * [`pbft`] — the normal case of Byzantine domains: 3f+1 replicas,
+//!   pre-prepare / prepare / commit phases with 2f+1 quorums, and the
+//!   guards a `NewView` must pass.
 //! * [`msg`] — [`msg::ConsensusMsg`], the one wire type: the failure model
 //!   plus a [`msg::MsgBody`] that declares view change, checkpointing and
 //!   state transfer once, and what a message carries for the wire-size and

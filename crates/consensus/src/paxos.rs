@@ -13,87 +13,33 @@
 //! domain; authentication and certification only matter on the cross-domain
 //! paths handled by `saguaro-core`.
 //!
-//! This module holds what only Paxos has — its slots, the buffered learns
-//! and the `Accept` / `Accepted` / `Learn` handlers; everything else a
-//! replica does is written once in [`crate::replica`].
+//! This module holds only the `Accept` / `Accepted` / `Learn` handlers and
+//! the follower's answer to a `NewView`.  They fill the replica's one slot
+//! table (an accepted slot is prepared, so it goes into view-change votes)
+//! and its buffer of early Learns; everything else a replica does is
+//! written once in [`crate::replica`].
 
 use crate::batch::Batch;
 use crate::interface::{primary_for_view, Command, Step};
-use crate::msg::{ConsensusMsg, MsgBody};
-use crate::replica::{ConsensusReplica, Rule, Steps, VoteMask};
+use crate::msg::MsgBody;
+use crate::replica::{ConsensusReplica, Slot, Steps};
 use saguaro_crypto::Digest;
-use saguaro_types::{FailureModel, NodeId, SeqNo};
-use std::collections::BTreeMap;
-
-/// Per-sequence bookkeeping at the leader and replicas.
-#[derive(Clone, Debug)]
-pub(crate) struct Slot<C> {
-    pub(crate) batch: Batch<C>,
-    pub(crate) accepted_in_view: u64,
-    /// Replicas (including self) known to have accepted.
-    pub(crate) acks: VoteMask,
-    pub(crate) committed: bool,
-}
-
-/// The slot state of the Paxos rule.
-#[derive(Clone, Debug)]
-pub(crate) struct PaxosLog<C> {
-    pub(crate) slots: BTreeMap<SeqNo, Slot<C>>,
-    /// Learns that arrived before their Accept (out-of-order delivery),
-    /// keyed by sequence number, holding the view the Learn was issued in;
-    /// applied once an Accept from that view (or newer) creates the slot.
-    pub(crate) pending_learns: BTreeMap<SeqNo, u64>,
-}
-
-impl<C> Default for PaxosLog<C> {
-    fn default() -> Self {
-        Self {
-            slots: BTreeMap::new(),
-            pending_learns: BTreeMap::new(),
-        }
-    }
-}
-
-impl<C: Command> PaxosLog<C> {
-    /// Stores `batch` at `seq` as accepted in `view`, keeping the slot's
-    /// acknowledgements and commit flag.
-    pub(crate) fn accept(&mut self, seq: SeqNo, batch: Batch<C>, view: u64) -> &mut Slot<C> {
-        let slot = self.slots.entry(seq).or_insert_with(|| Slot {
-            batch: batch.clone(),
-            accepted_in_view: view,
-            acks: VoteMask::default(),
-            committed: false,
-        });
-        slot.batch = batch;
-        slot.accepted_in_view = view;
-        slot
-    }
-}
-
-fn msg<C>(body: MsgBody<C>) -> ConsensusMsg<C> {
-    ConsensusMsg {
-        model: FailureModel::Crash,
-        body,
-    }
-}
+use saguaro_types::{NodeId, SeqNo};
 
 impl<C: Command> ConsensusReplica<C> {
     /// The leader's normal case for the block it just numbered `seq`.
     pub(crate) fn propose_accept(&mut self, seq: SeqNo, batch: Batch<C>, out: &mut Steps<C>) {
-        let Rule::Paxos(log) = &mut self.rule else {
-            return;
-        };
         let view = self.view;
         let mut slot = Slot {
-            batch: batch.clone(),
-            accepted_in_view: view,
-            acks: VoteMask::default(),
-            committed: false,
+            batch: Some(batch.clone()),
+            view,
+            prepared: true,
+            ..Slot::default()
         };
-        slot.acks.insert(&self.replicas, self.me);
-        log.slots.insert(seq, slot);
+        slot.votes.insert(&self.replicas, self.me);
+        self.slots.insert(seq, slot);
         out.push(Step::Broadcast {
-            msg: msg(MsgBody::Accept { view, seq, batch }),
+            msg: self.msg(MsgBody::Accept { view, seq, batch }),
         });
         // A domain of a single replica (f = 0) commits immediately.
         self.maybe_commit(seq, out);
@@ -107,9 +53,6 @@ impl<C: Command> ConsensusReplica<C> {
         batch: Batch<C>,
         out: &mut Steps<C>,
     ) {
-        let Rule::Paxos(log) = &mut self.rule else {
-            return;
-        };
         if view < self.view
             || self.in_view_change
             || from != primary_for_view(view, &self.replicas)
@@ -120,20 +63,19 @@ impl<C: Command> ConsensusReplica<C> {
         // A newer view means we missed a view change; adopt it.
         self.view = view;
         let digest = batch.digest();
-        let slot = log.accept(seq, batch, view);
-        slot.acks.insert(&self.replicas, self.me);
+        let slot = self.slots.entry(seq).or_default().hold(batch, view);
+        slot.prepared = true;
+        slot.votes.insert(&self.replicas, self.me);
         out.push(Step::Send {
             to: from,
-            msg: msg(MsgBody::Accepted { view, seq, digest }),
+            msg: self.msg(MsgBody::Accepted { view, seq, digest }),
         });
         // Only an Accept from a buffered Learn's view (or newer) carries the
         // block that view actually chose; an older-view Accept must not be
         // committed under a newer view's Learn.
-        if log.pending_learns.get(&seq).is_some_and(|l| view >= *l) {
-            log.pending_learns.remove(&seq);
-            if let Some(slot) = log.slots.get_mut(&seq) {
-                slot.committed = true;
-            }
+        if self.pending_learns.get(&seq).is_some_and(|l| view >= *l) {
+            self.pending_learns.remove(&seq);
+            self.slots.get_mut(&seq).expect("accepted above").committed = true;
             self.drain_deliveries(out);
         }
     }
@@ -149,61 +91,52 @@ impl<C: Command> ConsensusReplica<C> {
         if view != self.view || !self.is_primary() || self.in_view_change {
             return;
         }
-        let Rule::Paxos(log) = &mut self.rule else {
+        let Some(slot) = self.slots.get_mut(&seq) else {
             return;
         };
-        let Some(slot) = log.slots.get_mut(&seq) else {
-            return;
-        };
-        if slot.batch.digest() != digest || slot.committed {
+        if slot.digest() != Some(digest) || slot.committed {
             return;
         }
-        slot.acks.insert(&self.replicas, from);
+        slot.votes.insert(&self.replicas, from);
         self.maybe_commit(seq, out);
     }
 
     /// Commits `seq` if a majority accepted it, emitting Learn + deliveries.
     pub(crate) fn maybe_commit(&mut self, seq: SeqNo, out: &mut Steps<C>) {
         let majority = self.quorum.commit_quorum();
-        let Rule::Paxos(log) = &mut self.rule else {
+        let Some(slot) = self.slots.get_mut(&seq) else {
             return;
         };
-        let Some(slot) = log.slots.get_mut(&seq) else {
-            return;
-        };
-        if slot.committed || slot.acks.len() < majority {
+        if slot.committed || slot.votes.len() < majority {
             return;
         }
         slot.committed = true;
         let view = self.view;
         out.push(Step::Broadcast {
-            msg: msg(MsgBody::Learn { view, seq }),
+            msg: self.msg(MsgBody::Learn { view, seq }),
         });
         self.drain_deliveries(out);
     }
 
     pub(crate) fn on_learn(&mut self, from: NodeId, view: u64, seq: SeqNo, out: &mut Steps<C>) {
-        let Rule::Paxos(log) = &mut self.rule else {
-            return;
-        };
         if view < self.view || seq <= self.checkpoint.stable() {
             return;
         }
         // A Learn certifies `seq` is committed at the leader: frontier
         // evidence for the state-transfer gap detector.
         self.checkpoint.note_hint(seq, from);
-        match log.slots.get_mut(&seq) {
+        match self.slots.get_mut(&seq) {
             // A Learn issued in view v certifies the value *accepted in v*
             // (or re-proposed into a later view).  A slot filled in an older
             // view may hold a deposed leader's divergent proposal — e.g. one
             // it made while partitioned away — so committing it here would
             // fork the log.
-            Some(slot) if slot.accepted_in_view >= view => slot.committed = true,
+            Some(slot) if slot.view >= view => slot.committed = true,
             // Slot missing (Learn overtook its Accept) or stale: remember
             // the commit and apply it when an Accept from the Learn's view
             // (or newer) supplies the certified value.
             _ => {
-                let entry = log.pending_learns.entry(seq).or_insert(view);
+                let entry = self.pending_learns.entry(seq).or_insert(view);
                 *entry = (*entry).max(view);
             }
         }
@@ -221,15 +154,16 @@ impl<C: Command> ConsensusReplica<C> {
         frontier: SeqNo,
         out: &mut Steps<C>,
     ) {
-        let Rule::Paxos(held) = &mut self.rule else {
-            return;
-        };
         for (seq, batch) in log {
             let digest = batch.digest();
-            held.accept(seq, batch, view);
+            self.slots
+                .entry(seq)
+                .or_default()
+                .hold(batch, view)
+                .prepared = true;
             out.push(Step::Send {
                 to: from,
-                msg: msg(MsgBody::Accepted { view, seq, digest }),
+                msg: self.msg(MsgBody::Accepted { view, seq, digest }),
             });
         }
         // Catch up the commit frontier the leader advertised — but only
@@ -238,8 +172,8 @@ impl<C: Command> ConsensusReplica<C> {
         // a deposed leader's divergent proposal; blindly committing it here
         // once forked a recovered replica's log.
         for seq in (self.last_delivered + 1)..=frontier {
-            if let Some(slot) = held.slots.get_mut(&seq) {
-                if slot.accepted_in_view >= view {
+            if let Some(slot) = self.slots.get_mut(&seq) {
+                if slot.view >= view {
                     slot.committed = true;
                 }
             }
@@ -251,8 +185,13 @@ impl<C: Command> ConsensusReplica<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::ConsensusMsg;
     use crate::replica::testkit::{block, commit_bytes, domain, route, steps_of, Cmd};
     use saguaro_types::FailureModel::Crash;
+
+    fn msg(body: MsgBody<Cmd>) -> ConsensusMsg<Cmd> {
+        crate::replica::testkit::msg(Crash, body)
+    }
 
     fn accept(view: u64, seq: SeqNo, cmd: &[u8]) -> ConsensusMsg<Cmd> {
         let batch = block(cmd);
@@ -423,10 +362,7 @@ mod tests {
     fn a_proposal_waits_uncommitted_for_its_majority() {
         let (_nodes, mut reps) = domain(Crash, 3);
         reps[0].propose_into(b"a".to_vec(), &mut Vec::new());
-        let Rule::Paxos(log) = &reps[0].rule else {
-            panic!("a crash-only domain runs Paxos");
-        };
-        assert_eq!(log.slots.values().filter(|s| !s.committed).count(), 1);
+        assert_eq!(reps[0].slots.values().filter(|s| !s.committed).count(), 1);
     }
 
     #[test]

@@ -20,99 +20,27 @@
 //! verification per signature); the state machine itself trusts the adapter
 //! to have authenticated senders, mirroring how PBFT uses MACs/signatures.
 //!
-//! This module holds what only PBFT has — its slots, the three-phase
-//! handlers and the guards a `NewView` must pass; everything else a replica
+//! This module holds only the three-phase handlers and the guards a
+//! `NewView` must pass.  They fill the replica's one slot table, whose slots
+//! may collect votes before their pre-prepare; everything else a replica
 //! does is written once in [`crate::replica`].
 
 use crate::batch::Batch;
 use crate::interface::{primary_for_view, Command, Step};
-use crate::msg::{ConsensusMsg, MsgBody};
-use crate::replica::{ConsensusReplica, Rule, Steps, VoteMask};
+use crate::msg::MsgBody;
+use crate::replica::{ConsensusReplica, Slot, Steps};
 use saguaro_crypto::Digest;
-use saguaro_types::{FailureModel, NodeId, SeqNo};
-use std::collections::BTreeMap;
-
-/// Per-sequence bookkeeping; a slot can collect votes before its
-/// pre-prepare arrives.
-#[derive(Clone, Debug)]
-pub(crate) struct Slot<C> {
-    pub(crate) batch: Option<Batch<C>>,
-    pub(crate) pre_prepared_view: u64,
-    pub(crate) prepares: VoteMask,
-    pub(crate) commits: VoteMask,
-    pub(crate) prepared: bool,
-    pub(crate) committed: bool,
-}
-
-impl<C> Default for Slot<C> {
-    fn default() -> Self {
-        Self {
-            batch: None,
-            pre_prepared_view: 0,
-            prepares: VoteMask::default(),
-            commits: VoteMask::default(),
-            prepared: false,
-            committed: false,
-        }
-    }
-}
-
-impl<C: Command> Slot<C> {
-    /// Digest of the block the slot holds, once its pre-prepare arrived.
-    fn digest(&self) -> Option<Digest> {
-        self.batch.as_ref().map(Batch::digest)
-    }
-}
-
-/// The slot state of the PBFT rule.
-#[derive(Clone, Debug)]
-pub(crate) struct PbftLog<C> {
-    pub(crate) slots: BTreeMap<SeqNo, Slot<C>>,
-    /// Highest view whose `NewView` certificate this replica has accepted;
-    /// a second (possibly conflicting) certificate for the same view is
-    /// never applied.
-    last_new_view: u64,
-}
-
-impl<C> Default for PbftLog<C> {
-    fn default() -> Self {
-        Self {
-            slots: BTreeMap::new(),
-            last_new_view: 0,
-        }
-    }
-}
-
-impl<C: Command> PbftLog<C> {
-    /// Stores `batch` at `seq` as pre-prepared in `view`, keeping the slot's
-    /// vote sets and flags.
-    pub(crate) fn pre_prepare(&mut self, seq: SeqNo, batch: Batch<C>, view: u64) -> &mut Slot<C> {
-        let slot = self.slots.entry(seq).or_default();
-        slot.batch = Some(batch);
-        slot.pre_prepared_view = view;
-        slot
-    }
-}
-
-fn msg<C>(body: MsgBody<C>) -> ConsensusMsg<C> {
-    ConsensusMsg {
-        model: FailureModel::Byzantine,
-        body,
-    }
-}
+use saguaro_types::{NodeId, SeqNo};
 
 impl<C: Command> ConsensusReplica<C> {
     /// The primary's normal case for the block it just numbered `seq`.
     pub(crate) fn propose_pre_prepare(&mut self, seq: SeqNo, batch: Batch<C>, out: &mut Steps<C>) {
-        let Rule::Pbft(log) = &mut self.rule else {
-            return;
-        };
         let view = self.view;
         // The primary's pre-prepare counts as its prepare.
-        let slot = log.pre_prepare(seq, batch.clone(), view);
-        slot.prepares.insert(&self.replicas, self.me);
+        let slot = self.slots.entry(seq).or_default().hold(batch.clone(), view);
+        slot.votes.insert(&self.replicas, self.me);
         out.push(Step::Broadcast {
-            msg: msg(MsgBody::PrePrepare { view, seq, batch }),
+            msg: self.msg(MsgBody::PrePrepare { view, seq, batch }),
         });
         self.check_prepared(seq, out);
     }
@@ -125,9 +53,6 @@ impl<C: Command> ConsensusReplica<C> {
         batch: Batch<C>,
         out: &mut Steps<C>,
     ) {
-        let Rule::Pbft(log) = &mut self.rule else {
-            return;
-        };
         if view != self.view
             || self.in_view_change
             || from != primary_for_view(view, &self.replicas)
@@ -138,16 +63,14 @@ impl<C: Command> ConsensusReplica<C> {
         let digest = batch.digest();
         // A Byzantine primary might equivocate: if we already accepted a
         // different digest at this (view, seq), ignore the second one.
-        let held = log.slots.get(&seq);
-        if held
-            .is_some_and(|s| s.pre_prepared_view == view && s.digest().is_some_and(|d| d != digest))
-        {
+        let held = self.slots.get(&seq);
+        if held.is_some_and(|s| s.view == view && s.digest().is_some_and(|d| d != digest)) {
             return;
         }
-        let slot = log.pre_prepare(seq, batch, view);
-        slot.prepares.insert(&self.replicas, self.me);
+        let slot = self.slots.entry(seq).or_default().hold(batch, view);
+        slot.votes.insert(&self.replicas, self.me);
         out.push(Step::Broadcast {
-            msg: msg(MsgBody::Prepare { view, seq, digest }),
+            msg: self.msg(MsgBody::Prepare { view, seq, digest }),
         });
         self.check_prepared(seq, out);
     }
@@ -161,13 +84,10 @@ impl<C: Command> ConsensusReplica<C> {
         seq: SeqNo,
         digest: Digest,
     ) -> Option<(&mut Slot<C>, &[NodeId])> {
-        let Rule::Pbft(log) = &mut self.rule else {
-            return None;
-        };
         if view != self.view || self.in_view_change || seq <= self.checkpoint.stable() {
             return None;
         }
-        let slot = log.slots.entry(seq).or_default();
+        let slot = self.slots.entry(seq).or_default();
         let names_it = slot.digest().is_none_or(|d| d == digest);
         names_it.then_some((slot, &self.replicas[..]))
     }
@@ -181,7 +101,7 @@ impl<C: Command> ConsensusReplica<C> {
         out: &mut Steps<C>,
     ) {
         if let Some((slot, members)) = self.voted_slot(view, seq, digest) {
-            slot.prepares.insert(members, from);
+            slot.votes.insert(members, from);
             self.check_prepared(seq, out);
         }
     }
@@ -191,14 +111,11 @@ impl<C: Command> ConsensusReplica<C> {
         // The pre-prepare from the primary + 2f prepares; we count distinct
         // prepare senders (including ourselves), so 2f are needed.
         let needed = (2 * self.quorum.f).max(1);
-        let Rule::Pbft(log) = &mut self.rule else {
-            return;
-        };
-        let Some(slot) = log.slots.get_mut(&seq) else {
+        let Some(slot) = self.slots.get_mut(&seq) else {
             return;
         };
         // Need the pre-prepare (block present) and 2f prepares besides it.
-        if slot.prepared || slot.batch.is_none() || slot.prepares.len() < needed {
+        if slot.prepared || slot.batch.is_none() || slot.votes.len() < needed {
             return;
         }
         slot.prepared = true;
@@ -206,7 +123,7 @@ impl<C: Command> ConsensusReplica<C> {
         let digest = slot.digest().expect("the slot holds its block");
         let view = self.view;
         out.push(Step::Broadcast {
-            msg: msg(MsgBody::Commit { view, seq, digest }),
+            msg: self.msg(MsgBody::Commit { view, seq, digest }),
         });
         self.check_committed(seq, out);
     }
@@ -227,10 +144,7 @@ impl<C: Command> ConsensusReplica<C> {
 
     fn check_committed(&mut self, seq: SeqNo, out: &mut Steps<C>) {
         let needed = self.quorum.commit_quorum();
-        let Rule::Pbft(log) = &mut self.rule else {
-            return;
-        };
-        let Some(slot) = log.slots.get_mut(&seq) else {
+        let Some(slot) = self.slots.get_mut(&seq) else {
             return;
         };
         if slot.committed || !slot.prepared || slot.batch.is_none() || slot.commits.len() < needed {
@@ -241,19 +155,16 @@ impl<C: Command> ConsensusReplica<C> {
     }
 
     /// The conditions a `NewView` must meet beyond coming from the view's
-    /// primary.  Paxos has none; PBFT applies one certificate per view,
-    /// rejects an equivocating primary's, and adopts the checkpoint `frontier`
-    /// an admitted one certifies.
+    /// primary (Paxos has none): one certificate per view, none from an
+    /// equivocating primary; an admitted one's checkpoint `frontier` is
+    /// adopted.
     pub(crate) fn admit_new_view(
         &mut self,
         view: u64,
         log: &[(SeqNo, Batch<C>)],
         frontier: SeqNo,
     ) -> bool {
-        let Rule::Pbft(held) = &mut self.rule else {
-            return true;
-        };
-        if view <= held.last_new_view {
+        if view <= self.last_new_view {
             return false;
         }
         // Defence against an equivocating new primary: reject a `NewView`
@@ -261,14 +172,14 @@ impl<C: Command> ConsensusReplica<C> {
         // replica holds a prepared certificate for — a twin certificate
         // cannot overwrite prepared state.
         let conflicts = log.iter().any(|(seq, batch)| {
-            let slot = held.slots.get(seq).filter(|slot| slot.prepared);
+            let slot = self.slots.get(seq).filter(|slot| slot.prepared);
             slot.is_some_and(|slot| slot.digest().is_some_and(|d| d != batch.digest()))
         });
         if conflicts {
             self.certificate_conflicts += 1;
             return false;
         }
-        held.last_new_view = view;
+        self.last_new_view = view;
         // The new primary certified this floor with 2f + 1 view-change
         // votes; adopt it.  A replica whose frontier is below the adopted
         // floor is now formally gap-stalled (its missing slots may be
@@ -290,7 +201,7 @@ impl<C: Command> ConsensusReplica<C> {
             let digest = batch.digest();
             self.reinstall(seq, batch, view);
             out.push(Step::Broadcast {
-                msg: msg(MsgBody::Prepare { view, seq, digest }),
+                msg: self.msg(MsgBody::Prepare { view, seq, digest }),
             });
             self.check_prepared(seq, out);
         }
@@ -300,8 +211,13 @@ impl<C: Command> ConsensusReplica<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::ConsensusMsg;
     use crate::replica::testkit::{block, commit_bytes, domain, route, steps_of, Cmd};
     use saguaro_types::FailureModel::Byzantine;
+
+    fn msg(body: MsgBody<Cmd>) -> ConsensusMsg<Cmd> {
+        crate::replica::testkit::msg(Byzantine, body)
+    }
 
     fn pre_prepare(seq: SeqNo, cmd: &[u8]) -> ConsensusMsg<Cmd> {
         let (view, batch) = (0, block(cmd));

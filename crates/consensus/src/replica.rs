@@ -1,16 +1,16 @@
-//! The replica of one domain: a replicated log plus an agreement rule.
+//! The replica of one domain: one slot table under either agreement rule.
 //!
 //! Higher layers (the Saguaro node, the baselines, the experiment harness)
 //! hold one [`ConsensusReplica`] per domain member and do not care whether
-//! the domain is crash-only or Byzantine.  The replica owns everything the
-//! two protocols have in common — membership and views, the delivery
-//! frontier, checkpoint agreement and garbage collection, state transfer,
-//! timeout escalation and the view-change vote table with its defence
-//! against conflicting votes — and holds a `Rule`, selected by the
-//! domain's failure model, that answers only what differs: the normal-case
-//! message handlers ([`crate::paxos`], [`crate::pbft`]), which slots go into
-//! a view-change vote, how a merged log is re-installed and a `NewView`
-//! accepted, and what is purged below a floor.
+//! the domain is crash-only or Byzantine.  The replica owns the slots — one
+//! `Slot` per sequence number, the same type under both rules — and
+//! everything the two protocols have in common: membership and views, the
+//! delivery frontier, checkpoint agreement and garbage collection, state
+//! transfer, timeout escalation and the view-change vote table with its
+//! defence against conflicting votes.  Only the normal-case message
+//! handlers live apart ([`crate::paxos`], [`crate::pbft`]); the few places
+//! the rules differ beyond them are named branches on the domain's failure
+//! model.
 //!
 //! The replica is also where request batching lives: it orders [`Batch`]es
 //! of commands (digest = Merkle root over the member digests), and the
@@ -24,8 +24,7 @@ use crate::batch::{Batch, BatchConfig, Batcher};
 use crate::checkpoint::CheckpointKeeper;
 use crate::interface::{primary_for_view, Command, Step};
 use crate::msg::{ConsensusMsg, MsgBody};
-use crate::paxos::PaxosLog;
-use crate::pbft::PbftLog;
+use saguaro_crypto::Digest;
 use saguaro_types::{CheckpointConfig, FailureModel, NodeId, QuorumSpec, SeqNo, StateSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -58,97 +57,53 @@ impl VoteMask {
     }
 }
 
-/// The agreement rule of a domain — when a slot is chosen — with the slot
-/// state only that rule keeps.
+/// One sequence number's state, whichever rule fills it.  A Paxos slot
+/// exists once it holds an accepted block, and accepting marks it prepared;
+/// a PBFT slot can collect votes before its pre-prepare arrives, and is
+/// prepared once it holds `2f` matching prepares besides.
 #[derive(Clone, Debug)]
-pub(crate) enum Rule<C> {
-    /// Multi-Paxos: crash-only domains.
-    Paxos(PaxosLog<C>),
-    /// PBFT: Byzantine domains.
-    Pbft(PbftLog<C>),
+pub(crate) struct Slot<C> {
+    /// The block proposed (PBFT) or accepted (Paxos) here.
+    pub(crate) batch: Option<Batch<C>>,
+    /// The view `batch` was proposed or accepted in.
+    pub(crate) view: u64,
+    /// First-phase votes, this replica's included: Paxos `Accepted`s, PBFT
+    /// `Prepare`s.
+    pub(crate) votes: VoteMask,
+    /// PBFT `Commit`s (empty under Paxos).
+    pub(crate) commits: VoteMask,
+    /// The slot goes into a view-change vote.  A PBFT re-install clears it,
+    /// on a committed slot too, until the slot prepares again.
+    pub(crate) prepared: bool,
+    /// The slot is chosen; it is delivered once every slot below it is.
+    pub(crate) committed: bool,
 }
 
-impl<C: Command> Rule<C> {
-    /// The block at `seq`, if that slot is committed.
-    fn committed(&self, seq: SeqNo) -> Option<&Batch<C>> {
-        match self {
-            Rule::Paxos(log) => log
-                .slots
-                .get(&seq)
-                .filter(|s| s.committed)
-                .map(|s| &s.batch),
-            Rule::Pbft(log) => log
-                .slots
-                .get(&seq)
-                .filter(|s| s.committed)
-                .map(|s| s.batch.as_ref().expect("committed slot has a block")),
+impl<C> Default for Slot<C> {
+    fn default() -> Self {
+        Self {
+            batch: None,
+            view: 0,
+            votes: VoteMask::default(),
+            commits: VoteMask::default(),
+            prepared: false,
+            committed: false,
         }
     }
+}
 
-    /// Drops every slot at or below `floor` — and, under Paxos, the buffered
-    /// learns waiting for those slots.
-    fn purge_through(&mut self, floor: SeqNo) {
-        match self {
-            Rule::Paxos(log) => {
-                log.slots.retain(|seq, _| *seq > floor);
-                log.pending_learns.retain(|seq, _| *seq > floor);
-            }
-            Rule::Pbft(log) => log.slots.retain(|seq, _| *seq > floor),
-        }
+impl<C: Command> Slot<C> {
+    /// Stores `batch` as proposed or accepted in `view`, keeping the slot's
+    /// votes and flags.
+    pub(crate) fn hold(&mut self, batch: Batch<C>, view: u64) -> &mut Self {
+        self.batch = Some(batch);
+        self.view = view;
+        self
     }
 
-    /// Drops the slot at `seq` (superseded by a transferred entry).
-    fn remove(&mut self, seq: SeqNo) {
-        match self {
-            Rule::Paxos(log) => {
-                log.slots.remove(&seq);
-                log.pending_learns.remove(&seq);
-            }
-            Rule::Pbft(log) => {
-                log.slots.remove(&seq);
-            }
-        }
-    }
-
-    /// The `(seq, view, block)` entries above `stable` a view-change vote
-    /// carries, delivered ones included: quorum intersection then guarantees
-    /// the new primary's merge sees each chosen value even when the only
-    /// voter still holding it has already executed it (a delivered-entries
-    /// filter here once let a new leader re-assign an executed sequence
-    /// number to a fresh command, forking stragglers).  Entries at or below
-    /// the checkpoint are quorum-executed and immutable; laggards that still
-    /// need them catch up through state transfer, so omitting them is what
-    /// bounds the vote by `history − checkpoint`.
-    ///
-    /// A Paxos vote carries every accepted slot, a PBFT vote every prepared
-    /// certificate.
-    fn vote_entries(
-        &self,
-        stable: SeqNo,
-    ) -> Box<dyn Iterator<Item = (SeqNo, u64, &Batch<C>)> + '_> {
-        match self {
-            Rule::Paxos(log) => Box::new(
-                log.slots
-                    .range(stable + 1..)
-                    .map(|(seq, slot)| (*seq, slot.accepted_in_view, &slot.batch)),
-            ),
-            Rule::Pbft(log) => Box::new(
-                log.slots
-                    .range(stable + 1..)
-                    .filter(|(_, slot)| slot.prepared)
-                    .filter_map(|(seq, slot)| {
-                        Some((*seq, slot.pre_prepared_view, slot.batch.as_ref()?))
-                    }),
-            ),
-        }
-    }
-
-    /// The highest sequence number holding a slot.
-    fn last_seq(&self) -> Option<SeqNo> {
-        match self {
-            Rule::Paxos(log) => log.slots.keys().next_back().copied(),
-            Rule::Pbft(log) => log.slots.keys().next_back().copied(),
-        }
+    /// Digest of the block the slot holds, if any.
+    pub(crate) fn digest(&self) -> Option<Digest> {
+        self.batch.as_ref().map(Batch::digest)
     }
 }
 
@@ -176,8 +131,18 @@ pub struct ConsensusReplica<C> {
     next_seq: SeqNo,
     /// Last sequence delivered to the application (no gaps).
     pub(crate) last_delivered: SeqNo,
-    /// The agreement rule and its slots.
-    pub(crate) rule: Rule<C>,
+    /// The slot table: every sequence number above the stable checkpoint
+    /// that holds a block or a vote.
+    pub(crate) slots: BTreeMap<SeqNo, Slot<C>>,
+    /// Paxos: Learns that arrived before their Accept (out-of-order
+    /// delivery), keyed by sequence number, holding the view the Learn was
+    /// issued in; applied once an Accept from that view (or newer) fills
+    /// the slot.
+    pub(crate) pending_learns: BTreeMap<SeqNo, u64>,
+    /// PBFT: the highest view whose `NewView` certificate this replica has
+    /// accepted; a second (possibly conflicting) certificate for the same
+    /// view is never applied.
+    pub(crate) last_new_view: u64,
     /// View-change votes collected per proposed view.
     view_change_votes: BTreeMap<u64, BTreeMap<NodeId, ViewChangeVote<C>>>,
     /// Replicas caught sending two *conflicting* view-change votes for the
@@ -236,10 +201,6 @@ impl<C: Command> ConsensusReplica<C> {
             VoteMask::CAPACITY
         );
         replicas.sort();
-        let rule = match quorum.model {
-            FailureModel::Crash => Rule::Paxos(PaxosLog::default()),
-            FailureModel::Byzantine => Rule::Pbft(PbftLog::default()),
-        };
         Self {
             me,
             replicas,
@@ -247,7 +208,9 @@ impl<C: Command> ConsensusReplica<C> {
             view: 0,
             next_seq: 1,
             last_delivered: 0,
-            rule,
+            slots: BTreeMap::new(),
+            pending_learns: BTreeMap::new(),
+            last_new_view: 0,
             view_change_votes: BTreeMap::new(),
             vc_tainted: BTreeSet::new(),
             certificate_conflicts: 0,
@@ -274,7 +237,7 @@ impl<C: Command> ConsensusReplica<C> {
     /// Number of entries a view-change vote sent right now would carry —
     /// bounded by `history − stable checkpoint`.
     pub fn vote_entries(&self) -> usize {
-        self.rule.vote_entries(self.checkpoint.stable()).count()
+        self.vote_entries_above(self.checkpoint.stable()).count()
     }
 
     /// The quorum rules of this replica's domain.
@@ -284,7 +247,7 @@ impl<C: Command> ConsensusReplica<C> {
 
     /// True if the domain runs PBFT (Byzantine failure model).
     pub fn is_byzantine(&self) -> bool {
-        matches!(self.rule, Rule::Pbft(_))
+        self.quorum.model == FailureModel::Byzantine
     }
 
     /// Conflicting view-change / new-view certificates this replica has
@@ -342,7 +305,7 @@ impl<C: Command> ConsensusReplica<C> {
     }
 
     /// A message of this domain's protocol.
-    fn msg(&self, body: MsgBody<C>) -> ConsensusMsg<C> {
+    pub(crate) fn msg(&self, body: MsgBody<C>) -> ConsensusMsg<C> {
         ConsensusMsg {
             model: self.quorum.model,
             body,
@@ -398,32 +361,46 @@ impl<C: Command> ConsensusReplica<C> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        match self.rule {
-            Rule::Paxos(_) => self.propose_accept(seq, batch, out),
-            Rule::Pbft(_) => self.propose_pre_prepare(seq, batch, out),
+        match self.quorum.model {
+            FailureModel::Crash => self.propose_accept(seq, batch, out),
+            FailureModel::Byzantine => self.propose_pre_prepare(seq, batch, out),
         }
     }
 
     /// Handles a wire message from a peer replica, appending the resulting
     /// steps to `out`.  Messages of the wrong protocol (which a Byzantine
-    /// peer could fabricate) are ignored.
+    /// peer could fabricate), and the other rule's normal-case bodies under
+    /// this one's name, are ignored.
     pub fn on_message_into(&mut self, from: NodeId, msg: ConsensusMsg<C>, out: &mut Steps<C>) {
         // A node outside the domain has no say in it: no vote, no view
         // change, no checkpoint, no state transfer.
         if msg.model != self.quorum.model || self.replicas.binary_search(&from).is_err() {
             return;
         }
+        let paxos = self.quorum.model == FailureModel::Crash;
         match msg.body {
-            MsgBody::Accept { view, seq, batch } => self.on_accept(from, view, seq, batch, out),
-            MsgBody::Accepted { view, seq, digest } => {
+            MsgBody::Accept { view, seq, batch } if paxos => {
+                self.on_accept(from, view, seq, batch, out)
+            }
+            MsgBody::Accepted { view, seq, digest } if paxos => {
                 self.on_accepted(from, view, seq, digest, out)
             }
-            MsgBody::Learn { view, seq } => self.on_learn(from, view, seq, out),
-            MsgBody::PrePrepare { view, seq, batch } => {
+            MsgBody::Learn { view, seq } if paxos => self.on_learn(from, view, seq, out),
+            MsgBody::PrePrepare { view, seq, batch } if !paxos => {
                 self.on_pre_prepare(from, view, seq, batch, out)
             }
-            MsgBody::Prepare { view, seq, digest } => self.on_prepare(from, view, seq, digest, out),
-            MsgBody::Commit { view, seq, digest } => self.on_commit(from, view, seq, digest, out),
+            MsgBody::Prepare { view, seq, digest } if !paxos => {
+                self.on_prepare(from, view, seq, digest, out)
+            }
+            MsgBody::Commit { view, seq, digest } if !paxos => {
+                self.on_commit(from, view, seq, digest, out)
+            }
+            MsgBody::Accept { .. }
+            | MsgBody::Accepted { .. }
+            | MsgBody::Learn { .. }
+            | MsgBody::PrePrepare { .. }
+            | MsgBody::Prepare { .. }
+            | MsgBody::Commit { .. } => {}
             MsgBody::ViewChange {
                 new_view,
                 entries,
@@ -460,9 +437,43 @@ impl<C: Command> ConsensusReplica<C> {
     /// the last delivered sequence number, retaining each in the durable
     /// chain and announcing periodic checkpoints when configured.
     pub(crate) fn drain_deliveries(&mut self, out: &mut Steps<C>) {
-        while let Some(batch) = self.rule.committed(self.last_delivered + 1).cloned() {
+        while let Some(batch) = self.committed(self.last_delivered + 1).cloned() {
             self.deliver(self.last_delivered + 1, batch, out);
         }
+    }
+
+    /// The block at `seq`, if that slot is committed.
+    fn committed(&self, seq: SeqNo) -> Option<&Batch<C>> {
+        let slot = self.slots.get(&seq).filter(|slot| slot.committed)?;
+        Some(
+            slot.batch
+                .as_ref()
+                .expect("a committed slot holds its block"),
+        )
+    }
+
+    /// The `(seq, view, block)` entries above `stable` a view-change vote
+    /// carries: every prepared slot (every accepted one under Paxos),
+    /// delivered ones included.  Quorum intersection then guarantees the new
+    /// primary's merge sees each chosen value even when the only voter
+    /// still holding it has already executed it (a delivered-entries filter
+    /// here once let a new leader re-assign an executed sequence number to a
+    /// fresh command, forking stragglers).  Entries at or below the
+    /// checkpoint are quorum-executed and immutable; laggards that still
+    /// need them catch up through state transfer, so omitting them is what
+    /// bounds the vote by `history − checkpoint`.
+    fn vote_entries_above(&self, stable: SeqNo) -> impl Iterator<Item = (SeqNo, u64, &Batch<C>)> {
+        let prepared = self
+            .slots
+            .range(stable + 1..)
+            .filter(|(_, slot)| slot.prepared);
+        prepared.filter_map(|(seq, slot)| Some((*seq, slot.view, slot.batch.as_ref()?)))
+    }
+
+    /// Drops every slot, and every buffered Learn, at or below `floor`.
+    fn purge_through(&mut self, floor: SeqNo) {
+        self.slots.retain(|seq, _| *seq > floor);
+        self.pending_learns.retain(|seq, _| *seq > floor);
     }
 
     /// Delivers the entry at `seq` (the next one in order): emits the step,
@@ -487,9 +498,9 @@ impl<C: Command> ConsensusReplica<C> {
             // stream and hands it back via `store_snapshot`.
             out.push(Step::TakeSnapshot { seq });
         }
-        match self.rule {
+        match self.quorum.model {
             // Paxos records its own announcement as a plain vote.
-            Rule::Paxos(_) => {
+            FailureModel::Crash => {
                 let quorum = self.quorum.commit_quorum();
                 if self
                     .checkpoint
@@ -501,7 +512,7 @@ impl<C: Command> ConsensusReplica<C> {
             // PBFT handles it like a peer's: the prune floor is re-evaluated
             // and a state request may go out.  That request's pacing is
             // stateful, so the extra evaluation is observable.
-            Rule::Pbft(_) => self.on_checkpoint(self.me, seq, out),
+            FailureModel::Byzantine => self.on_checkpoint(self.me, seq, out),
         }
     }
 
@@ -509,7 +520,7 @@ impl<C: Command> ConsensusReplica<C> {
     /// because stabilisation requires this replica to have executed the
     /// floor: everything dropped has already been delivered locally.
     fn gc_below_stable(&mut self) {
-        self.rule.purge_through(self.checkpoint.stable());
+        self.purge_through(self.checkpoint.stable());
         self.checkpoint.prune_entry_state(self.replicas.len());
     }
 
@@ -535,7 +546,7 @@ impl<C: Command> ConsensusReplica<C> {
     /// runs ahead of a gap this replica cannot fill from its own slots (e.g.
     /// after a `NewView` jumped the stable checkpoint past its frontier).
     pub(crate) fn maybe_request_state(&mut self, out: &mut Steps<C>) {
-        let next_commits = self.rule.committed(self.last_delivered + 1).is_some();
+        let next_commits = self.committed(self.last_delivered + 1).is_some();
         match self
             .checkpoint
             .should_request(self.last_delivered, next_commits)
@@ -589,7 +600,7 @@ impl<C: Command> ConsensusReplica<C> {
             // at or below it is superseded by the snapshot's state.
             self.last_delivered = snapshot.seq;
             self.next_seq = self.next_seq.max(snapshot.seq + 1);
-            self.rule.purge_through(snapshot.seq);
+            self.purge_through(snapshot.seq);
             self.checkpoint.adopt_snapshot(snapshot.clone());
             out.push(Step::InstallSnapshot { snapshot });
             applied = true;
@@ -598,7 +609,8 @@ impl<C: Command> ConsensusReplica<C> {
             if seq != self.last_delivered + 1 {
                 continue; // already executed, or non-contiguous garbage
             }
-            self.rule.remove(seq);
+            self.slots.remove(&seq);
+            self.pending_learns.remove(&seq);
             self.deliver(seq, batch, out);
             applied = true;
         }
@@ -630,9 +642,9 @@ impl<C: Command> ConsensusReplica<C> {
     /// none: a Byzantine voter's word about its own execution proves
     /// nothing, only its quorum-certified checkpoint does.
     fn vote_frontier(&self, last_delivered: SeqNo) -> SeqNo {
-        match self.rule {
-            Rule::Paxos(_) => last_delivered,
-            Rule::Pbft(_) => 0,
+        match self.quorum.model {
+            FailureModel::Crash => last_delivered,
+            FailureModel::Byzantine => 0,
         }
     }
 
@@ -645,8 +657,7 @@ impl<C: Command> ConsensusReplica<C> {
         let stable = self.checkpoint.stable();
         let vote = ViewChangeVote {
             entries: self
-                .rule
-                .vote_entries(stable)
+                .vote_entries_above(stable)
                 .map(|(seq, view, batch)| (seq, view, batch.clone()))
                 .collect(),
             last_delivered: self.vote_frontier(self.last_delivered),
@@ -734,17 +745,17 @@ impl<C: Command> ConsensusReplica<C> {
             .expect("the quorum of votes counted just above");
         // Paxos merges from the voters' delivery frontiers alone; PBFT from
         // checkpoints, its own included.
-        let own = self.checkpoint.stable();
-        let (mut frontier, mut floor) = match self.rule {
-            Rule::Paxos(_) => (0, SeqNo::MAX),
-            Rule::Pbft(_) => (own, own),
+        let (model, own) = (self.quorum.model, self.checkpoint.stable());
+        let (mut frontier, mut floor) = match model {
+            FailureModel::Crash => (0, SeqNo::MAX),
+            FailureModel::Byzantine => (own, own),
         };
         let mut merged: BTreeMap<SeqNo, (u64, Batch<C>)> = BTreeMap::new();
         let mut best_voter: Option<(SeqNo, NodeId)> = None;
         for (voter, vote) in votes {
-            let progress = match self.rule {
-                Rule::Paxos(_) => vote.last_delivered,
-                Rule::Pbft(_) => vote.checkpoint,
+            let progress = match model {
+                FailureModel::Crash => vote.last_delivered,
+                FailureModel::Byzantine => vote.checkpoint,
             };
             // A voter's checkpoint certifies quorum execution through it, so
             // the new view's frontier must clear it even when no vote
@@ -791,7 +802,8 @@ impl<C: Command> ConsensusReplica<C> {
         for (seq, batch) in &log {
             self.reinstall(*seq, batch.clone(), new_view);
         }
-        self.next_seq = self.rule.last_seq().unwrap_or(0).max(frontier) + 1;
+        let last_slot = self.slots.keys().next_back().copied().unwrap_or(0);
+        self.next_seq = last_slot.max(frontier) + 1;
 
         let reproposed: Vec<SeqNo> = log.iter().map(|(seq, _)| *seq).collect();
         out.push(Step::ViewChanged {
@@ -805,7 +817,7 @@ impl<C: Command> ConsensusReplica<C> {
                 frontier,
             }),
         });
-        if let Rule::Paxos(_) = self.rule {
+        if model == FailureModel::Crash {
             // Single-replica domains (f = 0) may be able to commit on their
             // own acceptance; a PBFT primary always waits for prepares.
             for seq in reproposed {
@@ -823,23 +835,15 @@ impl<C: Command> ConsensusReplica<C> {
     /// were given for whatever value the slot held *then*; counting them
     /// towards the re-proposed value could commit it with replicas that
     /// never saw it.  Committed slots keep their flag — commitment is
-    /// value-stable.  (A Paxos follower does not come here: it keeps no
-    /// acknowledgements worth restarting.)
+    /// value-stable.  A Paxos slot is prepared by being accepted; a PBFT
+    /// one re-runs its prepare round.  (A Paxos follower does not come here:
+    /// it keeps no acknowledgements worth restarting.)
     pub(crate) fn reinstall(&mut self, seq: SeqNo, batch: Batch<C>, view: u64) {
-        match &mut self.rule {
-            Rule::Paxos(log) => {
-                let slot = log.accept(seq, batch, view);
-                slot.acks = VoteMask::default();
-                slot.acks.insert(&self.replicas, self.me);
-            }
-            Rule::Pbft(log) => {
-                let slot = log.pre_prepare(seq, batch, view);
-                slot.prepares = VoteMask::default();
-                slot.commits = VoteMask::default();
-                slot.prepared = false;
-                slot.prepares.insert(&self.replicas, self.me);
-            }
-        }
+        let slot = self.slots.entry(seq).or_default().hold(batch, view);
+        slot.votes = VoteMask::default();
+        slot.votes.insert(&self.replicas, self.me);
+        slot.commits = VoteMask::default();
+        slot.prepared = self.quorum.model == FailureModel::Crash;
     }
 
     fn on_new_view(
@@ -852,7 +856,7 @@ impl<C: Command> ConsensusReplica<C> {
     ) {
         if view < self.view
             || from != primary_for_view(view, &self.replicas)
-            || !self.admit_new_view(view, &log, frontier)
+            || (self.is_byzantine() && !self.admit_new_view(view, &log, frontier))
         {
             return;
         }
@@ -864,9 +868,9 @@ impl<C: Command> ConsensusReplica<C> {
             view,
             primary: from,
         });
-        match self.rule {
-            Rule::Paxos(_) => self.accept_new_view(from, view, log, frontier, out),
-            Rule::Pbft(_) => self.prepare_new_view(view, log, out),
+        match self.quorum.model {
+            FailureModel::Crash => self.accept_new_view(from, view, log, frontier, out),
+            FailureModel::Byzantine => self.prepare_new_view(view, log, out),
         }
         // Entries below the new primary's log start may be gone from every
         // slot map (garbage-collected below the checkpoint): a follower
@@ -930,14 +934,6 @@ pub(crate) mod testkit {
 
     pub(crate) fn msg(model: FailureModel, body: MsgBody<Cmd>) -> ConsensusMsg<Cmd> {
         ConsensusMsg { model, body }
-    }
-
-    /// Number of slots `replica` currently retains (bounded by checkpoint GC).
-    pub(crate) fn slots(replica: &ConsensusReplica<Cmd>) -> usize {
-        match &replica.rule {
-            Rule::Paxos(log) => log.slots.len(),
-            Rule::Pbft(log) => log.slots.len(),
-        }
     }
 
     /// A block of the one command `cmd`.
@@ -1190,7 +1186,7 @@ mod tests {
             for r in &reps {
                 assert_eq!(r.last_delivered(), 8);
                 assert_eq!(r.stable_checkpoint(), 8, "floor 8 must have stabilised");
-                assert_eq!(slots(r), 0, "{model:?} log not garbage collected");
+                assert_eq!(r.slots.len(), 0, "{model:?} log not garbage collected");
             }
             // Two more stay above it.
             let initial = (8..10u8).map(|i| (0, steps_of(|o| reps[0].propose_into(vec![i], o))));
@@ -1199,7 +1195,11 @@ mod tests {
             for r in &reps {
                 assert_eq!(r.last_delivered(), 10);
                 assert_eq!(r.stable_checkpoint(), 8);
-                assert!(slots(r) <= 2, "{model:?} holds {} slots", slots(r));
+                assert!(
+                    r.slots.len() <= 2,
+                    "{model:?} holds {} slots",
+                    r.slots.len()
+                );
                 assert!(r.vote_entries() <= 2);
             }
             // The actual view-change vote payload is bounded by the stable
@@ -1236,7 +1236,7 @@ mod tests {
             let victim = n - 1;
             commit_bytes(&nodes, &mut reps, 6, &[victim]);
             assert_eq!(reps[0].stable_checkpoint(), 6);
-            assert_eq!(slots(&reps[0]), 0);
+            assert_eq!(reps[0].slots.len(), 0);
             assert_eq!(reps[victim].last_delivered(), 0);
 
             // On recovery the replica hears a checkpoint announcement
