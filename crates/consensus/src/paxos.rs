@@ -33,7 +33,6 @@ impl<C: Command> ConsensusReplica<C> {
         let mut slot = Slot {
             batch: Some(batch.clone()),
             view,
-            prepared: true,
             ..Slot::default()
         };
         slot.votes.insert(&self.replicas, self.me);
@@ -64,7 +63,6 @@ impl<C: Command> ConsensusReplica<C> {
         self.view = view;
         let digest = batch.digest();
         let slot = self.slots.entry(seq).or_default().hold(batch, view);
-        slot.prepared = true;
         slot.votes.insert(&self.replicas, self.me);
         out.push(Step::Send {
             to: from,
@@ -156,11 +154,7 @@ impl<C: Command> ConsensusReplica<C> {
     ) {
         for (seq, batch) in log {
             let digest = batch.digest();
-            self.slots
-                .entry(seq)
-                .or_default()
-                .hold(batch, view)
-                .prepared = true;
+            self.slots.entry(seq).or_default().hold(batch, view);
             out.push(Step::Send {
                 to: from,
                 msg: self.msg(MsgBody::Accepted { view, seq, digest }),

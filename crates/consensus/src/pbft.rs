@@ -106,20 +106,20 @@ impl<C: Command> ConsensusReplica<C> {
         }
     }
 
-    /// If the slot just became prepared, broadcast our commit.
+    /// If the slot just became prepared, cast and broadcast our commit.
     fn check_prepared(&mut self, seq: SeqNo, out: &mut Steps<C>) {
         // The pre-prepare from the primary + 2f prepares; we count distinct
         // prepare senders (including ourselves), so 2f are needed.
         let needed = (2 * self.quorum.f).max(1);
+        let (members, me) = (&self.replicas[..], self.me);
         let Some(slot) = self.slots.get_mut(&seq) else {
             return;
         };
         // Need the pre-prepare (block present) and 2f prepares besides it.
-        if slot.prepared || slot.batch.is_none() || slot.votes.len() < needed {
+        if slot.commits.contains(members, me) || slot.batch.is_none() || slot.votes.len() < needed {
             return;
         }
-        slot.prepared = true;
-        slot.commits.insert(&self.replicas, self.me);
+        slot.commits.insert(members, me);
         let digest = slot.digest().expect("the slot holds its block");
         let view = self.view;
         out.push(Step::Broadcast {
@@ -144,10 +144,12 @@ impl<C: Command> ConsensusReplica<C> {
 
     fn check_committed(&mut self, seq: SeqNo, out: &mut Steps<C>) {
         let needed = self.quorum.commit_quorum();
+        let (members, me) = (&self.replicas[..], self.me);
         let Some(slot) = self.slots.get_mut(&seq) else {
             return;
         };
-        if slot.committed || !slot.prepared || slot.batch.is_none() || slot.commits.len() < needed {
+        // Prepared here (our own commit, cast only on a held block) and 2f + 1.
+        if slot.committed || !slot.commits.contains(members, me) || slot.commits.len() < needed {
             return;
         }
         slot.committed = true;
@@ -155,31 +157,31 @@ impl<C: Command> ConsensusReplica<C> {
     }
 
     /// The conditions a `NewView` must meet beyond coming from the view's
-    /// primary (Paxos has none): one certificate per view, none from an
-    /// equivocating primary; an admitted one's checkpoint `frontier` is
-    /// adopted.
+    /// primary (Paxos has none): a view above the replica's own (entered by
+    /// forming it or admitting its `NewView`), none from an equivocating
+    /// primary; an admitted one's checkpoint `frontier` is adopted.
     pub(crate) fn admit_new_view(
         &mut self,
         view: u64,
         log: &[(SeqNo, Batch<C>)],
         frontier: SeqNo,
     ) -> bool {
-        if view <= self.last_new_view {
+        if view <= self.view {
             return false;
         }
         // Defence against an equivocating new primary: reject a `NewView`
         // that re-proposes a *different* block for a sequence number this
-        // replica holds a prepared certificate for — a twin certificate
-        // cannot overwrite prepared state.
+        // replica committed or holds a prepared certificate for — a twin
+        // certificate cannot overwrite either.
         let conflicts = log.iter().any(|(seq, batch)| {
-            let slot = self.slots.get(seq).filter(|slot| slot.prepared);
+            let slot = self.slots.get(seq);
+            let slot = slot.filter(|slot| slot.committed || self.prepared(slot));
             slot.is_some_and(|slot| slot.digest().is_some_and(|d| d != batch.digest()))
         });
         if conflicts {
             self.certificate_conflicts += 1;
             return false;
         }
-        self.last_new_view = view;
         // The new primary certified this floor with 2f + 1 view-change
         // votes; adopt it.  A replica whose frontier is below the adopted
         // floor is now formally gap-stalled (its missing slots may be

@@ -26,7 +26,7 @@ use crate::interface::{primary_for_view, Command, Step};
 use crate::msg::{ConsensusMsg, MsgBody};
 use saguaro_crypto::Digest;
 use saguaro_types::{CheckpointConfig, FailureModel, NodeId, QuorumSpec, SeqNo, StateSnapshot};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// What a replica asks of its adapter in response to one input.  Every entry
@@ -51,6 +51,11 @@ impl VoteMask {
         }
     }
 
+    /// True if `voter` (a member of the sorted `replicas`) has voted.
+    pub(crate) fn contains(self, replicas: &[NodeId], voter: NodeId) -> bool {
+        matches!(replicas.binary_search(&voter), Ok(p) if self.0 & 1 << p != 0)
+    }
+
     /// Distinct members that voted.
     pub(crate) fn len(self) -> usize {
         self.0.count_ones() as usize
@@ -58,9 +63,9 @@ impl VoteMask {
 }
 
 /// One sequence number's state, whichever rule fills it.  A Paxos slot
-/// exists once it holds an accepted block, and accepting marks it prepared;
-/// a PBFT slot can collect votes before its pre-prepare arrives, and is
-/// prepared once it holds `2f` matching prepares besides.
+/// exists once it holds an accepted block; a PBFT slot can collect votes
+/// before its pre-prepare arrives.  Whether a slot is prepared is not
+/// stored but read from what it holds ([`ConsensusReplica::prepared`]).
 #[derive(Clone, Debug)]
 pub(crate) struct Slot<C> {
     /// The block proposed (PBFT) or accepted (Paxos) here.
@@ -70,11 +75,8 @@ pub(crate) struct Slot<C> {
     /// First-phase votes, this replica's included: Paxos `Accepted`s, PBFT
     /// `Prepare`s.
     pub(crate) votes: VoteMask,
-    /// PBFT `Commit`s (empty under Paxos).
+    /// PBFT `Commit`s, this replica's own once prepared (empty under Paxos).
     pub(crate) commits: VoteMask,
-    /// The slot goes into a view-change vote.  A PBFT re-install clears it,
-    /// on a committed slot too, until the slot prepares again.
-    pub(crate) prepared: bool,
     /// The slot is chosen; it is delivered once every slot below it is.
     pub(crate) committed: bool,
 }
@@ -86,7 +88,6 @@ impl<C> Default for Slot<C> {
             view: 0,
             votes: VoteMask::default(),
             commits: VoteMask::default(),
-            prepared: false,
             committed: false,
         }
     }
@@ -94,8 +95,13 @@ impl<C> Default for Slot<C> {
 
 impl<C: Command> Slot<C> {
     /// Stores `batch` as proposed or accepted in `view`, keeping the slot's
-    /// votes and flags.
+    /// votes and flags.  A committed slot never takes a different block.
     pub(crate) fn hold(&mut self, batch: Batch<C>, view: u64) -> &mut Self {
+        debug_assert!(
+            !self.committed || self.digest() == Some(batch.digest()),
+            "a slot committed in view {} was handed a different block in view {view}",
+            self.view
+        );
         self.batch = Some(batch);
         self.view = view;
         self
@@ -139,19 +145,12 @@ pub struct ConsensusReplica<C> {
     /// issued in; applied once an Accept from that view (or newer) fills
     /// the slot.
     pub(crate) pending_learns: BTreeMap<SeqNo, u64>,
-    /// PBFT: the highest view whose `NewView` certificate this replica has
-    /// accepted; a second (possibly conflicting) certificate for the same
-    /// view is never applied.
-    pub(crate) last_new_view: u64,
-    /// View-change votes collected per proposed view.
-    view_change_votes: BTreeMap<u64, BTreeMap<NodeId, ViewChangeVote<C>>>,
-    /// Replicas caught sending two *conflicting* view-change votes for the
-    /// same view (a Byzantine twin certificate; Paxos assumes crash faults,
-    /// but a misbehaving or misconfigured replica must not poison the new
-    /// leader's merge either).  Both votes are discarded and further votes
-    /// from the sender are ignored for that view; the next view change
-    /// starts from a clean slate.
-    vc_tainted: BTreeSet<(u64, NodeId)>,
+    /// View-change ballots per proposed view above the current one.  A
+    /// `None` ballot marks a sender caught sending two *conflicting* votes
+    /// for that view (a Byzantine twin; Paxos assumes crash faults, but a
+    /// misbehaving replica must not poison the merge either): it counts for
+    /// nothing in that view, and the next view change starts clean.
+    view_change_votes: BTreeMap<u64, BTreeMap<NodeId, Option<ViewChangeVote<C>>>>,
     /// Conflicting certificates detected and discarded (twin view-change
     /// votes and, under PBFT, rejected twin new-view messages).
     pub(crate) certificate_conflicts: u64,
@@ -210,9 +209,7 @@ impl<C: Command> ConsensusReplica<C> {
             last_delivered: 0,
             slots: BTreeMap::new(),
             pending_learns: BTreeMap::new(),
-            last_new_view: 0,
             view_change_votes: BTreeMap::new(),
-            vc_tainted: BTreeSet::new(),
             certificate_conflicts: 0,
             in_view_change: false,
             highest_vc: 0,
@@ -452,22 +449,30 @@ impl<C: Command> ConsensusReplica<C> {
         )
     }
 
+    /// True if `slot` is prepared here: under Paxos, it holds its accepted
+    /// block; under PBFT, its commits hold this replica's own vote, which
+    /// `check_prepared` casts and a re-install clears.
+    pub(crate) fn prepared(&self, slot: &Slot<C>) -> bool {
+        match self.quorum.model {
+            FailureModel::Crash => slot.batch.is_some(),
+            FailureModel::Byzantine => slot.commits.contains(&self.replicas, self.me),
+        }
+    }
+
     /// The `(seq, view, block)` entries above `stable` a view-change vote
-    /// carries: every prepared slot (every accepted one under Paxos),
-    /// delivered ones included.  Quorum intersection then guarantees the new
-    /// primary's merge sees each chosen value even when the only voter
-    /// still holding it has already executed it (a delivered-entries filter
-    /// here once let a new leader re-assign an executed sequence number to a
-    /// fresh command, forking stragglers).  Entries at or below the
-    /// checkpoint are quorum-executed and immutable; laggards that still
-    /// need them catch up through state transfer, so omitting them is what
-    /// bounds the vote by `history − checkpoint`.
+    /// carries: every committed or prepared slot, delivered ones included (a
+    /// PBFT re-install leaves a committed slot unprepared until it prepares
+    /// again).  Quorum intersection then guarantees the new primary's merge
+    /// sees each chosen value even when the only voter still holding it has
+    /// executed it; leaving executed or committed slots out once let a new
+    /// leader re-number them with a fresh block, forking stragglers.
+    /// Entries at or below the checkpoint are quorum-executed and immutable;
+    /// laggards that still need them catch up through state transfer, so
+    /// omitting them is what bounds the vote by `history − checkpoint`.
     fn vote_entries_above(&self, stable: SeqNo) -> impl Iterator<Item = (SeqNo, u64, &Batch<C>)> {
-        let prepared = self
-            .slots
-            .range(stable + 1..)
-            .filter(|(_, slot)| slot.prepared);
-        prepared.filter_map(|(seq, slot)| Some((*seq, slot.view, slot.batch.as_ref()?)))
+        let voted = self.slots.range(stable + 1..);
+        let voted = voted.filter(|(_, slot)| slot.committed || self.prepared(slot));
+        voted.filter_map(|(seq, slot)| Some((*seq, slot.view, slot.batch.as_ref()?)))
     }
 
     /// Drops every slot, and every buffered Learn, at or below `floor`.
@@ -708,6 +713,9 @@ impl<C: Command> ConsensusReplica<C> {
                 })
     }
 
+    /// Records `from`'s ballot for `new_view` (a conflicting second vote
+    /// turns it `None`; a replica trusts its own), forming the view at its
+    /// primary once a commit quorum of votes is in.
     fn record_view_change_vote(
         &mut self,
         from: NodeId,
@@ -715,34 +723,25 @@ impl<C: Command> ConsensusReplica<C> {
         vote: ViewChangeVote<C>,
         out: &mut Steps<C>,
     ) {
-        // Defence against conflicting view-change certificates — see
-        // `vc_tainted`.  Identical re-deliveries are harmless overwrites,
-        // and a replica always trusts its own vote.
-        if self.vc_tainted.contains(&(new_view, from)) {
-            return;
-        }
-        let votes = self.view_change_votes.entry(new_view).or_default();
-        if from != self.me {
-            if let Some(existing) = votes.get(&from) {
-                if Self::votes_conflict(existing, &vote) {
-                    votes.remove(&from);
-                    self.vc_tainted.insert((new_view, from));
-                    self.certificate_conflicts += 1;
-                    return;
-                }
+        let ballots = self.view_change_votes.entry(new_view).or_default();
+        match ballots.get(&from) {
+            Some(None) => return,
+            Some(Some(existing)) if from != self.me && Self::votes_conflict(existing, &vote) => {
+                ballots.insert(from, None);
+                self.certificate_conflicts += 1;
+                return;
             }
+            _ => {}
         }
-        votes.insert(from, vote);
+        ballots.insert(from, Some(vote));
         let i_am_new_primary = primary_for_view(new_view, &self.replicas) == self.me;
-        if !i_am_new_primary || votes.len() < self.quorum.commit_quorum() {
+        if !i_am_new_primary || ballots.values().flatten().count() < self.quorum.commit_quorum() {
             return;
         }
         // Become the primary of the new view: merge the voted entries,
         // preferring the value of the highest view per slot.
-        let votes = self
-            .view_change_votes
-            .remove(&new_view)
-            .expect("the quorum of votes counted just above");
+        let votes = self.view_change_votes.remove(&new_view);
+        let votes = votes.expect("the quorum of votes counted just above");
         // Paxos merges from the voters' delivery frontiers alone; PBFT from
         // checkpoints, its own included.
         let (model, own) = (self.quorum.model, self.checkpoint.stable());
@@ -753,6 +752,7 @@ impl<C: Command> ConsensusReplica<C> {
         let mut merged: BTreeMap<SeqNo, (u64, Batch<C>)> = BTreeMap::new();
         let mut best_voter: Option<(SeqNo, NodeId)> = None;
         for (voter, vote) in votes {
+            let Some(vote) = vote else { continue };
             let progress = match model {
                 FailureModel::Crash => vote.last_delivered,
                 FailureModel::Byzantine => vote.checkpoint,
@@ -782,10 +782,7 @@ impl<C: Command> ConsensusReplica<C> {
                 self.checkpoint.note_hint(progress, voter);
             }
         }
-        self.view = new_view;
-        self.in_view_change = false;
-        // Taint records for completed views are no longer consulted.
-        self.vc_tainted.retain(|(v, _)| *v > new_view);
+        self.enter_view(new_view);
 
         // The re-proposed log starts at the *lowest* voter floor, not the
         // highest: a voter that has not yet executed an already-chosen entry
@@ -835,15 +832,21 @@ impl<C: Command> ConsensusReplica<C> {
     /// were given for whatever value the slot held *then*; counting them
     /// towards the re-proposed value could commit it with replicas that
     /// never saw it.  Committed slots keep their flag — commitment is
-    /// value-stable.  A Paxos slot is prepared by being accepted; a PBFT
-    /// one re-runs its prepare round.  (A Paxos follower does not come here:
-    /// it keeps no acknowledgements worth restarting.)
+    /// value-stable.  A Paxos slot stays prepared (it holds its block); a
+    /// PBFT one re-runs its prepare round.  (A Paxos follower does not come
+    /// here: it keeps no acknowledgements worth restarting.)
     pub(crate) fn reinstall(&mut self, seq: SeqNo, batch: Batch<C>, view: u64) {
         let slot = self.slots.entry(seq).or_default().hold(batch, view);
         slot.votes = VoteMask::default();
         slot.votes.insert(&self.replicas, self.me);
         slot.commits = VoteMask::default();
-        slot.prepared = self.quorum.model == FailureModel::Crash;
+    }
+
+    /// Moves to `view`, ending any view change; no ballot up to it is read again.
+    fn enter_view(&mut self, view: u64) {
+        self.view = view;
+        self.in_view_change = false;
+        self.view_change_votes.retain(|v, _| *v > view);
     }
 
     fn on_new_view(
@@ -860,8 +863,7 @@ impl<C: Command> ConsensusReplica<C> {
         {
             return;
         }
-        self.view = view;
-        self.in_view_change = false;
+        self.enter_view(view);
         // The advertised frontier is commit evidence from the new primary.
         self.checkpoint.note_hint(frontier, from);
         out.push(Step::ViewChanged {
@@ -1042,6 +1044,7 @@ mod tests {
     use super::testkit::*;
     use super::*;
     use saguaro_types::DomainId;
+    use std::collections::{BTreeSet, VecDeque};
     use FailureModel::{Byzantine, Crash};
 
     /// True if `steps` ask some peer for the state above `above`.
@@ -1429,6 +1432,143 @@ mod tests {
             // proposal is refused and the batcher keeps them for a retry.
             assert!(steps_of(|o| reps[0].flush(o)).is_empty());
             assert_eq!(reps[0].pending_commands(), 2);
+        }
+    }
+
+    #[test]
+    fn entering_a_view_drops_every_ballot_table_up_to_it() {
+        for (model, n) in [(Crash, 3), (Byzantine, 4)] {
+            let (nodes, mut reps) = domain(model, n);
+            for view in 1..=3 {
+                // Every backup of the current view suspects its primary.
+                let backups = (0..n).filter(|i| *i != (view - 1) % n);
+                let vc = backups.map(|i| (i, steps_of(|o| reps[i].on_progress_timeout(o))));
+                let vc: InitialSteps = vc.collect();
+                route(&nodes, &mut reps, vc, &[]);
+                for (i, rep) in reps.iter().enumerate() {
+                    assert_eq!(rep.view(), view as u64, "{model:?} replica {i}");
+                    let kept: Vec<u64> = rep.view_change_votes.keys().copied().collect();
+                    assert!(
+                        kept.iter().all(|v| *v > view as u64),
+                        "{model:?} replica {i} in view {view} keeps the ballots of views {kept:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Schedules driven message by message.
+    // ------------------------------------------------------------------
+
+    /// A hand-driven network: the messages in flight, as `(to, from, msg)`
+    /// by member index, and what each replica delivered.  Unlike `route`,
+    /// it loses every message a test's keep predicate refuses.
+    struct Pool {
+        in_flight: VecDeque<(usize, usize, ConsensusMsg<Cmd>)>,
+        delivered: Vec<Delivered>,
+    }
+
+    impl Pool {
+        fn new(n: usize) -> Self {
+            let delivered = vec![Vec::new(); n];
+            Self {
+                in_flight: VecDeque::new(),
+                delivered,
+            }
+        }
+
+        /// Puts what replica `from` sent in flight and records what it
+        /// delivered.
+        fn absorb(&mut self, from: usize, steps: Steps<Cmd>) {
+            for step in steps {
+                match step {
+                    Step::Send { to, msg } => {
+                        self.in_flight.push_back((to.index.into(), from, msg));
+                    }
+                    Step::Broadcast { msg } => {
+                        for to in (0..self.delivered.len()).filter(|to| *to != from) {
+                            self.in_flight.push_back((to, from, msg.clone()));
+                        }
+                    }
+                    Step::Deliver { seq, command } => {
+                        let delivered = command.iter().map(|c| (seq, c.clone()));
+                        self.delivered[from].extend(delivered);
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        /// Delivers, in order, every in-flight message `keep(to, body)`
+        /// accepts, and what those deliveries send in turn; loses the rest.
+        fn run(
+            &mut self,
+            nodes: &[NodeId],
+            reps: &mut [ConsensusReplica<Cmd>],
+            keep: impl Fn(usize, &MsgBody<Cmd>) -> bool,
+        ) {
+            while let Some((to, from, msg)) = self.in_flight.pop_front() {
+                if keep(to, &msg.body) {
+                    let steps = steps_of(|o| reps[to].on_message_into(nodes[from], msg, o));
+                    self.absorb(to, steps);
+                }
+            }
+        }
+    }
+
+    /// Finding 14: a PBFT re-install restarts a committed slot's prepare
+    /// round.  Were the slot left out of view-change votes meanwhile, a
+    /// later primary would number a fresh block at a sequence number its
+    /// peers delivered.  n = 4, f = 1.
+    #[test]
+    fn a_reinstalled_committed_slot_stays_in_view_change_votes() {
+        let (nodes, mut reps) = domain(Byzantine, 4);
+        let mut pool = Pool::new(4);
+        // 1. View 0: replicas 0, 1 and 3 deliver A at seq 1; 2 hears nothing.
+        pool.absorb(0, steps_of(|o| reps[0].propose_into(b"A".to_vec(), o)));
+        pool.run(&nodes, &mut reps, |to, _| to != 2);
+        // 2. Replica 0 crashes.  Replicas 1, 2 and 3 vote for view 1, and 1
+        //    forms it from the others' votes, re-installing A at seq 1.
+        // 3. Only replica 3 hears view 1's `NewView`, and every re-run
+        //    `Prepare` is lost.
+        for i in [1, 2, 3] {
+            pool.absorb(i, steps_of(|o| reps[i].on_progress_timeout(o)));
+        }
+        pool.run(&nodes, &mut reps, |to, body| match body {
+            MsgBody::ViewChange { .. } => to == 1,
+            MsgBody::NewView { .. } => to == 3,
+            _ => false,
+        });
+        let views: Vec<u64> = reps.iter().map(|r| r.view()).collect();
+        assert_eq!(views, [0, 1, 0, 1]);
+        // 4. Replicas 2 and 3 time out to view 2, replica 1 echoes, and
+        //    replica 2 forms view 2.
+        // 5. Its primary proposes B.
+        for i in [2, 3] {
+            pool.absorb(i, steps_of(|o| reps[i].on_progress_timeout(o)));
+        }
+        let live = |to: usize, _: &MsgBody<Cmd>| to != 0;
+        pool.run(&nodes, &mut reps, live);
+        assert!(reps[2].is_primary() && reps[2].view() == 2);
+        pool.absorb(2, steps_of(|o| reps[2].propose_into(b"B".to_vec(), o)));
+        pool.run(&nodes, &mut reps, live);
+
+        // Agreement: a sequence number holds one block wherever delivered.
+        let mut chosen = BTreeMap::new();
+        for (i, delivered) in pool.delivered.iter().enumerate() {
+            for (seq, cmd) in delivered {
+                let (first, block) = *chosen.entry(*seq).or_insert((i, cmd));
+                assert_eq!(
+                    cmd, block,
+                    "replica {i} delivered {cmd:?} at seq {seq}, replica {first} {block:?}"
+                );
+            }
+        }
+        // And the domain goes on: B follows A on every live replica.
+        for i in [1, 2, 3] {
+            let last = pool.delivered[i].last();
+            assert_eq!(last, Some(&(2, b"B".to_vec())), "replica {i}");
         }
     }
 
